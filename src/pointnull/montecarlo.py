@@ -5,6 +5,12 @@ of (seed, i), a splitmix64 bit-mix fed through the package's own normal
 quantile. There is no sequential generator state, so a simulation can be
 split across any partition of its index range and reproduce bit-identical
 counts — reports only ever depend on the plan.
+
+Most draws are counted without computing the normal itself: the rule
+P(H0|x) < alpha_b with x = theta + quantile(u) holds exactly when u falls
+below Phi(-r - theta) or above Phi(r - theta). Those two cut points are
+computed once per plan, and only a draw within _CUT_WINDOW of one of them
+is decided by the quantile and the posterior.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 from .calibration import power_analytic, type_i_error
 from .model import AlternativeSpread, _posterior_from_parts, _posterior_parts
-from .numerics import DomainError, std_normal_quantile
+from .numerics import DomainError, std_normal_cdf, std_normal_quantile
 from .priors import PriorScheme
 
 __all__ = [
@@ -31,7 +37,59 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
-_TWO_NEG53 = 2.0**-53
+_TWO_NEG53 = 2.0**-53  # also the unit roundoff of a float64
+_EXACT_ONLY = (0, 0, 0, 1 << 64)  # thresholds that send every draw to the exact route
+
+_CUT_WINDOW = 1e-9
+"""Half-width, in u, of the band around each cut point that takes the exact route.
+
+Outside the band the exact route's decision is certain. Write eps = 2^-53,
+L* = log(1/alpha_b - 1) in real arithmetic and L for its computed value,
+gap* = L* - base, and let the plan's real cut radius be
+R* = sqrt(2 gap* / ratio). The exact route computes
+x = theta + q with q = quantile(u), then t = base + 0.5 x^2 ratio, then
+rejects iff _stable_inv_logistic(t) < alpha_b.
+
+1. Logistic. exp is faithful (relative error < 2 eps), so each branch of
+   _stable_inv_logistic returns P(t) = 1 / (1 + e^t) within relative error
+   6 eps, plus an absolute 2^-1074 once the result is subnormal. log P falls
+   with slope 1 - P, which is at least 1 - alpha_b for t >= L* and at least
+   (1 - alpha_b) / 2 for t within 1/2 of L* below it. So the route rejects for
+   every t >= L* + s and retains for every t <= L* - s, where
+   s = 12 eps / (alpha_b (1 - alpha_b)) also swallows the subnormal term.
+2. The posterior exponent. The sum theta + q, the square, the product with
+   ratio and the sum with base each round once, so near the cut the
+   computed t is within eps (5 |x^2 ratio / 2| + |t|) <= 6 eps (|L| + |base|)
+   of the real one.
+   Computing L as log1p(-alpha_b) - log(alpha_b) costs at most
+   eps (3 |L| + 3).
+   Every step is monotone in |theta + q| (sign-symmetric rounding, positive
+   factors), so t is non-decreasing in |theta + q| and the bounds only need
+   to hold at the two band edges. All of this, with s, sits inside
+   tau = 16 eps (1 + |L| + |base| + 1 / (alpha_b (1 - alpha_b))).
+   Therefore |theta + q| >= R_hi = sqrt(2 (gap* + tau) / ratio) rejects and
+   |theta + q| <= R_lo = sqrt(2 (gap* - tau) / ratio) retains.
+3. Radii. With gap = L - base computed, gap > 2 tau gives gap* > gap / 2,
+   and R_hi - R* and R* - R_lo are at most tau R* / gap*. The computed
+   radius r is within R* (tau / gap* + 3 eps) of R*, so every edge lies
+   within r (8 tau / gap + 8 eps) of r. The normal density is below 0.4, so
+   in u each edge lies within 3.2 r (tau / gap + eps) of Phi(+-r - theta).
+   _cut_thresholds only keeps plans where that is at most 0.4 _CUT_WINDOW.
+   As ratio < 1 gives r >= sqrt(2 gap), and gap <= |L| + |base| <=
+   tau / (16 eps), this also forces tau < 1e-5, so step 1's slopes apply.
+4. The uniform. std_normal_quantile satisfies |cdf(q) - u| <= 1e-12, and
+   std_normal_cdf is within 1e-14 of Phi both at q and at the cut points;
+   rounding -r - theta moves Phi by at most 0.25 eps. The thresholds of
+   _grid_below and _grid_above stay 1.5 grid steps (2^-53 each) clear of
+   each band edge, which covers the rounding of the edge itself and of
+   u = (k + 1/2) 2^-53 when k >= 2^52.
+
+Steps 3 and 4 use at most 0.4 _CUT_WINDOW + 1.1e-12 < _CUT_WINDOW, so a draw
+below Phi(-r - theta) - _CUT_WINDOW has theta + q < -R_hi and is rejected, a
+draw above Phi(r - theta) + _CUT_WINDOW has theta + q > R_hi and is
+rejected, and a draw between the inner edges has |theta + q| < R_lo and is
+retained. A plan that fails the guard takes the exact route for every draw.
+"""
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -86,37 +144,90 @@ class MonteCarloReport:
     ci95: tuple[float, float]
     analytic_value: float
     within_3se: bool
+    exact_route_draws: int
 
 
-def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> int:
-    """Rejections among sample indices [lo, hi) of the plan's stream.
+def _grid_below(u: float) -> int:
+    """Mix bound z0 such that every z < z0 gives a uniform below u."""
+    return min(max(math.floor(u * 2.0**53) - 1, 0), 1 << 53) << 11
 
-    The per-sample decision is the posterior route of calibration.decide,
-    using the same precomputed pieces as model.posterior_h0 so the counted
-    event is bit-for-bit {P(H0|x) < alpha_b}.
+
+def _grid_above(u: float) -> int:
+    """Mix bound z0 such that every z >= z0 gives a uniform above u."""
+    return min(max(math.ceil(u * 2.0**53) + 1, 0), 1 << 53) << 11
+
+
+def _cut_thresholds(
+    base: float, ratio: float, theta: float, alpha_b: float
+) -> tuple[int, int, int, int]:
+    """(keep_lo, keep_hi, reject_lo, reject_hi) bounds on the raw 64-bit mix z.
+
+    z < reject_lo or z >= reject_hi certainly rejects, keep_lo <= z < keep_hi
+    certainly retains, and every other z takes the exact route. The bounds
+    are grid indices shifted left by 11, since u = ((z >> 11) + 0.5) 2^-53.
+    See _CUT_WINDOW for why the bands are wide enough; a plan past the
+    positivity bound, or too ill-conditioned for the window, gets
+    _EXACT_ONLY.
+    """
+    logit = math.log1p(-alpha_b) - math.log(alpha_b)
+    gap = logit - base
+    logistic_slack = 1.0 / (alpha_b * (1.0 - alpha_b))
+    tau = 16.0 * _TWO_NEG53 * (1.0 + abs(logit) + abs(base) + logistic_slack)
+    if not (gap > 2.0 * tau and ratio > 0.0):
+        return _EXACT_ONLY
+    r = math.sqrt(2.0 * gap / ratio)
+    if not 8.0 * r * (tau / gap + _TWO_NEG53) <= _CUT_WINDOW:
+        return _EXACT_ONLY
+    lower = std_normal_cdf(-r - theta)
+    upper = std_normal_cdf(r - theta)
+    return (
+        _grid_above(lower + _CUT_WINDOW),
+        _grid_below(upper - _CUT_WINDOW),
+        _grid_below(lower - _CUT_WINDOW),
+        _grid_above(upper + _CUT_WINDOW),
+    )
+
+
+def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
+    """(rejections, exact_route_draws) among sample indices [lo, hi) of the stream.
+
+    The loop inlines splitmix64 and compares its raw output against the
+    integer thresholds of _cut_thresholds. Only a draw inside a window takes
+    the exact route: the posterior route of calibration.decide, using the
+    same precomputed pieces as model.posterior_h0 so the counted event is
+    bit-for-bit {P(H0|x) < alpha_b}. The equivalence and partition tests in
+    tests/test_montecarlo.py pin both the inlined mix and the cut points.
     """
     rho = plan.scheme.rho0(plan.sigma)
     if rho <= 0.0:
         # Prior mass underflowed (divergent scheme at enormous sigma): the
         # posterior is below any threshold for every draw.
-        return hi - lo
+        return hi - lo, 0
     base, ratio = _posterior_parts(AlternativeSpread(plan.sigma), rho)
     seed, theta, alpha_b = plan.seed, plan.theta, plan.alpha_b
-    quantile = std_normal_quantile
-    count = 0
+    keep_lo, keep_hi, reject_lo, reject_hi = _cut_thresholds(base, ratio, theta, alpha_b)
+    count = exact = 0
     for i in range(lo, hi):
         z = (seed + (i + 1) * _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * _MIX_B) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX_C) & _MASK64
         z ^= z >> 31
-        # Inlined draw_standard_normal(seed, i); keep in lockstep with it.
-        x = theta + quantile(((z >> 11) + 0.5) * _TWO_NEG53)
+        if keep_lo <= z < keep_hi:
+            continue
+        if z < reject_lo or z >= reject_hi:
+            count += 1
+            continue
+        exact += 1
+        x = theta + std_normal_quantile(((z >> 11) + 0.5) * _TWO_NEG53)
         if _posterior_from_parts(x * x, base, ratio) < alpha_b:
             count += 1
-    return count
+    return count, exact
 
 
-def _report(plan: SimulationPlan, rejections: int, analytic: float) -> MonteCarloReport:
+def _report(
+    plan: SimulationPlan, counts: tuple[int, int], analytic: float
+) -> MonteCarloReport:
+    rejections, exact_route_draws = counts
     estimate = rejections / plan.n
     std_error = math.sqrt(estimate * (1.0 - estimate) / plan.n)
     ci = (max(0.0, estimate - 1.96 * std_error), min(1.0, estimate + 1.96 * std_error))
@@ -128,6 +239,7 @@ def _report(plan: SimulationPlan, rejections: int, analytic: float) -> MonteCarl
         ci95=ci,
         analytic_value=analytic,
         within_3se=abs(estimate - analytic) <= 3.0 * std_error,
+        exact_route_draws=exact_route_draws,
     )
 
 

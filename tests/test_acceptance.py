@@ -188,6 +188,7 @@ def test_criterion_09_million_sample_simulation():
         elapsed = time.perf_counter() - start
         assert abs(first.estimate - 0.05) <= 0.00065
         assert second == first
+        assert first.exact_route_draws == 0
         assert elapsed < 10.0, f"two runs took {elapsed:.2f}s"
 
 

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointnull.calibration import type_i_error
-from pointnull.model import AlternativeSpread, Observation, posterior_h0
+from pointnull.calibration import PsiDomainError, psi, type_i_error
+from pointnull.model import (
+    AlternativeSpread,
+    Observation,
+    _posterior_from_parts,
+    _posterior_parts,
+    posterior_h0,
+)
 from pointnull.montecarlo import (
     MonteCarloReport,
     SimulationPlan,
+    _cut_thresholds,
     _rejection_count,
     draw_standard_normal,
     simulate_power,
@@ -18,8 +25,8 @@ from pointnull.montecarlo import (
     splitmix64,
     uniform_unit,
 )
-from pointnull.numerics import DomainError
-from pointnull.priors import KLSelfInformationPrior
+from pointnull.numerics import DomainError, std_normal_quantile
+from pointnull.priors import KLSelfInformationPrior, scheme_from_string
 
 SIGMA_STAR_005_KL = 2.1089733943720829818
 KL = KLSelfInformationPrior()
@@ -129,9 +136,9 @@ def test_runs_are_reproducible():
 
 def test_rejection_count_is_partitionable():
     plan = make_plan(n=2000)
-    full = _rejection_count(plan, 0, plan.n)
+    full, _ = _rejection_count(plan, 0, plan.n)
     for split in (1, plan.n // 3, plan.n - 1):
-        assert full == _rejection_count(plan, 0, split) + _rejection_count(plan, split, plan.n)
+        assert full == _rejection_count(plan, 0, split)[0] + _rejection_count(plan, split, plan.n)[0]
 
 
 def test_counted_event_is_the_posterior_decision():
@@ -142,7 +149,86 @@ def test_counted_event_is_the_posterior_decision():
         posterior_h0(Observation(draw_standard_normal(plan.seed, i)), spread, rho) < plan.alpha_b
         for i in range(plan.n)
     )
-    assert _rejection_count(plan, 0, plan.n) == expected
+    assert _rejection_count(plan, 0, plan.n)[0] == expected
+
+
+def public_recount(plan):
+    """Rejections counted through draw_standard_normal and posterior_h0 alone."""
+    spread = AlternativeSpread(plan.sigma)
+    rho = plan.scheme.rho0(plan.sigma)
+    return sum(
+        posterior_h0(Observation(plan.theta + draw_standard_normal(plan.seed, i)), spread, rho)
+        < plan.alpha_b
+        for i in range(plan.n)
+    )
+
+
+@pytest.fixture(scope="module")
+def table_scheme(tmp_path_factory):
+    path = tmp_path_factory.mktemp("table") / "rho.csv"
+    path.write_text("sigma,rho0\n0.5,0.6\n1.5,0.4\n3.0,0.2\n")
+    return scheme_from_string(f"table:{path}")
+
+
+@pytest.mark.parametrize("alpha_b", (0.01, 0.05, 0.3, 0.5))
+@pytest.mark.parametrize("scheme", ("fixed:0.3", "fixed:0.9", "robert", "kl", "table"))
+def test_cut_point_count_equals_public_recount(scheme, alpha_b, table_scheme):
+    prior = table_scheme if scheme == "table" else scheme_from_string(scheme)
+    for seed, theta in enumerate((0.0, 0.5, -0.5, 1.5, 3.0, 40.0)):
+        plan = make_plan(n=1000, seed=seed, theta=theta, sigma=2.0, alpha_b=alpha_b, scheme=prior)
+        assert simulate_power(plan).rejections == public_recount(plan), theta
+
+
+@pytest.mark.parametrize("scheme, sigma, alpha_b", (("robert", 5.0, 0.3), ("kl", 3.0, 0.05)))
+@pytest.mark.parametrize("theta", (0.0, 0.5, -0.5, 1.5, 3.0, 40.0))
+def test_past_positivity_bound_count_equals_public_recount(scheme, sigma, alpha_b, theta):
+    prior = scheme_from_string(scheme)
+    with pytest.raises(PsiDomainError):
+        psi(sigma, alpha_b, prior)
+    plan = make_plan(n=300, theta=theta, sigma=sigma, alpha_b=alpha_b, scheme=prior)
+    report = simulate_power(plan)
+    assert report.rejections == public_recount(plan) == plan.n
+
+
+@pytest.mark.parametrize(
+    "scheme, sigma, alpha_b, theta",
+    (
+        ("kl", SIGMA_STAR_005_KL, 0.05, 0.0),
+        ("kl", SIGMA_STAR_005_KL, 0.05, 1.5),
+        ("robert", 1.0, 0.01, -0.5),
+        ("fixed:0.9", 0.5, 0.3, 3.0),
+        ("fixed:0.3", 3.4046108452636634, 0.5862895263957044, 0.0),
+    ),
+)
+def test_grid_points_next_to_each_window_are_decided_like_the_exact_route(
+    scheme, sigma, alpha_b, theta
+):
+    rho = scheme_from_string(scheme).rho0(sigma)
+    base, ratio = _posterior_parts(AlternativeSpread(sigma), rho)
+    keep_lo, keep_hi, reject_lo, reject_hi = (
+        z >> 11 for z in _cut_thresholds(base, ratio, theta, alpha_b)
+    )
+    probes = [(k, True) for k in range(reject_lo - 64, reject_lo)]
+    probes += [(k, False) for k in range(keep_lo, keep_lo + 64)]
+    probes += [(k, False) for k in range(keep_hi - 64, keep_hi)]
+    probes += [(k, True) for k in range(reject_hi, reject_hi + 64)]
+    grid = range(2**53 - 1)  # the top index rounds to u = 1.0, outside the quantile's domain
+    for k, rejects in probes:
+        if k not in grid:
+            continue
+        x = theta + std_normal_quantile((k + 0.5) * 2.0**-53)
+        assert (_posterior_from_parts(x * x, base, ratio) < alpha_b) == rejects, k
+
+
+@pytest.mark.parametrize("alpha_b", (0.01, 0.05))
+@pytest.mark.parametrize("seed", (0, 3))
+def test_draw_on_a_cut_point_takes_the_exact_route(seed, alpha_b):
+    probe = make_plan(seed=seed, alpha_b=alpha_b)
+    r = math.sqrt(psi(probe.sigma, alpha_b, probe.scheme))
+    plan = make_plan(n=200, seed=seed, alpha_b=alpha_b, theta=-r - draw_standard_normal(seed, 0))
+    report = simulate_power(plan)
+    assert report.exact_route_draws >= 1
+    assert report.rejections == public_recount(plan)
 
 
 def test_type_i_estimate_brackets_the_analytic_rate():
