@@ -42,10 +42,7 @@ from .numerics import (
     BracketError,
     DomainError,
     EvaluationError,
-    QuadratureAccuracyError,
-    QuadratureResult,
     find_root_bracketed,
-    integrate_adaptive,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,

@@ -228,6 +228,10 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
 
 
 _SCAN_DECADES = range(-3, 4)
+#: Probes past the scan range, taken only when the finest pass brackets
+#: nothing: asymptotically flat schemes reach some targets only there, and
+#: their values bound the achievable range a refusal reports.
+_FAR_PROBES = (1e6, 1e12)
 
 
 def _scan_points(per_decade: int) -> list[float]:
@@ -243,42 +247,45 @@ def _scan_points(per_decade: int) -> list[float]:
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
-    Brackets a sign change of g(sigma) = type_i_error(sigma) - alpha on a
-    geometric grid (decades 10^-3..10^3, refined 16 then 64 points per
-    decade when the coarse pass misses), then polishes with the bracketed
-    root finder to |achieved - alpha| <= 1e-10. When no sign change exists
-    the target is unachievable under the scheme and the error carries the
-    approximate achievable range.
+    Brackets a crossing of type_i_error(sigma) = alpha on a geometric grid
+    (decades 10^-3..10^3, refined 16 then 64 points per decade when the
+    coarse pass misses, the last pass extended to sigma = 1e6 and 1e12),
+    then polishes with the bracketed root finder to |achieved - alpha| <=
+    1e-10. When no crossing exists the target is unachievable under the
+    scheme and the error carries the range the last pass saw.
     """
     evaluations = 0
+    alpha = spec.alpha
 
-    def g(sigma: float) -> float:
+    def error_at(sigma: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return type_i_error(sigma, spec.alpha_b, spec.scheme) - spec.alpha
+        return type_i_error(sigma, spec.alpha_b, spec.scheme)
 
     bracket = None
     for per_decade in (1, 16, 64):
         pts = _scan_points(per_decade)
-        values = [g(s) for s in pts]
-        for (s_lo, g_lo), (s_hi, g_hi) in zip(zip(pts, values), zip(pts[1:], values[1:])):
-            if g_lo == 0.0:
+        errors = [error_at(s) for s in pts]
+        if per_decade == 64 and (min(errors) > alpha or max(errors) < alpha):
+            # Nothing on the grid meets alpha: look past its upper end.
+            pts += _FAR_PROBES
+            errors += [error_at(s) for s in _FAR_PROBES]
+        for (s_lo, e_lo), (s_hi, e_hi) in zip(zip(pts, errors), zip(pts[1:], errors[1:])):
+            if e_lo == alpha:
                 return _result_at(s_lo, spec, Bracket(s_lo / 2.0, s_hi), evaluations)
-            if g_hi == 0.0:
+            if e_hi == alpha:
                 return _result_at(s_hi, spec, Bracket(s_lo, s_hi * 2.0), evaluations)
-            if (g_lo > 0.0) != (g_hi > 0.0):
+            if (e_lo > alpha) != (e_hi > alpha):
                 bracket = Bracket(s_lo, s_hi)
                 break
         if bracket is not None:
             break
     if bracket is None:
-        # Report what is achievable, probing beyond the scan range so
-        # asymptotically flat schemes show their true ceiling.
-        probes = _scan_points(64) + [1e6, 1e12]
-        alphas = [type_i_error(s, spec.alpha_b, spec.scheme) for s in probes]
-        raise InfeasibleAlphaError(spec.alpha, min(alphas), max(alphas))
+        raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
-    sigma_star = find_root_bracketed(g, bracket, xtol=1e-15, ftol=5e-12)
+    sigma_star = find_root_bracketed(
+        lambda s: error_at(s) - alpha, bracket, xtol=1e-15, ftol=5e-12
+    )
     return _result_at(sigma_star, spec, bracket, evaluations)
 
 

@@ -5,8 +5,11 @@ output is `key = value` lines; sweeps emit CSV with `# key=value` comment
 lines so a plot is one tool away. Exit codes are stable: 0 success, 2
 argument problems, 3 domain/infeasibility problems, 4 I/O problems.
 
-Options may come from a key=value config file (--config); explicit flags
-win over the file, the file wins over built-in defaults.
+Each subcommand's options are declared once, in _COMMANDS, and each flag's
+argparse type checks it. Options may also come from a key=value config file
+(--config): its values become the subparser's defaults and pass through the
+same types, explicit flags win over the file, and the file wins over
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -88,79 +91,41 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Options:
-    """Merged view of CLI flags over config-file values over defaults."""
+def _typed(convert: Callable[[str], float], noun: str, check: Callable, expect: str) -> Callable:
+    """An argparse type: convert raw, then check it, else a usage error (exit 2)."""
 
-    def __init__(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
-        self._parser = parser
-        self._cli = vars(args)
-        config_path = self._cli.get("config")
-        self._config = _read_config(config_path) if config_path else {}
-
-    def _fail(self, message: str) -> None:
-        self._parser.error(message)  # raises SystemExit(2)
-
-    def raw(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        value = self._cli.get(key)
-        if value is None:
-            value = self._config.get(key)
-        if value is None:
-            value = default
-        if value is None and required:
-            self._fail(f"missing required option --{key.replace('_', '-')}")
-        return value
-
-    def float_value(
-        self,
-        key: str,
-        default: str | None = None,
-        required: bool = False,
-        check: Callable[[float], bool] | None = None,
-        expect: str = "",
-    ) -> float | None:
-        raw = self.raw(key, default, required)
-        if raw is None:
-            return None
+    def parse(raw: str):
         try:
-            value = float(raw)
+            value = convert(raw)
         except ValueError:
-            self._fail(f"--{key.replace('_', '-')} expects a number, got {raw!r}")
-        if not math.isfinite(value) or (check is not None and not check(value)):
-            self._fail(f"--{key.replace('_', '-')} must be {expect}, got {raw}")
+            raise argparse.ArgumentTypeError(f"expects {noun}, got {raw!r}") from None
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"must be {expect}, got {raw}")
         return value
 
-    def int_value(
-        self,
-        key: str,
-        default: str | None = None,
-        required: bool = False,
-        minimum: int = 0,
-    ) -> int | None:
-        raw = self.raw(key, default, required)
-        if raw is None:
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            self._fail(f"--{key.replace('_', '-')} expects an integer, got {raw!r}")
-        if value < minimum:
-            self._fail(f"--{key.replace('_', '-')} must be >= {minimum}, got {raw}")
-        return value
+    return parse
 
-    def flag(self, key: str) -> bool:
-        raw = self.raw(key)
-        return raw is not None and raw.lower() in ("1", "true", "yes", "on")
 
-    def probability(self, key: str, default: str | None = None, required: bool = False):
-        return self.float_value(
-            key, default, required, check=lambda v: 0.0 < v < 1.0, expect="strictly between 0 and 1"
-        )
+def _at_least(minimum: int) -> Callable[[str], int]:
+    return _typed(int, "an integer", lambda v: v >= minimum, f">= {minimum}")
 
-    def positive(self, key: str, default: str | None = None, required: bool = False):
-        return self.float_value(key, default, required, check=lambda v: v > 0.0, expect="positive")
 
-    def finite(self, key: str, default: str | None = None, required: bool = False):
-        return self.float_value(key, default, required, expect="a finite number")
+def _kind(raw: str) -> str:
+    if raw not in ("psi", "paradox"):
+        raise argparse.ArgumentTypeError(f"must be psi or paradox, got {raw!r}")
+    return raw
+
+
+_finite = _typed(float, "a number", math.isfinite, "a finite number")
+_positive = _typed(float, "a number", lambda v: 0.0 < v < math.inf, "positive")
+_probability = _typed(float, "a number", lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+
+#: The type of each flag in every command that takes it; the rest stay strings.
+_TYPES: dict[str, Callable[[str], object]] = {
+    "x": _finite, "theta": _finite, "sigma": _positive, "sigma-min": _positive,
+    "sigma-max": _positive, "alpha": _probability, "alpha-b": _probability,
+    "n": _at_least(1), "seed": _at_least(0), "steps": _at_least(2), "kind": _kind,
+}
 
 
 def _emit(pairs: list[tuple[str, object]], stream: TextIO) -> None:
@@ -179,14 +144,11 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * step for i in range(steps - 1)] + [hi]
 
 
-def _cmd_posterior(opts: _Options) -> int:
-    x = opts.finite("x", required=True)
-    sigma = opts.positive("sigma", required=True)
-    alpha_b = opts.probability("alpha_b", default="0.05")
-    scheme = scheme_from_string(opts.raw("scheme", default="fixed:0.5"))
-    rho = scheme.rho0(sigma)
+def _cmd_posterior(args: argparse.Namespace) -> int:
+    scheme = scheme_from_string(args.scheme)
+    rho = scheme.rho0(args.sigma)
     report = posterior_report(
-        Observation(x), AlternativeSpread(sigma), rho, alpha_b, scheme.scheme_id
+        Observation(args.x), AlternativeSpread(args.sigma), rho, args.alpha_b, scheme.scheme_id
     )
     _emit(
         [
@@ -205,17 +167,10 @@ def _cmd_posterior(opts: _Options) -> int:
     return 0
 
 
-def _cmd_bf(opts: _Options) -> int:
-    x = opts.finite("x", required=True)
-    sigma = opts.positive("sigma", required=True)
-    obs, spread = Observation(x), AlternativeSpread(sigma)
-    _emit(
-        [
-            ("bayes_factor", bayes_factor(obs, spread)),
-            ("marginal_alt", marginal_alt(obs, spread)),
-        ],
-        sys.stdout,
-    )
+def _cmd_bf(args: argparse.Namespace) -> int:
+    obs, spread = Observation(args.x), AlternativeSpread(args.sigma)
+    _emit([("bayes_factor", bayes_factor(obs, spread)),
+           ("marginal_alt", marginal_alt(obs, spread))], sys.stdout)
     return 0
 
 
@@ -223,41 +178,27 @@ def _compare_block(stream: TextIO) -> None:
     """Published reference values next to what the formulas actually give."""
     solved = solve_sigma(CalibrationSpec(0.05, 0.05, scheme_from_string("kl")))
     bound = positivity_bound(0.05, scheme_from_string("kl"))
-    print("# reference-comparison", file=stream)
-    print(
+    lines = [
+        "# reference-comparison",
         "# published: alpha = alpha_b = 0.05 is quoted as giving sigma = 0.44",
-        file=stream,
-    )
-    print(
         f"# computed:  scheme kl solves sigma_star = {fmt_float(solved.sigma_star)} "
         "at alpha = alpha_b = 0.05",
-        file=stream,
-    )
-    print(
         "# published: positivity bound quoted as sigma = 1.2930 (text) and 1.2933 (caption)",
-        file=stream,
-    )
-    print(
         f"# computed:  scheme kl bound at alpha_b = 0.05 is sigma_max = {fmt_float(bound)}",
-        file=stream,
-    )
-    print(
         "# no built-in scheme reproduces the published values from the stated formulas; "
         "shown for comparison only",
-        file=stream,
-    )
+    ]
+    print("\n".join(lines), file=stream)
 
 
-def _cmd_calibrate(opts: _Options) -> int:
-    alpha = opts.probability("alpha", required=True)
-    alpha_b = opts.probability("alpha_b", default="0.05")
-    scheme = scheme_from_string(opts.raw("scheme", default="kl"))
-    result = solve_sigma(CalibrationSpec(alpha, alpha_b, scheme))
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    scheme = scheme_from_string(args.scheme)
+    result = solve_sigma(CalibrationSpec(args.alpha, args.alpha_b, scheme))
     _emit(
         [
             ("scheme", scheme.scheme_id),
-            ("alpha", alpha),
-            ("alpha_b", alpha_b),
+            ("alpha", args.alpha),
+            ("alpha_b", args.alpha_b),
             ("sigma_star", result.sigma_star),
             ("psi_at_sigma", result.psi_at_sigma),
             ("achieved_alpha", result.achieved_alpha),
@@ -268,7 +209,7 @@ def _cmd_calibrate(opts: _Options) -> int:
         ],
         sys.stdout,
     )
-    if opts.flag("compare_paper"):
+    if args.compare_paper:
         _compare_block(sys.stdout)
     return 0
 
@@ -303,43 +244,30 @@ def _paradox_table(scheme, x: float, grid: list[float]) -> OutputTable:
     return OutputTable(("sigma", "rho0", "m", "posterior_h0"), rows, comments)
 
 
-def _cmd_sweep(opts: _Options) -> int:
-    kind = opts.raw("kind", required=True)
-    if kind not in ("psi", "paradox"):
-        opts._fail(f"--kind must be psi or paradox, got {kind!r}")
-    scheme = scheme_from_string(opts.raw("scheme", required=True))
-    sigma_min = opts.positive("sigma_min", required=True)
-    sigma_max = opts.positive("sigma_max", required=True)
-    steps = opts.int_value("steps", default="100", minimum=2)
-    if not sigma_min < sigma_max:
-        opts._fail(
-            f"--sigma-min must be below --sigma-max, got {sigma_min} and {sigma_max}"
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    scheme = scheme_from_string(args.scheme)
+    if not args.sigma_min < args.sigma_max:
+        raise argparse.ArgumentTypeError(
+            f"--sigma-min must be below --sigma-max, got {args.sigma_min} and {args.sigma_max}"
         )
-    grid = _linspace(sigma_min, sigma_max, steps)
-    if kind == "psi":
-        alpha_b = opts.probability("alpha_b", default="0.05")
-        table = _psi_table(scheme, alpha_b, grid)
+    grid = _linspace(args.sigma_min, args.sigma_max, args.steps)
+    if args.kind == "psi":
+        table = _psi_table(scheme, args.alpha_b, grid)
+    elif args.x is None:
+        raise argparse.ArgumentTypeError("missing required option --x")
     else:
-        x = opts.finite("x", required=True)
-        table = _paradox_table(scheme, x, grid)
-    out = opts.raw("out")
-    if out is None:
+        table = _paradox_table(scheme, args.x, grid)
+    if args.out is None:
         sys.stdout.write(table.render())
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(table.render())
     return 0
 
 
-def _cmd_simulate(opts: _Options) -> int:
-    plan = SimulationPlan(
-        n=opts.int_value("n", default="1000000", minimum=1),
-        seed=opts.int_value("seed", default="0", minimum=0),
-        theta=opts.finite("theta", default="0.0"),
-        sigma=opts.positive("sigma", required=True),
-        alpha_b=opts.probability("alpha_b", default="0.05"),
-        scheme=scheme_from_string(opts.raw("scheme", default="kl")),
-    )
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    plan = SimulationPlan(n=args.n, seed=args.seed, theta=args.theta, sigma=args.sigma,
+                          alpha_b=args.alpha_b, scheme=scheme_from_string(args.scheme))
     report = simulate_type_i(plan) if plan.theta == 0.0 else simulate_power(plan)
     _emit(
         [
@@ -362,8 +290,8 @@ def _cmd_simulate(opts: _Options) -> int:
     return 0
 
 
-def _cmd_regime(opts: _Options) -> int:
-    scheme = scheme_from_string(opts.raw("scheme", required=True))
+def _cmd_regime(args: argparse.Namespace) -> int:
+    scheme = scheme_from_string(args.scheme)
     classified = classify_regime(scheme)
     pairs: list[tuple[str, object]] = [
         ("scheme", scheme.scheme_id),
@@ -381,57 +309,71 @@ def _cmd_regime(opts: _Options) -> int:
     return 0
 
 
-_HANDLERS: dict[str, Callable[[_Options], int]] = {
-    "posterior": _cmd_posterior,
-    "bf": _cmd_bf,
-    "calibrate": _cmd_calibrate,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "regime": _cmd_regime,
-}
+_REQUIRED = object()  # no default: a flag or the config file must supply it
 
-_COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
-    "posterior": ("x", "sigma", "scheme", "alpha-b"),
-    "bf": ("x", "sigma"),
-    "calibrate": ("alpha", "alpha-b", "scheme", "compare-paper"),
-    "sweep": ("kind", "scheme", "alpha-b", "x", "sigma-min", "sigma-max", "steps", "out"),
-    "simulate": ("sigma", "alpha-b", "scheme", "n", "seed", "theta"),
-    "regime": ("scheme",),
-}
-
-_HELP = {
-    "posterior": "posterior null probability and decision for one observation",
-    "bf": "Bayes factor and marginal density for one observation",
-    "calibrate": "solve for the spread sigma matching a target Type I error",
-    "sweep": "emit a CSV table over a sigma grid (kind: psi or paradox)",
-    "simulate": "seeded Monte Carlo check of the rejection rate",
-    "regime": "classify a scheme's large-sigma regime with numeric evidence",
+#: Each subcommand's handler, help line, and options in help order with their defaults.
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, object]]] = {
+    "posterior": (_cmd_posterior, "posterior null probability and decision for one observation",
+                  {"x": _REQUIRED, "sigma": _REQUIRED, "scheme": "fixed:0.5", "alpha-b": "0.05"}),
+    "bf": (_cmd_bf, "Bayes factor and marginal density for one observation",
+           {"x": _REQUIRED, "sigma": _REQUIRED}),
+    "calibrate": (_cmd_calibrate, "solve for the spread sigma matching a target Type I error",
+                  {"alpha": _REQUIRED, "alpha-b": "0.05", "scheme": "kl", "compare-paper": False}),
+    "sweep": (_cmd_sweep, "emit a CSV table over a sigma grid (kind: psi or paradox)",
+              {"kind": _REQUIRED, "scheme": _REQUIRED, "alpha-b": "0.05", "x": None,
+               "sigma-min": _REQUIRED, "sigma-max": _REQUIRED, "steps": "100", "out": None}),
+    "simulate": (_cmd_simulate, "seeded Monte Carlo check of the rejection rate",
+                 {"sigma": _REQUIRED, "alpha-b": "0.05", "scheme": "kl", "n": "1000000",
+                  "seed": "0", "theta": "0.0"}),
+    "regime": (_cmd_regime, "classify a scheme's large-sigma regime with numeric evidence",
+               {"scheme": _REQUIRED}),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="pointnull",
         description="Point-null Bayesian testing: posteriors, calibration, simulation.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _COMMAND_OPTIONS.items():
-        sub = subparsers.add_parser(name, help=_HELP[name])
-        for flag in flags:
+    commands = {}
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sub = commands[name] = subparsers.add_parser(name, help=help_text)
+        for flag, default in options.items():
             if flag == "compare-paper":
-                sub.add_argument("--compare-paper", action="store_const", const="true")
+                sub.add_argument("--compare-paper", action="store_true")
             else:
-                sub.add_argument(f"--{flag}")
+                default = None if default is _REQUIRED else default
+                sub.add_argument(f"--{flag}", type=_TYPES.get(flag), default=default)
         sub.add_argument("--config", help="key=value file supplying defaults for flags")
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
+    """Flags over --config values over defaults, each checked by its flag's type."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    sub = commands[args.command]
+    options = {flag.replace("-", "_"): value for flag, value in _COMMANDS[args.command][2].items()}
+    if args.config:
+        config = {k: v for k, v in _read_config(args.config).items() if k in options}
+        if "compare_paper" in config:
+            config["compare_paper"] = config["compare_paper"].lower() in ("1", "true", "yes", "on")
+        sub.set_defaults(**config)
+        args = parser.parse_args(argv)  # argparse runs string defaults through each type
+    for dest, default in options.items():
+        if default is _REQUIRED and getattr(args, dest) is None:
+            sub.error(f"missing required option --{dest.replace('_', '-')}")
+    return args, sub
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        opts = _Options(parser, args)
-        return _HANDLERS[args.command](opts)
+        args, sub = _parse(argv)
+        try:
+            return _COMMANDS[args.command][0](args)
+        except argparse.ArgumentTypeError as exc:  # options that do not fit together
+            sub.error(str(exc))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

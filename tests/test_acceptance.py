@@ -23,7 +23,7 @@ from pointnull.calibration import (
 )
 from pointnull.model import AlternativeSpread, Observation, bayes_factor, posterior_h0
 from pointnull.montecarlo import SimulationPlan, simulate_type_i
-from pointnull.numerics import Bracket, integrate_adaptive, std_normal_pdf
+from pointnull.numerics import Bracket, std_normal_pdf
 from pointnull.priors import (
     FixedPrior,
     KLSelfInformationPrior,
@@ -32,6 +32,7 @@ from pointnull.priors import (
     log_m_of_sigma,
     m_of_sigma,
 )
+from quadrature import integrate_adaptive
 
 KL = KLSelfInformationPrior()
 ROBERT = RobertPrior()

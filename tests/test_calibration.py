@@ -215,6 +215,15 @@ def test_solve_robert_ceiling_is_infeasible():
     assert err.achievable_hi == pytest.approx(ALPHA_SUP_ROBERT, abs=1e-9)
     assert err.achievable_lo <= 1e-6
     assert "achievable range is approximately" in str(err)
+    # The finest scan pass plus the far probes give exactly this range.
+    assert (err.achievable_lo, err.achievable_hi) == (0.0, 0.04414516380661788)
+
+
+def test_solve_finds_a_root_beyond_the_scan_range():
+    """fixed:0.07 at alpha_b = 0.1 reaches alpha = 1e-4 only near sigma = 2858."""
+    result = solve_sigma(CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)))
+    assert (result.bracket_used.lo, result.bracket_used.hi) == (1e3, 1e6)
+    assert abs(result.residual) <= 1e-10
 
 
 def test_solve_robert_below_the_ceiling_succeeds():

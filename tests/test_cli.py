@@ -195,6 +195,17 @@ def test_sweep_argument_validation(capsys):
                "--sigma-min", "1", "--sigma-max", "2")[0] == 2  # paradox needs --x
 
 
+def test_sweep_rejects_a_malformed_option_its_kind_does_not_use(capsys):
+    grid = ("--scheme", "kl", "--sigma-min", "1", "--sigma-max", "2", "--steps", "3")
+    code, out, err = run(capsys, "sweep", "--kind", "psi", *grid, "--x", "abc")
+    assert (code, out) == (2, "")
+    assert "pointnull sweep: error: argument --x: expects a number, got 'abc'" in err
+    code, out, err = run(capsys, "sweep", "--kind", "paradox", "--x", "1", *grid,
+                         "--alpha-b", "abc")
+    assert (code, out) == (2, "")
+    assert "argument --alpha-b: expects a number, got 'abc'" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -301,6 +312,37 @@ def test_cli_flags_override_config(capsys, tmp_path):
                        "--sigma", "1.0")
     assert code == 0
     assert parse_kv(out)["sigma"] == "1.0"
+
+
+def test_config_switches_compare_paper(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for text, shown in (("compare-paper = yes\n", True), ("compare_paper = no\n", False)):
+        cfg.write_text(text)
+        code, out, _ = run(capsys, "calibrate", "--config", str(cfg), "--alpha", "0.05",
+                           "--scheme", "kl")
+        assert code == 0
+        assert ("# reference-comparison" in out) == shown
+
+
+def test_config_values_are_checked_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha-b = 1.5\n")
+    code, out, _ = run(capsys, "posterior", "--config", str(cfg), "--x", "0", "--sigma", "1")
+    assert (code, out) == (2, "")
+
+
+def test_config_grid_matches_flags_and_flags_win(capsys, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("sigma_min = 0.2\nsigma-max = 2.8\nsteps = 7\n")
+    base = ("sweep", "--kind", "psi", "--scheme", "kl")
+    code, from_config, _ = run(capsys, *base, "--config", str(cfg))
+    _, from_flags, _ = run(capsys, *base, "--sigma-min", "0.2", "--sigma-max", "2.8",
+                           "--steps", "7")
+    assert code == 0
+    assert from_config == from_flags
+    code, out, _ = run(capsys, *base, "--config", str(cfg), "--steps", "4")
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 4
 
 
 def test_config_errors(capsys, tmp_path):

@@ -8,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointnull.numerics import (
-    PANEL_CAP,
     Bracket,
     BracketError,
     DomainError,
     EvaluationError,
-    QuadratureAccuracyError,
     find_root_bracketed,
-    integrate_adaptive,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
+from quadrature import PANEL_CAP, QuadratureAccuracyError, integrate_adaptive
 
 mp.mp.dps = 50
 
@@ -162,10 +160,10 @@ def test_quadrature_matches_cdf_difference(a, b):
 
 
 def test_quadrature_panel_cap(monkeypatch):
-    import pointnull.numerics as numerics
+    import quadrature
 
     assert PANEL_CAP == 10**6
-    monkeypatch.setattr(numerics, "PANEL_CAP", 8)
+    monkeypatch.setattr(quadrature, "PANEL_CAP", 8)
     with pytest.raises(QuadratureAccuracyError) as excinfo:
         integrate_adaptive(
             lambda x: math.sqrt(abs(x)), Bracket(-1.0, 1.0), 1e-15
