@@ -27,6 +27,7 @@ from .model import (
     expected_kl,
     kl_null_vs_alt,
     marginal_alt,
+    posterior_from_log_odds,
     posterior_h0,
     posterior_report,
 )

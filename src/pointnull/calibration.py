@@ -18,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import AlternativeSpread, Observation, posterior_h0, variance_ratio
+from .model import AlternativeSpread, Observation, posterior_from_log_odds, variance_ratio
+
+# Unused here, but bench/tracing.py rebinds pointnull.calibration.posterior_h0 (INNER_CALLS).
+from .model import posterior_h0  # noqa: F401
 from .numerics import (
     Bracket,
     DomainError,
@@ -26,7 +29,7 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .priors import ConsistencyError, CustomTablePrior, PriorScheme, log_m_of_sigma
+from .priors import ConsistencyError, PriorScheme, log_m_of_sigma
 
 __all__ = [
     "CalibrationResult",
@@ -164,36 +167,30 @@ def classical_threshold(alpha: float) -> float:
 def positivity_bound(alpha_b: float, scheme: PriorScheme) -> float | None:
     """Upper end of the sigma domain on which psi is positive, if finite.
 
-    Solves log m(sigma) = log(1/alpha_b - 1) when m is increasing and crosses
-    that level (the divergent scheme always does for alpha_b < 1/2; the
-    linear-odds scheme only when its ceiling sqrt(2 pi) exceeds the level).
-    Returns None when m never reaches the level, so every sigma is usable:
-    fixed-mass schemes (m decreasing) and the linear-odds scheme at small
-    alpha_b. Returns 0.0 when even tiny sigma already sits past the level
-    and the domain is empty.
+    Read off the scheme's declared regime. A vanishing m is decreasing: no
+    upper end, None (a fixed mass's infeasible region, when rho0 < alpha_b,
+    sits at small sigma and psi reports it). A finite or divergent m is
+    increasing: the bound solves log m(sigma) = log(1/alpha_b - 1), which
+    the divergent scheme always crosses for alpha_b < 1/2 and the linear-odds
+    scheme only when its ceiling sqrt(2 pi) exceeds the level. Returns None
+    when m never reaches the level, and 0.0 when even tiny sigma is past it.
+    A table declares no regime and raises UnsupportedSchemeError.
     """
     level = _log_rejection_odds(alpha_b)
-    if isinstance(scheme, CustomTablePrior):
-        raise DomainError("positivity bound is undefined for tabulated schemes")
+    if scheme.declared_regime().kind == "vanishing":
+        return None
 
     def gap(sigma: float) -> float:
         return log_m_of_sigma(scheme, sigma) - level
 
-    # m is decreasing for fixed-mass schemes: no finite upper bound ever.
-    # (Their infeasible region, when rho0 < alpha_b, sits at small sigma and
-    # is reported by psi itself.)
     lo, hi = 1e-8, 1.0
     if gap(lo) >= 0.0:
-        # Already past the level arbitrarily close to sigma = 0.
-        if gap(1e3) <= gap(lo) and gap(1e6) < 0.0:
-            return None  # decreasing through the level: no upper bound
-        return 0.0 if gap(1e6) >= 0.0 else None
+        return 0.0
     while gap(hi) < 0.0:
         hi *= 2.0
         if hi > 1e12:
             return None  # never reaches the level at any practical sigma
-    root = find_root_bracketed(gap, Bracket(lo, hi), xtol=1e-15, ftol=1e-13)
-    return root
+    return find_root_bracketed(gap, Bracket(lo, hi), xtol=1e-15, ftol=1e-13)
 
 
 def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) -> Decision:
@@ -206,13 +203,7 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     """
     spread = AlternativeSpread(sigma)
     _check_prob("alpha_b", alpha_b)
-    r = scheme.rho0(sigma)
-    if r > 0.0:
-        post = posterior_h0(obs, spread, r)
-    else:
-        # Prior mass underflowed to zero (divergent scheme, huge sigma):
-        # the true posterior is smaller than any float.
-        post = 0.0
+    post = posterior_from_log_odds(obs, spread, scheme.log_prior_odds(sigma))
     via_posterior = post < alpha_b
     try:
         via_threshold = obs.x * obs.x > psi(sigma, alpha_b, scheme)
@@ -234,14 +225,15 @@ _SCAN_DECADES = range(-3, 4)
 _FAR_PROBES = (1e6, 1e12)
 
 
-def _scan_points(per_decade: int) -> list[float]:
-    """Log-spaced scan grid over 10^-3 .. 10^3 with per_decade points per decade."""
-    pts = []
-    for k in _SCAN_DECADES[:-1]:
-        for j in range(per_decade):
-            pts.append(10.0 ** (k + j / per_decade))
-    pts.append(10.0 ** _SCAN_DECADES[-1])
-    return pts
+def _scan_points(per_decade: int, lo: float, hi: float) -> list[float]:
+    """Log-spaced grid over 10^-3 .. 10^3, per_decade points per decade.
+
+    Only the points inside the domain (lo, hi) are kept, and its finite
+    ends close the grid.
+    """
+    pts = [10.0 ** (k + j / per_decade) for k in _SCAN_DECADES[:-1] for j in range(per_decade)]
+    pts = [s for s in pts + [10.0 ** _SCAN_DECADES[-1]] if lo < s < hi]
+    return [lo] * (lo > 0.0) + pts + [hi] * (hi < math.inf)
 
 
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
@@ -250,12 +242,14 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     Brackets a crossing of type_i_error(sigma) = alpha on a geometric grid
     (decades 10^-3..10^3, refined 16 then 64 points per decade when the
     coarse pass misses, the last pass extended to sigma = 1e6 and 1e12),
-    then polishes with the bracketed root finder to |achieved - alpha| <=
-    1e-10. When no crossing exists the target is unachievable under the
-    scheme and the error carries the range the last pass saw.
+    cut to the scheme's sigma domain, then polishes with the bracketed root
+    finder to |achieved - alpha| <= 1e-10. When no crossing exists the
+    target is unachievable under the scheme and the error carries the range
+    the last pass saw.
     """
     evaluations = 0
     alpha = spec.alpha
+    lo, hi = spec.scheme.sigma_domain()
 
     def error_at(sigma: float) -> float:
         nonlocal evaluations
@@ -264,12 +258,13 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
 
     bracket = None
     for per_decade in (1, 16, 64):
-        pts = _scan_points(per_decade)
+        pts = _scan_points(per_decade, lo, hi)
         errors = [error_at(s) for s in pts]
         if per_decade == 64 and (min(errors) > alpha or max(errors) < alpha):
             # Nothing on the grid meets alpha: look past its upper end.
-            pts += _FAR_PROBES
-            errors += [error_at(s) for s in _FAR_PROBES]
+            far = [s for s in _FAR_PROBES if pts[-1] < s < hi]
+            pts += far
+            errors += [error_at(s) for s in far]
         for (s_lo, e_lo), (s_hi, e_hi) in zip(zip(pts, errors), zip(pts[1:], errors[1:])):
             if e_lo == alpha:
                 return _result_at(s_lo, spec, Bracket(s_lo / 2.0, s_hi), evaluations)

@@ -147,9 +147,8 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 def _cmd_posterior(args: argparse.Namespace) -> int:
     scheme = scheme_from_string(args.scheme)
     rho = scheme.rho0(args.sigma)
-    report = posterior_report(
-        Observation(args.x), AlternativeSpread(args.sigma), rho, args.alpha_b, scheme.scheme_id
-    )
+    report = posterior_report(Observation(args.x), AlternativeSpread(args.sigma), args.alpha_b,
+                              scheme.scheme_id, log_odds=scheme.log_prior_odds(args.sigma))
     _emit(
         [
             ("x", report.x),

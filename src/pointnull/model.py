@@ -24,6 +24,7 @@ __all__ = [
     "kl_null_vs_alt",
     "log_marginal_variance",
     "marginal_alt",
+    "posterior_from_log_odds",
     "posterior_h0",
     "posterior_report",
     "variance_ratio",
@@ -103,20 +104,26 @@ def _stable_inv_logistic(t: float) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _posterior_parts(spread: AlternativeSpread, rho0: float) -> tuple[float, float]:
-    """Precompute (base, ratio) so the posterior is base + x^2-term only.
+def _posterior_parts(spread: AlternativeSpread, log_odds: float) -> tuple[float, float]:
+    """Precompute (base, ratio) = (log m(sigma), variance_ratio(sigma)).
 
-    Split out so bulk simulation can reuse the exact arithmetic of
-    posterior_h0 per sample without recomputing the sigma-only pieces.
+    The posterior is then base + an x^2-term only, so bulk simulation reuses
+    posterior_from_log_odds's exact arithmetic without the sigma-only pieces.
     """
-    if not 0.0 < rho0 < 1.0:
-        raise DomainError(f"rho0 must lie strictly between 0 and 1, got {rho0}")
-    base = math.log1p(-rho0) - math.log(rho0) - 0.5 * log_marginal_variance(spread.sigma)
+    base = log_odds - 0.5 * log_marginal_variance(spread.sigma)
     return base, variance_ratio(spread.sigma)
 
 
 def _posterior_from_parts(x_squared: float, base: float, ratio: float) -> float:
     return _stable_inv_logistic(base + 0.5 * x_squared * ratio)
+
+
+def _exp_or_inf(t: float) -> float:
+    """exp(t), or inf where the value exceeds float range."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def bayes_factor(obs: Observation, spread: AlternativeSpread) -> float:
@@ -136,16 +143,23 @@ def marginal_alt(obs: Observation, spread: AlternativeSpread) -> float:
     return std_normal_pdf(obs.x / tau) / tau
 
 
-def posterior_h0(obs: Observation, spread: AlternativeSpread, rho0: float) -> float:
-    """Posterior probability of the null given x, spread sigma, and prior mass rho0.
+def posterior_from_log_odds(obs: Observation, spread: AlternativeSpread, log_odds: float) -> float:
+    """Posterior probability of the null given x, spread sigma, and log prior odds.
 
-    Evaluated in log-odds form: with m = ((1-rho0)/rho0) / sqrt(1+sigma^2),
+    log_odds is log((1 - rho0) / rho0). With m = exp(log_odds) / sqrt(1+sigma^2),
     the posterior is 1 / (1 + m * exp(x^2 sigma^2 / (2(1+sigma^2)))), computed
-    as a stable logistic so extreme x or sigma saturate to 0 or 1 instead of
-    producing NaN.
+    as a stable logistic so extreme x, sigma or odds saturate to 0 or 1
+    instead of producing NaN.
     """
-    base, ratio = _posterior_parts(spread, rho0)
+    base, ratio = _posterior_parts(spread, log_odds)
     return _posterior_from_parts(obs.x * obs.x, base, ratio)
+
+
+def posterior_h0(obs: Observation, spread: AlternativeSpread, rho0: float) -> float:
+    """Posterior probability of the null given x, spread sigma, and prior mass rho0."""
+    if not 0.0 < rho0 < 1.0:
+        raise DomainError(f"rho0 must lie strictly between 0 and 1, got {rho0}")
+    return posterior_from_log_odds(obs, spread, math.log1p(-rho0) - math.log(rho0))
 
 
 def kl_null_vs_alt(theta: float) -> float:
@@ -160,24 +174,19 @@ def expected_kl(spread: AlternativeSpread) -> float:
     return 0.5 * spread.sigma * spread.sigma
 
 
-def posterior_report(
-    obs: Observation,
-    spread: AlternativeSpread,
-    rho0: float,
-    alpha_b: float,
-    scheme: str = "fixed",
-) -> PosteriorReport:
-    """Bundle the headline quantities for one (x, sigma, rho0) evaluation."""
+def posterior_report(obs: Observation, spread: AlternativeSpread, alpha_b: float,
+                     scheme: str = "fixed", *, log_odds: float) -> PosteriorReport:
+    """Bundle the headline quantities for one (x, sigma, log prior odds) evaluation."""
     if not 0.0 < alpha_b < 1.0:
         raise DomainError(f"alpha_b must lie strictly between 0 and 1, got {alpha_b}")
-    base, _ = _posterior_parts(spread, rho0)
-    posterior = posterior_h0(obs, spread, rho0)
+    base, ratio = _posterior_parts(spread, log_odds)
+    posterior = _posterior_from_parts(obs.x * obs.x, base, ratio)
     return PosteriorReport(
         x=obs.x,
         sigma=spread.sigma,
         scheme=scheme,
         bayes_factor=bayes_factor(obs, spread),
-        m_value=math.exp(base),
+        m_value=_exp_or_inf(base),
         posterior_h0=posterior,
         alpha_b=alpha_b,
         rejected=posterior < alpha_b,

@@ -194,16 +194,13 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     The loop inlines splitmix64 and compares its raw output against the
     integer thresholds of _cut_thresholds. Only a draw inside a window takes
     the exact route: the posterior route of calibration.decide, using the
-    same precomputed pieces as model.posterior_h0 so the counted event is
-    bit-for-bit {P(H0|x) < alpha_b}. The equivalence and partition tests in
-    tests/test_montecarlo.py pin both the inlined mix and the cut points.
+    same precomputed pieces as model.posterior_from_log_odds so the counted
+    event is bit-for-bit {P(H0|x) < alpha_b}. The equivalence and partition
+    tests in tests/test_montecarlo.py pin both the inlined mix and the cut
+    points.
     """
-    rho = plan.scheme.rho0(plan.sigma)
-    if rho <= 0.0:
-        # Prior mass underflowed (divergent scheme at enormous sigma): the
-        # posterior is below any threshold for every draw.
-        return hi - lo, 0
-    base, ratio = _posterior_parts(AlternativeSpread(plan.sigma), rho)
+    spread = AlternativeSpread(plan.sigma)
+    base, ratio = _posterior_parts(spread, plan.scheme.log_prior_odds(plan.sigma))
     seed, theta, alpha_b = plan.seed, plan.theta, plan.alpha_b
     keep_lo, keep_hi, reject_lo, reject_hi = _cut_thresholds(base, ratio, theta, alpha_b)
     count = exact = 0

@@ -24,12 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import (
-    AlternativeSpread,
-    Observation,
-    log_marginal_variance,
-    posterior_h0,
-)
+from .model import (Observation, _exp_or_inf, _posterior_from_parts, log_marginal_variance,
+                    variance_ratio)
+# Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
+from .model import posterior_h0  # noqa: F401
 from .numerics import DomainError
 
 __all__ = [
@@ -114,9 +112,16 @@ class PriorScheme:
         raise NotImplementedError
 
     def log_prior_odds(self, sigma: float) -> float:
-        """log((1 - rho0) / rho0), overridden where an exact form exists."""
+        """log((1 - rho0) / rho0), overridden where an exact form exists.
+
+        The model takes these odds, not rho0: they stay exact where rho0 underflows.
+        """
         r = self.rho0(sigma)
         return math.log1p(-r) - math.log(r)
+
+    def sigma_domain(self) -> tuple[float, float]:
+        """(lo, hi): the sigma range the scheme is defined on, ends included if finite."""
+        return 0.0, math.inf
 
     def declared_regime(self) -> Regime:
         raise UnsupportedSchemeError(
@@ -143,10 +148,6 @@ class FixedPrior(PriorScheme):
     def rho0(self, sigma: float) -> float:
         _check_sigma(sigma)
         return self.rho0_value
-
-    def log_prior_odds(self, sigma: float) -> float:
-        _check_sigma(sigma)
-        return math.log1p(-self.rho0_value) - math.log(self.rho0_value)
 
     def declared_regime(self) -> Regime:
         return Regime("vanishing")
@@ -191,7 +192,8 @@ class KLSelfInformationPrior(PriorScheme):
 
     def rho0(self, sigma: float) -> float:
         # exp(-sigma^2/2) underflows to 0 for sigma beyond ~38.6; the returned
-        # 0.0 is then the nearest representable value to the true mass.
+        # 0.0 is then the nearest representable value to the true mass, and
+        # log_prior_odds still carries the exact odds.
         u = math.exp(-0.5 * _check_sigma(sigma) ** 2)
         return u / (1.0 + u)
 
@@ -261,6 +263,9 @@ class CustomTablePrior(PriorScheme):
                     ) from None
         return cls(points=tuple(rows), source=f"table:{path}")
 
+    def sigma_domain(self) -> tuple[float, float]:
+        return self.points[0][0], self.points[-1][0]
+
     def rho0(self, sigma: float) -> float:
         _check_sigma(sigma)
         sigmas = [s for s, _ in self.points]
@@ -286,10 +291,7 @@ def m_of_sigma(scheme: PriorScheme, sigma: float) -> float:
     Computed as exp(log_m_of_sigma); returns inf where the true value
     exceeds float range (divergent schemes at large sigma).
     """
-    try:
-        return math.exp(log_m_of_sigma(scheme, sigma))
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(log_m_of_sigma(scheme, sigma))
 
 
 def log_m_of_sigma(scheme: PriorScheme, sigma: float) -> float:
@@ -355,7 +357,8 @@ def paradox_sweep(
     One row per sigma: (sigma, rho0, m, posterior). This is the table that
     exhibits each regime directly — posterior climbing to 1 under a fixed
     mass, flattening at a constant under the linear-odds scheme, collapsing
-    to 0 under the divergent one.
+    to 0 under the divergent one. Each row's log m serves both m and the
+    posterior, so rows past kl's rho0 underflow still carry exact odds.
     """
     grid = list(sigma_grid)
     if not grid:
@@ -365,15 +368,9 @@ def paradox_sweep(
     obs = Observation(x)
     rows = []
     for sigma in grid:
-        spread = AlternativeSpread(sigma)
-        r = scheme.rho0(sigma)
-        if r > 0.0:
-            post = posterior_h0(obs, spread, r)
-        else:
-            # Prior mass underflowed (divergent scheme, huge sigma): the
-            # posterior is 0 to well below float resolution.
-            post = 0.0
-        rows.append(ParadoxRow(sigma, r, m_of_sigma(scheme, sigma), post))
+        log_m = log_m_of_sigma(scheme, sigma)
+        post = _posterior_from_parts(obs.x * obs.x, log_m, variance_ratio(sigma))
+        rows.append(ParadoxRow(sigma, scheme.rho0(sigma), _exp_or_inf(log_m), post))
     return rows
 
 

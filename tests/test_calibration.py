@@ -156,6 +156,12 @@ def test_positivity_bound_rejects_tables():
         positivity_bound(0.05, CustomTablePrior(((0.5, 0.5), (2.0, 0.4))))
 
 
+def test_positivity_bound_of_a_tiny_fixed_mass_is_unbounded():
+    # m is decreasing under a fixed mass, so psi stays positive at any large sigma.
+    assert positivity_bound(0.05, FixedPrior(1e-9)) is None
+    assert psi(1e8, 0.05, FixedPrior(1e-9)) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # solving for sigma
 
@@ -224,6 +230,21 @@ def test_solve_finds_a_root_beyond_the_scan_range():
     result = solve_sigma(CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)))
     assert (result.bracket_used.lo, result.bracket_used.hi) == (1e3, 1e6)
     assert abs(result.residual) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "points",
+    (
+        ((0.5, 0.6), (2.0, 0.3), (5.0, 0.05)),
+        ((1.0, 0.6), (10.0, 0.01)),  # both ends on scan grid points
+    ),
+)
+def test_solve_calibrates_inside_a_table_range(points):
+    table = CustomTablePrior(points)
+    lo, hi = table.sigma_domain()
+    result = solve_sigma(CalibrationSpec(0.01, 0.05, table))
+    assert abs(result.residual) <= 1e-10
+    assert lo <= result.bracket_used.lo <= result.sigma_star <= result.bracket_used.hi <= hi
 
 
 def test_solve_robert_below_the_ceiling_succeeds():

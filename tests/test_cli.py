@@ -81,6 +81,43 @@ def test_bf_reports_exactly_two_quantities(capsys):
     assert float(values["bayes_factor"]) == pytest.approx(0.52026009502288889636, rel=1e-12)
 
 
+def test_posterior_past_kl_underflow_uses_the_exact_odds(capsys):
+    code, out, _ = run(capsys, "posterior", "--x", "0", "--sigma", "40", "--scheme", "kl")
+    assert code == 0
+    values = parse_kv(out)
+    assert values["rho0"] == "0.0"
+    assert values["posterior_h0"] == "0.0"
+    assert values["m"] == "inf"
+    assert values["decision"] == "reject"
+    code, out, _ = run(capsys, "posterior", "--x", "0", "--sigma", "38.5", "--scheme", "kl")
+    assert code == 0
+    assert parse_kv(out)["m"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "scheme, x, sigma",
+    (
+        ("kl", "0.23802577210235576", "0.6064502263930358"),
+        ("kl", "1.5", "2.0"),
+        ("kl", "0", "38.5"),
+        ("robert", "1.5", "0.5"),
+        ("robert", "-2.5", "7.3"),
+    ),
+)
+def test_posterior_matches_the_paradox_sweep_row(capsys, scheme, x, sigma):
+    code, out, _ = run(capsys, "posterior", "--x", x, "--sigma", sigma, "--scheme", scheme)
+    assert code == 0
+    values = parse_kv(out)
+    code, table, _ = run(capsys, "sweep", "--kind", "paradox", "--scheme", scheme, "--x", x,
+                         "--sigma-min", sigma, "--sigma-max", "100", "--steps", "2")
+    assert code == 0
+    _, header, rows = parse_csv(table)
+    row = dict(zip(header, rows[0]))
+    assert row["sigma"] == values["sigma"]
+    for key in ("rho0", "m", "posterior_h0"):
+        assert row[key] == values[key], key
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -293,6 +330,17 @@ def test_table_scheme_end_to_end(capsys, tmp_path):
     code, _, _ = run(capsys, "posterior", "--x", "1", "--sigma", "9",
                      "--scheme", f"table:{path}")
     assert code == 3  # outside the tabulated range
+
+
+def test_calibrate_solves_inside_a_table_range(capsys, tmp_path):
+    path = tmp_path / "weights.csv"
+    path.write_text("sigma,rho0\n0.5,0.6\n2.0,0.3\n5.0,0.05\n")
+    code, out, _ = run(capsys, "calibrate", "--alpha", "0.01", "--alpha-b", "0.05",
+                       "--scheme", f"table:{path}")
+    assert code == 0
+    values = parse_kv(out)
+    assert 0.5 <= float(values["sigma_star"]) <= 5.0
+    assert abs(float(values["residual"])) <= 1e-10
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -14,6 +14,7 @@ from pointnull.model import (
     kl_null_vs_alt,
     log_marginal_variance,
     marginal_alt,
+    posterior_from_log_odds,
     posterior_h0,
     posterior_report,
     variance_ratio,
@@ -95,6 +96,27 @@ def test_posterior_monotone_in_sigma_beyond_x(x, bump1, bump2):
     assert p_hi >= p_lo - 1e-12
 
 
+@given(st.floats(-40.0, 40.0), st.floats(1e-3, 1e6), st.floats(1e-300, 1.0, exclude_max=True))
+@settings(max_examples=300)
+def test_posterior_h0_is_the_log_odds_posterior_of_rho0(x, sigma, rho):
+    obs, spread = Observation(x), AlternativeSpread(sigma)
+    log_odds = math.log1p(-rho) - math.log(rho)
+    assert posterior_h0(obs, spread, rho) == posterior_from_log_odds(obs, spread, log_odds)
+
+
+def test_posterior_from_huge_log_odds_is_zero_not_an_error():
+    # kl's odds at sigma = 40: rho0 = 1 / (1 + e^800) underflows to 0.0.
+    assert posterior_from_log_odds(Observation(0.0), AlternativeSpread(40.0), 800.0) == 0.0
+    report = posterior_report(Observation(0.0), AlternativeSpread(40.0), 0.05, "kl", log_odds=800.0)
+    assert report.m_value == math.inf
+    assert report.posterior_h0 == 0.0 and report.rejected
+
+
+def test_posterior_report_refuses_a_positional_rho0():
+    with pytest.raises(TypeError):
+        posterior_report(Observation(0.0), AlternativeSpread(1.0), 0.5, 0.05, "fixed:0.5")
+
+
 def test_posterior_extreme_observation_saturates_cleanly():
     tiny = posterior_h0(Observation(40.0), AlternativeSpread(1.0), 0.5)
     assert 0.0 < tiny < 1e-150
@@ -145,7 +167,7 @@ def test_input_validation():
 
 def test_posterior_report_bundle():
     report = posterior_report(
-        Observation(0.0), AlternativeSpread(math.sqrt(3.0)), 0.5, 0.05, "fixed:0.5"
+        Observation(0.0), AlternativeSpread(math.sqrt(3.0)), 0.05, "fixed:0.5", log_odds=0.0
     )
     assert report.scheme == "fixed:0.5"
     assert report.m_value == pytest.approx(0.5, rel=1e-12)
@@ -156,9 +178,11 @@ def test_posterior_report_bundle():
 
 def test_rejection_is_strict_so_ties_retain():
     post = posterior_h0(Observation(1.0), AlternativeSpread(2.0), 0.5)
-    report = posterior_report(Observation(1.0), AlternativeSpread(2.0), 0.5, post, "fixed:0.5")
+    report = posterior_report(Observation(1.0), AlternativeSpread(2.0), post, "fixed:0.5",
+                              log_odds=0.0)
     assert not report.rejected
     report = posterior_report(
-        Observation(1.0), AlternativeSpread(2.0), 0.5, math.nextafter(post, 1.0), "fixed:0.5"
+        Observation(1.0), AlternativeSpread(2.0), math.nextafter(post, 1.0), "fixed:0.5",
+        log_odds=0.0,
     )
     assert report.rejected

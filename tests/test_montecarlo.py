@@ -203,8 +203,8 @@ def test_past_positivity_bound_count_equals_public_recount(scheme, sigma, alpha_
 def test_grid_points_next_to_each_window_are_decided_like_the_exact_route(
     scheme, sigma, alpha_b, theta
 ):
-    rho = scheme_from_string(scheme).rho0(sigma)
-    base, ratio = _posterior_parts(AlternativeSpread(sigma), rho)
+    log_odds = scheme_from_string(scheme).log_prior_odds(sigma)
+    base, ratio = _posterior_parts(AlternativeSpread(sigma), log_odds)
     keep_lo, keep_hi, reject_lo, reject_hi = (
         z >> 11 for z in _cut_thresholds(base, ratio, theta, alpha_b)
     )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointnull.model import AlternativeSpread, Observation, posterior_h0
+from pointnull.model import AlternativeSpread, Observation, posterior_from_log_odds, posterior_h0
 from pointnull.numerics import DomainError
 from pointnull.priors import (
     SQRT_TWO_PI,
@@ -206,6 +206,12 @@ def test_table_refuses_extrapolation():
         table.rho0(3.001)
 
 
+def test_sigma_domain_is_the_table_range_and_otherwise_unbounded():
+    assert CustomTablePrior(((1.0, 0.2), (3.0, 0.6))).sigma_domain() == (1.0, 3.0)
+    for scheme in (FixedPrior(0.3), RobertPrior(), KLSelfInformationPrior()):
+        assert scheme.sigma_domain() == (0.0, math.inf)
+
+
 def test_table_validation():
     with pytest.raises(DomainError):
         CustomTablePrior(((1.0, 0.2),))
@@ -314,6 +320,16 @@ def test_sweep_kl_underflowed_weight_gives_zero_posterior():
     assert all(row.rho0 == 0.0 for row in rows)
     assert all(row.posterior_h0 == 0.0 for row in rows)
     assert all(row.m == math.inf for row in rows)
+
+
+def test_sweep_past_kl_underflow_keeps_the_exact_odds():
+    # rho0 is subnormal at sigma = 38.5; the row's posterior follows the exact
+    # log odds sigma^2 / 2, not the odds rebuilt from the rounded rho0.
+    (row,) = paradox_sweep(KLSelfInformationPrior(), 0.0, [38.5])
+    assert 0.0 < row.rho0 < 1e-300
+    assert row.m == math.inf
+    expected = posterior_from_log_odds(Observation(0.0), AlternativeSpread(38.5), 0.5 * 38.5**2)
+    assert row.posterior_h0 == expected > 0.0
 
 
 def test_sweep_rows_match_pointwise_evaluation():
