@@ -117,6 +117,8 @@ def psi(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
     Computed through log m so it stays usable where m itself overflows.
     Only positive values are meaningful: once m(sigma) reaches 1/alpha_b - 1
     the posterior rule rejects every observation and no threshold exists.
+    Where sigma^2 underflows (sigma below about 1e-162) it returns +inf, the
+    limit as sigma -> 0, so the Type I error and the power are 0 there.
     """
     gap = _log_rejection_odds(alpha_b) - log_m_of_sigma(scheme, sigma)
     if gap <= 0.0:
@@ -124,7 +126,10 @@ def psi(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
             "psi nonpositive: Bayesian test rejects for all x "
             f"(sigma={sigma}, alpha_b={alpha_b}, scheme={scheme.scheme_id})"
         )
-    return 2.0 * gap / variance_ratio(sigma)
+    try:
+        return 2.0 * gap / variance_ratio(sigma)
+    except ZeroDivisionError:  # sigma^2 underflows below ~1e-162: the limit
+        return math.inf
 
 
 def type_i_error(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
@@ -138,7 +143,10 @@ def type_i_error(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
         p = psi(sigma, alpha_b, scheme)
     except PsiDomainError:
         return 1.0
-    return 2.0 * std_normal_cdf(-math.sqrt(p))
+    try:
+        return 2.0 * std_normal_cdf(-math.sqrt(p))
+    except DomainError:  # psi = inf, where sigma^2 underflows: nothing rejects
+        return 0.0
 
 
 def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
@@ -154,7 +162,10 @@ def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorSche
     except PsiDomainError:
         return 1.0
     r = math.sqrt(p)
-    return std_normal_cdf(theta - r) + std_normal_cdf(-r - theta)
+    try:
+        return std_normal_cdf(theta - r) + std_normal_cdf(-r - theta)
+    except DomainError:  # psi = inf, where sigma^2 underflows: nothing rejects
+        return 0.0
 
 
 def classical_threshold(alpha: float) -> float:

@@ -11,14 +11,22 @@ P(H0|x) < alpha_b with x = theta + quantile(u) holds exactly when u falls
 below Phi(-r - theta) or above Phi(r - theta). Those two cut points are
 computed once per plan, and only a draw within _CUT_WINDOW of one of them
 is decided by the quantile and the posterior.
+
+The comparisons run _LANES draws at a time, one splitmix64 state in each
+128-bit lane of a single Python int: whole-int operations mix every lane,
+and int.bit_count counts the lanes on each side of the thresholds. A chunk
+with a draw inside a window is recounted one draw at a time; that scalar
+loop is the only place a draw takes the exact route.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .calibration import power_analytic, type_i_error
+from .calibration import _log_rejection_odds, power_analytic, type_i_error
 from .model import AlternativeSpread, _posterior_from_parts, _posterior_parts
 from .numerics import DomainError, std_normal_cdf, std_normal_quantile
 from .priors import PriorScheme
@@ -90,6 +98,30 @@ draw above Phi(r - theta) + _CUT_WINDOW has theta + q > R_hi and is
 rejected, and a draw between the inner edges has |theta + q| < R_lo and is
 retained. A plan that fails the guard takes the exact route for every draw.
 """
+
+
+_LANES = 2048
+"""Draws per packed chunk, one 128-bit lane each of a single 32 KiB int.
+
+A lane keeps its 64-bit state in the low half; the high half holds the full
+product of a multiply by a 64-bit constant, so no carry reaches the next lane.
+"""
+
+
+@functools.cache
+def _lane_constants() -> tuple[int, int]:
+    """(ones, ramp): 1 and j * golden mod 2^64 in lane j of _LANES lanes.
+
+    Built by doubling on first use, so importing the module costs nothing;
+    only these two are kept, the rest are cheap to derive per call.
+    """
+    ones, ramp, width = 1, 0, 1
+    while width < _LANES:
+        ramp |= (ramp + width * ones) << (128 * width)
+        ones |= ones << (128 * width)
+        width *= 2
+    ones &= (1 << (128 * _LANES)) - 1
+    return ones, (ramp * _GOLDEN) & ((ones << 64) - ones)
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -164,12 +196,13 @@ def _cut_thresholds(
 
     z < reject_lo or z >= reject_hi certainly rejects, keep_lo <= z < keep_hi
     certainly retains, and every other z takes the exact route. The bounds
-    are grid indices shifted left by 11, since u = ((z >> 11) + 0.5) 2^-53.
+    are grid indices shifted left by 11, since u = ((z >> 11) + 0.5) 2^-53,
+    and are sorted: reject_lo <= keep_lo <= keep_hi <= reject_hi.
     See _CUT_WINDOW for why the bands are wide enough; a plan past the
     positivity bound, or too ill-conditioned for the window, gets
     _EXACT_ONLY.
     """
-    logit = math.log1p(-alpha_b) - math.log(alpha_b)
+    logit = _log_rejection_odds(alpha_b)
     gap = logit - base
     logistic_slack = 1.0 / (alpha_b * (1.0 - alpha_b))
     tau = 16.0 * _TWO_NEG53 * (1.0 + abs(logit) + abs(base) + logistic_slack)
@@ -180,29 +213,31 @@ def _cut_thresholds(
         return _EXACT_ONLY
     lower = std_normal_cdf(-r - theta)
     upper = std_normal_cdf(r - theta)
+    keep_lo = _grid_above(lower + _CUT_WINDOW)
+    # For large |theta| both cut points sit in one tail, the keep band is
+    # empty and keep_lo > keep_hi. Clamping keeps the four bounds sorted,
+    # which _packed_chunks relies on; the scalar loop decides the same.
+    keep_hi = max(keep_lo, _grid_below(upper - _CUT_WINDOW))
     return (
-        _grid_above(lower + _CUT_WINDOW),
-        _grid_below(upper - _CUT_WINDOW),
+        keep_lo,
+        keep_hi,
         _grid_below(lower - _CUT_WINDOW),
         _grid_above(upper + _CUT_WINDOW),
     )
 
 
-def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
-    """(rejections, exact_route_draws) among sample indices [lo, hi) of the stream.
+def _scalar_count(plan: SimulationPlan, lo: int, hi: int, base: float, ratio: float,
+                  thresholds: tuple[int, int, int, int]) -> tuple[int, int]:
+    """(rejections, exact_route_draws) among indices [lo, hi), one draw at a time.
 
     The loop inlines splitmix64 and compares its raw output against the
     integer thresholds of _cut_thresholds. Only a draw inside a window takes
     the exact route: the posterior route of calibration.decide, using the
     same precomputed pieces as model.posterior_from_log_odds so the counted
-    event is bit-for-bit {P(H0|x) < alpha_b}. The equivalence and partition
-    tests in tests/test_montecarlo.py pin both the inlined mix and the cut
-    points.
+    event is bit-for-bit {P(H0|x) < alpha_b}.
     """
-    spread = AlternativeSpread(plan.sigma)
-    base, ratio = _posterior_parts(spread, plan.scheme.log_prior_odds(plan.sigma))
     seed, theta, alpha_b = plan.seed, plan.theta, plan.alpha_b
-    keep_lo, keep_hi, reject_lo, reject_hi = _cut_thresholds(base, ratio, theta, alpha_b)
+    keep_lo, keep_hi, reject_lo, reject_hi = thresholds
     count = exact = 0
     for i in range(lo, hi):
         z = (seed + (i + 1) * _GOLDEN) & _MASK64
@@ -218,6 +253,68 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
         x = theta + std_normal_quantile(((z >> 11) + 0.5) * _TWO_NEG53)
         if _posterior_from_parts(x * x, base, ratio) < alpha_b:
             count += 1
+    return count, exact
+
+
+def _packed_chunks(
+    seed: int, lo: int, hi: int, thresholds: tuple[int, int, int, int]
+) -> Iterator[tuple[int, int, int | None]]:
+    """Yield (start, stop, kept) for consecutive chunks of [lo, hi).
+
+    Lane j of a chunk holds the splitmix64 state of draw start + j; every
+    lane is masked back to 64 bits after each xorshift and before each
+    multiply, so no bit crosses a lane. Adding 2^64 - t to a lane sets its
+    bit 64 exactly when z >= t. As the thresholds are sorted, the four flags
+    sum to S = 0 or 4 where z rejects, 2 where it is kept and an odd S in a
+    window. kept counts the lanes with S = 2, or is None when any S is odd:
+    the caller then recounts the chunk with the scalar loop.
+    """
+    ones, ramp = _lane_constants()
+    flag = ones << 64
+    mask = flag - ones  # the low 64 bits of every lane
+    step = ones * ((_LANES * _GOLDEN) & _MASK64)  # one chunk on, in every lane
+    state = (ones * ((seed + (lo + 1) * _GOLDEN) & _MASK64) + ramp) & mask
+    a, b, c, d = (ones * ((1 << 64) - t) for t in thresholds)
+    for start in range(lo, hi, _LANES):
+        lanes = min(_LANES, hi - start)
+        if lanes < _LANES:  # the last chunk: drop, and stop flagging, lanes past hi
+            low = (1 << (128 * lanes)) - 1
+            state, flag = state & low, flag & low
+        z = (state ^ (state >> 30)) & mask
+        z = (z * _MIX_B) & mask
+        z = (z ^ (z >> 27)) & mask
+        z = (z * _MIX_C) & mask
+        # Unmasked: the next lane's low bits land at 97 and up, where they
+        # cannot reach the flags at bit 64.
+        z ^= z >> 31
+        s = ((z + a) & flag) + ((z + b) & flag) + ((z + c) & flag) + ((z + d) & flag)
+        kept = None if s & flag else (s & (flag << 1)).bit_count()
+        yield start, start + lanes, kept
+        state = (state + step) & mask
+
+
+def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
+    """(rejections, exact_route_draws) among sample indices [lo, hi) of the stream.
+
+    Draws are counted a packed chunk at a time. A chunk with a draw inside a
+    window, and every draw of an _EXACT_ONLY plan, goes through the scalar
+    loop instead, so the counts are those of deciding each draw alone. The
+    equivalence, planted-draw and partition tests in tests/test_montecarlo.py
+    pin the mix, the lane layout and the cut points.
+    """
+    spread = AlternativeSpread(plan.sigma)
+    base, ratio = _posterior_parts(spread, plan.scheme.log_prior_odds(plan.sigma))
+    thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
+    if thresholds == _EXACT_ONLY:
+        return _scalar_count(plan, lo, hi, base, ratio, thresholds)
+    count = exact = 0
+    for start, stop, kept in _packed_chunks(plan.seed, lo, hi, thresholds):
+        if kept is None:
+            rejected, in_window = _scalar_count(plan, start, stop, base, ratio, thresholds)
+            count += rejected
+            exact += in_window
+        else:
+            count += stop - start - kept
     return count, exact
 
 

@@ -194,11 +194,19 @@ class KLSelfInformationPrior(PriorScheme):
         # exp(-sigma^2/2) underflows to 0 for sigma beyond ~38.6; the returned
         # 0.0 is then the nearest representable value to the true mass, and
         # log_prior_odds still carries the exact odds.
-        u = math.exp(-0.5 * _check_sigma(sigma) ** 2)
+        try:
+            u = math.exp(-0.5 * _check_sigma(sigma) ** 2)
+        except OverflowError:  # sigma^2 past float range, beyond ~1.34e154
+            return 0.0
         return u / (1.0 + u)
 
     def log_prior_odds(self, sigma: float) -> float:
-        return 0.5 * _check_sigma(sigma) ** 2
+        # sigma ** 2 raises where sigma * sigma would give inf; the two differ
+        # in the last bit for some sigma, so the power stays.
+        try:
+            return 0.5 * _check_sigma(sigma) ** 2
+        except OverflowError:
+            return math.inf
 
     def declared_regime(self) -> Regime:
         return Regime("divergent")

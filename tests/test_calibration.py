@@ -88,6 +88,16 @@ def test_type_i_error_saturates_past_the_positivity_bound():
     assert type_i_error(3.0, 0.05, KL) == 1.0
 
 
+@pytest.mark.parametrize("scheme", (KL, ROBERT, FixedPrior(0.3)))
+def test_sigma_squared_underflow_gives_the_limit_not_an_error(scheme):
+    """Below sigma ~ 1e-162 variance_ratio is 0.0: psi is its limit +inf."""
+    for sigma in (1e-200, 5e-324):
+        assert psi(sigma, 0.05, scheme) == math.inf
+        assert type_i_error(sigma, 0.05, scheme) == 0.0
+        assert power_analytic(2.0, sigma, 0.05, scheme) == 0.0
+    assert math.isfinite(psi(1e-150, 0.05, scheme))
+
+
 def test_type_i_error_at_calibrated_sigma_hits_the_target():
     assert type_i_error(SIGMA_STAR_005_KL, 0.05, KL) == pytest.approx(0.05, abs=1e-9)
 

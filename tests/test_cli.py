@@ -283,6 +283,30 @@ def test_simulate_nonzero_theta_reports_power(capsys):
     )
 
 
+def test_kl_past_the_float_range_of_sigma_squared_answers(capsys):
+    code, out, _ = run(capsys, "posterior", "--x", "0", "--sigma", "1e200", "--scheme", "kl")
+    assert code == 0
+    values = parse_kv(out)
+    assert (values["rho0"], values["m"], values["posterior_h0"]) == ("0.0", "inf", "0.0")
+    assert values["decision"] == "reject"
+    code, out, _ = run(capsys, "simulate", "--n", "200", "--sigma", "1e200", "--scheme", "kl")
+    assert code == 0
+    values = parse_kv(out)
+    assert (values["rejections"], values["analytic_value"]) == ("200", "1.0")
+
+
+def test_underflowing_sigma_squared_never_rejects(capsys):
+    code, out, _ = run(capsys, "simulate", "--n", "200", "--sigma", "1e-200", "--scheme", "kl")
+    assert code == 0
+    values = parse_kv(out)
+    assert (values["rejections"], values["analytic_value"]) == ("0", "0.0")
+    code, out, _ = run(capsys, "sweep", "--kind", "psi", "--scheme", "kl",
+                       "--sigma-min", "1e-300", "--sigma-max", "1", "--steps", "3")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert rows[0][header.index("psi")] == "inf"
+
+
 def test_simulate_argument_validation(capsys):
     assert run(capsys, "simulate", "--n", "0", "--sigma", "1", "--scheme", "kl")[0] == 2
     assert run(capsys, "simulate", "--n", "10", "--scheme", "kl")[0] == 2  # sigma required

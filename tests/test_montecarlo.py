@@ -15,10 +15,13 @@ from pointnull.model import (
     posterior_h0,
 )
 from pointnull.montecarlo import (
+    _EXACT_ONLY,
+    _LANES,
     MonteCarloReport,
     SimulationPlan,
     _cut_thresholds,
     _rejection_count,
+    _scalar_count,
     draw_standard_normal,
     simulate_power,
     simulate_type_i,
@@ -39,6 +42,13 @@ SPLITMIX_1234567 = (
     4593380528125082431,
     16408922859458223821,
 )
+
+# The splitmix64 constants, written out here so the inverse below does not
+# lean on the module it checks.
+GOLDEN = 0x9E3779B97F4A7C15
+MIX_B = 0xBF58476D1CE4E5B9
+MIX_C = 0x94D049BB133111EB
+MASK64 = 2**64 - 1
 
 seeds = st.integers(0, 2**64 - 1)
 indices = st.integers(0, 2**20)
@@ -71,6 +81,31 @@ def test_splitmix_streams_differ_across_seeds_and_indices():
     stream_b = [splitmix64(1, i) for i in range(100)]
     assert len(set(stream_a)) == 100
     assert set(stream_a).isdisjoint(stream_b)
+
+
+def unxorshift(y, shift):
+    """The x with x ^ (x >> shift) == y, for 64-bit x."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix(z):
+    """The splitmix64 state whose mix is z: each step undone in reverse."""
+    z = unxorshift(z, 31)
+    z = unxorshift((z * pow(MIX_C, -1, 2**64)) & MASK64, 27)
+    return unxorshift((z * pow(MIX_B, -1, 2**64)) & MASK64, 30)
+
+
+def planted_seed(z, index):
+    """The seed whose stream outputs the raw value z at `index`."""
+    return (unmix(z) - (index + 1) * GOLDEN) & MASK64
+
+
+@given(st.integers(0, MASK64), indices)
+def test_planted_seed_puts_the_value_at_the_index(z, index):
+    assert splitmix64(planted_seed(z, index), index) == z
 
 
 @given(seeds, indices)
@@ -139,6 +174,68 @@ def test_rejection_count_is_partitionable():
     full, _ = _rejection_count(plan, 0, plan.n)
     for split in (1, plan.n // 3, plan.n - 1):
         assert full == _rejection_count(plan, 0, split)[0] + _rejection_count(plan, split, plan.n)[0]
+
+
+def scalar_count(plan, lo, hi):
+    """The one-draw-at-a-time count of _rejection_count's plan over [lo, hi)."""
+    base, ratio = _posterior_parts(
+        AlternativeSpread(plan.sigma), plan.scheme.log_prior_odds(plan.sigma)
+    )
+    thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
+    return _scalar_count(plan, lo, hi, base, ratio, thresholds)
+
+
+@pytest.mark.parametrize("theta", (0.0, 1.5))
+@pytest.mark.parametrize("n", (1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3))
+def test_packed_chunks_count_like_the_scalar_loop(n, theta):
+    plan = make_plan(n=n, seed=n, theta=theta)
+    assert _rejection_count(plan, 0, n) == scalar_count(plan, 0, n)
+    assert _rejection_count(plan, 5, 5 + n) == scalar_count(plan, 5, 5 + n)
+
+
+def test_partitions_off_the_chunk_boundaries_add_up():
+    plan = make_plan(n=3 * _LANES + 5, seed=9, theta=1.5)
+    full = _rejection_count(plan, 0, plan.n)
+    assert full == scalar_count(plan, 0, plan.n)
+    for cuts in ((1, _LANES + 1), (_LANES - 1, 2 * _LANES + 7), (1000, 5000, 6000)):
+        edges = (0, *cuts, plan.n)
+        parts = [_rejection_count(plan, a, b) for a, b in zip(edges, edges[1:])]
+        assert tuple(map(sum, zip(*parts))) == full, cuts
+
+
+@pytest.mark.parametrize(
+    "seed, theta, rejections",
+    ((0, 0.0, 49988), (7, 0.0, 49939), (7, 1.5, 323220)),
+)
+def test_million_draw_counts_are_pinned(seed, theta, rejections):
+    report = simulate_power(make_plan(n=1_000_000, seed=seed, theta=theta))
+    assert (report.rejections, report.exact_route_draws) == (rejections, 0)
+
+
+@pytest.mark.parametrize("alpha_b", (0.01, 0.05, 0.3))
+@pytest.mark.parametrize("scheme", ("kl", "robert", "fixed:0.3", "fixed:0.9"))
+def test_planted_draws_count_like_the_scalar_loop(scheme, alpha_b):
+    """Raw values on and next to every threshold, at both ends of both chunk kinds.
+
+    A plan of _LANES + 3 draws is one full chunk and a 3-lane tail, so each
+    planted draw is checked on the chunk that holds it.
+    """
+    n = _LANES + 3
+    prior = scheme_from_string(scheme)
+    base, ratio = _posterior_parts(AlternativeSpread(2.0), prior.log_prior_odds(2.0))
+    top = (2**53 - 1) << 11  # grid index 2^53 - 1 rounds to u = 1.0
+    for theta in (0.0, 0.5, -0.5, 1.5, 3.0, 40.0, -40.0):
+        thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
+        if thresholds == _EXACT_ONLY:
+            continue  # the scalar loop counts every draw of this plan
+        planted = {t + d for t in thresholds for d in (-1, 0, 1)} | {thresholds[0] // 2}
+        for z in sorted(v for v in planted if 0 <= v < top):
+            for index in (0, _LANES - 1, _LANES, n - 1):
+                plan = make_plan(n=n, seed=planted_seed(z, index), theta=theta, sigma=2.0,
+                                 alpha_b=alpha_b, scheme=prior)
+                lo, hi = (0, _LANES) if index < _LANES else (_LANES, n)
+                got = _rejection_count(plan, lo, hi)
+                assert got == scalar_count(plan, lo, hi), (theta, z, index)
 
 
 def test_counted_event_is_the_posterior_decision():

@@ -88,6 +88,15 @@ def test_m_overflows_to_inf_not_error():
     assert m_of_sigma(KLSelfInformationPrior(), 100.0) == math.inf
 
 
+def test_kl_past_the_float_range_of_sigma_squared_is_inf_not_error():
+    scheme = KLSelfInformationPrior()
+    assert scheme.log_prior_odds(1e154) == 0.5 * 1e154**2
+    for sigma in (1.35e154, 1e200, 1.7e308):
+        assert scheme.log_prior_odds(sigma) == math.inf
+        assert scheme.rho0(sigma) == 0.0
+        assert log_m_of_sigma(scheme, sigma) == math.inf
+
+
 @given(st.floats(1e-3, 20.0), st.sampled_from(["fixed", "robert", "kl"]))
 @settings(max_examples=300)
 def test_m_satisfies_defining_identity(sigma, kind):
