@@ -25,6 +25,8 @@ from .model import posterior_h0  # noqa: F401
 from .numerics import (
     Bracket,
     DomainError,
+    _check_finite,
+    _check_prob,
     find_root_bracketed,
     std_normal_cdf,
     std_normal_quantile,
@@ -65,12 +67,6 @@ class InfeasibleAlphaError(DomainError):
             f"no sigma achieves Type I error {requested}; achievable range is "
             f"approximately ({achievable_lo!r}, {achievable_hi!r})"
         )
-
-
-def _check_prob(name: str, value: float) -> float:
-    if not (math.isfinite(value) and 0.0 < value < 1.0):
-        raise DomainError(f"{name} must lie strictly between 0 and 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +151,7 @@ def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorSche
     r = sqrt(psi(sigma)); evaluated as Phi(theta - r) + Phi(-r - theta) so the
     theta = 0 case reduces bit-for-bit to type_i_error.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
+    _check_finite("theta", theta)
     try:
         p = psi(sigma, alpha_b, scheme)
     except PsiDomainError:
@@ -171,8 +166,7 @@ def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorSche
 def classical_threshold(alpha: float) -> float:
     """c_alpha with P0(x^2 > c_alpha) = alpha: the squared two-sided z critical value."""
     _check_prob("alpha", alpha)
-    q = std_normal_quantile(1.0 - 0.5 * alpha)
-    return q * q
+    return std_normal_quantile(0.5 * alpha) ** 2
 
 
 def positivity_bound(alpha_b: float, scheme: PriorScheme) -> float | None:

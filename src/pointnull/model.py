@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import DomainError, std_normal_pdf
+from .numerics import _check_finite, _check_prob, _check_sigma, std_normal_pdf
 
 __all__ = [
     "AlternativeSpread",
@@ -38,8 +38,7 @@ class Observation:
     x: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.x):
-            raise DomainError(f"observation must be finite, got {self.x}")
+        _check_finite("observation", self.x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +53,7 @@ class AlternativeSpread:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
+        _check_sigma(self.sigma)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,28 +155,31 @@ def posterior_from_log_odds(obs: Observation, spread: AlternativeSpread, log_odd
 
 def posterior_h0(obs: Observation, spread: AlternativeSpread, rho0: float) -> float:
     """Posterior probability of the null given x, spread sigma, and prior mass rho0."""
-    if not 0.0 < rho0 < 1.0:
-        raise DomainError(f"rho0 must lie strictly between 0 and 1, got {rho0}")
+    _check_prob("rho0", rho0)
     return posterior_from_log_odds(obs, spread, math.log1p(-rho0) - math.log(rho0))
 
 
 def kl_null_vs_alt(theta: float) -> float:
-    """Kullback-Leibler divergence of N(theta, 1) from N(0, 1): theta^2 / 2."""
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
+    """Kullback-Leibler divergence of N(theta, 1) from N(0, 1): theta^2 / 2.
+
+    inf where theta^2 / 2 exceeds float range, for |theta| above about 1.9e154.
+    """
+    _check_finite("theta", theta)
     return 0.5 * theta * theta
 
 
 def expected_kl(spread: AlternativeSpread) -> float:
-    """Mean KL divergence over theta ~ N(0, sigma^2): sigma^2 / 2."""
+    """Mean KL divergence over theta ~ N(0, sigma^2): sigma^2 / 2.
+
+    inf where sigma^2 / 2 exceeds float range, for sigma above about 1.9e154.
+    """
     return 0.5 * spread.sigma * spread.sigma
 
 
 def posterior_report(obs: Observation, spread: AlternativeSpread, alpha_b: float,
                      scheme: str = "fixed", *, log_odds: float) -> PosteriorReport:
     """Bundle the headline quantities for one (x, sigma, log prior odds) evaluation."""
-    if not 0.0 < alpha_b < 1.0:
-        raise DomainError(f"alpha_b must lie strictly between 0 and 1, got {alpha_b}")
+    _check_prob("alpha_b", alpha_b)
     base, ratio = _posterior_parts(spread, log_odds)
     posterior = _posterior_from_parts(obs.x * obs.x, base, ratio)
     return PosteriorReport(

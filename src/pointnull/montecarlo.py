@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 from .calibration import _log_rejection_odds, power_analytic, type_i_error
 from .model import AlternativeSpread, _posterior_from_parts, _posterior_parts
-from .numerics import DomainError, std_normal_cdf, std_normal_quantile
+from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, std_normal_cdf,
+                       std_normal_quantile)
 from .priors import PriorScheme
 
 __all__ = [
@@ -47,6 +48,7 @@ _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
 _TWO_NEG53 = 2.0**-53  # also the unit roundoff of a float64
 _EXACT_ONLY = (0, 0, 0, 1 << 64)  # thresholds that send every draw to the exact route
+_REJECT_ALL = (1 << 64,) * 4  # thresholds under which every draw rejects
 
 _CUT_WINDOW = 1e-9
 """Half-width, in u, of the band around each cut point that takes the exact route.
@@ -97,6 +99,11 @@ below Phi(-r - theta) - _CUT_WINDOW has theta + q < -R_hi and is rejected, a
 draw above Phi(r - theta) + _CUT_WINDOW has theta + q > R_hi and is
 rejected, and a draw between the inner edges has |theta + q| < R_lo and is
 retained. A plan that fails the guard takes the exact route for every draw.
+
+Past the bound, gap < -2 tau and step 2 give base > L* + tau >= L* + s, and
+t >= base as 0.5 x^2 ratio >= 0, so step 1 rejects every draw, as it does
+t = base = +inf. (Only where x^2 overflows and ratio underflows to 0 is the
+computed t nan, and the exact route retains.)
 """
 
 
@@ -157,14 +164,9 @@ class SimulationPlan:
             raise DomainError(f"n must be an integer >= 1, got {self.n}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not math.isfinite(self.theta):
-            raise DomainError(f"theta must be finite, got {self.theta}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
-        if not (math.isfinite(self.alpha_b) and 0.0 < self.alpha_b < 1.0):
-            raise DomainError(
-                f"alpha_b must lie strictly between 0 and 1, got {self.alpha_b}"
-            )
+        _check_finite("theta", self.theta)
+        _check_sigma(self.sigma)
+        _check_prob("alpha_b", self.alpha_b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,14 +200,16 @@ def _cut_thresholds(
     certainly retains, and every other z takes the exact route. The bounds
     are grid indices shifted left by 11, since u = ((z >> 11) + 0.5) 2^-53,
     and are sorted: reject_lo <= keep_lo <= keep_hi <= reject_hi.
-    See _CUT_WINDOW for why the bands are wide enough; a plan past the
-    positivity bound, or too ill-conditioned for the window, gets
-    _EXACT_ONLY.
+    See _CUT_WINDOW for why the bands are wide enough, and why a plan
+    clearly past the positivity bound gets _REJECT_ALL. A plan on the bound,
+    or too ill-conditioned for the window, gets _EXACT_ONLY.
     """
     logit = _log_rejection_odds(alpha_b)
     gap = logit - base
     logistic_slack = 1.0 / (alpha_b * (1.0 - alpha_b))
     tau = 16.0 * _TWO_NEG53 * (1.0 + abs(logit) + abs(base) + logistic_slack)
+    if gap < -2.0 * tau or base == math.inf:
+        return _REJECT_ALL
     if not (gap > 2.0 * tau and ratio > 0.0):
         return _EXACT_ONLY
     r = math.sqrt(2.0 * gap / ratio)
@@ -230,20 +234,17 @@ def _scalar_count(plan: SimulationPlan, lo: int, hi: int, base: float, ratio: fl
                   thresholds: tuple[int, int, int, int]) -> tuple[int, int]:
     """(rejections, exact_route_draws) among indices [lo, hi), one draw at a time.
 
-    The loop inlines splitmix64 and compares its raw output against the
-    integer thresholds of _cut_thresholds. Only a draw inside a window takes
-    the exact route: the posterior route of calibration.decide, using the
-    same precomputed pieces as model.posterior_from_log_odds so the counted
-    event is bit-for-bit {P(H0|x) < alpha_b}.
+    Each raw splitmix64 output is compared against the integer thresholds of
+    _cut_thresholds. Only a draw inside a window takes the exact route: the
+    posterior route of calibration.decide, using the same precomputed pieces
+    as model.posterior_from_log_odds so the counted event is bit-for-bit
+    {P(H0|x) < alpha_b}.
     """
     seed, theta, alpha_b = plan.seed, plan.theta, plan.alpha_b
     keep_lo, keep_hi, reject_lo, reject_hi = thresholds
     count = exact = 0
     for i in range(lo, hi):
-        z = (seed + (i + 1) * _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX_B) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_C) & _MASK64
-        z ^= z >> 31
+        z = splitmix64(seed, i)
         if keep_lo <= z < keep_hi:
             continue
         if z < reject_lo or z >= reject_hi:
@@ -297,7 +298,7 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     """(rejections, exact_route_draws) among sample indices [lo, hi) of the stream.
 
     Draws are counted a packed chunk at a time. A chunk with a draw inside a
-    window, and every draw of an _EXACT_ONLY plan, goes through the scalar
+    window, as is every chunk of an _EXACT_ONLY plan, goes through the scalar
     loop instead, so the counts are those of deciding each draw alone. The
     equivalence, planted-draw and partition tests in tests/test_montecarlo.py
     pin the mix, the lane layout and the cut points.
@@ -305,8 +306,6 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     spread = AlternativeSpread(plan.sigma)
     base, ratio = _posterior_parts(spread, plan.scheme.log_prior_odds(plan.sigma))
     thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
-    if thresholds == _EXACT_ONLY:
-        return _scalar_count(plan, lo, hi, base, ratio, thresholds)
     count = exact = 0
     for start, stop, kept in _packed_chunks(plan.seed, lo, hi, thresholds):
         if kept is None:

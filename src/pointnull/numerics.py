@@ -31,6 +31,24 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+def _check_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_prob(name: str, value: float) -> float:
+    if not 0.0 < value < 1.0:  # nan and +-inf fail it too
+        raise DomainError(f"{name} must lie strictly between 0 and 1, got {value}")
+    return value
+
+
+def _check_sigma(sigma: float) -> float:
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
+    return sigma
+
+
 class BracketError(ValueError):
     """The supplied bracket does not straddle a sign change."""
 
@@ -57,16 +75,9 @@ class Bracket:
         return self.hi - self.lo
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
-
-
 def std_normal_pdf(z: float) -> float:
     """Density of the standard normal at z."""
-    z = _require_finite("z", z)
+    z = _check_finite("z", float(z))
     return _INV_SQRT_TWO_PI * math.exp(-0.5 * z * z)
 
 
@@ -76,7 +87,7 @@ def std_normal_cdf(z: float) -> float:
     Evaluated through the complementary error function so both tails keep
     full relative accuracy (absolute error well below 1e-14 everywhere).
     """
-    z = _require_finite("z", z)
+    z = _check_finite("z", float(z))
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
@@ -132,9 +143,7 @@ def std_normal_quantile(p: float) -> float:
     precision where the upper tail's residual would drown in the rounding
     of values near 1.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
+    p = _check_prob("p", float(p))
     if p > 0.5:
         return -std_normal_quantile(1.0 - p)
 

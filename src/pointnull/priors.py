@@ -28,7 +28,7 @@ from .model import (Observation, _exp_or_inf, _posterior_from_parts, log_margina
                     variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
-from .numerics import DomainError
+from .numerics import DomainError, _check_prob, _check_sigma
 
 __all__ = [
     "ClassifiedRegime",
@@ -98,12 +98,6 @@ class Regime:
         return {"vanishing": "i", "finite": "ii", "divergent": "iii"}[self.kind]
 
 
-def _check_sigma(sigma: float) -> float:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and positive, got {sigma}")
-    return sigma
-
-
 class PriorScheme:
     """Base class for rules assigning prior null mass as a function of sigma."""
 
@@ -140,10 +134,7 @@ class FixedPrior(PriorScheme):
     rho0_value: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho0_value) and 0.0 < self.rho0_value < 1.0):
-            raise DomainError(
-                f"fixed rho0 must lie strictly between 0 and 1, got {self.rho0_value}"
-            )
+        _check_prob("fixed rho0", self.rho0_value)
 
     def rho0(self, sigma: float) -> float:
         _check_sigma(sigma)
@@ -234,10 +225,7 @@ class CustomTablePrior(PriorScheme):
         for sigma, rho in self.points:
             if not (math.isfinite(sigma) and sigma > 0.0):
                 raise DomainError(f"table sigma values must be positive, got {sigma}")
-            if not (math.isfinite(rho) and 0.0 < rho < 1.0):
-                raise DomainError(
-                    f"table rho0 values must lie strictly between 0 and 1, got {rho}"
-                )
+            _check_prob("table rho0 values", rho)
         sigmas = [s for s, _ in self.points]
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise DomainError("table sigma values must be strictly increasing")

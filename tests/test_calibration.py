@@ -35,6 +35,11 @@ SIGMA_STAR_010_KL = 2.3384925574891440249
 SIGMA_STAR_001_ROBERT = 1.4273082827389831827
 C_005 = 3.8414588206941259584  # classical two-sided threshold at alpha=0.05
 C_NEAR_ONE = 1.0000000324953121755  # at alpha = 0.3173105
+# c with erfc(sqrt(c / 2)) = alpha for the float alpha, solved by 60-digit mpmath.
+C_1E10 = 41.821456364761294135
+C_1E17 = 73.512517030737110510
+C_1E100 = 453.94308223879897009
+C_1E300 = 1373.8726312223941371
 POWER_THETA2_AT_C005 = 0.5160052557351434001
 
 KL = KLSelfInformationPrior()
@@ -126,6 +131,9 @@ def test_classical_threshold_references():
     assert classical_threshold(0.05) == pytest.approx(C_005, rel=1e-12)
     assert classical_threshold(0.3173105) == pytest.approx(1.0, abs=1e-5)
     assert classical_threshold(0.3173105) == pytest.approx(C_NEAR_ONE, rel=1e-12)
+    for alpha, c in ((0.05, C_005), (1e-10, C_1E10), (1e-17, C_1E17), (1e-100, C_1E100),
+                     (1e-300, C_1E300)):
+        assert classical_threshold(alpha) == pytest.approx(c, rel=1e-14), alpha
 
 
 def test_classical_threshold_round_trip():

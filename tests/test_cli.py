@@ -1,7 +1,9 @@
 """Command-line surface: parsing, key=value output, CSV sweeps, exit codes."""
 
+import shlex
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from pointnull.priors import KLSelfInformationPrior
 
 SIGMA_STAR_005_KL = "2.1089733943720829818"
 BOUND_KL_05 = 2.8454877865455884127
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *args):
@@ -423,6 +426,29 @@ def test_config_errors(capsys, tmp_path):
     assert run(capsys, "posterior", "--config", str(cfg), "--x", "0")[0] == 2
     assert run(capsys, "posterior", "--config", str(tmp_path / "absent.cfg"),
                "--x", "0")[0] == 4
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def readme_commands():
+    """Every `pointnull ...` line in the code blocks of the README's Command line section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = "\n".join(section.split("```")[1::2]).splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("pointnull ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "posterior", "bf", "calibrate", "sweep", "simulate", "regime"
+    }
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 # ---------------------------------------------------------------------------

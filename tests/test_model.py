@@ -136,6 +136,9 @@ def test_kl_quantities():
     assert kl_null_vs_alt(2.0) == 2.0
     assert kl_null_vs_alt(0.0) == 0.0
     assert expected_kl(AlternativeSpread(3.0)) == 4.5
+    # theta^2 / 2 and sigma^2 / 2 pass float range at sqrt(2) * 1.34e154.
+    assert kl_null_vs_alt(1.89e154) == expected_kl(AlternativeSpread(1.89e154)) < math.inf
+    assert kl_null_vs_alt(-1.9e154) == expected_kl(AlternativeSpread(1.9e154)) == math.inf
     with pytest.raises(DomainError):
         kl_null_vs_alt(math.inf)
 

@@ -338,10 +338,25 @@ def test_type_i_estimate_brackets_the_analytic_rate():
 def test_past_positivity_bound_every_draw_rejects():
     report = simulate_type_i(make_plan(n=500, sigma=3.0))
     assert report.rejections == 500
+    assert report.exact_route_draws == 0
     assert report.estimate == 1.0
     assert report.std_error == 0.0
     assert report.ci95 == (1.0, 1.0)
     assert report.within_3se  # analytic rate is also exactly 1
+
+
+@pytest.mark.parametrize(
+    "scheme, sigma, theta",
+    (
+        ("kl", 1e200, 0.0),  # the log prior odds are inf
+        # sigma^2 underflows to 0 and x^2 overflows: the exponent is inf * 0
+        ("fixed:0.01", 1e-200, 1e200),
+    ),
+)
+def test_far_past_positivity_bound_every_draw_rejects(scheme, sigma, theta):
+    plan = make_plan(n=100, theta=theta, sigma=sigma, scheme=scheme_from_string(scheme))
+    report = simulate_power(plan)
+    assert (report.rejections, report.exact_route_draws) == (100, 0)
 
 
 def test_power_saturates_for_huge_effects():
