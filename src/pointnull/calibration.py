@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import AlternativeSpread, Observation, posterior_from_log_odds, variance_ratio
+from .model import Observation, _posterior_from_parts, _x2_term, variance_ratio
 
 # Unused here, but bench/tracing.py rebinds pointnull.calibration.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
@@ -27,6 +27,7 @@ from .numerics import (
     DomainError,
     _check_finite,
     _check_prob,
+    _check_sigma,
     find_root_bracketed,
     std_normal_cdf,
     std_normal_quantile,
@@ -205,22 +206,34 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     sits within DECISION_BAND of alpha_b, where the routes legitimately
     round in different directions. The reported decision follows the
     posterior route (rejection on strict inequality, ties retain the null).
+    Both routes share one log m and variance ratio; the threshold route is
+    psi's expression, or where x * x overflows the x^2 term against the gap.
     """
-    spread = AlternativeSpread(sigma)
-    _check_prob("alpha_b", alpha_b)
-    post = posterior_from_log_odds(obs, spread, scheme.log_prior_odds(sigma))
+    _check_sigma(sigma)
+    level = _log_rejection_odds(alpha_b)
+    base = log_m_of_sigma(scheme, sigma)
+    ratio = variance_ratio(sigma)
+    x = obs.x
+    x_squared = x * x
+    post = _posterior_from_parts(x_squared, base, ratio, x, sigma)
     via_posterior = post < alpha_b
-    try:
-        via_threshold = obs.x * obs.x > psi(sigma, alpha_b, scheme)
-    except PsiDomainError:
+    gap = level - base
+    if gap <= 0.0:  # psi nonpositive: every x rejects
         via_threshold = True
+    elif x_squared == math.inf:
+        via_threshold = _x2_term(x_squared, ratio, x, sigma) > gap
+    else:
+        try:
+            via_threshold = x_squared > 2.0 * gap / ratio
+        except ZeroDivisionError:  # psi = inf, where sigma^2 underflows
+            via_threshold = False
     if via_posterior != via_threshold and abs(post - alpha_b) >= DECISION_BAND:
         raise ConsistencyError(
-            f"decision routes disagree outside the boundary band: x={obs.x}, "
+            f"decision routes disagree outside the boundary band: x={x}, "
             f"sigma={sigma}, posterior={post!r}, alpha_b={alpha_b}, "
             f"posterior route {via_posterior}, threshold route {via_threshold}"
         )
-    return Decision(reject=via_posterior, via_posterior=via_posterior, via_threshold=via_threshold)
+    return Decision(via_posterior, via_posterior, via_threshold)
 
 
 _SCAN_DECADES = range(-3, 4)

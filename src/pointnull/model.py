@@ -112,8 +112,23 @@ def _posterior_parts(spread: AlternativeSpread, log_odds: float) -> tuple[float,
     return base, variance_ratio(spread.sigma)
 
 
-def _posterior_from_parts(x_squared: float, base: float, ratio: float) -> float:
-    return _stable_inv_logistic(base + 0.5 * x_squared * ratio)
+def _x2_term(x_squared: float, ratio: float, x: float | None, sigma: float | None) -> float:
+    """x^2 sigma^2 / (2 (1 + sigma^2)), given x * x and variance_ratio(sigma).
+
+    0.5 x^2 ratio wherever x * x is finite. Past that, where ratio may
+    underflow and the product would be inf * 0, it is 0.5 (x sigma / tau)^2,
+    the one case that reads x and sigma.
+    """
+    if x_squared < math.inf:
+        return 0.5 * x_squared * ratio
+    t = x * (sigma / _tau(sigma))
+    return 0.5 * t * t
+
+
+def _posterior_from_parts(x_squared: float, base: float, ratio: float,
+                          x: float | None = None, sigma: float | None = None) -> float:
+    """The posterior from x * x and _posterior_parts; x and sigma as in _x2_term."""
+    return _stable_inv_logistic(base + _x2_term(x_squared, ratio, x, sigma))
 
 
 def _exp_or_inf(t: float) -> float:
@@ -130,9 +145,8 @@ def bayes_factor(obs: Observation, spread: AlternativeSpread) -> float:
     Equals sqrt(1 + sigma^2) * exp(-x^2 sigma^2 / (2 (1 + sigma^2))); always
     strictly positive, and exactly the prefactor when x = 0.
     """
-    sigma = spread.sigma
-    exponent = -0.5 * (obs.x * obs.x) * variance_ratio(sigma)
-    return _tau(sigma) * math.exp(exponent)
+    x, sigma = obs.x, spread.sigma
+    return _tau(sigma) * math.exp(-_x2_term(x * x, variance_ratio(sigma), x, sigma))
 
 
 def marginal_alt(obs: Observation, spread: AlternativeSpread) -> float:
@@ -150,7 +164,7 @@ def posterior_from_log_odds(obs: Observation, spread: AlternativeSpread, log_odd
     instead of producing NaN.
     """
     base, ratio = _posterior_parts(spread, log_odds)
-    return _posterior_from_parts(obs.x * obs.x, base, ratio)
+    return _posterior_from_parts(obs.x * obs.x, base, ratio, obs.x, spread.sigma)
 
 
 def posterior_h0(obs: Observation, spread: AlternativeSpread, rho0: float) -> float:
@@ -181,7 +195,7 @@ def posterior_report(obs: Observation, spread: AlternativeSpread, alpha_b: float
     """Bundle the headline quantities for one (x, sigma, log prior odds) evaluation."""
     _check_prob("alpha_b", alpha_b)
     base, ratio = _posterior_parts(spread, log_odds)
-    posterior = _posterior_from_parts(obs.x * obs.x, base, ratio)
+    posterior = _posterior_from_parts(obs.x * obs.x, base, ratio, obs.x, spread.sigma)
     return PosteriorReport(
         x=obs.x,
         sigma=spread.sigma,

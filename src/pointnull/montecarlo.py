@@ -240,7 +240,7 @@ def _scalar_count(plan: SimulationPlan, lo: int, hi: int, base: float, ratio: fl
     as model.posterior_from_log_odds so the counted event is bit-for-bit
     {P(H0|x) < alpha_b}.
     """
-    seed, theta, alpha_b = plan.seed, plan.theta, plan.alpha_b
+    seed, theta, sigma, alpha_b = plan.seed, plan.theta, plan.sigma, plan.alpha_b
     keep_lo, keep_hi, reject_lo, reject_hi = thresholds
     count = exact = 0
     for i in range(lo, hi):
@@ -252,7 +252,7 @@ def _scalar_count(plan: SimulationPlan, lo: int, hi: int, base: float, ratio: fl
             continue
         exact += 1
         x = theta + std_normal_quantile(((z >> 11) + 0.5) * _TWO_NEG53)
-        if _posterior_from_parts(x * x, base, ratio) < alpha_b:
+        if _posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b:
             count += 1
     return count, exact
 

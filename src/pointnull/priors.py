@@ -264,15 +264,14 @@ class CustomTablePrior(PriorScheme):
 
     def rho0(self, sigma: float) -> float:
         _check_sigma(sigma)
-        sigmas = [s for s, _ in self.points]
-        if sigma < sigmas[0] or sigma > sigmas[-1]:
-            raise TableRangeError(
-                f"sigma={sigma} outside tabulated range [{sigmas[0]}, {sigmas[-1]}]"
-            )
-        i = bisect.bisect_left(sigmas, sigma)
-        if sigmas[i] == sigma:
-            return self.points[i][1]
-        (s_lo, r_lo), (s_hi, r_hi) = self.points[i - 1], self.points[i]
+        points = self.points
+        lo, hi = points[0][0], points[-1][0]
+        if sigma < lo or sigma > hi:
+            raise TableRangeError(f"sigma={sigma} outside tabulated range [{lo}, {hi}]")
+        i = bisect.bisect_left(points, (sigma,))  # (sigma,) sorts before (sigma, rho0)
+        if points[i][0] == sigma:
+            return points[i][1]
+        (s_lo, r_lo), (s_hi, r_hi) = points[i - 1], points[i]
         w = (sigma - s_lo) / (s_hi - s_lo)
         return r_lo + w * (r_hi - r_lo)
 
@@ -361,11 +360,12 @@ def paradox_sweep(
         raise DomainError("sigma grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("sigma grid must be strictly increasing")
-    obs = Observation(x)
+    x = Observation(x).x
+    x_squared = x * x
     rows = []
     for sigma in grid:
         log_m = log_m_of_sigma(scheme, sigma)
-        post = _posterior_from_parts(obs.x * obs.x, log_m, variance_ratio(sigma))
+        post = _posterior_from_parts(x_squared, log_m, variance_ratio(sigma), x, sigma)
         rows.append(ParadoxRow(sigma, scheme.rho0(sigma), _exp_or_inf(log_m), post))
     return rows
 

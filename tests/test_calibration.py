@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pointnull.calibration import (
+    DECISION_BAND,
     CalibrationSpec,
     InfeasibleAlphaError,
     PsiDomainError,
@@ -17,9 +20,10 @@ from pointnull.calibration import (
     solve_sigma,
     type_i_error,
 )
-from pointnull.model import Observation
+from pointnull.model import AlternativeSpread, Observation, posterior_from_log_odds
 from pointnull.numerics import DomainError, std_normal_cdf
-from pointnull.priors import CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior
+from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
+                              KLSelfInformationPrior, RobertPrior)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -326,3 +330,80 @@ def test_decide_routes_agree_under_fuzzing():
             sigma = 10.0 ** rng.uniform(-2.0, 2.0)
             decision = decide(Observation(x), sigma, 0.05, scheme)
             assert decision.reject == decision.via_posterior
+
+
+TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
+
+
+def outcome(route):
+    """(value, None) from a route that returns, (None, error) from one that raises."""
+    try:
+        return route(), None
+    except DomainError as error:
+        return None, error
+
+
+def public_routes(x, sigma, alpha_b, scheme):
+    """decide's two routes through the public posterior and psi, and the error due first.
+
+    decide checks sigma, then alpha_b, then the scheme's own errors: the
+    spread raises the first, psi the second (before its log m) and the
+    posterior the last.
+    """
+    obs = Observation(x)
+    _, spread_error = outcome(lambda: AlternativeSpread(sigma))
+    post, post_error = outcome(lambda: posterior_from_log_odds(
+        obs, AlternativeSpread(sigma), scheme.log_prior_odds(sigma)))
+    threshold, psi_error = outcome(lambda: psi(sigma, alpha_b, scheme))
+    if isinstance(psi_error, PsiDomainError):
+        threshold, psi_error = -math.inf, None  # psi <= 0: every x rejects
+    error = spread_error or psi_error or post_error
+    return post, (None if threshold is None else x * x > threshold), error
+
+
+finite_square = st.floats(-1e300, 1e300).filter(lambda x: math.isfinite(x * x))
+log_uniform_sigma = st.floats(math.log(5e-324), math.log(1e300)).map(
+    lambda t: max(math.exp(t), 5e-324))
+sigmas = st.one_of(log_uniform_sigma, st.sampled_from((5e-324, 0.5, 8.0, 1e300)))
+alpha_bs = st.one_of(st.sampled_from((1e-300, 0.5, 1.0 - 2.0**-53)),
+                     st.floats(1e-300, 1.0 - 2.0**-53))
+schemes = st.one_of(st.sampled_from((KL, ROBERT, TABLE)),
+                    st.floats(1e-9, 1.0 - 1e-9).map(FixedPrior))
+
+
+@settings(max_examples=400, deadline=None)
+@given(finite_square, sigmas, alpha_bs, schemes)
+@example(0.0, 3.0, 0.05, KL)  # past the positivity bound: gap <= 0
+@example(1.0, 1e-170, 0.05, FixedPrior(0.5))  # sigma^2 underflows: psi = inf
+@example(1.0, -1.0, 2.0, KL)  # bad sigma and bad alpha_b: the sigma message
+def test_decide_matches_the_public_routes(x, sigma, alpha_b, scheme):
+    post, threshold, error = public_routes(x, sigma, alpha_b, scheme)
+    if error is not None:
+        with pytest.raises(type(error)) as raised:
+            decide(Observation(x), sigma, alpha_b, scheme)
+        assert str(raised.value) == str(error)
+        return
+    if (post < alpha_b) != threshold and abs(post - alpha_b) >= DECISION_BAND:
+        with pytest.raises(ConsistencyError):
+            decide(Observation(x), sigma, alpha_b, scheme)
+        return
+    decision = decide(Observation(x), sigma, alpha_b, scheme)
+    assert decision.via_posterior == (post < alpha_b)
+    assert decision.via_threshold == threshold
+    assert decision.reject == decision.via_posterior
+
+
+def test_decide_branches_of_the_explicit_examples():
+    past_bound = decide(Observation(0.0), 3.0, 0.05, KL)
+    assert past_bound.via_threshold and past_bound.via_posterior
+    assert psi(1e-170, 0.05, FixedPrior(0.5)) == math.inf
+    tiny = decide(Observation(1.0), 1e-170, 0.05, FixedPrior(0.5))
+    assert not tiny.via_threshold and not tiny.via_posterior
+    with pytest.raises(DomainError, match="sigma must be finite and positive, got -1.0"):
+        decide(Observation(1.0), -1.0, 2.0, KL)
+
+
+def test_decide_where_x_squared_overflows():
+    """x * x = inf while sigma^2 underflows: the x^2 term is (x sigma)^2 / 2 = 5e-11."""
+    decision = decide(Observation(1e155), 1e-160, 0.05, FixedPrior(0.5))
+    assert not (decision.reject or decision.via_posterior or decision.via_threshold)

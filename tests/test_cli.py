@@ -463,3 +463,25 @@ def test_console_script_is_installed():
     )
     assert done.returncode == 0
     assert "bayes_factor = " in done.stdout
+
+
+# ---------------------------------------------------------------------------
+# x * x past float range
+
+
+@pytest.mark.parametrize(
+    "x, sigma, bayes_factor, posterior",
+    (
+        # 40-digit mpmath at the parsed floats; the x^2 term is 1/2 and 5e-11.
+        ("1e200", "1e-200", 0.6065306597126334, 0.3775406687981454),
+        ("1e155", "1e-160", 0.99999999995, 0.4999999999875),
+    ),
+)
+def test_posterior_where_x_squared_overflows(capsys, x, sigma, bayes_factor, posterior):
+    code, out, _ = run(capsys, "posterior", "--x", x, "--sigma", sigma, "--scheme", "fixed:0.5")
+    values = parse_kv(out)
+    assert code == 0
+    assert float(values["bayes_factor"]) == bayes_factor
+    # The logistic rounds 1 / (1 + e^0.5) one ulp high, as it does for a finite x^2.
+    assert float(values["posterior_h0"]) == pytest.approx(posterior, rel=2.3e-16, abs=0.0)
+    assert values["decision"] == "retain"

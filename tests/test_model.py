@@ -20,6 +20,7 @@ from pointnull.model import (
     variance_ratio,
 )
 from pointnull.numerics import DomainError, std_normal_pdf
+from pointnull.priors import FixedPrior, paradox_sweep
 
 # Extended-precision reference values, frozen.
 BF_X2_S1 = 0.52026009502288889636
@@ -189,3 +190,19 @@ def test_rejection_is_strict_so_ties_retain():
         log_odds=0.0,
     )
     assert report.rejected
+
+
+@pytest.mark.parametrize(
+    "x, sigma, exponent",
+    ((1e200, 1e-200, 0.5), (1e155, 1e-160, 5e-11), (-1e300, 1e-150, 5e149)),
+)
+def test_x_squared_term_past_float_range(x, sigma, exponent):
+    """x * x overflows and sigma^2 underflows; the term x^2 sigma^2 / (2(1 + sigma^2)) does not."""
+    obs, spread = Observation(x), AlternativeSpread(sigma)
+    assert bayes_factor(obs, spread) == pytest.approx(math.exp(-exponent), rel=1e-15)
+    expected = 1.0 / (1.0 + math.exp(exponent)) if exponent < 700 else 0.0
+    assert posterior_from_log_odds(obs, spread, 0.0) == pytest.approx(expected, rel=1e-15)
+    report = posterior_report(obs, spread, 0.05, log_odds=0.0)
+    assert report.posterior_h0 == posterior_from_log_odds(obs, spread, 0.0)
+    (row,) = paradox_sweep(FixedPrior(0.5), x, [sigma])  # log prior odds 0
+    assert row.posterior_h0 == report.posterior_h0

@@ -397,3 +397,10 @@ def test_three_se_coverage_across_seeds():
         simulate_type_i(make_plan(n=10000, seed=seed)).within_3se for seed in range(100)
     )
     assert hits >= 95
+
+
+def test_simulation_where_x_squared_overflows():
+    """x = 1e155 + z squares past float range; (x sigma)^2 / 2 is 5e-11, so nothing rejects."""
+    plan = make_plan(n=5000, theta=1e155, sigma=1e-160, scheme=scheme_from_string("fixed:0.5"))
+    report = simulate_power(plan)
+    assert (report.rejections, report.analytic_value, report.within_3se) == (0, 0.0, True)
