@@ -5,6 +5,8 @@ their large-spread regimes, Type I error calibration of the spread, and
 seeded Monte Carlo verification — plus a CLI exposing all of it.
 """
 
+from importlib import import_module as _import_module
+
 from .calibration import (
     CalibrationResult,
     CalibrationSpec,
@@ -30,13 +32,6 @@ from .model import (
     posterior_from_log_odds,
     posterior_h0,
     posterior_report,
-)
-from .montecarlo import (
-    MonteCarloReport,
-    SimulationPlan,
-    draw_standard_normal,
-    simulate_power,
-    simulate_type_i,
 )
 from .numerics import (
     Bracket,
@@ -65,3 +60,19 @@ from .priors import (
 )
 
 __version__ = "0.1.0"
+
+#: Resolved on first use, so that a start which simulates nothing never loads montecarlo.
+_MONTECARLO = ("MonteCarloReport", "SimulationPlan", "draw_standard_normal", "simulate_power",
+               "simulate_type_i", "montecarlo")
+__all__ = sorted({n for n in globals() if not n.startswith("_")} | set(_MONTECARLO))
+
+
+def __getattr__(name: str):
+    if name not in _MONTECARLO:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    montecarlo = _import_module(".montecarlo", __name__)
+    return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MONTECARLO))

@@ -16,7 +16,6 @@ ways.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import Observation, _posterior_from_parts, _x2_term, variance_ratio
 
@@ -28,6 +27,8 @@ from .numerics import (
     _check_finite,
     _check_prob,
     _check_sigma,
+    _Record,
+    _set,
     find_root_bracketed,
     std_normal_cdf,
     std_normal_quantile,
@@ -70,36 +71,40 @@ class InfeasibleAlphaError(DomainError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CalibrationSpec:
+class CalibrationSpec(_Record):
     """Target classical level alpha, Bayesian threshold alpha_b, and scheme."""
 
-    alpha: float
-    alpha_b: float
-    scheme: PriorScheme
+    __slots__ = ("alpha", "alpha_b", "scheme")
 
-    def __post_init__(self) -> None:
-        _check_prob("alpha", self.alpha)
-        _check_prob("alpha_b", self.alpha_b)
-
-
-@dataclass(frozen=True, slots=True)
-class CalibrationResult:
-    sigma_star: float
-    psi_at_sigma: float
-    achieved_alpha: float
-    residual: float
-    bracket_used: Bracket
-    evaluations: int
+    def __init__(self, alpha: float, alpha_b: float, scheme: PriorScheme) -> None:
+        _set(self, "alpha", _check_prob("alpha", alpha))
+        _set(self, "alpha_b", _check_prob("alpha_b", alpha_b))
+        _set(self, "scheme", scheme)
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class CalibrationResult(_Record):
+    __slots__ = ("sigma_star", "psi_at_sigma", "achieved_alpha", "residual", "bracket_used",
+                 "evaluations")
+
+    def __init__(self, sigma_star: float, psi_at_sigma: float, achieved_alpha: float,
+                 residual: float, bracket_used: Bracket, evaluations: int) -> None:
+        _set(self, "sigma_star", sigma_star)
+        _set(self, "psi_at_sigma", psi_at_sigma)
+        _set(self, "achieved_alpha", achieved_alpha)
+        _set(self, "residual", residual)
+        _set(self, "bracket_used", bracket_used)
+        _set(self, "evaluations", evaluations)
+
+
+class Decision(_Record):
     """Reject/retain, recorded through both equivalent routes."""
 
-    reject: bool
-    via_posterior: bool
-    via_threshold: bool
+    __slots__ = ("reject", "via_posterior", "via_threshold")
+
+    def __init__(self, reject: bool, via_posterior: bool, via_threshold: bool) -> None:
+        _set(self, "reject", reject)
+        _set(self, "via_posterior", via_posterior)
+        _set(self, "via_threshold", via_threshold)
 
 
 def _log_rejection_odds(alpha_b: float) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from .calibration import CalibrationSpec, PsiDomainError, positivity_bound, psi, solve_sigma
@@ -28,8 +27,7 @@ from .model import (
     marginal_alt,
     posterior_report,
 )
-from .montecarlo import SimulationPlan, simulate_power, simulate_type_i
-from .numerics import DomainError
+from .numerics import DomainError, _Record, _set
 from .priors import (
     SchemeParseError,
     classify_regime,
@@ -49,21 +47,20 @@ def fmt_float(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
-class OutputTable:
+class OutputTable(_Record):
     """CSV carrier: one header row, float rows, and # key=value comments."""
 
-    header: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    comments: tuple[str, ...] = ()
-    trailing_comments: tuple[str, ...] = ()
+    __slots__ = ("header", "rows", "comments", "trailing_comments")
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValueError(
-                    f"row arity {len(row)} does not match header arity {len(self.header)}"
-                )
+    def __init__(self, header: tuple[str, ...], rows: tuple[tuple[float, ...], ...],
+                 comments: tuple[str, ...] = (), trailing_comments: tuple[str, ...] = ()) -> None:
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"row arity {len(row)} does not match header arity {len(header)}")
+        _set(self, "header", header)
+        _set(self, "rows", rows)
+        _set(self, "comments", comments)
+        _set(self, "trailing_comments", trailing_comments)
 
     def render(self) -> str:
         lines = [f"# {c}" for c in self.comments]
@@ -265,6 +262,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import SimulationPlan, simulate_power, simulate_type_i  # loaded on use
     plan = SimulationPlan(n=args.n, seed=args.seed, theta=args.theta, sigma=args.sigma,
                           alpha_b=args.alpha_b, scheme=scheme_from_string(args.scheme))
     report = simulate_type_i(plan) if plan.theta == 0.0 else simulate_power(plan)

@@ -11,9 +11,8 @@ exponentials).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .numerics import _check_finite, _check_prob, _check_sigma, std_normal_pdf
+from .numerics import _check_finite, _check_prob, _check_sigma, _Record, _set, std_normal_pdf
 
 __all__ = [
     "AlternativeSpread",
@@ -31,18 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(_Record):
     """A single draw x from the unit-variance normal under test."""
 
-    x: float
+    __slots__ = ("x",)
 
-    def __post_init__(self) -> None:
-        _check_finite("observation", self.x)
+    def __init__(self, x: float) -> None:
+        _set(self, "x", _check_finite("observation", x))
 
 
-@dataclass(frozen=True, slots=True)
-class AlternativeSpread:
+class AlternativeSpread(_Record):
     """Prior standard deviation of the mean under the alternative.
 
     Deliberately restricted to finite positive values: the degenerate
@@ -50,22 +47,26 @@ class AlternativeSpread:
     exists to replace with a calibrated finite one.
     """
 
-    sigma: float
+    __slots__ = ("sigma",)
 
-    def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
+    def __init__(self, sigma: float) -> None:
+        _set(self, "sigma", _check_sigma(sigma))
 
 
-@dataclass(frozen=True, slots=True)
-class PosteriorReport:
-    x: float
-    sigma: float
-    scheme: str
-    bayes_factor: float
-    m_value: float
-    posterior_h0: float
-    alpha_b: float
-    rejected: bool
+class PosteriorReport(_Record):
+    __slots__ = ("x", "sigma", "scheme", "bayes_factor", "m_value", "posterior_h0", "alpha_b",
+                 "rejected")
+
+    def __init__(self, x: float, sigma: float, scheme: str, bayes_factor: float, m_value: float,
+                 posterior_h0: float, alpha_b: float, rejected: bool) -> None:
+        _set(self, "x", x)
+        _set(self, "sigma", sigma)
+        _set(self, "scheme", scheme)
+        _set(self, "bayes_factor", bayes_factor)
+        _set(self, "m_value", m_value)
+        _set(self, "posterior_h0", posterior_h0)
+        _set(self, "alpha_b", alpha_b)
+        _set(self, "rejected", rejected)
 
 
 def variance_ratio(sigma: float) -> float:
@@ -112,7 +113,7 @@ def _posterior_parts(spread: AlternativeSpread, log_odds: float) -> tuple[float,
     return base, variance_ratio(spread.sigma)
 
 
-def _x2_term(x_squared: float, ratio: float, x: float | None, sigma: float | None) -> float:
+def _x2_term(x_squared: float, ratio: float, x: float, sigma: float) -> float:
     """x^2 sigma^2 / (2 (1 + sigma^2)), given x * x and variance_ratio(sigma).
 
     0.5 x^2 ratio wherever x * x is finite. Past that, where ratio may
@@ -125,8 +126,8 @@ def _x2_term(x_squared: float, ratio: float, x: float | None, sigma: float | Non
     return 0.5 * t * t
 
 
-def _posterior_from_parts(x_squared: float, base: float, ratio: float,
-                          x: float | None = None, sigma: float | None = None) -> float:
+def _posterior_from_parts(x_squared: float, base: float, ratio: float, x: float,
+                          sigma: float) -> float:
     """The posterior from x * x and _posterior_parts; x and sigma as in _x2_term."""
     return _stable_inv_logistic(base + _x2_term(x_squared, ratio, x, sigma))
 

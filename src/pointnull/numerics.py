@@ -9,7 +9,6 @@ independent computational route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
@@ -57,18 +56,50 @@ class EvaluationError(ArithmeticError):
     """A user-supplied function returned a non-finite value."""
 
 
-@dataclass(frozen=True, slots=True)
-class Bracket:
+_set = object.__setattr__  # how a record's __init__ stores each field
+
+
+class _Record:
+    """An immutable record: its fields are its class's __slots__, stored by __init__ with _set.
+
+    Equality, hashing, repr and pickling follow the class and the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Bracket(_Record):
     """A finite interval [lo, hi] with lo < hi."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"bracket endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float) -> None:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"bracket endpoints must be finite, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise DomainError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def width(self) -> float:

@@ -21,14 +21,13 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (Observation, _exp_or_inf, _posterior_from_parts, log_marginal_variance,
                     variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
-from .numerics import DomainError, _check_prob, _check_sigma
+from .numerics import DomainError, _check_prob, _check_sigma, _Record, _set
 
 __all__ = [
     "ClassifiedRegime",
@@ -75,22 +74,21 @@ class SchemeParseError(ValueError):
     """A scheme string did not match fixed:<rho0> | robert | kl | table:<path>."""
 
 
-@dataclass(frozen=True, slots=True)
-class Regime:
+class Regime(_Record):
     """Limit behaviour of m(sigma): vanishing, finite (with constant), divergent."""
 
-    kind: str
-    limit: float | None = None
-
+    __slots__ = ("kind", "limit")
     _KINDS = ("vanishing", "finite", "divergent")
 
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise DomainError(f"unknown regime kind {self.kind!r}")
-        if (self.kind == "finite") != (self.limit is not None):
+    def __init__(self, kind: str, limit: float | None = None) -> None:
+        if kind not in self._KINDS:
+            raise DomainError(f"unknown regime kind {kind!r}")
+        if (kind == "finite") != (limit is not None):
             raise DomainError("exactly the finite regime carries a limit constant")
-        if self.limit is not None and not (math.isfinite(self.limit) and self.limit > 0):
-            raise DomainError(f"finite-regime limit must be positive, got {self.limit}")
+        if limit is not None and not (math.isfinite(limit) and limit > 0):
+            raise DomainError(f"finite-regime limit must be positive, got {limit}")
+        _set(self, "kind", kind)
+        _set(self, "limit", limit)
 
     @property
     def case_label(self) -> str:
@@ -100,6 +98,8 @@ class Regime:
 
 class PriorScheme:
     """Base class for rules assigning prior null mass as a function of sigma."""
+
+    __slots__ = ()
 
     def rho0(self, sigma: float) -> float:
         """Prior probability of the null, in (0, 1)."""
@@ -127,14 +127,13 @@ class PriorScheme:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
-class FixedPrior(PriorScheme):
+class FixedPrior(_Record, PriorScheme):
     """Constant null mass, the textbook choice that triggers the paradox."""
 
-    rho0_value: float
+    __slots__ = ("rho0_value",)
 
-    def __post_init__(self) -> None:
-        _check_prob("fixed rho0", self.rho0_value)
+    def __init__(self, rho0_value: float) -> None:
+        _set(self, "rho0_value", _check_prob("fixed rho0", rho0_value))
 
     def rho0(self, sigma: float) -> float:
         _check_sigma(sigma)
@@ -148,14 +147,15 @@ class FixedPrior(PriorScheme):
         return f"fixed:{self.rho0_value!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class RobertPrior(PriorScheme):
+class RobertPrior(_Record, PriorScheme):
     """rho0 = 1 / (1 + sqrt(2 pi) sigma): prior odds grow linearly with sigma.
 
     Chosen so that m(sigma) tends to the finite constant sqrt(2 pi); the
     posterior null probability then converges to a data-independent value,
     which is the canonical illustration of the finite regime's incoherence.
     """
+
+    __slots__ = ()
 
     def rho0(self, sigma: float) -> float:
         return 1.0 / (1.0 + SQRT_TWO_PI * _check_sigma(sigma))
@@ -171,8 +171,7 @@ class RobertPrior(PriorScheme):
         return "robert"
 
 
-@dataclass(frozen=True, slots=True)
-class KLSelfInformationPrior(PriorScheme):
+class KLSelfInformationPrior(_Record, PriorScheme):
     """rho0 = 1 / (1 + exp(sigma^2 / 2)): odds match the expected KL separation.
 
     The exponent is the mean Kullback-Leibler divergence of the alternative
@@ -180,6 +179,8 @@ class KLSelfInformationPrior(PriorScheme):
     the information needed to tell the hypotheses apart. Prior odds explode
     rapidly, making this the divergent regime.
     """
+
+    __slots__ = ()
 
     def rho0(self, sigma: float) -> float:
         # exp(-sigma^2/2) underflows to 0 for sigma beyond ~38.6; the returned
@@ -207,8 +208,7 @@ class KLSelfInformationPrior(PriorScheme):
         return "kl"
 
 
-@dataclass(frozen=True, slots=True)
-class CustomTablePrior(PriorScheme):
+class CustomTablePrior(_Record, PriorScheme):
     """Null mass tabulated at increasing sigma values, linearly interpolated.
 
     Queries outside the tabulated range raise TableRangeError rather than
@@ -216,19 +216,21 @@ class CustomTablePrior(PriorScheme):
     table is whatever the user wants it to be, which is to say unknowable.
     """
 
-    points: tuple[tuple[float, float], ...]
-    source: str = "table:<inline>"
+    __slots__ = ("points", "source")
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
+    def __init__(self, points: tuple[tuple[float, float], ...],
+                 source: str = "table:<inline>") -> None:
+        if len(points) < 2:
             raise DomainError("a prior table needs at least two (sigma, rho0) rows")
-        for sigma, rho in self.points:
+        for sigma, rho in points:
             if not (math.isfinite(sigma) and sigma > 0.0):
                 raise DomainError(f"table sigma values must be positive, got {sigma}")
             _check_prob("table rho0 values", rho)
-        sigmas = [s for s, _ in self.points]
+        sigmas = [s for s, _ in points]
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise DomainError("table sigma values must be strictly increasing")
+        _set(self, "points", points)
+        _set(self, "source", source)
 
     @classmethod
     def from_csv(cls, path: str) -> "CustomTablePrior":
@@ -302,10 +304,12 @@ class RegimeEvidence(NamedTuple):
     log_m_values: tuple[float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class ClassifiedRegime:
-    regime: Regime
-    evidence: RegimeEvidence
+class ClassifiedRegime(_Record):
+    __slots__ = ("regime", "evidence")
+
+    def __init__(self, regime: Regime, evidence: RegimeEvidence) -> None:
+        _set(self, "regime", regime)
+        _set(self, "evidence", evidence)
 
 
 def classify_regime(scheme: PriorScheme) -> ClassifiedRegime:

@@ -1,8 +1,11 @@
 """Command-line surface: parsing, key=value output, CSV sweeps, exit codes."""
 
+import json
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -463,6 +466,62 @@ def test_console_script_is_installed():
     )
     assert done.returncode == 0
     assert "bayes_factor = " in done.stdout
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+MONTE_CARLO_NAMES = {"MonteCarloReport", "SimulationPlan", "draw_standard_normal",
+                     "simulate_power", "simulate_type_i"}
+
+#: What `from pointnull import *` binds: the public names and the library's submodules.
+STAR_NAMES = MONTE_CARLO_NAMES | {
+    "AlternativeSpread", "Bracket", "BracketError", "CalibrationResult", "CalibrationSpec",
+    "ClassifiedRegime", "ConsistencyError", "CustomTablePrior", "Decision", "DomainError",
+    "EvaluationError", "FixedPrior", "InfeasibleAlphaError", "KLSelfInformationPrior",
+    "Observation", "PosteriorReport", "PriorScheme", "PsiDomainError", "Regime", "RobertPrior",
+    "bayes_factor", "classical_threshold", "classify_regime", "decide", "expected_kl",
+    "find_root_bracketed", "kl_null_vs_alt", "log_m_of_sigma", "m_of_sigma", "marginal_alt",
+    "paradox_sweep", "positivity_bound", "posterior_from_log_odds", "posterior_h0",
+    "posterior_report", "power_analytic", "psi", "scheme_from_string", "solve_sigma",
+    "std_normal_cdf", "std_normal_pdf", "std_normal_quantile", "type_i_error",
+    "calibration", "model", "montecarlo", "numerics", "priors",
+}
+
+COLD_START = """
+import contextlib, io, json, sys
+heavy = ("dataclasses", "inspect", "pointnull.montecarlo")
+seen = {}
+import pointnull.cli
+seen["after_import"] = [m for m in heavy if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    seen["bf_exit"] = pointnull.cli.main(["bf", "--x", "1.5", "--sigma", "2"])
+seen["bf_out"] = out.getvalue()
+seen["after_bf"] = [m for m in heavy if m in sys.modules]
+import pointnull
+seen["dir"] = dir(pointnull)
+seen["after_dir"] = [m for m in heavy if m in sys.modules]
+seen["resolves"] = pointnull.simulate_type_i is sys.modules["pointnull.montecarlo"].simulate_type_i
+namespace = {}
+exec("from pointnull import *", namespace)
+seen["star"] = sorted(n for n in namespace if n != "__builtins__")
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_no_dataclass_machinery_and_no_monte_carlo():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["after_import"] == []
+    assert seen["bf_exit"] == 0 and seen["bf_out"].startswith("bayes_factor = ")
+    assert seen["after_bf"] == []
+    assert MONTE_CARLO_NAMES <= set(seen["dir"])
+    assert seen["after_dir"] == []
+    assert seen["resolves"]
+    assert set(seen["star"]) == STAR_NAMES
 
 
 # ---------------------------------------------------------------------------

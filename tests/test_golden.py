@@ -14,6 +14,7 @@ import contextlib
 import io
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,6 +80,17 @@ def run_case(argv: str) -> str:
 def test_stdout_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert run_case(CASES[name]) == expected
+
+
+def test_simulate_in_a_fresh_process_matches_golden():
+    """A new interpreter: the in-process cases load pointnull.montecarlo before
+    any simulate, so only here does _cmd_simulate's own import of it run."""
+    code = "import sys; from pointnull.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *shlex.split(CASES["readme_simulate"])],
+                          cwd=GOLDEN, capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src")))
+    expected = (GOLDEN / "readme_simulate.txt").read_bytes()
+    assert b"exit = %d\n" % done.returncode + done.stdout == expected
 
 
 def test_every_readme_command_is_a_case():

@@ -314,7 +314,7 @@ def test_grid_points_next_to_each_window_are_decided_like_the_exact_route(
         if k not in grid:
             continue
         x = theta + std_normal_quantile((k + 0.5) * 2.0**-53)
-        assert (_posterior_from_parts(x * x, base, ratio) < alpha_b) == rejects, k
+        assert (_posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b) == rejects, k
 
 
 @pytest.mark.parametrize("alpha_b", (0.01, 0.05))
