@@ -50,9 +50,6 @@ __all__ = [
     "type_i_error",
 ]
 
-#: Boundary band inside which the two decision routes may disagree.
-DECISION_BAND = 1e-12
-
 
 class PsiDomainError(DomainError):
     """Raised where log m(sigma) >= log(1/alpha_b - 1), i.e. psi <= 0."""
@@ -113,6 +110,48 @@ def _log_rejection_odds(alpha_b: float) -> float:
     return math.log1p(-alpha_b) - math.log(alpha_b)
 
 
+def _cut(level: float, base: float, ratio: float) -> float:
+    """psi from log(1/alpha_b - 1), log m and the variance ratio: 2 (level - base) / ratio.
+
+    -inf where level <= base, as every x rejects; +inf where ratio underflows to 0, as none does.
+    """
+    gap = level - base
+    if gap <= 0.0:
+        return -math.inf
+    if ratio == 0.0:
+        return math.inf
+    return 2.0 * gap / ratio
+
+
+def _band(level: float, base: float, alpha_b: float) -> float:
+    """tau: a computed exponent t = base + 0.5 x^2 ratio past level +- tau decides surely.
+
+    The posterior route rejects iff _stable_inv_logistic(t) < alpha_b. Write
+    eps = 2^-53, L* = log(1/alpha_b - 1) in real arithmetic and L for level.
+
+    1. Logistic. exp is faithful (relative error < 2 eps), so each branch of
+       _stable_inv_logistic returns P(t) = 1 / (1 + e^t) within relative error
+       6 eps, plus an absolute 2^-1074 once the result is subnormal. log P falls
+       with slope 1 - P, which is at least 1 - alpha_b for t >= L* and at least
+       (1 - alpha_b) / 2 for t within 1/2 of L* below it. So the route rejects for
+       every t >= L* + s and retains for every t <= L* - s, where
+       s = 12 eps / (alpha_b (1 - alpha_b)) also swallows the subnormal term.
+    2. The exponent. The square, the product with ratio and the sum with base
+       (in a simulation also x = theta + q) each round once, so near the cut
+       t is within eps (5 |x^2 ratio / 2| + |t|) <= 6 eps (|L| + |base|) of the
+       real one, and non-decreasing in |x| (sign-symmetric rounding, positive
+       factors). L = log1p(-alpha_b) - log(alpha_b) is within eps (3 |L| + 3) of
+       L*. All of this, with s, sits inside
+       tau = 16 eps (1 + |L| + |base| + 1 / (alpha_b (1 - alpha_b))).
+
+    So a real t >= L* + tau rejects and one <= L* - tau retains. decide's
+    threshold route, x^2 > _cut(L, base, ratio), weighs 0.5 x^2 ratio against
+    L - base to within 3 eps |L - base|: where the routes disagree, t lies
+    within 9 eps (|L| + |base|) + s + eps (3 |L| + 3) < tau of L.
+    """
+    return 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(base) + 1.0 / (alpha_b * (1.0 - alpha_b)))
+
+
 def psi(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
     """Squared-observation rejection threshold equivalent to the posterior rule.
 
@@ -122,16 +161,13 @@ def psi(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
     Where sigma^2 underflows (sigma below about 1e-162) it returns +inf, the
     limit as sigma -> 0, so the Type I error and the power are 0 there.
     """
-    gap = _log_rejection_odds(alpha_b) - log_m_of_sigma(scheme, sigma)
-    if gap <= 0.0:
+    cut = _cut(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
+    if cut < 0.0:
         raise PsiDomainError(
             "psi nonpositive: Bayesian test rejects for all x "
             f"(sigma={sigma}, alpha_b={alpha_b}, scheme={scheme.scheme_id})"
         )
-    try:
-        return 2.0 * gap / variance_ratio(sigma)
-    except ZeroDivisionError:  # sigma^2 underflows below ~1e-162: the limit
-        return math.inf
+    return cut
 
 
 def type_i_error(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
@@ -141,14 +177,12 @@ def type_i_error(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
     rejects always, so the error rate is literally 1. That choice keeps the
     curve continuous and monotone for root-finding.
     """
-    try:
-        p = psi(sigma, alpha_b, scheme)
-    except PsiDomainError:
+    cut = _cut(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
+    if cut < 0.0:
         return 1.0
-    try:
-        return 2.0 * std_normal_cdf(-math.sqrt(p))
-    except DomainError:  # psi = inf, where sigma^2 underflows: nothing rejects
+    if cut == math.inf:
         return 0.0
+    return 2.0 * std_normal_cdf(-math.sqrt(cut))
 
 
 def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
@@ -158,15 +192,13 @@ def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorSche
     theta = 0 case reduces bit-for-bit to type_i_error.
     """
     _check_finite("theta", theta)
-    try:
-        p = psi(sigma, alpha_b, scheme)
-    except PsiDomainError:
+    cut = _cut(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
+    if cut < 0.0:
         return 1.0
-    r = math.sqrt(p)
-    try:
-        return std_normal_cdf(theta - r) + std_normal_cdf(-r - theta)
-    except DomainError:  # psi = inf, where sigma^2 underflows: nothing rejects
+    if cut == math.inf:
         return 0.0
+    r = math.sqrt(cut)
+    return std_normal_cdf(theta - r) + std_normal_cdf(-r - theta)
 
 
 def classical_threshold(alpha: float) -> float:
@@ -190,29 +222,32 @@ def positivity_bound(alpha_b: float, scheme: PriorScheme) -> float | None:
     level = _log_rejection_odds(alpha_b)
     if scheme.declared_regime().kind == "vanishing":
         return None
-
-    def gap(sigma: float) -> float:
-        return log_m_of_sigma(scheme, sigma) - level
-
     lo, hi = 1e-8, 1.0
-    if gap(lo) >= 0.0:
+    if log_m_of_sigma(scheme, lo) >= level:
         return 0.0
-    while gap(hi) < 0.0:
+    while log_m_of_sigma(scheme, hi) < level:
         hi *= 2.0
         if hi > 1e12:
             return None  # never reaches the level at any practical sigma
-    return find_root_bracketed(gap, Bracket(lo, hi), xtol=1e-15, ftol=1e-13)
+    return _domain_end(alpha_b, scheme, Bracket(lo, hi))
+
+
+def _domain_end(alpha_b: float, scheme: PriorScheme, bracket: Bracket) -> float:
+    """Where psi reaches 0 between a sigma in its domain (bracket.lo) and one past it."""
+    level = _log_rejection_odds(alpha_b)
+    return find_root_bracketed(
+        lambda sigma: log_m_of_sigma(scheme, sigma) - level, bracket, xtol=1e-15, ftol=1e-13
+    )
 
 
 def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) -> Decision:
     """Evaluate the rejection decision via the posterior and via x^2 > psi.
 
-    The two must agree; a disagreement is tolerated only while the posterior
-    sits within DECISION_BAND of alpha_b, where the routes legitimately
-    round in different directions. The reported decision follows the
-    posterior route (rejection on strict inequality, ties retain the null).
     Both routes share one log m and variance ratio; the threshold route is
-    psi's expression, or where x * x overflows the x^2 term against the gap.
+    _cut, or where x * x overflows the x^2 term against the gap. They must
+    agree unless the posterior exponent lies within _band of the level, where
+    they legitimately round apart. The decision follows the posterior route
+    (rejection on strict inequality, ties retain the null).
     """
     _check_sigma(sigma)
     level = _log_rejection_odds(alpha_b)
@@ -222,17 +257,14 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     x_squared = x * x
     post = _posterior_from_parts(x_squared, base, ratio, x, sigma)
     via_posterior = post < alpha_b
-    gap = level - base
-    if gap <= 0.0:  # psi nonpositive: every x rejects
-        via_threshold = True
-    elif x_squared == math.inf:
-        via_threshold = _x2_term(x_squared, ratio, x, sigma) > gap
+    cut = _cut(level, base, ratio)
+    if x_squared < math.inf or cut < 0.0:
+        via_threshold = x_squared > cut
     else:
-        try:
-            via_threshold = x_squared > 2.0 * gap / ratio
-        except ZeroDivisionError:  # psi = inf, where sigma^2 underflows
-            via_threshold = False
-    if via_posterior != via_threshold and abs(post - alpha_b) >= DECISION_BAND:
+        via_threshold = _x2_term(x_squared, ratio, x, sigma) > level - base
+    if via_posterior != via_threshold and (
+        abs(base + _x2_term(x_squared, ratio, x, sigma) - level) > _band(level, base, alpha_b)
+    ):
         raise ConsistencyError(
             f"decision routes disagree outside the boundary band: x={x}, "
             f"sigma={sigma}, posterior={post!r}, alpha_b={alpha_b}, "

@@ -19,7 +19,8 @@ import math
 import sys
 from typing import Callable, TextIO
 
-from .calibration import CalibrationSpec, PsiDomainError, positivity_bound, psi, solve_sigma
+from .calibration import (CalibrationSpec, PsiDomainError, _domain_end, positivity_bound, psi,
+                          solve_sigma)
 from .model import (
     AlternativeSpread,
     Observation,
@@ -27,7 +28,7 @@ from .model import (
     marginal_alt,
     posterior_report,
 )
-from .numerics import DomainError, _Record, _set
+from .numerics import Bracket, DomainError, _Record, _set
 from .priors import (
     SchemeParseError,
     classify_regime,
@@ -212,24 +213,25 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _psi_table(scheme, alpha_b: float, grid: list[float]) -> OutputTable:
     rows: list[tuple[float, float, float]] = []
-    truncated = False
+    past_end = None  # the first sigma past the usable region, once the sweep crosses its end
     for sigma in grid:
         try:
             value = psi(sigma, alpha_b, scheme)
         except PsiDomainError:
             if rows:
-                truncated = True
+                past_end = sigma
                 break
             continue  # infeasible region before the usable one: skip forward
         rows.append((sigma, value, math.log(value)))
     comments = ("kind=psi", f"scheme={scheme.scheme_id}", f"alpha_b={fmt_float(alpha_b)}")
     trailing: tuple[str, ...] = ()
-    if truncated:
+    if past_end is not None:
         try:
-            bound = positivity_bound(alpha_b, scheme)
+            edge = positivity_bound(alpha_b, scheme)
         except DomainError:
-            bound = None
-        edge = bound if bound is not None else rows[-1][0]
+            edge = None
+        if edge is None:  # a table, say: solve between the rows either side of the end
+            edge = _domain_end(alpha_b, scheme, Bracket(rows[-1][0], past_end))
         trailing = (f"domain_end sigma={fmt_float(edge)}",)
     return OutputTable(("sigma", "psi", "log_psi"), tuple(rows), comments, trailing)
 

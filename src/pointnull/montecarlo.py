@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .calibration import _log_rejection_odds, power_analytic, type_i_error
+from .calibration import _band, _cut, _log_rejection_odds, power_analytic, type_i_error
 from .model import AlternativeSpread, _posterior_from_parts, _posterior_parts
 from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, std_normal_cdf,
                        std_normal_quantile)
@@ -53,32 +53,13 @@ _REJECT_ALL = (1 << 64,) * 4  # thresholds under which every draw rejects
 _CUT_WINDOW = 1e-9
 """Half-width, in u, of the band around each cut point that takes the exact route.
 
-Outside the band the exact route's decision is certain. Write eps = 2^-53,
-L* = log(1/alpha_b - 1) in real arithmetic and L for its computed value,
-gap* = L* - base, and let the plan's real cut radius be
-R* = sqrt(2 gap* / ratio). The exact route computes
-x = theta + q with q = quantile(u), then t = base + 0.5 x^2 ratio, then
-rejects iff _stable_inv_logistic(t) < alpha_b.
+Outside the band the exact route's decision is certain. It computes
+x = theta + q with q = quantile(u) and the exponent t of calibration._band,
+whose eps, L*, L, s and tau (steps 1 and 2) are used here. With
+gap* = L* - base and the plan's real cut radius R* = sqrt(2 gap* / ratio),
+|theta + q| >= R_hi = sqrt(2 (gap* + tau) / ratio) rejects and
+|theta + q| <= R_lo = sqrt(2 (gap* - tau) / ratio) retains.
 
-1. Logistic. exp is faithful (relative error < 2 eps), so each branch of
-   _stable_inv_logistic returns P(t) = 1 / (1 + e^t) within relative error
-   6 eps, plus an absolute 2^-1074 once the result is subnormal. log P falls
-   with slope 1 - P, which is at least 1 - alpha_b for t >= L* and at least
-   (1 - alpha_b) / 2 for t within 1/2 of L* below it. So the route rejects for
-   every t >= L* + s and retains for every t <= L* - s, where
-   s = 12 eps / (alpha_b (1 - alpha_b)) also swallows the subnormal term.
-2. The posterior exponent. The sum theta + q, the square, the product with
-   ratio and the sum with base each round once, so near the cut the
-   computed t is within eps (5 |x^2 ratio / 2| + |t|) <= 6 eps (|L| + |base|)
-   of the real one.
-   Computing L as log1p(-alpha_b) - log(alpha_b) costs at most
-   eps (3 |L| + 3).
-   Every step is monotone in |theta + q| (sign-symmetric rounding, positive
-   factors), so t is non-decreasing in |theta + q| and the bounds only need
-   to hold at the two band edges. All of this, with s, sits inside
-   tau = 16 eps (1 + |L| + |base| + 1 / (alpha_b (1 - alpha_b))).
-   Therefore |theta + q| >= R_hi = sqrt(2 (gap* + tau) / ratio) rejects and
-   |theta + q| <= R_lo = sqrt(2 (gap* - tau) / ratio) retains.
 3. Radii. With gap = L - base computed, gap > 2 tau gives gap* > gap / 2,
    and R_hi - R* and R* - R_lo are at most tau R* / gap*. The computed
    radius r is within R* (tau / gap* + 3 eps) of R*, so every edge lies
@@ -86,7 +67,7 @@ rejects iff _stable_inv_logistic(t) < alpha_b.
    in u each edge lies within 3.2 r (tau / gap + eps) of Phi(+-r - theta).
    _cut_thresholds only keeps plans where that is at most 0.4 _CUT_WINDOW.
    As ratio < 1 gives r >= sqrt(2 gap), and gap <= |L| + |base| <=
-   tau / (16 eps), this also forces tau < 1e-5, so step 1's slopes apply.
+   tau / (16 eps), this also forces tau < 1e-5, so _band's slopes apply.
 4. The uniform. std_normal_quantile satisfies |cdf(q) - u| <= 1e-12, and
    std_normal_cdf is within 1e-14 of Phi both at q and at the cut points;
    rounding -r - theta moves Phi by at most 0.25 eps. The thresholds of
@@ -100,10 +81,9 @@ draw above Phi(r - theta) + _CUT_WINDOW has theta + q > R_hi and is
 rejected, and a draw between the inner edges has |theta + q| < R_lo and is
 retained. A plan that fails the guard takes the exact route for every draw.
 
-Past the bound, gap < -2 tau and step 2 give base > L* + tau >= L* + s, and
-t >= base as 0.5 x^2 ratio >= 0, so step 1 rejects every draw, as it does
-t = base = +inf. (Only where x^2 overflows and ratio underflows to 0 is the
-computed t nan, and the exact route retains.)
+Past the bound, gap < -2 tau and _band's step 2 give base > L* + tau, and
+t >= base as 0.5 x^2 ratio >= 0, so _band's step 1 rejects every draw, as
+it does t = base = +inf.
 """
 
 
@@ -204,15 +184,14 @@ def _cut_thresholds(
     clearly past the positivity bound gets _REJECT_ALL. A plan on the bound,
     or too ill-conditioned for the window, gets _EXACT_ONLY.
     """
-    logit = _log_rejection_odds(alpha_b)
-    gap = logit - base
-    logistic_slack = 1.0 / (alpha_b * (1.0 - alpha_b))
-    tau = 16.0 * _TWO_NEG53 * (1.0 + abs(logit) + abs(base) + logistic_slack)
+    level = _log_rejection_odds(alpha_b)
+    gap = level - base
+    tau = _band(level, base, alpha_b)
     if gap < -2.0 * tau or base == math.inf:
         return _REJECT_ALL
-    if not (gap > 2.0 * tau and ratio > 0.0):
+    if not gap > 2.0 * tau:
         return _EXACT_ONLY
-    r = math.sqrt(2.0 * gap / ratio)
+    r = math.sqrt(_cut(level, base, ratio))  # inf where ratio underflows: fails the guard
     if not 8.0 * r * (tau / gap + _TWO_NEG53) <= _CUT_WINDOW:
         return _EXACT_ONLY
     lower = std_normal_cdf(-r - theta)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pointnull import calibration
 from pointnull.calibration import (
-    DECISION_BAND,
     CalibrationSpec,
     InfeasibleAlphaError,
     PsiDomainError,
@@ -20,10 +20,11 @@ from pointnull.calibration import (
     solve_sigma,
     type_i_error,
 )
-from pointnull.model import AlternativeSpread, Observation, posterior_from_log_odds
+from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior_from_log_odds,
+                             variance_ratio)
 from pointnull.numerics import DomainError, std_normal_cdf
 from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
-                              KLSelfInformationPrior, RobertPrior)
+                              KLSelfInformationPrior, RobertPrior, log_m_of_sigma)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -361,6 +362,14 @@ def public_routes(x, sigma, alpha_b, scheme):
     return post, (None if threshold is None else x * x > threshold), error
 
 
+def outside_band(x, sigma, alpha_b, scheme):
+    """Whether the posterior exponent t = log m + x^2 term lies farther than tau from the level."""
+    level = calibration._log_rejection_odds(alpha_b)
+    base = log_m_of_sigma(scheme, sigma)
+    t = base + _x2_term(x * x, variance_ratio(sigma), x, sigma)
+    return abs(t - level) > calibration._band(level, base, alpha_b)
+
+
 finite_square = st.floats(-1e300, 1e300).filter(lambda x: math.isfinite(x * x))
 log_uniform_sigma = st.floats(math.log(5e-324), math.log(1e300)).map(
     lambda t: max(math.exp(t), 5e-324))
@@ -383,7 +392,7 @@ def test_decide_matches_the_public_routes(x, sigma, alpha_b, scheme):
             decide(Observation(x), sigma, alpha_b, scheme)
         assert str(raised.value) == str(error)
         return
-    if (post < alpha_b) != threshold and abs(post - alpha_b) >= DECISION_BAND:
+    if (post < alpha_b) != threshold and outside_band(x, sigma, alpha_b, scheme):
         with pytest.raises(ConsistencyError):
             decide(Observation(x), sigma, alpha_b, scheme)
         return
@@ -407,3 +416,41 @@ def test_decide_where_x_squared_overflows():
     """x * x = inf while sigma^2 underflows: the x^2 term is (x sigma)^2 / 2 = 5e-11."""
     decision = decide(Observation(1e155), 1e-160, 0.05, FixedPrior(0.5))
     assert not (decision.reject or decision.via_posterior or decision.via_threshold)
+
+
+@pytest.mark.parametrize("x", [1e4, -1e4, 1e200])
+def test_decide_raises_on_a_disagreement_far_from_the_cut(monkeypatch, x):
+    """A posterior of alpha_b (1 + 1e-3) that retains a clear rejection must raise.
+
+    At alpha_b = 1e-20 it lies 1e-23 from alpha_b, inside any absolute band
+    on the posterior, but t = log m + x^2 / 4 is far past the level plus
+    tau (about 1.8e5 here). tau exceeds the level minus any scheme's log m
+    at this alpha_b, so a claimed rejection of a clear retain cannot be
+    built the same way.
+    """
+    alpha_b = 1e-20
+    monkeypatch.setattr(calibration, "_posterior_from_parts", lambda *parts: alpha_b * 1.001)
+    with pytest.raises(ConsistencyError, match="decision routes disagree"):
+        decide(Observation(x), 1.0, alpha_b, KL)
+
+
+def test_decide_never_raises_near_the_cut():
+    """x within 3 ulps of sqrt(psi), alpha_b down to 1e-300: the routes may split, never raise."""
+    rng = random.Random(20261018)
+    decided = split = 0
+    for _ in range(20000):
+        scheme = rng.choice((KL, ROBERT, TABLE, FixedPrior(rng.uniform(0.01, 0.99))))
+        alpha_b = rng.choice((1e-300, 10.0 ** rng.uniform(-300.0, math.log10(0.5)),
+                              rng.uniform(1e-3, 0.999)))
+        sigma = rng.uniform(0.5, 8.0) if scheme is TABLE else 10.0 ** rng.uniform(-3.0, 3.0)
+        try:
+            x = math.sqrt(psi(sigma, alpha_b, scheme))
+        except PsiDomainError:
+            continue
+        for _ in range(rng.randint(0, 3)):
+            x = math.nextafter(x, rng.choice((0.0, math.inf)))
+        decision = decide(Observation(rng.choice((x, -x))), sigma, alpha_b, scheme)
+        decided += 1
+        split += decision.via_posterior != decision.via_threshold
+    assert decided > 15000
+    assert split > 100  # the guard's tolerance is exercised, not just its quiet side

@@ -48,6 +48,8 @@ CASES = {
     "posterior_table": "posterior --x 1.5 --sigma 3 --scheme table:table.csv",
     "regime_table": "regime --scheme table:table.csv",
     "calibrate_table": "calibrate --alpha 0.01 --scheme table:table.csv",
+    "sweep_psi_table_domain_end": "sweep --kind psi --scheme table:table.csv --alpha-b 0.48 "
+                                  "--sigma-min 0.5 --sigma-max 8 --steps 6",
     "sweep_paradox_kl_underflow": "sweep --kind paradox --scheme kl --x 1.96 "
                                   "--sigma-min 35 --sigma-max 45 --steps 21",
     "calibrate_compare_paper": "calibrate --alpha 0.05 --compare-paper",
