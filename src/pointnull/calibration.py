@@ -15,6 +15,7 @@ ways.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .model import Observation, _posterior_from_parts, _x2_term, variance_ratio
@@ -104,8 +105,17 @@ class Decision(_Record):
         _set(self, "via_threshold", via_threshold)
 
 
+#: decide's four possible results, keyed by (via_posterior, via_threshold).
+_DECISIONS = {(p, t): Decision(p, p, t) for p in (False, True) for t in (False, True)}
+
+
+@functools.lru_cache(maxsize=64)
 def _log_rejection_odds(alpha_b: float) -> float:
-    """log(1/alpha_b - 1), the log prior-odds level m must stay below."""
+    """log(1/alpha_b - 1), the log prior-odds level m must stay below.
+
+    Memoized: a sweep, a solve or a simulation fixes alpha_b. A refusal is
+    not cached, so a bad alpha_b raises on every call.
+    """
     _check_prob("alpha_b", alpha_b)
     return math.log1p(-alpha_b) - math.log(alpha_b)
 
@@ -131,25 +141,29 @@ def _band(level: float, base: float, alpha_b: float) -> float:
 
     1. Logistic. exp is faithful (relative error < 2 eps), so each branch of
        _stable_inv_logistic returns P(t) = 1 / (1 + e^t) within relative error
-       6 eps, plus an absolute 2^-1074 once the result is subnormal. log P falls
+       6 eps, plus, once the result is subnormal, half its unit 2^-1075 =
+       d alpha_b (exp rounds to nearest there; d <= 1/2). So the route decides
+       right wherever |log P - log alpha_b| > 6.01 eps - log(1 - d). log P falls
        with slope 1 - P, which is at least 1 - alpha_b for t >= L* and at least
-       (1 - alpha_b) / 2 for t within 1/2 of L* below it. So the route rejects for
-       every t >= L* + s and retains for every t <= L* - s, where
-       s = 12 eps / (alpha_b (1 - alpha_b)) also swallows the subnormal term.
+       (1 - alpha_b) / 2 for t within 1/2 of L* below it. So the route rejects
+       for every t >= L* + s and retains for every t <= L* - s, where
+       s = (13 eps + 8 d) / (1 - alpha_b). s exceeds 1/2 only for alpha_b
+       below 2^-1071, where P is tiny within s of L* and its slope near 1.
     2. The exponent. The square, the product with ratio and the sum with base
        (in a simulation also x = theta + q) each round once, so near the cut
        t is within eps (5 |x^2 ratio / 2| + |t|) <= 6 eps (|L| + |base|) of the
        real one, and non-decreasing in |x| (sign-symmetric rounding, positive
        factors). L = log1p(-alpha_b) - log(alpha_b) is within eps (3 |L| + 3) of
        L*. All of this, with s, sits inside
-       tau = 16 eps (1 + |L| + |base| + 1 / (alpha_b (1 - alpha_b))).
+       tau = 16 eps (1 + |L| + |base| + 1 / (1 - alpha_b)) + 2^-1072 / (alpha_b (1 - alpha_b)).
 
     So a real t >= L* + tau rejects and one <= L* - tau retains. decide's
     threshold route, x^2 > _cut(L, base, ratio), weighs 0.5 x^2 ratio against
     L - base to within 3 eps |L - base|: where the routes disagree, t lies
     within 9 eps (|L| + |base|) + s + eps (3 |L| + 3) < tau of L.
     """
-    return 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(base) + 1.0 / (alpha_b * (1.0 - alpha_b)))
+    return (16.0 * 2.0**-53 * (1.0 + abs(level) + abs(base) + 1.0 / (1.0 - alpha_b))
+            + 2.0**-1072 / (alpha_b * (1.0 - alpha_b)))
 
 
 def psi(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
@@ -247,7 +261,8 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     _cut, or where x * x overflows the x^2 term against the gap. They must
     agree unless the posterior exponent lies within _band of the level, where
     they legitimately round apart. The decision follows the posterior route
-    (rejection on strict inequality, ties retain the null).
+    (rejection on strict inequality, ties retain the null). Equal outcomes
+    return the same shared record; records are immutable and compare by value.
     """
     _check_sigma(sigma)
     level = _log_rejection_odds(alpha_b)
@@ -270,7 +285,7 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
             f"sigma={sigma}, posterior={post!r}, alpha_b={alpha_b}, "
             f"posterior route {via_posterior}, threshold route {via_threshold}"
         )
-    return Decision(via_posterior, via_posterior, via_threshold)
+    return _DECISIONS[via_posterior, via_threshold]
 
 
 _SCAN_DECADES = range(-3, 4)

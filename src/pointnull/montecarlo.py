@@ -244,10 +244,12 @@ def _packed_chunks(
     Lane j of a chunk holds the splitmix64 state of draw start + j; every
     lane is masked back to 64 bits after each xorshift and before each
     multiply, so no bit crosses a lane. Adding 2^64 - t to a lane sets its
-    bit 64 exactly when z >= t. As the thresholds are sorted, the four flags
-    sum to S = 0 or 4 where z rejects, 2 where it is kept and an odd S in a
-    window. kept counts the lanes with S = 2, or is None when any S is odd:
-    the caller then recounts the chunk with the scalar loop.
+    bit 64 exactly when z >= t. As the thresholds are sorted, z lies in a
+    window exactly when z >= reject_lo differs from z >= keep_lo or
+    z >= keep_hi from z >= reject_hi, and is kept exactly when z >= keep_lo
+    differs from z >= keep_hi. kept counts the kept lanes, or is None when
+    any lane is in a window: the caller then recounts the chunk with the
+    scalar loop.
     """
     ones, ramp = _lane_constants()
     flag = ones << 64
@@ -267,8 +269,8 @@ def _packed_chunks(
         # Unmasked: the next lane's low bits land at 97 and up, where they
         # cannot reach the flags at bit 64.
         z ^= z >> 31
-        s = ((z + a) & flag) + ((z + b) & flag) + ((z + c) & flag) + ((z + d) & flag)
-        kept = None if s & flag else (s & (flag << 1)).bit_count()
+        fa, fb, fc, fd = (z + a) & flag, (z + b) & flag, (z + c) & flag, (z + d) & flag
+        kept = None if (fc ^ fa) | (fb ^ fd) else (fa ^ fb).bit_count()
         yield start, start + lanes, kept
         state = (state + step) & mask
 

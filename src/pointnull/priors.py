@@ -139,6 +139,11 @@ class FixedPrior(_Record, PriorScheme):
         _check_sigma(sigma)
         return self.rho0_value
 
+    def log_prior_odds(self, sigma: float) -> float:
+        _check_sigma(sigma)
+        r = self.rho0_value
+        return math.log1p(-r) - math.log(r)
+
     def declared_regime(self) -> Regime:
         return Regime("vanishing")
 
@@ -367,10 +372,11 @@ def paradox_sweep(
     x = Observation(x).x
     x_squared = x * x
     rows = []
+    make = ParadoxRow._make
     for sigma in grid:
         log_m = log_m_of_sigma(scheme, sigma)
         post = _posterior_from_parts(x_squared, log_m, variance_ratio(sigma), x, sigma)
-        rows.append(ParadoxRow(sigma, scheme.rho0(sigma), _exp_or_inf(log_m), post))
+        rows.append(make((sigma, scheme.rho0(sigma), _exp_or_inf(log_m), post)))
     return rows
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pointnull import calibration
 from pointnull.calibration import (
     CalibrationSpec,
+    Decision,
     InfeasibleAlphaError,
     PsiDomainError,
     classical_threshold,
@@ -322,6 +323,35 @@ def test_decide_past_positivity_bound_always_rejects():
     assert decision.via_threshold
 
 
+def test_decide_returns_one_shared_record_per_outcome():
+    rng = random.Random(20261018)
+    seen = {}
+    for _ in range(2000):
+        scheme = rng.choice((KL, ROBERT, FixedPrior(0.3)))
+        alpha_b = rng.choice((0.05, 1e-20, 0.5))
+        sigma = 10.0 ** rng.uniform(-3.0, 3.0)
+        try:
+            x = math.sqrt(psi(sigma, alpha_b, scheme)) * rng.choice((1.0, 1.0 + 2**-52, 0.5, 2.0))
+        except PsiDomainError:
+            x = rng.uniform(-5.0, 5.0)
+        decision = decide(Observation(x), sigma, alpha_b, scheme)
+        outcome = (decision.via_posterior, decision.via_threshold)
+        assert decision == Decision(decision.via_posterior, *outcome)
+        assert seen.setdefault(outcome, decision) is decision
+    assert {(False, False), (True, True)} <= set(seen)
+
+
+def test_cached_alpha_b_level_still_refuses_a_bad_alpha_b():
+    type_i_error(1.0, 0.05, KL)  # puts a good level in the cache
+    for bad in (0.0, 1.0, math.nan, math.inf):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="alpha_b"):
+                calibration._log_rejection_odds(bad)
+            with pytest.raises(DomainError, match="alpha_b"):
+                decide(Observation(1.0), 1.0, bad, KL)
+    assert calibration._log_rejection_odds(0.05) == math.log1p(-0.05) - math.log(0.05)
+
+
 def test_decide_routes_agree_under_fuzzing():
     rng = random.Random(20240709)
     schemes = [FixedPrior(0.3), ROBERT, KL]
@@ -418,18 +448,19 @@ def test_decide_where_x_squared_overflows():
     assert not (decision.reject or decision.via_posterior or decision.via_threshold)
 
 
-@pytest.mark.parametrize("x", [1e4, -1e4, 1e200])
+@pytest.mark.parametrize("x", [1e4, -1e4, 1e200, 0.0])
 def test_decide_raises_on_a_disagreement_far_from_the_cut(monkeypatch, x):
-    """A posterior of alpha_b (1 + 1e-3) that retains a clear rejection must raise.
+    """A posterior 1e-3 relative off alpha_b that contradicts a clear decision must raise.
 
     At alpha_b = 1e-20 it lies 1e-23 from alpha_b, inside any absolute band
-    on the posterior, but t = log m + x^2 / 4 is far past the level plus
-    tau (about 1.8e5 here). tau exceeds the level minus any scheme's log m
-    at this alpha_b, so a claimed rejection of a clear retain cannot be
-    built the same way.
+    on the posterior. For |x| >= 1e4 the posterior alpha_b (1 + 1e-3) retains
+    a clear rejection: t = log m + x^2 / 4 is far past the level plus tau
+    (about 1e-13 here). For x = 0 the posterior alpha_b (1 - 1e-3) rejects a
+    clear retain: t = log m(1) is about 46 below the level.
     """
     alpha_b = 1e-20
-    monkeypatch.setattr(calibration, "_posterior_from_parts", lambda *parts: alpha_b * 1.001)
+    claimed = alpha_b * (0.999 if x == 0.0 else 1.001)
+    monkeypatch.setattr(calibration, "_posterior_from_parts", lambda *parts: claimed)
     with pytest.raises(ConsistencyError, match="decision routes disagree"):
         decide(Observation(x), 1.0, alpha_b, KL)
 

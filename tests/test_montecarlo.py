@@ -212,6 +212,23 @@ def test_million_draw_counts_are_pinned(seed, theta, rejections):
     assert (report.rejections, report.exact_route_draws) == (rejections, 0)
 
 
+@pytest.mark.parametrize("alpha_b", (1e-6, 1e-12, 1e-20, 1e-100))
+@pytest.mark.parametrize("scheme", ("kl", "robert"))
+def test_small_alpha_b_plans_count_without_the_exact_route(scheme, alpha_b):
+    """The cut band tau stays narrow at small alpha_b, so the window guard passes.
+
+    theta = sqrt(psi) puts about half the draws past a cut; the packed count
+    equals deciding every draw by the exact route.
+    """
+    prior = scheme_from_string(scheme)
+    theta = math.sqrt(psi(2.1, alpha_b, prior))
+    plan = make_plan(n=20_000, seed=3, theta=theta, sigma=2.1, alpha_b=alpha_b, scheme=prior)
+    base, ratio = _posterior_parts(AlternativeSpread(2.1), prior.log_prior_odds(2.1))
+    exact = _scalar_count(plan, 0, plan.n, base, ratio, _EXACT_ONLY)
+    assert exact[1] == plan.n
+    assert _rejection_count(plan, 0, plan.n) == (exact[0], 0)
+
+
 @pytest.mark.parametrize("alpha_b", (0.01, 0.05, 0.3))
 @pytest.mark.parametrize("scheme", ("kl", "robert", "fixed:0.3", "fixed:0.9"))
 def test_planted_draws_count_like_the_scalar_loop(scheme, alpha_b):

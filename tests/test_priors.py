@@ -1,6 +1,7 @@
 """Prior-weight schemes, the odds-to-evidence map m(sigma), and regime classification."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from pointnull.priors import (
     CustomTablePrior,
     FixedPrior,
     KLSelfInformationPrior,
+    PriorScheme,
     Regime,
     RobertPrior,
     SchemeParseError,
@@ -47,6 +49,19 @@ def test_fixed_prior_is_constant():
     scheme = FixedPrior(0.3)
     for sigma in (0.01, 1.0, 1e5):
         assert scheme.rho0(sigma) == 0.3
+
+
+def test_fixed_log_prior_odds_are_the_base_formula_bit_for_bit():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        rho = rng.choice((rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-300.0, 0.0)))
+        if not 0.0 < rho < 1.0:
+            continue
+        scheme, sigma = FixedPrior(rho), 10.0 ** rng.uniform(-300.0, 300.0)
+        assert scheme.log_prior_odds(sigma) == PriorScheme.log_prior_odds(scheme, sigma)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="sigma"):
+            FixedPrior(0.3).log_prior_odds(bad)
 
 
 def test_robert_rho0_reference():
