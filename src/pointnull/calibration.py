@@ -224,33 +224,20 @@ def classical_threshold(alpha: float) -> float:
 def positivity_bound(alpha_b: float, scheme: PriorScheme) -> float | None:
     """Upper end of the sigma domain on which psi is positive, if finite.
 
-    Read off the scheme's declared regime. A vanishing m is decreasing: no
-    upper end, None (a fixed mass's infeasible region, when rho0 < alpha_b,
-    sits at small sigma and psi reports it). A finite or divergent m is
-    increasing: the bound solves log m(sigma) = log(1/alpha_b - 1), which
-    the divergent scheme always crosses for alpha_b < 1/2 and the linear-odds
-    scheme only when its ceiling sqrt(2 pi) exceeds the level. Returns None
-    when m never reaches the level, and 0.0 when even tiny sigma is past it.
-    A table declares no regime and raises UnsupportedSchemeError.
+    Past it the prior odds alone push P(H0|x) below alpha_b: every x rejects.
+    Each built-in scheme solves log m(sigma) = log(1/alpha_b - 1) in closed
+    form. None: m never reaches the level (a fixed mass; robert for alpha_b
+    <= 1/(1 + sqrt(2 pi))). 0.0: every sigma > 0 is past the level (kl for
+    alpha_b >= 1/2). Other schemes, tables included, raise UnsupportedSchemeError.
     """
-    level = _log_rejection_odds(alpha_b)
-    if scheme.declared_regime().kind == "vanishing":
-        return None
-    lo, hi = 1e-8, 1.0
-    if log_m_of_sigma(scheme, lo) >= level:
-        return 0.0
-    while log_m_of_sigma(scheme, hi) < level:
-        hi *= 2.0
-        if hi > 1e12:
-            return None  # never reaches the level at any practical sigma
-    return _domain_end(alpha_b, scheme, Bracket(lo, hi))
+    return scheme._positivity_bound(_log_rejection_odds(alpha_b))
 
 
 def _domain_end(alpha_b: float, scheme: PriorScheme, bracket: Bracket) -> float:
     """Where psi reaches 0 between a sigma in its domain (bracket.lo) and one past it."""
     level = _log_rejection_odds(alpha_b)
     return find_root_bracketed(
-        lambda sigma: log_m_of_sigma(scheme, sigma) - level, bracket, xtol=1e-15, ftol=1e-13
+        lambda sigma: log_m_of_sigma(scheme, sigma) - level, bracket, xtol=1e-15, ftol=0.0
     )
 
 

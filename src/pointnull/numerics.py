@@ -203,6 +203,21 @@ def std_normal_quantile(p: float) -> float:
     return x
 
 
+def _u_minus_log1p(u: float) -> float:
+    """u - log1p(u) for u >= 0, without cancellation below u = 1/2.
+
+    There log1p(u) = 2 atanh(t) with t = u / (2 + u) < 1/5, so the difference is
+    u t - 2 t^3 (1/3 + t^2/5 + ... + t^18/21), truncated below 1e-16 of the result.
+    """
+    if u >= 0.5:
+        return u - math.log1p(u)
+    t = u / (2.0 + u)
+    t2, s = t * t, 1.0 / 21.0
+    for n in range(19, 2, -2):
+        s = s * t2 + 1.0 / n
+    return u * t - 2.0 * t * t2 * s
+
+
 def find_root_bracketed(
     f: Callable[[float], float],
     bracket: Bracket,

@@ -27,7 +27,7 @@ from .model import (Observation, _exp_or_inf, _posterior_from_parts, log_margina
                     variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
-from .numerics import DomainError, _check_prob, _check_sigma, _Record, _set
+from .numerics import DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
 
 __all__ = [
     "ClassifiedRegime",
@@ -122,6 +122,10 @@ class PriorScheme:
             f"scheme {self.scheme_id!r} has no analytically declared regime"
         )
 
+    def _positivity_bound(self, level: float) -> float | None:
+        """The sigma where log m reaches level, in closed form; see calibration.positivity_bound."""
+        raise UnsupportedSchemeError(f"no closed-form positivity bound for {self.scheme_id!r}")
+
     @property
     def scheme_id(self) -> str:
         raise NotImplementedError
@@ -147,6 +151,9 @@ class FixedPrior(_Record, PriorScheme):
     def declared_regime(self) -> Regime:
         return Regime("vanishing")
 
+    def _positivity_bound(self, level: float) -> None:
+        return None  # m falls: where rho0 < alpha_b, psi reports the small-sigma infeasible side
+
     @property
     def scheme_id(self) -> str:
         return f"fixed:{self.rho0_value!r}"
@@ -170,6 +177,15 @@ class RobertPrior(_Record, PriorScheme):
 
     def declared_regime(self) -> Regime:
         return Regime("finite", SQRT_TWO_PI)
+
+    def _positivity_bound(self, level: float) -> float | None:
+        """e^level / sqrt(2 pi - e^(2 level)), or None past the ceiling sqrt(2 pi).
+
+        As e^level / (sqrt(2 pi) sqrt(-expm1(d))), d = 2 (level - log sqrt(2 pi)): relative error
+        given level is <= 4 eps (1 + 1/(1 - e^d)), eps = 2^-53; 1/(1 - e^d) is the condition number.
+        """
+        d = 2.0 * (level - _LOG_SQRT_TWO_PI)
+        return None if d >= 0.0 else math.exp(level) / (SQRT_TWO_PI * math.sqrt(-math.expm1(d)))
 
     @property
     def scheme_id(self) -> str:
@@ -207,6 +223,18 @@ class KLSelfInformationPrior(_Record, PriorScheme):
 
     def declared_regime(self) -> Regime:
         return Regime("divergent")
+
+    def _positivity_bound(self, level: float) -> float:
+        # u = sigma^2 solves u - log1p(u) = k = 2 level by Newton. The start lies left of
+        # the convex root, so the first step overshoots and the rest descend (3-7 evaluations).
+        if level <= 0.0:
+            return 0.0
+        k = 2.0 * level
+        u = k + math.log1p(k) if k > 1.0 else math.sqrt(2.0 * k)
+        u -= (_u_minus_log1p(u) - k) * (1.0 + u) / u
+        while (nxt := u - (_u_minus_log1p(u) - k) * (1.0 + u) / u) < u:
+            u = nxt
+        return math.sqrt(u)
 
     @property
     def scheme_id(self) -> str:

@@ -1,0 +1,93 @@
+"""Accuracy in ulps against 50-digit mpmath references.
+
+Each reference is taken at the same float inputs the library sees (for the
+positivity bound, the float level log(1/alpha_b - 1) it computes), so what
+is measured is the library's own rounding, not the conditioning of its input.
+"""
+
+import math
+import random
+
+import mpmath
+import pytest
+
+from pointnull.calibration import _domain_end, _log_rejection_odds, positivity_bound
+from pointnull.numerics import Bracket, _u_minus_log1p
+from pointnull.priors import CustomTablePrior, KLSelfInformationPrior, RobertPrior
+
+EPS = 2.0**-53
+KL, ROBERT = KLSelfInformationPrior(), RobertPrior()
+
+
+def ulps(value: float, reference) -> float:
+    """|value - reference| in units of the last place of the float nearest reference."""
+    with mpmath.workdps(50):
+        reference = mpmath.mpf(reference)
+        return float(abs(mpmath.mpf(value) - reference) / math.ulp(float(reference)))
+
+
+def kl_bound_reference(level: float):
+    """sqrt(u) with u - log1p(u) = 2 level, the root of log m(sigma) = level under kl."""
+    with mpmath.workdps(50):
+        k = 2 * mpmath.mpf(level)
+        start = k + mpmath.log1p(k) if k > 1 else mpmath.sqrt(2 * k)
+        return mpmath.sqrt(mpmath.findroot(lambda u: u - mpmath.log1p(u) - k, start))
+
+
+def _kl_draws(count: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    wide = [10.0 ** rng.uniform(-300.0, math.log10(0.45)) for _ in range(count // 2)]
+    near_half = [rng.uniform(0.45, 0.5) for _ in range(count - count // 2)]
+    return wide + [a for a in near_half if a < 0.5]
+
+
+def test_u_minus_log1p_against_mpmath():
+    rng = random.Random(3)
+    for u in [10.0 ** rng.uniform(-12.0, 1.0) for _ in range(300)] + [0.5, 0.4999999999999999]:
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(u) - mpmath.log1p(mpmath.mpf(u))
+        assert ulps(_u_minus_log1p(u), exact) <= 2.0, u
+
+
+def test_kl_bound_within_2_ulp():
+    for alpha_b in _kl_draws(1200, seed=11):
+        reference = kl_bound_reference(_log_rejection_odds(alpha_b))
+        assert ulps(positivity_bound(alpha_b, KL), reference) <= 2.0, alpha_b
+
+
+@pytest.mark.parametrize("alpha_b", [0.49, 0.4999999, 0.49999999999, 0.5 - 2.0**-54])
+def test_kl_bound_within_2_ulp_next_to_one_half(alpha_b):
+    reference = kl_bound_reference(_log_rejection_odds(alpha_b))
+    assert ulps(positivity_bound(alpha_b, KL), reference) <= 2.0
+
+
+def test_robert_bound_within_its_stated_error():
+    # Relative error <= 4 eps (1 + 1/(1 - q)), q = e^(2 L) / (2 pi): 1/(1 - q) is the
+    # condition number of the root near robert's ceiling sqrt(2 pi).
+    rng = random.Random(12)
+    draws = [rng.uniform(0.2853, 0.5) for _ in range(600)]
+    draws += [1.0 - 10.0 ** rng.uniform(-15.5, -0.31) for _ in range(600)]
+    for alpha_b in draws:
+        level = _log_rejection_odds(alpha_b)
+        with mpmath.workdps(50):
+            two_pi = 2 * mpmath.pi
+            q = mpmath.exp(2 * mpmath.mpf(level)) / two_pi
+            reference = mpmath.exp(level) / mpmath.sqrt(two_pi - mpmath.exp(2 * mpmath.mpf(level)))
+            bound = positivity_bound(alpha_b, ROBERT)
+            relative = float(abs(bound - reference) / reference)
+            allowed = 4.0 * EPS * float(1 + 1 / (1 - q))
+        assert relative <= allowed, alpha_b
+
+
+def test_table_domain_end_within_2_ulp():
+    # tests/golden/table.csv: rho0 falls linearly from 0.2 at sigma 4 to 0.1 at 8.
+    table = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (4.0, 0.2), (8.0, 0.1)))
+    level = _log_rejection_odds(0.48)
+    with mpmath.workdps(50):
+        def log_m(sigma):
+            rho = mpmath.mpf(0.2) + (sigma - 4) / 4 * (mpmath.mpf(0.1) - mpmath.mpf(0.2))
+            return mpmath.log((1 - rho) / rho) - mpmath.log1p(sigma**2) / 2 - mpmath.mpf(level)
+        reference = mpmath.findroot(log_m, (mpmath.mpf(6.5), mpmath.mpf(8)), solver="anderson")
+    assert mpmath.nstr(reference, 20) == "7.7960970855526606259"
+    for lo, hi in ((6.5, 8.0), (4.0, 8.0), (7.7, 7.9)):
+        assert ulps(_domain_end(0.48, table, Bracket(lo, hi)), reference) <= 2.0, (lo, hi)

@@ -25,7 +25,8 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
                              variance_ratio)
 from pointnull.numerics import DomainError, std_normal_cdf
 from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
-                              KLSelfInformationPrior, RobertPrior, log_m_of_sigma)
+                              KLSelfInformationPrior, PriorScheme, RobertPrior,
+                              UnsupportedSchemeError, log_m_of_sigma)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -154,7 +155,7 @@ def test_classical_threshold_round_trip():
 
 def test_positivity_bound_kl():
     bound = positivity_bound(0.05, KL)
-    assert bound == pytest.approx(BOUND_KL_05, abs=1e-10)
+    assert abs(bound - BOUND_KL_05) <= 2.0 * math.ulp(BOUND_KL_05)
     from pointnull.priors import log_m_of_sigma
 
     assert abs(log_m_of_sigma(KL, bound) - math.log(19.0)) <= 1e-12
@@ -167,7 +168,7 @@ def test_positivity_bound_absent_when_m_stays_low():
 
 
 def test_positivity_bound_robert_at_permissive_threshold():
-    assert positivity_bound(0.4, ROBERT) == pytest.approx(BOUND_ROBERT_04, abs=1e-10)
+    assert abs(positivity_bound(0.4, ROBERT) - BOUND_ROBERT_04) <= 2.0 * math.ulp(BOUND_ROBERT_04)
 
 
 def test_positivity_bound_empty_domain_is_zero():
@@ -176,8 +177,62 @@ def test_positivity_bound_empty_domain_is_zero():
 
 
 def test_positivity_bound_rejects_tables():
-    with pytest.raises(DomainError):
+    with pytest.raises(UnsupportedSchemeError, match="table:<inline>"):
         positivity_bound(0.05, CustomTablePrior(((0.5, 0.5), (2.0, 0.4))))
+
+
+def test_positivity_bound_rejects_a_scheme_without_a_closed_form():
+    class Custom(PriorScheme):
+        scheme_id = "custom"
+
+        def rho0(self, sigma):
+            return 0.5
+
+    with pytest.raises(UnsupportedSchemeError, match="'custom'"):
+        positivity_bound(0.05, Custom())
+    with pytest.raises(DomainError, match="alpha_b"):  # checked before the scheme is asked
+        positivity_bound(1.5, Custom())
+
+
+def test_positivity_bound_robert_exists_only_above_its_ceiling_threshold():
+    edge = 1.0 / (1.0 + math.sqrt(2.0 * math.pi))  # 0.2852...: m's ceiling is the level
+    assert positivity_bound(math.nextafter(edge, 0.0), ROBERT) is None
+    assert positivity_bound(1e-300, ROBERT) is None
+    assert positivity_bound(0.2853, ROBERT) > 20.0
+
+
+def test_positivity_bound_robert_near_one_is_the_tiny_root():
+    # 50-digit value of e^L / sqrt(2 pi - e^(2 L)) at the float L: 3.98942269517517191e-10.
+    assert positivity_bound(1.0 - 1e-9, ROBERT) == 3.9894226951751723e-10
+
+
+def test_positivity_bound_fixed_and_kl_edges():
+    for alpha_b in (1e-300, 0.05, 0.5, 1.0 - 1e-16):
+        assert positivity_bound(alpha_b, FixedPrior(0.3)) is None
+    assert positivity_bound(math.nextafter(0.5, 0.0), KL) > 0.0
+    assert positivity_bound(1.0 - 1e-16, KL) == 0.0
+
+
+def test_psi_changes_sign_at_the_positivity_bound():
+    rng = random.Random(13)
+    cases = [(KL, 10.0 ** rng.uniform(-300.0, math.log10(0.45))) for _ in range(40)]
+    cases += [(ROBERT, rng.uniform(0.3, 0.49)) for _ in range(40)]
+    for scheme, alpha_b in cases:
+        bound = positivity_bound(alpha_b, scheme)
+        assert psi(bound * (1.0 - 1e-12), alpha_b, scheme) > 0.0, (scheme, alpha_b)
+        with pytest.raises(PsiDomainError):
+            psi(bound * (1.0 + 1e-12), alpha_b, scheme)
+
+
+def test_positivity_bound_needs_no_root_finder_nor_log_m(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("positivity_bound must use the scheme's closed form")
+
+    monkeypatch.setattr(calibration, "find_root_bracketed", refuse)
+    monkeypatch.setattr(calibration, "log_m_of_sigma", refuse)
+    assert abs(positivity_bound(0.05, KL) - BOUND_KL_05) <= 2.0 * math.ulp(BOUND_KL_05)
+    assert abs(positivity_bound(0.4, ROBERT) - BOUND_ROBERT_04) <= 2.0 * math.ulp(BOUND_ROBERT_04)
+    assert positivity_bound(0.05, FixedPrior(0.5)) is None
 
 
 def test_positivity_bound_of_a_tiny_fixed_mass_is_unbounded():

@@ -158,7 +158,7 @@ def test_calibrate_compare_block_quotes_published_numbers(capsys):
     assert code == 0
     assert "sigma = 0.44" in out
     assert "1.2930 (text) and 1.2933 (caption)" in out
-    assert "sigma_max = 2.8454877865455885" in out
+    assert "sigma_max = 2.845487786545588" in out
 
 
 # ---------------------------------------------------------------------------
