@@ -1,10 +1,10 @@
 """Seeded Monte Carlo checks of the calibrated test's rejection rates.
 
 Variates are counter-based: sample i of stream `seed` is a pure function
-of (seed, i), a splitmix64 bit-mix fed through the package's own normal
-quantile. There is no sequential generator state, so a simulation can be
-split across any partition of its index range and reproduce bit-identical
-counts — reports only ever depend on the plan.
+of (seed, i), a splitmix64 bit-mix fed through std_normal_quantile. There
+is no sequential generator state, so a simulation can be split across any
+partition of its index range and reproduce bit-identical counts — reports
+only ever depend on the plan.
 
 Most draws are counted without computing the normal itself: the rule
 P(H0|x) < alpha_b with x = theta + quantile(u) holds exactly when u falls
@@ -27,10 +27,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .calibration import _band, _cut, _log_rejection_odds, power_analytic, type_i_error
-from .model import AlternativeSpread, _posterior_from_parts, _posterior_parts
+from .model import _posterior_from_parts, variance_ratio
 from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, std_normal_cdf,
                        std_normal_quantile)
-from .priors import PriorScheme
+from .priors import PriorScheme, log_m_of_sigma
 
 __all__ = [
     "MonteCarloReport",
@@ -68,8 +68,10 @@ gap* = L* - base and the plan's real cut radius R* = sqrt(2 gap* / ratio),
    _cut_thresholds only keeps plans where that is at most 0.4 _CUT_WINDOW.
    As ratio < 1 gives r >= sqrt(2 gap), and gap <= |L| + |base| <=
    tau / (16 eps), this also forces tau < 1e-5, so _band's slopes apply.
-4. The uniform. std_normal_quantile satisfies |cdf(q) - u| <= 1e-12, and
-   std_normal_cdf is within 1e-14 of Phi both at q and at the cut points;
+4. The uniform. std_normal_quantile is within 7 ulp of Phi^-1(u), so q is
+   within 7 * 2^-52 |q| (1 + 1e-15) of it, and as phi(z) |z| <= 1 / sqrt(2 pi e)
+   < 0.25, Phi(q) is within 4e-16 of u. std_normal_cdf is within 1e-14 of
+   Phi both at q and at the cut points, so |cdf(q) - u| <= 1e-12;
    rounding -r - theta moves Phi by at most 0.25 eps. The thresholds of
    _grid_below and _grid_above stay 1.5 grid steps (2^-53 each) clear of
    each band edge, which covers the rounding of the edge itself and of
@@ -128,7 +130,7 @@ def draw_standard_normal(seed: int, index: int) -> float:
     return std_normal_quantile(uniform_unit(seed, index))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SimulationPlan:
     """Everything a run depends on; two equal plans give bit-identical reports."""
 
@@ -149,7 +151,7 @@ class SimulationPlan:
         _check_prob("alpha_b", self.alpha_b)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MonteCarloReport:
     n: int
     rejections: int
@@ -284,8 +286,7 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     equivalence, planted-draw and partition tests in tests/test_montecarlo.py
     pin the mix, the lane layout and the cut points.
     """
-    spread = AlternativeSpread(plan.sigma)
-    base, ratio = _posterior_parts(spread, plan.scheme.log_prior_odds(plan.sigma))
+    base, ratio = log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma)
     thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
     count = exact = 0
     for start, stop, kept in _packed_chunks(plan.seed, lo, hi, thresholds):

@@ -23,8 +23,8 @@ import csv
 import math
 from typing import NamedTuple
 
-from .model import (Observation, _exp_or_inf, _posterior_from_parts, log_marginal_variance,
-                    variance_ratio)
+from .model import (Observation, _exp_or_inf, _posterior_from_parts, _stable_inv_logistic,
+                    log_marginal_variance, variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
 from .numerics import DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
@@ -204,14 +204,7 @@ class KLSelfInformationPrior(_Record, PriorScheme):
     __slots__ = ()
 
     def rho0(self, sigma: float) -> float:
-        # exp(-sigma^2/2) underflows to 0 for sigma beyond ~38.6; the returned
-        # 0.0 is then the nearest representable value to the true mass, and
-        # log_prior_odds still carries the exact odds.
-        try:
-            u = math.exp(-0.5 * _check_sigma(sigma) ** 2)
-        except OverflowError:  # sigma^2 past float range, beyond ~1.34e154
-            return 0.0
-        return u / (1.0 + u)
+        return _stable_inv_logistic(self.log_prior_odds(sigma))
 
     def log_prior_odds(self, sigma: float) -> float:
         # sigma ** 2 raises where sigma * sigma would give inf; the two differ

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from pointnull.calibration import _domain_end, _log_rejection_odds, positivity_bound
-from pointnull.numerics import Bracket, _u_minus_log1p
+from pointnull.numerics import Bracket, _u_minus_log1p, std_normal_quantile
 from pointnull.priors import CustomTablePrior, KLSelfInformationPrior, RobertPrior
 
 EPS = 2.0**-53
@@ -32,6 +32,20 @@ def kl_bound_reference(level: float):
         k = 2 * mpmath.mpf(level)
         start = k + mpmath.log1p(k) if k > 1 else mpmath.sqrt(2 * k)
         return mpmath.sqrt(mpmath.findroot(lambda u: u - mpmath.log1p(u) - k, start))
+
+
+def quantile_reference(p: float):
+    """Phi^-1(p) for 0 < p < 1/2: Newton on log Phi, concave, from -sqrt(-2 log 2p)."""
+    with mpmath.workdps(50):
+        target = mpmath.log(p)
+        x = -mpmath.sqrt(-2 * mpmath.log(2 * mpmath.mpf(p)))
+        for _ in range(200):
+            cdf = mpmath.ncdf(x)
+            step = (mpmath.log(cdf) - target) * cdf / mpmath.npdf(x)
+            x -= step
+            if abs(step) <= abs(x) * mpmath.mpf(10) ** -45:
+                return x
+        raise AssertionError(f"no convergence at p={p}")
 
 
 def _kl_draws(count: int, seed: int) -> list[float]:
@@ -91,3 +105,19 @@ def test_table_domain_end_within_2_ulp():
     assert mpmath.nstr(reference, 20) == "7.7960970855526606259"
     for lo, hi in ((6.5, 8.0), (4.0, 8.0), (7.7, 7.9)):
         assert ulps(_domain_end(0.48, table, Bracket(lo, hi)), reference) <= 2.0, (lo, hi)
+
+
+def test_quantile_within_its_stated_7_ulp():
+    # Lower half: log-uniform on [5e-324, 0.5], uniform on [0.45, 0.5), and 0.5 - 2^-k, where x is
+    # near 0 and an absolute residual cdf(x) - p cannot resolve it. Upper half: the float 1 - p,
+    # against minus the quantile of its exact mirror 1 - (1 - p).
+    rng = random.Random(14)
+    lower = [10.0 ** rng.uniform(-323.3, math.log10(0.5)) for _ in range(500)]
+    lower += [rng.uniform(0.45, 0.5) for _ in range(300)]
+    lower += [0.5 - 2.0**-k for k in range(2, 55)] + [5e-324, 1e-320, 2.0**-1022, 1e-300]
+    lower = [p for p in lower if 0.0 < p < 0.5]
+    upper = {1.0 - p for p in lower} - {1.0}
+    for p in lower:
+        assert ulps(std_normal_quantile(p), quantile_reference(p)) <= 7.0, p
+    for p in upper:
+        assert ulps(std_normal_quantile(p), -quantile_reference(1.0 - p)) <= 7.0, p

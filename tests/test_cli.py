@@ -490,7 +490,7 @@ STAR_NAMES = MONTE_CARLO_NAMES | {
 
 COLD_START = """
 import contextlib, io, json, sys
-heavy = ("dataclasses", "inspect", "pointnull.montecarlo")
+heavy = ("dataclasses", "inspect", "statistics", "pointnull.montecarlo")
 seen = {}
 import pointnull.cli
 seen["after_import"] = [m for m in heavy if m in sys.modules]

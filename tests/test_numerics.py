@@ -115,10 +115,10 @@ def test_quantile_cdf_roundtrip_full_stated_range():
     close to 1 that a float64 carries too few bits for any inverse to get
     back within 1e-10: the rounding of cdf(z) alone displaces the true
     inverse by |fl(p) - p| / pdf(z), which is 1.1e-10 at z = 5.5, 1.7e-9 at
-    z = 5.75, and 9.1e-9 at z = 6.0. The implementation returns the exact
-    inverse of the rounded input (verified against extended precision), so
-    these three grid points fail for information-theoretic reasons, not
-    implementation ones.
+    z = 5.75, and 9.1e-9 at z = 6.0. The quantile is within 7 ulp of the
+    true inverse of the rounded input (tests/test_accuracy.py), which near
+    z = 6 is below 1e-14, so these three grid points fail at the floor for
+    information-theoretic reasons, not implementation ones.
     """
     worst = max(
         abs(std_normal_quantile(std_normal_cdf(z)) - z) for z in grid(-6.0, 6.0, 0.25)

@@ -73,6 +73,9 @@ def test_kl_rho0_limits():
     assert scheme.rho0(1e-8) == pytest.approx(0.5, abs=1e-15)
     # Far out the weight underflows; callers are told to expect exactly zero.
     assert scheme.rho0(100.0) == 0.0
+    # Past sigma^2 overflow (about 1.34e154) the log odds are inf and the mass still 0.
+    assert scheme.rho0(1.35e154) == 0.0
+    assert scheme.rho0(1.7e308) == 0.0
 
 
 def test_rho0_always_a_probability():

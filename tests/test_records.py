@@ -24,10 +24,12 @@ from pointnull import (
     DomainError,
     FixedPrior,
     KLSelfInformationPrior,
+    MonteCarloReport,
     Observation,
     PosteriorReport,
     Regime,
     RobertPrior,
+    SimulationPlan,
 )
 from pointnull.cli import OutputTable
 from pointnull.priors import RegimeEvidence
@@ -266,9 +268,16 @@ def test_fields_are_read_only(name):
     assert getattr(record, field) is before
 
 
-@pytest.mark.parametrize("name", NAMES)
+#: The Monte Carlo records are frozen dataclasses, not _Record classes, and refuse new names too.
+DATACLASS_RECORDS = {
+    "SimulationPlan": SimulationPlan(10, 1, 0.0, 2.0, 0.05, KLSelfInformationPrior()),
+    "MonteCarloReport": MonteCarloReport(10, 1, 0.1, 0.09, (0.0, 0.3), 0.05, True, 0),
+}
+
+
+@pytest.mark.parametrize("name", NAMES + sorted(DATACLASS_RECORDS))
 def test_assigning_a_new_name_raises_attribute_error(name):
-    record = RECORDS[name][0]
+    record = RECORDS[name][0] if name in RECORDS else DATACLASS_RECORDS[name]
     with pytest.raises(AttributeError):
         record.z = 1
     with pytest.raises(AttributeError):
