@@ -1,18 +1,21 @@
 """Deterministic counter-based sampling and the rejection-rate simulators."""
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointnull.calibration import PsiDomainError, psi, type_i_error
+from pointnull.calibration import PsiDomainError, positivity_bound, psi, type_i_error
 from pointnull.model import (
     AlternativeSpread,
     Observation,
     _posterior_from_parts,
     _posterior_parts,
     posterior_h0,
+    variance_ratio,
 )
 from pointnull.montecarlo import (
     _EXACT_ONLY,
@@ -29,7 +32,8 @@ from pointnull.montecarlo import (
     uniform_unit,
 )
 from pointnull.numerics import DomainError, std_normal_quantile
-from pointnull.priors import KLSelfInformationPrior, scheme_from_string
+from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
+                              log_m_of_sigma, scheme_from_string)
 
 SIGMA_STAR_005_KL = 2.1089733943720829818
 KL = KLSelfInformationPrior()
@@ -421,3 +425,90 @@ def test_simulation_where_x_squared_overflows():
     plan = make_plan(n=5000, theta=1e155, sigma=1e-160, scheme=scheme_from_string("fixed:0.5"))
     report = simulate_power(plan)
     assert (report.rejections, report.analytic_value, report.within_3se) == (0, 0.0, True)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+MONTE_CARLO_DIGEST = "61a9ee1731bf75672ce97071fe8143aa012bcc8d00e54cf1ff58754a1e4558c7"
+DIGEST_SCHEMES = (
+    KL,
+    RobertPrior(),
+    FixedPrior(0.3),
+    FixedPrior(1e-6),
+    CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1))),
+)
+DIGEST_ALPHA_BS = (1e-100, 1e-20, 1e-6, 0.01, 0.05, 0.3, 0.5)
+DIGEST_THETAS = (0.0, 0.5, -0.5, 1.5, 3.0, 40.0, -40.0)
+DIGEST_SIZES = (1, _LANES - 1, _LANES + 1, 3 * _LANES + 5)
+DIGEST_CUTS = (0, 1, _LANES + 1, 2 * _LANES - 1, 3 * _LANES + 5)
+
+
+def _digest_line(plan, count=None):
+    """One hashed line: a partition's counts, or the report of the whole plan."""
+    try:
+        if count is not None:
+            return "{} {}".format(*count(plan))
+        report = (simulate_type_i if plan.theta == 0.0 else simulate_power)(plan)
+    except (ValueError, ArithmeticError) as error:  # every refusal is pinned too
+        return f"{type(error).__name__}: {error}"
+    return f"{report.rejections} {report.exact_route_draws} {report.analytic_value.hex()}"
+
+
+def _digest_plans(rng):
+    """(plan, partitioned) pairs over every scheme, alpha_b, theta and chunk shape."""
+    for scheme in DIGEST_SCHEMES:
+        for alpha_b in DIGEST_ALPHA_BS:
+            if isinstance(scheme, CustomTablePrior):
+                sigma = rng.uniform(0.5, 8.0)
+            else:
+                sigma = 10.0 ** rng.uniform(-0.5, 0.7)
+            for theta in DIGEST_THETAS:
+                yield make_plan(n=rng.choice(DIGEST_SIZES), seed=rng.getrandbits(64),
+                                theta=theta, sigma=sigma, alpha_b=alpha_b, scheme=scheme), False
+    # On the positivity bound every draw takes the exact route; past it none does.
+    for scheme, alpha_b in ((KL, 0.05), (KL, 1e-20), (RobertPrior(), 0.3)):
+        bound = positivity_bound(alpha_b, scheme)
+        for sigma, theta in ((bound, 0.0), (bound, 1.5), (1.5 * bound, -0.5)):
+            plan = make_plan(n=DIGEST_CUTS[-1], seed=rng.getrandbits(64), theta=theta,
+                             sigma=sigma, alpha_b=alpha_b, scheme=scheme)
+            yield plan, True
+    # A draw planted on and next to each threshold, at a random lane of a random size.
+    top = (2**53 - 1) << 11
+    for scheme in DIGEST_SCHEMES:
+        for alpha_b in (0.01, 0.05, 0.3):
+            sigma = rng.uniform(0.5, 8.0) if isinstance(scheme, CustomTablePrior) else 2.0
+            theta = rng.choice(DIGEST_THETAS)
+            base, ratio = log_m_of_sigma(scheme, sigma), variance_ratio(sigma)
+            thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
+            planted = {t + d for t in thresholds for d in (-1, 0, 1)}
+            planted.add((thresholds[0] + thresholds[2]) // 2)
+            for z in sorted(v for v in planted if 0 <= v < top):
+                n = rng.choice(DIGEST_SIZES)
+                plan = make_plan(n=n, seed=planted_seed(z, rng.randrange(n)), theta=theta,
+                                 sigma=sigma, alpha_b=alpha_b, scheme=scheme)
+                yield plan, n == DIGEST_CUTS[-1]
+
+
+def monte_carlo_digest():
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    for plan, partitioned in _digest_plans(rng):
+        h.update(_digest_line(plan).encode() + b"\n")
+        if partitioned:
+            for lo, hi in zip(DIGEST_CUTS, DIGEST_CUTS[1:]):
+                line = _digest_line(plan, lambda p: _rejection_count(p, lo, hi))
+                h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_monte_carlo_outputs_are_bit_identical():
+    """Rejections, exact-route draws and the analytic value of seeded plans, pinned.
+
+    The plans cover the kl, robert, fixed and table schemes, alpha_b from
+    1e-100 to 0.5, theta out to +-40, plans of 1, _LANES +- 1 and
+    3 _LANES + 5 draws with partitions off the chunk boundaries, plans on
+    and past the positivity bound, and draws planted in and next to each
+    cut window. A faster kernel must keep the digest.
+    """
+    assert monte_carlo_digest() == MONTE_CARLO_DIGEST
