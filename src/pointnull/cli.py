@@ -389,3 +389,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

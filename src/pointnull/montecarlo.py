@@ -13,18 +13,20 @@ computed once per plan, and only a draw within _CUT_WINDOW of one of them
 is decided by the quantile and the posterior.
 
 The comparisons run _LANES draws at a time, one splitmix64 state in each
-128-bit lane of a single Python int: whole-int operations mix every lane,
-and int.bit_count counts the lanes on each side of the thresholds. A chunk
-with a draw inside a window is recounted one draw at a time; that scalar
-loop is the only place a draw takes the exact route.
+128-bit lane of a single Python int: whole-int operations mix and flag
+every lane, the kept flags add up in one accumulator read once per run,
+and only the lanes flagged inside a window are read out as 64-bit words
+and take the exact route.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .calibration import _band, _cut, _log_rejection_odds, power_analytic, type_i_error
 from .model import _posterior_from_parts, variance_ratio
@@ -201,7 +203,7 @@ def _cut_thresholds(
     keep_lo = _grid_above(lower + _CUT_WINDOW)
     # For large |theta| both cut points sit in one tail, the keep band is
     # empty and keep_lo > keep_hi. Clamping keeps the four bounds sorted,
-    # which _packed_chunks relies on; the scalar loop decides the same.
+    # which _rejection_count's lane flags rely on.
     keep_hi = max(keep_lo, _grid_below(upper - _CUT_WINDOW))
     return (
         keep_lo,
@@ -211,54 +213,45 @@ def _cut_thresholds(
     )
 
 
-def _scalar_count(plan: SimulationPlan, lo: int, hi: int, base: float, ratio: float,
-                  thresholds: tuple[int, int, int, int]) -> tuple[int, int]:
-    """(rejections, exact_route_draws) among indices [lo, hi), one draw at a time.
+def _lane_words(value: int, lanes: int) -> array:
+    """The 64-bit words of lanes 0 .. lanes - 1 of value, least significant first.
 
-    Each raw splitmix64 output is compared against the integer thresholds of
-    _cut_thresholds. Only a draw inside a window takes the exact route: the
-    posterior route of calibration.decide, using the same precomputed pieces
-    as model.posterior_from_log_odds so the counted event is bit-for-bit
-    {P(H0|x) < alpha_b}.
+    Word 2 j is the low half of lane j and word 2 j + 1 its high half on every
+    machine: the bytes are written little-endian and swapped on a big-endian one.
     """
-    seed, theta, sigma, alpha_b = plan.seed, plan.theta, plan.sigma, plan.alpha_b
-    keep_lo, keep_hi, reject_lo, reject_hi = thresholds
-    count = exact = 0
-    for i in range(lo, hi):
-        z = splitmix64(seed, i)
-        if keep_lo <= z < keep_hi:
-            continue
-        if z < reject_lo or z >= reject_hi:
-            count += 1
-            continue
-        exact += 1
-        x = theta + std_normal_quantile(((z >> 11) + 0.5) * _TWO_NEG53)
-        if _posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b:
-            count += 1
-    return count, exact
+    words = array("Q", value.to_bytes(16 * lanes, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
-def _packed_chunks(
-    seed: int, lo: int, hi: int, thresholds: tuple[int, int, int, int]
-) -> Iterator[tuple[int, int, int | None]]:
-    """Yield (start, stop, kept) for consecutive chunks of [lo, hi).
+def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
+    """(rejections, exact_route_draws) among sample indices [lo, hi) of the stream.
 
-    Lane j of a chunk holds the splitmix64 state of draw start + j; every
-    lane is masked back to 64 bits after each xorshift and before each
-    multiply, so no bit crosses a lane. Adding 2^64 - t to a lane sets its
-    bit 64 exactly when z >= t. As the thresholds are sorted, z lies in a
-    window exactly when z >= reject_lo differs from z >= keep_lo or
-    z >= keep_hi from z >= reject_hi, and is kept exactly when z >= keep_lo
-    differs from z >= keep_hi. kept counts the kept lanes, or is None when
-    any lane is in a window: the caller then recounts the chunk with the
-    scalar loop.
+    Draws are mixed _LANES at a time: lane j of a chunk holds the splitmix64
+    state of draw start + j, and every lane is masked back to 64 bits after
+    each xorshift and before each multiply, so no bit crosses a lane. Adding
+    2^64 - t to a lane sets its bit 64 exactly when z >= t. As the thresholds
+    are sorted, a lane is kept exactly when z >= keep_lo differs from
+    z >= keep_hi, lies in a window exactly when z >= reject_lo differs from
+    z >= reject_hi and it is not kept, and rejects otherwise. The kept flags
+    are added into one accumulator, whose lanes' high words sum to the kept
+    count at the end. Only the window lanes, every lane of an _EXACT_ONLY
+    plan, are read out as words and take the exact route: the posterior
+    route of calibration.decide, using the same precomputed pieces as
+    model.posterior_from_log_odds, so the counted event is bit-for-bit
+    {P(H0|x) < alpha_b}. The tests in tests/test_montecarlo.py check this
+    against deciding one draw at a time.
     """
+    theta, sigma, alpha_b = plan.theta, plan.sigma, plan.alpha_b
+    base, ratio = log_m_of_sigma(plan.scheme, sigma), variance_ratio(sigma)
     ones, ramp = _lane_constants()
     flag = ones << 64
     mask = flag - ones  # the low 64 bits of every lane
     step = ones * ((_LANES * _GOLDEN) & _MASK64)  # one chunk on, in every lane
-    state = (ones * ((seed + (lo + 1) * _GOLDEN) & _MASK64) + ramp) & mask
-    a, b, c, d = (ones * ((1 << 64) - t) for t in thresholds)
+    state = (ones * ((plan.seed + (lo + 1) * _GOLDEN) & _MASK64) + ramp) & mask
+    a, b, c, d = (ones * ((1 << 64) - t) for t in _cut_thresholds(base, ratio, theta, alpha_b))
+    kept = exact = retained = 0
     for start in range(lo, hi, _LANES):
         lanes = min(_LANES, hi - start)
         if lanes < _LANES:  # the last chunk: drop, and stop flagging, lanes past hi
@@ -271,32 +264,17 @@ def _packed_chunks(
         # Unmasked: the next lane's low bits land at 97 and up, where they
         # cannot reach the flags at bit 64.
         z ^= z >> 31
-        fa, fb, fc, fd = (z + a) & flag, (z + b) & flag, (z + c) & flag, (z + d) & flag
-        kept = None if (fc ^ fa) | (fb ^ fd) else (fa ^ fb).bit_count()
-        yield start, start + lanes, kept
+        kept_here = ((z + a) ^ (z + b)) & flag
+        kept += kept_here
+        window = (((z + c) ^ (z + d)) & flag) ^ kept_here
+        if window:
+            for z_j in compress(_lane_words(z, lanes)[::2], _lane_words(window, lanes)[1::2]):
+                exact += 1
+                x = theta + std_normal_quantile(((z_j >> 11) + 0.5) * _TWO_NEG53)
+                retained += not (_posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b)
         state = (state + step) & mask
-
-
-def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
-    """(rejections, exact_route_draws) among sample indices [lo, hi) of the stream.
-
-    Draws are counted a packed chunk at a time. A chunk with a draw inside a
-    window, as is every chunk of an _EXACT_ONLY plan, goes through the scalar
-    loop instead, so the counts are those of deciding each draw alone. The
-    equivalence, planted-draw and partition tests in tests/test_montecarlo.py
-    pin the mix, the lane layout and the cut points.
-    """
-    base, ratio = log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma)
-    thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
-    count = exact = 0
-    for start, stop, kept in _packed_chunks(plan.seed, lo, hi, thresholds):
-        if kept is None:
-            rejected, in_window = _scalar_count(plan, start, stop, base, ratio, thresholds)
-            count += rejected
-            exact += in_window
-        else:
-            count += stop - start - kept
-    return count, exact
+    kept_lanes = sum(_lane_words(kept, min(_LANES, hi - lo))[1::2])
+    return hi - lo - kept_lanes - retained, exact
 
 
 def _report(

@@ -468,6 +468,19 @@ def test_console_script_is_installed():
     assert "bayes_factor = " in done.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (["calibrate", "--alpha", "0.05", "--alpha-b", "0.05", "--scheme", "kl"],
+     ["bf", "--x", "1", "--sigma", "-1"]),
+)
+def test_python_dash_m_runs_main(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "pointnull.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (done.returncode, done.stdout) == (code, out)
+
+
 # ---------------------------------------------------------------------------
 # cold start
 

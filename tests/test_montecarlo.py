@@ -23,8 +23,8 @@ from pointnull.montecarlo import (
     MonteCarloReport,
     SimulationPlan,
     _cut_thresholds,
+    _lane_words,
     _rejection_count,
-    _scalar_count,
     draw_standard_normal,
     simulate_power,
     simulate_type_i,
@@ -180,13 +180,54 @@ def test_rejection_count_is_partitionable():
         assert full == _rejection_count(plan, 0, split)[0] + _rejection_count(plan, split, plan.n)[0]
 
 
-def scalar_count(plan, lo, hi):
-    """The one-draw-at-a-time count of _rejection_count's plan over [lo, hi)."""
+def scalar_count(plan, lo, hi, thresholds=None):
+    """_rejection_count's (rejections, exact_route_draws) over [lo, hi), one draw at a time.
+
+    Each raw splitmix64 output is compared against the plan's integer
+    thresholds, or the given ones; only a draw inside a window is decided by
+    the quantile and the posterior.
+    """
     base, ratio = _posterior_parts(
         AlternativeSpread(plan.sigma), plan.scheme.log_prior_odds(plan.sigma)
     )
-    thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
-    return _scalar_count(plan, lo, hi, base, ratio, thresholds)
+    if thresholds is None:
+        thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
+    keep_lo, keep_hi, reject_lo, reject_hi = thresholds
+    count = exact = 0
+    for i in range(lo, hi):
+        z = splitmix64(plan.seed, i)
+        if keep_lo <= z < keep_hi:
+            continue
+        if z < reject_lo or z >= reject_hi:
+            count += 1
+            continue
+        exact += 1
+        x = plan.theta + std_normal_quantile(((z >> 11) + 0.5) * 2.0**-53)
+        if _posterior_from_parts(x * x, base, ratio, x, plan.sigma) < plan.alpha_b:
+            count += 1
+    return count, exact
+
+
+@pytest.mark.parametrize("lanes", (1, 3, _LANES - 1, _LANES))
+def test_lane_words_match_shift_and_mask(lanes):
+    rng = random.Random(lanes)
+    value = rng.getrandbits(128 * lanes)
+    words = _lane_words(value, lanes)
+    assert len(words) == 2 * lanes
+    assert list(words) == [(value >> (64 * k)) & MASK64 for k in range(2 * lanes)]
+
+
+@pytest.mark.parametrize("index", (0, _LANES - 1, _LANES + 2))
+def test_one_planted_window_draw_takes_the_exact_route(index):
+    """A single draw between reject_lo and keep_lo, in a full chunk or the 3-lane tail."""
+    sigma = SIGMA_STAR_005_KL
+    keep_lo, _, reject_lo, _ = _cut_thresholds(
+        log_m_of_sigma(KL, sigma), variance_ratio(sigma), 0.0, 0.05
+    )
+    plan = make_plan(n=_LANES + 3, seed=planted_seed((reject_lo + keep_lo) // 2, index))
+    report = simulate_type_i(plan)
+    assert report.exact_route_draws == 1
+    assert (report.rejections, 1) == scalar_count(plan, 0, plan.n)
 
 
 @pytest.mark.parametrize("theta", (0.0, 1.5))
@@ -227,8 +268,7 @@ def test_small_alpha_b_plans_count_without_the_exact_route(scheme, alpha_b):
     prior = scheme_from_string(scheme)
     theta = math.sqrt(psi(2.1, alpha_b, prior))
     plan = make_plan(n=20_000, seed=3, theta=theta, sigma=2.1, alpha_b=alpha_b, scheme=prior)
-    base, ratio = _posterior_parts(AlternativeSpread(2.1), prior.log_prior_odds(2.1))
-    exact = _scalar_count(plan, 0, plan.n, base, ratio, _EXACT_ONLY)
+    exact = scalar_count(plan, 0, plan.n, _EXACT_ONLY)
     assert exact[1] == plan.n
     assert _rejection_count(plan, 0, plan.n) == (exact[0], 0)
 
@@ -444,11 +484,9 @@ DIGEST_SIZES = (1, _LANES - 1, _LANES + 1, 3 * _LANES + 5)
 DIGEST_CUTS = (0, 1, _LANES + 1, 2 * _LANES - 1, 3 * _LANES + 5)
 
 
-def _digest_line(plan, count=None):
-    """One hashed line: a partition's counts, or the report of the whole plan."""
+def _digest_line(plan):
+    """One hashed line: the report of the whole plan, or its refusal."""
     try:
-        if count is not None:
-            return "{} {}".format(*count(plan))
         report = (simulate_type_i if plan.theta == 0.0 else simulate_power)(plan)
     except (ValueError, ArithmeticError) as error:  # every refusal is pinned too
         return f"{type(error).__name__}: {error}"
@@ -497,8 +535,7 @@ def monte_carlo_digest():
         h.update(_digest_line(plan).encode() + b"\n")
         if partitioned:
             for lo, hi in zip(DIGEST_CUTS, DIGEST_CUTS[1:]):
-                line = _digest_line(plan, lambda p: _rejection_count(p, lo, hi))
-                h.update(line.encode() + b"\n")
+                h.update("{} {}\n".format(*_rejection_count(plan, lo, hi)).encode())
     return h.hexdigest()
 
 
