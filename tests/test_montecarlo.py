@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointnull.calibration import PsiDomainError, positivity_bound, psi, type_i_error
+from pointnull.calibration import (PsiDomainError, _band, _cut, _log_rejection_odds,
+                                   positivity_bound, psi, type_i_error)
 from pointnull.model import (
     AlternativeSpread,
     Observation,
@@ -23,6 +24,8 @@ from pointnull.montecarlo import (
     MonteCarloReport,
     SimulationPlan,
     _cut_thresholds,
+    _grid_above,
+    _grid_below,
     _lane_words,
     _rejection_count,
     draw_standard_normal,
@@ -31,7 +34,7 @@ from pointnull.montecarlo import (
     splitmix64,
     uniform_unit,
 )
-from pointnull.numerics import DomainError, std_normal_quantile
+from pointnull.numerics import DomainError, std_normal_cdf, std_normal_quantile
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
                               log_m_of_sigma, scheme_from_string)
 
@@ -471,6 +474,7 @@ def test_simulation_where_x_squared_overflows():
 # pinned outputs
 
 MONTE_CARLO_DIGEST = "61a9ee1731bf75672ce97071fe8143aa012bcc8d00e54cf1ff58754a1e4558c7"
+MONTE_CARLO_COUNTS_DIGEST = "2529481a73006faab0576e0fc547319a3a38821c1eb33327e4f3dabff61f9b8f"
 DIGEST_SCHEMES = (
     KL,
     RobertPrior(),
@@ -484,17 +488,48 @@ DIGEST_SIZES = (1, _LANES - 1, _LANES + 1, 3 * _LANES + 5)
 DIGEST_CUTS = (0, 1, _LANES + 1, 2 * _LANES - 1, 3 * _LANES + 5)
 
 
-def _digest_line(plan):
+def windowed_cut_thresholds(base, ratio, theta, alpha_b):
+    """The cut thresholds of the kernel that widened each cut point by a fixed 1e-9 in u.
+
+    Kept frozen so the counts-only digest plants its draws at the same raw
+    values however the kernel's own thresholds change. A plan on the
+    positivity bound, or one whose cut radius is too ill-conditioned for the
+    window, sends every draw to the exact route.
+    """
+    window = 1e-9
+    exact_only = (0, 0, 0, 2**64)
+    level = _log_rejection_odds(alpha_b)
+    gap = level - base
+    tau = _band(level, base, alpha_b)
+    if gap < -2.0 * tau or base == math.inf:
+        return (2**64,) * 4
+    if not gap > 2.0 * tau:
+        return exact_only
+    r = math.sqrt(_cut(level, base, ratio))
+    if not 8.0 * r * (tau / gap + 2.0**-53) <= window:
+        return exact_only
+    lower = std_normal_cdf(-r - theta)
+    upper = std_normal_cdf(r - theta)
+    keep_lo = _grid_above(lower + window)
+    keep_hi = max(keep_lo, _grid_below(upper - window))
+    return keep_lo, keep_hi, _grid_below(lower - window), _grid_above(upper + window)
+
+
+def _digest_line(plan, counts_only):
     """One hashed line: the report of the whole plan, or its refusal."""
     try:
         report = (simulate_type_i if plan.theta == 0.0 else simulate_power)(plan)
     except (ValueError, ArithmeticError) as error:  # every refusal is pinned too
         return f"{type(error).__name__}: {error}"
-    return f"{report.rejections} {report.exact_route_draws} {report.analytic_value.hex()}"
+    exact = "" if counts_only else f" {report.exact_route_draws}"
+    return f"{report.rejections}{exact} {report.analytic_value.hex()}"
 
 
-def _digest_plans(rng):
-    """(plan, partitioned) pairs over every scheme, alpha_b, theta and chunk shape."""
+def _digest_plans(rng, cut_thresholds):
+    """(plan, partitioned) pairs over every scheme, alpha_b, theta and chunk shape.
+
+    The planted draws sit on and next to the thresholds that cut_thresholds gives.
+    """
     for scheme in DIGEST_SCHEMES:
         for alpha_b in DIGEST_ALPHA_BS:
             if isinstance(scheme, CustomTablePrior):
@@ -518,7 +553,7 @@ def _digest_plans(rng):
             sigma = rng.uniform(0.5, 8.0) if isinstance(scheme, CustomTablePrior) else 2.0
             theta = rng.choice(DIGEST_THETAS)
             base, ratio = log_m_of_sigma(scheme, sigma), variance_ratio(sigma)
-            thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
+            thresholds = cut_thresholds(base, ratio, theta, alpha_b)
             planted = {t + d for t in thresholds for d in (-1, 0, 1)}
             planted.add((thresholds[0] + thresholds[2]) // 2)
             for z in sorted(v for v in planted if 0 <= v < top):
@@ -528,14 +563,21 @@ def _digest_plans(rng):
                 yield plan, n == DIGEST_CUTS[-1]
 
 
-def monte_carlo_digest():
+def monte_carlo_digest(counts_only=False):
+    """SHA-256 over the digest plans' report lines and partition counts.
+
+    counts_only drops exact_route_draws from every line and plants on the
+    frozen windowed_cut_thresholds, so it pins only what the kernel counts.
+    """
     rng = random.Random(20261018)
     h = hashlib.sha256()
-    for plan, partitioned in _digest_plans(rng):
-        h.update(_digest_line(plan).encode() + b"\n")
+    cut_thresholds = windowed_cut_thresholds if counts_only else _cut_thresholds
+    for plan, partitioned in _digest_plans(rng, cut_thresholds):
+        h.update(_digest_line(plan, counts_only).encode() + b"\n")
         if partitioned:
             for lo, hi in zip(DIGEST_CUTS, DIGEST_CUTS[1:]):
-                h.update("{} {}\n".format(*_rejection_count(plan, lo, hi)).encode())
+                counts = _rejection_count(plan, lo, hi)
+                h.update(" ".join(map(str, counts[:1] if counts_only else counts)).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -549,3 +591,12 @@ def test_monte_carlo_outputs_are_bit_identical():
     cut window. A faster kernel must keep the digest.
     """
     assert monte_carlo_digest() == MONTE_CARLO_DIGEST
+
+
+def test_monte_carlo_counts_are_bit_identical():
+    """Rejections and the analytic value of the same plans, planted on frozen thresholds.
+
+    exact_route_draws and the live thresholds may change with the kernel's
+    window; what it counts may not, so this digest holds across such changes.
+    """
+    assert monte_carlo_digest(counts_only=True) == MONTE_CARLO_COUNTS_DIGEST
