@@ -8,8 +8,9 @@ only ever depend on the plan.
 
 Most draws are counted without computing the normal itself: the rule
 P(H0|x) < alpha_b with x = theta + quantile(u) holds exactly when u falls
-below Phi(-r - theta) or above Phi(r - theta). Those two cut points are
-computed once per plan, and only a draw within _CUT_WINDOW of one of them
+below Phi(-r - theta) or above Phi(r - theta). Rounding blurs r only between
+the radii of psi at the level -+ twice calibration._band, computed once per
+plan, and only a draw whose u lies between the cut points of those two radii
 is decided by the quantile and the posterior.
 
 The comparisons run _LANES draws at a time, one splitmix64 state in each
@@ -49,46 +50,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
 _TWO_NEG53 = 2.0**-53  # also the unit roundoff of a float64
-_EXACT_ONLY = (0, 0, 0, 1 << 64)  # thresholds that send every draw to the exact route
 _REJECT_ALL = (1 << 64,) * 4  # thresholds under which every draw rejects
-
-_CUT_WINDOW = 1e-9
-"""Half-width, in u, of the band around each cut point that takes the exact route.
-
-Outside the band the exact route's decision is certain. It computes
-x = theta + q with q = quantile(u) and the exponent t of calibration._band,
-whose eps, L*, L, s and tau (steps 1 and 2) are used here. With
-gap* = L* - base and the plan's real cut radius R* = sqrt(2 gap* / ratio),
-|theta + q| >= R_hi = sqrt(2 (gap* + tau) / ratio) rejects and
-|theta + q| <= R_lo = sqrt(2 (gap* - tau) / ratio) retains.
-
-3. Radii. With gap = L - base computed, gap > 2 tau gives gap* > gap / 2,
-   and R_hi - R* and R* - R_lo are at most tau R* / gap*. The computed
-   radius r is within R* (tau / gap* + 3 eps) of R*, so every edge lies
-   within r (8 tau / gap + 8 eps) of r. The normal density is below 0.4, so
-   in u each edge lies within 3.2 r (tau / gap + eps) of Phi(+-r - theta).
-   _cut_thresholds only keeps plans where that is at most 0.4 _CUT_WINDOW.
-   As ratio < 1 gives r >= sqrt(2 gap), and gap <= |L| + |base| <=
-   tau / (16 eps), this also forces tau < 1e-5, so _band's slopes apply.
-4. The uniform. std_normal_quantile is within 7 ulp of Phi^-1(u), so q is
-   within 7 * 2^-52 |q| (1 + 1e-15) of it, and as phi(z) |z| <= 1 / sqrt(2 pi e)
-   < 0.25, Phi(q) is within 4e-16 of u. std_normal_cdf is within 1e-14 of
-   Phi both at q and at the cut points, so |cdf(q) - u| <= 1e-12;
-   rounding -r - theta moves Phi by at most 0.25 eps. The thresholds of
-   _grid_below and _grid_above stay 1.5 grid steps (2^-53 each) clear of
-   each band edge, which covers the rounding of the edge itself and of
-   u = (k + 1/2) 2^-53 when k >= 2^52.
-
-Steps 3 and 4 use at most 0.4 _CUT_WINDOW + 1.1e-12 < _CUT_WINDOW, so a draw
-below Phi(-r - theta) - _CUT_WINDOW has theta + q < -R_hi and is rejected, a
-draw above Phi(r - theta) + _CUT_WINDOW has theta + q > R_hi and is
-rejected, and a draw between the inner edges has |theta + q| < R_lo and is
-retained. A plan that fails the guard takes the exact route for every draw.
-
-Past the bound, gap < -2 tau and _band's step 2 give base > L* + tau, and
-t >= base as 0.5 x^2 ratio >= 0, so _band's step 1 rejects every draw, as
-it does t = base = +inf.
-"""
+_U_SLACK = 1.1e-12  # the quantile's and the cdf's error in u: step 4 of _cut_thresholds
+_RADIUS_CAP = 1.3e154  # below sqrt(max float): x * x stays finite for |x| up to this
 
 
 _LANES = 2048
@@ -184,33 +148,58 @@ def _cut_thresholds(
     certainly retains, and every other z takes the exact route. The bounds
     are grid indices shifted left by 11, since u = ((z >> 11) + 0.5) 2^-53,
     and are sorted: reject_lo <= keep_lo <= keep_hi <= reject_hi.
-    See _CUT_WINDOW for why the bands are wide enough, and why a plan
-    clearly past the positivity bound gets _REJECT_ALL. A plan on the bound,
-    or too ill-conditioned for the window, gets _EXACT_ONLY.
+
+    The exact route computes x = theta + q, q = quantile(u), and the exponent
+    t of calibration._band, whose eps, L* and tau are used here; L is the
+    computed level. A real t >= L* + tau rejects and one <= L* - tau retains,
+    so |theta + q| >= R_hi = sqrt(2 (L* + tau - base) / ratio) rejects and
+    |theta + q| <= R_lo = sqrt(2 max(L* - tau - base, 0) / ratio) retains.
+
+    1. Past the bound, L - base < -2 tau gives base > L* + tau, and t >= base,
+       so every draw rejects, as it does for base = +inf: _REJECT_ALL.
+    2. Radii. _cut at level L + 2 tau rounds the level and the gap once each,
+       within eps (2 |L| + |base| + 5 tau), and L is within eps (3 |L| + 3)
+       of L*. As tau >= 16 eps (2 + |L| + |base|), the computed gap exceeds
+       L* + tau - base by more than 28 eps; at L - 2 tau it falls short of
+       L* - tau - base by as much. The division and the square root add at
+       most 2 eps, which the factors 1 +- 4 eps cover: r_lo <= R_lo and
+       r_hi >= R_hi. A gap <= 0 gives radius 0, and ratio = 0 radius +inf.
+    3. Overflow. _band's t is 0.5 x^2 ratio only while x * x is finite, so
+       r_lo is capped at _RADIUS_CAP. If r_hi < _RADIUS_CAP, an x whose square
+       overflows has x^2 > 1.06 r_hi^2, and _x2_term's other route still
+       exceeds L* + tau - base: by that factor where ratio is normal; where
+       ratio is k 2^-1074, sigma^2 > (k - 1/2) 2^-1074 puts it above
+       (4 k - 2) eps, while the computed gap, below 3.77 k eps, is 28 eps
+       above L* + tau - base. Once r_hi >= _RADIUS_CAP no draw surely rejects.
+    4. The uniform. std_normal_quantile is within 7 ulp of Phi^-1(u), so q is
+       within 7 * 2^-52 |q| (1 + 1e-15) of it, and as phi(z) |z| <= 1 / sqrt(2 pi e)
+       < 0.25, Phi(q) is within 4e-16 of u. std_normal_cdf is within 1e-14 of
+       Phi both at q and at the cut points, so |cdf(q) - u| <= 1e-12;
+       rounding -r - theta moves Phi by at most 0.25 eps. The thresholds of
+       _grid_below and _grid_above stay 1.5 grid steps (2^-53 each) clear of
+       each band edge, which covers the rounding of the edge itself and of
+       u = (k + 1/2) 2^-53 when k >= 2^52.
+
+    So a draw below cdf(-r_hi - theta) - _U_SLACK or above cdf(r_hi - theta)
+    + _U_SLACK rejects, and one between cdf(-r_lo - theta) + _U_SLACK and
+    cdf(r_lo - theta) - _U_SLACK retains. On the bound r_lo = 0, and only a
+    sliver around u = Phi(-theta) takes the exact route.
     """
     level = _log_rejection_odds(alpha_b)
-    gap = level - base
     tau = _band(level, base, alpha_b)
-    if gap < -2.0 * tau or base == math.inf:
+    if level - base < -2.0 * tau or base == math.inf:
         return _REJECT_ALL
-    if not gap > 2.0 * tau:
-        return _EXACT_ONLY
-    r = math.sqrt(_cut(level, base, ratio))  # inf where ratio underflows: fails the guard
-    if not 8.0 * r * (tau / gap + _TWO_NEG53) <= _CUT_WINDOW:
-        return _EXACT_ONLY
-    lower = std_normal_cdf(-r - theta)
-    upper = std_normal_cdf(r - theta)
-    keep_lo = _grid_above(lower + _CUT_WINDOW)
-    # For large |theta| both cut points sit in one tail, the keep band is
-    # empty and keep_lo > keep_hi. Clamping keeps the four bounds sorted,
-    # which _rejection_count's lane flags rely on.
-    keep_hi = max(keep_lo, _grid_below(upper - _CUT_WINDOW))
-    return (
-        keep_lo,
-        keep_hi,
-        _grid_below(lower - _CUT_WINDOW),
-        _grid_above(upper + _CUT_WINDOW),
-    )
+    r_lo, r_hi = (math.sqrt(max(_cut(level + 2.0 * side * tau, base, ratio), 0.0))
+                  * (1.0 + 4.0 * side * _TWO_NEG53) for side in (-1.0, 1.0))
+    r_lo = min(r_lo, _RADIUS_CAP)
+    keep_lo = _grid_above(std_normal_cdf(-r_lo - theta) + _U_SLACK)
+    # A large |theta| puts both cut points in one tail: clamping the empty
+    # keep band keeps the bounds sorted, as _rejection_count's flags need.
+    keep_hi = max(keep_lo, _grid_below(std_normal_cdf(r_lo - theta) - _U_SLACK))
+    if r_hi >= _RADIUS_CAP:
+        return keep_lo, keep_hi, 0, 1 << 64
+    return (keep_lo, keep_hi, _grid_below(std_normal_cdf(-r_hi - theta) - _U_SLACK),
+            _grid_above(std_normal_cdf(r_hi - theta) + _U_SLACK))
 
 
 def _lane_words(value: int, lanes: int) -> array:
@@ -236,8 +225,8 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     z >= keep_hi, lies in a window exactly when z >= reject_lo differs from
     z >= reject_hi and it is not kept, and rejects otherwise. The kept flags
     are added into one accumulator, whose lanes' high words sum to the kept
-    count at the end. Only the window lanes, every lane of an _EXACT_ONLY
-    plan, are read out as words and take the exact route: the posterior
+    count at the end. Only the window lanes are read out as words and take
+    the exact route: the posterior
     route of calibration.decide, using the same precomputed pieces as
     model.posterior_from_log_odds, so the counted event is bit-for-bit
     {P(H0|x) < alpha_b}. The tests in tests/test_montecarlo.py check this

@@ -1,6 +1,7 @@
 """Deterministic counter-based sampling and the rejection-rate simulators."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -19,7 +20,6 @@ from pointnull.model import (
     variance_ratio,
 )
 from pointnull.montecarlo import (
-    _EXACT_ONLY,
     _LANES,
     MonteCarloReport,
     SimulationPlan,
@@ -56,6 +56,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 MIX_B = 0xBF58476D1CE4E5B9
 MIX_C = 0x94D049BB133111EB
 MASK64 = 2**64 - 1
+EXACT_ONLY = (0, 0, 0, 2**64)  # thresholds that send every draw to the exact route
 
 seeds = st.integers(0, 2**64 - 1)
 indices = st.integers(0, 2**20)
@@ -263,7 +264,7 @@ def test_million_draw_counts_are_pinned(seed, theta, rejections):
 @pytest.mark.parametrize("alpha_b", (1e-6, 1e-12, 1e-20, 1e-100))
 @pytest.mark.parametrize("scheme", ("kl", "robert"))
 def test_small_alpha_b_plans_count_without_the_exact_route(scheme, alpha_b):
-    """The cut band tau stays narrow at small alpha_b, so the window guard passes.
+    """The cut band tau stays narrow at small alpha_b, so no draw needs the exact route.
 
     theta = sqrt(psi) puts about half the draws past a cut; the packed count
     equals deciding every draw by the exact route.
@@ -271,7 +272,7 @@ def test_small_alpha_b_plans_count_without_the_exact_route(scheme, alpha_b):
     prior = scheme_from_string(scheme)
     theta = math.sqrt(psi(2.1, alpha_b, prior))
     plan = make_plan(n=20_000, seed=3, theta=theta, sigma=2.1, alpha_b=alpha_b, scheme=prior)
-    exact = scalar_count(plan, 0, plan.n, _EXACT_ONLY)
+    exact = scalar_count(plan, 0, plan.n, EXACT_ONLY)
     assert exact[1] == plan.n
     assert _rejection_count(plan, 0, plan.n) == (exact[0], 0)
 
@@ -290,8 +291,6 @@ def test_planted_draws_count_like_the_scalar_loop(scheme, alpha_b):
     top = (2**53 - 1) << 11  # grid index 2^53 - 1 rounds to u = 1.0
     for theta in (0.0, 0.5, -0.5, 1.5, 3.0, 40.0, -40.0):
         thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
-        if thresholds == _EXACT_ONLY:
-            continue  # the scalar loop counts every draw of this plan
         planted = {t + d for t in thresholds for d in (-1, 0, 1)} | {thresholds[0] // 2}
         for z in sorted(v for v in planted if 0 <= v < top):
             for index in (0, _LANES - 1, _LANES, n - 1):
@@ -300,6 +299,70 @@ def test_planted_draws_count_like_the_scalar_loop(scheme, alpha_b):
                 lo, hi = (0, _LANES) if index < _LANES else (_LANES, n)
                 got = _rejection_count(plan, lo, hi)
                 assert got == scalar_count(plan, lo, hi), (theta, z, index)
+
+
+@pytest.mark.parametrize(
+    "scheme, sigma, alpha_b",
+    (
+        ("kl", 1e-5, 0.05),
+        ("kl", 1e-100, 1e-10),
+        ("kl", None, 0.05),  # on the positivity bound
+        ("fixed:0.9999999", 0.01, 0.999999),
+    ),
+)
+def test_plans_with_a_plain_answer_count_without_the_exact_route(scheme, sigma, alpha_b):
+    """Cut points deep in the tails, or a cut radius next to 0 on the bound, leave no window draw.
+
+    These plans once sent every draw to the exact route.
+    """
+    prior = scheme_from_string(scheme)
+    sigma = positivity_bound(alpha_b, prior) if sigma is None else sigma
+    plan = make_plan(n=20_000, seed=1, sigma=sigma, alpha_b=alpha_b, scheme=prior)
+    exact = scalar_count(plan, 0, plan.n, EXACT_ONLY)
+    assert _rejection_count(plan, 0, plan.n) == (exact[0], 0)
+
+
+@pytest.mark.parametrize("scheme", ("kl", "robert", "fixed:0.3", "fixed:1e-6"))
+def test_corner_plans_count_like_the_exact_route(scheme):
+    """Draws on and next to every threshold, for plans at the ends of sigma, theta and alpha_b.
+
+    The ratio underflows to 0 at sigma = 5e-324 and 1e-170, x * x overflows
+    at |theta| = 1e200 and up, and alpha_b = 5e-324 widens tau past 4.
+    """
+    prior = scheme_from_string(scheme)
+    top = (2**53 - 1) << 11  # grid index 2^53 - 1 rounds to u = 1.0
+    for sigma, theta, alpha_b in itertools.product(
+        (5e-324, 1e-170, 2.0, 1e300),
+        (0.0, 1.5, 1e200, -1e200, -1.7976931348623157e308),
+        (5e-324, 0.05, 1.0 - 2.0**-53),
+    ):
+        thresholds = _cut_thresholds(
+            log_m_of_sigma(prior, sigma), variance_ratio(sigma), theta, alpha_b
+        )
+        for z in sorted({t + d for t in thresholds for d in (-1, 0, 1)}):
+            if 0 <= z < top:
+                plan = make_plan(n=2, seed=planted_seed(z, 1), theta=theta, sigma=sigma,
+                                 alpha_b=alpha_b, scheme=prior)
+                got = _rejection_count(plan, 0, 2)[0]
+                assert got == scalar_count(plan, 0, 2, EXACT_ONLY)[0], (sigma, theta, alpha_b, z)
+
+
+@given(
+    st.one_of(
+        st.sampled_from((KL, RobertPrior())),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(FixedPrior),
+    ),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_cut_thresholds_are_sorted_64_bit_bounds(scheme, sigma, theta, alpha_b):
+    plan = make_plan(theta=theta, sigma=sigma, alpha_b=alpha_b, scheme=scheme)
+    keep_lo, keep_hi, reject_lo, reject_hi = _cut_thresholds(
+        log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma), plan.theta,
+        plan.alpha_b,
+    )
+    assert 0 <= reject_lo <= keep_lo <= keep_hi <= reject_hi <= 2**64
 
 
 def test_counted_event_is_the_posterior_decision():
@@ -473,7 +536,7 @@ def test_simulation_where_x_squared_overflows():
 # ---------------------------------------------------------------------------
 # pinned outputs
 
-MONTE_CARLO_DIGEST = "61a9ee1731bf75672ce97071fe8143aa012bcc8d00e54cf1ff58754a1e4558c7"
+MONTE_CARLO_DIGEST = "fe11302f190098c6ad6ba5f9340ac8cdc19c520e7a49029c015ac6d5d97fda42"
 MONTE_CARLO_COUNTS_DIGEST = "2529481a73006faab0576e0fc547319a3a38821c1eb33327e4f3dabff61f9b8f"
 DIGEST_SCHEMES = (
     KL,
@@ -497,17 +560,16 @@ def windowed_cut_thresholds(base, ratio, theta, alpha_b):
     window, sends every draw to the exact route.
     """
     window = 1e-9
-    exact_only = (0, 0, 0, 2**64)
     level = _log_rejection_odds(alpha_b)
     gap = level - base
     tau = _band(level, base, alpha_b)
     if gap < -2.0 * tau or base == math.inf:
         return (2**64,) * 4
     if not gap > 2.0 * tau:
-        return exact_only
+        return EXACT_ONLY
     r = math.sqrt(_cut(level, base, ratio))
     if not 8.0 * r * (tau / gap + 2.0**-53) <= window:
-        return exact_only
+        return EXACT_ONLY
     lower = std_normal_cdf(-r - theta)
     upper = std_normal_cdf(r - theta)
     keep_lo = _grid_above(lower + window)
@@ -539,7 +601,7 @@ def _digest_plans(rng, cut_thresholds):
             for theta in DIGEST_THETAS:
                 yield make_plan(n=rng.choice(DIGEST_SIZES), seed=rng.getrandbits(64),
                                 theta=theta, sigma=sigma, alpha_b=alpha_b, scheme=scheme), False
-    # On the positivity bound every draw takes the exact route; past it none does.
+    # On the positivity bound only draws next to x = 0 take the exact route; past it none does.
     for scheme, alpha_b in ((KL, 0.05), (KL, 1e-20), (RobertPrior(), 0.3)):
         bound = positivity_bound(alpha_b, scheme)
         for sigma, theta in ((bound, 0.0), (bound, 1.5), (1.5 * bound, -0.5)):
@@ -588,7 +650,7 @@ def test_monte_carlo_outputs_are_bit_identical():
     1e-100 to 0.5, theta out to +-40, plans of 1, _LANES +- 1 and
     3 _LANES + 5 draws with partitions off the chunk boundaries, plans on
     and past the positivity bound, and draws planted in and next to each
-    cut window. A faster kernel must keep the digest.
+    cut window of the live thresholds. A faster kernel must keep the digest.
     """
     assert monte_carlo_digest() == MONTE_CARLO_DIGEST
 
