@@ -189,8 +189,8 @@ def _cut_thresholds(
     tau = _band(level, base, alpha_b)
     if level - base < -2.0 * tau or base == math.inf:
         return _REJECT_ALL
-    r_lo, r_hi = (math.sqrt(max(_cut(level + 2.0 * side * tau, base, ratio), 0.0))
-                  * (1.0 + 4.0 * side * _TWO_NEG53) for side in (-1.0, 1.0))
+    r_lo = math.sqrt(max(_cut(level - 2.0 * tau, base, ratio), 0.0)) * (1.0 - 4.0 * _TWO_NEG53)
+    r_hi = math.sqrt(max(_cut(level + 2.0 * tau, base, ratio), 0.0)) * (1.0 + 4.0 * _TWO_NEG53)
     r_lo = min(r_lo, _RADIUS_CAP)
     keep_lo = _grid_above(std_normal_cdf(-r_lo - theta) + _U_SLACK)
     # A large |theta| puts both cut points in one tail: clamping the empty
@@ -226,11 +226,10 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     z >= reject_hi and it is not kept, and rejects otherwise. The kept flags
     are added into one accumulator, whose lanes' high words sum to the kept
     count at the end. Only the window lanes are read out as words and take
-    the exact route: the posterior
-    route of calibration.decide, using the same precomputed pieces as
-    model.posterior_from_log_odds, so the counted event is bit-for-bit
-    {P(H0|x) < alpha_b}. The tests in tests/test_montecarlo.py check this
-    against deciding one draw at a time.
+    the exact route: the posterior route of calibration.decide, using the
+    same precomputed pieces as model.posterior_from_log_odds, so the counted
+    event is bit-for-bit {P(H0|x) < alpha_b}. The tests in
+    tests/test_montecarlo.py check this against deciding one draw at a time.
     """
     theta, sigma, alpha_b = plan.theta, plan.sigma, plan.alpha_b
     base, ratio = log_m_of_sigma(plan.scheme, sigma), variance_ratio(sigma)
