@@ -1,5 +1,6 @@
 """Deterministic counter-based sampling and the rejection-rate simulators."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointnull.calibration import (PsiDomainError, _band, _cut, _log_rejection_odds,
-                                   positivity_bound, psi, type_i_error)
+from pointnull.calibration import (PsiDomainError, _cut, _log_rejection_odds, positivity_bound,
+                                   psi, type_i_error)
 from pointnull.model import (
     AlternativeSpread,
     Observation,
@@ -24,8 +25,6 @@ from pointnull.montecarlo import (
     MonteCarloReport,
     SimulationPlan,
     _cut_thresholds,
-    _grid_above,
-    _grid_below,
     _lane_words,
     _rejection_count,
     draw_standard_normal,
@@ -347,6 +346,88 @@ def test_corner_plans_count_like_the_exact_route(scheme):
                 assert got == scalar_count(plan, 0, 2, EXACT_ONLY)[0], (sigma, theta, alpha_b, z)
 
 
+def exact_flip(lo, hi, rejects):
+    """A grid index k in [lo, hi) where rejects(k) != rejects(k + 1).
+
+    Bisection, so rejects(lo) must differ from rejects(hi).
+    """
+    low = rejects(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if rejects(mid) == low else (lo, mid)
+    return lo
+
+
+def assert_margins_hold(prior, sigma, theta, alpha_b):
+    """Draws between each threshold and the cut point of psi itself count like the exact route.
+
+    The cut points are cdf(-+r - theta) with r^2 = _cut at the level; the
+    thresholds lie outside them by the margins of _cut_thresholds' proof.
+    Draws are planted spread over both gaps, next to the cut point, and
+    next to the grid index where the exact route's decision flips.
+    """
+    base, ratio = log_m_of_sigma(prior, sigma), variance_ratio(sigma)
+    keep_lo, keep_hi, reject_lo, reject_hi = (
+        z >> 11 for z in _cut_thresholds(base, ratio, theta, alpha_b)
+    )
+    r = math.sqrt(max(_cut(_log_rejection_odds(alpha_b), base, ratio), 0.0))
+    top = 2**53 - 1  # rounds to u = 1.0
+
+    def rejects(k):
+        x = theta + std_normal_quantile((k + 0.5) * 2.0**-53)
+        return _posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b
+
+    planted = set()
+    for edge, outer, inner in ((-r - theta, reject_lo, keep_lo), (r - theta, reject_hi, keep_hi)):
+        cut = math.floor(std_normal_cdf(edge) * 2.0**53)
+        for a, b in ((outer, cut), (cut, inner)):
+            planted |= {a + (b - a) * j // 4 for j in range(5)}
+        planted |= {cut - 1, cut, cut + 1}
+        lo, hi = max(min(outer, inner), 0), min(max(outer, inner), top - 1)
+        if lo < hi and rejects(lo) != rejects(hi):
+            flip = exact_flip(lo, hi, rejects)
+            planted |= {flip - 1, flip, flip + 1, flip + 2}
+    for k in sorted(k for k in planted if 0 <= k < top):
+        plan = make_plan(n=2, seed=planted_seed(k << 11, 1), theta=theta, sigma=sigma,
+                         alpha_b=alpha_b, scheme=prior)
+        got = _rejection_count(plan, 0, 2)[0]
+        assert got == scalar_count(plan, 0, 2, EXACT_ONLY)[0], (sigma, theta, alpha_b, k)
+
+
+@pytest.mark.parametrize(
+    "scheme, alpha_b, ulps",
+    (("kl", 0.05, 0), ("kl", 0.3, 0), ("kl", 1e-20, 0), ("kl", 1e-20, -4), ("kl", 0.45, -3),
+     ("robert", 0.5, 0), ("robert", 0.3, 2), ("robert", 0.9, -3)),
+)
+@pytest.mark.parametrize("theta", (0.0, 1.5))
+def test_near_bound_margins_hold(scheme, alpha_b, ulps, theta):
+    """sigma within a few eps of the positivity bound, where the cut radius is worst conditioned.
+
+    A keep or reject radius taken at the level itself, rather than at the
+    level -+ 2 tau, lets a draw here skip the exact route and count wrong.
+    """
+    prior = scheme_from_string(scheme)
+    sigma = positivity_bound(alpha_b, prior) * (1.0 + ulps * 2.0**-52)
+    assert_margins_hold(prior, sigma, theta, alpha_b)
+
+
+@pytest.mark.parametrize("scheme", ("kl", "robert", "fixed:0.3"))
+@pytest.mark.parametrize(
+    "sigma, alpha_b", ((2.0, 5e-324), (1e-5, 5e-324), (2.0, 1e-10), (1e-5, 1e-10), (2.0, 0.05))
+)
+def test_corner_margins_hold(scheme, sigma, alpha_b):
+    """theta = r - 1/2 and -r - 3/2 bring a cut point of a wide radius into the grid.
+
+    At sigma = 1e-5 r is about 1e5 or more, and alpha_b = 5e-324 makes tau
+    its widest; a reject radius taken at the level itself counts wrong here.
+    """
+    prior = scheme_from_string(scheme)
+    r = math.sqrt(_cut(_log_rejection_odds(alpha_b), log_m_of_sigma(prior, sigma),
+                       variance_ratio(sigma)))
+    for theta in (r - 0.5, -r - 1.5, 0.0):
+        assert_margins_hold(prior, sigma, theta, alpha_b)
+
+
 @given(
     st.one_of(
         st.sampled_from((KL, RobertPrior())),
@@ -536,7 +617,7 @@ def test_simulation_where_x_squared_overflows():
 # ---------------------------------------------------------------------------
 # pinned outputs
 
-MONTE_CARLO_DIGEST = "fe11302f190098c6ad6ba5f9340ac8cdc19c520e7a49029c015ac6d5d97fda42"
+MONTE_CARLO_DIGEST = "2d35096964311bc98436232f9f5d3bb547adf022fde8438ea657ba39284c1c13"
 MONTE_CARLO_COUNTS_DIGEST = "2529481a73006faab0576e0fc547319a3a38821c1eb33327e4f3dabff61f9b8f"
 DIGEST_SCHEMES = (
     KL,
@@ -551,30 +632,28 @@ DIGEST_SIZES = (1, _LANES - 1, _LANES + 1, 3 * _LANES + 5)
 DIGEST_CUTS = (0, 1, _LANES + 1, 2 * _LANES - 1, 3 * _LANES + 5)
 
 
-def windowed_cut_thresholds(base, ratio, theta, alpha_b):
-    """The cut thresholds of the kernel that widened each cut point by a fixed 1e-9 in u.
-
-    Kept frozen so the counts-only digest plants its draws at the same raw
-    values however the kernel's own thresholds change. A plan on the
-    positivity bound, or one whose cut radius is too ill-conditioned for the
-    window, sends every draw to the exact route.
-    """
-    window = 1e-9
-    level = _log_rejection_odds(alpha_b)
-    gap = level - base
-    tau = _band(level, base, alpha_b)
-    if gap < -2.0 * tau or base == math.inf:
-        return (2**64,) * 4
-    if not gap > 2.0 * tau:
-        return EXACT_ONLY
-    r = math.sqrt(_cut(level, base, ratio))
-    if not 8.0 * r * (tau / gap + 2.0**-53) <= window:
-        return EXACT_ONLY
-    lower = std_normal_cdf(-r - theta)
-    upper = std_normal_cdf(r - theta)
-    keep_lo = _grid_above(lower + window)
-    keep_hi = max(keep_lo, _grid_below(upper - window))
-    return keep_lo, keep_hi, _grid_below(lower - window), _grid_above(upper + window)
+# Where the digest plants its draws: for each scheme and alpha_b in 0.01,
+# 0.05 and 0.3, in the order _digest_plans visits them, the four cut
+# thresholds of an older kernel that widened every cut point by 1e-9 in u.
+# They are data, not the kernel's live thresholds, so the planted draws stay
+# put when the kernel's windows change and the counts digest still compares.
+DIGEST_PLANTED_THRESHOLDS = (
+    (32763755282194432, 18413980318427359232, 32763718388699136, 18413980355320850432),
+    (336790606450288640, 18109953467259262976, 336790569556795392, 18109953504152754176),
+    (2**64,) * 4,
+    (29724309504, 9791203096335779840, 0, 9791203133229271040),
+    (1021691156480, 4529506495996751872, 984797663232, 4529506532890247168),
+    (639892002849660928, 2180362447394893824, 639891965956167680, 2180362484288387072),
+    (989021532307456, 18409316609273946112, 988984638812160, 18409316646167437312),
+    (260793415562098688, 18433777309971001344, 260793378668603392, 18433777346864492544),
+    (91739519830016, 1049029317039327232, 91702626334720, 1049029353932820480),
+    (2**64,) * 4,
+    (2**64,) * 4,
+    (2**64,) * 4,
+    (5553345507328, 18018222705773500416, 5516452014080, 18018222742666991616),
+    (103032178379628544, 18343711895329923072, 103032141486135296, 18343711932223414272),
+    (788067087423488, 15190023449526140928, 788030193928192, 15190023486419632128),
+)
 
 
 def _digest_line(plan, counts_only):
@@ -587,11 +666,8 @@ def _digest_line(plan, counts_only):
     return f"{report.rejections}{exact} {report.analytic_value.hex()}"
 
 
-def _digest_plans(rng, cut_thresholds):
-    """(plan, partitioned) pairs over every scheme, alpha_b, theta and chunk shape.
-
-    The planted draws sit on and next to the thresholds that cut_thresholds gives.
-    """
+def _digest_plans(rng):
+    """(plan, partitioned) pairs over every scheme, alpha_b, theta and chunk shape."""
     for scheme in DIGEST_SCHEMES:
         for alpha_b in DIGEST_ALPHA_BS:
             if isinstance(scheme, CustomTablePrior):
@@ -610,12 +686,12 @@ def _digest_plans(rng, cut_thresholds):
             yield plan, True
     # A draw planted on and next to each threshold, at a random lane of a random size.
     top = (2**53 - 1) << 11
+    planted_thresholds = iter(DIGEST_PLANTED_THRESHOLDS)
     for scheme in DIGEST_SCHEMES:
         for alpha_b in (0.01, 0.05, 0.3):
             sigma = rng.uniform(0.5, 8.0) if isinstance(scheme, CustomTablePrior) else 2.0
             theta = rng.choice(DIGEST_THETAS)
-            base, ratio = log_m_of_sigma(scheme, sigma), variance_ratio(sigma)
-            thresholds = cut_thresholds(base, ratio, theta, alpha_b)
+            thresholds = next(planted_thresholds)
             planted = {t + d for t in thresholds for d in (-1, 0, 1)}
             planted.add((thresholds[0] + thresholds[2]) // 2)
             for z in sorted(v for v in planted if 0 <= v < top):
@@ -625,22 +701,24 @@ def _digest_plans(rng, cut_thresholds):
                 yield plan, n == DIGEST_CUTS[-1]
 
 
-def monte_carlo_digest(counts_only=False):
-    """SHA-256 over the digest plans' report lines and partition counts.
+@functools.cache
+def monte_carlo_digests():
+    """SHA-256s over the digest plans' report lines and partition counts.
 
-    counts_only drops exact_route_draws from every line and plants on the
-    frozen windowed_cut_thresholds, so it pins only what the kernel counts.
+    The first hashes every report in full; the second drops
+    exact_route_draws, so it pins only what the kernel counts.
     """
     rng = random.Random(20261018)
-    h = hashlib.sha256()
-    cut_thresholds = windowed_cut_thresholds if counts_only else _cut_thresholds
-    for plan, partitioned in _digest_plans(rng, cut_thresholds):
-        h.update(_digest_line(plan, counts_only).encode() + b"\n")
+    full, counts_only = hashlib.sha256(), hashlib.sha256()
+    for plan, partitioned in _digest_plans(rng):
+        full.update(_digest_line(plan, False).encode() + b"\n")
+        counts_only.update(_digest_line(plan, True).encode() + b"\n")
         if partitioned:
             for lo, hi in zip(DIGEST_CUTS, DIGEST_CUTS[1:]):
-                counts = _rejection_count(plan, lo, hi)
-                h.update(" ".join(map(str, counts[:1] if counts_only else counts)).encode() + b"\n")
-    return h.hexdigest()
+                rejections, exact = _rejection_count(plan, lo, hi)
+                full.update(f"{rejections} {exact}\n".encode())
+                counts_only.update(f"{rejections}\n".encode())
+    return full.hexdigest(), counts_only.hexdigest()
 
 
 def test_monte_carlo_outputs_are_bit_identical():
@@ -649,16 +727,16 @@ def test_monte_carlo_outputs_are_bit_identical():
     The plans cover the kl, robert, fixed and table schemes, alpha_b from
     1e-100 to 0.5, theta out to +-40, plans of 1, _LANES +- 1 and
     3 _LANES + 5 draws with partitions off the chunk boundaries, plans on
-    and past the positivity bound, and draws planted in and next to each
-    cut window of the live thresholds. A faster kernel must keep the digest.
+    and past the positivity bound, and draws planted on and next to each of
+    DIGEST_PLANTED_THRESHOLDS. A faster kernel must keep the digest.
     """
-    assert monte_carlo_digest() == MONTE_CARLO_DIGEST
+    assert monte_carlo_digests()[0] == MONTE_CARLO_DIGEST
 
 
 def test_monte_carlo_counts_are_bit_identical():
-    """Rejections and the analytic value of the same plans, planted on frozen thresholds.
+    """Rejections and the analytic value of the same plans.
 
-    exact_route_draws and the live thresholds may change with the kernel's
-    window; what it counts may not, so this digest holds across such changes.
+    exact_route_draws may change with the kernel's windows; what it counts
+    may not, so this digest holds across such changes.
     """
-    assert monte_carlo_digest(counts_only=True) == MONTE_CARLO_COUNTS_DIGEST
+    assert monte_carlo_digests()[1] == MONTE_CARLO_COUNTS_DIGEST
