@@ -14,10 +14,11 @@ plan, and only a draw whose u lies between the cut points of those two radii
 is decided by the quantile and the posterior.
 
 The comparisons run _LANES draws at a time, one splitmix64 state in each
-128-bit lane of a single Python int: whole-int operations mix and flag
-every lane, the kept flags add up in one accumulator read once per run,
-and only the lanes flagged inside a window are read out as 64-bit words
-and take the exact route.
+128-bit lane of a single Python int: whole-int operations mix every lane
+and flag it before the mix's last xorshift, against thresholds widened to
+whole 2^33 blocks; the kept flags add up in one accumulator read once per
+run, and only the lanes flagged inside a window are read out as 64-bit
+words, finish the mix and take the exact route.
 """
 
 from __future__ import annotations
@@ -202,6 +203,18 @@ def _cut_thresholds(
             _grid_above(std_normal_cdf(r_hi - theta) + _U_SLACK))
 
 
+def _block_bounds(base: float, ratio: float, theta: float, alpha_b: float) -> tuple[int, ...]:
+    """_cut_thresholds' bounds on z = y ^ (y >> 31) as bounds on y, moved to multiples of 2^33.
+
+    y and z share bits 63..33, as y >> 31 < 2^33: y >= ceil33(t) gives z >= floor33(y) >= t, and
+    y < floor33(t) gives z < floor33(y) + 2^33 <= t. The keep band shrinks, clamped to stay sorted.
+    """
+    keep_lo, keep_hi, reject_lo, reject_hi = _cut_thresholds(base, ratio, theta, alpha_b)
+    keep_lo = -(-keep_lo >> 33) << 33
+    return (keep_lo, max(keep_lo, keep_hi >> 33 << 33), reject_lo >> 33 << 33,
+            -(-reject_hi >> 33) << 33)
+
+
 def _lane_words(value: int, lanes: int) -> array:
     """The 64-bit words of lanes 0 .. lanes - 1 of value, least significant first.
 
@@ -219,16 +232,19 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
 
     Draws are mixed _LANES at a time: lane j of a chunk holds the splitmix64
     state of draw start + j, and every lane is masked back to 64 bits after
-    each xorshift and before each multiply, so no bit crosses a lane. Adding
-    2^64 - t to a lane sets its bit 64 exactly when z >= t. As the thresholds
-    are sorted, a lane is kept exactly when z >= keep_lo differs from
-    z >= keep_hi, lies in a window exactly when z >= reject_lo differs from
-    z >= reject_hi and it is not kept, and rejects otherwise. The kept flags
-    are added into one accumulator, whose lanes' high words sum to the kept
-    count at the end. Only the window lanes are read out as words and take
-    the exact route: the posterior route of calibration.decide, using the
-    same precomputed pieces as model.posterior_from_log_odds, so the counted
-    event is bit-for-bit {P(H0|x) < alpha_b}. The tests in
+    each xorshift and before each multiply, so no bit crosses a lane. The last
+    product stays whole, H 2^64 + y with H <= 2^64 - 2 and y the mix before its
+    last xorshift: adding 2^64 - t carries y >= t into H, and H + 1 stays in
+    the lane, so bit 64 becomes bit0(H) ^ (y >= t) and XORing two flags
+    cancels H. As the bounds of _block_bounds are sorted, a lane is kept
+    exactly when y >= keep_lo differs from y >= keep_hi, lies in a window
+    exactly when y >= reject_lo differs from y >= reject_hi and it is not
+    kept, and rejects otherwise. The kept flags are added into one
+    accumulator, whose lanes' high words sum to the kept count at the end.
+    Only the window lanes are read out, as their low words y, finish the mix
+    and take the exact route: the posterior route of calibration.decide,
+    using the same precomputed pieces as model.posterior_from_log_odds, so
+    the counted event is bit-for-bit {P(H0|x) < alpha_b}. The tests in
     tests/test_montecarlo.py check this against deciding one draw at a time.
     """
     theta, sigma, alpha_b = plan.theta, plan.sigma, plan.alpha_b
@@ -238,7 +254,7 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     mask = flag - ones  # the low 64 bits of every lane
     step = ones * ((_LANES * _GOLDEN) & _MASK64)  # one chunk on, in every lane
     state = (ones * ((plan.seed + (lo + 1) * _GOLDEN) & _MASK64) + ramp) & mask
-    a, b, c, d = (ones * ((1 << 64) - t) for t in _cut_thresholds(base, ratio, theta, alpha_b))
+    a, b, c, d = (ones * ((1 << 64) - t) for t in _block_bounds(base, ratio, theta, alpha_b))
     kept = exact = retained = 0
     for start in range(lo, hi, _LANES):
         lanes = min(_LANES, hi - start)
@@ -248,16 +264,14 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
         z = (state ^ (state >> 30)) & mask
         z = (z * _MIX_B) & mask
         z = (z ^ (z >> 27)) & mask
-        z = (z * _MIX_C) & mask
-        # Unmasked: the next lane's low bits land at 97 and up, where they
-        # cannot reach the flags at bit 64.
-        z ^= z >> 31
+        z *= _MIX_C
         kept_here = ((z + a) ^ (z + b)) & flag
         kept += kept_here
         window = (((z + c) ^ (z + d)) & flag) ^ kept_here
         if window:
             for z_j in compress(_lane_words(z, lanes)[::2], _lane_words(window, lanes)[1::2]):
                 exact += 1
+                z_j ^= z_j >> 31
                 x = theta + std_normal_quantile(((z_j >> 11) + 0.5) * _TWO_NEG53)
                 retained += not (_posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b)
         state = (state + step) & mask

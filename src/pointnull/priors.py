@@ -109,8 +109,9 @@ class PriorScheme:
         """log((1 - rho0) / rho0), overridden where an exact form exists.
 
         The model takes these odds, not rho0: they stay exact where rho0 underflows.
+        An override must reject sigma outside (0, inf): log_m_of_sigma does not check it.
         """
-        r = self.rho0(sigma)
+        r = self.rho0(_check_sigma(sigma))
         return math.log1p(-r) - math.log(r)
 
     def sigma_domain(self) -> tuple[float, float]:
@@ -319,7 +320,7 @@ def m_of_sigma(scheme: PriorScheme, sigma: float) -> float:
 
 def log_m_of_sigma(scheme: PriorScheme, sigma: float) -> float:
     """log m(sigma), finite long after m itself overflows."""
-    return scheme.log_prior_odds(sigma) - 0.5 * log_marginal_variance(_check_sigma(sigma))
+    return scheme.log_prior_odds(sigma) - 0.5 * log_marginal_variance(sigma)
 
 
 class RegimeEvidence(NamedTuple):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pointnull import montecarlo
 from pointnull.calibration import (PsiDomainError, _cut, _log_rejection_odds, positivity_bound,
                                    psi, type_i_error)
 from pointnull.model import (
@@ -24,6 +25,7 @@ from pointnull.montecarlo import (
     _LANES,
     MonteCarloReport,
     SimulationPlan,
+    _block_bounds,
     _cut_thresholds,
     _lane_words,
     _rejection_count,
@@ -184,24 +186,33 @@ def test_rejection_count_is_partitionable():
 
 
 def scalar_count(plan, lo, hi, thresholds=None):
-    """_rejection_count's (rejections, exact_route_draws) over [lo, hi), one draw at a time.
+    """_rejection_count's (rejections, exact_route_draws) over [lo, hi), one draw at a time."""
+    return count_words(plan, (splitmix64(plan.seed, i) for i in range(lo, hi)), thresholds)
 
-    Each raw splitmix64 output is compared against the plan's integer
-    thresholds, or the given ones; only a draw inside a window is decided by
-    the quantile and the posterior.
+
+def count_words(plan, words, thresholds=None):
+    """(rejections, exact_route_draws) of the plan's decision over raw splitmix64 outputs.
+
+    Without thresholds each output's word before the last xorshift, which
+    unxorshift recovers, is compared against the plan's _block_bounds, as
+    the packed kernel compares it. Given thresholds are compared against
+    the output itself. Only a draw inside a window is decided by the
+    quantile and the posterior.
     """
     base, ratio = _posterior_parts(
         AlternativeSpread(plan.sigma), plan.scheme.log_prior_odds(plan.sigma)
     )
     if thresholds is None:
-        thresholds = _cut_thresholds(base, ratio, plan.theta, plan.alpha_b)
-    keep_lo, keep_hi, reject_lo, reject_hi = thresholds
+        keep_lo, keep_hi, reject_lo, reject_hi = _block_bounds(base, ratio, plan.theta,
+                                                               plan.alpha_b)
+    else:
+        keep_lo, keep_hi, reject_lo, reject_hi = thresholds
     count = exact = 0
-    for i in range(lo, hi):
-        z = splitmix64(plan.seed, i)
-        if keep_lo <= z < keep_hi:
+    for z in words:
+        y = unxorshift(z, 31) if thresholds is None else z
+        if keep_lo <= y < keep_hi:
             continue
-        if z < reject_lo or z >= reject_hi:
+        if y < reject_lo or y >= reject_hi:
             count += 1
             continue
         exact += 1
@@ -218,6 +229,46 @@ def test_lane_words_match_shift_and_mask(lanes):
     words = _lane_words(value, lanes)
     assert len(words) == 2 * lanes
     assert list(words) == [(value >> (64 * k)) & MASK64 for k in range(2 * lanes)]
+
+
+def next_to_block_bounds(blocks):
+    """The raw outputs whose words before the last xorshift lie on and next to each block bound."""
+    words = {t + d for t in blocks for d in (-1, 0, 1)}
+    return {y ^ (y >> 31) for y in words if 0 <= y <= MASK64}
+
+
+@pytest.mark.parametrize("lanes", (_LANES, 3))
+def test_full_last_products_carry_nothing_into_the_next_lane(lanes, monkeypatch):
+    """Lanes of the largest last product next to lanes on and next to each block bound.
+
+    A word of 2^64 - 1 before the multiply by MIX_C gives the largest high
+    half, MIX_C - 1; a carry out of it would move the next lane's word by one
+    across its bound. The lanes are planted through the kernel's lane ramp,
+    in a full chunk and in 3-lane tails, and counted like the exact route.
+    """
+    plan = make_plan(n=lanes, seed=-GOLDEN & MASK64, theta=0.5, sigma=2.0)  # lane j mixes ramp j
+    base, ratio = log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma)
+    top = (2**53 - 1) << 11  # grid index 2^53 - 1 rounds to u = 1.0
+    blocks = _block_bounds(base, ratio, plan.theta, plan.alpha_b)
+    bounded = sorted(z for z in next_to_block_bounds(blocks) if z < top)
+    assert len(bounded) == 12
+    y = MASK64 * MIX_C & MASK64
+    widest = y ^ (y >> 31)
+    if lanes == _LANES:  # one chunk, each bounded lane between two widest ones
+        chunks = [[widest, *itertools.chain.from_iterable((z, widest) for z in bounded)]]
+    else:  # one 3-lane tail per bounded lane
+        chunks = [[widest, z, widest] for z in bounded]
+    ones, _ = montecarlo._lane_constants()
+    for planted in chunks:
+        states = [unmix(z) for z in planted]
+        states += [(j * GOLDEN) & MASK64 for j in range(len(states), lanes)]
+        packed = sum(state << (128 * j) for j, state in enumerate(states))
+        monkeypatch.setattr(montecarlo, "_lane_constants", lambda: (ones, packed))
+        words = [splitmix64((state - GOLDEN) & MASK64, 0) for state in states]
+        assert words[:len(planted)] == planted
+        got = _rejection_count(plan, 0, lanes)
+        assert got == count_words(plan, words)
+        assert got[0] == count_words(plan, words, EXACT_ONLY)[0]
 
 
 @pytest.mark.parametrize("index", (0, _LANES - 1, _LANES + 2))
@@ -279,7 +330,8 @@ def test_small_alpha_b_plans_count_without_the_exact_route(scheme, alpha_b):
 @pytest.mark.parametrize("alpha_b", (0.01, 0.05, 0.3))
 @pytest.mark.parametrize("scheme", ("kl", "robert", "fixed:0.3", "fixed:0.9"))
 def test_planted_draws_count_like_the_scalar_loop(scheme, alpha_b):
-    """Raw values on and next to every threshold, at both ends of both chunk kinds.
+    """Raw values on and next to every threshold, and words before the last
+    xorshift on and next to every block bound, at both ends of both chunk kinds.
 
     A plan of _LANES + 3 draws is one full chunk and a 3-lane tail, so each
     planted draw is checked on the chunk that holds it.
@@ -291,6 +343,7 @@ def test_planted_draws_count_like_the_scalar_loop(scheme, alpha_b):
     for theta in (0.0, 0.5, -0.5, 1.5, 3.0, 40.0, -40.0):
         thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
         planted = {t + d for t in thresholds for d in (-1, 0, 1)} | {thresholds[0] // 2}
+        planted |= next_to_block_bounds(_block_bounds(base, ratio, theta, alpha_b))
         for z in sorted(v for v in planted if 0 <= v < top):
             for index in (0, _LANES - 1, _LANES, n - 1):
                 plan = make_plan(n=n, seed=planted_seed(z, index), theta=theta, sigma=2.0,
@@ -338,7 +391,10 @@ def test_corner_plans_count_like_the_exact_route(scheme):
         thresholds = _cut_thresholds(
             log_m_of_sigma(prior, sigma), variance_ratio(sigma), theta, alpha_b
         )
-        for z in sorted({t + d for t in thresholds for d in (-1, 0, 1)}):
+        planted = {t + d for t in thresholds for d in (-1, 0, 1)}
+        planted |= next_to_block_bounds(
+            _block_bounds(log_m_of_sigma(prior, sigma), variance_ratio(sigma), theta, alpha_b))
+        for z in sorted(planted):
             if 0 <= z < top:
                 plan = make_plan(n=2, seed=planted_seed(z, 1), theta=theta, sigma=sigma,
                                  alpha_b=alpha_b, scheme=prior)
@@ -364,12 +420,13 @@ def assert_margins_hold(prior, sigma, theta, alpha_b):
     The cut points are cdf(-+r - theta) with r^2 = _cut at the level; the
     thresholds lie outside them by the margins of _cut_thresholds' proof.
     Draws are planted spread over both gaps, next to the cut point, and
-    next to the grid index where the exact route's decision flips.
+    next to the grid index where the exact route's decision flips. The
+    thresholds themselves are checked by scalar_count too: the kernel
+    compares whole 2^33 blocks, which send more draws to the exact route.
     """
     base, ratio = log_m_of_sigma(prior, sigma), variance_ratio(sigma)
-    keep_lo, keep_hi, reject_lo, reject_hi = (
-        z >> 11 for z in _cut_thresholds(base, ratio, theta, alpha_b)
-    )
+    thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
+    keep_lo, keep_hi, reject_lo, reject_hi = (z >> 11 for z in thresholds)
     r = math.sqrt(max(_cut(_log_rejection_odds(alpha_b), base, ratio), 0.0))
     top = 2**53 - 1  # rounds to u = 1.0
 
@@ -390,8 +447,9 @@ def assert_margins_hold(prior, sigma, theta, alpha_b):
     for k in sorted(k for k in planted if 0 <= k < top):
         plan = make_plan(n=2, seed=planted_seed(k << 11, 1), theta=theta, sigma=sigma,
                          alpha_b=alpha_b, scheme=prior)
-        got = _rejection_count(plan, 0, 2)[0]
-        assert got == scalar_count(plan, 0, 2, EXACT_ONLY)[0], (sigma, theta, alpha_b, k)
+        exact = scalar_count(plan, 0, 2, EXACT_ONLY)[0]
+        got = _rejection_count(plan, 0, 2)[0], scalar_count(plan, 0, 2, thresholds)[0]
+        assert got == (exact, exact), (sigma, theta, alpha_b, k)
 
 
 @pytest.mark.parametrize(
@@ -428,7 +486,7 @@ def test_corner_margins_hold(scheme, sigma, alpha_b):
         assert_margins_hold(prior, sigma, theta, alpha_b)
 
 
-@given(
+threshold_plans = (
     st.one_of(
         st.sampled_from((KL, RobertPrior())),
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(FixedPrior),
@@ -437,6 +495,9 @@ def test_corner_margins_hold(scheme, sigma, alpha_b):
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
+
+
+@given(*threshold_plans)
 def test_cut_thresholds_are_sorted_64_bit_bounds(scheme, sigma, theta, alpha_b):
     plan = make_plan(theta=theta, sigma=sigma, alpha_b=alpha_b, scheme=scheme)
     keep_lo, keep_hi, reject_lo, reject_hi = _cut_thresholds(
@@ -444,6 +505,24 @@ def test_cut_thresholds_are_sorted_64_bit_bounds(scheme, sigma, theta, alpha_b):
         plan.alpha_b,
     )
     assert 0 <= reject_lo <= keep_lo <= keep_hi <= reject_hi <= 2**64
+
+
+@given(*threshold_plans)
+def test_block_bounds_are_sorted_whole_blocks_inside_the_thresholds(scheme, sigma, theta, alpha_b):
+    """Each block bound is a multiple of 2^33 (2^64 is one), less than a block from its threshold."""
+    plan = make_plan(theta=theta, sigma=sigma, alpha_b=alpha_b, scheme=scheme)
+    parts = (log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma), plan.theta,
+             plan.alpha_b)
+    keep_lo, keep_hi, reject_lo, reject_hi = _cut_thresholds(*parts)
+    blocks = _block_bounds(*parts)
+    block_keep_lo, block_keep_hi, block_reject_lo, block_reject_hi = blocks
+    assert 0 <= block_reject_lo <= block_keep_lo <= block_keep_hi <= block_reject_hi <= 2**64
+    assert all(t % 2**33 == 0 for t in blocks)
+    assert 0 <= reject_lo - block_reject_lo < 2**33
+    assert 0 <= block_reject_hi - reject_hi < 2**33
+    assert 0 <= block_keep_lo - keep_lo < 2**33
+    if block_keep_hi > block_keep_lo:
+        assert 0 <= keep_hi - block_keep_hi < 2**33
 
 
 def test_counted_event_is_the_posterior_decision():
@@ -617,7 +696,7 @@ def test_simulation_where_x_squared_overflows():
 # ---------------------------------------------------------------------------
 # pinned outputs
 
-MONTE_CARLO_DIGEST = "2d35096964311bc98436232f9f5d3bb547adf022fde8438ea657ba39284c1c13"
+MONTE_CARLO_DIGEST = "ca893dcbc93a1ac200d034368f91c2cdb1b7e966cd79fd9a7439e841333e070d"
 MONTE_CARLO_COUNTS_DIGEST = "2529481a73006faab0576e0fc547319a3a38821c1eb33327e4f3dabff61f9b8f"
 DIGEST_SCHEMES = (
     KL,

@@ -64,6 +64,23 @@ def test_fixed_log_prior_odds_are_the_base_formula_bit_for_bit():
             FixedPrior(0.3).log_prior_odds(bad)
 
 
+def test_a_scheme_with_only_rho0_still_refuses_sigma_outside_the_domain():
+    """The base log_prior_odds checks sigma, which log_m_of_sigma leaves to it."""
+
+    class Unchecked(PriorScheme):
+        scheme_id = "unchecked"
+
+        def rho0(self, sigma):
+            return 0.5
+
+    assert log_m_of_sigma(Unchecked(), 1.0) == -0.5 * math.log(2.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="sigma"):
+            Unchecked().log_prior_odds(bad)
+        with pytest.raises(DomainError, match="sigma"):
+            log_m_of_sigma(Unchecked(), bad)
+
+
 def test_robert_rho0_reference():
     assert RobertPrior().rho0(1.0) == pytest.approx(RHO_ROBERT_AT_1, rel=1e-15)
 
