@@ -24,6 +24,7 @@ from .model import Observation, _posterior_from_parts, _x2_term, variance_ratio
 from .model import posterior_h0  # noqa: F401
 from .numerics import (
     Bracket,
+    BracketError,
     DomainError,
     _check_finite,
     _check_prob,
@@ -282,69 +283,85 @@ _SCAN_DECADES = range(-3, 4)
 _FAR_PROBES = (1e6, 1e12)
 
 
-def _scan_points(per_decade: int, lo: float, hi: float) -> list[float]:
+@functools.lru_cache(maxsize=64)
+def _scan_points(per_decade: int, lo: float, hi: float) -> tuple[float, ...]:
     """Log-spaced grid over 10^-3 .. 10^3, per_decade points per decade.
 
     Only the points inside the domain (lo, hi) are kept, and its finite
-    ends close the grid.
+    ends close the grid. A finer grid holds every point of a coarser one bit
+    for bit, since k + j/16 == k + 4j/64 exactly. Built once per domain.
     """
     pts = [10.0 ** (k + j / per_decade) for k in _SCAN_DECADES[:-1] for j in range(per_decade)]
     pts = [s for s in pts + [10.0 ** _SCAN_DECADES[-1]] if lo < s < hi]
-    return [lo] * (lo > 0.0) + pts + [hi] * (hi < math.inf)
+    return (lo,) * (lo > 0.0) + tuple(pts) + (hi,) * (hi < math.inf)
 
 
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
-    Brackets a crossing of type_i_error(sigma) = alpha on a geometric grid
-    (decades 10^-3..10^3, refined 16 then 64 points per decade when the
-    coarse pass misses, the last pass extended to sigma = 1e6 and 1e12),
-    cut to the scheme's sigma domain, then polishes with the bracketed root
-    finder to |achieved - alpha| <= 1e-10. When no crossing exists the
+    Polishes a bracket with the bracketed root finder until the achieved
+    error is within 5e-12 * alpha of alpha (or the bracket is 1e-15 wide).
+
+    kl with alpha_b < 1/2 needs no scan. With L = log(1/alpha_b - 1), its
+    root lies in [sqrt(L / (1/2 - log alpha)), positivity_bound]: log m <=
+    sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
+    erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha,
+    while it is 1 at the bound; the lower end lies below the bound, whose
+    square exceeds 2 L. Every other scheme brackets a crossing of
+    type_i_error(sigma) = alpha on a geometric grid (decades 10^-3..10^3,
+    refined 16 then 64 points per decade when the coarse pass misses, the
+    last pass extended to sigma = 1e6 and 1e12), cut to the scheme's sigma
+    domain. Each sigma of the scan is evaluated once: a finer pass reuses
+    the errors of the points a coarser one saw. When no crossing exists the
     target is unachievable under the scheme and the error carries the range
-    the last pass saw.
+    the last pass saw. evaluations counts the type_i_error calls; the result
+    reuses the one at sigma*.
     """
     evaluations = 0
-    alpha = spec.alpha
-    lo, hi = spec.scheme.sigma_domain()
+    alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
+    seen: dict[float, float] = {}
 
     def error_at(sigma: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return type_i_error(sigma, spec.alpha_b, spec.scheme)
+        seen[sigma] = error = type_i_error(sigma, alpha_b, scheme)
+        return error
 
-    bracket = None
-    for per_decade in (1, 16, 64):
+    bracket = scheme._calibration_bracket(_log_rejection_odds(alpha_b), alpha)
+    lo, hi = scheme.sigma_domain()
+    for per_decade in (1, 16, 64) if bracket is None else ():
         pts = _scan_points(per_decade, lo, hi)
-        errors = [error_at(s) for s in pts]
-        if per_decade == 64 and (min(errors) > alpha or max(errors) < alpha):
+        errors = [seen[s] if s in seen else error_at(s) for s in pts]
+        if per_decade == 64 and not min(errors) <= alpha <= max(errors):
             # Nothing on the grid meets alpha: look past its upper end.
-            far = [s for s in _FAR_PROBES if pts[-1] < s < hi]
+            far = tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
             pts += far
             errors += [error_at(s) for s in far]
+        if not min(errors) <= alpha <= max(errors):
+            continue  # no exact hit and no sign change on this pass
         for (s_lo, e_lo), (s_hi, e_hi) in zip(zip(pts, errors), zip(pts[1:], errors[1:])):
             if e_lo == alpha:
-                return _result_at(s_lo, spec, Bracket(s_lo / 2.0, s_hi), evaluations)
+                return _result_at(s_lo, e_lo, spec, Bracket(s_lo / 2.0, s_hi), evaluations)
             if e_hi == alpha:
-                return _result_at(s_hi, spec, Bracket(s_lo, s_hi * 2.0), evaluations)
+                return _result_at(s_hi, e_hi, spec, Bracket(s_lo, s_hi * 2.0), evaluations)
             if (e_lo > alpha) != (e_hi > alpha):
                 bracket = Bracket(s_lo, s_hi)
                 break
-        if bracket is not None:
-            break
+        break
     if bracket is None:
         raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
-    sigma_star = find_root_bracketed(
-        lambda s: error_at(s) - alpha, bracket, xtol=1e-15, ftol=5e-12
-    )
-    return _result_at(sigma_star, spec, bracket, evaluations)
+    try:
+        sigma_star = find_root_bracketed(
+            lambda s: error_at(s) - alpha, bracket, xtol=1e-15, ftol=5e-12 * alpha
+        )
+    except BracketError:  # kl within about 1e-7 of 1: above the error at the rounded bound
+        raise InfeasibleAlphaError(alpha, seen[bracket.lo], seen[bracket.hi]) from None
+    return _result_at(sigma_star, seen[sigma_star], spec, bracket, evaluations)
 
 
-def _result_at(
-    sigma_star: float, spec: CalibrationSpec, bracket: Bracket, evaluations: int
-) -> CalibrationResult:
-    achieved = type_i_error(sigma_star, spec.alpha_b, spec.scheme)
+def _result_at(sigma_star: float, achieved: float, spec: CalibrationSpec, bracket: Bracket,
+               evaluations: int) -> CalibrationResult:
     return CalibrationResult(
         sigma_star=sigma_star,
         psi_at_sigma=psi(sigma_star, spec.alpha_b, spec.scheme),

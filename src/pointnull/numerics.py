@@ -192,13 +192,11 @@ def find_root_bracketed(
     d = a
     bisected = True
     while fb != 0.0 and abs(b - a) > xtol and abs(fb) > ftol:
-        if fa != fc and fb != fc:
-            # Inverse quadratic interpolation.
-            s = (
-                a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-            )
+        den = (fa - fb) * (fa - fc), (fb - fa) * (fb - fc), (fc - fa) * (fc - fb)
+        if 0.0 not in den:
+            # Inverse quadratic interpolation; the secant where f values repeat
+            # or are so small that a product underflows to 0.
+            s = a * fb * fc / den[0] + b * fa * fc / den[1] + c * fa * fb / den[2]
         else:
             s = b - fb * (b - a) / (fb - fa)  # secant
         lo_lim = 0.25 * (3.0 * a + b)

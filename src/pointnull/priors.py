@@ -27,7 +27,7 @@ from .model import (Observation, _exp_or_inf, _posterior_from_parts, _stable_inv
                     log_marginal_variance, variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
-from .numerics import DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
+from .numerics import Bracket, DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
 
 __all__ = [
     "ClassifiedRegime",
@@ -126,6 +126,10 @@ class PriorScheme:
     def _positivity_bound(self, level: float) -> float | None:
         """The sigma where log m reaches level, in closed form; see calibration.positivity_bound."""
         raise UnsupportedSchemeError(f"no closed-form positivity bound for {self.scheme_id!r}")
+
+    def _calibration_bracket(self, level: float, alpha: float) -> Bracket | None:
+        """A sigma bracket of Type I error alpha, in closed form; None: solve_sigma scans."""
+        return None
 
     @property
     def scheme_id(self) -> str:
@@ -229,6 +233,12 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         while (nxt := u - (_u_minus_log1p(u) - k) * (1.0 + u) / u) < u:
             u = nxt
         return math.sqrt(u)
+
+    def _calibration_bracket(self, level: float, alpha: float) -> Bracket | None:
+        # The error is at most alpha at the lower end and 1 at the bound; see solve_sigma.
+        if level <= 0.0:
+            return None  # alpha_b >= 1/2: the error is 1 everywhere, and the scan refuses
+        return Bracket(math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level))
 
     @property
     def scheme_id(self) -> str:

@@ -11,9 +11,10 @@ import random
 import mpmath
 import pytest
 
-from pointnull.calibration import _domain_end, _log_rejection_odds, positivity_bound
+from pointnull.calibration import (CalibrationSpec, _domain_end, _log_rejection_odds,
+                                   positivity_bound, solve_sigma)
 from pointnull.numerics import Bracket, _u_minus_log1p, std_normal_quantile
-from pointnull.priors import CustomTablePrior, KLSelfInformationPrior, RobertPrior
+from pointnull.priors import CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior
 
 EPS = 2.0**-53
 KL, ROBERT = KLSelfInformationPrior(), RobertPrior()
@@ -32,6 +33,22 @@ def kl_bound_reference(level: float):
         k = 2 * mpmath.mpf(level)
         start = k + mpmath.log1p(k) if k > 1 else mpmath.sqrt(2 * k)
         return mpmath.sqrt(mpmath.findroot(lambda u: u - mpmath.log1p(u) - k, start))
+
+
+def type_i_root_reference(log_odds, level: float, alpha: float, start: float):
+    """The sigma near start whose Type I error erfc(sqrt(psi / 2)) is alpha.
+
+    psi = 2 (level - log m) (1 + sigma^2) / sigma^2, log m = log_odds(sigma) - log1p(sigma^2) / 2.
+    """
+    with mpmath.workdps(50):
+        level, target = mpmath.mpf(level), mpmath.log(alpha)
+
+        def gap(sigma):
+            log_m = log_odds(sigma) - mpmath.log1p(sigma**2) / 2
+            psi = 2 * (level - log_m) * (1 + sigma**2) / sigma**2
+            return mpmath.log(mpmath.erfc(mpmath.sqrt(psi / 2))) - target
+
+        return mpmath.findroot(gap, mpmath.mpf(start))
 
 
 def quantile_reference(p: float):
@@ -121,3 +138,21 @@ def test_quantile_within_its_stated_7_ulp():
         assert ulps(std_normal_quantile(p), quantile_reference(p)) <= 7.0, p
     for p in upper:
         assert ulps(std_normal_quantile(p), -quantile_reference(1.0 - p)) <= 7.0, p
+
+
+FIXED_03_LOG_ODDS = mpmath.log((1 - mpmath.mpf(0.3)) / mpmath.mpf(0.3))
+
+
+@pytest.mark.parametrize(
+    "scheme,log_odds,alpha",
+    [(KL, lambda s: s**2 / 2, alpha) for alpha in (1e-12, 1e-20, 1e-100, 1e-300)]
+    + [(FixedPrior(0.3), lambda s: FIXED_03_LOG_ODDS, alpha) for alpha in (1e-12, 0.005)],
+)
+def test_solve_sigma_meets_a_relative_tolerance(scheme, log_odds, alpha):
+    # kl solves on its analytic bracket; fixed:0.3 is scanned and returns its smaller root.
+    result = solve_sigma(CalibrationSpec(alpha, 0.05, scheme))
+    assert abs(result.achieved_alpha / alpha - 1.0) <= 5e-12
+    reference = type_i_root_reference(log_odds, _log_rejection_odds(0.05), alpha,
+                                      result.sigma_star)
+    with mpmath.workdps(50):
+        assert abs(result.sigma_star / reference - 1) <= 1e-12, (result.sigma_star, reference)

@@ -23,7 +23,7 @@ from pointnull.calibration import (
 )
 from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior_from_log_odds,
                              variance_ratio)
-from pointnull.numerics import DomainError, std_normal_cdf
+from pointnull.numerics import Bracket, DomainError, std_normal_cdf
 from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
                               KLSelfInformationPrior, PriorScheme, RobertPrior,
                               UnsupportedSchemeError, log_m_of_sigma)
@@ -51,6 +51,7 @@ POWER_THETA2_AT_C005 = 0.5160052557351434001
 
 KL = KLSelfInformationPrior()
 ROBERT = RobertPrior()
+FIXED_03 = FixedPrior(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +247,27 @@ def test_positivity_bound_of_a_tiny_fixed_mass_is_unbounded():
 
 
 def test_solve_round_trips_a_scan_point_exactly():
-    alpha = type_i_error(1.0, 0.05, KL)
-    result = solve_sigma(CalibrationSpec(alpha, 0.05, KL))
+    # kl solves on its analytic bracket and has no scan points; fixed still scans.
+    alpha = type_i_error(1.0, 0.05, FIXED_03)
+    result = solve_sigma(CalibrationSpec(alpha, 0.05, FIXED_03))
     assert result.sigma_star == 1.0
     assert result.residual == 0.0
+
+
+def test_solve_kl_round_trips_sigma_one_to_its_tolerance():
+    alpha = type_i_error(1.0, 0.05, KL)
+    result = solve_sigma(CalibrationSpec(alpha, 0.05, KL))
+    assert abs(result.residual) <= 5e-12 * alpha
+    assert abs(result.sigma_star - 1.0) <= 1e-12
+
+
+def test_solve_kl_refuses_a_target_above_the_error_at_its_rounded_bound():
+    # The computed error at the float bound is about 1 - 3.6e-8, not 1: the bracket
+    # [lo, bound] holds no sign change, and that is a refusal, not a BracketError.
+    with pytest.raises(InfeasibleAlphaError) as excinfo:
+        solve_sigma(CalibrationSpec(1.0 - 1e-9, 0.05, KL))
+    assert excinfo.value.achievable_hi == type_i_error(positivity_bound(0.05, KL), 0.05, KL)
+    assert excinfo.value.achievable_hi < 1.0 - 1e-9
 
 
 @pytest.mark.parametrize(
@@ -337,6 +355,126 @@ def test_solve_fixed_half_cannot_reach_common_levels():
     with pytest.raises(InfeasibleAlphaError) as excinfo:
         solve_sigma(CalibrationSpec(0.05, 0.05, FixedPrior(0.5)))
     assert excinfo.value.achievable_hi < 0.01
+
+
+def scan_reference(spec):
+    """The grid scan solve_sigma ran for every scheme before kl got its bracket.
+
+    Each pass evaluates all of its points again, and the result re-evaluates
+    the error at sigma*. Returns (sigma*, bracket, outcome), outcome naming
+    the pass that bracketed the root, or raises InfeasibleAlphaError. Calls
+    type_i_error and find_root_bracketed through the calibration module, so a
+    test can count them there, and polishes to solve_sigma's tolerance.
+    """
+    alpha, lo, hi = spec.alpha, *spec.scheme.sigma_domain()
+
+    def error_at(sigma):
+        return calibration.type_i_error(sigma, spec.alpha_b, spec.scheme)
+
+    for outcome, per_decade in (("coarse", 1), ("fine", 16), ("fine", 64)):
+        pts = [10.0 ** (k + j / per_decade) for k in range(-3, 3) for j in range(per_decade)]
+        pts = [s for s in pts + [1e3] if lo < s < hi]
+        pts = [lo] * (lo > 0.0) + pts + [hi] * (hi < math.inf)
+        errors = [error_at(s) for s in pts]
+        if per_decade == 64 and (min(errors) > alpha or max(errors) < alpha):
+            far = [s for s in (1e6, 1e12) if pts[-1] < s < hi]
+            pts += far
+            errors += [error_at(s) for s in far]
+            outcome = "beyond"
+        for (s_lo, e_lo), (s_hi, e_hi) in zip(zip(pts, errors), zip(pts[1:], errors[1:])):
+            if e_lo == alpha:
+                error_at(s_lo)
+                return s_lo, Bracket(s_lo / 2.0, s_hi), "exact"
+            if e_hi == alpha:
+                error_at(s_hi)
+                return s_hi, Bracket(s_lo, s_hi * 2.0), "exact"
+            if (e_lo > alpha) != (e_hi > alpha):
+                bracket = Bracket(s_lo, s_hi)
+                sigma_star = calibration.find_root_bracketed(
+                    lambda s: error_at(s) - alpha, bracket, xtol=1e-15, ftol=5e-12 * alpha
+                )
+                error_at(sigma_star)
+                return sigma_star, bracket, outcome
+    raise InfeasibleAlphaError(alpha, min(errors), max(errors))
+
+
+def scanned_requests():
+    """Seeded robert, fixed and table specs, plus fixed ones of each scan outcome.
+
+    fixed:0.3 peaks at 0.0074412442 near sigma = 2.48: 0.00744 needs a fine
+    pass, and the scan misses 0.007441. fixed:0.07 has its root beyond it.
+    """
+    rng = random.Random(19)
+    tables = [CustomTablePrior(((0.5, 0.6), (2.0, 0.3), (5.0, 0.05))),
+              CustomTablePrior(((1.0, 0.6), (10.0, 0.01))),
+              CustomTablePrior(tuple((s, 1.0 / (1.0 + math.exp(0.5 * s * s)))
+                                     for s in (0.3 + 0.1 * k for k in range(45))))]
+    specs = [CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)), CalibrationSpec(0.00744, 0.05, FIXED_03),
+             CalibrationSpec(0.007441, 0.05, FIXED_03)]
+    for k in range(150):
+        scheme = (ROBERT, FixedPrior(rng.uniform(0.02, 0.98)), tables[k % 3])[k % 3]
+        alpha = 10.0 ** rng.uniform(-8.0, -0.7)
+        specs.append(CalibrationSpec(alpha, rng.choice((0.01, 0.05, 0.1, 0.3)), scheme))
+    for _ in range(30):  # next to a fixed mass's peak, where the fine passes decide
+        scheme, alpha_b = FixedPrior(rng.uniform(0.02, 0.98)), rng.choice((0.01, 0.05, 0.1))
+        peak = max(type_i_error(10.0 ** (j / 64), alpha_b, scheme) for j in range(-192, 193))
+        specs.append(CalibrationSpec(peak * rng.uniform(0.97, 1.01), alpha_b, scheme))
+    return specs
+
+
+def test_solve_matches_the_scan_reference():
+    outcomes = set()
+    for spec in scanned_requests():
+        try:
+            sigma_star, bracket, outcome = scan_reference(spec)
+        except InfeasibleAlphaError as expected:
+            with pytest.raises(InfeasibleAlphaError) as excinfo:
+                solve_sigma(spec)
+            got = excinfo.value
+            assert (got.requested, got.achievable_lo, got.achievable_hi) == (
+                expected.requested, expected.achievable_lo, expected.achievable_hi), spec
+            outcomes.add("infeasible")
+            continue
+        result = solve_sigma(spec)
+        assert (result.sigma_star, result.bracket_used) == (sigma_star, bracket), spec
+        assert result.achieved_alpha == type_i_error(sigma_star, spec.alpha_b, spec.scheme)
+        outcomes.add(outcome)
+    assert outcomes >= {"coarse", "fine", "beyond", "infeasible"}
+
+
+def counting_type_i_error(monkeypatch):
+    calls = []
+    real = calibration.type_i_error
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calibration, "type_i_error", counted)
+    return calls
+
+
+def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
+    calls = counting_type_i_error(monkeypatch)
+    with pytest.raises(InfeasibleAlphaError):
+        solve_sigma(CalibrationSpec(0.05, 0.05, ROBERT))
+    assert len(calls) == len(set(calls)) == 387
+    calls.clear()
+    with pytest.raises(InfeasibleAlphaError):
+        scan_reference(CalibrationSpec(0.05, 0.05, ROBERT))
+    assert len(calls) == 491
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CalibrationSpec(0.05, 0.05, KL), CalibrationSpec(0.01, 0.05, ROBERT),
+     CalibrationSpec(0.005, 0.05, FIXED_03), CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)),
+     CalibrationSpec(0.01, 0.05, CustomTablePrior(((0.5, 0.6), (2.0, 0.3), (5.0, 0.05))))],
+)
+def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
+    calls = counting_type_i_error(monkeypatch)
+    result = solve_sigma(spec)
+    assert result.evaluations == len(calls)
 
 
 def test_spec_validation():

@@ -226,6 +226,13 @@ def test_root_step_discontinuity_terminates():
     assert root == pytest.approx(1.7, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_root_survives_interpolation_denominators_that_underflow(scale):
+    """(fa - fb)(fa - fc) underflows to 0 here; the step falls back to the secant."""
+    root = find_root_bracketed(lambda x: scale * (x**3 - 2.0), Bracket(0.0, 3.0), ftol=0.0)
+    assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
+
+
 @given(st.floats(-5.0, 5.0), st.floats(0.1, 3.0))
 @settings(max_examples=100)
 def test_root_monotone_cubic(center, scale):
