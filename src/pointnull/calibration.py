@@ -299,31 +299,28 @@ def _scan_points(per_decade: int, lo: float, hi: float) -> tuple[float, ...]:
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
-    Polishes a bracket with the bracketed root finder until the achieved
-    error is within 5e-12 * alpha of alpha (or the bracket is 1e-15 wide).
+    Polishes a bracket with the root finder until the achieved error is
+    within 5e-12 * alpha of alpha or the bracket narrows to 2^-52 of its lower end.
 
     kl with alpha_b < 1/2 needs no scan. With L = log(1/alpha_b - 1), its
     root lies in [sqrt(L / (1/2 - log alpha)), positivity_bound]: log m <=
     sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
     erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha,
     while it is 1 at the bound; the lower end lies below the bound, whose
-    square exceeds 2 L. Every other scheme brackets a crossing of
-    type_i_error(sigma) = alpha on a geometric grid (decades 10^-3..10^3,
-    refined 16 then 64 points per decade when the coarse pass misses, the
-    last pass extended to sigma = 1e6 and 1e12), cut to the scheme's sigma
-    domain. Each sigma of the scan is evaluated once: a finer pass reuses
-    the errors of the points a coarser one saw. When no crossing exists the
-    target is unachievable under the scheme and the error carries the range
-    the last pass saw. evaluations counts the type_i_error calls; the result
-    reuses the one at sigma*.
+    square exceeds 2 L. Every other scheme scans a geometric grid (decades
+    10^-3..10^3, refined 16 then 64 points per decade when the coarse pass
+    misses, the last pass extended to sigma = 1e6 and 1e12), cut to the
+    scheme's sigma domain, and polishes the first cell of adjacent points
+    whose errors enclose alpha. The root finder and each finer pass reuse
+    the errors already seen, so evaluations, the type_i_error calls, counts
+    each sigma once. When no cell encloses alpha, or the root finder meets
+    it only where the error rounds to 1 (psi <= 0), the target is
+    unachievable and the error carries the range the solve saw.
     """
-    evaluations = 0
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     seen: dict[float, float] = {}
 
     def error_at(sigma: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
         seen[sigma] = error = type_i_error(sigma, alpha_b, scheme)
         return error
 
@@ -338,35 +335,23 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
             pts += far
             errors += [error_at(s) for s in far]
         if not min(errors) <= alpha <= max(errors):
-            continue  # no exact hit and no sign change on this pass
-        for (s_lo, e_lo), (s_hi, e_hi) in zip(zip(pts, errors), zip(pts[1:], errors[1:])):
-            if e_lo == alpha:
-                return _result_at(s_lo, e_lo, spec, Bracket(s_lo / 2.0, s_hi), evaluations)
-            if e_hi == alpha:
-                return _result_at(s_hi, e_hi, spec, Bracket(s_lo, s_hi * 2.0), evaluations)
-            if (e_lo > alpha) != (e_hi > alpha):
-                bracket = Bracket(s_lo, s_hi)
-                break
+            continue  # no cell of this pass encloses alpha
+        bracket = next(Bracket(s_lo, s_hi) for s_lo, s_hi, e_lo, e_hi
+                       in zip(pts, pts[1:], errors, errors[1:])
+                       if min(e_lo, e_hi) <= alpha <= max(e_lo, e_hi))
         break
     if bracket is None:
         raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
     try:
         sigma_star = find_root_bracketed(
-            lambda s: error_at(s) - alpha, bracket, xtol=1e-15, ftol=5e-12 * alpha
-        )
+            lambda s: (seen[s] if s in seen else error_at(s)) - alpha, bracket,
+            xtol=2.0**-52 * bracket.lo, ftol=5e-12 * alpha)
     except BracketError:  # kl within about 1e-7 of 1: above the error at the rounded bound
         raise InfeasibleAlphaError(alpha, seen[bracket.lo], seen[bracket.hi]) from None
-    return _result_at(sigma_star, seen[sigma_star], spec, bracket, evaluations)
-
-
-def _result_at(sigma_star: float, achieved: float, spec: CalibrationSpec, bracket: Bracket,
-               evaluations: int) -> CalibrationResult:
-    return CalibrationResult(
-        sigma_star=sigma_star,
-        psi_at_sigma=psi(sigma_star, spec.alpha_b, spec.scheme),
-        achieved_alpha=achieved,
-        residual=achieved - spec.alpha,
-        bracket_used=bracket,
-        evaluations=evaluations,
-    )
+    achieved = seen[sigma_star]
+    if achieved == 1.0:  # kl within about 1e-8 of 1: met only where psi <= 0
+        raise InfeasibleAlphaError(alpha, seen[bracket.lo], max(e for e in seen.values() if e < 1))
+    return CalibrationResult(sigma_star=sigma_star, psi_at_sigma=psi(sigma_star, alpha_b, scheme),
+                             achieved_alpha=achieved, residual=achieved - alpha,
+                             bracket_used=bracket, evaluations=len(seen))

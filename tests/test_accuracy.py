@@ -156,3 +156,14 @@ def test_solve_sigma_meets_a_relative_tolerance(scheme, log_odds, alpha):
                                       result.sigma_star)
     with mpmath.workdps(50):
         assert abs(result.sigma_star / reference - 1) <= 1e-12, (result.sigma_star, reference)
+
+
+def test_solve_sigma_meets_a_relative_tolerance_at_a_small_sigma_star():
+    # sigma* is about 2.4e-5: a bracket width of 1e-15 would be 4e-11 of it, so the
+    # width at which the polish stops is relative to the bracket.
+    result = solve_sigma(CalibrationSpec(1e-300, 0.4999999, KL))
+    assert abs(result.achieved_alpha / 1e-300 - 1.0) <= 5e-12
+    reference = type_i_root_reference(lambda s: s**2 / 2, _log_rejection_odds(0.4999999), 1e-300,
+                                      result.sigma_star)
+    with mpmath.workdps(50):
+        assert abs(result.sigma_star / reference - 1) <= 1e-12, (result.sigma_star, reference)

@@ -247,11 +247,16 @@ def test_positivity_bound_of_a_tiny_fixed_mass_is_unbounded():
 
 
 def test_solve_round_trips_a_scan_point_exactly():
-    # kl solves on its analytic bracket and has no scan points; fixed still scans.
-    alpha = type_i_error(1.0, 0.05, FIXED_03)
-    result = solve_sigma(CalibrationSpec(alpha, 0.05, FIXED_03))
-    assert result.sigma_star == 1.0
-    assert result.residual == 0.0
+    # kl solves on its analytic bracket and has no scan points; fixed and tables still scan.
+    # An exact hit is an end of the grid cell polished, inside the domain at a table's ends.
+    table = CustomTablePrior(((1.0, 0.6), (10.0, 0.01)))
+    for scheme, s in ((FIXED_03, 1.0), (table, 1.0), (table, 10.0)):
+        lo, hi = scheme.sigma_domain()
+        result = solve_sigma(CalibrationSpec(type_i_error(s, 0.05, scheme), 0.05, scheme))
+        assert result.sigma_star == s, (scheme, s)
+        assert result.residual == 0.0, (scheme, s)
+        bracket = result.bracket_used
+        assert lo <= bracket.lo <= result.sigma_star <= bracket.hi <= hi, (scheme, s, bracket)
 
 
 def test_solve_kl_round_trips_sigma_one_to_its_tolerance():
@@ -259,6 +264,16 @@ def test_solve_kl_round_trips_sigma_one_to_its_tolerance():
     result = solve_sigma(CalibrationSpec(alpha, 0.05, KL))
     assert abs(result.residual) <= 5e-12 * alpha
     assert abs(result.sigma_star - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha_b", [0.4999999, 1e-300])
+def test_solve_kl_refuses_a_target_met_only_where_the_error_rounds_to_one(alpha_b):
+    # The root finder closes in on sigma whose computed error is exactly 1, where psi <= 0.
+    with pytest.raises(InfeasibleAlphaError) as excinfo:
+        solve_sigma(CalibrationSpec(0.999999999, alpha_b, KL))
+    got = excinfo.value
+    assert got.requested == 0.999999999
+    assert 0.0 < got.achievable_lo <= got.achievable_hi < 0.999999999
 
 
 def test_solve_kl_refuses_a_target_above_the_error_at_its_rounded_bound():
@@ -454,23 +469,41 @@ def counting_type_i_error(monkeypatch):
     return calls
 
 
+FEASIBLE_SCANNED = [
+    CalibrationSpec(0.01, 0.05, ROBERT), CalibrationSpec(0.005, 0.05, FIXED_03),
+    CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)),
+    CalibrationSpec(0.01, 0.05, CustomTablePrior(((0.5, 0.6), (2.0, 0.3), (5.0, 0.05)))),
+]
+
+
 def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
     calls = counting_type_i_error(monkeypatch)
+    polishes = []
+    real_find_root = calibration.find_root_bracketed
+
+    def counted_find_root(*args, **kwargs):
+        polishes.append(args[1])
+        return real_find_root(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "find_root_bracketed", counted_find_root)
     with pytest.raises(InfeasibleAlphaError):
         solve_sigma(CalibrationSpec(0.05, 0.05, ROBERT))
     assert len(calls) == len(set(calls)) == 387
+    assert polishes == []
+    for spec in FEASIBLE_SCANNED:
+        calls.clear()
+        polishes.clear()
+        result = solve_sigma(spec)
+        # The polish reads the errors at its cell's ends from the scan.
+        assert len(calls) == len(set(calls)), spec
+        assert polishes == [result.bracket_used], spec
     calls.clear()
     with pytest.raises(InfeasibleAlphaError):
         scan_reference(CalibrationSpec(0.05, 0.05, ROBERT))
     assert len(calls) == 491
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [CalibrationSpec(0.05, 0.05, KL), CalibrationSpec(0.01, 0.05, ROBERT),
-     CalibrationSpec(0.005, 0.05, FIXED_03), CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)),
-     CalibrationSpec(0.01, 0.05, CustomTablePrior(((0.5, 0.6), (2.0, 0.3), (5.0, 0.05))))],
-)
+@pytest.mark.parametrize("spec", [CalibrationSpec(0.05, 0.05, KL)] + FEASIBLE_SCANNED)
 def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
     calls = counting_type_i_error(monkeypatch)
     result = solve_sigma(spec)
