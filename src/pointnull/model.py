@@ -96,7 +96,7 @@ def _tau(sigma: float) -> float:
 
 
 def _stable_inv_logistic(t: float) -> float:
-    """1 / (1 + exp(t)), exact to a rounding in both tails."""
+    """1 / (1 + exp(t)), within 2 ulp in both tails: exp rounds, then the division."""
     if t >= 0.0:
         u = math.exp(-t)
         return u / (1.0 + u)

@@ -282,18 +282,22 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
 def _report(
     plan: SimulationPlan, counts: tuple[int, int], analytic: float
 ) -> MonteCarloReport:
-    rejections, exact_route_draws = counts
-    estimate = rejections / plan.n
-    std_error = math.sqrt(estimate * (1.0 - estimate) / plan.n)
-    ci = (max(0.0, estimate - 1.96 * std_error), min(1.0, estimate + 1.96 * std_error))
+    """k of n rejections against the analytic rate p, judged by p's own standard error.
+
+    within_3se: |k - n p| <= 3 sqrt(n p (1 - p)) + 1/2. ci95: the Wilson score interval.
+    """
+    (k, exact_route_draws), n = counts, plan.n
+    estimate, z = k / n, 1.96
+    centre = (k + z * z / 2.0) / (n + z * z)
+    half = z * math.sqrt(k * (n - k) / n + z * z / 4.0) / (n + z * z)
     return MonteCarloReport(
-        n=plan.n,
-        rejections=rejections,
+        n=n,
+        rejections=k,
         estimate=estimate,
-        std_error=std_error,
-        ci95=ci,
+        std_error=math.sqrt(estimate * (1.0 - estimate) / n),
+        ci95=(max(0.0, centre - half), min(1.0, centre + half)),
         analytic_value=analytic,
-        within_3se=abs(estimate - analytic) <= 3.0 * std_error,
+        within_3se=abs(k - n * analytic) <= 3.0 * math.sqrt(n * analytic * (1.0 - analytic)) + 0.5,
         exact_route_draws=exact_route_draws,
     )
 

@@ -9,8 +9,8 @@ controls what happens as sigma grows: m -> 0 forces the posterior null
 probability to 1 whatever the data (the classic large-spread paradox),
 m -> c pins it at a data-independent constant, and m -> infinity sends it
 to 0. Schemes declare which of those regimes they belong to analytically;
-``classify_regime`` corroborates the declaration numerically and refuses
-to certify a scheme whose numbers disagree with its label.
+``classify_regime`` reports that declaration with m and log m at two large
+sigma values as evidence.
 
 All log-odds work happens in log-domain so the divergent scheme remains
 usable far past the point where m itself overflows.
@@ -212,12 +212,7 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         return _stable_inv_logistic(self.log_prior_odds(sigma))
 
     def log_prior_odds(self, sigma: float) -> float:
-        # sigma ** 2 raises where sigma * sigma would give inf; the two differ
-        # in the last bit for some sigma, so the power stays.
-        try:
-            return 0.5 * _check_sigma(sigma) ** 2
-        except OverflowError:
-            return math.inf
+        return 0.5 * _check_sigma(sigma) * sigma
 
     def declared_regime(self) -> Regime:
         return Regime("divergent")
@@ -350,31 +345,16 @@ class ClassifiedRegime(_Record):
 
 
 def classify_regime(scheme: PriorScheme) -> ClassifiedRegime:
-    """Return the scheme's declared regime, corroborated at sigma = 1e3, 1e6.
+    """Return the scheme's declared regime, with m and log m at sigma = 1e3 and 1e6.
 
-    The declaration is analytic (a numeric probe alone cannot tell slow
-    divergence from a large finite limit); the probe exists to catch a
-    scheme whose implementation drifted from its label. Vanishing demands
-    m(1e6) < 1e-3 and still falling, finite demands m(1e6) within 1e-6
-    relative of the limit constant, divergent demands log m(1e6) > 1e3.
+    The declaration is analytic: a numeric probe alone cannot tell slow
+    divergence from a large finite limit, nor slow decay from a small
+    constant. The probes are evidence for the reader, not a check; the
+    tests hold each built-in scheme's numbers to its label.
     """
-    regime = scheme.declared_regime()
+    regime = scheme.declared_regime()  # first: a table has none, and no value at 1e6 either
     log_ms = tuple(log_m_of_sigma(scheme, s) for s in _PROBE_SIGMAS)
-    ms = tuple(m_of_sigma(scheme, s) for s in _PROBE_SIGMAS)
-    evidence = RegimeEvidence(_PROBE_SIGMAS, ms, log_ms)
-
-    if regime.kind == "vanishing":
-        ok = ms[1] < 1.0e-3 and ms[1] < ms[0]
-    elif regime.kind == "finite":
-        assert regime.limit is not None
-        ok = abs(ms[1] - regime.limit) < 1.0e-6 * regime.limit
-    else:
-        ok = log_ms[1] > 1.0e3
-    if not ok:
-        raise ConsistencyError(
-            f"scheme {scheme.scheme_id!r} declares the {regime.kind} regime but its "
-            f"probes contradict it: m={ms}, log_m={log_ms} at sigma={_PROBE_SIGMAS}"
-        )
+    evidence = RegimeEvidence(_PROBE_SIGMAS, tuple(_exp_or_inf(v) for v in log_ms), log_ms)
     return ClassifiedRegime(regime, evidence)
 
 

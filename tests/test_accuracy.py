@@ -13,6 +13,7 @@ import pytest
 
 from pointnull.calibration import (CalibrationSpec, _domain_end, _log_rejection_odds,
                                    positivity_bound, solve_sigma)
+from pointnull.model import _stable_inv_logistic
 from pointnull.numerics import Bracket, _u_minus_log1p, std_normal_quantile
 from pointnull.priors import CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior
 
@@ -90,6 +91,24 @@ def test_kl_bound_within_2_ulp():
 def test_kl_bound_within_2_ulp_next_to_one_half(alpha_b):
     reference = kl_bound_reference(_log_rejection_odds(alpha_b))
     assert ulps(positivity_bound(alpha_b, KL), reference) <= 2.0
+
+
+def test_kl_log_odds_are_correctly_rounded():
+    # (sigma / 2) * sigma rounds once, as one product; libm's pow is not always correctly rounded.
+    rng = random.Random(7)
+    for sigma in [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(20000)]:
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(sigma) ** 2 / 2
+        assert ulps(KL.log_prior_odds(sigma), exact) <= 0.5, sigma
+
+
+def test_stable_inv_logistic_within_its_stated_2_ulp():
+    # exp rounds, then the division does: the worst of these draws is 1.79 ulp.
+    rng = random.Random(20261018)
+    for t in [rng.uniform(-40.0, 40.0) for _ in range(20000)]:
+        with mpmath.workdps(50):
+            exact = 1 / (1 + mpmath.exp(mpmath.mpf(t)))
+        assert ulps(_stable_inv_logistic(t), exact) <= 2.0, t
 
 
 def test_robert_bound_within_its_stated_error():

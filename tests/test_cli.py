@@ -337,6 +337,12 @@ def test_regime_classifications(capsys):
     assert code == 0
     assert parse_kv(out)["case"] == "iii"
 
+    # A fixed mass vanishes by definition, however slowly m(1e6) falls.
+    for scheme in ("fixed:0.0009", "fixed:1e-300"):
+        code, out, _ = run(capsys, "regime", "--scheme", scheme)
+        assert code == 0
+        assert parse_kv(out)["regime"] == "vanishing"
+
 
 def test_regime_refuses_tables(capsys, tmp_path):
     path = tmp_path / "t.csv"
@@ -452,6 +458,56 @@ def test_readme_commands_run(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out, argv
+
+
+# ---------------------------------------------------------------------------
+# extreme arguments
+
+TABLE_CSV = Path(__file__).resolve().parent / "golden" / "table.csv"
+EXTREME_SCHEMES = ("kl", "robert", "fixed:0.5", "fixed:0.0009", "fixed:1e-300",
+                   f"table:{TABLE_CSV}")
+EXTREME_SIGMAS = ("5e-324", "1e-300", "1e154", "1.7e308", "0.5")
+EXTREME_PROBS = ("5e-324", "0.05", "0.5", "0.9999999999999999")
+
+
+def extreme_argvs():
+    """Every subcommand over the extreme schemes, sigmas and probabilities."""
+    ranges = [(lo, hi) for lo in EXTREME_SIGMAS for hi in EXTREME_SIGMAS if float(lo) < float(hi)]
+    for scheme in EXTREME_SCHEMES:
+        yield ["regime", "--scheme", scheme]
+        for a in EXTREME_PROBS:
+            for ab in EXTREME_PROBS:
+                yield ["calibrate", "--alpha", a, "--alpha-b", ab, "--scheme", scheme]
+        for ab in EXTREME_PROBS:
+            for sigma in EXTREME_SIGMAS:
+                yield ["posterior", "--x", "1.96", "--sigma", sigma, "--alpha-b", ab,
+                       "--scheme", scheme]
+                yield ["simulate", "--n", "50", "--sigma", sigma, "--alpha-b", ab,
+                       "--scheme", scheme]
+            for lo, hi in ranges:
+                yield ["sweep", "--kind", "psi", "--scheme", scheme, "--alpha-b", ab,
+                       "--sigma-min", lo, "--sigma-max", hi, "--steps", "3"]
+        for lo, hi in ranges:
+            yield ["sweep", "--kind", "paradox", "--scheme", scheme, "--x", "1.96",
+                   "--sigma-min", lo, "--sigma-max", hi, "--steps", "3"]
+    for sigma in EXTREME_SIGMAS:
+        for x in ("0", "1.96", "1e200"):
+            yield ["bf", "--x", x, "--sigma", sigma]
+
+
+def test_extreme_arguments_never_escape_main(capsys):
+    """Exit 0, 2, 3 or 4, never an uncaught exception (exit 1)."""
+    failures = []
+    for argv in extreme_argvs():
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - every escape is the failure being tested
+            failures.append((argv, repr(exc)))
+            continue
+        if code not in (0, 2, 3, 4):
+            failures.append((argv, code))
+    capsys.readouterr()
+    assert not failures
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pointnull import montecarlo
-from pointnull.calibration import (PsiDomainError, _cut, _log_rejection_odds, positivity_bound,
-                                   psi, type_i_error)
+from pointnull.calibration import (CalibrationSpec, PsiDomainError, _cut, _log_rejection_odds,
+                                   positivity_bound, psi, solve_sigma, type_i_error)
 from pointnull.model import (
     AlternativeSpread,
     Observation,
@@ -628,7 +628,8 @@ def test_past_positivity_bound_every_draw_rejects():
     assert report.exact_route_draws == 0
     assert report.estimate == 1.0
     assert report.std_error == 0.0
-    assert report.ci95 == (1.0, 1.0)
+    z = 1.96  # the Wilson interval at k = n: (n / (n + z^2), 1)
+    assert report.ci95 == (pytest.approx(500 / (500 + z * z), rel=1e-15), 1.0)
     assert report.within_3se  # analytic rate is also exactly 1
 
 
@@ -671,11 +672,37 @@ def test_single_draw_report_is_well_formed():
 
 
 def test_standard_error_formula():
+    """std_error is the estimate's; ci95 is the Wilson score interval, z = 1.96."""
     report = simulate_type_i(make_plan(n=20000))
-    p = report.estimate
-    assert report.std_error == math.sqrt(p * (1.0 - p) / report.n)
-    assert report.ci95[0] == max(0.0, p - 1.96 * report.std_error)
-    assert report.ci95[1] == min(1.0, p + 1.96 * report.std_error)
+    p, n, k, z = report.estimate, report.n, report.rejections, 1.96
+    assert report.std_error == math.sqrt(p * (1.0 - p) / n)
+    centre = (k + z * z / 2.0) / (n + z * z)
+    half = z * math.sqrt(k * (n - k) / n + z * z / 4.0) / (n + z * z)
+    assert report.ci95 == (max(0.0, centre - half), min(1.0, centre + half))
+
+
+def test_verdict_covers_a_run_that_expects_about_one_rejection():
+    """kl at alpha = 0.01, n = 100: n p = 1, where the estimate's own SE failed 138 of 400."""
+    sigma = solve_sigma(CalibrationSpec(0.01, 0.05, KL)).sigma_star
+    hits = sum(simulate_type_i(make_plan(n=100, seed=seed, sigma=sigma)).within_3se
+               for seed in range(400))
+    assert hits >= 396
+
+
+def test_zero_rejections_pass_a_tiny_analytic_rate():
+    report = simulate_type_i(make_plan(sigma=0.5))
+    assert report.rejections == 0
+    assert report.analytic_value == pytest.approx(6.2e-8, rel=0.01)
+    assert report.within_3se
+    assert report.ci95[0] == 0.0 < report.ci95[1] < 0.004
+
+
+def test_verdict_catches_a_miscount():
+    """n p = 1: 3 sqrt(0.99) + 1/2 = 3.48, so 4 rejections pass and 5 fail."""
+    plan = make_plan(n=100)
+    assert montecarlo._report(plan, (4, 0), 0.01).within_3se
+    assert not montecarlo._report(plan, (5, 0), 0.01).within_3se
+    assert not montecarlo._report(plan, (1, 0), 0.0).within_3se  # p = 0 demands 0
 
 
 def test_three_se_coverage_across_seeds():

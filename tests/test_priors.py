@@ -11,7 +11,6 @@ from pointnull.model import AlternativeSpread, Observation, posterior_from_log_o
 from pointnull.numerics import DomainError
 from pointnull.priors import (
     SQRT_TWO_PI,
-    ConsistencyError,
     CustomTablePrior,
     FixedPrior,
     KLSelfInformationPrior,
@@ -90,7 +89,8 @@ def test_kl_rho0_limits():
     assert scheme.rho0(1e-8) == pytest.approx(0.5, abs=1e-15)
     # Far out the weight underflows; callers are told to expect exactly zero.
     assert scheme.rho0(100.0) == 0.0
-    # Past sigma^2 overflow (about 1.34e154) the log odds are inf and the mass still 0.
+    # Past sigma^2 overflow (about 1.34e154) the mass is 0, and so it stays once the
+    # log odds are inf (about 1.9e154).
     assert scheme.rho0(1.35e154) == 0.0
     assert scheme.rho0(1.7e308) == 0.0
 
@@ -126,7 +126,9 @@ def test_m_overflows_to_inf_not_error():
 def test_kl_past_the_float_range_of_sigma_squared_is_inf_not_error():
     scheme = KLSelfInformationPrior()
     assert scheme.log_prior_odds(1e154) == 0.5 * 1e154**2
-    for sigma in (1.35e154, 1e200, 1.7e308):
+    # sigma^2 overflows from about 1.34e154, but sigma^2 / 2 only from about 1.9e154.
+    assert scheme.log_prior_odds(1.35e154) == 0.5 * 1.35e154 * 1.35e154 < math.inf
+    for sigma in (1.9e154, 1e200, 1.7e308):
         assert scheme.log_prior_odds(sigma) == math.inf
         assert scheme.rho0(sigma) == 0.0
         assert log_m_of_sigma(scheme, sigma) == math.inf
@@ -183,7 +185,6 @@ def test_classify_fixed_is_vanishing():
     assert classified.regime.kind == "vanishing"
     assert classified.regime.case_label == "i"
     assert classified.regime.limit is None
-    assert classified.evidence.m_values[-1] < 1e-3
 
 
 def test_classify_robert_is_finite_with_limit():
@@ -191,14 +192,12 @@ def test_classify_robert_is_finite_with_limit():
     assert classified.regime.kind == "finite"
     assert classified.regime.case_label == "ii"
     assert classified.regime.limit == pytest.approx(SQRT_TWO_PI, rel=1e-12)
-    assert classified.evidence.m_values[-1] == pytest.approx(SQRT_TWO_PI, rel=1e-6)
 
 
 def test_classify_kl_is_divergent():
     classified = classify_regime(KLSelfInformationPrior())
     assert classified.regime.kind == "divergent"
     assert classified.regime.case_label == "iii"
-    assert classified.evidence.log_m_values[-1] > 1e3
 
 
 def test_classify_table_scheme_unsupported():
@@ -207,13 +206,47 @@ def test_classify_table_scheme_unsupported():
         classify_regime(table)
 
 
-def test_classify_rejects_scheme_that_lies_about_its_regime():
-    class LyingPrior(FixedPrior):
-        def declared_regime(self):
-            return Regime("divergent")
+@pytest.mark.parametrize("scheme", [FixedPrior(0.5), RobertPrior(), KLSelfInformationPrior()],
+                         ids=["fixed", "robert", "kl"])
+def test_builtin_probes_agree_with_the_declared_regime(scheme):
+    """A built-in scheme whose numbers drift from its label fails here, not at run time.
 
-    with pytest.raises(ConsistencyError):
-        classify_regime(LyingPrior(0.5))
+    The probe constants the library once checked at run time: vanishing needs m(1e6) < 1e-3
+    and still falling, finite needs m(1e6) within 1e-6 relative of the limit, divergent needs
+    log m(1e6) > 1e3.
+    """
+    classified = classify_regime(scheme)
+    regime, evidence = classified.regime, classified.evidence
+    assert evidence.sigma_probes == (1.0e3, 1.0e6)
+    ms, log_ms = evidence.m_values, evidence.log_m_values
+    assert ms == tuple(m_of_sigma(scheme, s) for s in evidence.sigma_probes)
+    assert log_ms == tuple(log_m_of_sigma(scheme, s) for s in evidence.sigma_probes)
+    if regime.kind == "vanishing":
+        assert ms[1] < 1.0e-3 and ms[1] < ms[0]
+    elif regime.kind == "finite":
+        assert abs(ms[1] - regime.limit) < 1.0e-6 * regime.limit
+    else:
+        assert log_ms[1] > 1.0e3
+
+
+def test_classify_reports_a_slowly_vanishing_custom_scheme():
+    """Odds sigma^0.9 give m ~ sigma^-0.1 -> 0, though m(1e6) is still about 0.25."""
+
+    class SlowPrior(PriorScheme):
+        def rho0(self, sigma):
+            return 1.0 / (1.0 + sigma**0.9)
+
+        def declared_regime(self):
+            return Regime("vanishing")
+
+        @property
+        def scheme_id(self):
+            return "slow"
+
+    classified = classify_regime(SlowPrior())
+    assert classified.regime.kind == "vanishing"
+    ms = classified.evidence.m_values
+    assert 0.2 < ms[1] < ms[0] < 1.0
 
 
 def test_regime_validation():
