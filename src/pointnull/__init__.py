@@ -24,14 +24,12 @@ from .calibration import (
 from .model import (
     AlternativeSpread,
     Observation,
-    PosteriorReport,
     bayes_factor,
     expected_kl,
     kl_null_vs_alt,
     marginal_alt,
     posterior_from_log_odds,
     posterior_h0,
-    posterior_report,
 )
 from .numerics import (
     Bracket,

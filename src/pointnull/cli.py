@@ -21,20 +21,10 @@ from typing import Callable, TextIO
 
 from .calibration import (CalibrationSpec, PsiDomainError, _domain_end, positivity_bound, psi,
                           solve_sigma)
-from .model import (
-    AlternativeSpread,
-    Observation,
-    bayes_factor,
-    marginal_alt,
-    posterior_report,
-)
+from .model import (AlternativeSpread, Observation, bayes_factor, marginal_alt,
+                    posterior_from_log_odds)
 from .numerics import Bracket, DomainError, _Record, _set
-from .priors import (
-    SchemeParseError,
-    classify_regime,
-    paradox_sweep,
-    scheme_from_string,
-)
+from .priors import SchemeParseError, classify_regime, m_of_sigma, paradox_sweep, scheme_from_string
 
 __all__ = ["OutputTable", "console_entry", "fmt_float", "main"]
 
@@ -143,21 +133,21 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _cmd_posterior(args: argparse.Namespace) -> int:
-    scheme = scheme_from_string(args.scheme)
-    rho = scheme.rho0(args.sigma)
-    report = posterior_report(Observation(args.x), AlternativeSpread(args.sigma), args.alpha_b,
-                              scheme.scheme_id, log_odds=scheme.log_prior_odds(args.sigma))
+    scheme, sigma = scheme_from_string(args.scheme), args.sigma
+    rho = scheme.rho0(sigma)
+    obs, spread = Observation(args.x), AlternativeSpread(sigma)
+    posterior = posterior_from_log_odds(obs, spread, scheme.log_prior_odds(sigma))
     _emit(
         [
-            ("x", report.x),
-            ("sigma", report.sigma),
-            ("scheme", report.scheme),
-            ("alpha_b", report.alpha_b),
+            ("x", args.x),
+            ("sigma", sigma),
+            ("scheme", scheme.scheme_id),
+            ("alpha_b", args.alpha_b),
             ("rho0", rho),
-            ("m", report.m_value),
-            ("bayes_factor", report.bayes_factor),
-            ("posterior_h0", report.posterior_h0),
-            ("decision", "reject" if report.rejected else "retain"),
+            ("m", m_of_sigma(scheme, sigma)),
+            ("bayes_factor", bayes_factor(obs, spread)),
+            ("posterior_h0", posterior),
+            ("decision", "reject" if posterior < args.alpha_b else "retain"),
         ],
         sys.stdout,
     )
@@ -264,10 +254,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .montecarlo import SimulationPlan, simulate_power, simulate_type_i  # loaded on use
+    from .montecarlo import SimulationPlan, simulate_power  # loaded on use
     plan = SimulationPlan(n=args.n, seed=args.seed, theta=args.theta, sigma=args.sigma,
                           alpha_b=args.alpha_b, scheme=scheme_from_string(args.scheme))
-    report = simulate_type_i(plan) if plan.theta == 0.0 else simulate_power(plan)
+    report = simulate_power(plan)
     _emit(
         [
             ("n", report.n),

@@ -17,7 +17,6 @@ from .numerics import _check_finite, _check_prob, _check_sigma, _Record, _set, s
 __all__ = [
     "AlternativeSpread",
     "Observation",
-    "PosteriorReport",
     "bayes_factor",
     "expected_kl",
     "kl_null_vs_alt",
@@ -25,7 +24,6 @@ __all__ = [
     "marginal_alt",
     "posterior_from_log_odds",
     "posterior_h0",
-    "posterior_report",
     "variance_ratio",
 ]
 
@@ -51,22 +49,6 @@ class AlternativeSpread(_Record):
 
     def __init__(self, sigma: float) -> None:
         _set(self, "sigma", _check_sigma(sigma))
-
-
-class PosteriorReport(_Record):
-    __slots__ = ("x", "sigma", "scheme", "bayes_factor", "m_value", "posterior_h0", "alpha_b",
-                 "rejected")
-
-    def __init__(self, x: float, sigma: float, scheme: str, bayes_factor: float, m_value: float,
-                 posterior_h0: float, alpha_b: float, rejected: bool) -> None:
-        _set(self, "x", x)
-        _set(self, "sigma", sigma)
-        _set(self, "scheme", scheme)
-        _set(self, "bayes_factor", bayes_factor)
-        _set(self, "m_value", m_value)
-        _set(self, "posterior_h0", posterior_h0)
-        _set(self, "alpha_b", alpha_b)
-        _set(self, "rejected", rejected)
 
 
 def variance_ratio(sigma: float) -> float:
@@ -103,16 +85,6 @@ def _stable_inv_logistic(t: float) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _posterior_parts(spread: AlternativeSpread, log_odds: float) -> tuple[float, float]:
-    """Precompute (base, ratio) = (log m(sigma), variance_ratio(sigma)).
-
-    The posterior is then base + an x^2-term only, so bulk simulation reuses
-    posterior_from_log_odds's exact arithmetic without the sigma-only pieces.
-    """
-    base = log_odds - 0.5 * log_marginal_variance(spread.sigma)
-    return base, variance_ratio(spread.sigma)
-
-
 def _x2_term(x_squared: float, ratio: float, x: float, sigma: float) -> float:
     """x^2 sigma^2 / (2 (1 + sigma^2)), given x * x and variance_ratio(sigma).
 
@@ -128,7 +100,10 @@ def _x2_term(x_squared: float, ratio: float, x: float, sigma: float) -> float:
 
 def _posterior_from_parts(x_squared: float, base: float, ratio: float, x: float,
                           sigma: float) -> float:
-    """The posterior from x * x and _posterior_parts; x and sigma as in _x2_term."""
+    """The posterior from x * x, base = log m(sigma) and ratio = variance_ratio(sigma).
+
+    x and sigma are read as in _x2_term only.
+    """
     return _stable_inv_logistic(base + _x2_term(x_squared, ratio, x, sigma))
 
 
@@ -164,8 +139,9 @@ def posterior_from_log_odds(obs: Observation, spread: AlternativeSpread, log_odd
     as a stable logistic so extreme x, sigma or odds saturate to 0 or 1
     instead of producing NaN.
     """
-    base, ratio = _posterior_parts(spread, log_odds)
-    return _posterior_from_parts(obs.x * obs.x, base, ratio, obs.x, spread.sigma)
+    sigma = spread.sigma
+    base = log_odds - 0.5 * log_marginal_variance(sigma)
+    return _posterior_from_parts(obs.x * obs.x, base, variance_ratio(sigma), obs.x, sigma)
 
 
 def posterior_h0(obs: Observation, spread: AlternativeSpread, rho0: float) -> float:
@@ -189,21 +165,3 @@ def expected_kl(spread: AlternativeSpread) -> float:
     inf where sigma^2 / 2 exceeds float range, for sigma above about 1.9e154.
     """
     return 0.5 * spread.sigma * spread.sigma
-
-
-def posterior_report(obs: Observation, spread: AlternativeSpread, alpha_b: float,
-                     scheme: str = "fixed", *, log_odds: float) -> PosteriorReport:
-    """Bundle the headline quantities for one (x, sigma, log prior odds) evaluation."""
-    _check_prob("alpha_b", alpha_b)
-    base, ratio = _posterior_parts(spread, log_odds)
-    posterior = _posterior_from_parts(obs.x * obs.x, base, ratio, obs.x, spread.sigma)
-    return PosteriorReport(
-        x=obs.x,
-        sigma=spread.sigma,
-        scheme=scheme,
-        bayes_factor=bayes_factor(obs, spread),
-        m_value=_exp_or_inf(base),
-        posterior_h0=posterior,
-        alpha_b=alpha_b,
-        rejected=posterior < alpha_b,
-    )

@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from .calibration import _band, _cut, _log_rejection_odds, power_analytic, type_i_error
+from .calibration import _band, _cut, _log_rejection_odds, power_analytic
 from .model import _posterior_from_parts, variance_ratio
 from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, std_normal_cdf,
                        std_normal_quantile)
@@ -303,11 +303,13 @@ def _report(
 
 
 def simulate_type_i(plan: SimulationPlan) -> MonteCarloReport:
-    """Empirical null rejection rate vs the analytic Type I error."""
+    """Empirical null rejection rate vs the analytic Type I error: simulate_power at theta = 0.
+
+    power_analytic(0, ...) is cdf(-r) + cdf(-r), exactly type_i_error's 2 cdf(-r).
+    """
     if plan.theta != 0.0:
         raise DomainError(f"Type I simulation draws under the null; got theta={plan.theta}")
-    analytic = type_i_error(plan.sigma, plan.alpha_b, plan.scheme)
-    return _report(plan, _rejection_count(plan, 0, plan.n), analytic)
+    return simulate_power(plan)
 
 
 def simulate_power(plan: SimulationPlan) -> MonteCarloReport:

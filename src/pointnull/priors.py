@@ -19,7 +19,6 @@ usable far past the point where m itself overflows.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from typing import NamedTuple
 
@@ -271,6 +270,8 @@ class CustomTablePrior(_Record, PriorScheme):
         Lines starting with '#' are treated as comments, matching the CSV
         dialect this package emits.
         """
+        import csv  # loaded on use
+
         rows: list[tuple[float, float]] = []
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(

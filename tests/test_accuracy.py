@@ -10,12 +10,15 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pointnull.calibration import (CalibrationSpec, _domain_end, _log_rejection_odds,
-                                   positivity_bound, solve_sigma)
-from pointnull.model import _stable_inv_logistic
+from pointnull.calibration import (CalibrationSpec, PsiDomainError, _band, _domain_end,
+                                   _log_rejection_odds, decide, positivity_bound, psi, solve_sigma)
+from pointnull.model import Observation, _stable_inv_logistic
 from pointnull.numerics import Bracket, _u_minus_log1p, std_normal_quantile
-from pointnull.priors import CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior
+from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
+                              log_m_of_sigma)
 
 EPS = 2.0**-53
 KL, ROBERT = KLSelfInformationPrior(), RobertPrior()
@@ -186,3 +189,50 @@ def test_solve_sigma_meets_a_relative_tolerance_at_a_small_sigma_star():
                                       result.sigma_star)
     with mpmath.workdps(50):
         assert abs(result.sigma_star / reference - 1) <= 1e-12, (result.sigma_star, reference)
+
+
+def _scheme_with_exact_odds(choice):
+    """The scheme for "kl", "robert" or a fixed rho0, with its log prior odds in mpmath."""
+    if choice == "kl":
+        return KL, lambda s: s * s / 2
+    if choice == "robert":
+        return ROBERT, lambda s: mpmath.log(mpmath.sqrt(2 * mpmath.pi) * s)
+    rho = mpmath.mpf(choice)
+    return FixedPrior(choice), lambda s: mpmath.log((1 - rho) / rho)
+
+
+def test_decide_is_right_outside_the_band(capsys):
+    """Past _band of the cut, both routes give the exact decision t* > L*.
+
+    t* = log odds - log(1 + sigma^2) / 2 + x^2 sigma^2 / (2 (1 + sigma^2)) and
+    L* = log(1/alpha_b - 1), both in 80-digit arithmetic at the float inputs.
+    Prints the widest gap |t* - L*| / tau at which the two routes split.
+    """
+    splits, worst = [0], [0.0]
+
+    @given(st.one_of(st.sampled_from(("kl", "robert")), st.floats(1e-12, 0.999)),
+           st.floats(-3.0, 3.0), st.floats(-323.3, -0.3), st.booleans(), st.integers(-64, 64))
+    @settings(max_examples=500, deadline=None)
+    def check(choice, log_sigma, log_alpha_b, negative, shift):
+        scheme, log_odds = _scheme_with_exact_odds(choice)
+        sigma, alpha_b = 10.0**log_sigma, max(10.0**log_alpha_b, 5e-324)
+        try:
+            x = math.sqrt(psi(sigma, alpha_b, scheme))
+        except PsiDomainError:
+            x = 1.0  # every x rejects
+        x = (x + shift * math.ulp(x)) * (-1.0 if negative else 1.0)
+        decision = decide(Observation(x), sigma, alpha_b, scheme)
+        with mpmath.workdps(80):
+            s, x_, a = mpmath.mpf(sigma), mpmath.mpf(x), mpmath.mpf(alpha_b)
+            t = log_odds(s) - mpmath.log1p(s * s) / 2 + x_ * x_ * s * s / (2 * (1 + s * s))
+            gap = float(t - mpmath.log(1 / a - 1))
+        tau = _band(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), alpha_b)
+        if decision.via_posterior != decision.via_threshold:
+            splits[0] += 1
+            worst[0] = max(worst[0], abs(gap) / tau)
+        if abs(gap) > tau:
+            assert decision.via_posterior == decision.via_threshold == (gap > 0.0)
+
+    check()
+    with capsys.disabled():
+        print(f"\nroutes split {splits[0]} times, at most {worst[0]:.3f} tau from the cut")

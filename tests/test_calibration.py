@@ -22,7 +22,7 @@ from pointnull.calibration import (
     type_i_error,
 )
 from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior_from_log_odds,
-                             variance_ratio)
+                             posterior_h0, variance_ratio)
 from pointnull.numerics import Bracket, DomainError, std_normal_cdf
 from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
                               KLSelfInformationPrior, PriorScheme, RobertPrior,
@@ -541,6 +541,13 @@ def test_decide_at_the_exact_boundary_does_not_blow_up():
     x = math.sqrt(PSI_KL_1)
     decision = decide(Observation(x), 1.0, 0.05, KL)
     assert decision.reject == decision.via_posterior
+
+
+def test_rejection_is_strict_so_ties_retain():
+    tie = posterior_h0(Observation(1.0), AlternativeSpread(2.0), 0.5)
+    assert tie == 0.5998209101916216
+    assert not decide(Observation(1.0), 2.0, tie, FixedPrior(0.5)).reject
+    assert decide(Observation(1.0), 2.0, math.nextafter(tie, 1.0), FixedPrior(0.5)).reject
 
 
 def test_decide_past_positivity_bound_always_rejects():

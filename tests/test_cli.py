@@ -1,6 +1,7 @@
 """Command-line surface: parsing, key=value output, CSV sweeps, exit codes."""
 
 import json
+import math
 import os
 import shlex
 import shutil
@@ -77,6 +78,16 @@ def test_posterior_rejects_bad_inputs(capsys):
     assert run(capsys, "posterior", "--x", "0", "--sigma", "1", "--scheme", "kl",
                "--alpha-b", "1.5")[0] == 2
     assert run(capsys, "posterior", "--x", "0", "--sigma", "1", "--scheme", "banana")[0] == 2
+
+
+def test_posterior_ties_retain(capsys):
+    tie = 0.5998209101916216  # posterior_h0 at x = 1, sigma = 2, rho0 = 1/2
+    for alpha_b, decision in ((tie, "retain"), (math.nextafter(tie, 1.0), "reject")):
+        code, out, _ = run(capsys, "posterior", "--x", "1", "--sigma", "2",
+                           "--scheme", "fixed:0.5", "--alpha-b", repr(alpha_b))
+        assert code == 0
+        values = parse_kv(out)
+        assert (values["posterior_h0"], values["decision"]) == (repr(tie), decision)
 
 
 def test_bf_reports_exactly_two_quantities(capsys):
@@ -548,18 +559,18 @@ STAR_NAMES = MONTE_CARLO_NAMES | {
     "AlternativeSpread", "Bracket", "BracketError", "CalibrationResult", "CalibrationSpec",
     "ClassifiedRegime", "ConsistencyError", "CustomTablePrior", "Decision", "DomainError",
     "EvaluationError", "FixedPrior", "InfeasibleAlphaError", "KLSelfInformationPrior",
-    "Observation", "PosteriorReport", "PriorScheme", "PsiDomainError", "Regime", "RobertPrior",
+    "Observation", "PriorScheme", "PsiDomainError", "Regime", "RobertPrior",
     "bayes_factor", "classical_threshold", "classify_regime", "decide", "expected_kl",
     "find_root_bracketed", "kl_null_vs_alt", "log_m_of_sigma", "m_of_sigma", "marginal_alt",
     "paradox_sweep", "positivity_bound", "posterior_from_log_odds", "posterior_h0",
-    "posterior_report", "power_analytic", "psi", "scheme_from_string", "solve_sigma",
+    "power_analytic", "psi", "scheme_from_string", "solve_sigma",
     "std_normal_cdf", "std_normal_pdf", "std_normal_quantile", "type_i_error",
     "calibration", "model", "montecarlo", "numerics", "priors",
 }
 
 COLD_START = """
 import contextlib, io, json, sys
-heavy = ("dataclasses", "inspect", "statistics", "pointnull.montecarlo")
+heavy = ("csv", "dataclasses", "inspect", "statistics", "pointnull.montecarlo")
 seen = {}
 import pointnull.cli
 seen["after_import"] = [m for m in heavy if m in sys.modules]

@@ -16,7 +16,6 @@ from pointnull.model import (
     marginal_alt,
     posterior_from_log_odds,
     posterior_h0,
-    posterior_report,
     variance_ratio,
 )
 from pointnull.numerics import DomainError, std_normal_pdf
@@ -108,14 +107,6 @@ def test_posterior_h0_is_the_log_odds_posterior_of_rho0(x, sigma, rho):
 def test_posterior_from_huge_log_odds_is_zero_not_an_error():
     # kl's odds at sigma = 40: rho0 = 1 / (1 + e^800) underflows to 0.0.
     assert posterior_from_log_odds(Observation(0.0), AlternativeSpread(40.0), 800.0) == 0.0
-    report = posterior_report(Observation(0.0), AlternativeSpread(40.0), 0.05, "kl", log_odds=800.0)
-    assert report.m_value == math.inf
-    assert report.posterior_h0 == 0.0 and report.rejected
-
-
-def test_posterior_report_refuses_a_positional_rho0():
-    with pytest.raises(TypeError):
-        posterior_report(Observation(0.0), AlternativeSpread(1.0), 0.5, 0.05, "fixed:0.5")
 
 
 def test_posterior_extreme_observation_saturates_cleanly():
@@ -169,29 +160,6 @@ def test_input_validation():
         posterior_h0(Observation(0.0), AlternativeSpread(1.0), 1.0)
 
 
-def test_posterior_report_bundle():
-    report = posterior_report(
-        Observation(0.0), AlternativeSpread(math.sqrt(3.0)), 0.05, "fixed:0.5", log_odds=0.0
-    )
-    assert report.scheme == "fixed:0.5"
-    assert report.m_value == pytest.approx(0.5, rel=1e-12)
-    assert report.posterior_h0 == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert report.bayes_factor == pytest.approx(2.0, rel=1e-12)
-    assert not report.rejected
-
-
-def test_rejection_is_strict_so_ties_retain():
-    post = posterior_h0(Observation(1.0), AlternativeSpread(2.0), 0.5)
-    report = posterior_report(Observation(1.0), AlternativeSpread(2.0), post, "fixed:0.5",
-                              log_odds=0.0)
-    assert not report.rejected
-    report = posterior_report(
-        Observation(1.0), AlternativeSpread(2.0), math.nextafter(post, 1.0), "fixed:0.5",
-        log_odds=0.0,
-    )
-    assert report.rejected
-
-
 @pytest.mark.parametrize(
     "x, sigma, exponent",
     ((1e200, 1e-200, 0.5), (1e155, 1e-160, 5e-11), (-1e300, 1e-150, 5e149)),
@@ -202,7 +170,5 @@ def test_x_squared_term_past_float_range(x, sigma, exponent):
     assert bayes_factor(obs, spread) == pytest.approx(math.exp(-exponent), rel=1e-15)
     expected = 1.0 / (1.0 + math.exp(exponent)) if exponent < 700 else 0.0
     assert posterior_from_log_odds(obs, spread, 0.0) == pytest.approx(expected, rel=1e-15)
-    report = posterior_report(obs, spread, 0.05, log_odds=0.0)
-    assert report.posterior_h0 == posterior_from_log_odds(obs, spread, 0.0)
     (row,) = paradox_sweep(FixedPrior(0.5), x, [sigma])  # log prior odds 0
-    assert row.posterior_h0 == report.posterior_h0
+    assert row.posterior_h0 == posterior_from_log_odds(obs, spread, 0.0)

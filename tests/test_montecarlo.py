@@ -17,7 +17,6 @@ from pointnull.model import (
     AlternativeSpread,
     Observation,
     _posterior_from_parts,
-    _posterior_parts,
     posterior_h0,
     variance_ratio,
 )
@@ -199,9 +198,7 @@ def count_words(plan, words, thresholds=None):
     the output itself. Only a draw inside a window is decided by the
     quantile and the posterior.
     """
-    base, ratio = _posterior_parts(
-        AlternativeSpread(plan.sigma), plan.scheme.log_prior_odds(plan.sigma)
-    )
+    base, ratio = log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma)
     if thresholds is None:
         keep_lo, keep_hi, reject_lo, reject_hi = _block_bounds(base, ratio, plan.theta,
                                                                plan.alpha_b)
@@ -338,7 +335,7 @@ def test_planted_draws_count_like_the_scalar_loop(scheme, alpha_b):
     """
     n = _LANES + 3
     prior = scheme_from_string(scheme)
-    base, ratio = _posterior_parts(AlternativeSpread(2.0), prior.log_prior_odds(2.0))
+    base, ratio = log_m_of_sigma(prior, 2.0), variance_ratio(2.0)
     top = (2**53 - 1) << 11  # grid index 2^53 - 1 rounds to u = 1.0
     for theta in (0.0, 0.5, -0.5, 1.5, 3.0, 40.0, -40.0):
         thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
@@ -587,8 +584,7 @@ def test_past_positivity_bound_count_equals_public_recount(scheme, sigma, alpha_
 def test_grid_points_next_to_each_window_are_decided_like_the_exact_route(
     scheme, sigma, alpha_b, theta
 ):
-    log_odds = scheme_from_string(scheme).log_prior_odds(sigma)
-    base, ratio = _posterior_parts(AlternativeSpread(sigma), log_odds)
+    base, ratio = log_m_of_sigma(scheme_from_string(scheme), sigma), variance_ratio(sigma)
     keep_lo, keep_hi, reject_lo, reject_hi = (
         z >> 11 for z in _cut_thresholds(base, ratio, theta, alpha_b)
     )

@@ -1,0 +1,46 @@
+"""No private code in the shipped package that only the tests use.
+
+Every top-level private function, class or constant (one leading underscore)
+in src/pointnull must be loaded somewhere in src/ outside its own definition:
+by a name, an attribute or an import.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pointnull"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _loaded(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_top_level_name_has_a_caller_in_src():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    uncalled = []
+    for name, tree in modules.items():
+        elsewhere = set().union(*(_loaded(t) for other, t in modules.items() if other != name))
+        for node in tree.body:
+            beside = set().union(*(_loaded(n) for n in tree.body if n is not node))
+            uncalled += [f"{name}: {d}" for d in _defined(node)
+                         if _private(d) and d not in beside | elsewhere]
+    assert uncalled == []

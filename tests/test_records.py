@@ -26,7 +26,6 @@ from pointnull import (
     KLSelfInformationPrior,
     MonteCarloReport,
     Observation,
-    PosteriorReport,
     Regime,
     RobertPrior,
     SimulationPlan,
@@ -36,7 +35,6 @@ from pointnull.priors import RegimeEvidence
 
 POINTS = ((1.0, 0.5), (2.0, 0.25))
 EVIDENCE = RegimeEvidence((1e3, 1e6), (0.5, 0.25), (-0.5, -1.5))
-REPORT_VALUES = (1.5, 2.0, "kl", 0.75, 0.5, 0.25, 0.05, False)
 RESULT_VALUES = (2.0, 3.0, 0.05, -1e-12, Bracket(1.0, 4.0), 20)
 
 #: name -> (positional, keyword, its repr, an unequal record of the same class)
@@ -47,14 +45,6 @@ RECORDS = {
                     Observation(-1.5)),
     "AlternativeSpread": (AlternativeSpread(2.0), AlternativeSpread(sigma=2.0),
                           "AlternativeSpread(sigma=2.0)", AlternativeSpread(3.0)),
-    "PosteriorReport": (
-        PosteriorReport(*REPORT_VALUES),
-        PosteriorReport(x=1.5, sigma=2.0, scheme="kl", bayes_factor=0.75, m_value=0.5,
-                        posterior_h0=0.25, alpha_b=0.05, rejected=False),
-        "PosteriorReport(x=1.5, sigma=2.0, scheme='kl', bayes_factor=0.75, m_value=0.5, "
-        "posterior_h0=0.25, alpha_b=0.05, rejected=False)",
-        PosteriorReport(*REPORT_VALUES[:-1], True),
-    ),
     "Regime": (Regime("finite", 2.5), Regime(kind="finite", limit=2.5),
                "Regime(kind='finite', limit=2.5)", Regime("vanishing")),
     "FixedPrior": (FixedPrior(0.3), FixedPrior(rho0_value=0.3), "FixedPrior(rho0_value=0.3)",
@@ -108,7 +98,7 @@ NAMES = sorted(RECORDS)
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 14
+    assert len(RECORDS) == 13
     for name, (record, *_) in RECORDS.items():
         assert type(record).__name__ == name
 
@@ -134,9 +124,6 @@ def test_fields_read_back():
     assert (lo_hi.lo, lo_hi.hi, lo_hi.width) == (1.0, 2.0, 1.0)
     assert Observation(1.5).x == 1.5
     assert AlternativeSpread(2.0).sigma == 2.0
-    report = PosteriorReport(*REPORT_VALUES)
-    assert (report.x, report.sigma, report.scheme, report.bayes_factor, report.m_value,
-            report.posterior_h0, report.alpha_b, report.rejected) == REPORT_VALUES
     regime = Regime("finite", 2.5)
     assert (regime.kind, regime.limit, regime.case_label) == ("finite", 2.5, "ii")
     assert FixedPrior(0.3).rho0_value == 0.3
@@ -250,7 +237,7 @@ def test_pickle_and_deepcopy_round_trip(name):
 
 #: The first field of each record that has one.
 FIRST_FIELD = {
-    "Bracket": "lo", "Observation": "x", "AlternativeSpread": "sigma", "PosteriorReport": "x",
+    "Bracket": "lo", "Observation": "x", "AlternativeSpread": "sigma",
     "Regime": "kind", "FixedPrior": "rho0_value", "CustomTablePrior": "points",
     "ClassifiedRegime": "regime", "CalibrationSpec": "alpha", "CalibrationResult": "sigma_star",
     "Decision": "reject", "OutputTable": "header",
