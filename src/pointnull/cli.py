@@ -17,16 +17,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, TextIO
+from typing import Callable
 
 from .calibration import (CalibrationSpec, PsiDomainError, _domain_end, positivity_bound, psi,
                           solve_sigma)
 from .model import (AlternativeSpread, Observation, bayes_factor, marginal_alt,
                     posterior_from_log_odds)
-from .numerics import Bracket, DomainError, _Record, _set
+from .numerics import Bracket, DomainError
 from .priors import SchemeParseError, classify_regime, m_of_sigma, paradox_sweep, scheme_from_string
 
-__all__ = ["OutputTable", "console_entry", "fmt_float", "main"]
+__all__ = ["console_entry", "fmt_float", "main"]
 
 
 def fmt_float(value: float) -> str:
@@ -36,29 +36,6 @@ def fmt_float(value: float) -> str:
     so every table and report can be re-read without losing a bit.
     """
     return repr(float(value))
-
-
-class OutputTable(_Record):
-    """CSV carrier: one header row, float rows, and # key=value comments."""
-
-    __slots__ = ("header", "rows", "comments", "trailing_comments")
-
-    def __init__(self, header: tuple[str, ...], rows: tuple[tuple[float, ...], ...],
-                 comments: tuple[str, ...] = (), trailing_comments: tuple[str, ...] = ()) -> None:
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"row arity {len(row)} does not match header arity {len(header)}")
-        _set(self, "header", header)
-        _set(self, "rows", rows)
-        _set(self, "comments", comments)
-        _set(self, "trailing_comments", trailing_comments)
-
-    def render(self) -> str:
-        lines = [f"# {c}" for c in self.comments]
-        lines.append(",".join(self.header))
-        lines.extend(",".join(fmt_float(v) for v in row) for row in self.rows)
-        lines.extend(f"# {c}" for c in self.trailing_comments)
-        return "\n".join(lines) + "\n"
 
 
 class ConfigError(ValueError):
@@ -98,12 +75,6 @@ def _at_least(minimum: int) -> Callable[[str], int]:
     return _typed(int, "an integer", lambda v: v >= minimum, f">= {minimum}")
 
 
-def _kind(raw: str) -> str:
-    if raw not in ("psi", "paradox"):
-        raise argparse.ArgumentTypeError(f"must be psi or paradox, got {raw!r}")
-    return raw
-
-
 _finite = _typed(float, "a number", math.isfinite, "a finite number")
 _positive = _typed(float, "a number", lambda v: 0.0 < v < math.inf, "positive")
 _probability = _typed(float, "a number", lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
@@ -112,19 +83,30 @@ _probability = _typed(float, "a number", lambda v: 0.0 < v < 1.0, "strictly betw
 _TYPES: dict[str, Callable[[str], object]] = {
     "x": _finite, "theta": _finite, "sigma": _positive, "sigma-min": _positive,
     "sigma-max": _positive, "alpha": _probability, "alpha-b": _probability,
-    "n": _at_least(1), "seed": _at_least(0), "steps": _at_least(2), "kind": _kind,
+    "n": _at_least(1), "seed": _at_least(0), "steps": _at_least(2),
+    "kind": _typed(str, "psi or paradox", ("psi", "paradox").__contains__, "psi or paradox"),
 }
 
 
-def _emit(pairs: list[tuple[str, object]], stream: TextIO) -> None:
+def _kv(pairs: list[tuple[str, object]]) -> str:
+    lines = []
     for key, value in pairs:
         if isinstance(value, bool):
-            text = "true" if value else "false"
+            value = "true" if value else "false"
         elif isinstance(value, float):
-            text = fmt_float(value)
-        else:
-            text = str(value)
-        print(f"{key} = {text}", file=stream)
+            value = fmt_float(value)
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+def _csv(header: tuple[str, ...], rows, comments: tuple[str, ...],
+         trailing: tuple[str, ...] = ()) -> str:
+    """A header row, float rows and `# key=value` comments before and after them."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join(fmt_float(v) for v in row) for row in rows)
+    lines.extend(f"# {c}" for c in trailing)
+    return "\n".join(lines) + "\n"
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
@@ -132,12 +114,12 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * step for i in range(steps - 1)] + [hi]
 
 
-def _cmd_posterior(args: argparse.Namespace) -> int:
+def _cmd_posterior(args: argparse.Namespace) -> str:
     scheme, sigma = scheme_from_string(args.scheme), args.sigma
     rho = scheme.rho0(sigma)
     obs, spread = Observation(args.x), AlternativeSpread(sigma)
     posterior = posterior_from_log_odds(obs, spread, scheme.log_prior_odds(sigma))
-    _emit(
+    return _kv(
         [
             ("x", args.x),
             ("sigma", sigma),
@@ -148,20 +130,17 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
             ("bayes_factor", bayes_factor(obs, spread)),
             ("posterior_h0", posterior),
             ("decision", "reject" if posterior < args.alpha_b else "retain"),
-        ],
-        sys.stdout,
+        ]
     )
-    return 0
 
 
-def _cmd_bf(args: argparse.Namespace) -> int:
+def _cmd_bf(args: argparse.Namespace) -> str:
     obs, spread = Observation(args.x), AlternativeSpread(args.sigma)
-    _emit([("bayes_factor", bayes_factor(obs, spread)),
-           ("marginal_alt", marginal_alt(obs, spread))], sys.stdout)
-    return 0
+    return _kv([("bayes_factor", bayes_factor(obs, spread)),
+                ("marginal_alt", marginal_alt(obs, spread))])
 
 
-def _compare_block(stream: TextIO) -> None:
+def _compare_block() -> str:
     """Published reference values next to what the formulas actually give."""
     solved = solve_sigma(CalibrationSpec(0.05, 0.05, scheme_from_string("kl")))
     bound = positivity_bound(0.05, scheme_from_string("kl"))
@@ -175,13 +154,13 @@ def _compare_block(stream: TextIO) -> None:
         "# no built-in scheme reproduces the published values from the stated formulas; "
         "shown for comparison only",
     ]
-    print("\n".join(lines), file=stream)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> str:
     scheme = scheme_from_string(args.scheme)
     result = solve_sigma(CalibrationSpec(args.alpha, args.alpha_b, scheme))
-    _emit(
+    text = _kv(
         [
             ("scheme", scheme.scheme_id),
             ("alpha", args.alpha),
@@ -193,15 +172,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             ("bracket_lo", result.bracket_used.lo),
             ("bracket_hi", result.bracket_used.hi),
             ("evaluations", result.evaluations),
-        ],
-        sys.stdout,
+        ]
     )
-    if args.compare_paper:
-        _compare_block(sys.stdout)
-    return 0
+    return text + _compare_block() if args.compare_paper else text
 
 
-def _psi_table(scheme, alpha_b: float, grid: list[float]) -> OutputTable:
+def _psi_table(scheme, alpha_b: float, grid: list[float]) -> str:
     rows: list[tuple[float, float, float]] = []
     past_end = None  # the first sigma past the usable region, once the sweep crosses its end
     for sigma in grid:
@@ -223,16 +199,15 @@ def _psi_table(scheme, alpha_b: float, grid: list[float]) -> OutputTable:
         if edge is None:  # a table, say: solve between the rows either side of the end
             edge = _domain_end(alpha_b, scheme, Bracket(rows[-1][0], past_end))
         trailing = (f"domain_end sigma={fmt_float(edge)}",)
-    return OutputTable(("sigma", "psi", "log_psi"), tuple(rows), comments, trailing)
+    return _csv(("sigma", "psi", "log_psi"), rows, comments, trailing)
 
 
-def _paradox_table(scheme, x: float, grid: list[float]) -> OutputTable:
-    rows = tuple(tuple(r) for r in paradox_sweep(scheme, x, grid))
+def _paradox_table(scheme, x: float, grid: list[float]) -> str:
     comments = ("kind=paradox", f"scheme={scheme.scheme_id}", f"x={fmt_float(x)}")
-    return OutputTable(("sigma", "rho0", "m", "posterior_h0"), rows, comments)
+    return _csv(("sigma", "rho0", "m", "posterior_h0"), paradox_sweep(scheme, x, grid), comments)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     scheme = scheme_from_string(args.scheme)
     if not args.sigma_min < args.sigma_max:
         raise argparse.ArgumentTypeError(
@@ -246,19 +221,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         table = _paradox_table(scheme, args.x, grid)
     if args.out is None:
-        sys.stdout.write(table.render())
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(table.render())
-    return 0
+        return table
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(table)
+    return ""
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     from .montecarlo import SimulationPlan, simulate_power  # loaded on use
     plan = SimulationPlan(n=args.n, seed=args.seed, theta=args.theta, sigma=args.sigma,
                           alpha_b=args.alpha_b, scheme=scheme_from_string(args.scheme))
     report = simulate_power(plan)
-    _emit(
+    return _kv(
         [
             ("n", report.n),
             ("seed", plan.seed),
@@ -273,13 +247,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ("ci95_hi", report.ci95[1]),
             ("analytic_value", report.analytic_value),
             ("within_3se", report.within_3se),
-        ],
-        sys.stdout,
+        ]
     )
-    return 0
 
 
-def _cmd_regime(args: argparse.Namespace) -> int:
+def _cmd_regime(args: argparse.Namespace) -> str:
     scheme = scheme_from_string(args.scheme)
     classified = classify_regime(scheme)
     pairs: list[tuple[str, object]] = [
@@ -294,14 +266,13 @@ def _cmd_regime(args: argparse.Namespace) -> int:
         tag = f"{probe:.0e}".replace("e+0", "e").replace("e+", "e")
         pairs.append((f"m_at_{tag}", m_val))
         pairs.append((f"log_m_at_{tag}", log_m))
-    _emit(pairs, sys.stdout)
-    return 0
+    return _kv(pairs)
 
 
 _REQUIRED = object()  # no default: a flag or the config file must supply it
 
 #: Each subcommand's handler, help line, and options in help order with their defaults.
-_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, object]]] = {
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], str], str, dict[str, object]]] = {
     "posterior": (_cmd_posterior, "posterior null probability and decision for one observation",
                   {"x": _REQUIRED, "sigma": _REQUIRED, "scheme": "fixed:0.5", "alpha-b": "0.05"}),
     "bf": (_cmd_bf, "Bayes factor and marginal density for one observation",
@@ -360,9 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, sub = _parse(argv)
         try:
-            return _COMMANDS[args.command][0](args)
+            text = _COMMANDS[args.command][0](args)
         except argparse.ArgumentTypeError as exc:  # options that do not fit together
             sub.error(str(exc))
+        sys.stdout.write(text)
+        return 0
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

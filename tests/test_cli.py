@@ -1,5 +1,6 @@
 """Command-line surface: parsing, key=value output, CSV sweeps, exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import pointnull
 from pointnull.calibration import power_analytic, type_i_error
 from pointnull.cli import fmt_float, main
 from pointnull.priors import KLSelfInformationPrior
@@ -602,6 +604,40 @@ def test_cold_start_loads_no_dataclass_machinery_and_no_monte_carlo():
     assert seen["after_dir"] == []
     assert seen["resolves"]
     assert set(seen["star"]) == STAR_NAMES
+
+
+def fresh_modules(code):
+    """The pointnull modules a new interpreter holds after running code."""
+    loaded = "sorted(m for m in sys.modules if m.startswith('pointnull'))"
+    script = f"{code}\nimport json, sys\nprint(json.dumps({loaded}))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_each_module_loads_on_first_use():
+    assert fresh_modules("import pointnull") == ["pointnull"]
+    assert fresh_modules("import pointnull.model") == [
+        "pointnull", "pointnull.model", "pointnull.numerics"]
+    # The CLI loads calibration (and with it model, numerics and priors) at start.
+    assert fresh_modules("import pointnull.cli") == [
+        "pointnull", "pointnull.calibration", "pointnull.cli", "pointnull.model",
+        "pointnull.numerics", "pointnull.priors"]
+    assert fresh_modules("import pointnull\n"
+                         "assert pointnull.psi is pointnull.calibration.psi\n"
+                         "assert 'psi' in vars(pointnull)") == [
+        "pointnull", "pointnull.calibration", "pointnull.model", "pointnull.numerics",
+        "pointnull.priors"]
+
+
+def test_the_export_map_lists_public_names_only():
+    with pytest.raises(AttributeError, match="module 'pointnull' has no attribute 'no_such_name'"):
+        pointnull.no_such_name  # noqa: B018
+    for module, names in pointnull._EXPORTS.items():
+        exported = importlib.import_module(f"pointnull.{module}").__all__
+        assert set(names) <= set(exported), module
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from pointnull import (
     RobertPrior,
     SimulationPlan,
 )
-from pointnull.cli import OutputTable
 from pointnull.priors import RegimeEvidence
 
 POINTS = ((1.0, 0.5), (2.0, 0.25))
@@ -84,21 +83,13 @@ RECORDS = {
                  Decision(reject=True, via_posterior=True, via_threshold=False),
                  "Decision(reject=True, via_posterior=True, via_threshold=False)",
                  Decision(True, True, True)),
-    "OutputTable": (
-        OutputTable(("a", "b"), ((1.0, 2.0),), ("kind=psi",), ("end",)),
-        OutputTable(header=("a", "b"), rows=((1.0, 2.0),), comments=("kind=psi",),
-                    trailing_comments=("end",)),
-        "OutputTable(header=('a', 'b'), rows=((1.0, 2.0),), comments=('kind=psi',), "
-        "trailing_comments=('end',))",
-        OutputTable(("a", "b"), ((1.0, 2.0),)),
-    ),
 }
 
 NAMES = sorted(RECORDS)
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 12
     for name, (record, *_) in RECORDS.items():
         assert type(record).__name__ == name
 
@@ -114,9 +105,6 @@ def test_defaults():
     assert Regime("vanishing").limit is None
     assert Regime("divergent") == Regime("divergent", None)
     assert CustomTablePrior(POINTS).source == "table:<inline>"
-    table = OutputTable(("a",), ((1.0,),))
-    assert table.comments == () and table.trailing_comments == ()
-    assert table == OutputTable(("a",), ((1.0,),), (), ())
 
 
 def test_fields_read_back():
@@ -138,9 +126,6 @@ def test_fields_read_back():
             result.bracket_used, result.evaluations) == RESULT_VALUES
     decision = Decision(True, False, True)
     assert (decision.reject, decision.via_posterior, decision.via_threshold) == (True, False, True)
-    out = OutputTable(("a", "b"), ((1.0, 2.0),), ("c",), ("t",))
-    assert (out.header, out.rows, out.comments, out.trailing_comments) == (
-        ("a", "b"), ((1.0, 2.0),), ("c",), ("t",))
 
 
 @pytest.mark.parametrize(
@@ -185,8 +170,6 @@ def test_fields_read_back():
          "alpha_b must lie strictly between 0 and 1, got 1.0"),
         (lambda: CalibrationSpec(2.0, 2.0, RobertPrior()), DomainError,
          "alpha must lie strictly between 0 and 1, got 2.0"),
-        (lambda: OutputTable(("a", "b"), ((1.0,),)), ValueError,
-         "row arity 1 does not match header arity 2"),
     ],
 )
 def test_validation(build, error, message):
@@ -240,7 +223,7 @@ FIRST_FIELD = {
     "Bracket": "lo", "Observation": "x", "AlternativeSpread": "sigma",
     "Regime": "kind", "FixedPrior": "rho0_value", "CustomTablePrior": "points",
     "ClassifiedRegime": "regime", "CalibrationSpec": "alpha", "CalibrationResult": "sigma_star",
-    "Decision": "reject", "OutputTable": "header",
+    "Decision": "reject",
 }
 
 
