@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "calibration": ("CalibrationResult", "CalibrationSpec", "Decision", "InfeasibleAlphaError",
                     "PsiDomainError", "classical_threshold", "decide", "positivity_bound",
-                    "power_analytic", "psi", "solve_sigma", "type_i_error"),
+                    "power_analytic", "psi", "psi_sweep", "solve_sigma", "type_i_error"),
     "model": ("AlternativeSpread", "Observation", "bayes_factor", "expected_kl",
               "kl_null_vs_alt", "marginal_alt", "posterior_from_log_odds", "posterior_h0"),
     "montecarlo": ("MonteCarloReport", "SimulationPlan", "draw_standard_normal",

@@ -8,9 +8,9 @@ for the normal point-null model, the same as rejecting when x^2 exceeds
 so the Bayesian test is a classical two-sided test in disguise and its
 Type I error is 2(1 - Phi(sqrt(psi))). That turns "choose sigma" into a
 solvable equation: pick the spread whose induced Type I error equals a
-target alpha. This module provides psi, the error curve, the sigma solver,
-the edge of psi's positivity domain, and the decision rule checked both
-ways.
+target alpha. This module provides psi and its sweep along a sigma grid,
+the error curve, the sigma solver, the edge of psi's positivity domain,
+and the decision rule checked both ways.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .priors import ConsistencyError, PriorScheme, log_m_of_sigma
+from .priors import (ConsistencyError, PriorScheme, UnsupportedSchemeError, _checked_grid,
+                     log_m_of_sigma)
 
 __all__ = [
     "CalibrationResult",
@@ -48,6 +49,7 @@ __all__ = [
     "positivity_bound",
     "power_analytic",
     "psi",
+    "psi_sweep",
     "solve_sigma",
     "type_i_error",
 ]
@@ -234,12 +236,31 @@ def positivity_bound(alpha_b: float, scheme: PriorScheme) -> float | None:
     return scheme._positivity_bound(_log_rejection_odds(alpha_b))
 
 
-def _domain_end(alpha_b: float, scheme: PriorScheme, bracket: Bracket) -> float:
-    """Where psi reaches 0 between a sigma in its domain (bracket.lo) and one past it."""
-    level = _log_rejection_odds(alpha_b)
-    return find_root_bracketed(
-        lambda sigma: log_m_of_sigma(scheme, sigma) - level, bracket, xtol=1e-15, ftol=0.0
-    )
+def psi_sweep(scheme: PriorScheme, alpha_b: float, sigma_grid: list[float] | tuple[float, ...]
+              ) -> tuple[list[tuple[float, float]], float | None]:
+    """(sigma, psi) over the grid's first run where psi is defined, and where the run ends.
+
+    The end is None when the run lasts to the grid's end, else positivity_bound or, without a
+    closed form (a table, say), the root of log m = log(1/alpha_b - 1) between the run's last
+    sigma and the next. Points before the run are skipped; grids are refused as in paradox_sweep.
+    """
+    rows, level = [], _log_rejection_odds(alpha_b)
+    for sigma in _checked_grid(sigma_grid):
+        cut = _cut(level, log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
+        if cut > 0.0:
+            rows.append((sigma, cut))
+        elif rows:
+            break
+    else:
+        return rows, None
+    try:
+        end = positivity_bound(alpha_b, scheme)
+    except UnsupportedSchemeError:
+        end = None
+    if end is None:
+        end = find_root_bracketed(lambda s: log_m_of_sigma(scheme, s) - level,
+                                  Bracket(rows[-1][0], sigma), xtol=1e-15, ftol=0.0)
+    return rows, end
 
 
 def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) -> Decision:

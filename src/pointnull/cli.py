@@ -19,11 +19,10 @@ import math
 import sys
 from typing import Callable
 
-from .calibration import (CalibrationSpec, PsiDomainError, _domain_end, positivity_bound, psi,
-                          solve_sigma)
+from .calibration import CalibrationSpec, positivity_bound, psi_sweep, solve_sigma
 from .model import (AlternativeSpread, Observation, bayes_factor, marginal_alt,
                     posterior_from_log_odds)
-from .numerics import Bracket, DomainError
+from .numerics import DomainError
 from .priors import SchemeParseError, classify_regime, m_of_sigma, paradox_sweep, scheme_from_string
 
 __all__ = ["console_entry", "fmt_float", "main"]
@@ -178,28 +177,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
 
 
 def _psi_table(scheme, alpha_b: float, grid: list[float]) -> str:
-    rows: list[tuple[float, float, float]] = []
-    past_end = None  # the first sigma past the usable region, once the sweep crosses its end
-    for sigma in grid:
-        try:
-            value = psi(sigma, alpha_b, scheme)
-        except PsiDomainError:
-            if rows:
-                past_end = sigma
-                break
-            continue  # infeasible region before the usable one: skip forward
-        rows.append((sigma, value, math.log(value)))
+    rows, end = psi_sweep(scheme, alpha_b, grid)
     comments = ("kind=psi", f"scheme={scheme.scheme_id}", f"alpha_b={fmt_float(alpha_b)}")
-    trailing: tuple[str, ...] = ()
-    if past_end is not None:
-        try:
-            edge = positivity_bound(alpha_b, scheme)
-        except DomainError:
-            edge = None
-        if edge is None:  # a table, say: solve between the rows either side of the end
-            edge = _domain_end(alpha_b, scheme, Bracket(rows[-1][0], past_end))
-        trailing = (f"domain_end sigma={fmt_float(edge)}",)
-    return _csv(("sigma", "psi", "log_psi"), rows, comments, trailing)
+    trailing = () if end is None else (f"domain_end sigma={fmt_float(end)}",)
+    table = [(sigma, value, math.log(value)) for sigma, value in rows]
+    return _csv(("sigma", "psi", "log_psi"), table, comments, trailing)
 
 
 def _paradox_table(scheme, x: float, grid: list[float]) -> str:

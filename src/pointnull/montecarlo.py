@@ -11,14 +11,13 @@ P(H0|x) < alpha_b with x = theta + quantile(u) holds exactly when u falls
 below Phi(-r - theta) or above Phi(r - theta). Rounding blurs r only between
 the radii of psi at the level -+ twice calibration._band, computed once per
 plan, and only a draw whose u lies between the cut points of those two radii
-is decided by the quantile and the posterior.
+is drawn in full and decided by calibration.decide.
 
 The comparisons run _LANES draws at a time, one splitmix64 state in each
 128-bit lane of a single Python int: whole-int operations mix every lane
 and flag it before the mix's last xorshift, against thresholds widened to
 whole 2^33 blocks; the kept flags add up in one accumulator read once per
-run, and only the lanes flagged inside a window are read out as 64-bit
-words, finish the mix and take the exact route.
+run, and only the lanes flagged inside a window are drawn again by index.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from .calibration import _band, _cut, _log_rejection_odds, power_analytic
-from .model import _posterior_from_parts, variance_ratio
+from .calibration import _band, _cut, _log_rejection_odds, decide, power_analytic
+from .model import Observation, variance_ratio
 from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, std_normal_cdf,
                        std_normal_quantile)
 from .priors import PriorScheme, log_m_of_sigma
@@ -241,11 +240,8 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
     exactly when y >= reject_lo differs from y >= reject_hi and it is not
     kept, and rejects otherwise. The kept flags are added into one
     accumulator, whose lanes' high words sum to the kept count at the end.
-    Only the window lanes are read out, as their low words y, finish the mix
-    and take the exact route: the posterior route of calibration.decide,
-    using the same precomputed pieces as model.posterior_from_log_odds, so
-    the counted event is bit-for-bit {P(H0|x) < alpha_b}. The tests in
-    tests/test_montecarlo.py check this against deciding one draw at a time.
+    Each window lane's draw i takes the exact route: decide's verdict on
+    Observation(theta + draw_standard_normal(seed, i)) is counted as it is.
     """
     theta, sigma, alpha_b = plan.theta, plan.sigma, plan.alpha_b
     base, ratio = log_m_of_sigma(plan.scheme, sigma), variance_ratio(sigma)
@@ -269,11 +265,10 @@ def _rejection_count(plan: SimulationPlan, lo: int, hi: int) -> tuple[int, int]:
         kept += kept_here
         window = (((z + c) ^ (z + d)) & flag) ^ kept_here
         if window:
-            for z_j in compress(_lane_words(z, lanes)[::2], _lane_words(window, lanes)[1::2]):
+            for index in compress(range(start, start + lanes), _lane_words(window, lanes)[1::2]):
                 exact += 1
-                z_j ^= z_j >> 31
-                x = theta + std_normal_quantile(((z_j >> 11) + 0.5) * _TWO_NEG53)
-                retained += not (_posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b)
+                x = theta + draw_standard_normal(plan.seed, index)
+                retained += not decide(Observation(x), sigma, alpha_b, plan.scheme).reject
         state = (state + step) & mask
     kept_lanes = sum(_lane_words(kept, min(_LANES, hi - lo))[1::2])
     return hi - lo - kept_lanes - retained, exact

@@ -102,10 +102,6 @@ class Bracket(_Record):
         _set(self, "lo", lo)
         _set(self, "hi", hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def std_normal_pdf(z: float) -> float:
     """Density of the standard normal at z."""

@@ -359,6 +359,16 @@ def classify_regime(scheme: PriorScheme) -> ClassifiedRegime:
     return ClassifiedRegime(regime, evidence)
 
 
+def _checked_grid(sigma_grid: list[float] | tuple[float, ...]) -> list[float]:
+    """The grid as a list, refused unless non-empty and strictly increasing."""
+    grid = list(sigma_grid)
+    if not grid:
+        raise DomainError("sigma grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("sigma grid must be strictly increasing")
+    return grid
+
+
 class ParadoxRow(NamedTuple):
     sigma: float
     rho0: float
@@ -377,11 +387,7 @@ def paradox_sweep(
     to 0 under the divergent one. Each row's log m serves both m and the
     posterior, so rows past kl's rho0 underflow still carry exact odds.
     """
-    grid = list(sigma_grid)
-    if not grid:
-        raise DomainError("sigma grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("sigma grid must be strictly increasing")
+    grid = _checked_grid(sigma_grid)
     x = Observation(x).x
     x_squared = x * x
     rows = []

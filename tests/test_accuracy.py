@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointnull.calibration import (CalibrationSpec, PsiDomainError, _band, _domain_end,
-                                   _log_rejection_odds, decide, positivity_bound, psi, solve_sigma)
+from pointnull.calibration import (CalibrationSpec, PsiDomainError, _band, _log_rejection_odds,
+                                   decide, positivity_bound, psi, psi_sweep, solve_sigma)
 from pointnull.model import Observation, _stable_inv_logistic
-from pointnull.numerics import Bracket, _u_minus_log1p, std_normal_quantile
+from pointnull.numerics import _u_minus_log1p, std_normal_quantile
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
                               log_m_of_sigma)
 
@@ -143,7 +143,7 @@ def test_table_domain_end_within_2_ulp():
         reference = mpmath.findroot(log_m, (mpmath.mpf(6.5), mpmath.mpf(8)), solver="anderson")
     assert mpmath.nstr(reference, 20) == "7.7960970855526606259"
     for lo, hi in ((6.5, 8.0), (4.0, 8.0), (7.7, 7.9)):
-        assert ulps(_domain_end(0.48, table, Bracket(lo, hi)), reference) <= 2.0, (lo, hi)
+        assert ulps(psi_sweep(table, 0.48, [lo, hi])[1], reference) <= 2.0, (lo, hi)
 
 
 def test_quantile_within_its_stated_7_ulp():

@@ -18,6 +18,7 @@ from pointnull.calibration import (
     positivity_bound,
     power_analytic,
     psi,
+    psi_sweep,
     solve_sigma,
     type_i_error,
 )
@@ -26,7 +27,7 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
 from pointnull.numerics import Bracket, DomainError, std_normal_cdf
 from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
                               KLSelfInformationPrior, PriorScheme, RobertPrior,
-                              UnsupportedSchemeError, log_m_of_sigma)
+                              UnsupportedSchemeError, log_m_of_sigma, paradox_sweep)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -240,6 +241,66 @@ def test_positivity_bound_of_a_tiny_fixed_mass_is_unbounded():
     # m is decreasing under a fixed mass, so psi stays positive at any large sigma.
     assert positivity_bound(0.05, FixedPrior(1e-9)) is None
     assert psi(1e8, 0.05, FixedPrior(1e-9)) > 0.0
+
+
+def refusal(sweep, *args):
+    """The message of the DomainError sweep raises, or None."""
+    try:
+        sweep(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("scheme, alphas", ((KL, (1e-10, 0.01, 0.05, 0.3, 0.49)),
+                                            (ROBERT, (0.29, 0.3, 0.4, 0.45, 0.49))))
+def test_psi_sweep_ends_at_the_positivity_bound(scheme, alphas):
+    for alpha_b in alphas:
+        bound = positivity_bound(alpha_b, scheme)
+        for grid in ([bound * k / 8 for k in range(1, 17)], [bound / 3, bound * 1.001],
+                     [bound * 10.0 ** (k / 4) for k in range(-12, 3)]):
+            rows, end = psi_sweep(scheme, alpha_b, grid)
+            assert end == bound, (alpha_b, grid)
+            n = len(rows)
+            assert 0 < n < len(grid)
+            assert rows == [(s, psi(s, alpha_b, scheme)) for s in grid[:n]]
+            with pytest.raises(PsiDomainError):
+                psi(grid[n], alpha_b, scheme)
+
+
+def test_psi_sweep_skips_forward_to_the_first_feasible_sigma():
+    scheme = FixedPrior(0.01)
+    grid = [1e-3 * 10.0 ** (k / 2) for k in range(13)]
+    rows, end = psi_sweep(scheme, 0.05, grid)
+    first = next(k for k, s in enumerate(grid) if refusal(psi, s, 0.05, scheme) is None)
+    assert first > 0
+    assert rows == [(s, psi(s, 0.05, scheme)) for s in grid[first:]]
+    assert end is None
+
+
+def test_psi_sweep_of_a_grid_wholly_past_the_bound_is_empty():
+    bound = positivity_bound(0.05, KL)
+    assert psi_sweep(KL, 0.05, [bound * 1.5, bound * 2.0, bound * 4.0]) == ([], None)
+
+
+def test_psi_sweep_solves_where_robert_has_no_closed_form_end():
+    # Within 2 ulps below 1/(1 + sqrt(2 pi)) positivity_bound is None, yet log m
+    # rounds onto the level between 1e7 and 1e8: the end is solved for.
+    alpha_b = 0.28517422483431865
+    assert positivity_bound(alpha_b, ROBERT) is None
+    rows, end = psi_sweep(ROBERT, alpha_b, [1e7, 1e8, 1e9, 1e10])
+    assert [s for s, _ in rows] == [1e7]
+    assert 1e7 < end < 1e8
+    level = math.log1p(-alpha_b) - math.log(alpha_b)
+    assert log_m_of_sigma(ROBERT, math.nextafter(end, 0.0)) < level
+    assert log_m_of_sigma(ROBERT, math.nextafter(end, math.inf)) >= level
+
+
+@pytest.mark.parametrize("grid", ([], [1.0, 1.0], [2.0, 1.0], (0.5, 1.0, 0.75)))
+def test_psi_sweep_refuses_the_grids_paradox_sweep_refuses(grid):
+    message = refusal(psi_sweep, KL, 0.05, grid)
+    assert message is not None
+    assert message == refusal(paradox_sweep, KL, 1.0, grid)
 
 
 # ---------------------------------------------------------------------------

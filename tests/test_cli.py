@@ -565,7 +565,7 @@ STAR_NAMES = MONTE_CARLO_NAMES | {
     "bayes_factor", "classical_threshold", "classify_regime", "decide", "expected_kl",
     "find_root_bracketed", "kl_null_vs_alt", "log_m_of_sigma", "m_of_sigma", "marginal_alt",
     "paradox_sweep", "positivity_bound", "posterior_from_log_odds", "posterior_h0",
-    "power_analytic", "psi", "scheme_from_string", "solve_sigma",
+    "power_analytic", "psi", "psi_sweep", "scheme_from_string", "solve_sigma",
     "std_normal_cdf", "std_normal_pdf", "std_normal_quantile", "type_i_error",
     "calibration", "model", "montecarlo", "numerics", "priors",
 }

@@ -15,8 +15,9 @@ from pointnull import (AlternativeSpread, CalibrationSpec, CustomTablePrior, Dec
                        DomainError, FixedPrior, KLSelfInformationPrior, Observation, RobertPrior,
                        bayes_factor, classical_threshold, decide, expected_kl, kl_null_vs_alt,
                        log_m_of_sigma, m_of_sigma, marginal_alt, paradox_sweep, positivity_bound,
-                       posterior_from_log_odds, posterior_h0, power_analytic, psi, solve_sigma,
-                       std_normal_cdf, std_normal_pdf, std_normal_quantile, type_i_error)
+                       posterior_from_log_odds, posterior_h0, power_analytic, psi, psi_sweep,
+                       solve_sigma, std_normal_cdf, std_normal_pdf, std_normal_quantile,
+                       type_i_error)
 
 MAGNITUDES = (5e-324, 1e-300, 1e-10, 0.5, 1.0, 40.0, 1e154, 1.3e154, 1e200, 1.7e308)
 XS = (0.0, *MAGNITUDES, *(-m for m in MAGNITUDES))
@@ -127,6 +128,22 @@ def test_positivity_bound():
             bound = outcome(positivity_bound, alpha_b, scheme)
             if bound not in (None, DomainError) and not (allowed(bound) and bound >= 0.0):
                 bad.append((scheme, alpha_b, bound))
+    assert bad == []
+
+
+def test_psi_sweep():
+    bad = []
+    for scheme in (*SCHEMES, TABLE):
+        for alpha_b in PROBABILITIES:
+            swept = outcome(psi_sweep, scheme, alpha_b, SIGMAS)
+            if swept is DomainError:
+                continue
+            rows, end = swept
+            # psi is +inf where sigma^2 underflows, below about sigma = 1e-162.
+            bad += [(scheme, alpha_b, sigma, value) for sigma, value in rows
+                    if not allowed(value, inf_documented=sigma <= 1e-162)]
+            if end is not None and not (allowed(end) and end >= 0.0):
+                bad.append((scheme, alpha_b, end))
     assert bad == []
 
 

@@ -11,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pointnull import montecarlo
-from pointnull.calibration import (CalibrationSpec, PsiDomainError, _cut, _log_rejection_odds,
-                                   positivity_bound, psi, solve_sigma, type_i_error)
+from pointnull.calibration import (CalibrationSpec, Decision, PsiDomainError, _cut,
+                                   _log_rejection_odds, decide, positivity_bound, psi,
+                                   solve_sigma, type_i_error)
 from pointnull.model import (
     AlternativeSpread,
     Observation,
@@ -242,6 +243,7 @@ def test_full_last_products_carry_nothing_into_the_next_lane(lanes, monkeypatch)
     half, MIX_C - 1; a carry out of it would move the next lane's word by one
     across its bound. The lanes are planted through the kernel's lane ramp,
     in a full chunk and in 3-lane tails, and counted like the exact route.
+    The exact route draws by index, so each lane's draw is planted there too.
     """
     plan = make_plan(n=lanes, seed=-GOLDEN & MASK64, theta=0.5, sigma=2.0)  # lane j mixes ramp j
     base, ratio = log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma)
@@ -263,6 +265,8 @@ def test_full_last_products_carry_nothing_into_the_next_lane(lanes, monkeypatch)
         monkeypatch.setattr(montecarlo, "_lane_constants", lambda: (ones, packed))
         words = [splitmix64((state - GOLDEN) & MASK64, 0) for state in states]
         assert words[:len(planted)] == planted
+        monkeypatch.setattr(montecarlo, "draw_standard_normal", lambda seed, i, words=words:
+                            std_normal_quantile(((words[i] >> 11) + 0.5) * 2.0**-53))
         got = _rejection_count(plan, 0, lanes)
         assert got == count_words(plan, words)
         assert got[0] == count_words(plan, words, EXACT_ONLY)[0]
@@ -279,6 +283,31 @@ def test_one_planted_window_draw_takes_the_exact_route(index):
     report = simulate_type_i(plan)
     assert report.exact_route_draws == 1
     assert (report.rejections, 1) == scalar_count(plan, 0, plan.n)
+
+
+@pytest.mark.parametrize("index", (0, _LANES + 2))
+def test_a_window_draw_is_decided_by_decide_on_the_public_draw(index, monkeypatch):
+    """The exact route counts what decide says about theta + draw_standard_normal(seed, i)."""
+    sigma, theta = SIGMA_STAR_005_KL, 0.5
+    keep_lo, _, reject_lo, _ = _cut_thresholds(
+        log_m_of_sigma(KL, sigma), variance_ratio(sigma), theta, 0.05
+    )
+    plan = make_plan(n=_LANES + 3, theta=theta,
+                     seed=planted_seed((reject_lo + keep_lo) // 2, index))
+    rejections, exact = _rejection_count(plan, 0, plan.n)
+    assert exact == 1
+    seen = []
+
+    def opposite(obs, *args):
+        seen.append((obs.x, args))
+        reject = not decide(obs, *args).reject
+        return Decision(reject, reject, reject)
+
+    monkeypatch.setattr(montecarlo, "decide", opposite)
+    flipped, _ = _rejection_count(plan, 0, plan.n)
+    x = theta + draw_standard_normal(plan.seed, index)
+    assert seen == [(x, (sigma, 0.05, KL))]
+    assert flipped - rejections == (-1 if decide(Observation(x), sigma, 0.05, KL).reject else 1)
 
 
 @pytest.mark.parametrize("theta", (0.0, 1.5))

@@ -193,7 +193,6 @@ def test_bracket_validation():
         Bracket(2.0, 1.0)
     with pytest.raises(DomainError):
         Bracket(0.0, math.inf)
-    assert Bracket(1.0, 3.0).width == 2.0
 
 
 def test_root_simple():

@@ -44,3 +44,11 @@ def test_every_private_top_level_name_has_a_caller_in_src():
             uncalled += [f"{name}: {d}" for d in _defined(node)
                          if _private(d) and d not in beside | elsewhere]
     assert uncalled == []
+
+
+def test_cli_imports_no_private_library_name():
+    """The command line is a thin layer: it reaches the library through public names only."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if _private(alias.name)]
+    assert private == []

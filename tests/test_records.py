@@ -109,7 +109,7 @@ def test_defaults():
 
 def test_fields_read_back():
     lo_hi = Bracket(1.0, 2.0)
-    assert (lo_hi.lo, lo_hi.hi, lo_hi.width) == (1.0, 2.0, 1.0)
+    assert (lo_hi.lo, lo_hi.hi) == (1.0, 2.0)
     assert Observation(1.5).x == 1.5
     assert AlternativeSpread(2.0).sigma == 2.0
     regime = Regime("finite", 2.5)
