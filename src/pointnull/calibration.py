@@ -31,6 +31,7 @@ from .numerics import (
     _check_sigma,
     _Record,
     _set,
+    _upper_tail,
     find_root_bracketed,
     std_normal_cdf,
     std_normal_quantile,
@@ -197,9 +198,7 @@ def type_i_error(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
     cut = _cut(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
     if cut < 0.0:
         return 1.0
-    if cut == math.inf:
-        return 0.0
-    return 2.0 * std_normal_cdf(-math.sqrt(cut))
+    return 2.0 * _upper_tail(math.sqrt(cut))  # 0.0 where cut is inf
 
 
 def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorScheme) -> float:

@@ -191,11 +191,11 @@ def _paradox_table(scheme, x: float, grid: list[float]) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
     scheme = scheme_from_string(args.scheme)
-    if not args.sigma_min < args.sigma_max:
-        raise argparse.ArgumentTypeError(
-            f"--sigma-min must be below --sigma-max, got {args.sigma_min} and {args.sigma_max}"
-        )
     grid = _linspace(args.sigma_min, args.sigma_max, args.steps)
+    if any(a >= b for a, b in zip(grid, grid[1:])):  # too narrow a range repeats a sigma
+        raise argparse.ArgumentTypeError(
+            f"--sigma-min must be below --sigma-max with room for --steps distinct sigmas, "
+            f"got {args.sigma_min}, {args.sigma_max} and {args.steps}")
     if args.kind == "psi":
         table = _psi_table(scheme, args.alpha_b, grid)
     elif args.x is None:

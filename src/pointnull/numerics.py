@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_INF = math.inf
 _INV_SQRT_TWO_PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -44,7 +45,7 @@ def _check_prob(name: str, value: float) -> float:
 
 
 def _check_sigma(sigma: float) -> float:
-    if not (math.isfinite(sigma) and sigma > 0.0):
+    if not 0.0 < sigma < _INF:  # nan fails it too
         raise DomainError(f"sigma must be finite and positive, got {sigma}")
     return sigma
 
@@ -115,8 +116,14 @@ def std_normal_cdf(z: float) -> float:
     Evaluated through the complementary error function so both tails keep
     full relative accuracy (absolute error well below 1e-14 everywhere).
     """
-    z = _check_finite("z", float(z))
-    return 0.5 * math.erfc(-z / _SQRT2)
+    z = float(z)
+    if not -_INF < z < _INF:  # nan fails it too
+        raise DomainError(f"z must be finite, got {z}")
+    return _upper_tail(-z)
+
+
+def _upper_tail(r: float) -> float:
+    return 0.5 * math.erfc(r / _SQRT2)  # 1 - Phi(r), unchecked for type_i_error; 0.0 at r = inf
 
 
 @functools.cache

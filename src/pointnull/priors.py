@@ -135,13 +135,18 @@ class PriorScheme:
         raise NotImplementedError
 
 
-class FixedPrior(_Record, PriorScheme):
+class _LogOdds:
+    __slots__ = ("_log_odds",)  # a cache beside the record's fields, which are its own __slots__
+
+
+class FixedPrior(_LogOdds, _Record, PriorScheme):
     """Constant null mass, the textbook choice that triggers the paradox."""
 
     __slots__ = ("rho0_value",)
 
     def __init__(self, rho0_value: float) -> None:
         _set(self, "rho0_value", _check_prob("fixed rho0", rho0_value))
+        _set(self, "_log_odds", math.log1p(-rho0_value) - math.log(rho0_value))
 
     def rho0(self, sigma: float) -> float:
         _check_sigma(sigma)
@@ -149,8 +154,7 @@ class FixedPrior(_Record, PriorScheme):
 
     def log_prior_odds(self, sigma: float) -> float:
         _check_sigma(sigma)
-        r = self.rho0_value
-        return math.log1p(-r) - math.log(r)
+        return self._log_odds
 
     def declared_regime(self) -> Regime:
         return Regime("vanishing")

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,7 @@ from pointnull.calibration import (
 )
 from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior_from_log_odds,
                              posterior_h0, variance_ratio)
-from pointnull.numerics import Bracket, DomainError, std_normal_cdf
+from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
 from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
                               KLSelfInformationPrior, PriorScheme, RobertPrior,
                               UnsupportedSchemeError, log_m_of_sigma, paradox_sweep)
@@ -96,6 +98,58 @@ def test_type_i_error_is_tail_mass_of_psi():
     for sigma in (0.5, 1.0, 2.0):
         expected = 2.0 * std_normal_cdf(-math.sqrt(psi(sigma, 0.05, KL)))
         assert type_i_error(sigma, 0.05, KL) == expected
+
+
+#: sigma ranges where the error at alpha_b = 0.05 is subnormal; below each it is 0.0.
+SUBNORMAL_BANDS = ((KL, 0.0632, 0.0648), (ROBERT, 0.0788, 0.0806), (FIXED_03, 0.0533, 0.0547))
+
+
+def test_type_i_error_is_bit_identical_to_the_checked_tail():
+    """2 Phi(-sqrt(psi)) by the checked std_normal_cdf, 0.0 at psi = inf, 1.0 past the bound."""
+    rng = random.Random(20261019)
+    sigmas = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(200)]
+    sigmas += [1e-170, 5e-324, 1e8, 1e15, 1e154]
+    sigmas += [lo + (hi - lo) * i / 40 for _, lo, hi in SUBNORMAL_BANDS for i in range(41)]
+    table = CustomTablePrior.from_csv(str(Path(__file__).parent / "golden" / "table.csv"))
+    lo, hi = table.sigma_domain()
+    cases = [(scheme, sigmas) for scheme in (KL, ROBERT, FIXED_03, FixedPrior(1e-300))]
+    cases.append((table, [lo, hi] + [rng.uniform(lo, hi) for _ in range(100)]))
+    outcomes = {"tail": 0, "subnormal": 0, "inf": 0, "past": 0}
+    for alpha_b in (0.01, 0.05, 0.3):
+        for scheme, grid in cases:
+            for sigma in grid:
+                got = type_i_error(sigma, alpha_b, scheme)
+                assert power_analytic(0.0, sigma, alpha_b, scheme) == got
+                try:
+                    cut = psi(sigma, alpha_b, scheme)
+                except PsiDomainError:
+                    assert got == 1.0
+                    outcomes["past"] += 1
+                    continue
+                if cut == math.inf:
+                    assert got == 0.0
+                    outcomes["inf"] += 1
+                    continue
+                assert got == 2.0 * std_normal_cdf(-math.sqrt(cut)), (sigma, alpha_b, scheme)
+                outcomes["tail"] += 1
+                outcomes["subnormal"] += 0.0 < got < sys.float_info.min
+    assert min(outcomes.values()) > 0, outcomes
+
+
+@pytest.mark.parametrize("scheme, lo, hi", SUBNORMAL_BANDS)
+def test_type_i_error_is_subnormal_in_a_narrow_band(scheme, lo, hi):
+    errors = [type_i_error(lo + (hi - lo) * i / 20, 0.05, scheme) for i in range(21)]
+    assert sum(0.0 < e < sys.float_info.min for e in errors) >= 15
+    assert type_i_error(0.999 * lo, 0.05, scheme) == 0.0
+    assert type_i_error(1.001 * hi, 0.05, scheme) >= sys.float_info.min
+
+
+def test_upper_tail_is_the_checked_cdf_reflected():
+    rng = random.Random(7)
+    for r in [rng.uniform(-40.0, 40.0) for _ in range(2000)] + [0.0, -0.0, 40.0, -40.0]:
+        assert _upper_tail(r) == std_normal_cdf(-r), r
+    assert _upper_tail(math.inf) == 0.0
+    assert _upper_tail(-math.inf) == 1.0
 
 
 def test_type_i_error_saturates_past_the_positivity_bound():

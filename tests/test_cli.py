@@ -251,6 +251,21 @@ def test_sweep_argument_validation(capsys):
                "--sigma-min", "1", "--sigma-max", "2")[0] == 2  # paradox needs --x
 
 
+@pytest.mark.parametrize("kind", [("--kind", "paradox", "--x", "1"), ("--kind", "psi")])
+def test_sweep_refuses_a_range_too_narrow_for_its_steps_as_a_usage_error(capsys, kind):
+    """One ulp apart, three steps would repeat a sigma: the options do not fit together."""
+    narrow = ("--sigma-min", "1", "--sigma-max", "1.0000000000000002", "--steps", "3")
+    code, out, err = run(capsys, "sweep", "--scheme", "kl", *kind, *narrow)
+    assert (code, out) == (2, "")
+    assert ("pointnull sweep: error: --sigma-min must be below --sigma-max with room for --steps "
+            "distinct sigmas, got 1.0, 1.0000000000000002 and 3") in err
+    code, out, _ = run(capsys, "sweep", "--scheme", "kl", *kind, *narrow[:3],
+                       "1.0000000000000004", "--steps", "3")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines() if line[0].isdigit()] == [
+        "1.0", "1.0000000000000002", "1.0000000000000004"]
+
+
 def test_sweep_rejects_a_malformed_option_its_kind_does_not_use(capsys):
     grid = ("--scheme", "kl", "--sigma-min", "1", "--sigma-max", "2", "--steps", "3")
     code, out, err = run(capsys, "sweep", "--kind", "psi", *grid, "--x", "abc")

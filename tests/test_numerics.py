@@ -12,6 +12,7 @@ from pointnull.numerics import (
     BracketError,
     DomainError,
     EvaluationError,
+    _check_sigma,
     find_root_bracketed,
     std_normal_cdf,
     std_normal_pdf,
@@ -49,6 +50,32 @@ def test_pdf_rejects_nonfinite():
         std_normal_pdf(math.inf)
     with pytest.raises(DomainError):
         std_normal_pdf(math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checks_refuse_nonfinite_values_with_their_messages(bad):
+    with pytest.raises(DomainError) as caught:
+        _check_sigma(bad)
+    assert str(caught.value) == f"sigma must be finite and positive, got {bad}"
+    with pytest.raises(DomainError) as caught:
+        std_normal_cdf(bad)
+    assert str(caught.value) == f"z must be finite, got {bad}"
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+def test_sigma_check_refuses_zero_and_negatives(bad):
+    with pytest.raises(DomainError) as caught:
+        _check_sigma(bad)
+    assert str(caught.value) == f"sigma must be finite and positive, got {bad}"
+
+
+def test_checks_accept_the_float_extremes_and_an_int():
+    for good in (5e-324, 1.7976931348623157e308, 3):
+        assert _check_sigma(good) is good
+    assert std_normal_cdf(5e-324) == std_normal_cdf(-5e-324) == 0.5
+    assert std_normal_cdf(1.7976931348623157e308) == 1.0
+    assert std_normal_cdf(-1.7976931348623157e308) == 0.0
+    assert std_normal_cdf(3) == std_normal_cdf(3.0) > 0.998
 
 
 def test_cdf_reference_values():

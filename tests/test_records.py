@@ -10,6 +10,7 @@ deepcopy.
 import copy
 import math
 import pickle
+import random
 
 import pytest
 
@@ -253,3 +254,35 @@ def test_assigning_a_new_name_raises_attribute_error(name):
     with pytest.raises(AttributeError):
         del record.z
     assert not hasattr(record, "z")
+
+
+def test_fixed_prior_keeps_its_log_odds_beside_its_one_field():
+    """The odds are computed once, in a slot that is not a field, so repr, equality, hashing
+    and pickling (test_repr and the rest, above) see rho0_value alone; a copy or an unpickled
+    record computes the odds again."""
+    assert FixedPrior.__slots__ == ("rho0_value",)
+    record = FixedPrior(0.3)
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert clone == record and hash(clone) == hash(record)
+        assert clone.log_prior_odds(2.0) == record.log_prior_odds(2.0)
+    for name in ("rho0_value", "_log_odds"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.5)
+    assert record.log_prior_odds(1.0) == math.log1p(-0.3) - math.log(0.3)
+
+
+def test_fixed_prior_log_odds_are_bit_for_bit_the_formula():
+    rng = random.Random(20261019)
+    masses = [rng.random() for _ in range(250)]
+    masses += [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(250)]
+    masses += [5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]
+    for r in masses:
+        expected = math.log1p(-r) - math.log(r)
+        for sigma in (5e-324, 1.0, 1.7976931348623157e308):
+            assert FixedPrior(r).log_prior_odds(sigma) == expected, r
+
+
+@pytest.mark.parametrize("sigma", [math.nan, 0.0, math.inf])
+def test_fixed_prior_log_odds_still_refuse_a_bad_sigma(sigma):
+    with pytest.raises(DomainError, match=f"sigma must be finite and positive, got {sigma}"):
+        FixedPrior(0.3).log_prior_odds(sigma)
