@@ -17,8 +17,8 @@ _EXPORTS = {
     "calibration": ("CalibrationResult", "CalibrationSpec", "Decision", "InfeasibleAlphaError",
                     "PsiDomainError", "classical_threshold", "decide", "positivity_bound",
                     "power_analytic", "psi", "psi_sweep", "solve_sigma", "type_i_error"),
-    "model": ("AlternativeSpread", "Observation", "bayes_factor", "expected_kl",
-              "kl_null_vs_alt", "marginal_alt", "posterior_from_log_odds", "posterior_h0"),
+    "model": ("AlternativeSpread", "Observation", "bayes_factor", "marginal_alt",
+              "posterior_from_log_odds", "posterior_h0"),
     "montecarlo": ("MonteCarloReport", "SimulationPlan", "draw_standard_normal",
                    "simulate_power", "simulate_type_i"),
     "numerics": ("Bracket", "BracketError", "DomainError", "EvaluationError",

@@ -128,13 +128,16 @@ def _cut(level: float, base: float, ratio: float) -> float:
     """psi from log(1/alpha_b - 1), log m and the variance ratio: 2 (level - base) / ratio.
 
     -inf where level <= base, as every x rejects; +inf where ratio underflows to 0, as none does.
+    A NaN log m, which only a custom scheme's log prior odds can give, is refused.
     """
     gap = level - base
+    if gap > 0.0:
+        if ratio == 0.0:
+            return math.inf
+        return 2.0 * gap / ratio
     if gap <= 0.0:
         return -math.inf
-    if ratio == 0.0:
-        return math.inf
-    return 2.0 * gap / ratio
+    raise DomainError("the scheme's log prior odds are NaN")
 
 
 def _band(level: float, base: float, alpha_b: float) -> float:
@@ -296,77 +299,32 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     return _DECISIONS[via_posterior, via_threshold]
 
 
-_SCAN_DECADES = range(-3, 4)
-#: Probes past the scan range, taken only when the finest pass brackets
-#: nothing: asymptotically flat schemes reach some targets only there, and
-#: their values bound the achievable range a refusal reports.
-_FAR_PROBES = (1e6, 1e12)
-
-
-@functools.lru_cache(maxsize=64)
-def _scan_points(per_decade: int, lo: float, hi: float) -> tuple[float, ...]:
-    """Log-spaced grid over 10^-3 .. 10^3, per_decade points per decade.
-
-    Only the points inside the domain (lo, hi) are kept, and its finite
-    ends close the grid. A finer grid holds every point of a coarser one bit
-    for bit, since k + j/16 == k + 4j/64 exactly. Built once per domain.
-    """
-    pts = [10.0 ** (k + j / per_decade) for k in _SCAN_DECADES[:-1] for j in range(per_decade)]
-    pts = [s for s in pts + [10.0 ** _SCAN_DECADES[-1]] if lo < s < hi]
-    return (lo,) * (lo > 0.0) + tuple(pts) + (hi,) * (hi < math.inf)
-
-
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
-    Polishes a bracket with the root finder until the achieved error is
-    within 5e-12 * alpha of alpha or the bracket narrows to 2^-52 of its lower end.
-
-    kl with alpha_b < 1/2 needs no scan. With L = log(1/alpha_b - 1), its
-    root lies in [sqrt(L / (1/2 - log alpha)), positivity_bound]: log m <=
-    sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
-    erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha,
-    while it is 1 at the bound; the lower end lies below the bound, whose
-    square exceeds 2 L. Every other scheme scans a geometric grid (decades
-    10^-3..10^3, refined 16 then 64 points per decade when the coarse pass
-    misses, the last pass extended to sigma = 1e6 and 1e12), cut to the
-    scheme's sigma domain, and polishes the first cell of adjacent points
-    whose errors enclose alpha. The root finder and each finer pass reuse
-    the errors already seen, so evaluations, the type_i_error calls, counts
-    each sigma once. When no cell encloses alpha, or the root finder meets
-    it only where the error rounds to 1 (psi <= 0), the target is
-    unachievable and the error carries the range the solve saw.
+    The scheme brackets the root (PriorScheme._calibration_bracket), and the
+    root finder polishes it until the achieved error is within 5e-12 * alpha
+    of alpha or the bracket narrows to 2^-52 of its lower end. Both read one
+    memo of errors, so evaluations, the type_i_error calls, counts each sigma
+    once. Without a bracket, or where the root finder meets alpha only where
+    the error rounds to 1 (psi <= 0), the target is unachievable and the
+    error carries the range the solve saw.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     seen: dict[float, float] = {}
 
     def error_at(sigma: float) -> float:
+        if sigma in seen:
+            return seen[sigma]
         seen[sigma] = error = type_i_error(sigma, alpha_b, scheme)
         return error
 
-    bracket = scheme._calibration_bracket(_log_rejection_odds(alpha_b), alpha)
-    lo, hi = scheme.sigma_domain()
-    for per_decade in (1, 16, 64) if bracket is None else ():
-        pts = _scan_points(per_decade, lo, hi)
-        errors = [seen[s] if s in seen else error_at(s) for s in pts]
-        if per_decade == 64 and not min(errors) <= alpha <= max(errors):
-            # Nothing on the grid meets alpha: look past its upper end.
-            far = tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
-            pts += far
-            errors += [error_at(s) for s in far]
-        if not min(errors) <= alpha <= max(errors):
-            continue  # no cell of this pass encloses alpha
-        bracket = next(Bracket(s_lo, s_hi) for s_lo, s_hi, e_lo, e_hi
-                       in zip(pts, pts[1:], errors, errors[1:])
-                       if min(e_lo, e_hi) <= alpha <= max(e_lo, e_hi))
-        break
+    bracket = scheme._calibration_bracket(_log_rejection_odds(alpha_b), alpha, error_at)
     if bracket is None:
-        raise InfeasibleAlphaError(alpha, min(errors), max(errors))
-
+        raise InfeasibleAlphaError(alpha, min(seen.values()), max(seen.values()))
     try:
         sigma_star = find_root_bracketed(
-            lambda s: (seen[s] if s in seen else error_at(s)) - alpha, bracket,
-            xtol=2.0**-52 * bracket.lo, ftol=5e-12 * alpha)
+            lambda s: error_at(s) - alpha, bracket, xtol=2.0**-52 * bracket.lo, ftol=5e-12 * alpha)
     except BracketError:  # kl within about 1e-7 of 1: above the error at the rounded bound
         raise InfeasibleAlphaError(alpha, seen[bracket.lo], seen[bracket.hi]) from None
     achieved = seen[sigma_star]

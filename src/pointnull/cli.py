@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Callable
 
-from .calibration import CalibrationSpec, positivity_bound, psi_sweep, solve_sigma
+from .calibration import CalibrationSpec, decide, positivity_bound, psi_sweep, solve_sigma
 from .model import (AlternativeSpread, Observation, bayes_factor, marginal_alt,
                     posterior_from_log_odds)
 from .numerics import DomainError
@@ -128,7 +128,7 @@ def _cmd_posterior(args: argparse.Namespace) -> str:
             ("m", m_of_sigma(scheme, sigma)),
             ("bayes_factor", bayes_factor(obs, spread)),
             ("posterior_h0", posterior),
-            ("decision", "reject" if posterior < args.alpha_b else "retain"),
+            ("decision", "reject" if decide(obs, sigma, args.alpha_b, scheme).reject else "retain"),
         ]
     )
 

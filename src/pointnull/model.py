@@ -18,8 +18,6 @@ __all__ = [
     "AlternativeSpread",
     "Observation",
     "bayes_factor",
-    "expected_kl",
-    "kl_null_vs_alt",
     "log_marginal_variance",
     "marginal_alt",
     "posterior_from_log_odds",
@@ -148,20 +146,3 @@ def posterior_h0(obs: Observation, spread: AlternativeSpread, rho0: float) -> fl
     """Posterior probability of the null given x, spread sigma, and prior mass rho0."""
     _check_prob("rho0", rho0)
     return posterior_from_log_odds(obs, spread, math.log1p(-rho0) - math.log(rho0))
-
-
-def kl_null_vs_alt(theta: float) -> float:
-    """Kullback-Leibler divergence of N(theta, 1) from N(0, 1): theta^2 / 2.
-
-    inf where theta^2 / 2 exceeds float range, for |theta| above about 1.9e154.
-    """
-    _check_finite("theta", theta)
-    return 0.5 * theta * theta
-
-
-def expected_kl(spread: AlternativeSpread) -> float:
-    """Mean KL divergence over theta ~ N(0, sigma^2): sigma^2 / 2.
-
-    inf where sigma^2 / 2 exceeds float range, for sigma above about 1.9e154.
-    """
-    return 0.5 * spread.sigma * spread.sigma

@@ -19,8 +19,9 @@ usable far past the point where m itself overflows.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .model import (Observation, _exp_or_inf, _posterior_from_parts, _stable_inv_logistic,
                     log_marginal_variance, variance_ratio)
@@ -55,6 +56,12 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 #: sigma values at which classification evidence is collected.
 _PROBE_SIGMAS = (1.0e3, 1.0e6)
+
+_SCAN_DECADES = range(-3, 4)
+#: Probes past the scan range, taken only when the finest pass brackets
+#: nothing: asymptotically flat schemes reach some targets only there, and
+#: their values bound the achievable range a refusal reports.
+_FAR_PROBES = (1e6, 1e12)
 
 
 class TableRangeError(DomainError):
@@ -95,6 +102,19 @@ class Regime(_Record):
         return {"vanishing": "i", "finite": "ii", "divergent": "iii"}[self.kind]
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_points(per_decade: int, lo: float, hi: float) -> tuple[float, ...]:
+    """Log-spaced grid over 10^-3 .. 10^3, per_decade points per decade.
+
+    Only the points inside the domain (lo, hi) are kept, and its finite
+    ends close the grid. A finer grid holds every point of a coarser one bit
+    for bit, since k + j/16 == k + 4j/64 exactly. Built once per domain.
+    """
+    pts = [10.0 ** (k + j / per_decade) for k in _SCAN_DECADES[:-1] for j in range(per_decade)]
+    pts = [s for s in pts + [10.0 ** _SCAN_DECADES[-1]] if lo < s < hi]
+    return (lo,) * (lo > 0.0) + tuple(pts) + (hi,) * (hi < math.inf)
+
+
 class PriorScheme:
     """Base class for rules assigning prior null mass as a function of sigma."""
 
@@ -126,8 +146,27 @@ class PriorScheme:
         """The sigma where log m reaches level, in closed form; see calibration.positivity_bound."""
         raise UnsupportedSchemeError(f"no closed-form positivity bound for {self.scheme_id!r}")
 
-    def _calibration_bracket(self, level: float, alpha: float) -> Bracket | None:
-        """A sigma bracket of Type I error alpha, in closed form; None: solve_sigma scans."""
+    def _calibration_bracket(self, level: float, alpha: float,
+                             error_at: Callable[[float], float]) -> Bracket | None:
+        """A sigma cell whose Type I errors enclose alpha; None: no sigma reaches alpha.
+
+        level is log(1/alpha_b - 1); error_at(sigma), memoized by solve_sigma, is the error. This
+        default returns the first such cell of a scan over decades 10^-3..10^3 of the sigma domain,
+        refined 16 then 64 points per decade when a pass misses, the last extended to 1e6 and 1e12.
+        """
+        lo, hi = self.sigma_domain()
+        for per_decade in (1, 16, 64):
+            pts = _scan_points(per_decade, lo, hi)
+            errors = [error_at(s) for s in pts]
+            if per_decade == 64 and not min(errors) <= alpha <= max(errors):
+                # Nothing on the grid meets alpha: look past its upper end.
+                far = tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
+                pts += far
+                errors += [error_at(s) for s in far]
+            if min(errors) <= alpha <= max(errors):  # some cell of this pass encloses alpha
+                return next(Bracket(s_lo, s_hi) for s_lo, s_hi, e_lo, e_hi
+                            in zip(pts, pts[1:], errors, errors[1:])
+                            if min(e_lo, e_hi) <= alpha <= max(e_lo, e_hi))
         return None
 
     @property
@@ -232,10 +271,17 @@ class KLSelfInformationPrior(_Record, PriorScheme):
             u = nxt
         return math.sqrt(u)
 
-    def _calibration_bracket(self, level: float, alpha: float) -> Bracket | None:
-        # The error is at most alpha at the lower end and 1 at the bound; see solve_sigma.
+    def _calibration_bracket(self, level: float, alpha: float,
+                             error_at: Callable[[float], float]) -> Bracket | None:
+        """[sqrt(L / (1/2 - log alpha)), the positivity bound] with L = level, if alpha_b < 1/2.
+
+        log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
+        erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha, while it is 1 at
+        the bound; the lower end lies below the bound, whose square exceeds 2 L. For alpha_b >=
+        1/2 the error is 1 everywhere, and the default scan finds that no sigma reaches alpha.
+        """
         if level <= 0.0:
-            return None  # alpha_b >= 1/2: the error is 1 everywhere, and the scan refuses
+            return super()._calibration_bracket(level, alpha, error_at)
         return Bracket(math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level))
 
     @property

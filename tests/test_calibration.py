@@ -26,6 +26,7 @@ from pointnull.calibration import (
 )
 from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior_from_log_odds,
                              posterior_h0, variance_ratio)
+from pointnull.montecarlo import SimulationPlan, simulate_power
 from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
 from pointnull.priors import (ConsistencyError, CustomTablePrior, FixedPrior,
                               KLSelfInformationPrior, PriorScheme, RobertPrior,
@@ -248,6 +249,25 @@ def test_positivity_bound_rejects_a_scheme_without_a_closed_form():
         positivity_bound(0.05, Custom())
     with pytest.raises(DomainError, match="alpha_b"):  # checked before the scheme is asked
         positivity_bound(1.5, Custom())
+
+
+def test_nan_log_prior_odds_are_refused_by_name():
+    class NanOdds(PriorScheme):
+        scheme_id = "nan"
+
+        def log_prior_odds(self, sigma):
+            return math.nan
+
+    scheme = NanOdds()
+    calls = (lambda: psi(1.0, 0.05, scheme), lambda: type_i_error(1.0, 0.05, scheme),
+             lambda: power_analytic(1.0, 1.0, 0.05, scheme),
+             lambda: decide(Observation(1.0), 1.0, 0.05, scheme),
+             lambda: psi_sweep(scheme, 0.05, [0.5, 1.0, 2.0]),
+             lambda: solve_sigma(CalibrationSpec(0.05, 0.05, scheme)),
+             lambda: simulate_power(SimulationPlan(100, 1, 1.0, 1.0, 0.05, scheme)))
+    for call in calls:
+        with pytest.raises(DomainError, match="log prior odds are NaN"):
+            call()
 
 
 def test_positivity_bound_robert_exists_only_above_its_ceiling_threshold():

@@ -577,8 +577,8 @@ STAR_NAMES = MONTE_CARLO_NAMES | {
     "ClassifiedRegime", "ConsistencyError", "CustomTablePrior", "Decision", "DomainError",
     "EvaluationError", "FixedPrior", "InfeasibleAlphaError", "KLSelfInformationPrior",
     "Observation", "PriorScheme", "PsiDomainError", "Regime", "RobertPrior",
-    "bayes_factor", "classical_threshold", "classify_regime", "decide", "expected_kl",
-    "find_root_bracketed", "kl_null_vs_alt", "log_m_of_sigma", "m_of_sigma", "marginal_alt",
+    "bayes_factor", "classical_threshold", "classify_regime", "decide", "find_root_bracketed",
+    "log_m_of_sigma", "m_of_sigma", "marginal_alt",
     "paradox_sweep", "positivity_bound", "posterior_from_log_odds", "posterior_h0",
     "power_analytic", "psi", "psi_sweep", "scheme_from_string", "solve_sigma",
     "std_normal_cdf", "std_normal_pdf", "std_normal_quantile", "type_i_error",
