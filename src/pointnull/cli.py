@@ -19,7 +19,6 @@ import math
 import sys
 from typing import Callable
 
-from .calibration import CalibrationSpec, decide, positivity_bound, psi_sweep, solve_sigma
 from .model import (AlternativeSpread, Observation, bayes_factor, marginal_alt,
                     posterior_from_log_odds)
 from .numerics import DomainError
@@ -82,7 +81,8 @@ _probability = _typed(float, "a number", lambda v: 0.0 < v < 1.0, "strictly betw
 _TYPES: dict[str, Callable[[str], object]] = {
     "x": _finite, "theta": _finite, "sigma": _positive, "sigma-min": _positive,
     "sigma-max": _positive, "alpha": _probability, "alpha-b": _probability,
-    "n": _at_least(1), "seed": _at_least(0), "steps": _at_least(2),
+    "n": _at_least(1), "steps": _at_least(2),
+    "seed": _typed(int, "an integer", lambda v: 0 <= v < 1 << 64, "a 64-bit unsigned integer"),
     "kind": _typed(str, "psi or paradox", ("psi", "paradox").__contains__, "psi or paradox"),
 }
 
@@ -114,6 +114,7 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _cmd_posterior(args: argparse.Namespace) -> str:
+    from .calibration import decide  # loaded on use, like montecarlo
     scheme, sigma = scheme_from_string(args.scheme), args.sigma
     rho = scheme.rho0(sigma)
     obs, spread = Observation(args.x), AlternativeSpread(sigma)
@@ -141,6 +142,7 @@ def _cmd_bf(args: argparse.Namespace) -> str:
 
 def _compare_block() -> str:
     """Published reference values next to what the formulas actually give."""
+    from .calibration import CalibrationSpec, positivity_bound, solve_sigma
     solved = solve_sigma(CalibrationSpec(0.05, 0.05, scheme_from_string("kl")))
     bound = positivity_bound(0.05, scheme_from_string("kl"))
     lines = [
@@ -157,6 +159,7 @@ def _compare_block() -> str:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> str:
+    from .calibration import CalibrationSpec, solve_sigma
     scheme = scheme_from_string(args.scheme)
     result = solve_sigma(CalibrationSpec(args.alpha, args.alpha_b, scheme))
     text = _kv(
@@ -177,6 +180,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
 
 
 def _psi_table(scheme, alpha_b: float, grid: list[float]) -> str:
+    from .calibration import psi_sweep
     rows, end = psi_sweep(scheme, alpha_b, grid)
     comments = ("kind=psi", f"scheme={scheme.scheme_id}", f"alpha_b={fmt_float(alpha_b)}")
     trailing = () if end is None else (f"domain_end sigma={fmt_float(end)}",)
@@ -272,7 +276,10 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], str], str, dict[str, o
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser(argv: list[str]
+                  ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """Every command's name and help line, but options only for the command argv names."""
+    invoked = next((arg for arg in argv if arg in _COMMANDS), None)  # argparse's pick
     parser = argparse.ArgumentParser(
         prog="pointnull",
         description="Point-null Bayesian testing: posteriors, calibration, simulation.",
@@ -281,6 +288,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     commands = {}
     for name, (_, help_text, options) in _COMMANDS.items():
         sub = commands[name] = subparsers.add_parser(name, help=help_text)
+        if name != invoked:  # the rest need only the name and help line that `-h` lists
+            continue
         for flag, default in options.items():
             if flag == "compare-paper":
                 sub.add_argument("--compare-paper", action="store_true")
@@ -293,7 +302,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
     """Flags over --config values over defaults, each checked by its flag's type."""
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser(argv)
     args = parser.parse_args(argv)
     sub = commands[args.command]
     options = {flag.replace("-", "_"): value for flag, value in _COMMANDS[args.command][2].items()}

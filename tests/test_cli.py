@@ -1,5 +1,6 @@
 """Command-line surface: parsing, key=value output, CSV sweeps, exit codes."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -20,6 +21,7 @@ from pointnull.priors import KLSelfInformationPrior
 SIGMA_STAR_005_KL = "2.1089733943720829818"
 BOUND_KL_05 = 2.8454877865455884127
 README = Path(__file__).resolve().parents[1] / "README.md"
+COMMANDS = ("posterior", "bf", "calibrate", "sweep", "simulate", "regime")
 
 
 def run(capsys, *args):
@@ -346,6 +348,23 @@ def test_simulate_argument_validation(capsys):
     assert run(capsys, "simulate", "--n", "10", "--scheme", "kl")[0] == 2  # sigma required
 
 
+@pytest.mark.parametrize("seed", ("-1", str(2 ** 64)))
+def test_simulate_seed_outside_64_bits_is_a_usage_error(capsys, tmp_path, seed):
+    message = f"argument --seed: must be a 64-bit unsigned integer, got {seed}\n"
+    code, out, err = run(capsys, "simulate", "--n", "1", "--sigma", "1", "--seed", seed)
+    assert (code, out) == (2, "") and err.endswith(message)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"seed = {seed}\n")
+    code, out, err = run(capsys, "simulate", "--n", "1", "--sigma", "1", "--config", str(cfg))
+    assert (code, out) == (2, "") and err.endswith(message)
+
+
+def test_simulate_takes_the_largest_64_bit_seed(capsys):
+    code, out, _ = run(capsys, "simulate", "--n", "3", "--sigma", "1", "--seed", str(2 ** 64 - 1))
+    assert code == 0
+    assert parse_kv(out)["seed"] == str(2 ** 64 - 1)
+
+
 # ---------------------------------------------------------------------------
 # regime
 
@@ -479,9 +498,7 @@ def readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = readme_commands()
-    assert {argv[0] for argv in commands} == {
-        "posterior", "bf", "calibrate", "sweep", "simulate", "regime"
-    }
+    assert {argv[0] for argv in commands} == set(COMMANDS)
     for argv in commands:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
@@ -538,6 +555,35 @@ def test_extreme_arguments_never_escape_main(capsys):
     assert not failures
 
 
+#: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
+CLI_DIGEST = "a0b73f2a24fe2e8a83db4f8bd20f01b4ad591b7a5a73e0f6d09f2806c01cde4c"
+
+
+def test_cli_text_is_pinned(capsys, monkeypatch, tmp_path):
+    """Every answer, refusal, usage line and help text, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("alpha-b = 1.5\n")
+    usage = [[], ["-h"], ["--help", "bf"], *([name, "-h"] for name in COMMANDS),
+             ["nope"], ["--", "calibrate", "--alpha", "0.1"], ["calibrate", "--alp", "0.1"],
+             ["calibrate", "--alpha", "0.1", "--bogus", "1"],
+             ["--bogus", "calibrate", "--alpha", "0.1"],
+             ["bf", "--x", "1", "--sigma", "2", "extra"], ["bf", "--x", "1"],
+             ["posterior", "--x", "0", "--sigma", "1", "--alpha-b", "1.5"],
+             ["posterior", "--x", "0", "--sigma", "1", "--config", str(bad)]]
+
+    def scrub(text):  # the digest must not depend on where the checkout lives
+        return text.replace(str(TABLE_CSV), "<table.csv>").replace(str(bad), "<bad.cfg>")
+
+    digest = hashlib.sha256()
+    for argv in [*extreme_argvs(), *usage]:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        line = json.dumps([[scrub(a) for a in argv], code, scrub(out), scrub(err)])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == CLI_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 
@@ -587,7 +633,8 @@ STAR_NAMES = MONTE_CARLO_NAMES | {
 
 COLD_START = """
 import contextlib, io, json, sys
-heavy = ("csv", "dataclasses", "inspect", "statistics", "pointnull.montecarlo")
+heavy = ("csv", "dataclasses", "inspect", "statistics", "pointnull.calibration",
+         "pointnull.montecarlo")
 seen = {}
 import pointnull.cli
 seen["after_import"] = [m for m in heavy if m in sys.modules]
@@ -636,15 +683,40 @@ def test_each_module_loads_on_first_use():
     assert fresh_modules("import pointnull") == ["pointnull"]
     assert fresh_modules("import pointnull.model") == [
         "pointnull", "pointnull.model", "pointnull.numerics"]
-    # The CLI loads calibration (and with it model, numerics and priors) at start.
-    assert fresh_modules("import pointnull.cli") == [
-        "pointnull", "pointnull.calibration", "pointnull.cli", "pointnull.model",
-        "pointnull.numerics", "pointnull.priors"]
     assert fresh_modules("import pointnull\n"
                          "assert pointnull.psi is pointnull.calibration.psi\n"
                          "assert 'psi' in vars(pointnull)") == [
         "pointnull", "pointnull.calibration", "pointnull.model", "pointnull.numerics",
         "pointnull.priors"]
+
+
+CLI_MODULES = ("pointnull", "pointnull.cli", "pointnull.model", "pointnull.numerics",
+               "pointnull.priors")
+GRID = ("--sigma-min", "0.5", "--sigma-max", "2", "--steps", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, also",
+    (
+        (None, ()),  # the import alone
+        (["bf", "--x", "1", "--sigma", "2"], ()),
+        (["regime", "--scheme", "kl"], ()),
+        (["sweep", "--kind", "paradox", "--scheme", "kl", "--x", "1", *GRID], ()),
+        (["posterior", "--x", "1", "--sigma", "2"], ("calibration",)),
+        (["calibrate", "--alpha", "0.01"], ("calibration",)),
+        (["sweep", "--kind", "psi", "--scheme", "kl", *GRID], ("calibration",)),
+        (["simulate", "--sigma", "1", "--n", "10"], ("calibration", "montecarlo")),
+    ),
+    ids=("import", "bf", "regime", "sweep-paradox", "posterior", "calibrate", "sweep-psi",
+         "simulate"),
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, also):
+    code = "import contextlib, io, pointnull.cli"
+    if argv is not None:
+        code += ("\nwith contextlib.redirect_stdout(io.StringIO()):"
+                 f"\n    assert pointnull.cli.main({argv!r}) == 0")
+    expected = sorted((*CLI_MODULES, *(f"pointnull.{name}" for name in also)))
+    assert fresh_modules(code) == expected
 
 
 def test_the_export_map_lists_public_names_only():
