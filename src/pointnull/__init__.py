@@ -23,9 +23,9 @@ _EXPORTS = {
                    "simulate_power", "simulate_type_i"),
     "numerics": ("Bracket", "BracketError", "DomainError", "EvaluationError",
                  "find_root_bracketed", "std_normal_cdf", "std_normal_pdf", "std_normal_quantile"),
-    "priors": ("ClassifiedRegime", "ConsistencyError", "CustomTablePrior", "FixedPrior",
-               "KLSelfInformationPrior", "PriorScheme", "Regime", "RobertPrior", "classify_regime",
-               "log_m_of_sigma", "m_of_sigma", "paradox_sweep", "scheme_from_string"),
+    "priors": ("ClassifiedRegime", "CustomTablePrior", "FixedPrior", "KLSelfInformationPrior",
+               "PriorScheme", "Regime", "RobertPrior", "classify_regime", "log_m_of_sigma",
+               "m_of_sigma", "paradox_sweep", "scheme_from_string"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME.keys() | _EXPORTS.keys())

@@ -10,7 +10,7 @@ Type I error is 2(1 - Phi(sqrt(psi))). That turns "choose sigma" into a
 solvable equation: pick the spread whose induced Type I error equals a
 target alpha. This module provides psi and its sweep along a sigma grid,
 the error curve, the sigma solver, the edge of psi's positivity domain,
-and the decision rule checked both ways.
+and the decision rule.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .model import Observation, _posterior_from_parts, _x2_term, variance_ratio
+from .model import Observation, _posterior_from_parts, variance_ratio
 
 # Unused here, but bench/tracing.py rebinds pointnull.calibration.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
@@ -36,8 +36,7 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .priors import (ConsistencyError, PriorScheme, UnsupportedSchemeError, _checked_grid,
-                     log_m_of_sigma)
+from .priors import PriorScheme, UnsupportedSchemeError, _checked_grid, log_m_of_sigma
 
 __all__ = [
     "CalibrationResult",
@@ -99,18 +98,17 @@ class CalibrationResult(_Record):
 
 
 class Decision(_Record):
-    """Reject/retain, recorded through both equivalent routes."""
+    """Reject/retain: reject is the posterior route's verdict, and via_posterior repeats it."""
 
-    __slots__ = ("reject", "via_posterior", "via_threshold")
+    __slots__ = ("reject", "via_posterior")
 
-    def __init__(self, reject: bool, via_posterior: bool, via_threshold: bool) -> None:
+    def __init__(self, reject: bool, via_posterior: bool) -> None:
         _set(self, "reject", reject)
         _set(self, "via_posterior", via_posterior)
-        _set(self, "via_threshold", via_threshold)
 
 
-#: decide's four possible results, keyed by (via_posterior, via_threshold).
-_DECISIONS = {(p, t): Decision(p, p, t) for p in (False, True) for t in (False, True)}
+#: decide's two possible results.
+_REJECT, _RETAIN = Decision(True, True), Decision(False, False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,10 +162,7 @@ def _band(level: float, base: float, alpha_b: float) -> float:
        L*. All of this, with s, sits inside
        tau = 16 eps (1 + |L| + |base| + 1 / (1 - alpha_b)) + 2^-1072 / (alpha_b (1 - alpha_b)).
 
-    So a real t >= L* + tau rejects and one <= L* - tau retains. decide's
-    threshold route, x^2 > _cut(L, base, ratio), weighs 0.5 x^2 ratio against
-    L - base to within 3 eps |L - base|: where the routes disagree, t lies
-    within 9 eps (|L| + |base|) + s + eps (3 |L| + 3) < tau of L.
+    So a real t >= L* + tau rejects and one <= L* - tau retains.
     """
     return (16.0 * 2.0**-53 * (1.0 + abs(level) + abs(base) + 1.0 / (1.0 - alpha_b))
             + 2.0**-1072 / (alpha_b * (1.0 - alpha_b)))
@@ -181,6 +176,12 @@ def psi(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
     the posterior rule rejects every observation and no threshold exists.
     Where sigma^2 underflows (sigma below about 1e-162) it returns +inf, the
     limit as sigma -> 0, so the Type I error and the power are 0 there.
+
+    For kl, robert and fixed, where sigma^2 is normal, the relative error is at most
+    6 eps (1 + kappa), eps = 2^-53, with log and log1p within 1 ulp. kappa = S / |L - log m|,
+    L = log(1/alpha_b - 1), and S adds the sizes of the terms of L - log m: |log alpha_b|,
+    |log1p(-alpha_b)|, log(1 + sigma^2) / 2 and the log odds' terms (kl sigma^2 / 2,
+    robert log sqrt(2 pi) + |log sigma|, fixed |log rho0| + |log1p(-rho0)|).
     """
     cut = _cut(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
     if cut < 0.0:
@@ -196,7 +197,8 @@ def type_i_error(sigma: float, alpha_b: float, scheme: PriorScheme) -> float:
 
     Defined for every sigma > 0: where psi has no positive value the test
     rejects always, so the error rate is literally 1. That choice keeps the
-    curve continuous and monotone for root-finding.
+    curve continuous and monotone for root-finding. At or above 2^-1021 its relative
+    error is at most 10 eps + 3 eps (1 + psi) (2 + kappa), as in psi, with erfc within 5 ulp.
     """
     cut = _cut(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
     if cut < 0.0:
@@ -266,37 +268,20 @@ def psi_sweep(scheme: PriorScheme, alpha_b: float, sigma_grid: list[float] | tup
 
 
 def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) -> Decision:
-    """Evaluate the rejection decision via the posterior and via x^2 > psi.
+    """Reject where P(H0 | x) < alpha_b (a tie retains): x^2 > psi(sigma) outside _band.
 
-    Both routes share one log m and variance ratio; the threshold route is
-    _cut, or where x * x overflows the x^2 term against the gap. They must
-    agree unless the posterior exponent lies within _band of the level, where
-    they legitimately round apart. The decision follows the posterior route
-    (rejection on strict inequality, ties retain the null). Equal outcomes
-    return the same shared record; records are immutable and compare by value.
+    Refuses sigma, then alpha_b, then as the scheme does, and NaN log odds as psi does.
     """
     _check_sigma(sigma)
-    level = _log_rejection_odds(alpha_b)
-    base = log_m_of_sigma(scheme, sigma)
-    ratio = variance_ratio(sigma)
+    _check_prob("alpha_b", alpha_b)
     x = obs.x
-    x_squared = x * x
-    post = _posterior_from_parts(x_squared, base, ratio, x, sigma)
-    via_posterior = post < alpha_b
-    cut = _cut(level, base, ratio)
-    if x_squared < math.inf or cut < 0.0:
-        via_threshold = x_squared > cut
-    else:
-        via_threshold = _x2_term(x_squared, ratio, x, sigma) > level - base
-    if via_posterior != via_threshold and (
-        abs(base + _x2_term(x_squared, ratio, x, sigma) - level) > _band(level, base, alpha_b)
-    ):
-        raise ConsistencyError(
-            f"decision routes disagree outside the boundary band: x={x}, "
-            f"sigma={sigma}, posterior={post!r}, alpha_b={alpha_b}, "
-            f"posterior route {via_posterior}, threshold route {via_threshold}"
-        )
-    return _DECISIONS[via_posterior, via_threshold]
+    post = _posterior_from_parts(x * x, log_m_of_sigma(scheme, sigma), variance_ratio(sigma), x,
+                                 sigma)
+    if post < alpha_b:
+        return _REJECT
+    if post >= alpha_b:
+        return _RETAIN
+    raise DomainError("the scheme's log prior odds are NaN")  # only a NaN posterior gets here
 
 
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:

@@ -31,7 +31,6 @@ from .numerics import Bracket, DomainError, _check_prob, _check_sigma, _Record, 
 
 __all__ = [
     "ClassifiedRegime",
-    "ConsistencyError",
     "CustomTablePrior",
     "FixedPrior",
     "KLSelfInformationPrior",
@@ -70,10 +69,6 @@ class TableRangeError(DomainError):
 
 class UnsupportedSchemeError(DomainError):
     """The requested operation is undefined for this scheme variant."""
-
-
-class ConsistencyError(RuntimeError):
-    """Two internally redundant computations disagreed beyond tolerance."""
 
 
 class SchemeParseError(ValueError):
@@ -301,6 +296,10 @@ class CustomTablePrior(_Record, PriorScheme):
 
     def __init__(self, points: tuple[tuple[float, float], ...],
                  source: str = "table:<inline>") -> None:
+        try:  # tuples, so that rho0's bisect and hash work on rows given as lists
+            points = tuple((sigma, rho) for sigma, rho in points)
+        except (TypeError, ValueError):
+            raise DomainError("prior table rows must be (sigma, rho0) pairs") from None
         if len(points) < 2:
             raise DomainError("a prior table needs at least two (sigma, rho0) rows")
         for sigma, rho in points:
@@ -322,26 +321,28 @@ class CustomTablePrior(_Record, PriorScheme):
         """
         import csv  # loaded on use
 
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                lines = [line for line in handle if line.strip() and line.lstrip()[0] != "#"]
+            records = list(csv.reader(lines))
+        except UnicodeDecodeError as error:
+            raise DomainError(f"prior table {path!r} is not UTF-8 text ({error.reason})") from None
+        except csv.Error as error:  # a field past csv.field_size_limit(), say
+            raise DomainError(f"prior table {path!r}: {error}") from None
+        if not records:
+            raise DomainError(f"prior table {path!r} is empty")
         rows: list[tuple[float, float]] = []
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(
-                line for line in handle if line.strip() and not line.lstrip().startswith("#")
-            )
+        for lineno, row in enumerate(records[1:], start=2):  # after the header row
+            if len(row) != 2:
+                raise DomainError(
+                    f"prior table {path!r} line {lineno}: expected 2 columns, got {len(row)}"
+                )
             try:
-                next(reader)  # header row
-            except StopIteration:
-                raise DomainError(f"prior table {path!r} is empty") from None
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise DomainError(
-                        f"prior table {path!r} line {lineno}: expected 2 columns, got {len(row)}"
-                    )
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    raise DomainError(
-                        f"prior table {path!r} line {lineno}: non-numeric entry {row!r}"
-                    ) from None
+                rows.append((float(row[0]), float(row[1])))
+            except ValueError:
+                raise DomainError(
+                    f"prior table {path!r} line {lineno}: non-numeric entry {row!r}"
+                ) from None
         return cls(points=tuple(rows), source=f"table:{path}")
 
     def sigma_domain(self) -> tuple[float, float]:

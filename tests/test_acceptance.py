@@ -33,6 +33,7 @@ from pointnull.priors import (
     m_of_sigma,
 )
 from quadrature import integrate_adaptive
+from test_calibration import agrees_with_the_threshold_route
 
 KL = KLSelfInformationPrior()
 ROBERT = RobertPrior()
@@ -113,6 +114,7 @@ def test_criterion_03_decision_routes_never_disagree():
                 sigma = 10.0 ** rng.uniform(-3.0, 3.0)
                 decision = decide(Observation(x), sigma, 0.05, scheme)
                 assert decision.reject == decision.via_posterior
+                assert agrees_with_the_threshold_route(decision, x, sigma, 0.05, scheme)
 
 
 def test_criterion_04_psi_strictly_decreasing_inside_domain():

@@ -12,9 +12,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_calibration import threshold_route
 
 from pointnull.calibration import (CalibrationSpec, PsiDomainError, _band, _log_rejection_odds,
-                                   decide, positivity_bound, psi, psi_sweep, solve_sigma)
+                                   decide, positivity_bound, psi, psi_sweep, solve_sigma,
+                                   type_i_error)
 from pointnull.model import Observation, _stable_inv_logistic
 from pointnull.numerics import _u_minus_log1p, std_normal_quantile
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
@@ -227,12 +229,78 @@ def test_decide_is_right_outside_the_band(capsys):
             t = log_odds(s) - mpmath.log1p(s * s) / 2 + x_ * x_ * s * s / (2 * (1 + s * s))
             gap = float(t - mpmath.log(1 / a - 1))
         tau = _band(_log_rejection_odds(alpha_b), log_m_of_sigma(scheme, sigma), alpha_b)
-        if decision.via_posterior != decision.via_threshold:
+        via_threshold = threshold_route(x, sigma, alpha_b, scheme)
+        if decision.via_posterior != via_threshold:
             splits[0] += 1
             worst[0] = max(worst[0], abs(gap) / tau)
         if abs(gap) > tau:
-            assert decision.via_posterior == decision.via_threshold == (gap > 0.0)
+            assert decision.via_posterior == via_threshold == (gap > 0.0)
 
     check()
     with capsys.disabled():
         print(f"\nroutes split {splits[0]} times, at most {worst[0]:.3f} tau from the cut")
+
+
+def _log_odds_size(choice, s):
+    """The sizes of the terms of a scheme's log odds, as _scheme_with_exact_odds names it."""
+    if choice == "kl":
+        return s * s / 2
+    if choice == "robert":
+        return mpmath.log(mpmath.sqrt(2 * mpmath.pi)) + abs(mpmath.log(s))
+    rho = mpmath.mpf(choice)
+    return abs(mpmath.log(rho)) + abs(mpmath.log1p(-rho))
+
+
+def test_psi_and_type_i_error_within_their_stated_bounds(capsys):
+    """psi within 6 eps (1 + kappa), the Type I error within 10 eps + 3 eps (1 + psi) (2 + kappa).
+
+    The reference takes the float sigma and alpha_b, the exact log odds and 50 digits;
+    kappa = S / |L - log m|, S the sizes of the terms of the gap L - log m. The bounds
+    add the rounding steps, each op within eps, log and log1p within 1 ulp (2 eps):
+    - L = log1p(-alpha_b) - log(alpha_b): 3 eps (|log1p(-alpha_b)| + |log alpha_b|).
+    - log(1 + sigma^2): 5 eps of it (sigma > 1: 2 log sigma + log1p(1 / sigma^2), whose
+      argument is 2 eps off; else log1p(sigma^2), 3 eps); half of it, 5 eps of that half.
+    - log odds: kl one product, eps; robert log sqrt(2 pi) (3 eps) + log sigma, 4 eps
+      of the sizes; fixed as L, 3 eps. log m = odds - half rounds once: at most
+      5 eps of the odds' sizes plus 6 eps of the half.
+    - The gap rounds once: 6 eps S + eps |gap|. The variance ratio is 4 eps off and
+      2 gap / ratio rounds once: psi within 6 eps kappa + 6 eps.
+    - z = sqrt(psi) / sqrt(2) is within 3 eps (1 + kappa) + 3 eps; erfc's condition
+      2 z e^(-z^2) / (sqrt(pi) erfc z) is below 2 z^2 + 1 = 1 + psi (Abramowitz and
+      Stegun 7.1.13), erfc itself adds its 5 ulp, and halving and doubling are
+      exact at or above 2^-1021.
+    Cases: 3165 seeded draws of kl, robert or fixed:0.3, alpha_b in {0.01, 0.05, 0.3,
+    1e-300, 0.49999} and sigma log-uniform on [0.05, 30].
+    """
+    rng = random.Random(20261019)
+    worst_psi = worst_error = 0.0
+    for _ in range(3165):
+        choice = rng.choice(("kl", "robert", 0.3))
+        alpha_b = rng.choice((0.01, 0.05, 0.3, 1e-300, 0.49999))
+        sigma = math.exp(rng.uniform(math.log(0.05), math.log(30.0)))
+        scheme, log_odds = _scheme_with_exact_odds(choice)
+        try:
+            value = psi(sigma, alpha_b, scheme)
+        except PsiDomainError:
+            continue
+        error = type_i_error(sigma, alpha_b, scheme)
+        with mpmath.workdps(50):
+            s, a = mpmath.mpf(sigma), mpmath.mpf(alpha_b)
+            level = mpmath.log1p(-a) - mpmath.log(a)
+            half = mpmath.log1p(s * s) / 2
+            gap = level - (log_odds(s) - half)
+            size = abs(mpmath.log(a)) + abs(mpmath.log1p(-a)) + half + _log_odds_size(choice, s)
+            kappa = float(size / abs(gap))
+            exact_psi = 2 * gap * (1 + s * s) / (s * s)
+            psi_relative = float(abs(value - exact_psi) / exact_psi)
+            exact_error = mpmath.erfc(mpmath.sqrt(exact_psi / 2))
+            error_relative = float(abs(error - exact_error) / exact_error)
+        psi_bound = 6.0 * EPS * (1.0 + kappa)
+        assert psi_relative <= psi_bound, (choice, alpha_b, sigma)
+        worst_psi = max(worst_psi, psi_relative / psi_bound)
+        if error >= 2.0**-1021:
+            error_bound = 10.0 * EPS + 3.0 * EPS * (1.0 + value) * (2.0 + kappa)
+            assert error_relative <= error_bound, (choice, alpha_b, sigma)
+            worst_error = max(worst_error, error_relative / error_bound)
+    with capsys.disabled():
+        print(f"\npsi used {worst_psi:.3f} of its bound at most, the Type I error {worst_error:.3f}")

@@ -1,13 +1,14 @@
 """Pinned SHA-256 digests over seeded outputs of the scalar sigma path and the sigma roots.
 
 Each call of psi, type_i_error, power_analytic, decide and paradox_sweep
-adds one line to the hash: every float as float.hex, every Decision as its
-three flags, and every refusal as its class and message. Inputs span kl,
-robert, fixed masses down to 1e-12 and a table; alpha_b from 1e-300 to
-0.999 and the invalid 0, 1, nan, inf and -0.5; sigma from 1e-200 to 1e200
-and the invalid 0, -1, nan and inf; x near sqrt(psi) to within 40 ulps,
-log-uniform up to 1e300, and x = 0. A faster path must keep the digest:
-any changed bit, refusal or message moves it.
+adds one line to the hash: every float as float.hex, every Decision as
+three flags (reject, via_posterior and test_calibration.threshold_route,
+the rule's classical form x^2 > psi), and every refusal as its class and
+message. Inputs span kl, robert, fixed masses down to 1e-12 and a table;
+alpha_b from 1e-300 to 0.999 and the invalid 0, 1, nan, inf and -0.5; sigma
+from 1e-200 to 1e200 and the invalid 0, -1, nan and inf; x near sqrt(psi)
+to within 40 ulps, log-uniform up to 1e300, and x = 0. A faster path must
+keep the digest: any changed bit, refusal or message moves it.
 
 The second digest pins the sigma roots: each call of solve_sigma,
 positivity_bound and psi_sweep adds one line, with sigma*, psi(sigma*), the
@@ -24,7 +25,7 @@ import math
 import random
 from pathlib import Path
 
-from test_calibration import scanned_requests
+from test_calibration import scanned_requests, threshold_route
 
 from pointnull.calibration import (CalibrationSpec, decide, positivity_bound, power_analytic, psi,
                                    psi_sweep, solve_sigma, type_i_error)
@@ -87,6 +88,11 @@ def _x(rng, sigma, alpha_b, scheme):
     return rng.choice((x, -x))
 
 
+def _decide(x, sigma, alpha_b, scheme):
+    decision = decide(Observation(x), sigma, alpha_b, scheme)
+    return f"{decision.reject}{decision.via_posterior}{threshold_route(x, sigma, alpha_b, scheme)}"
+
+
 def _line(call, *args):
     try:
         result = call(*args)
@@ -104,7 +110,7 @@ def _line(call, *args):
         floats = (result.sigma_star, result.psi_at_sigma, result.achieved_alpha, result.residual,
                   result.bracket_used.lo, result.bracket_used.hi)
         return ",".join(map(float.hex, floats)) + f",{result.evaluations}"
-    return f"{result.reject}{result.via_posterior}{result.via_threshold}"
+    return result  # _decide's flags
 
 
 def scalar_path_digest():
@@ -118,7 +124,7 @@ def scalar_path_digest():
         for line in (_line(psi, sigma, alpha_b, scheme),
                      _line(type_i_error, sigma, alpha_b, scheme),
                      _line(power_analytic, x, sigma, alpha_b, scheme),
-                     _line(decide, Observation(x), sigma, alpha_b, scheme)):
+                     _line(_decide, x, sigma, alpha_b, scheme)):
             h.update(line.encode() + b"\n")
     for _ in range(SWEEPS):
         scheme = _scheme(rng)

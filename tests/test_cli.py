@@ -484,6 +484,21 @@ def test_config_errors(capsys, tmp_path):
                "--x", "0")[0] == 4
 
 
+def test_files_that_are_not_utf8_are_refused_like_other_malformed_files(capsys, tmp_path):
+    """A byte that is not UTF-8 exits 3 in a table and 2 in a config file, never 1."""
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"sigma,rho0\n1.0,0.5\n2.0,\xff0.4\n")
+    code, out, err = run(capsys, "posterior", "--x", "1", "--sigma", "1.5",
+                         "--scheme", f"table:{table}")
+    assert (code, out) == (3, "")
+    assert err == f"error: prior table {str(table)!r} is not UTF-8 text (invalid start byte)\n"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"sigma = 1\n\xff\n")
+    code, out, err = run(capsys, "posterior", "--x", "1", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
+
+
 # ---------------------------------------------------------------------------
 # README
 
@@ -620,7 +635,7 @@ MONTE_CARLO_NAMES = {"MonteCarloReport", "SimulationPlan", "draw_standard_normal
 #: What `from pointnull import *` binds: the public names and the library's submodules.
 STAR_NAMES = MONTE_CARLO_NAMES | {
     "AlternativeSpread", "Bracket", "BracketError", "CalibrationResult", "CalibrationSpec",
-    "ClassifiedRegime", "ConsistencyError", "CustomTablePrior", "Decision", "DomainError",
+    "ClassifiedRegime", "CustomTablePrior", "Decision", "DomainError",
     "EvaluationError", "FixedPrior", "InfeasibleAlphaError", "KLSelfInformationPrior",
     "Observation", "PriorScheme", "PsiDomainError", "Regime", "RobertPrior",
     "bayes_factor", "classical_threshold", "classify_regime", "decide", "find_root_bracketed",

@@ -10,6 +10,7 @@ docstring names it. Any other exception escapes and fails the test.
 import math
 
 import pytest
+from test_calibration import agrees_with_the_threshold_route
 
 from pointnull import (AlternativeSpread, CalibrationSpec, CustomTablePrior, Decision,
                        DomainError, FixedPrior, KLSelfInformationPrior, Observation, RobertPrior,
@@ -77,7 +78,10 @@ def test_decide():
             for alpha_b in PROBABILITIES:
                 for scheme in (*SCHEMES, TABLE):
                     result = outcome(decide, Observation(x), sigma, alpha_b, scheme)
-                    if result is not DomainError and not isinstance(result, Decision):
+                    if result is DomainError:
+                        continue
+                    if not (isinstance(result, Decision) and agrees_with_the_threshold_route(
+                            result, x, sigma, alpha_b, scheme)):
                         bad.append((x, sigma, alpha_b, scheme, result))
     assert bad == []
 

@@ -301,7 +301,7 @@ def test_a_window_draw_is_decided_by_decide_on_the_public_draw(index, monkeypatc
     def opposite(obs, *args):
         seen.append((obs.x, args))
         reject = not decide(obs, *args).reject
-        return Decision(reject, reject, reject)
+        return Decision(reject, reject)
 
     monkeypatch.setattr(montecarlo, "decide", opposite)
     flipped, _ = _rejection_count(plan, 0, plan.n)

@@ -300,6 +300,20 @@ def test_table_validation():
         CustomTablePrior(((1.0, 0.0), (2.0, 0.3)))
     with pytest.raises(DomainError):
         CustomTablePrior(((1.0, 0.5), (2.0, 1.0)))
+    for rows in (((1.0, 0.5), (2.0,)), ((1.0, 0.5), (2.0, 0.4, 9.0)), (1.0, 2.0)):
+        with pytest.raises(DomainError, match=r"rows must be \(sigma, rho0\) pairs"):
+            CustomTablePrior(rows)
+
+
+def test_table_built_from_lists_is_the_table_built_from_tuples():
+    from_lists = CustomTablePrior([[0.5, 0.6], [1.0, 0.5], [2.0, 0.3]])
+    from_tuples = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.3)))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists.points == from_tuples.points
+    assert from_lists.rho0(1.5) == from_tuples.rho0(1.5) == 0.4
+    assert from_lists.rho0(2.0) == 0.3
+    assert repr(CustomTablePrior([[1, 0.5], [2, 0.25]])) == (
+        "CustomTablePrior(points=((1, 0.5), (2, 0.25)), source='table:<inline>')")
 
 
 def test_table_from_csv(tmp_path):
@@ -325,6 +339,15 @@ def test_table_from_csv_rejects_malformed(tmp_path):
         CustomTablePrior.from_csv(path)
     path.write_text("sigma,rho0\none,0.5\n2.0,0.4\n")
     with pytest.raises(DomainError):
+        CustomTablePrior.from_csv(path)
+    path.write_text(f'sigma,rho0\n1.0,0.5\n2.0,"{"4" * 140_000}"\n')
+    with pytest.raises(DomainError, match=r"field larger than field limit \(131072\)"):
+        CustomTablePrior.from_csv(path)
+    path.write_bytes(b"sigma,rho0\n1.0,0.5\n2.0,\xff0.4\n")
+    with pytest.raises(DomainError, match=r"is not UTF-8 text \(invalid start byte\)"):
+        CustomTablePrior.from_csv(path)
+    path.write_text("# only a comment\n\n")
+    with pytest.raises(DomainError, match="is empty"):
         CustomTablePrior.from_csv(path)
 
 

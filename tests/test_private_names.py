@@ -3,10 +3,12 @@
 Every top-level private function, class or constant (one leading underscore)
 in src/pointnull must be loaded somewhere in src/ outside its own definition:
 by a name, an attribute or an import. Every public name in the package's
-export map must be loaded so too, or be named in README.md.
+export map must be loaded so too, or be named in README.md. Every exception
+class defined there must be raised there.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -74,3 +76,35 @@ def test_cli_imports_no_private_library_name():
     private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if _private(alias.name)]
     assert private == []
+
+
+def _exception_classes(trees: list[ast.Module]) -> set[str]:
+    """Top-level classes deriving, through other classes of the trees, from a builtin exception."""
+    bases = {node.name: [getattr(base, "id", getattr(base, "attr", "")) for base in node.bases]
+             for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_exception(base) for base in bases.get(name, ()))
+
+    return {name for name in bases if is_exception(name)}
+
+
+def _raised(tree: ast.Module) -> set[str]:
+    """Names raised in the tree, as `raise Name(...)`, `raise Name` or `raise module.Name(...)`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(getattr(exc, "id", getattr(exc, "attr", "")))
+    return names
+
+
+def test_every_exception_class_is_raised_in_src():
+    """An exception class that nothing raises is dead public API."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    exceptions = _exception_classes(trees)
+    assert {"DomainError", "PsiDomainError", "ConfigError"} <= exceptions
+    assert sorted(exceptions - set().union(*map(_raised, trees))) == []

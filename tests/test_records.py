@@ -80,10 +80,10 @@ RECORDS = {
         "residual=-1e-12, bracket_used=Bracket(lo=1.0, hi=4.0), evaluations=20)",
         CalibrationResult(*RESULT_VALUES[:-1], 21),
     ),
-    "Decision": (Decision(True, True, False),
-                 Decision(reject=True, via_posterior=True, via_threshold=False),
-                 "Decision(reject=True, via_posterior=True, via_threshold=False)",
-                 Decision(True, True, True)),
+    "Decision": (Decision(True, True),
+                 Decision(reject=True, via_posterior=True),
+                 "Decision(reject=True, via_posterior=True)",
+                 Decision(False, False)),
 }
 
 NAMES = sorted(RECORDS)
@@ -125,8 +125,8 @@ def test_fields_read_back():
     result = CalibrationResult(*RESULT_VALUES)
     assert (result.sigma_star, result.psi_at_sigma, result.achieved_alpha, result.residual,
             result.bracket_used, result.evaluations) == RESULT_VALUES
-    decision = Decision(True, False, True)
-    assert (decision.reject, decision.via_posterior, decision.via_threshold) == (True, False, True)
+    decision = Decision(True, False)
+    assert (decision.reject, decision.via_posterior) == (True, False)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +194,7 @@ def test_equality_across_classes():
     assert RobertPrior() != KLSelfInformationPrior()
     assert KLSelfInformationPrior() == KLSelfInformationPrior()
     assert Observation(2.0) != AlternativeSpread(2.0)
-    assert Decision(True, True, False) != (True, True, False)
+    assert Decision(True, True) != (True, True)
 
 
 @pytest.mark.parametrize("name", NAMES)
