@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 
+from . import _EXPORTS
 from .model import Observation, _posterior_from_parts, variance_ratio
 
 # Unused here, but bench/tracing.py rebinds pointnull.calibration.posterior_h0 (INNER_CALLS).
@@ -38,21 +39,7 @@ from .numerics import (
 )
 from .priors import PriorScheme, UnsupportedSchemeError, _checked_grid, log_m_of_sigma
 
-__all__ = [
-    "CalibrationResult",
-    "CalibrationSpec",
-    "Decision",
-    "InfeasibleAlphaError",
-    "PsiDomainError",
-    "classical_threshold",
-    "decide",
-    "positivity_bound",
-    "power_analytic",
-    "psi",
-    "psi_sweep",
-    "solve_sigma",
-    "type_i_error",
-]
+__all__ = _EXPORTS["calibration"]
 
 
 class PsiDomainError(DomainError):

@@ -12,18 +12,10 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .numerics import _check_finite, _check_prob, _check_sigma, _Record, _set, std_normal_pdf
 
-__all__ = [
-    "AlternativeSpread",
-    "Observation",
-    "bayes_factor",
-    "log_marginal_variance",
-    "marginal_alt",
-    "posterior_from_log_odds",
-    "posterior_h0",
-    "variance_ratio",
-]
+__all__ = _EXPORTS["model"]
 
 
 class Observation(_Record):

@@ -29,21 +29,14 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
+from . import _EXPORTS
 from .calibration import _band, _cut, _log_rejection_odds, decide, power_analytic
 from .model import Observation, variance_ratio
 from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, std_normal_cdf,
                        std_normal_quantile)
 from .priors import PriorScheme, log_m_of_sigma
 
-__all__ = [
-    "MonteCarloReport",
-    "SimulationPlan",
-    "draw_standard_normal",
-    "simulate_power",
-    "simulate_type_i",
-    "splitmix64",
-    "uniform_unit",
-]
+__all__ = _EXPORTS["montecarlo"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

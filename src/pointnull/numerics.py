@@ -12,16 +12,9 @@ import functools
 import math
 from typing import Callable
 
-__all__ = [
-    "Bracket",
-    "BracketError",
-    "DomainError",
-    "EvaluationError",
-    "find_root_bracketed",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["numerics"]
 
 _SQRT2 = math.sqrt(2.0)
 _INF = math.inf

@@ -23,32 +23,14 @@ import functools
 import math
 from typing import Callable, NamedTuple
 
+from . import _EXPORTS
 from .model import (Observation, _exp_or_inf, _posterior_from_parts, _stable_inv_logistic,
                     log_marginal_variance, variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
 from .numerics import Bracket, DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
 
-__all__ = [
-    "ClassifiedRegime",
-    "CustomTablePrior",
-    "FixedPrior",
-    "KLSelfInformationPrior",
-    "ParadoxRow",
-    "PriorScheme",
-    "Regime",
-    "RegimeEvidence",
-    "RobertPrior",
-    "SQRT_TWO_PI",
-    "SchemeParseError",
-    "TableRangeError",
-    "UnsupportedSchemeError",
-    "classify_regime",
-    "log_m_of_sigma",
-    "m_of_sigma",
-    "paradox_sweep",
-    "scheme_from_string",
-]
+__all__ = _EXPORTS["priors"]
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -303,9 +285,12 @@ class CustomTablePrior(_Record, PriorScheme):
         if len(points) < 2:
             raise DomainError("a prior table needs at least two (sigma, rho0) rows")
         for sigma, rho in points:
-            if not (math.isfinite(sigma) and sigma > 0.0):
-                raise DomainError(f"table sigma values must be positive, got {sigma}")
-            _check_prob("table rho0 values", rho)
+            try:
+                if not (math.isfinite(sigma) and sigma > 0.0):
+                    raise DomainError(f"table sigma values must be positive, got {sigma}")
+                _check_prob("table rho0 values", rho)
+            except TypeError:  # an entry that is not a real number: a str or None, say
+                raise DomainError(f"prior table row {(sigma, rho)!r} is not two numbers") from None
         sigmas = [s for s, _ in points]
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise DomainError("table sigma values must be strictly increasing")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +304,9 @@ def test_table_validation():
     for rows in (((1.0, 0.5), (2.0,)), ((1.0, 0.5), (2.0, 0.4, 9.0)), (1.0, 2.0)):
         with pytest.raises(DomainError, match=r"rows must be \(sigma, rho0\) pairs"):
             CustomTablePrior(rows)
+    for row in (("a", 0.5), (1.0, "0.5"), (1.0, None)):  # each entry must be a number
+        with pytest.raises(DomainError, match=re.escape(f"prior table row {row!r} is not two")):
+            CustomTablePrior((row, (2.0, 0.4)))
 
 
 def test_table_built_from_lists_is_the_table_built_from_tuples():

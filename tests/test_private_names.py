@@ -108,3 +108,13 @@ def test_every_exception_class_is_raised_in_src():
     exceptions = _exception_classes(trees)
     assert {"DomainError", "PsiDomainError", "ConfigError"} <= exceptions
     assert sorted(exceptions - set().union(*map(_raised, trees))) == []
+
+
+def test_every_library_exception_class_is_exported():
+    """A caller can catch what the library raises by its top-level name; cli is not the library."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    library = {node.name for stem, tree in trees.items() if stem != "cli"
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    exceptions = _exception_classes(list(trees.values())) & library
+    assert {"DomainError", "SchemeParseError", "TableRangeError"} <= exceptions
+    assert sorted(exceptions - {name for names in _EXPORTS.values() for name in names}) == []
