@@ -15,7 +15,6 @@ and the decision rule.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import _EXPORTS
@@ -98,15 +97,25 @@ class Decision(_Record):
 _REJECT, _RETAIN = Decision(True, True), Decision(False, False)
 
 
-@functools.lru_cache(maxsize=64)
+_LEVELS: dict[float, float] = {}  # alpha_b -> its level, at most 64 of them
+
+
 def _log_rejection_odds(alpha_b: float) -> float:
     """log(1/alpha_b - 1), the log prior-odds level m must stay below.
 
-    Memoized: a sweep, a solve or a simulation fixes alpha_b. A refusal is
-    not cached, so a bad alpha_b raises on every call.
+    Memoized in _LEVELS, emptied when full: a sweep, a solve or a simulation
+    fixes alpha_b, and a hit is one dict probe, cheaper than an lru_cache hit.
+    A refusal is not stored, so a bad alpha_b raises on every call.
     """
+    try:
+        return _LEVELS[alpha_b]
+    except KeyError:  # checked outside the handler, so a refusal carries no KeyError context
+        pass
     _check_prob("alpha_b", alpha_b)
-    return math.log1p(-alpha_b) - math.log(alpha_b)
+    if len(_LEVELS) >= 64:
+        _LEVELS.clear()
+    level = _LEVELS[alpha_b] = math.log1p(-alpha_b) - math.log(alpha_b)
+    return level
 
 
 def _cut(level: float, base: float, ratio: float) -> float:

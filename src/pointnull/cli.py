@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
             lines = handle.readlines()
     except UnicodeDecodeError as error:
         raise ConfigError(f"{path}: not UTF-8 text ({error.reason})") from None

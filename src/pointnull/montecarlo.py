@@ -48,11 +48,14 @@ _U_SLACK = 1.1e-12  # the quantile's and the cdf's error in u: step 4 of _cut_th
 _RADIUS_CAP = 1.3e154  # below sqrt(max float): x * x stays finite for |x| up to this
 
 
-_LANES = 2048
-"""Draws per packed chunk, one 128-bit lane each of a single 32 KiB int.
+_LANES = 1024
+"""Draws per packed chunk, one 128-bit lane each of a single 16 KiB int.
 
 A lane keeps its 64-bit state in the low half; the high half holds the full
 product of a multiply by a 64-bit constant, so no carry reaches the next lane.
+Counts do not depend on it. 16 KiB operands keep a chunk's whole-int
+operations nearer the L1 cache: 512 and 1024 lanes ran 5-10% faster than
+2048, 256 no faster, and 3072 6-8% slower.
 """
 
 

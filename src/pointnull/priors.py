@@ -289,7 +289,8 @@ class CustomTablePrior(_Record, PriorScheme):
                 if not (math.isfinite(sigma) and sigma > 0.0):
                     raise DomainError(f"table sigma values must be positive, got {sigma}")
                 _check_prob("table rho0 values", rho)
-            except TypeError:  # an entry that is not a real number: a str or None, say
+                sigma + rho + 0.0  # rho0 mixes the entries with floats, which a Decimal refuses
+            except TypeError:  # an entry that is not a real number: a str, None or a Decimal
                 raise DomainError(f"prior table row {(sigma, rho)!r} is not two numbers") from None
         sigmas = [s for s, _ in points]
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
@@ -307,7 +308,7 @@ class CustomTablePrior(_Record, PriorScheme):
         import csv  # loaded on use
 
         try:
-            with open(path, newline="", encoding="utf-8") as handle:
+            with open(path, newline="", encoding="utf-8-sig") as handle:  # drops a byte-order mark
                 lines = [line for line in handle if line.strip() and line.lstrip()[0] != "#"]
             records = list(csv.reader(lines))
         except UnicodeDecodeError as error:

@@ -728,13 +728,19 @@ def test_decide_returns_one_shared_record_per_outcome():
 
 
 def test_cached_alpha_b_level_still_refuses_a_bad_alpha_b():
+    """Past 64 distinct alpha_b the memo is emptied: the levels stay exact, and refusals repeat."""
     type_i_error(1.0, 0.05, KL)  # puts a good level in the cache
-    for bad in (0.0, 1.0, math.nan, math.inf):
-        for _ in range(2):
-            with pytest.raises(DomainError, match="alpha_b"):
-                calibration._log_rejection_odds(bad)
-            with pytest.raises(DomainError, match="alpha_b"):
-                decide(Observation(1.0), 1.0, bad, KL)
+    goods = [0.05, *(k / 200.0 for k in range(1, 200))]
+    for _round in range(3):  # 200 levels a pass: the memo is emptied three times each
+        for good in goods:
+            assert calibration._log_rejection_odds(good) == math.log1p(-good) - math.log(good)
+        for bad in (0.0, 1.0, -0.0, -0.5, 1.5, math.nan, math.inf, -math.inf):
+            for _ in range(2):
+                with pytest.raises(DomainError, match="alpha_b"):
+                    calibration._log_rejection_odds(bad)
+                with pytest.raises(DomainError, match="alpha_b"):
+                    decide(Observation(1.0), 1.0, bad, KL)
+        assert len(calibration._LEVELS) <= 64
     assert calibration._log_rejection_odds(0.05) == math.log1p(-0.05) - math.log(0.05)
 
 

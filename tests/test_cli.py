@@ -499,6 +499,28 @@ def test_files_that_are_not_utf8_are_refused_like_other_malformed_files(capsys, 
     assert err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
 
 
+def test_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfalpha-b=0.3\n")
+    code, out, _ = run(capsys, "posterior", "--x", "1", "--sigma", "1", "--config", str(cfg))
+    assert code == 0
+    assert parse_kv(out)["alpha_b"] == "0.3"
+
+
+def test_prior_table_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    text = b"# a comment\nsigma,rho0\n1.0,0.5\n2.0,0.4\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    outputs = []
+    for table in (plain, marked):
+        code, out, err = run(capsys, "posterior", "--x", "1", "--sigma", "1.5",
+                             "--scheme", f"table:{table}")
+        assert (code, err) == (0, "")
+        outputs.append(out.replace(str(table), "TABLE"))
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # README
 

@@ -220,7 +220,22 @@ def count_words(plan, words, thresholds=None):
     return count, exact
 
 
-@pytest.mark.parametrize("lanes", (1, 3, _LANES - 1, _LANES))
+@pytest.fixture
+def chunk_width(monkeypatch):
+    """Sets montecarlo._LANES for one test; _lane_constants is rebuilt for it and after it."""
+
+    def set_width(lanes):
+        monkeypatch.setattr(montecarlo, "_LANES", lanes)
+        montecarlo._lane_constants.cache_clear()
+
+    yield set_width
+    monkeypatch.undo()
+    montecarlo._lane_constants.cache_clear()
+
+
+# Chunk sizes are written out, so each test keeps its plans at any _LANES:
+# 1024 and 2048 lanes and the sizes next to them are covered at once.
+@pytest.mark.parametrize("lanes", (1, 3, 1023, 1024, 2047, 2048))
 def test_lane_words_match_shift_and_mask(lanes):
     rng = random.Random(lanes)
     value = rng.getrandbits(128 * lanes)
@@ -235,16 +250,19 @@ def next_to_block_bounds(blocks):
     return {y ^ (y >> 31) for y in words if 0 <= y <= MASK64}
 
 
-@pytest.mark.parametrize("lanes", (_LANES, 3))
-def test_full_last_products_carry_nothing_into_the_next_lane(lanes, monkeypatch):
+@pytest.mark.parametrize("lanes", (2048, 1024, 3))
+def test_full_last_products_carry_nothing_into_the_next_lane(lanes, monkeypatch, chunk_width):
     """Lanes of the largest last product next to lanes on and next to each block bound.
 
     A word of 2^64 - 1 before the multiply by MIX_C gives the largest high
     half, MIX_C - 1; a carry out of it would move the next lane's word by one
     across its bound. The lanes are planted through the kernel's lane ramp,
-    in a full chunk and in 3-lane tails, and counted like the exact route.
-    The exact route draws by index, so each lane's draw is planted there too.
+    in a full chunk of 2048 or 1024 lanes and in 3-lane tails, and counted
+    like the exact route. The exact route draws by index, so each lane's
+    draw is planted there too.
     """
+    if lanes > 3:  # one full chunk of this width
+        chunk_width(lanes)
     plan = make_plan(n=lanes, seed=-GOLDEN & MASK64, theta=0.5, sigma=2.0)  # lane j mixes ramp j
     base, ratio = log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma)
     top = (2**53 - 1) << 11  # grid index 2^53 - 1 rounds to u = 1.0
@@ -253,7 +271,7 @@ def test_full_last_products_carry_nothing_into_the_next_lane(lanes, monkeypatch)
     assert len(bounded) == 12
     y = MASK64 * MIX_C & MASK64
     widest = y ^ (y >> 31)
-    if lanes == _LANES:  # one chunk, each bounded lane between two widest ones
+    if lanes > 3:  # one chunk, each bounded lane between two widest ones
         chunks = [[widest, *itertools.chain.from_iterable((z, widest) for z in bounded)]]
     else:  # one 3-lane tail per bounded lane
         chunks = [[widest, z, widest] for z in bounded]
@@ -272,28 +290,30 @@ def test_full_last_products_carry_nothing_into_the_next_lane(lanes, monkeypatch)
         assert got[0] == count_words(plan, words, EXACT_ONLY)[0]
 
 
-@pytest.mark.parametrize("index", (0, _LANES - 1, _LANES + 2))
+@pytest.mark.parametrize("index", (0, 1023, 1026, 2047, 2050))
 def test_one_planted_window_draw_takes_the_exact_route(index):
-    """A single draw between reject_lo and keep_lo, in a full chunk or the 3-lane tail."""
+    """A single draw between reject_lo and keep_lo, in a full chunk or the 3-lane tail.
+
+    A plan of 2051 draws is one or two full chunks and a 3-lane tail.
+    """
     sigma = SIGMA_STAR_005_KL
     keep_lo, _, reject_lo, _ = _cut_thresholds(
         log_m_of_sigma(KL, sigma), variance_ratio(sigma), 0.0, 0.05
     )
-    plan = make_plan(n=_LANES + 3, seed=planted_seed((reject_lo + keep_lo) // 2, index))
+    plan = make_plan(n=2051, seed=planted_seed((reject_lo + keep_lo) // 2, index))
     report = simulate_type_i(plan)
     assert report.exact_route_draws == 1
     assert (report.rejections, 1) == scalar_count(plan, 0, plan.n)
 
 
-@pytest.mark.parametrize("index", (0, _LANES + 2))
+@pytest.mark.parametrize("index", (0, 2050))  # the first draw and the 3-lane tail's last
 def test_a_window_draw_is_decided_by_decide_on_the_public_draw(index, monkeypatch):
     """The exact route counts what decide says about theta + draw_standard_normal(seed, i)."""
     sigma, theta = SIGMA_STAR_005_KL, 0.5
     keep_lo, _, reject_lo, _ = _cut_thresholds(
         log_m_of_sigma(KL, sigma), variance_ratio(sigma), theta, 0.05
     )
-    plan = make_plan(n=_LANES + 3, theta=theta,
-                     seed=planted_seed((reject_lo + keep_lo) // 2, index))
+    plan = make_plan(n=2051, theta=theta, seed=planted_seed((reject_lo + keep_lo) // 2, index))
     rejections, exact = _rejection_count(plan, 0, plan.n)
     assert exact == 1
     seen = []
@@ -311,7 +331,7 @@ def test_a_window_draw_is_decided_by_decide_on_the_public_draw(index, monkeypatc
 
 
 @pytest.mark.parametrize("theta", (0.0, 1.5))
-@pytest.mark.parametrize("n", (1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3))
+@pytest.mark.parametrize("n", (1, 1023, 1024, 1025, 2047, 2048, 2049, 4099))
 def test_packed_chunks_count_like_the_scalar_loop(n, theta):
     plan = make_plan(n=n, seed=n, theta=theta)
     assert _rejection_count(plan, 0, n) == scalar_count(plan, 0, n)
@@ -319,13 +339,38 @@ def test_packed_chunks_count_like_the_scalar_loop(n, theta):
 
 
 def test_partitions_off_the_chunk_boundaries_add_up():
-    plan = make_plan(n=3 * _LANES + 5, seed=9, theta=1.5)
+    plan = make_plan(n=6149, seed=9, theta=1.5)
     full = _rejection_count(plan, 0, plan.n)
     assert full == scalar_count(plan, 0, plan.n)
     for cuts in ((1, _LANES + 1), (_LANES - 1, 2 * _LANES + 7), (1000, 5000, 6000)):
         edges = (0, *cuts, plan.n)
         parts = [_rejection_count(plan, a, b) for a, b in zip(edges, edges[1:])]
         assert tuple(map(sum, zip(*parts))) == full, cuts
+
+
+def test_counts_do_not_depend_on_the_chunk_width(chunk_width):
+    """_LANES sets the speed only: chunks of 1, 3, 1024 and 2048 lanes count alike.
+
+    A plain plan, one with a draw planted in a window, and the parts of a
+    partition off the chunk boundaries are counted at each width.
+    """
+    sigma = SIGMA_STAR_005_KL
+    keep_lo, _, reject_lo, _ = _cut_thresholds(
+        log_m_of_sigma(KL, sigma), variance_ratio(sigma), 0.0, 0.05
+    )
+    plain = make_plan(n=5000, seed=9, theta=1.5)
+    planted = make_plan(n=5000, seed=planted_seed((reject_lo + keep_lo) // 2, 3001))
+    edges = (0, 1, 1025, 2047, 4099, 5000)
+    spans = [(plain, 0, 5000), (planted, 0, 5000),
+             *((plain, a, b) for a, b in zip(edges, edges[1:]))]
+    counts = {}
+    for lanes in (1, 3, 1024, 2048):
+        chunk_width(lanes)
+        counts[lanes] = [_rejection_count(plan, lo, hi) for plan, lo, hi in spans]
+    expected = [scalar_count(plan, lo, hi) for plan, lo, hi in spans]
+    assert expected[1][1] == 1  # the planted draw takes the exact route
+    assert tuple(map(sum, zip(*expected[2:]))) == expected[0]
+    assert counts == dict.fromkeys(counts, expected)
 
 
 @pytest.mark.parametrize(
@@ -759,8 +804,10 @@ DIGEST_SCHEMES = (
 )
 DIGEST_ALPHA_BS = (1e-100, 1e-20, 1e-6, 0.01, 0.05, 0.3, 0.5)
 DIGEST_THETAS = (0.0, 0.5, -0.5, 1.5, 3.0, 40.0, -40.0)
-DIGEST_SIZES = (1, _LANES - 1, _LANES + 1, 3 * _LANES + 5)
-DIGEST_CUTS = (0, 1, _LANES + 1, 2 * _LANES - 1, 3 * _LANES + 5)
+# Plan sizes and partition cuts: 1, 2048 +- 1 and 3 * 2048 + 5 draws. They are
+# data, not derived from _LANES, so the digests pin the same plans at any chunk width.
+DIGEST_SIZES = (1, 2047, 2049, 6149)
+DIGEST_CUTS = (0, 1, 2049, 4095, 6149)
 
 
 # Where the digest plants its draws: for each scheme and alpha_b in 0.01,
@@ -856,9 +903,9 @@ def test_monte_carlo_outputs_are_bit_identical():
     """Rejections, exact-route draws and the analytic value of seeded plans, pinned.
 
     The plans cover the kl, robert, fixed and table schemes, alpha_b from
-    1e-100 to 0.5, theta out to +-40, plans of 1, _LANES +- 1 and
-    3 _LANES + 5 draws with partitions off the chunk boundaries, plans on
-    and past the positivity bound, and draws planted on and next to each of
+    1e-100 to 0.5, theta out to +-40, plans of 1, 2047, 2049 and 6149
+    draws with partitions off the chunk boundaries, plans on and past the
+    positivity bound, and draws planted on and next to each of
     DIGEST_PLANTED_THRESHOLDS. A faster kernel must keep the digest.
     """
     assert monte_carlo_digests()[0] == MONTE_CARLO_DIGEST

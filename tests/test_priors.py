@@ -3,6 +3,8 @@
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -304,9 +306,12 @@ def test_table_validation():
     for rows in (((1.0, 0.5), (2.0,)), ((1.0, 0.5), (2.0, 0.4, 9.0)), (1.0, 2.0)):
         with pytest.raises(DomainError, match=r"rows must be \(sigma, rho0\) pairs"):
             CustomTablePrior(rows)
-    for row in (("a", 0.5), (1.0, "0.5"), (1.0, None)):  # each entry must be a number
+    for row in (("a", 0.5), (1.0, "0.5"), (1.0, None), (Decimal(1), 0.5), (1.0, Decimal("0.5"))):
         with pytest.raises(DomainError, match=re.escape(f"prior table row {row!r} is not two")):
             CustomTablePrior((row, (2.0, 0.4)))
+    # A Fraction or a bool mixes with floats, so such a row builds and answers.
+    mixed = CustomTablePrior(((True, Fraction(1, 2)), (2.0, 0.4)))
+    assert mixed.rho0(1.5) == 0.5 + 0.5 * (0.4 - 0.5)
 
 
 def test_table_built_from_lists_is_the_table_built_from_tuples():
