@@ -24,7 +24,6 @@ from .model import Observation, _posterior_from_parts, variance_ratio
 from .model import posterior_h0  # noqa: F401
 from .numerics import (
     Bracket,
-    BracketError,
     DomainError,
     _check_finite,
     _check_prob,
@@ -36,26 +35,14 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .priors import PriorScheme, UnsupportedSchemeError, _checked_grid, log_m_of_sigma
+from .priors import (InfeasibleAlphaError, PriorScheme, UnsupportedSchemeError, _checked_grid,
+                     log_m_of_sigma)
 
 __all__ = _EXPORTS["calibration"]
 
 
 class PsiDomainError(DomainError):
     """Raised where log m(sigma) >= log(1/alpha_b - 1), i.e. psi <= 0."""
-
-
-class InfeasibleAlphaError(DomainError):
-    """No sigma achieves the requested Type I error under this scheme."""
-
-    def __init__(self, requested: float, achievable_lo: float, achievable_hi: float):
-        self.requested = requested
-        self.achievable_lo = achievable_lo
-        self.achievable_hi = achievable_hi
-        super().__init__(
-            f"no sigma achieves Type I error {requested}; achievable range is "
-            f"approximately ({achievable_lo!r}, {achievable_hi!r})"
-        )
 
 
 class CalibrationSpec(_Record):
@@ -122,16 +109,14 @@ def _cut(level: float, base: float, ratio: float) -> float:
     """psi from log(1/alpha_b - 1), log m and the variance ratio: 2 (level - base) / ratio.
 
     -inf where level <= base, as every x rejects; +inf where ratio underflows to 0, as none does.
-    A NaN log m, which only a custom scheme's log prior odds can give, is refused.
+    base is never NaN: log_m_of_sigma refuses a NaN log m.
     """
     gap = level - base
     if gap > 0.0:
         if ratio == 0.0:
             return math.inf
         return 2.0 * gap / ratio
-    if gap <= 0.0:
-        return -math.inf
-    raise DomainError("the scheme's log prior odds are NaN")
+    return -math.inf
 
 
 def _band(level: float, base: float, alpha_b: float) -> float:
@@ -266,30 +251,26 @@ def psi_sweep(scheme: PriorScheme, alpha_b: float, sigma_grid: list[float] | tup
 def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) -> Decision:
     """Reject where P(H0 | x) < alpha_b (a tie retains): x^2 > psi(sigma) outside _band.
 
-    Refuses sigma, then alpha_b, then as the scheme does, and NaN log odds as psi does.
+    Refuses sigma, then alpha_b, then as log_m_of_sigma does, which leaves no NaN posterior.
     """
     _check_sigma(sigma)
     _check_prob("alpha_b", alpha_b)
     x = obs.x
     post = _posterior_from_parts(x * x, log_m_of_sigma(scheme, sigma), variance_ratio(sigma), x,
                                  sigma)
-    if post < alpha_b:
-        return _REJECT
-    if post >= alpha_b:
-        return _RETAIN
-    raise DomainError("the scheme's log prior odds are NaN")  # only a NaN posterior gets here
+    return _REJECT if post < alpha_b else _RETAIN
 
 
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
-    The scheme brackets the root (PriorScheme._calibration_bracket), and the
-    root finder polishes it until the achieved error is within 5e-12 * alpha
-    of alpha or the bracket narrows to 2^-52 of its lower end. Both read one
-    memo of errors, so evaluations, the type_i_error calls, counts each sigma
-    once. Without a bracket, or where the root finder meets alpha only where
-    the error rounds to 1 (psi <= 0), the target is unachievable and the
-    error carries the range the solve saw.
+    The scheme brackets the root or refuses the target with InfeasibleAlphaError
+    (PriorScheme._calibration_bracket), and the root finder polishes the bracket
+    until the achieved error is within 5e-12 * alpha of alpha or the bracket
+    narrows to 2^-52 of its lower end. Both read one memo of errors, so
+    evaluations, the type_i_error calls, counts each sigma once. A target met
+    only where the error rounds to 1 (psi <= 0) is refused here, with the
+    range below 1 that the solve saw.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     seen: dict[float, float] = {}
@@ -301,13 +282,8 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
         return error
 
     bracket = scheme._calibration_bracket(_log_rejection_odds(alpha_b), alpha, error_at)
-    if bracket is None:
-        raise InfeasibleAlphaError(alpha, min(seen.values()), max(seen.values()))
-    try:
-        sigma_star = find_root_bracketed(
-            lambda s: error_at(s) - alpha, bracket, xtol=2.0**-52 * bracket.lo, ftol=5e-12 * alpha)
-    except BracketError:  # kl within about 1e-7 of 1: above the error at the rounded bound
-        raise InfeasibleAlphaError(alpha, seen[bracket.lo], seen[bracket.hi]) from None
+    sigma_star = find_root_bracketed(
+        lambda s: error_at(s) - alpha, bracket, xtol=2.0**-52 * bracket.lo, ftol=5e-12 * alpha)
     achieved = seen[sigma_star]
     if achieved == 1.0:  # kl within about 1e-8 of 1: met only where psi <= 0
         raise InfeasibleAlphaError(alpha, seen[bracket.lo], max(e for e in seen.values() if e < 1))

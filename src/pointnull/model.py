@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .numerics import _check_finite, _check_prob, _check_sigma, _Record, _set, std_normal_pdf
+from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, _Record, _set,
+                       std_normal_pdf)
 
 __all__ = _EXPORTS["model"]
+
+_NO_ODDS = -math.inf  # the log prior odds of rho0 = 1
 
 
 class Observation(_Record):
@@ -127,8 +130,12 @@ def posterior_from_log_odds(obs: Observation, spread: AlternativeSpread, log_odd
     log_odds is log((1 - rho0) / rho0). With m = exp(log_odds) / sqrt(1+sigma^2),
     the posterior is 1 / (1 + m * exp(x^2 sigma^2 / (2(1+sigma^2)))), computed
     as a stable logistic so extreme x, sigma or odds saturate to 0 or 1
-    instead of producing NaN.
+    instead of producing NaN. NaN odds are refused; -inf and inf give 1 and 0.
     """
+    if not log_odds > _NO_ODDS:  # NaN, or -inf: rho0 = 1, so the null is certain whatever x
+        if log_odds != log_odds:
+            raise DomainError("the log prior odds are NaN")
+        return 1.0
     sigma = spread.sigma
     base = log_odds - 0.5 * log_marginal_variance(sigma)
     return _posterior_from_parts(obs.x * obs.x, base, variance_ratio(sigma), obs.x, sigma)

@@ -7,10 +7,11 @@ on the point null. The composite quantity
 
 controls what happens as sigma grows: m -> 0 forces the posterior null
 probability to 1 whatever the data (the classic large-spread paradox),
-m -> c pins it at a data-independent constant, and m -> infinity sends it
-to 0. Schemes declare which of those regimes they belong to analytically;
-``classify_regime`` reports that declaration with m and log m at two large
-sigma values as evidence.
+m -> c sends it to 1 / (1 + c e^(x^2/2)), which depends on x while the
+threshold psi stays fixed, and m -> infinity sends it to 0. Schemes declare
+which of those regimes they belong to analytically; ``classify_regime``
+reports that declaration with m and log m at two large sigma values as
+evidence.
 
 All log-odds work happens in log-domain so the divergent scheme remains
 usable far past the point where m itself overflows.
@@ -24,8 +25,8 @@ import math
 from typing import Callable, NamedTuple
 
 from . import _EXPORTS
-from .model import (Observation, _exp_or_inf, _posterior_from_parts, _stable_inv_logistic,
-                    log_marginal_variance, variance_ratio)
+from .model import (_NO_ODDS, Observation, _exp_or_inf, _posterior_from_parts,
+                    _stable_inv_logistic, log_marginal_variance, variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
 from .numerics import Bracket, DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
@@ -55,6 +56,17 @@ class UnsupportedSchemeError(DomainError):
 
 class SchemeParseError(ValueError):
     """A scheme string did not match fixed:<rho0> | robert | kl | table:<path>."""
+
+
+class InfeasibleAlphaError(DomainError):
+    """No sigma achieves the requested Type I error under this scheme."""
+
+    def __init__(self, requested: float, achievable_lo: float, achievable_hi: float):
+        self.requested = requested
+        self.achievable_lo = achievable_lo
+        self.achievable_hi = achievable_hi
+        super().__init__(f"no sigma achieves Type I error {requested}; achievable range is "
+                         f"approximately ({achievable_lo!r}, {achievable_hi!r})")
 
 
 class Regime(_Record):
@@ -124,12 +136,13 @@ class PriorScheme:
         raise UnsupportedSchemeError(f"no closed-form positivity bound for {self.scheme_id!r}")
 
     def _calibration_bracket(self, level: float, alpha: float,
-                             error_at: Callable[[float], float]) -> Bracket | None:
-        """A sigma cell whose Type I errors enclose alpha; None: no sigma reaches alpha.
+                             error_at: Callable[[float], float]) -> Bracket:
+        """A sigma cell whose Type I errors enclose alpha, else InfeasibleAlphaError.
 
         level is log(1/alpha_b - 1); error_at(sigma), memoized by solve_sigma, is the error. This
         default returns the first such cell of a scan over decades 10^-3..10^3 of the sigma domain,
         refined 16 then 64 points per decade when a pass misses, the last extended to 1e6 and 1e12.
+        A refusal's range is the least and greatest error of the last pass, which holds every point.
         """
         lo, hi = self.sigma_domain()
         for per_decade in (1, 16, 64):
@@ -144,7 +157,7 @@ class PriorScheme:
                 return next(Bracket(s_lo, s_hi) for s_lo, s_hi, e_lo, e_hi
                             in zip(pts, pts[1:], errors, errors[1:])
                             if min(e_lo, e_hi) <= alpha <= max(e_lo, e_hi))
-        return None
+        raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
     @property
     def scheme_id(self) -> str:
@@ -187,8 +200,8 @@ class RobertPrior(_Record, PriorScheme):
     """rho0 = 1 / (1 + sqrt(2 pi) sigma): prior odds grow linearly with sigma.
 
     Chosen so that m(sigma) tends to the finite constant sqrt(2 pi); the
-    posterior null probability then converges to a data-independent value,
-    which is the canonical illustration of the finite regime's incoherence.
+    posterior null probability then tends to 1 / (1 + sqrt(2 pi) e^(x^2/2)), which
+    depends on x, while psi tends to a constant: the test becomes a fixed-level z-test.
     """
 
     __slots__ = ()
@@ -249,17 +262,22 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         return math.sqrt(u)
 
     def _calibration_bracket(self, level: float, alpha: float,
-                             error_at: Callable[[float], float]) -> Bracket | None:
+                             error_at: Callable[[float], float]) -> Bracket:
         """[sqrt(L / (1/2 - log alpha)), the positivity bound] with L = level, if alpha_b < 1/2.
 
         log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
         erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha, while it is 1 at
-        the bound; the lower end lies below the bound, whose square exceeds 2 L. For alpha_b >=
-        1/2 the error is 1 everywhere, and the default scan finds that no sigma reaches alpha.
+        the bound; the lower end lies below the bound, whose square exceeds 2 L. An alpha above
+        the error at the rounded bound (about 1 - 3.6e-8 at alpha_b = 0.05) is refused with the
+        ends' errors. For alpha_b >= 1/2 the error is 1 everywhere: the range is (1.0, 1.0).
         """
         if level <= 0.0:
-            return super()._calibration_bracket(level, alpha, error_at)
-        return Bracket(math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level))
+            raise InfeasibleAlphaError(alpha, 1.0, 1.0)
+        bracket = Bracket(math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level))
+        e_lo, e_hi = error_at(bracket.lo), error_at(bracket.hi)
+        if alpha > e_hi:
+            raise InfeasibleAlphaError(alpha, e_lo, e_hi)
+        return bracket
 
     @property
     def scheme_id(self) -> str:
@@ -309,8 +327,9 @@ class CustomTablePrior(_Record, PriorScheme):
 
         try:
             with open(path, newline="", encoding="utf-8-sig") as handle:  # drops a byte-order mark
-                lines = [line for line in handle if line.strip() and line.lstrip()[0] != "#"]
-            records = list(csv.reader(lines))
+                records = [(lineno, row) for lineno, line in enumerate(handle, start=1)
+                           if line.strip() and line.lstrip()[0] != "#"
+                           for row in csv.reader([line])]  # numbered as lines of the file
         except UnicodeDecodeError as error:
             raise DomainError(f"prior table {path!r} is not UTF-8 text ({error.reason})") from None
         except csv.Error as error:  # a field past csv.field_size_limit(), say
@@ -318,7 +337,7 @@ class CustomTablePrior(_Record, PriorScheme):
         if not records:
             raise DomainError(f"prior table {path!r} is empty")
         rows: list[tuple[float, float]] = []
-        for lineno, row in enumerate(records[1:], start=2):  # after the header row
+        for lineno, row in records[1:]:  # after the header row
             if len(row) != 2:
                 raise DomainError(
                     f"prior table {path!r} line {lineno}: expected 2 columns, got {len(row)}"
@@ -362,8 +381,14 @@ def m_of_sigma(scheme: PriorScheme, sigma: float) -> float:
 
 
 def log_m_of_sigma(scheme: PriorScheme, sigma: float) -> float:
-    """log m(sigma), finite long after m overflows; kl's is inf past sigma ~ 1.9e154."""
-    return scheme.log_prior_odds(sigma) - 0.5 * log_marginal_variance(sigma)
+    """log m(sigma), finite long after m overflows; kl's is inf past sigma ~ 1.9e154.
+
+    NaN and -inf (rho0 = 1), which only a custom scheme's log prior odds give, are refused.
+    """
+    log_m = scheme.log_prior_odds(sigma) - 0.5 * log_marginal_variance(sigma)
+    if log_m > _NO_ODDS:  # False for NaN as well
+        return log_m
+    raise DomainError(f"the scheme's log prior odds are NaN or -inf at sigma={sigma!r}")
 
 
 class RegimeEvidence(NamedTuple):

@@ -29,7 +29,8 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
 from pointnull.montecarlo import SimulationPlan, simulate_power
 from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, PriorScheme,
-                              RobertPrior, UnsupportedSchemeError, log_m_of_sigma, paradox_sweep)
+                              RobertPrior, UnsupportedSchemeError, log_m_of_sigma, m_of_sigma,
+                              paradox_sweep)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -251,22 +252,29 @@ def test_positivity_bound_rejects_a_scheme_without_a_closed_form():
 
 
 def test_nan_log_prior_odds_are_refused_by_name():
-    class NanOdds(PriorScheme):
-        scheme_id = "nan"
+    # -inf is rho0 = 1: psi was +inf there, and decide met NaN once x^2 overflowed.
+    class BadOdds(PriorScheme):
+        scheme_id = "bad odds"
+
+        def __init__(self, odds):
+            self.odds = odds
 
         def log_prior_odds(self, sigma):
-            return math.nan
+            return self.odds
 
-    scheme = NanOdds()
-    calls = (lambda: psi(1.0, 0.05, scheme), lambda: type_i_error(1.0, 0.05, scheme),
-             lambda: power_analytic(1.0, 1.0, 0.05, scheme),
-             lambda: decide(Observation(1.0), 1.0, 0.05, scheme),
-             lambda: psi_sweep(scheme, 0.05, [0.5, 1.0, 2.0]),
-             lambda: solve_sigma(CalibrationSpec(0.05, 0.05, scheme)),
-             lambda: simulate_power(SimulationPlan(100, 1, 1.0, 1.0, 0.05, scheme)))
-    for call in calls:
-        with pytest.raises(DomainError, match="log prior odds are NaN"):
-            call()
+    for scheme in (BadOdds(math.nan), BadOdds(-math.inf)):
+        calls = (lambda: psi(1.0, 0.05, scheme), lambda: type_i_error(1.0, 0.05, scheme),
+                 lambda: power_analytic(1.0, 1.0, 0.05, scheme),
+                 lambda: decide(Observation(1.0), 1.0, 0.05, scheme),
+                 lambda: decide(Observation(1e200), 1.0, 0.05, scheme),
+                 lambda: psi_sweep(scheme, 0.05, [0.5, 1.0, 2.0]),
+                 lambda: solve_sigma(CalibrationSpec(0.05, 0.05, scheme)),
+                 lambda: simulate_power(SimulationPlan(100, 1, 1.0, 1.0, 0.05, scheme)),
+                 lambda: paradox_sweep(scheme, 1.0, [0.5, 1.0]), lambda: m_of_sigma(scheme, 1.0),
+                 lambda: log_m_of_sigma(scheme, 1.0))
+        for call in calls:
+            with pytest.raises(DomainError, match="log prior odds are NaN or -inf at sigma="):
+                call()
 
 
 def test_positivity_bound_robert_exists_only_above_its_ceiling_threshold():
@@ -411,8 +419,8 @@ def test_solve_kl_refuses_a_target_met_only_where_the_error_rounds_to_one(alpha_
 
 
 def test_solve_kl_refuses_a_target_above_the_error_at_its_rounded_bound():
-    # The computed error at the float bound is about 1 - 3.6e-8, not 1: the bracket
-    # [lo, bound] holds no sign change, and that is a refusal, not a BracketError.
+    # The computed error at the float bound is about 1 - 3.6e-8, not 1: kl's bracket
+    # refuses a target above it, with the errors at its two ends.
     with pytest.raises(InfeasibleAlphaError) as excinfo:
         solve_sigma(CalibrationSpec(1.0 - 1e-9, 0.05, KL))
     assert excinfo.value.achievable_hi == type_i_error(positivity_bound(0.05, KL), 0.05, KL)
@@ -635,6 +643,50 @@ def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
     with pytest.raises(InfeasibleAlphaError):
         scan_reference(CalibrationSpec(0.05, 0.05, ROBERT))
     assert len(calls) == 491
+
+
+def kl_requests():
+    """kl where its bracket decides alone: alpha_b >= 1/2, and alpha within 1e-7 of 1."""
+    return ([CalibrationSpec(0.05, alpha_b, KL) for alpha_b in (0.5, 0.6, 0.999)]
+            + [CalibrationSpec(1.0 - gap, alpha_b, KL) for alpha_b in (0.01, 0.05, 0.3)
+               for gap in (1e-7, 3e-8, 1e-8, 1e-9, 1e-12)])
+
+
+def test_each_bracket_encloses_alpha_or_refuses_with_the_errors_it_computed(monkeypatch):
+    calls = counting_type_i_error(monkeypatch)
+    outcomes = set()
+    for spec in scanned_requests() + kl_requests():
+        calls.clear()
+        errors = {}
+
+        def error_at(sigma, spec=spec):
+            errors[sigma] = calibration.type_i_error(sigma, spec.alpha_b, spec.scheme)
+            return errors[sigma]
+
+        level = calibration._log_rejection_odds(spec.alpha_b)
+        try:
+            bracket = spec.scheme._calibration_bracket(level, spec.alpha, error_at)
+        except InfeasibleAlphaError as refusal:
+            got = (refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
+            if spec.scheme is KL and spec.alpha_b >= 0.5:  # the error is 1 at every sigma
+                assert calls == [] and got == (spec.alpha, 1.0, 1.0), spec
+                outcomes.add("kl, alpha_b >= 1/2")
+            else:
+                assert got == (spec.alpha, min(errors.values()), max(errors.values())), spec
+                outcomes.add("refused")
+            continue
+        lo, hi = spec.scheme.sigma_domain()
+        assert lo <= bracket.lo < bracket.hi <= hi, spec
+        e_lo = calibration.type_i_error(bracket.lo, spec.alpha_b, spec.scheme)
+        e_hi = calibration.type_i_error(bracket.hi, spec.alpha_b, spec.scheme)
+        assert min(e_lo, e_hi) <= spec.alpha <= max(e_lo, e_hi), spec
+        outcomes.add("bracketed")
+    assert outcomes == {"kl, alpha_b >= 1/2", "refused", "bracketed"}
+    calls.clear()
+    with pytest.raises(InfeasibleAlphaError):
+        solve_sigma(CalibrationSpec(0.05, 0.5, KL))
+    assert calls == []  # solve_sigma computes no Type I error for it either
+    assert type_i_error(1e-3, 0.5, KL) == type_i_error(1e3, 0.5, KL) == 1.0
 
 
 @pytest.mark.parametrize("spec", [CalibrationSpec(0.05, 0.05, KL)] + FEASIBLE_SCANNED)

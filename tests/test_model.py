@@ -107,6 +107,14 @@ def test_posterior_from_huge_log_odds_is_zero_not_an_error():
     assert posterior_from_log_odds(Observation(0.0), AlternativeSpread(40.0), 800.0) == 0.0
 
 
+def test_posterior_from_nan_log_odds_is_refused_and_infinite_odds_saturate():
+    with pytest.raises(DomainError, match="log prior odds are NaN"):
+        posterior_from_log_odds(Observation(1.0), AlternativeSpread(1.0), math.nan)
+    for x in (0.0, 1.0, 1e200):  # x * x overflows at 1e200, and rho0 = 1 still keeps the null
+        assert posterior_from_log_odds(Observation(x), AlternativeSpread(1.0), -math.inf) == 1.0
+        assert posterior_from_log_odds(Observation(x), AlternativeSpread(1.0), math.inf) == 0.0
+
+
 def test_posterior_extreme_observation_saturates_cleanly():
     tiny = posterior_h0(Observation(40.0), AlternativeSpread(1.0), 0.5)
     assert 0.0 < tiny < 1e-150

@@ -5,15 +5,16 @@ import hashlib
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointnull import montecarlo
 from pointnull.calibration import (CalibrationSpec, Decision, PsiDomainError, _cut,
-                                   _log_rejection_odds, decide, positivity_bound, psi,
-                                   solve_sigma, type_i_error)
+                                   _log_rejection_odds, decide, positivity_bound, power_analytic,
+                                   psi, solve_sigma, type_i_error)
 from pointnull.model import (
     AlternativeSpread,
     Observation,
@@ -23,6 +24,8 @@ from pointnull.model import (
 )
 from pointnull.montecarlo import (
     _LANES,
+    _RADIUS_CAP,
+    _REJECT_ALL,
     MonteCarloReport,
     SimulationPlan,
     _block_bounds,
@@ -594,6 +597,87 @@ def test_block_bounds_are_sorted_whole_blocks_inside_the_thresholds(scheme, sigm
     assert 0 <= block_keep_lo - keep_lo < 2**33
     if block_keep_hi > block_keep_lo:
         assert 0 <= keep_hi - block_keep_hi < 2**33
+
+
+# ---------------------------------------------------------------------------
+# the share of the grid that each threshold pair covers, without draws
+
+GOLDEN_TABLE = CustomTablePrior.from_csv(str(Path(__file__).parent / "golden" / "table.csv"))
+TOP = 2**53 - 1  # the top grid index, whose uniform (TOP + 1/2) 2^-53 rounds to 1.0
+
+
+def assert_grid_shares_bracket_the_power(scheme, sigma, theta, alpha_b):
+    """S / 2^53 <= p <= (S + W) / 2^53, with p = power_analytic within 2e-14.
+
+    S grid points (2^-53 each) surely reject and W take the exact route;
+    2e-14 covers power_analytic's two std_normal_cdf terms, each within 1e-14.
+    The top index is "reject", "keep" or "window" as the thresholds classify
+    it: never "keep", and "window" once cdf(r - theta) rounds to 1 (r^2 = psi),
+    unless every draw rejects. Returns the thresholds, r and the top's class.
+    """
+    base, ratio = log_m_of_sigma(scheme, sigma), variance_ratio(sigma)
+    thresholds = _cut_thresholds(base, ratio, theta, alpha_b)
+    keep_lo, keep_hi, reject_lo, reject_hi = (z >> 11 for z in thresholds)
+    surely = reject_lo + 2**53 - reject_hi
+    window = (keep_lo - reject_lo) + (reject_hi - keep_hi)
+    p = power_analytic(theta, sigma, alpha_b, scheme)
+    assert surely <= (p + 2e-14) * 2**53
+    assert (p - 2e-14) * 2**53 <= surely + window
+    top = ("reject" if not reject_lo <= TOP < reject_hi
+           else "keep" if keep_lo <= TOP < keep_hi else "window")
+    assert top != "keep"
+    r = math.sqrt(max(_cut(_log_rejection_odds(alpha_b), base, ratio), 0.0))
+    if (r == math.inf or std_normal_cdf(r - theta) == 1.0) and thresholds != _REJECT_ALL:
+        assert top == "window"
+    return thresholds, r, top
+
+
+@st.composite
+def share_plans(draw):
+    """Plans over kl, robert, fixed:rho and the golden table, weighted to the corners."""
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    scheme = draw(st.one_of(st.sampled_from((KL, RobertPrior(), GOLDEN_TABLE)),
+                            unit.map(FixedPrior)))
+    if scheme is GOLDEN_TABLE:
+        sigma = draw(st.floats(0.5, 8.0))
+    else:  # 1e-160..1e-150: the cut radius near and past _RADIUS_CAP
+        sigma = draw(st.one_of(st.floats(1e-3, 1e3), st.floats(1e-160, 1e-150),
+                               st.floats(5e-324, 1.7976931348623157e308)))
+    theta = draw(st.one_of(st.floats(-6.0, 6.0), st.sampled_from((-40.0, 40.0)),
+                           st.floats(allow_nan=False, allow_infinity=False)))
+    alpha_b = draw(st.one_of(unit, st.floats(5e-324, 1e-12), st.floats(0.49, 0.51)))
+    return scheme, sigma, theta, alpha_b
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(share_plans())
+def test_grid_shares_bracket_the_analytic_power(plan):
+    assert_grid_shares_bracket_the_power(*plan)
+
+
+@pytest.mark.parametrize("scheme, sigma, theta, alpha_b, kind, top", (
+    (KL, 1.0, 0.0, 0.05, "radii", "reject"),
+    (KL, 1.0, 40.0, 0.05, "radii", "reject"),
+    (KL, 1.0, -40.0, 0.05, "radii", "window"),  # cdf(r + 40) rounds to 1
+    (KL, 3.0, 0.0, 0.05, "reject all", "reject"),  # past the bound, 2.845
+    (KL, 1e-3, 0.0, 0.5, "reject all", "reject"),  # alpha_b = 1/2: kl's bound is 0
+    (KL, 0.01, 0.0, 0.4999999, "radii", "reject"),
+    (KL, 1.0, 0.0, 5e-324, "radii", "window"),  # r = 54.6, so both cut points round off
+    (RobertPrior(), 1e-155, 0.0, 0.05, "radius cap", "window"),  # psi overflows to inf
+    (FixedPrior(0.3), 1.55e-154, 0.0, 0.05, "radius cap", "window"),  # psi = 1.75e308
+    (FixedPrior(0.3), 1e-200, 1.0, 0.05, "radius cap", "window"),  # sigma^2 underflows
+    (FixedPrior(0.01), 1e-200, 1.0, 0.05, "reject all", "reject"),  # rho0 < alpha_b
+    (RobertPrior(), 1e9, 0.0, 0.05, "radii", "reject"),
+    (GOLDEN_TABLE, 2.0, 0.0, 0.05, "radii", "reject"),
+    (GOLDEN_TABLE, 8.0, -40.0, 1e-300, "radii", "window"),
+))
+def test_grid_shares_at_the_corners(scheme, sigma, theta, alpha_b, kind, top):
+    thresholds, r, got_top = assert_grid_shares_bracket_the_power(scheme, sigma, theta, alpha_b)
+    got_kind = ("reject all" if thresholds == _REJECT_ALL
+                else "radius cap" if r >= _RADIUS_CAP else "radii")
+    assert (got_kind, got_top) == (kind, top)
+    if kind == "radius cap":  # no draw surely rejects
+        assert thresholds[2:] == (0, 2**64)
 
 
 def test_counted_event_is_the_posterior_decision():

@@ -360,6 +360,16 @@ def test_table_from_csv_rejects_malformed(tmp_path):
         CustomTablePrior.from_csv(path)
 
 
+@pytest.mark.parametrize("bad_row,problem", [("2.0,abc", r"non-numeric entry \['2.0', 'abc'\]"),
+                                             ("2.0,0.4,9", "expected 2 columns, got 3")])
+def test_table_from_csv_refusals_name_the_line_of_the_file(tmp_path, bad_row, problem):
+    # Comment and blank lines count: the bad row is line 5 of the file, the third kept one.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# a comment\nsigma,rho0\n\n1.0,0.5\n{bad_row}\n")
+    with pytest.raises(DomainError, match=f"line 5: {problem}"):
+        CustomTablePrior.from_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # scheme grammar
 
@@ -416,6 +426,18 @@ def test_sweep_robert_pins_posterior_at_its_limit():
     final = rows[-1]
     assert final.rho0 < 1e-5
     assert abs(final.posterior_h0 - RHO_ROBERT_AT_1) < 1e-6
+
+
+def test_sweep_robert_limit_depends_on_x():
+    # The finite regime pins psi, not the posterior: at sigma = 1e9 each row is
+    # 1 / (1 + sqrt(2 pi) e^(x^2 / 2)) for its own x.
+    limits = []
+    for x in (0.0, 1.0, 2.0):
+        (row,) = paradox_sweep(RobertPrior(), x, [1e9])
+        limit = 1.0 / (1.0 + math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x))
+        assert abs(row.posterior_h0 - limit) <= 4e-15 * limit, x
+        limits.append(row.posterior_h0)
+    assert limits[0] > limits[1] > limits[2]
 
 
 def test_sweep_kl_overwhelms_the_null():
