@@ -35,8 +35,8 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .priors import (InfeasibleAlphaError, PriorScheme, UnsupportedSchemeError, _checked_grid,
-                     log_m_of_sigma)
+from .priors import (_SOLVE_RTOL, InfeasibleAlphaError, PriorScheme, UnsupportedSchemeError,
+                     _checked_grid, log_m_of_sigma)
 
 __all__ = _EXPORTS["calibration"]
 
@@ -112,11 +112,9 @@ def _cut(level: float, base: float, ratio: float) -> float:
     base is never NaN: log_m_of_sigma refuses a NaN log m.
     """
     gap = level - base
-    if gap > 0.0:
-        if ratio == 0.0:
-            return math.inf
-        return 2.0 * gap / ratio
-    return -math.inf
+    if gap <= 0.0:
+        return -math.inf
+    return 2.0 * gap / ratio if ratio != 0.0 else math.inf
 
 
 def _band(level: float, base: float, alpha_b: float) -> float:
@@ -265,12 +263,11 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
     The scheme brackets the root or refuses the target with InfeasibleAlphaError
-    (PriorScheme._calibration_bracket), and the root finder polishes the bracket
-    until the achieved error is within 5e-12 * alpha of alpha or the bracket
-    narrows to 2^-52 of its lower end. Both read one memo of errors, so
-    evaluations, the type_i_error calls, counts each sigma once. A target met
-    only where the error rounds to 1 (psi <= 0) is refused here, with the
-    range below 1 that the solve saw.
+    (PriorScheme._calibration_bracket), and the root finder polishes the bracket until the
+    achieved error is within 5e-12 * alpha (_SOLVE_RTOL) of alpha or the bracket narrows to
+    2^-52 of its lower end. Both read one memo of errors, so evaluations, the type_i_error calls,
+    counts each sigma once. A target met only where the error rounds to 1 (psi <= 0) is refused
+    here, with the range below 1 that the solve saw.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     seen: dict[float, float] = {}
@@ -282,8 +279,8 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
         return error
 
     bracket = scheme._calibration_bracket(_log_rejection_odds(alpha_b), alpha, error_at)
-    sigma_star = find_root_bracketed(
-        lambda s: error_at(s) - alpha, bracket, xtol=2.0**-52 * bracket.lo, ftol=5e-12 * alpha)
+    sigma_star = find_root_bracketed(lambda s: error_at(s) - alpha, bracket,
+                                     xtol=2.0**-52 * bracket.lo, ftol=_SOLVE_RTOL * alpha)
     achieved = seen[sigma_star]
     if achieved == 1.0:  # kl within about 1e-8 of 1: met only where psi <= 0
         raise InfeasibleAlphaError(alpha, seen[bracket.lo], max(e for e in seen.values() if e < 1))

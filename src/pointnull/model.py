@@ -18,8 +18,6 @@ from .numerics import (DomainError, _check_finite, _check_prob, _check_sigma, _R
 
 __all__ = _EXPORTS["model"]
 
-_NO_ODDS = -math.inf  # the log prior odds of rho0 = 1
-
 
 class Observation(_Record):
     """A single draw x from the unit-variance normal under test."""
@@ -132,13 +130,14 @@ def posterior_from_log_odds(obs: Observation, spread: AlternativeSpread, log_odd
     as a stable logistic so extreme x, sigma or odds saturate to 0 or 1
     instead of producing NaN. NaN odds are refused; -inf and inf give 1 and 0.
     """
-    if not log_odds > _NO_ODDS:  # NaN, or -inf: rho0 = 1, so the null is certain whatever x
-        if log_odds != log_odds:
-            raise DomainError("the log prior odds are NaN")
-        return 1.0
     sigma = spread.sigma
     base = log_odds - 0.5 * log_marginal_variance(sigma)
-    return _posterior_from_parts(obs.x * obs.x, base, variance_ratio(sigma), obs.x, sigma)
+    post = _posterior_from_parts(obs.x * obs.x, base, variance_ratio(sigma), obs.x, sigma)
+    if post == post:
+        return post
+    if log_odds != log_odds:
+        raise DomainError("the log prior odds are NaN")
+    return 1.0  # -inf odds (rho0 = 1) against an x^2 term that overflowed: the null is certain
 
 
 def posterior_h0(obs: Observation, spread: AlternativeSpread, rho0: float) -> float:

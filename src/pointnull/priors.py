@@ -25,8 +25,8 @@ import math
 from typing import Callable, NamedTuple
 
 from . import _EXPORTS
-from .model import (_NO_ODDS, Observation, _exp_or_inf, _posterior_from_parts,
-                    _stable_inv_logistic, log_marginal_variance, variance_ratio)
+from .model import (Observation, _exp_or_inf, _posterior_from_parts, _stable_inv_logistic,
+                    log_marginal_variance, variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
 from .numerics import Bracket, DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
@@ -35,6 +35,8 @@ __all__ = _EXPORTS["priors"]
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_NEG_INF = -math.inf  # log_m_of_sigma's bound: one global load per call, no negation
+_SOLVE_RTOL = 5e-12  # solve_sigma meets alpha to within this multiple of alpha
 
 #: sigma values at which classification evidence is collected.
 _PROBE_SIGMAS = (1.0e3, 1.0e6)
@@ -139,6 +141,7 @@ class PriorScheme:
                              error_at: Callable[[float], float]) -> Bracket:
         """A sigma cell whose Type I errors enclose alpha, else InfeasibleAlphaError.
 
+        Enclosing to within _SOLVE_RTOL * alpha is enough: solve_sigma meets such alpha at an end.
         level is log(1/alpha_b - 1); error_at(sigma), memoized by solve_sigma, is the error. This
         default returns the first such cell of a scan over decades 10^-3..10^3 of the sigma domain,
         refined 16 then 64 points per decade when a pass misses, the last extended to 1e6 and 1e12.
@@ -267,17 +270,16 @@ class KLSelfInformationPrior(_Record, PriorScheme):
 
         log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
         erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha, while it is 1 at
-        the bound; the lower end lies below the bound, whose square exceeds 2 L. An alpha above
-        the error at the rounded bound (about 1 - 3.6e-8 at alpha_b = 0.05) is refused with the
-        ends' errors. For alpha_b >= 1/2 the error is 1 everywhere: the range is (1.0, 1.0).
+        the bound; the lower end lies below the bound, whose square exceeds 2 L. An alpha above the
+        error at the rounded bound (about 1 - 3.6e-8 at alpha_b = 0.05) by more than _SOLVE_RTOL *
+        alpha is refused with the ends' errors. For alpha_b >= 1/2 the error is 1 everywhere.
         """
         if level <= 0.0:
             raise InfeasibleAlphaError(alpha, 1.0, 1.0)
-        bracket = Bracket(math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level))
-        e_lo, e_hi = error_at(bracket.lo), error_at(bracket.hi)
-        if alpha > e_hi:
-            raise InfeasibleAlphaError(alpha, e_lo, e_hi)
-        return bracket
+        lo, hi = math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level)
+        if alpha - error_at(hi) > _SOLVE_RTOL * alpha:
+            raise InfeasibleAlphaError(alpha, error_at(lo), error_at(hi))
+        return Bracket(lo, hi)
 
     @property
     def scheme_id(self) -> str:
@@ -386,7 +388,7 @@ def log_m_of_sigma(scheme: PriorScheme, sigma: float) -> float:
     NaN and -inf (rho0 = 1), which only a custom scheme's log prior odds give, are refused.
     """
     log_m = scheme.log_prior_odds(sigma) - 0.5 * log_marginal_variance(sigma)
-    if log_m > _NO_ODDS:  # False for NaN as well
+    if log_m > _NEG_INF:  # False for NaN as well
         return log_m
     raise DomainError(f"the scheme's log prior odds are NaN or -inf at sigma={sigma!r}")
 

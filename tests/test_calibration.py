@@ -28,9 +28,9 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
                              posterior_h0, variance_ratio)
 from pointnull.montecarlo import SimulationPlan, simulate_power
 from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
-from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, PriorScheme,
-                              RobertPrior, UnsupportedSchemeError, log_m_of_sigma, m_of_sigma,
-                              paradox_sweep)
+from pointnull.priors import (_SOLVE_RTOL, CustomTablePrior, FixedPrior, KLSelfInformationPrior,
+                              PriorScheme, RobertPrior, UnsupportedSchemeError, log_m_of_sigma,
+                              m_of_sigma, paradox_sweep)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -427,6 +427,25 @@ def test_solve_kl_refuses_a_target_above_the_error_at_its_rounded_bound():
     assert excinfo.value.achievable_hi < 1.0 - 1e-9
 
 
+def test_solve_kl_meets_a_target_above_the_error_at_its_rounded_bound_within_tolerance():
+    # The root finder accepts the bound where alpha - e_hi <= 5e-12 * alpha, so kl's
+    # bracket refuses only past that, at the same float: find the last alpha it accepts.
+    bound = positivity_bound(0.05, KL)
+    e_hi = type_i_error(bound, 0.05, KL)
+    alpha = e_hi * (1.0 + 5e-12)
+    while alpha - e_hi > 5e-12 * alpha:
+        alpha = math.nextafter(alpha, 0.0)
+    while (above := math.nextafter(alpha, 1.0)) - e_hi <= 5e-12 * above:
+        alpha = above
+    for target in (e_hi * (1.0 + 1e-12), alpha):
+        result = solve_sigma(CalibrationSpec(target, 0.05, KL))
+        assert result.sigma_star == bound and result.achieved_alpha == e_hi, target
+        assert 0.0 < -result.residual <= 5e-12 * target, target
+    with pytest.raises(InfeasibleAlphaError) as excinfo:
+        solve_sigma(CalibrationSpec(math.nextafter(alpha, 1.0), 0.05, KL))
+    assert excinfo.value.achievable_hi == e_hi
+
+
 @pytest.mark.parametrize(
     "alpha,expected",
     [(0.01, SIGMA_STAR_001_KL), (0.05, SIGMA_STAR_005_KL), (0.1, SIGMA_STAR_010_KL)],
@@ -646,10 +665,13 @@ def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
 
 
 def kl_requests():
-    """kl where its bracket decides alone: alpha_b >= 1/2, and alpha within 1e-7 of 1."""
+    """kl where its bracket decides alone: alpha_b >= 1/2, alpha within 1e-7 of 1, and an
+    alpha 2e-12 of itself above the error at the rounded bound, which the tolerance meets."""
+    e_hi = type_i_error(positivity_bound(0.05, KL), 0.05, KL)
     return ([CalibrationSpec(0.05, alpha_b, KL) for alpha_b in (0.5, 0.6, 0.999)]
             + [CalibrationSpec(1.0 - gap, alpha_b, KL) for alpha_b in (0.01, 0.05, 0.3)
-               for gap in (1e-7, 3e-8, 1e-8, 1e-9, 1e-12)])
+               for gap in (1e-7, 3e-8, 1e-8, 1e-9, 1e-12)]
+            + [CalibrationSpec(e_hi * (1.0 + 2e-12), 0.05, KL)])
 
 
 def test_each_bracket_encloses_alpha_or_refuses_with_the_errors_it_computed(monkeypatch):
@@ -679,9 +701,13 @@ def test_each_bracket_encloses_alpha_or_refuses_with_the_errors_it_computed(monk
         assert lo <= bracket.lo < bracket.hi <= hi, spec
         e_lo = calibration.type_i_error(bracket.lo, spec.alpha_b, spec.scheme)
         e_hi = calibration.type_i_error(bracket.hi, spec.alpha_b, spec.scheme)
-        assert min(e_lo, e_hi) <= spec.alpha <= max(e_lo, e_hi), spec
-        outcomes.add("bracketed")
-    assert outcomes == {"kl, alpha_b >= 1/2", "refused", "bracketed"}
+        if spec.alpha <= max(e_lo, e_hi):
+            assert min(e_lo, e_hi) <= spec.alpha, spec
+            outcomes.add("bracketed")
+        else:  # only kl's bracket may leave alpha above its ends, by solve_sigma's tolerance
+            assert spec.scheme is KL and spec.alpha - e_hi <= _SOLVE_RTOL * spec.alpha, spec
+            outcomes.add("within tolerance")
+    assert outcomes == {"kl, alpha_b >= 1/2", "refused", "bracketed", "within tolerance"}
     calls.clear()
     with pytest.raises(InfeasibleAlphaError):
         solve_sigma(CalibrationSpec(0.05, 0.5, KL))
