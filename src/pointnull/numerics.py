@@ -160,21 +160,22 @@ def find_root_bracketed(
 ) -> float:
     """Brent's method on a sign-changing bracket.
 
-    Returns x with |f(x)| <= ftol or enclosing-interval width <= xtol. Every
-    iterate stays inside the initial bracket, so f is never evaluated outside
-    it.
+    Returns x with |f(x)| <= ftol, or the end with the smaller |f| once the
+    enclosing interval is no wider than xtol or its ends are adjacent floats,
+    however much wider than xtol that last gap is. Every iterate stays inside
+    the initial bracket, so f is never evaluated outside it. xtol must be
+    positive and ftol nonnegative; ftol = 0 accepts only an exact zero.
     """
     if not (xtol > 0.0 and ftol >= 0.0):
-        raise DomainError(f"tolerances must be positive, got xtol={xtol}, ftol={ftol}")
-
-    def checked(x: float) -> float:
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise EvaluationError(f"f returned {fx} at x={x}")
-        return fx
-
+        raise DomainError(
+            f"xtol must be positive and ftol nonnegative, got xtol={xtol}, ftol={ftol}")
     a, b = bracket.lo, bracket.hi
-    fa, fb = checked(a), checked(b)
+    fa = f(a)
+    if not -_INF < fa < _INF:  # nan fails it too
+        raise EvaluationError(f"f returned {fa} at x={a}")
+    fb = f(b)
+    if not -_INF < fb < _INF:
+        raise EvaluationError(f"f returned {fb} at x={b}")
     if abs(fa) <= ftol:
         return a
     if abs(fb) <= ftol:
@@ -187,32 +188,26 @@ def find_root_bracketed(
     c, fc = a, fa
     d = a
     bisected = True
-    while fb != 0.0 and abs(b - a) > xtol and abs(fb) > ftol:
-        den = (fa - fb) * (fa - fc), (fb - fa) * (fb - fc), (fc - fa) * (fc - fb)
-        if 0.0 not in den:
+    while abs(b - a) > xtol and abs(fb) > ftol:  # ftol >= 0, so fb != 0 here
+        den_a, den_b, den_c = (fa - fb) * (fa - fc), (fb - fa) * (fb - fc), (fc - fa) * (fc - fb)
+        if den_a and den_b and den_c:
             # Inverse quadratic interpolation; the secant where f values repeat
             # or are so small that a product underflows to 0.
-            s = a * fb * fc / den[0] + b * fa * fc / den[1] + c * fa * fb / den[2]
+            s = a * fb * fc / den_a + b * fa * fc / den_b + c * fa * fb / den_c
         else:
             s = b - fb * (b - a) / (fb - fa)  # secant
         lo_lim = 0.25 * (3.0 * a + b)
-        conditions = (
-            not (min(lo_lim, b) < s < max(lo_lim, b))
-            or (bisected and abs(s - b) >= 0.5 * abs(b - c))
-            or (not bisected and abs(s - b) >= 0.5 * abs(c - d))
-            or (bisected and abs(b - c) < xtol)
-            or (not bisected and abs(c - d) < xtol)
-        )
-        if conditions:
+        step = abs(b - c) if bisected else abs(c - d)  # the last step, or the one before it
+        bisected = not (lo_lim < s < b or b < s < lo_lim) or abs(s - b) >= 0.5 * step or step < xtol
+        if bisected:
             s = 0.5 * (a + b)
-            bisected = True
-        else:
-            bisected = False
         if s == a or s == b:
             # The bracket has collapsed to machine resolution; no new point
             # is representable between the endpoints, so stop here.
             break
-        fs = checked(s)
+        fs = f(s)
+        if not -_INF < fs < _INF:
+            raise EvaluationError(f"f returned {fs} at x={s}")
         d, c, fc = c, b, fb
         if (fa > 0.0) != (fs > 0.0):
             b, fb = s, fs

@@ -122,7 +122,11 @@ class PriorScheme:
         An override must reject sigma outside (0, inf): log_m_of_sigma does not check it.
         """
         r = self.rho0(_check_sigma(sigma))
-        return math.log1p(-r) - math.log(r)
+        try:
+            return math.log1p(-r) - math.log(r)
+        except ValueError:  # r outside (0, 1); NaN passes, for log_m_of_sigma to refuse
+            raise DomainError(f"rho0 must lie strictly between 0 and 1, got rho0={r!r} "
+                              f"at sigma={sigma!r}") from None
 
     def sigma_domain(self) -> tuple[float, float]:
         """(lo, hi): the sigma range the scheme is defined on, ends included if finite."""

@@ -1,23 +1,34 @@
-"""Pinned SHA-256 digests over seeded outputs of the scalar sigma path and the sigma roots.
+"""Pinned SHA-256 digests over seeded outputs of the scalar sigma path, the sigma
+roots and the root finder's iterates.
 
-Each call of psi, type_i_error, power_analytic, decide and paradox_sweep
-adds one line to the hash: every float as float.hex, every Decision as
-three flags (reject, via_posterior and test_calibration.threshold_route,
-the rule's classical form x^2 > psi), and every refusal as its class and
-message. Inputs span kl, robert, fixed masses down to 1e-12 and a table;
-alpha_b from 1e-300 to 0.999 and the invalid 0, 1, nan, inf and -0.5; sigma
-from 1e-200 to 1e200 and the invalid 0, -1, nan and inf; x near sqrt(psi)
-to within 40 ulps, log-uniform up to 1e300, and x = 0. A faster path must
-keep the digest: any changed bit, refusal or message moves it.
+Each call of psi, type_i_error, power_analytic, decide and paradox_sweep adds
+one line to that function's own digest, so a mismatch names the function that
+moved: every float as float.hex, every Decision as three flags (reject,
+via_posterior and test_calibration.threshold_route, the rule's classical form
+x^2 > psi), and every refusal as its class and message. Inputs span kl,
+robert, fixed masses down to 1e-12 and a table; alpha_b from 1e-300 to 0.999
+and the invalid 0, 1, nan, inf and -0.5; sigma from 1e-200 to 1e200 and the
+invalid 0, -1, nan and inf; x near sqrt(psi) to within 40 ulps, log-uniform
+up to 1e300, and x = 0. A faster path must keep the digests: any changed
+bit, refusal or message moves one.
 
-The second digest pins the sigma roots: each call of solve_sigma,
-positivity_bound and psi_sweep adds one line, with sigma*, psi(sigma*), the
-achieved alpha, the residual and the bracket ends as float.hex, the number
-of evaluations, and every refusal as its class and message. Requests span
-kl, robert and fixed masses on both sides of alpha_b, fixed:0.3 at a
-fine-pass level, fixed:0.07 with its root beyond the scan, the golden table
-and the tables of test_calibration.scanned_requests, and kl's two refusals
-(alpha_b >= 1/2, and alpha within 1e-7 of 1).
+The second set pins the sigma roots, one digest per request family (scanned
+requests, kl's refusals, random solves, bounds and psi sweeps): each call of
+solve_sigma, positivity_bound and psi_sweep adds one line, with sigma*,
+psi(sigma*), the achieved alpha, the residual and the bracket ends as
+float.hex, the number of evaluations, and every refusal as its class and
+message. Requests span kl, robert and fixed masses on both sides of alpha_b,
+fixed:0.3 at a fine-pass level, fixed:0.07 with its root beyond the scan, the
+golden table and the tables of test_calibration.scanned_requests, and kl's
+two refusals (alpha_b >= 1/2, and alpha within 1e-7 of 1).
+
+The third digest pins find_root_bracketed itself: for each of a fixed set of
+objectives, every x it evaluates and its return value or refusal. The
+objectives reach each branch of the loop: inverse quadratic interpolation,
+the secant (the first step, and products that underflow or overflow),
+bisection, a step discontinuity, roots at either end, ftol = 0, the collapse
+exit, non-finite values at lo, at hi and inside, no sign change, and the
+solves of kl and robert.
 """
 
 import hashlib
@@ -30,14 +41,28 @@ from test_calibration import scanned_requests, threshold_route
 from pointnull.calibration import (CalibrationSpec, decide, positivity_bound, power_analytic, psi,
                                    psi_sweep, solve_sigma, type_i_error)
 from pointnull.model import Observation
+from pointnull.numerics import Bracket, find_root_bracketed
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
                               paradox_sweep)
 
 CALLS_PER_FUNCTION = 12_000
 SWEEPS, ROWS_PER_SWEEP = 300, 25
-DIGEST = "f55e6c4174994e7afa6c580b73579c22077373bda287d0e89c5d1950e1e4b4b4"
+DIGEST = {
+    "psi": "a690f57d9af53c4ca6a5c86babccb23e5db53f2a8b5c9cb8831c927af7b76246",
+    "type_i_error": "916f85c87dfc4a5474584fb9936b43aa0ea88bf2a25c2880d1299542ef3d6603",
+    "power_analytic": "c3fd50d46a4381230774f63e7163f0ca5dff062980444518f6a7df4b47b457bc",
+    "decide": "defef8193282a11f360955f8c47ec7d898a5a13f705a4cfd00b603b13ab9aa61",
+    "paradox_sweep": "c4da0e0de0f9596711bc4f0a5eecf238ccdcc62a0b535fabad3114e3db903c89",
+}
 SOLVES, BOUNDS, PSI_SWEEPS = 2000, 500, 300
-ROOT_DIGEST = "f9905ef0f1a9a38f3746c623a06f96199696ee2e84dbe96af5804dc3db1771a2"
+ROOT_DIGEST = {
+    "scanned": "fd3ab10c4a5cdbc1a2c77f8c05204953467ab6a454cfcc8ed9f5b2327a6dcc03",
+    "kl_refusals": "bc30299a3c6e38ab7e1d6cb8ceb7363f69ff80ed430e144e71ed324cc35ec613",
+    "solves": "e1a96252c1ad8ca869588ce7b3c1c07a4c5af10cb4aad424a4815471a8327702",
+    "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
+    "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
+}
+ROOT_FINDER_DIGEST = "eac01b1af512b6cb48dcf9af530bbee93df2823f1ec6138ddd4fb33e98b0b0ac"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
 BAD_ALPHA_BS = (0.0, 1.0, math.nan, math.inf, -0.5)
@@ -113,19 +138,19 @@ def _line(call, *args):
     return result  # _decide's flags
 
 
-def scalar_path_digest():
+def scalar_path_digests():
     rng = random.Random(20261018)
-    h = hashlib.sha256()
+    hashes = {family: hashlib.sha256() for family in DIGEST}
     for _ in range(CALLS_PER_FUNCTION):
         scheme = _scheme(rng)
         alpha_b = _alpha_b(rng)
         sigma = _sigma(rng, scheme)
         x = _x(rng, sigma, alpha_b, scheme)
-        for line in (_line(psi, sigma, alpha_b, scheme),
-                     _line(type_i_error, sigma, alpha_b, scheme),
-                     _line(power_analytic, x, sigma, alpha_b, scheme),
-                     _line(_decide, x, sigma, alpha_b, scheme)):
-            h.update(line.encode() + b"\n")
+        for family, line in (("psi", _line(psi, sigma, alpha_b, scheme)),
+                             ("type_i_error", _line(type_i_error, sigma, alpha_b, scheme)),
+                             ("power_analytic", _line(power_analytic, x, sigma, alpha_b, scheme)),
+                             ("decide", _line(_decide, x, sigma, alpha_b, scheme))):
+            hashes[family].update(line.encode() + b"\n")
     for _ in range(SWEEPS):
         scheme = _scheme(rng)
         if scheme is TABLE:
@@ -136,12 +161,12 @@ def scalar_path_digest():
         if rng.random() < 0.05:
             grid[rng.randrange(ROWS_PER_SWEEP)] = rng.choice(BAD_SIGMAS)
         x = rng.choice((0.0, rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 300.0), math.nan))
-        h.update(_line(paradox_sweep, scheme, x, grid).encode() + b"\n")
-    return h.hexdigest()
+        hashes["paradox_sweep"].update(_line(paradox_sweep, scheme, x, grid).encode() + b"\n")
+    return {family: h.hexdigest() for family, h in hashes.items()}
 
 
 def test_scalar_path_outputs_are_bit_identical():
-    assert scalar_path_digest() == DIGEST
+    assert scalar_path_digests() == DIGEST
 
 
 # Inline, so that no refusal message carries the checkout's path.
@@ -164,29 +189,29 @@ def _solve(alpha, alpha_b, scheme):
     return solve_sigma(CalibrationSpec(alpha, alpha_b, scheme))
 
 
-def sigma_root_digest():
+def sigma_root_digests():
     rng = random.Random(20261019)
-    h = hashlib.sha256()
+    hashes = {family: hashlib.sha256() for family in ROOT_DIGEST}
 
-    def add(call, *args):
-        h.update(_line(call, *args).encode() + b"\n")
+    def add(family, call, *args):
+        hashes[family].update(_line(call, *args).encode() + b"\n")
 
     for spec in scanned_requests():
-        add(_solve, spec.alpha, spec.alpha_b, spec.scheme)
+        add("scanned", _solve, spec.alpha, spec.alpha_b, spec.scheme)
     kl = KLSelfInformationPrior()
     for alpha_b in (0.5, 0.6, 0.999):
-        add(_solve, 0.05, alpha_b, kl)
+        add("kl_refusals", _solve, 0.05, alpha_b, kl)
     for alpha_b in (0.01, 0.05, 0.3):
         for gap in (1e-7, 3e-8, 1e-8, 1e-9, 1e-12):
-            add(_solve, 1.0 - gap, alpha_b, kl)
+            add("kl_refusals", _solve, 1.0 - gap, alpha_b, kl)
     for _ in range(SOLVES):
         alpha_b = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-3, 0.7),
                               10.0 ** rng.uniform(-12, -1)))
         alpha = rng.choice((10.0 ** rng.uniform(-12.0, -0.3), rng.uniform(0.001, 0.999)))
-        add(_solve, alpha, alpha_b, _root_scheme(rng, alpha_b))
+        add("solves", _solve, alpha, alpha_b, _root_scheme(rng, alpha_b))
     for _ in range(BOUNDS):
         alpha_b = rng.choice((rng.uniform(1e-3, 0.999), 10.0 ** rng.uniform(-300.0, -1.0)))
-        add(positivity_bound, alpha_b, _root_scheme(rng, alpha_b))
+        add("bounds", positivity_bound, alpha_b, _root_scheme(rng, alpha_b))
     for _ in range(PSI_SWEEPS):
         alpha_b = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-3, 0.9),
                               10.0 ** rng.uniform(-12, -1)))
@@ -196,9 +221,66 @@ def sigma_root_digest():
         else:
             lo = rng.uniform(-3.0, 2.0)
             grid = [10.0 ** (lo + 3.0 * k / ROWS_PER_SWEEP) for k in range(ROWS_PER_SWEEP)]
-        add(psi_sweep, scheme, alpha_b, grid)
-    return h.hexdigest()
+        add("psi_sweeps", psi_sweep, scheme, alpha_b, grid)
+    return {family: h.hexdigest() for family, h in hashes.items()}
 
 
 def test_sigma_roots_are_bit_identical():
-    assert sigma_root_digest() == ROOT_DIGEST
+    assert sigma_root_digests() == ROOT_DIGEST
+
+
+def _step(at):
+    return lambda x: -1.0 if x < at else 1.0
+
+
+def _nan_at(bad, f):
+    return lambda x: math.nan if x == bad else f(x)
+
+
+# (objective, lo, hi, xtol, ftol); the kl and robert rows are solve_sigma's polish of
+# alpha = 0.01 and 0.02 at alpha_b = 0.05 on the brackets their schemes return.
+ROOT_FINDER_CASES = (
+    (lambda x: x * x - 2.0, 0.0, 2.0, 1e-13, 1e-12),  # inverse quadratic steps
+    (math.cos, 1.0, 2.0, 1e-13, 1e-12),
+    (lambda x: x * x - 2.0, 0.0, 2.0, 0.5, 1e-12),  # width exit
+    (lambda x: x**3 - 2.0, 0.0, 3.0, 1e-13, 0.0),
+    (lambda x: 1e-160 * (x**3 - 2.0), 0.0, 3.0, 1e-13, 0.0),  # denominators underflow
+    (lambda x: 1e-200 * (x**3 - 2.0), 0.0, 3.0, 1e-13, 0.0),
+    (lambda x: 1e-300 * (x**3 - 2.0), 0.0, 3.0, 1e-13, 0.0),
+    (lambda x: 1.7e308 * math.tanh(4.0 * (x - 0.3)), -1.0, 1.0, 1e-13, 0.0),  # they overflow
+    (lambda x: math.floor(4.0 * x) / 4.0 - 1.1, 0.0, 3.0, 1e-13, 0.0),  # f values repeat
+    (lambda x: (x - 1.0) ** 9, 0.0, 3.0, 1e-13, 0.0),  # bisection
+    (lambda x: math.copysign(abs(x - 0.7) ** 0.1, x - 0.7), 0.0, 3.0, 1e-13, 0.0),
+    (_step(1.7), 0.0, 3.0, 1e-13, 0.0),  # step discontinuity
+    (_step(3.0), 2.0, 4.0, 1e-300, 0.0),  # ends adjacent floats wider than xtol
+    (lambda x: x - 1.0, 1.0, 5.0, 1e-13, 1e-12),  # root at lo
+    (lambda x: x - 5.0, 1.0, 5.0, 1e-13, 1e-12),  # root at hi
+    (lambda x: x - 5.0 + 1e-13, 1.0, 5.0, 1e-13, 1e-12),  # hi within ftol
+    (_nan_at(0.0, lambda x: x - 0.5), 0.0, 1.0, 1e-13, 1e-12),  # non-finite at lo
+    (_nan_at(1.0, lambda x: x - 0.5), 0.0, 1.0, 1e-13, 1e-12),  # at hi
+    (lambda x: math.nan, 0.0, 1.0, 1e-13, 1e-12),  # at both: lo is refused
+    (lambda x: math.inf if x > 0.9 else x - 0.5, 0.0, 1.0, 1e-13, 1e-12),
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 1e-13, 1e-12),  # inside
+    (lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 1e-12),  # no sign change
+    (lambda s: type_i_error(s, 0.05, KLSelfInformationPrior()) - 0.01,
+     0.7594447199950886, 2.845487786545588, 2.0**-52 * 0.7594447199950886, 5e-12 * 0.01),
+    (lambda s: type_i_error(s, 0.05, RobertPrior()) - 0.02, 1.0, 10.0, 2.0**-52, 5e-12 * 0.02),
+)
+
+
+def root_finder_digest():
+    h = hashlib.sha256()
+    for f, lo, hi, xtol, ftol in ROOT_FINDER_CASES:
+        xs = []
+
+        def traced(x, f=f):
+            xs.append(x)
+            return f(x)
+
+        result = _line(find_root_bracketed, traced, Bracket(lo, hi), xtol, ftol)
+        h.update((",".join(map(float.hex, xs)) + f"|{result}").encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_root_finder_iterates_are_bit_identical():
+    assert root_finder_digest() == ROOT_FINDER_DIGEST

@@ -277,6 +277,24 @@ def test_nan_log_prior_odds_are_refused_by_name():
                 call()
 
 
+@pytest.mark.parametrize("rho0", [0.0, 1.0, 1.5, -0.1])
+def test_rho0_outside_the_unit_interval_is_refused_by_name(rho0):
+    class BadMass(PriorScheme):
+        scheme_id = "bad mass"
+
+        def rho0(self, sigma):
+            return rho0
+
+    scheme = BadMass()
+    for call in (lambda: psi(2.0, 0.05, scheme),
+                 lambda: decide(Observation(1.0), 2.0, 0.05, scheme),
+                 lambda: log_m_of_sigma(scheme, 2.0)):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == (
+            f"rho0 must lie strictly between 0 and 1, got rho0={rho0!r} at sigma=2.0")
+
+
 def test_positivity_bound_robert_exists_only_above_its_ceiling_threshold():
     edge = 1.0 / (1.0 + math.sqrt(2.0 * math.pi))  # 0.2852...: m's ceiling is the level
     assert positivity_bound(math.nextafter(edge, 0.0), ROBERT) is None

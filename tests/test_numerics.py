@@ -252,6 +252,53 @@ def test_root_step_discontinuity_terminates():
     assert root == pytest.approx(1.7, abs=1e-12)
 
 
+def test_root_returns_where_the_ends_are_adjacent_floats_wider_than_xtol():
+    """The collapse exit: no float lies between 3.0 and its neighbour, which is wider than xtol."""
+    xs = []
+
+    def step(x):
+        xs.append(x)
+        return -1.0 if x < 3.0 else 1.0
+
+    assert find_root_bracketed(step, Bracket(2.0, 4.0), xtol=1e-300, ftol=0.0) == 3.0
+    assert len(xs) == 54
+
+
+@pytest.mark.parametrize("xtol, ftol", [(0.0, 1e-12), (-1e-13, 1e-12), (math.nan, 1e-12),
+                                        (1e-13, -1e-12), (1e-13, math.nan)])
+def test_root_refuses_tolerances_by_name(xtol, ftol):
+    with pytest.raises(DomainError, match="xtol must be positive and ftol nonnegative"):
+        find_root_bracketed(lambda x: x - 0.5, Bracket(0.0, 1.0), xtol=xtol, ftol=ftol)
+
+
+SHAPES = (lambda t: t, lambda t: t**3, lambda t: t**3 + t, lambda t: t / (1.0 + abs(t)),
+          lambda t: math.tanh(40.0 * t), lambda t: -1.0 if t < 0.0 else 1.0,
+          lambda t: math.copysign(abs(t) ** 0.1, t), lambda t: t * (1.0 + 0.9 * math.sin(30.0 * t)))
+
+
+@given(st.floats(-1e6, 1e6), st.floats(-12.0, 6.0), st.floats(0.0, 1.0),
+       st.sampled_from(range(len(SHAPES))), st.floats(-300.0, 300.0), st.booleans(),
+       st.sampled_from((0.0, 1e-12)))
+@settings(max_examples=300, derandomize=True)
+def test_root_evaluates_only_inside_the_bracket(lo, log_width, share, shape, log_scale, flip,
+                                                ftol):
+    hi = max(lo + 10.0**log_width, math.nextafter(lo, math.inf))
+    root = lo + share * (hi - lo)
+    scale = (-1.0 if flip else 1.0) * 10.0**log_scale
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return scale * SHAPES[shape](x - root)
+
+    try:
+        found = find_root_bracketed(f, Bracket(lo, hi), ftol=ftol)
+    except (BracketError, EvaluationError):  # a jump at lo changes no sign; t**3 may overflow
+        found = lo
+    assert all(lo <= x <= hi for x in xs)
+    assert lo <= found <= hi
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
 def test_root_survives_interpolation_denominators_that_underflow(scale):
     """(fa - fb)(fa - fc) underflows to 0 here; the step falls back to the secant."""

@@ -284,6 +284,8 @@ def test_table_refuses_extrapolation():
         table.rho0(0.999)
     with pytest.raises(TableRangeError):
         table.rho0(3.001)
+    with pytest.raises(TableRangeError):  # not turned into log_prior_odds' rho0 refusal
+        table.log_prior_odds(3.001)
 
 
 def test_sigma_domain_is_the_table_range_and_otherwise_unbounded():
