@@ -263,11 +263,12 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
     The scheme brackets the root or refuses the target with InfeasibleAlphaError
-    (PriorScheme._calibration_bracket), and the root finder polishes the bracket until the
-    achieved error is within 5e-12 * alpha (_SOLVE_RTOL) of alpha or the bracket narrows to
-    2^-52 of its lower end. Both read one memo of errors, so evaluations, the type_i_error calls,
-    counts each sigma once. A target met only where the error rounds to 1 (psi <= 0) is refused
-    here, with the range below 1 that the solve saw.
+    (PriorScheme._calibration_bracket: the default scan evaluates each pass up to its first cell
+    enclosing alpha, and a pass enclosing nothing whole), and the root finder polishes the bracket
+    until the achieved error is within 5e-12 * alpha (_SOLVE_RTOL) of alpha or the bracket narrows
+    to 2^-52 of its lower end. Both read one memo of errors, so evaluations, the type_i_error
+    calls, counts each sigma once. A target met only where the error rounds to 1 (psi <= 0) is
+    refused here, with the range below 1 that the solve saw.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     seen: dict[float, float] = {}

@@ -147,23 +147,22 @@ class PriorScheme:
 
         Enclosing to within _SOLVE_RTOL * alpha is enough: solve_sigma meets such alpha at an end.
         level is log(1/alpha_b - 1); error_at(sigma), memoized by solve_sigma, is the error. This
-        default returns the first such cell of a scan over decades 10^-3..10^3 of the sigma domain,
-        refined 16 then 64 points per decade when a pass misses, the last extended to 1e6 and 1e12.
-        A refusal's range is the least and greatest error of the last pass, which holds every point.
+        default walks decades 10^-3..10^3 of the sigma domain in order and returns the first cell
+        that encloses alpha; a pass that encloses nothing is evaluated whole and refined, 16 then
+        64 points per decade, the last extended to 1e6 and 1e12. A refusal's range is the least
+        and greatest error of the last pass, which holds every point.
         """
         lo, hi = self.sigma_domain()
         for per_decade in (1, 16, 64):
             pts = _scan_points(per_decade, lo, hi)
-            errors = [error_at(s) for s in pts]
-            if per_decade == 64 and not min(errors) <= alpha <= max(errors):
-                # Nothing on the grid meets alpha: look past its upper end.
-                far = tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
-                pts += far
-                errors += [error_at(s) for s in far]
-            if min(errors) <= alpha <= max(errors):  # some cell of this pass encloses alpha
-                return next(Bracket(s_lo, s_hi) for s_lo, s_hi, e_lo, e_hi
-                            in zip(pts, pts[1:], errors, errors[1:])
-                            if min(e_lo, e_hi) <= alpha <= max(e_lo, e_hi))
+            if per_decade == 64:  # past the grid's upper end, reached only if no cell encloses
+                pts += tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
+            errors = [e_lo := error_at(pts[0])]
+            for s_lo, s_hi in zip(pts, pts[1:]):
+                e_hi = error_at(s_hi)
+                if e_lo <= alpha <= e_hi or e_hi <= alpha <= e_lo:
+                    return Bracket(s_lo, s_hi)
+                errors.append(e_lo := e_hi)
         raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
     @property

@@ -16,11 +16,13 @@ The second set pins the sigma roots, one digest per request family (scanned
 requests, kl's refusals, random solves, bounds and psi sweeps): each call of
 solve_sigma, positivity_bound and psi_sweep adds one line, with sigma*,
 psi(sigma*), the achieved alpha, the residual and the bracket ends as
-float.hex, the number of evaluations, and every refusal as its class and
-message. Requests span kl, robert and fixed masses on both sides of alpha_b,
-fixed:0.3 at a fine-pass level, fixed:0.07 with its root beyond the scan, the
-golden table and the tables of test_calibration.scanned_requests, and kl's
-two refusals (alpha_b >= 1/2, and alpha within 1e-7 of 1).
+float.hex, and every refusal as its class and message. The work is pinned
+apart from the answers: EVALUATIONS_DIGEST holds each solve's number of
+Type I evaluations, so a change that computes fewer errors re-pins only it.
+Requests span kl, robert and fixed masses on both sides of alpha_b, fixed:0.3
+at a fine-pass level, fixed:0.07 with its root beyond the scan, the golden
+table and the tables of test_calibration.scanned_requests, and kl's two
+refusals (alpha_b >= 1/2, and alpha within 1e-7 of 1).
 
 The third digest pins find_root_bracketed itself: for each of a fixed set of
 objectives, every x it evaluates and its return value or refusal. The
@@ -31,6 +33,7 @@ exit, non-finite values at lo, at hi and inside, no sign change, and the
 solves of kl and robert.
 """
 
+import functools
 import hashlib
 import math
 import random
@@ -56,12 +59,13 @@ DIGEST = {
 }
 SOLVES, BOUNDS, PSI_SWEEPS = 2000, 500, 300
 ROOT_DIGEST = {
-    "scanned": "fd3ab10c4a5cdbc1a2c77f8c05204953467ab6a454cfcc8ed9f5b2327a6dcc03",
-    "kl_refusals": "bc30299a3c6e38ab7e1d6cb8ceb7363f69ff80ed430e144e71ed324cc35ec613",
-    "solves": "e1a96252c1ad8ca869588ce7b3c1c07a4c5af10cb4aad424a4815471a8327702",
+    "scanned": "5d813686fd8c67b0a8ce48833d31024c40fa2c2e041f1fd59ec90d7dd910db44",
+    "kl_refusals": "9f9d4072fd061fd9096e34710ba738e32705221f5c71f478bc53bf14422b8d1a",
+    "solves": "ce5197eb51ef94b5dcff975495eeeb3adb1e9b180d85bc4a638bfd75651b8e4d",
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
 }
+EVALUATIONS_DIGEST = "9c05926f0d73f5456e1b7a2d42bfc15de57f2383d8f7670de7c5f0327deaee61"
 ROOT_FINDER_DIGEST = "eac01b1af512b6cb48dcf9af530bbee93df2823f1ec6138ddd4fb33e98b0b0ac"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -134,7 +138,7 @@ def _line(call, *args):
     if hasattr(result, "sigma_star"):
         floats = (result.sigma_star, result.psi_at_sigma, result.achieved_alpha, result.residual,
                   result.bracket_used.lo, result.bracket_used.hi)
-        return ",".join(map(float.hex, floats)) + f",{result.evaluations}"
+        return ",".join(map(float.hex, floats))
     return result  # _decide's flags
 
 
@@ -185,30 +189,34 @@ def _root_scheme(rng, alpha_b):
     return GOLDEN_TABLE
 
 
-def _solve(alpha, alpha_b, scheme):
-    return solve_sigma(CalibrationSpec(alpha, alpha_b, scheme))
-
-
+@functools.cache
 def sigma_root_digests():
+    """(the answer digest of each family, the digest of every solve's evaluation count)."""
     rng = random.Random(20261019)
     hashes = {family: hashlib.sha256() for family in ROOT_DIGEST}
+    counts = hashlib.sha256()
+
+    def solve(alpha, alpha_b, scheme):
+        result = solve_sigma(CalibrationSpec(alpha, alpha_b, scheme))
+        counts.update(f"{result.evaluations}\n".encode())
+        return result
 
     def add(family, call, *args):
         hashes[family].update(_line(call, *args).encode() + b"\n")
 
     for spec in scanned_requests():
-        add("scanned", _solve, spec.alpha, spec.alpha_b, spec.scheme)
+        add("scanned", solve, spec.alpha, spec.alpha_b, spec.scheme)
     kl = KLSelfInformationPrior()
     for alpha_b in (0.5, 0.6, 0.999):
-        add("kl_refusals", _solve, 0.05, alpha_b, kl)
+        add("kl_refusals", solve, 0.05, alpha_b, kl)
     for alpha_b in (0.01, 0.05, 0.3):
         for gap in (1e-7, 3e-8, 1e-8, 1e-9, 1e-12):
-            add("kl_refusals", _solve, 1.0 - gap, alpha_b, kl)
+            add("kl_refusals", solve, 1.0 - gap, alpha_b, kl)
     for _ in range(SOLVES):
         alpha_b = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-3, 0.7),
                               10.0 ** rng.uniform(-12, -1)))
         alpha = rng.choice((10.0 ** rng.uniform(-12.0, -0.3), rng.uniform(0.001, 0.999)))
-        add("solves", _solve, alpha, alpha_b, _root_scheme(rng, alpha_b))
+        add("solves", solve, alpha, alpha_b, _root_scheme(rng, alpha_b))
     for _ in range(BOUNDS):
         alpha_b = rng.choice((rng.uniform(1e-3, 0.999), 10.0 ** rng.uniform(-300.0, -1.0)))
         add("bounds", positivity_bound, alpha_b, _root_scheme(rng, alpha_b))
@@ -222,11 +230,15 @@ def sigma_root_digests():
             lo = rng.uniform(-3.0, 2.0)
             grid = [10.0 ** (lo + 3.0 * k / ROWS_PER_SWEEP) for k in range(ROWS_PER_SWEEP)]
         add("psi_sweeps", psi_sweep, scheme, alpha_b, grid)
-    return {family: h.hexdigest() for family, h in hashes.items()}
+    return {family: h.hexdigest() for family, h in hashes.items()}, counts.hexdigest()
 
 
 def test_sigma_roots_are_bit_identical():
-    assert sigma_root_digests() == ROOT_DIGEST
+    assert sigma_root_digests()[0] == ROOT_DIGEST
+
+
+def test_sigma_root_evaluation_counts_are_pinned():
+    assert sigma_root_digests()[1] == EVALUATIONS_DIGEST
 
 
 def _step(at):

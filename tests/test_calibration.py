@@ -28,9 +28,10 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
                              posterior_h0, variance_ratio)
 from pointnull.montecarlo import SimulationPlan, simulate_power
 from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
-from pointnull.priors import (_SOLVE_RTOL, CustomTablePrior, FixedPrior, KLSelfInformationPrior,
-                              PriorScheme, RobertPrior, UnsupportedSchemeError, log_m_of_sigma,
-                              m_of_sigma, paradox_sweep)
+from pointnull.priors import (_FAR_PROBES, _SOLVE_RTOL, CustomTablePrior, FixedPrior,
+                              KLSelfInformationPrior, PriorScheme, RobertPrior,
+                              UnsupportedSchemeError, _scan_points, log_m_of_sigma, m_of_sigma,
+                              paradox_sweep)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -592,6 +593,12 @@ def scan_reference(spec):
     raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
 
+SCANNED_TABLES = (CustomTablePrior(((0.5, 0.6), (2.0, 0.3), (5.0, 0.05))),
+                  CustomTablePrior(((1.0, 0.6), (10.0, 0.01))),
+                  CustomTablePrior(tuple((s, 1.0 / (1.0 + math.exp(0.5 * s * s)))
+                                         for s in (0.3 + 0.1 * k for k in range(45)))))
+
+
 def scanned_requests():
     """Seeded robert, fixed and table specs, plus fixed ones of each scan outcome.
 
@@ -599,14 +606,10 @@ def scanned_requests():
     pass, and the scan misses 0.007441. fixed:0.07 has its root beyond it.
     """
     rng = random.Random(19)
-    tables = [CustomTablePrior(((0.5, 0.6), (2.0, 0.3), (5.0, 0.05))),
-              CustomTablePrior(((1.0, 0.6), (10.0, 0.01))),
-              CustomTablePrior(tuple((s, 1.0 / (1.0 + math.exp(0.5 * s * s)))
-                                     for s in (0.3 + 0.1 * k for k in range(45))))]
     specs = [CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)), CalibrationSpec(0.00744, 0.05, FIXED_03),
              CalibrationSpec(0.007441, 0.05, FIXED_03)]
     for k in range(150):
-        scheme = (ROBERT, FixedPrior(rng.uniform(0.02, 0.98)), tables[k % 3])[k % 3]
+        scheme = (ROBERT, FixedPrior(rng.uniform(0.02, 0.98)), SCANNED_TABLES[k % 3])[k % 3]
         alpha = 10.0 ** rng.uniform(-8.0, -0.7)
         specs.append(CalibrationSpec(alpha, rng.choice((0.01, 0.05, 0.1, 0.3)), scheme))
     for _ in range(30):  # next to a fixed mass's peak, where the fine passes decide
@@ -738,6 +741,145 @@ def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
     calls = counting_type_i_error(monkeypatch)
     result = solve_sigma(spec)
     assert result.evaluations == len(calls)
+
+
+def eager_calibration_bracket(scheme, level, alpha, error_at):
+    """The base PriorScheme._calibration_bracket as it was before it stopped at the first cell.
+
+    Each pass computes the error at every point, then returns the first cell
+    that encloses alpha. Kept verbatim, self renamed to scheme, as the
+    reference the walk must agree with.
+    """
+    lo, hi = scheme.sigma_domain()
+    for per_decade in (1, 16, 64):
+        pts = _scan_points(per_decade, lo, hi)
+        errors = [error_at(s) for s in pts]
+        if per_decade == 64 and not min(errors) <= alpha <= max(errors):
+            # Nothing on the grid meets alpha: look past its upper end.
+            far = tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
+            pts += far
+            errors += [error_at(s) for s in far]
+        if min(errors) <= alpha <= max(errors):  # some cell of this pass encloses alpha
+            return next(Bracket(s_lo, s_hi) for s_lo, s_hi, e_lo, e_hi
+                        in zip(pts, pts[1:], errors, errors[1:])
+                        if min(e_lo, e_hi) <= alpha <= max(e_lo, e_hi))
+    raise InfeasibleAlphaError(alpha, min(errors), max(errors))
+
+
+def scan_outcome(scan, spec):
+    """scan's Bracket or ("refused", requested, lo, hi) for spec, and the sigma it evaluated.
+
+    scan(level, alpha, error_at) gets a memo of Type I errors, as solve_sigma
+    gives, so each sigma is listed once, in the order it was first computed.
+    """
+    seen, order = {}, []
+
+    def error_at(sigma):
+        if sigma not in seen:
+            order.append(sigma)
+            seen[sigma] = type_i_error(sigma, spec.alpha_b, spec.scheme)
+        return seen[sigma]
+
+    try:
+        outcome = scan(calibration._log_rejection_odds(spec.alpha_b), spec.alpha, error_at)
+    except InfeasibleAlphaError as refusal:
+        outcome = ("refused", refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
+    return outcome, order
+
+
+def walk_and_eager_scan(spec):
+    """The walk's outcome and evaluation count, and the eager scan's count, once they agree.
+
+    The walk must return the eager scan's bracket or refusal and compute the
+    first of the eager scan's sigma in the same order; a refusal computes them all.
+    """
+    walked, walk_order = scan_outcome(spec.scheme._calibration_bracket, spec)
+    eager, eager_order = scan_outcome(
+        lambda *args: eager_calibration_bracket(spec.scheme, *args), spec)
+    assert walked == eager, spec
+    assert walk_order == eager_order[:len(walk_order)], spec
+    if not isinstance(walked, Bracket):
+        assert walk_order == eager_order, spec
+    return walked, len(walk_order), len(eager_order)
+
+
+class WavyPrior(PriorScheme):
+    """A custom scheme whose null mass rises and falls with log sigma, and its error with it."""
+
+    __slots__ = ()
+
+    def rho0(self, sigma):
+        return 0.5 + 0.45 * math.sin(math.log(sigma))
+
+    @property
+    def scheme_id(self):
+        return "wavy"
+
+
+def test_the_walk_matches_the_eager_scan_on_the_scanned_requests():
+    outcomes = set()
+    for spec in scanned_requests():
+        walked, walk_count, eager_count = walk_and_eager_scan(spec)
+        if not isinstance(walked, Bracket):
+            outcomes.add("refused")
+        elif walk_count < eager_count:
+            outcomes.add("stopped early")
+        else:  # the cell that encloses alpha is the pass's last
+            outcomes.add("walked whole")
+    assert outcomes == {"refused", "stopped early", "walked whole"}
+
+
+FIXED_03_PEAK = 0.0074412442  # fixed:0.3's greatest Type I error at alpha_b = 0.05, near 2.48
+log_alphas = st.floats(-8.0, -0.7).map(lambda t: 10.0 ** t)
+scan_alpha_bs = st.sampled_from((0.01, 0.05, 0.1, 0.3))
+scan_requests = st.one_of(
+    st.builds(CalibrationSpec, st.floats(0.9, 1.01).map(lambda f: f * ALPHA_SUP_ROBERT),
+              st.just(0.05), st.just(ROBERT)),  # near robert's ceiling
+    st.builds(CalibrationSpec, log_alphas, scan_alpha_bs, st.just(ROBERT)),
+    st.builds(lambda alpha, alpha_b, ratio: CalibrationSpec(alpha, alpha_b,
+                                                            FixedPrior(min(alpha_b * ratio, 0.99))),
+              log_alphas, scan_alpha_bs, st.floats(-1.0, 1.0).map(lambda u: 10.0 ** u)),
+    st.builds(CalibrationSpec, st.floats(0.97, 1.01).map(lambda f: f * FIXED_03_PEAK),
+              st.just(0.05), st.just(FIXED_03)),  # the fine passes decide
+    st.builds(CalibrationSpec, st.floats(-8.0, -2.0).map(lambda t: 10.0 ** t), st.just(0.1),
+              st.just(FixedPrior(0.07))),  # roots beyond the scan
+    st.builds(CalibrationSpec, log_alphas, scan_alpha_bs,
+              st.sampled_from((CustomTablePrior.from_csv(str(Path(__file__).parent / "golden"
+                                                             / "table.csv")),)
+                              + SCANNED_TABLES)),
+    st.builds(CalibrationSpec, log_alphas, scan_alpha_bs, st.just(WavyPrior())),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scan_requests)
+@example(CalibrationSpec(0.00744, 0.05, FIXED_03))  # the 16-per-decade pass encloses it
+@example(CalibrationSpec(0.007441, 0.05, FIXED_03))  # no pass does
+@example(CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)))  # only the far probes do
+def test_the_walk_matches_the_eager_scan(spec):
+    walk_and_eager_scan(spec)
+
+
+def test_the_scan_stops_at_the_first_cell_that_encloses_alpha(monkeypatch):
+    """Criterion 11's request: the coarse pass stops at [1, 10], two points short of its end."""
+    calls = counting_type_i_error(monkeypatch)
+    scanned = []
+    real_find_root = calibration.find_root_bracketed
+
+    def polish(*args, **kwargs):
+        scanned.extend(sigma for sigma, _, _ in calls)
+        return real_find_root(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "find_root_bracketed", polish)
+    result = solve_sigma(CalibrationSpec(0.01, 0.05, ROBERT))
+    assert scanned == [1e-3, 1e-2, 0.1, 1.0, 10.0]
+    assert result.evaluations == len(calls) == 12
+    assert result.sigma_star == 1.4273082827390584
+    assert solve_sigma(CalibrationSpec(0.003, 0.05, FIXED_03)).evaluations == 57
+    calls.clear()
+    with pytest.raises(InfeasibleAlphaError, match=r"\(0\.0, 0\.04414516380661788\)"):
+        solve_sigma(CalibrationSpec(0.045, 0.05, ROBERT))
+    assert len(calls) == 387  # a refusal still computes every point of the last pass
 
 
 def test_spec_validation():

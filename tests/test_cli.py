@@ -593,7 +593,7 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "a0b73f2a24fe2e8a83db4f8bd20f01b4ad591b7a5a73e0f6d09f2806c01cde4c"
+CLI_DIGEST = "4e192d374f0d87304b7333141848cab5f44e4bdfe704d8ff17bb106555ddc0ac"
 
 
 def test_cli_text_is_pinned(capsys, monkeypatch, tmp_path):
