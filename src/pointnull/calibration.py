@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .model import Observation, _posterior_from_parts, variance_ratio
+from .model import Observation, _stable_inv_logistic, _x2_term, variance_ratio
 
 # Unused here, but bench/tracing.py rebinds pointnull.calibration.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
@@ -253,9 +253,7 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     """
     _check_sigma(sigma)
     _check_prob("alpha_b", alpha_b)
-    x = obs.x
-    post = _posterior_from_parts(x * x, log_m_of_sigma(scheme, sigma), variance_ratio(sigma), x,
-                                 sigma)
+    post = _stable_inv_logistic(log_m_of_sigma(scheme, sigma) + _x2_term(obs.x, sigma))
     return _REJECT if post < alpha_b else _RETAIN
 
 
@@ -268,7 +266,7 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     until the achieved error is within 5e-12 * alpha (_SOLVE_RTOL) of alpha or the bracket narrows
     to 2^-52 of its lower end. Both read one memo of errors, so evaluations, the type_i_error
     calls, counts each sigma once. A target met only where the error rounds to 1 (psi <= 0) is
-    refused here, with the range below 1 that the solve saw.
+    refused here, with the least and greatest error below 1 that the solve saw.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     seen: dict[float, float] = {}
@@ -284,7 +282,8 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
                                      xtol=2.0**-52 * bracket.lo, ftol=_SOLVE_RTOL * alpha)
     achieved = seen[sigma_star]
     if achieved == 1.0:  # kl within about 1e-8 of 1: met only where psi <= 0
-        raise InfeasibleAlphaError(alpha, seen[bracket.lo], max(e for e in seen.values() if e < 1))
+        below = [e for e in seen.values() if e < 1.0]
+        raise InfeasibleAlphaError(alpha, min(below), max(below))
     return CalibrationResult(sigma_star=sigma_star, psi_at_sigma=psi(sigma_star, alpha_b, scheme),
                              achieved_alpha=achieved, residual=achieved - alpha,
                              bracket_used=bracket, evaluations=len(seen))

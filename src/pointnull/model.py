@@ -76,26 +76,16 @@ def _stable_inv_logistic(t: float) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _x2_term(x_squared: float, ratio: float, x: float, sigma: float) -> float:
-    """x^2 sigma^2 / (2 (1 + sigma^2)), given x * x and variance_ratio(sigma).
+def _x2_term(x: float, sigma: float) -> float:
+    """x^2 sigma^2 / (2 (1 + sigma^2)): 0.5 x^2 variance_ratio(sigma) while x * x is finite.
 
-    0.5 x^2 ratio wherever x * x is finite. Past that, where ratio may
-    underflow and the product would be inf * 0, it is 0.5 (x sigma / tau)^2,
-    the one case that reads x and sigma.
+    Past that, where the ratio may underflow and the product be inf * 0, 0.5 (x sigma / tau)^2.
     """
+    x_squared = x * x
     if x_squared < math.inf:
-        return 0.5 * x_squared * ratio
+        return 0.5 * x_squared * variance_ratio(sigma)
     t = x * (sigma / _tau(sigma))
     return 0.5 * t * t
-
-
-def _posterior_from_parts(x_squared: float, base: float, ratio: float, x: float,
-                          sigma: float) -> float:
-    """The posterior from x * x, base = log m(sigma) and ratio = variance_ratio(sigma).
-
-    x and sigma are read as in _x2_term only.
-    """
-    return _stable_inv_logistic(base + _x2_term(x_squared, ratio, x, sigma))
 
 
 def _exp_or_inf(t: float) -> float:
@@ -109,11 +99,10 @@ def _exp_or_inf(t: float) -> float:
 def bayes_factor(obs: Observation, spread: AlternativeSpread) -> float:
     """Null-to-alternative marginal likelihood ratio.
 
-    Equals sqrt(1 + sigma^2) * exp(-x^2 sigma^2 / (2 (1 + sigma^2))); always
-    strictly positive, and exactly the prefactor when x = 0.
+    Equals sqrt(1 + sigma^2) * exp(-x^2 sigma^2 / (2 (1 + sigma^2))), exactly the
+    prefactor when x = 0. In float64 it underflows to 0.0 once the exponent passes about 745.
     """
-    x, sigma = obs.x, spread.sigma
-    return _tau(sigma) * math.exp(-_x2_term(x * x, variance_ratio(sigma), x, sigma))
+    return _tau(spread.sigma) * math.exp(-_x2_term(obs.x, spread.sigma))
 
 
 def marginal_alt(obs: Observation, spread: AlternativeSpread) -> float:
@@ -132,7 +121,7 @@ def posterior_from_log_odds(obs: Observation, spread: AlternativeSpread, log_odd
     """
     sigma = spread.sigma
     base = log_odds - 0.5 * log_marginal_variance(sigma)
-    post = _posterior_from_parts(obs.x * obs.x, base, variance_ratio(sigma), obs.x, sigma)
+    post = _stable_inv_logistic(base + _x2_term(obs.x, sigma))
     if post == post:
         return post
     if log_odds != log_odds:

@@ -25,8 +25,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import _EXPORTS
-from .model import (Observation, _exp_or_inf, _posterior_from_parts, _stable_inv_logistic,
-                    log_marginal_variance, variance_ratio)
+from .model import Observation, _exp_or_inf, _stable_inv_logistic, _x2_term, log_marginal_variance
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
 from .numerics import Bracket, DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
@@ -456,12 +455,11 @@ def paradox_sweep(
     """
     grid = _checked_grid(sigma_grid)
     x = Observation(x).x
-    x_squared = x * x
     rows = []
     make = ParadoxRow._make
     for sigma in grid:
         log_m = log_m_of_sigma(scheme, sigma)
-        post = _posterior_from_parts(x_squared, log_m, variance_ratio(sigma), x, sigma)
+        post = _stable_inv_logistic(log_m + _x2_term(x, sigma))
         rows.append(make((sigma, scheme.rho0(sigma), _exp_or_inf(log_m), post)))
     return rows
 

@@ -12,6 +12,12 @@ invalid 0, -1, nan and inf; x near sqrt(psi) to within 40 ulps, log-uniform
 up to 1e300, and x = 0. A faster path must keep the digests: any changed
 bit, refusal or message moves one.
 
+The same digests pin the model's posterior and Bayes factor, which decide
+and paradox_sweep compose: each call of bayes_factor,
+posterior_from_log_odds and posterior_h0 adds one line, from its own seeded
+draws. x reaches +-1.7e308 and sigma spans 5e-324 to 1.7e308, so the x^2 term
+takes its overflow route, and the log odds include +-inf and NaN.
+
 The second set pins the sigma roots, one digest per request family (scanned
 requests, kl's refusals, random solves, bounds and psi sweeps): each call of
 solve_sigma, positivity_bound and psi_sweep adds one line, with sigma*,
@@ -43,7 +49,8 @@ from test_calibration import scanned_requests, threshold_route
 
 from pointnull.calibration import (CalibrationSpec, decide, positivity_bound, power_analytic, psi,
                                    psi_sweep, solve_sigma, type_i_error)
-from pointnull.model import Observation
+from pointnull.model import (AlternativeSpread, Observation, bayes_factor, posterior_from_log_odds,
+                             posterior_h0)
 from pointnull.numerics import Bracket, find_root_bracketed
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
                               paradox_sweep)
@@ -56,6 +63,9 @@ DIGEST = {
     "power_analytic": "c3fd50d46a4381230774f63e7163f0ca5dff062980444518f6a7df4b47b457bc",
     "decide": "defef8193282a11f360955f8c47ec7d898a5a13f705a4cfd00b603b13ab9aa61",
     "paradox_sweep": "c4da0e0de0f9596711bc4f0a5eecf238ccdcc62a0b535fabad3114e3db903c89",
+    "bayes_factor": "93b6e5cda6370bfa39c29726d6d40cc6e42410150a4e34f7f5a43dd64ba5529f",
+    "posterior_from_log_odds": "cd70dcb687140ec4b10179df0f233bdd54b90a03300c5f47d402902e671cbc5c",
+    "posterior_h0": "7ee11ae8687290a58cb70ca8be052fc6069e81aeb53b2a2b90905f987136ab95",
 }
 SOLVES, BOUNDS, PSI_SWEEPS = 2000, 500, 300
 ROOT_DIGEST = {
@@ -71,6 +81,7 @@ ROOT_FINDER_DIGEST = "eac01b1af512b6cb48dcf9af530bbee93df2823f1ec6138ddd4fb33e98
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
 BAD_ALPHA_BS = (0.0, 1.0, math.nan, math.inf, -0.5)
 BAD_SIGMAS = (0.0, -1.0, math.nan, math.inf)
+BAD_XS = (math.nan, math.inf, -math.inf)
 
 
 def _scheme(rng):
@@ -142,6 +153,41 @@ def _line(call, *args):
     return result  # _decide's flags
 
 
+def _model_x(rng):
+    pick = rng.random()
+    if pick < 0.02:
+        return rng.choice(BAD_XS)
+    if pick < 0.1:
+        return rng.choice((0.0, 1.7e308, 1.34e154, 5e-324))
+    if pick < 0.4:
+        return rng.choice((rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 3.0)))
+    return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 308.2)
+
+
+def _model_sigma(rng):
+    pick = rng.random()
+    if pick < 0.02:
+        return rng.choice(BAD_SIGMAS)
+    if pick < 0.1:
+        return rng.choice((5e-324, 1e-162, 1.0, 1.7e308))
+    return 10.0 ** rng.choice((rng.uniform(-323.3, 308.2), rng.uniform(-3.0, 3.0)))
+
+
+def _log_odds(rng):
+    pick = rng.random()
+    if pick < 0.1:
+        return rng.choice((math.inf, -math.inf, math.nan, 0.0, 1e308, -1e308))
+    signed = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 300.0)
+    return rng.choice((rng.uniform(-50.0, 50.0), signed))
+
+
+def _rho0(rng):
+    pick = rng.random()
+    if pick < 0.05:
+        return rng.choice((0.0, 1.0, math.nan, -0.5, 1.0 - 2.0**-53, 5e-324))
+    return rng.choice((rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-300.0, 0.0) * 0.999))
+
+
 def scalar_path_digests():
     rng = random.Random(20261018)
     hashes = {family: hashlib.sha256() for family in DIGEST}
@@ -166,6 +212,19 @@ def scalar_path_digests():
             grid[rng.randrange(ROWS_PER_SWEEP)] = rng.choice(BAD_SIGMAS)
         x = rng.choice((0.0, rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 300.0), math.nan))
         hashes["paradox_sweep"].update(_line(paradox_sweep, scheme, x, grid).encode() + b"\n")
+    rng = random.Random(20261020)
+    for _ in range(CALLS_PER_FUNCTION):
+        x, sigma, log_odds, rho0 = _model_x(rng), _model_sigma(rng), _log_odds(rng), _rho0(rng)
+
+        def parts(x=x, sigma=sigma):  # inside the call, so a refused x or sigma is a line too
+            return Observation(x), AlternativeSpread(sigma)
+
+        for family, line in (
+                ("bayes_factor", _line(lambda: bayes_factor(*parts()))),
+                ("posterior_from_log_odds",
+                 _line(lambda: posterior_from_log_odds(*parts(), log_odds))),
+                ("posterior_h0", _line(lambda: posterior_h0(*parts(), rho0)))):
+            hashes[family].update(line.encode() + b"\n")
     return {family: h.hexdigest() for family, h in hashes.items()}
 
 

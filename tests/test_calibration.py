@@ -816,6 +816,16 @@ class WavyPrior(PriorScheme):
         return "wavy"
 
 
+def test_solve_refuses_a_wavy_target_that_rounds_to_one_with_an_ordered_range():
+    # The error at the bracket's low end is itself 1.0 here: the range is the least and
+    # greatest of the errors below 1 that the solve saw.
+    with pytest.raises(InfeasibleAlphaError) as excinfo:
+        solve_sigma(CalibrationSpec(0.9999999999968855, 0.5, WavyPrior()))
+    got = excinfo.value
+    assert got.achievable_lo <= got.achievable_hi < 1.0
+    assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.0)
+
+
 def test_the_walk_matches_the_eager_scan_on_the_scanned_requests():
     outcomes = set()
     for spec in scanned_requests():
@@ -912,7 +922,7 @@ def threshold_route(x, sigma, alpha_b, scheme):
     cut = calibration._cut(level, base, ratio)
     if x_squared < math.inf or cut < 0.0:
         return x_squared > cut
-    return _x2_term(x_squared, ratio, x, sigma) > level - base
+    return _x2_term(x, sigma) > level - base
 
 
 def test_decide_clear_retain():
@@ -1027,7 +1037,7 @@ def outside_band(x, sigma, alpha_b, scheme):
     """Whether the posterior exponent t = log m + x^2 term lies farther than tau from the level."""
     level = calibration._log_rejection_odds(alpha_b)
     base = log_m_of_sigma(scheme, sigma)
-    t = base + _x2_term(x * x, variance_ratio(sigma), x, sigma)
+    t = base + _x2_term(x, sigma)
     return abs(t - level) > calibration._band(level, base, alpha_b)
 
 

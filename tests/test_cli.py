@@ -593,7 +593,7 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "4e192d374f0d87304b7333141848cab5f44e4bdfe704d8ff17bb106555ddc0ac"
+CLI_DIGEST = "c48f65976612793bf5f1358dd8eaa54af2ccd024ca144fe7f069ebfffa9badcb"
 
 
 def test_cli_text_is_pinned(capsys, monkeypatch, tmp_path):

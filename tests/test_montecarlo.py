@@ -18,7 +18,8 @@ from pointnull.calibration import (CalibrationSpec, Decision, PsiDomainError, _c
 from pointnull.model import (
     AlternativeSpread,
     Observation,
-    _posterior_from_parts,
+    _stable_inv_logistic,
+    _x2_term,
     posterior_h0,
     variance_ratio,
 )
@@ -218,7 +219,7 @@ def count_words(plan, words, thresholds=None):
             continue
         exact += 1
         x = plan.theta + std_normal_quantile(((z >> 11) + 0.5) * 2.0**-53)
-        if _posterior_from_parts(x * x, base, ratio, x, plan.sigma) < plan.alpha_b:
+        if _stable_inv_logistic(base + _x2_term(x, plan.sigma)) < plan.alpha_b:
             count += 1
     return count, exact
 
@@ -506,7 +507,7 @@ def assert_margins_hold(prior, sigma, theta, alpha_b):
 
     def rejects(k):
         x = theta + std_normal_quantile((k + 0.5) * 2.0**-53)
-        return _posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b
+        return _stable_inv_logistic(base + _x2_term(x, sigma)) < alpha_b
 
     planted = set()
     for edge, outer, inner in ((-r - theta, reject_lo, keep_lo), (r - theta, reject_hi, keep_hi)):
@@ -755,7 +756,7 @@ def test_grid_points_next_to_each_window_are_decided_like_the_exact_route(
         if k not in grid:
             continue
         x = theta + std_normal_quantile((k + 0.5) * 2.0**-53)
-        assert (_posterior_from_parts(x * x, base, ratio, x, sigma) < alpha_b) == rejects, k
+        assert (_stable_inv_logistic(base + _x2_term(x, sigma)) < alpha_b) == rejects, k
 
 
 @pytest.mark.parametrize("alpha_b", (0.01, 0.05))
