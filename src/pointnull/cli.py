@@ -19,10 +19,9 @@ import math
 import sys
 from typing import Callable
 
-from .model import (AlternativeSpread, Observation, bayes_factor, marginal_alt,
-                    posterior_from_log_odds)
+from .model import AlternativeSpread, Observation, bayes_factor, marginal_alt
 from .numerics import DomainError
-from .priors import SchemeParseError, classify_regime, m_of_sigma, paradox_sweep, scheme_from_string
+from .priors import SchemeParseError, classify_regime, paradox_sweep, scheme_from_string
 
 __all__ = ["console_entry", "fmt_float", "main"]
 
@@ -120,19 +119,18 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 def _cmd_posterior(args: argparse.Namespace) -> str:
     from .calibration import decide  # loaded on use, like montecarlo
     scheme, sigma = scheme_from_string(args.scheme), args.sigma
-    rho = scheme.rho0(sigma)
+    row = paradox_sweep(scheme, args.x, [sigma])[0]  # the row `sweep --kind paradox` prints
     obs, spread = Observation(args.x), AlternativeSpread(sigma)
-    posterior = posterior_from_log_odds(obs, spread, scheme.log_prior_odds(sigma))
     return _kv(
         [
             ("x", args.x),
             ("sigma", sigma),
             ("scheme", scheme.scheme_id),
             ("alpha_b", args.alpha_b),
-            ("rho0", rho),
-            ("m", m_of_sigma(scheme, sigma)),
+            ("rho0", row.rho0),
+            ("m", row.m),
             ("bayes_factor", bayes_factor(obs, spread)),
-            ("posterior_h0", posterior),
+            ("posterior_h0", row.posterior_h0),
             ("decision", "reject" if decide(obs, sigma, args.alpha_b, scheme).reject else "retain"),
         ]
     )

@@ -149,7 +149,7 @@ class PriorScheme:
         default walks decades 10^-3..10^3 of the sigma domain in order and returns the first cell
         that encloses alpha; a pass that encloses nothing is evaluated whole and refined, 16 then
         64 points per decade, the last extended to 1e6 and 1e12. A refusal's range is the least
-        and greatest error of the last pass, which holds every point.
+        and greatest error of the last pass, which holds every point; a lone sigma is unsupported.
         """
         lo, hi = self.sigma_domain()
         for per_decade in (1, 16, 64):
@@ -162,6 +162,8 @@ class PriorScheme:
                 if e_lo <= alpha <= e_hi or e_hi <= alpha <= e_lo:
                     return Bracket(s_lo, s_hi)
                 errors.append(e_lo := e_hi)
+        if len(pts) < 2:  # no cell, though the one sigma may well achieve alpha
+            raise UnsupportedSchemeError(f"the sigma scan cannot split the domain {(lo, hi)!r}")
         raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
     @property

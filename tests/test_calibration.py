@@ -826,6 +826,27 @@ def test_solve_refuses_a_wavy_target_that_rounds_to_one_with_an_ordered_range():
     assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.0)
 
 
+def test_a_domain_the_scan_cannot_split_is_refused_by_name():
+    """Every pass over (0, 5e-4) holds the one sigma 5e-4, and so no cell to enclose alpha in.
+
+    That sigma achieves the target exactly, so calling it infeasible would be wrong.
+    """
+    class Narrow(PriorScheme):
+        __slots__ = ()
+        scheme_id = "narrow"
+
+        def rho0(self, sigma):
+            return 0.05
+
+        def sigma_domain(self):
+            return 0.0, 5e-4
+
+    alpha = 0.3173104772093517
+    assert type_i_error(5e-4, 0.05, Narrow()) == alpha
+    with pytest.raises(UnsupportedSchemeError, match=r"cannot split the domain \(0\.0, 0\.0005\)"):
+        solve_sigma(CalibrationSpec(alpha, 0.05, Narrow()))
+
+
 def test_the_walk_matches_the_eager_scan_on_the_scanned_requests():
     outcomes = set()
     for spec in scanned_requests():

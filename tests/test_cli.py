@@ -16,11 +16,12 @@ import pytest
 import pointnull
 from pointnull.calibration import power_analytic, type_i_error
 from pointnull.cli import fmt_float, main
-from pointnull.priors import KLSelfInformationPrior
+from pointnull.priors import KLSelfInformationPrior, paradox_sweep, scheme_from_string
 
 SIGMA_STAR_005_KL = "2.1089733943720829818"
 BOUND_KL_05 = 2.8454877865455884127
 README = Path(__file__).resolve().parents[1] / "README.md"
+TABLE_CSV = Path(__file__).resolve().parent / "golden" / "table.csv"
 COMMANDS = ("posterior", "bf", "calibrate", "sweep", "simulate", "regime")
 
 
@@ -121,22 +122,29 @@ def test_posterior_past_kl_underflow_uses_the_exact_odds(capsys):
         ("kl", "0.23802577210235576", "0.6064502263930358"),
         ("kl", "1.5", "2.0"),
         ("kl", "0", "38.5"),
+        ("kl", "0", "40"),  # past rho0's underflow
         ("robert", "1.5", "0.5"),
         ("robert", "-2.5", "7.3"),
+        ("fixed:0.5", "1.96", "2"),
+        pytest.param(f"table:{TABLE_CSV}", "1.5", "3", id="table-1.5-3"),
+        ("fixed:0.5", "1e200", "1e-200"),  # the x^2 term's overflow route
     ),
 )
 def test_posterior_matches_the_paradox_sweep_row(capsys, scheme, x, sigma):
+    """posterior prints the row of paradox_sweep, which sweep --kind paradox prints too."""
     code, out, _ = run(capsys, "posterior", "--x", x, "--sigma", sigma, "--scheme", scheme)
     assert code == 0
     values = parse_kv(out)
+    sigma_max = "8" if scheme.startswith("table:") else "100"  # the table ends at 8
     code, table, _ = run(capsys, "sweep", "--kind", "paradox", "--scheme", scheme, "--x", x,
-                         "--sigma-min", sigma, "--sigma-max", "100", "--steps", "2")
+                         "--sigma-min", sigma, "--sigma-max", sigma_max, "--steps", "2")
     assert code == 0
     _, header, rows = parse_csv(table)
     row = dict(zip(header, rows[0]))
     assert row["sigma"] == values["sigma"]
+    library = paradox_sweep(scheme_from_string(scheme), float(x), [float(sigma)])[0]
     for key in ("rho0", "m", "posterior_h0"):
-        assert row[key] == values[key], key
+        assert row[key] == values[key] == fmt_float(getattr(library, key)), key
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +553,6 @@ def test_readme_commands_run(capsys):
 # ---------------------------------------------------------------------------
 # extreme arguments
 
-TABLE_CSV = Path(__file__).resolve().parent / "golden" / "table.csv"
 EXTREME_SCHEMES = ("kl", "robert", "fixed:0.5", "fixed:0.0009", "fixed:1e-300",
                    f"table:{TABLE_CSV}")
 EXTREME_SIGMAS = ("5e-324", "1e-300", "1e154", "1.7e308", "0.5")

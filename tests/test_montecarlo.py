@@ -681,6 +681,33 @@ def test_grid_shares_at_the_corners(scheme, sigma, theta, alpha_b, kind, top):
         assert thresholds[2:] == (0, 2**64)
 
 
+@pytest.mark.parametrize("scheme, sigma, theta, alpha_b", (
+    (KL, 2.1089733943720677, 0.0, 0.05),
+    (KL, 2.1089733943720677, 1.5, 0.05),
+    (RobertPrior(), 1.0, -0.5, 0.01),
+    (FixedPrior(0.3), 3.4, 0.0, 0.3),
+    (GOLDEN_TABLE, 2.0, 0.5, 0.05),
+))
+def test_every_window_index_decided_bounds_the_simulation_bias(scheme, sigma, theta, alpha_b):
+    """The generator's rejection probability P is within power_analytic's bound of p, exactly.
+
+    The S surely rejecting grid points and the rejecting ones of the W window
+    points (about 40 000 here), each decided as the kernel decides a window draw,
+    give P = (S + rejecting) / 2^53 with no draw. 2e-14 covers power_analytic's
+    two cdf terms; 4 grid steps cover the grid's and the quantile's rounding at
+    the two cut points.
+    """
+    thresholds, _, top = assert_grid_shares_bracket_the_power(scheme, sigma, theta, alpha_b)
+    assert top == "reject"  # its uniform rounds to 1.0, where the quantile is undefined
+    keep_lo, keep_hi, reject_lo, reject_hi = (z >> 11 for z in thresholds)
+    rejecting = sum(
+        decide(Observation(theta + std_normal_quantile((k + 0.5) * 2.0**-53)), sigma, alpha_b,
+               scheme).reject
+        for k in itertools.chain(range(reject_lo, keep_lo), range(keep_hi, reject_hi)))
+    exact = (reject_lo + 2**53 - reject_hi + rejecting) / 2**53
+    assert abs(exact - power_analytic(theta, sigma, alpha_b, scheme)) <= 2e-14 + 4 * 2.0**-53
+
+
 def test_counted_event_is_the_posterior_decision():
     plan = make_plan(n=500)
     spread = AlternativeSpread(plan.sigma)

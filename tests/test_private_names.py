@@ -3,8 +3,9 @@
 Every top-level private function, class or constant (one leading underscore)
 in src/pointnull must be loaded somewhere in src/ outside its own definition:
 by a name, an attribute or an import. Every public name in the package's
-export map must be loaded so too, or be named in README.md. Every exception
-class defined there must be raised there.
+export map must be loaded so too, or be named in README.md. Every name a
+module imports must be read in that module. Every exception class defined
+there must be raised there.
 """
 
 import ast
@@ -13,6 +14,7 @@ import re
 from pathlib import Path
 
 from pointnull import _EXPORTS
+from test_bench_names import BENCH_ONLY_IMPORTS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pointnull"
 README = SRC.parents[1] / "README.md"
@@ -76,6 +78,21 @@ def test_cli_imports_no_private_library_name():
     private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if _private(alias.name)]
     assert private == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    """An import that nothing in its module reads is a leftover; only the bench-only ones stay."""
+    unread = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        bound = {(alias.asname or alias.name).partition(".")[0]
+                 for node in imports for alias in node.names}
+        unread |= {(f"pointnull.{path.stem}", name) for name in bound - read}
+    assert sorted(unread - BENCH_ONLY_IMPORTS) == []
 
 
 def _exception_classes(trees: list[ast.Module]) -> set[str]:
