@@ -23,6 +23,7 @@ from .model import Observation, _stable_inv_logistic, _x2_term, variance_ratio
 # Unused here, but bench/tracing.py rebinds pointnull.calibration.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
 from .numerics import (
+    _INF,
     Bracket,
     DomainError,
     _check_finite,
@@ -251,8 +252,9 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
 
     Refuses sigma, then alpha_b, then as log_m_of_sigma does, which leaves no NaN posterior.
     """
-    _check_sigma(sigma)
-    _check_prob("alpha_b", alpha_b)
+    if not (0.0 < sigma < _INF and 0.0 < alpha_b < 1.0):
+        _check_sigma(sigma)  # one of the two raises
+        _check_prob("alpha_b", alpha_b)
     post = _stable_inv_logistic(log_m_of_sigma(scheme, sigma) + _x2_term(obs.x, sigma))
     return _REJECT if post < alpha_b else _RETAIN
 

@@ -90,6 +90,8 @@ def _x2_term(x: float, sigma: float) -> float:
 
 def _exp_or_inf(t: float) -> float:
     """exp(t), or inf where the value exceeds float range."""
+    if t > 709.79:  # e^709.79 exceeds the largest float: inf without raising OverflowError
+        return math.inf
     try:
         return math.exp(t)
     except OverflowError:

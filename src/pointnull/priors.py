@@ -22,13 +22,15 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from typing import Callable, NamedTuple
 
 from . import _EXPORTS
 from .model import Observation, _exp_or_inf, _stable_inv_logistic, _x2_term, log_marginal_variance
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
-from .numerics import Bracket, DomainError, _check_prob, _check_sigma, _Record, _set, _u_minus_log1p
+from .numerics import (_INF, Bracket, DomainError, _check_prob, _check_sigma, _Record, _set,
+                       _u_minus_log1p)
 
 __all__ = _EXPORTS["priors"]
 
@@ -185,11 +187,13 @@ class FixedPrior(_LogOdds, _Record, PriorScheme):
         _set(self, "_log_odds", math.log1p(-rho0_value) - math.log(rho0_value))
 
     def rho0(self, sigma: float) -> float:
-        _check_sigma(sigma)
+        if not 0.0 < sigma < _INF:
+            _check_sigma(sigma)  # raises
         return self.rho0_value
 
     def log_prior_odds(self, sigma: float) -> float:
-        _check_sigma(sigma)
+        if not 0.0 < sigma < _INF:
+            _check_sigma(sigma)  # raises
         return self._log_odds
 
     def declared_regime(self) -> Regime:
@@ -214,10 +218,14 @@ class RobertPrior(_Record, PriorScheme):
     __slots__ = ()
 
     def rho0(self, sigma: float) -> float:
-        return 1.0 / (1.0 + SQRT_TWO_PI * _check_sigma(sigma))
+        if not 0.0 < sigma < _INF:
+            _check_sigma(sigma)  # raises
+        return 1.0 / (1.0 + SQRT_TWO_PI * sigma)
 
     def log_prior_odds(self, sigma: float) -> float:
-        return _LOG_SQRT_TWO_PI + math.log(_check_sigma(sigma))
+        if not 0.0 < sigma < _INF:
+            _check_sigma(sigma)  # raises
+        return _LOG_SQRT_TWO_PI + math.log(sigma)
 
     def declared_regime(self) -> Regime:
         return Regime("finite", SQRT_TWO_PI)
@@ -251,7 +259,9 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         return _stable_inv_logistic(self.log_prior_odds(sigma))
 
     def log_prior_odds(self, sigma: float) -> float:
-        return 0.5 * _check_sigma(sigma) * sigma
+        if not 0.0 < sigma < _INF:
+            _check_sigma(sigma)  # raises
+        return 0.5 * sigma * sigma
 
     def declared_regime(self) -> Regime:
         return Regime("divergent")
@@ -360,10 +370,10 @@ class CustomTablePrior(_Record, PriorScheme):
         return self.points[0][0], self.points[-1][0]
 
     def rho0(self, sigma: float) -> float:
-        _check_sigma(sigma)
         points = self.points
         lo, hi = points[0][0], points[-1][0]
-        if sigma < lo or sigma > hi:
+        if not lo <= sigma <= hi:  # lo > 0 and hi < inf: every sigma outside (0, inf) fails too
+            _check_sigma(sigma)
             raise TableRangeError(f"sigma={sigma} outside tabulated range [{lo}, {hi}]")
         i = bisect.bisect_left(points, (sigma,))  # (sigma,) sorts before (sigma, rho0)
         if points[i][0] == sigma:
@@ -432,7 +442,7 @@ def _checked_grid(sigma_grid: list[float] | tuple[float, ...]) -> list[float]:
     grid = list(sigma_grid)
     if not grid:
         raise DomainError("sigma grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(map(operator.le, grid[1:], grid)):  # False at a NaN, which the sigma check refuses
         raise DomainError("sigma grid must be strictly increasing")
     return grid
 
@@ -458,11 +468,11 @@ def paradox_sweep(
     grid = _checked_grid(sigma_grid)
     x = Observation(x).x
     rows = []
-    make = ParadoxRow._make
+    append, rho0, new = rows.append, scheme.rho0, tuple.__new__  # new(ParadoxRow, ...) is _make
     for sigma in grid:
         log_m = log_m_of_sigma(scheme, sigma)
         post = _stable_inv_logistic(log_m + _x2_term(x, sigma))
-        rows.append(make((sigma, scheme.rho0(sigma), _exp_or_inf(log_m), post)))
+        append(new(ParadoxRow, (sigma, rho0(sigma), _exp_or_inf(log_m), post)))
     return rows
 
 

@@ -16,7 +16,7 @@ import pytest
 import pointnull
 from pointnull.calibration import power_analytic, type_i_error
 from pointnull.cli import fmt_float, main
-from pointnull.priors import KLSelfInformationPrior, paradox_sweep, scheme_from_string
+from pointnull.priors import KLSelfInformationPrior, ParadoxRow, paradox_sweep, scheme_from_string
 
 SIGMA_STAR_005_KL = "2.1089733943720829818"
 BOUND_KL_05 = 2.8454877865455884127
@@ -143,6 +143,9 @@ def test_posterior_matches_the_paradox_sweep_row(capsys, scheme, x, sigma):
     row = dict(zip(header, rows[0]))
     assert row["sigma"] == values["sigma"]
     library = paradox_sweep(scheme_from_string(scheme), float(x), [float(sigma)])[0]
+    assert type(library) is ParadoxRow  # the record paradox_sweep builds without _make
+    assert library._fields == ("sigma", "rho0", "m", "posterior_h0")
+    assert library == ParadoxRow._make(tuple(library))
     for key in ("rho0", "m", "posterior_h0"):
         assert row[key] == values[key] == fmt_float(getattr(library, key)), key
 

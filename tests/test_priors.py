@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointnull.model import AlternativeSpread, Observation, posterior_from_log_odds, posterior_h0
-from pointnull.numerics import DomainError
+from pointnull.model import (AlternativeSpread, Observation, _exp_or_inf, posterior_from_log_odds,
+                             posterior_h0)
+from pointnull.numerics import DomainError, _check_sigma
 from pointnull.priors import (
     SQRT_TWO_PI,
     CustomTablePrior,
@@ -61,9 +63,23 @@ def test_fixed_log_prior_odds_are_the_base_formula_bit_for_bit():
             continue
         scheme, sigma = FixedPrior(rho), 10.0 ** rng.uniform(-300.0, 300.0)
         assert scheme.log_prior_odds(sigma) == PriorScheme.log_prior_odds(scheme, sigma)
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="sigma"):
-            FixedPrior(0.3).log_prior_odds(bad)
+
+
+@pytest.mark.parametrize("method", ("log_prior_odds", "rho0"))
+@pytest.mark.parametrize("scheme", (KLSelfInformationPrior(), RobertPrior(), FixedPrior(0.3)),
+                         ids=lambda scheme: scheme.scheme_id)
+def test_builtin_schemes_refuse_sigma_outside_the_domain_as_check_sigma_does(scheme, method):
+    """One comparison admits sigma; a refusal is _check_sigma's own, message and type."""
+    evaluate = getattr(scheme, method)
+    for bad in (0.0, -0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError) as expected:
+            _check_sigma(bad)
+        with pytest.raises(DomainError) as refused:
+            evaluate(bad)
+        assert type(refused.value) is DomainError
+        assert str(refused.value) == str(expected.value), bad
+    for good in (5e-324, 1.7e308):
+        assert not math.isnan(evaluate(good)), good
 
 
 def test_a_scheme_with_only_rho0_still_refuses_sigma_outside_the_domain():
@@ -124,6 +140,30 @@ def test_log_m_reference_values():
 
 def test_m_overflows_to_inf_not_error():
     assert m_of_sigma(KLSelfInformationPrior(), 100.0) == math.inf
+    assert m_of_sigma(KLSelfInformationPrior(), 40.0) == math.inf  # log m = 796.3
+    assert classify_regime(KLSelfInformationPrior()).evidence.m_values == (math.inf, math.inf)
+
+
+def _exp_overflows(t):
+    try:
+        math.exp(t)
+    except OverflowError:
+        return True
+    return False
+
+
+def test_exp_or_inf_is_exp_up_to_the_last_finite_exponent_and_inf_past_it():
+    t = math.log(sys.float_info.max)  # the last finite exponent lies within an ulp or two
+    while not _exp_overflows(math.nextafter(t, math.inf)):
+        t = math.nextafter(t, math.inf)
+    while _exp_overflows(t):
+        t = math.nextafter(t, -math.inf)
+    assert 709.78 < t < 709.79
+    assert _exp_or_inf(t) == math.exp(t) < math.inf
+    for past in (math.nextafter(t, math.inf), 709.79, 1e308, math.inf):
+        assert _exp_or_inf(past) == math.inf, past
+    assert math.isnan(_exp_or_inf(math.nan))
+    assert _exp_or_inf(-math.inf) == 0.0
 
 
 def test_kl_past_the_float_range_of_sigma_squared_is_inf_not_error():
@@ -286,6 +326,13 @@ def test_table_refuses_extrapolation():
         table.rho0(3.001)
     with pytest.raises(TableRangeError):  # not turned into log_prior_odds' rho0 refusal
         table.log_prior_odds(3.001)
+    for bad in (0.0, -1.0, math.nan, math.inf):  # outside (0, inf): the sigma refusal
+        with pytest.raises(DomainError) as expected:
+            _check_sigma(bad)
+        with pytest.raises(DomainError) as refused:
+            table.rho0(bad)
+        assert type(refused.value) is DomainError
+        assert str(refused.value) == str(expected.value), bad
 
 
 def test_sigma_domain_is_the_table_range_and_otherwise_unbounded():
@@ -482,3 +529,5 @@ def test_sweep_grid_validation():
         paradox_sweep(FixedPrior(0.5), 0.0, [1.0, 1.0])
     with pytest.raises(DomainError):
         paradox_sweep(FixedPrior(0.5), 0.0, [2.0, 1.0])
+    with pytest.raises(DomainError, match="sigma must be finite"):  # NaN passes the order check
+        paradox_sweep(FixedPrior(0.5), 0.0, [1.0, math.nan, 0.5])
