@@ -42,12 +42,6 @@ _SOLVE_RTOL = 5e-12  # solve_sigma meets alpha to within this multiple of alpha
 #: sigma values at which classification evidence is collected.
 _PROBE_SIGMAS = (1.0e3, 1.0e6)
 
-_SCAN_DECADES = range(-3, 4)
-#: Probes past the scan range, taken only when the finest pass brackets
-#: nothing: asymptotically flat schemes reach some targets only there, and
-#: their values bound the achievable range a refusal reports.
-_FAR_PROBES = (1e6, 1e12)
-
 
 class TableRangeError(DomainError):
     """A tabulated scheme was queried outside its tabulated sigma range."""
@@ -95,16 +89,18 @@ class Regime(_Record):
 
 
 @functools.lru_cache(maxsize=64)
-def _scan_points(per_decade: int, lo: float, hi: float) -> tuple[float, ...]:
-    """Log-spaced grid over 10^-3 .. 10^3, per_decade points per decade.
+def _scan_passes(lo: float, hi: float) -> tuple[tuple[float, ...], ...]:
+    """The scan's 1, 16 and 64 sigma per decade of 10^-3 .. 10^3 in (lo, hi), once per domain.
 
-    Only the points inside the domain (lo, hi) are kept, and its finite
-    ends close the grid. A finer grid holds every point of a coarser one bit
-    for bit, since k + j/16 == k + 4j/64 exactly. Built once per domain.
+    The coarser passes are slices of the finest, so each of their points is one of its points bit
+    for bit. The domain's finite ends close each pass. When hi is inf the last goes on to 1e6 and
+    1e12: flat schemes reach some targets only there, and their errors bound a refusal's range.
     """
-    pts = [10.0 ** (k + j / per_decade) for k in _SCAN_DECADES[:-1] for j in range(per_decade)]
-    pts = [s for s in pts + [10.0 ** _SCAN_DECADES[-1]] if lo < s < hi]
-    return (lo,) * (lo > 0.0) + tuple(pts) + (hi,) * (hi < math.inf)
+    grid = [10.0 ** (k + j / 64) for k in range(-3, 3) for j in range(64)] + [1e3]
+    head, tail = (lo,) * (lo > 0.0), (hi,) * (hi < math.inf)
+    coarse, mid, fine = (head + tuple(s for s in grid[::step] if lo < s < hi) + tail
+                         for step in (64, 4, 1))
+    return coarse, mid, fine + (tuple(s for s in (1e6, 1e12) if lo < s) if hi == math.inf else ())
 
 
 class PriorScheme:
@@ -122,7 +118,9 @@ class PriorScheme:
         The model takes these odds, not rho0: they stay exact where rho0 underflows.
         An override must reject sigma outside (0, inf): log_m_of_sigma does not check it.
         """
-        r = self.rho0(_check_sigma(sigma))
+        if not 0.0 < sigma < _INF:
+            _check_sigma(sigma)  # raises
+        r = self.rho0(sigma)
         try:
             return math.log1p(-r) - math.log(r)
         except ValueError:  # r outside (0, 1); NaN passes, for log_m_of_sigma to refuse
@@ -148,16 +146,13 @@ class PriorScheme:
 
         Enclosing to within _SOLVE_RTOL * alpha is enough: solve_sigma meets such alpha at an end.
         level is log(1/alpha_b - 1); error_at(sigma), memoized by solve_sigma, is the error. This
-        default walks decades 10^-3..10^3 of the sigma domain in order and returns the first cell
-        that encloses alpha; a pass that encloses nothing is evaluated whole and refined, 16 then
-        64 points per decade, the last extended to 1e6 and 1e12. A refusal's range is the least
-        and greatest error of the last pass, which holds every point; a lone sigma is unsupported.
+        default walks each pass of _scan_passes in order and returns the first cell that encloses
+        alpha; a pass that encloses nothing is evaluated whole, and the next one refines it. A
+        refusal's range is the least and greatest error of the last pass, which holds every
+        point; a lone sigma is unsupported.
         """
         lo, hi = self.sigma_domain()
-        for per_decade in (1, 16, 64):
-            pts = _scan_points(per_decade, lo, hi)
-            if per_decade == 64:  # past the grid's upper end, reached only if no cell encloses
-                pts += tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
+        for pts in _scan_passes(lo, hi):
             errors = [e_lo := error_at(pts[0])]
             for s_lo, s_hi in zip(pts, pts[1:]):
                 e_hi = error_at(s_hi)

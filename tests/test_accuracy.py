@@ -7,12 +7,14 @@ is measured is the library's own rounding, not the conditioning of its input.
 
 import math
 import random
+import shlex
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_calibration import threshold_route
+from test_golden import CASES, GOLDEN
 
 from pointnull.calibration import (CalibrationSpec, PsiDomainError, _band, _log_rejection_odds,
                                    decide, positivity_bound, psi, psi_sweep, solve_sigma,
@@ -304,3 +306,66 @@ def test_psi_and_type_i_error_within_their_stated_bounds(capsys):
             worst_error = max(worst_error, error_relative / error_bound)
     with capsys.disabled():
         print(f"\npsi used {worst_psi:.3f} of its bound at most, the Type I error {worst_error:.3f}")
+
+
+def _golden_psi_sweep(name):
+    """The exact-odds scheme choice, alpha_b, (sigma, psi, log_psi) rows and end a psi file printed.
+
+    The scheme comes from the case's argv in test_golden.CASES, which the file's comments repeat.
+    """
+    argv = shlex.split(CASES[name])
+    scheme = argv[argv.index("--scheme") + 1]
+    lines = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+    comments = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    assert lines[0] == "exit = 0" and comments["kind"] == "psi" and comments["scheme"] == scheme
+    header = lines.index("sigma,psi,log_psi")
+    rows = [tuple(map(float, line.split(","))) for line in lines[header + 1:] if line[0] != "#"]
+    choice = "kl" if scheme == "kl" else float(scheme.removeprefix("fixed:"))
+    end = comments.get("domain_end sigma")
+    return choice, float(comments["alpha_b"]), rows, None if end is None else float(end)
+
+
+@pytest.mark.parametrize("name", ("readme_sweep_psi_kl", "readme_sweep_psi_fixed"))
+def test_printed_psi_columns_within_their_stated_bounds(name, capsys):
+    """Each printed psi within psi's 6 eps (1 + kappa), log_psi within the bound it implies.
+
+    The reference takes the printed sigma and alpha_b, the exact log odds and 50 digits; kappa
+    is test_psi_and_type_i_error_within_their_stated_bounds' own. log_psi is math.log of the
+    float v = psi (1 + d), |d| <= b = 6 eps (1 + kappa), so log v = log psi + log(1 + d) with
+    |log(1 + d)| <= b / (1 - b), and math.log, within 1 ulp, adds at most 2 eps |log v|:
+    |log_psi - log psi| <= b / (1 - b) + 2 eps (|log psi| + b / (1 - b)). kl's domain_end is
+    positivity_bound, within 2 ulp of the root of log m = log(1/alpha_b - 1) at the float level.
+    """
+    choice, alpha_b, rows, end = _golden_psi_sweep(name)
+    _, log_odds = _scheme_with_exact_odds(choice)
+    assert rows and (end is not None) == (choice == "kl")
+    worst = {"psi": 0.0, "log_psi": 0.0}  # ulps
+    share = {"psi": 0.0, "log_psi": 0.0}  # of the bound
+    for sigma, printed_psi, printed_log_psi in rows:
+        with mpmath.workdps(50):
+            s, a = mpmath.mpf(sigma), mpmath.mpf(alpha_b)
+            level = mpmath.log1p(-a) - mpmath.log(a)
+            half = mpmath.log1p(s * s) / 2
+            gap = level - (log_odds(s) - half)
+            size = abs(mpmath.log(a)) + abs(mpmath.log1p(-a)) + half + _log_odds_size(choice, s)
+            kappa = float(size / abs(gap))
+            exact_psi = 2 * gap * (1 + s * s) / (s * s)
+            exact_log_psi = mpmath.log(exact_psi)
+            psi_relative = float(abs(printed_psi - exact_psi) / exact_psi)
+            log_psi_error = float(abs(printed_log_psi - exact_log_psi))
+        b = 6.0 * EPS * (1.0 + kappa)
+        log_psi_bound = b / (1.0 - b) + 2.0 * EPS * (abs(float(exact_log_psi)) + b / (1.0 - b))
+        assert psi_relative <= b, sigma
+        assert log_psi_error <= log_psi_bound, sigma
+        share["psi"] = max(share["psi"], psi_relative / b)
+        share["log_psi"] = max(share["log_psi"], log_psi_error / log_psi_bound)
+        worst["psi"] = max(worst["psi"], ulps(printed_psi, exact_psi))
+        worst["log_psi"] = max(worst["log_psi"], ulps(printed_log_psi, exact_log_psi))
+    if end is not None:
+        worst["domain_end"] = ulps(end, kl_bound_reference(_log_rejection_odds(alpha_b)))
+        share["domain_end"] = worst["domain_end"] / 2.0
+        assert worst["domain_end"] <= 2.0
+    with capsys.disabled():
+        columns = (f"{column} {worst[column]:.1f} ulp ({share[column]:.3f} of its bound)"
+                   for column in worst)
+        print(f"\n{name}, worst per column: " + ", ".join(columns))

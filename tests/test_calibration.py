@@ -1,5 +1,6 @@
 """Frequentist calibration of the Bayesian test: psi, error rates, sigma solving."""
 
+import functools
 import math
 import random
 import sys
@@ -28,10 +29,9 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
                              posterior_h0, variance_ratio)
 from pointnull.montecarlo import SimulationPlan, simulate_power
 from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
-from pointnull.priors import (_FAR_PROBES, _SOLVE_RTOL, CustomTablePrior, FixedPrior,
-                              KLSelfInformationPrior, PriorScheme, RobertPrior,
-                              UnsupportedSchemeError, _scan_points, log_m_of_sigma, m_of_sigma,
-                              paradox_sweep)
+from pointnull.priors import (_SOLVE_RTOL, CustomTablePrior, FixedPrior, KLSelfInformationPrior,
+                              PriorScheme, RobertPrior, UnsupportedSchemeError, _scan_passes,
+                              log_m_of_sigma, m_of_sigma, paradox_sweep)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -741,6 +741,59 @@ def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
     calls = counting_type_i_error(monkeypatch)
     result = solve_sigma(spec)
     assert result.evaluations == len(calls)
+
+
+# The scan's grid as priors built it before _scan_passes, kept verbatim: the reference
+# passes below and the eager scan are built from it.
+_SCAN_DECADES = range(-3, 4)
+#: Probes past the scan range, taken only when the finest pass brackets
+#: nothing: asymptotically flat schemes reach some targets only there, and
+#: their values bound the achievable range a refusal reports.
+_FAR_PROBES = (1e6, 1e12)
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_points(per_decade: int, lo: float, hi: float) -> tuple[float, ...]:
+    """Log-spaced grid over 10^-3 .. 10^3, per_decade points per decade.
+
+    Only the points inside the domain (lo, hi) are kept, and its finite
+    ends close the grid. A finer grid holds every point of a coarser one bit
+    for bit, since k + j/16 == k + 4j/64 exactly. Built once per domain.
+    """
+    pts = [10.0 ** (k + j / per_decade) for k in _SCAN_DECADES[:-1] for j in range(per_decade)]
+    pts = [s for s in pts + [10.0 ** _SCAN_DECADES[-1]] if lo < s < hi]
+    return (lo,) * (lo > 0.0) + tuple(pts) + (hi,) * (hi < math.inf)
+
+
+def reference_scan_passes(lo, hi):
+    """The walk's three passes as the scan built them from _scan_points, the last extended."""
+    coarse, mid, fine = (_scan_points(per_decade, lo, hi) for per_decade in (1, 16, 64))
+    return coarse, mid, fine + tuple(s for s in _FAR_PROBES if fine[-1] < s < hi)
+
+
+def test_scan_passes_are_the_reference_grid_bit_for_bit():
+    """_scan_passes builds _scan_points' passes, and each pass holds the coarser one in order.
+
+    Domains: the edge cases below, the scanned tables' and 9000 seeded ones, whose ends are
+    0, inf, grid points or log-uniform draws over 10^-6 .. 10^14.
+    """
+    grid = reference_scan_passes(0.0, math.inf)[-1]
+    rng = random.Random(37)
+
+    def end():
+        return rng.choice(grid) if rng.random() < 0.3 else 10.0 ** rng.uniform(-6.0, 14.0)
+
+    domains = [(0.0, math.inf), (0.0, 5e-4), (5e3, math.inf), (2e6, math.inf), (2e12, math.inf),
+               (0.1, 1e7), (1e-5, 1e13)] + [table.sigma_domain() for table in SCANNED_TABLES]
+    for _ in range(9000):
+        lo, hi = sorted((end(), end()))
+        domains.append((0.0 if rng.random() < 0.2 else lo, math.inf if rng.random() < 0.2 else hi))
+    for lo, hi in domains:
+        passes = _scan_passes(lo, hi)
+        assert passes == reference_scan_passes(lo, hi), (lo, hi)  # no two positive floats tie
+        for coarse, fine in zip(passes, passes[1:]):
+            finer = iter(fine)
+            assert all(s in finer for s in coarse), (lo, hi)  # a subsequence, in order
 
 
 def eager_calibration_bracket(scheme, level, alpha, error_at):

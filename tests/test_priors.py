@@ -6,11 +6,13 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointnull import priors
 from pointnull.model import (AlternativeSpread, Observation, _exp_or_inf, posterior_from_log_odds,
                              posterior_h0)
 from pointnull.numerics import DomainError, _check_sigma
@@ -97,6 +99,41 @@ def test_a_scheme_with_only_rho0_still_refuses_sigma_outside_the_domain():
             Unchecked().log_prior_odds(bad)
         with pytest.raises(DomainError, match="sigma"):
             log_m_of_sigma(Unchecked(), bad)
+
+
+def test_the_base_log_prior_odds_admits_sigma_with_one_comparison(monkeypatch):
+    """Tables and rho0-only schemes call _check_sigma only to refuse, with its own message."""
+
+    class RhoOnly(PriorScheme):
+        scheme_id = "rho-only"
+
+        def rho0(self, sigma):
+            return 0.5 / (1.0 + sigma)
+
+    table = CustomTablePrior.from_csv(str(Path(__file__).parent / "golden" / "table.csv"))
+    calls = []
+
+    def counting_check_sigma(sigma):
+        calls.append(sigma)
+        return _check_sigma(sigma)
+
+    monkeypatch.setattr(priors, "_check_sigma", counting_check_sigma)
+    rng = random.Random(37)
+    valid = {table: [0.5, 8.0] + [rng.uniform(0.5, 8.0) for _ in range(998)],
+             RhoOnly(): [5e-324, 1.7e308] + [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(998)]}
+    for scheme, sigmas in valid.items():
+        for sigma in sigmas:
+            assert not math.isnan(log_m_of_sigma(scheme, sigma)), (scheme, sigma)
+        assert calls == [], scheme
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError) as expected:
+                _check_sigma(bad)
+            with pytest.raises(DomainError) as refused:
+                log_m_of_sigma(scheme, bad)
+            assert type(refused.value) is DomainError
+            assert str(refused.value) == str(expected.value), (scheme, bad)
+        assert len(calls) == 4, scheme
+        calls.clear()
 
 
 def test_robert_rho0_reference():

@@ -5,7 +5,8 @@ in src/pointnull must be loaded somewhere in src/ outside its own definition:
 by a name, an attribute or an import. Every public name in the package's
 export map must be loaded so too, or be named in README.md. Every name a
 module imports must be read in that module. Every exception class defined
-there must be raised there.
+there must be raised there. Every module parses as the oldest Python that
+pyproject.toml's requires-python admits.
 """
 
 import ast
@@ -18,6 +19,7 @@ from test_bench_names import BENCH_ONLY_IMPORTS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pointnull"
 README = SRC.parents[1] / "README.md"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
 #: Public names kept without a caller. ROADMAP directions 1 and 7 decide whether
 #: classical_threshold gets one in src/ or goes.
 UNCALLED_EXPORTS = {"classical_threshold"}
@@ -135,3 +137,14 @@ def test_every_library_exception_class_is_exported():
     exceptions = _exception_classes(list(trees.values())) & library
     assert {"DomainError", "SchemeParseError", "TableRangeError"} <= exceptions
     assert sorted(exceptions - {name for names in _EXPORTS.values() for name in names}) == []
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    """No syntax newer than the requires-python floor (3.10), which a newer Python would pass."""
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', PYPROJECT.read_text(encoding="utf-8"),
+                      re.MULTILINE)
+    modules = sorted(SRC.glob("*.py"))
+    assert floor is not None and modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, int(floor.group(1))))
