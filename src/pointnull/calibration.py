@@ -85,6 +85,7 @@ class Decision(_Record):
 _REJECT, _RETAIN = Decision(True, True), Decision(False, False)
 
 
+_TWO_PI = 2.0 * math.pi
 _LEVELS: dict[float, float] = {}  # alpha_b -> its level, at most 64 of them
 
 
@@ -203,9 +204,21 @@ def power_analytic(theta: float, sigma: float, alpha_b: float, scheme: PriorSche
 
 
 def classical_threshold(alpha: float) -> float:
-    """c_alpha with P0(x^2 > c_alpha) = alpha: the squared two-sided z critical value."""
-    _check_prob("alpha", alpha)
-    return std_normal_quantile(0.5 * alpha) ** 2
+    """c_alpha with P0(x^2 > c_alpha) = alpha: the squared two-sided z critical value.
+
+    The square of the quantile at alpha/2, then for 2^-1021 <= alpha <= 1/2 one Newton step on
+    erfc(sqrt(c/2)) = alpha, within 1 + k (11 + c) ulp: k = alpha / (c |d erfc(sqrt(c/2))/dc|),
+    about 2/c for small alpha and 2.4 at 1/2, with erfc within 5 ulp and conditioned by 1 + c.
+    alpha = 5e-324 is refused: its half tail rounds to 0, where the quantile is undefined.
+    """
+    tail = 0.5 * _check_prob("alpha", alpha)
+    if tail == 0.0:
+        raise DomainError(f"alpha={alpha!r} is too small: alpha/2 rounds to 0, so c_alpha is "
+                          "not computed")
+    c = std_normal_quantile(tail) ** 2
+    if 2.0**-1021 <= alpha <= 0.5:
+        c += (math.erfc(math.sqrt(0.5 * c)) - alpha) * math.sqrt(_TWO_PI * c) * math.exp(0.5 * c)
+    return c
 
 
 def positivity_bound(alpha_b: float, scheme: PriorScheme) -> float | None:
@@ -259,18 +272,72 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     return _REJECT if post < alpha_b else _RETAIN
 
 
+def _newton_on_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float,
+                 evaluated: list[float]) -> tuple[float, float]:
+    """The ends of a sigma bracket, shrunk onto the root of h_c = (level - log m) - (c/2) ratio.
+
+    h_c = (ratio/2)(psi - c) has the sign of alpha - error where c = c_alpha. Each step is
+    Newton's from the end with the smaller |h_c|, and the ends keep h_c's sign change. A step
+    that leaves the bracket, or exceeds half the step before the last (a stall), is replaced by
+    bisection. Once a step is within 2 ulp its end point is evaluated, and the loop stops; so
+    it does at an exact zero, at adjacent floats, or at once where the ends do not change sign.
+    The slope is -d log m/d sigma - c sigma/(1 + sigma^2)^2, or the bracket's secant slope for a
+    scheme without _log_m_slope. Returns the end with the smaller |h_c| first, and appends each
+    sigma h_c is evaluated at to evaluated.
+    """
+    half_c, log_m_slope = 0.5 * c, scheme._log_m_slope
+
+    def h(sigma: float) -> float:
+        evaluated.append(sigma)
+        return level - log_m_of_sigma(scheme, sigma) - half_c * variance_ratio(sigma)
+
+    h_lo, h_hi = h(lo), h(hi)
+    if h_lo and h_hi and (h_lo > 0.0) != (h_hi > 0.0):
+        last = before = math.inf
+        while True:
+            x, h_x = (lo, h_lo) if abs(h_lo) <= abs(h_hi) else (hi, h_hi)
+            if log_m_slope is None:
+                slope = (h_hi - h_lo) / (hi - lo)
+            else:
+                t = 1.0 + x * x
+                slope = -log_m_slope(x) - c * x / (t * t)
+            nxt = x - h_x / slope if slope else math.nan
+            step = abs(nxt - x)  # NaN from a NaN or infinite step
+            done = step <= 2.0 * math.ulp(x)
+            if not (lo < nxt < hi and step <= 0.5 * before):
+                if done:
+                    break
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:  # adjacent floats
+                    break
+            h_nxt = h(nxt)
+            if (h_nxt > 0.0) == (h_lo > 0.0):
+                lo, h_lo = nxt, h_nxt
+            else:
+                hi, h_hi = nxt, h_nxt
+            if done or not h_nxt:
+                break
+            before, last = last, abs(nxt - x)
+    return (lo, hi) if abs(h_lo) <= abs(h_hi) else (hi, lo)
+
+
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
     The scheme brackets the root or refuses the target with InfeasibleAlphaError
     (PriorScheme._calibration_bracket: the default scan evaluates each pass up to its first cell
-    enclosing alpha, and a pass enclosing nothing whole), and the root finder polishes the bracket
-    until the achieved error is within 5e-12 * alpha (_SOLVE_RTOL) of alpha or the bracket narrows
-    to 2^-52 of its lower end. Both read one memo of errors, so evaluations, the type_i_error
-    calls, counts each sigma once. A target met only where the error rounds to 1 (psi <= 0) is
-    refused here, with the least and greatest error below 1 that the solve saw.
+    enclosing alpha, and a pass enclosing nothing whole). An end whose error is alpha is the
+    answer; otherwise Newton's method on h_c(sigma) = (L - log m) - (c_alpha/2) ratio, with
+    L = log(1/alpha_b - 1) and c_alpha = classical_threshold(alpha), finds the float nearest
+    its root (_newton_on_h): error = alpha exactly where psi = c_alpha, and h_c has neither
+    erfc nor sqrt, so it does not flatten out. evaluations counts each sigma at which the
+    solve evaluated the Type I error or h_c once. Where the error at the answer misses alpha by
+    more than 5e-12 * alpha (_SOLVE_RTOL), the other end of Newton's last bracket is taken if its
+    error is nearer. A target met only where the error rounds to 1 (psi <= 0) is refused here,
+    with the least and greatest error below 1 that the solve saw, the bracket's ends included.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
+    level = _log_rejection_odds(alpha_b)
     seen: dict[float, float] = {}
 
     def error_at(sigma: float) -> float:
@@ -279,13 +346,25 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
         seen[sigma] = error = type_i_error(sigma, alpha_b, scheme)
         return error
 
-    bracket = scheme._calibration_bracket(_log_rejection_odds(alpha_b), alpha, error_at)
-    sigma_star = find_root_bracketed(lambda s: error_at(s) - alpha, bracket,
-                                     xtol=2.0**-52 * bracket.lo, ftol=_SOLVE_RTOL * alpha)
-    achieved = seen[sigma_star]
-    if achieved == 1.0:  # kl within about 1e-8 of 1: met only where psi <= 0
-        below = [e for e in seen.values() if e < 1.0]
+    bracket = scheme._calibration_bracket(level, alpha, error_at)
+    lo, hi, evaluated = bracket.lo, bracket.hi, []
+    if seen.get(lo) == alpha:  # a scan point meets alpha
+        sigma_star = other = lo
+    elif seen.get(hi) == alpha:
+        sigma_star = other = hi
+    else:
+        sigma_star, other = _newton_on_h(scheme, level, classical_threshold(alpha), lo, hi,
+                                         evaluated)
+    # psi and the Type I error at sigma*, as psi and type_i_error compute them, from one log m
+    cut = _cut(level, log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star))
+    achieved = seen[sigma_star] = 1.0 if cut < 0.0 else 2.0 * _upper_tail(math.sqrt(cut))
+    miss = abs(achieved - alpha)
+    if miss > _SOLVE_RTOL * alpha and abs(error_at(other) - alpha) < miss:
+        sigma_star, achieved = other, seen[other]  # psi near 0, where the error is steep in it
+        cut = _cut(level, log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star))
+    if achieved == 1.0:  # alpha so near 1 that c_alpha is below the resolution of psi
+        below = [e for e in (error_at(lo), error_at(hi), *seen.values()) if e < 1.0]
         raise InfeasibleAlphaError(alpha, min(below), max(below))
-    return CalibrationResult(sigma_star=sigma_star, psi_at_sigma=psi(sigma_star, alpha_b, scheme),
+    return CalibrationResult(sigma_star=sigma_star, psi_at_sigma=cut,
                              achieved_alpha=achieved, residual=achieved - alpha,
-                             bracket_used=bracket, evaluations=len(seen))
+                             bracket_used=bracket, evaluations=len(seen.keys() | evaluated))

@@ -26,7 +26,8 @@ import operator
 from typing import Callable, NamedTuple
 
 from . import _EXPORTS
-from .model import Observation, _exp_or_inf, _stable_inv_logistic, _x2_term, log_marginal_variance
+from .model import (Observation, _exp_or_inf, _stable_inv_logistic, _x2_term, log_marginal_variance,
+                    variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
 from .numerics import (_INF, Bracket, DomainError, _check_prob, _check_sigma, _Record, _set,
@@ -88,6 +89,11 @@ class Regime(_Record):
         return {"vanishing": "i", "finite": "ii", "divergent": "iii"}[self.kind]
 
 
+def _log_tau_slope(sigma: float) -> float:
+    """sigma / (1 + sigma^2), the slope of log sqrt(1 + sigma^2); 1 / (sigma + 1/sigma) above 1."""
+    return 1.0 / (sigma + 1.0 / sigma) if sigma > 1.0 else sigma / (1.0 + sigma * sigma)
+
+
 @functools.lru_cache(maxsize=64)
 def _scan_passes(lo: float, hi: float) -> tuple[tuple[float, ...], ...]:
     """The scan's 1, 16 and 64 sigma per decade of 10^-3 .. 10^3 in (lo, hi), once per domain.
@@ -139,6 +145,10 @@ class PriorScheme:
     def _positivity_bound(self, level: float) -> float | None:
         """The sigma where log m reaches level, in closed form; see calibration.positivity_bound."""
         raise UnsupportedSchemeError(f"no closed-form positivity bound for {self.scheme_id!r}")
+
+    #: d log m / d sigma, the slope of solve_sigma's Newton steps. Each built-in scheme defines it
+    #: in closed form; without one the steps take the slope of the bracket's secant.
+    _log_m_slope: Callable[[float], float] | None = None
 
     def _calibration_bracket(self, level: float, alpha: float,
                              error_at: Callable[[float], float]) -> Bracket:
@@ -197,6 +207,9 @@ class FixedPrior(_LogOdds, _Record, PriorScheme):
     def _positivity_bound(self, level: float) -> None:
         return None  # m falls: where rho0 < alpha_b, psi reports the small-sigma infeasible side
 
+    def _log_m_slope(self, sigma: float) -> float:
+        return -_log_tau_slope(sigma)  # the odds are constant
+
     @property
     def scheme_id(self) -> str:
         return f"fixed:{self.rho0_value!r}"
@@ -233,6 +246,10 @@ class RobertPrior(_Record, PriorScheme):
         """
         d = 2.0 * (level - _LOG_SQRT_TWO_PI)
         return None if d >= 0.0 else math.exp(level) / (SQRT_TWO_PI * math.sqrt(-math.expm1(d)))
+
+    def _log_m_slope(self, sigma: float) -> float:
+        """1/sigma - sigma/(1 + sigma^2) = 1 / (sigma (1 + sigma^2)), divided twice: no overflow."""
+        return 1.0 / sigma / (1.0 + sigma * sigma)
 
     @property
     def scheme_id(self) -> str:
@@ -272,6 +289,10 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         while (nxt := u - (_u_minus_log1p(u) - k) * (1.0 + u) / u) < u:
             u = nxt
         return math.sqrt(u)
+
+    def _log_m_slope(self, sigma: float) -> float:
+        """sigma - sigma/(1 + sigma^2) = sigma ratio(sigma), which cannot cancel."""
+        return sigma * variance_ratio(sigma)
 
     def _calibration_bracket(self, level: float, alpha: float,
                              error_at: Callable[[float], float]) -> Bracket:
@@ -376,6 +397,13 @@ class CustomTablePrior(_Record, PriorScheme):
         (s_lo, r_lo), (s_hi, r_hi) = points[i - 1], points[i]
         w = (sigma - s_lo) / (s_hi - s_lo)
         return r_lo + w * (r_hi - r_lo)
+
+    def _log_m_slope(self, sigma: float) -> float:
+        """-rho0' / (rho0 (1 - rho0)) - sigma/(1 + sigma^2), rho0' of the left segment at a row."""
+        rho, points = self.rho0(sigma), self.points  # rho0 first: it refuses a sigma off the table
+        i = max(bisect.bisect_left(points, (sigma,)), 1)
+        (s_lo, r_lo), (s_hi, r_hi) = points[i - 1], points[i]
+        return -(r_hi - r_lo) / (s_hi - s_lo) / (rho * (1.0 - rho)) - _log_tau_slope(sigma)
 
     @property
     def scheme_id(self) -> str:

@@ -17,12 +17,12 @@ from test_calibration import threshold_route
 from test_golden import CASES, GOLDEN
 
 from pointnull.calibration import (CalibrationSpec, PsiDomainError, _band, _log_rejection_odds,
-                                   decide, positivity_bound, psi, psi_sweep, solve_sigma,
-                                   type_i_error)
+                                   classical_threshold, decide, positivity_bound, psi, psi_sweep,
+                                   solve_sigma, type_i_error)
 from pointnull.model import Observation, _stable_inv_logistic
 from pointnull.numerics import _u_minus_log1p, std_normal_quantile
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
-                              log_m_of_sigma)
+                              log_m_of_sigma, scheme_from_string)
 
 EPS = 2.0**-53
 KL, ROBERT = KLSelfInformationPrior(), RobertPrior()
@@ -369,3 +369,241 @@ def test_printed_psi_columns_within_their_stated_bounds(name, capsys):
         columns = (f"{column} {worst[column]:.1f} ulp ({share[column]:.3f} of its bound)"
                    for column in worst)
         print(f"\n{name}, worst per column: " + ", ".join(columns))
+
+
+TABLE = CustomTablePrior(CustomTablePrior.from_csv(str(GOLDEN / "table.csv")).points,
+                         "table:table.csv")  # named as the golden calibration prints it
+ROOT_SCHEMES = (KL, ROBERT, FixedPrior(0.3), FixedPrior(0.07), TABLE)
+
+
+def _exact_log_odds(scheme):
+    """The scheme's log prior odds in mpmath and the sizes of their terms, as functions of sigma.
+
+    A table's rho0 is interpolated exactly between its float rows.
+    """
+    if not isinstance(scheme, CustomTablePrior):
+        choice = scheme.scheme_id if scheme in (KL, ROBERT) else scheme.rho0_value
+        return _scheme_with_exact_odds(choice)[1], lambda s: _log_odds_size(choice, s)
+    rows = [(mpmath.mpf(s), mpmath.mpf(r)) for s, r in scheme.points]
+
+    def rho(s):
+        i = max(next(k for k, (s_k, _) in enumerate(rows) if s_k >= s), 1)
+        (s_lo, r_lo), (s_hi, r_hi) = rows[i - 1], rows[i]
+        return r_lo + (s - s_lo) / (s_hi - s_lo) * (r_hi - r_lo)
+
+    return (lambda s: mpmath.log((1 - rho(s)) / rho(s)),
+            lambda s: abs(mpmath.log(rho(s))) + abs(mpmath.log1p(-rho(s))))
+
+
+def c_alpha_reference(alpha: float):
+    """c with erfc(sqrt(c / 2)) = alpha, from Newton on log erfc at 60 digits."""
+    with mpmath.workdps(60):
+        target, t = mpmath.log(alpha), mpmath.mpf(-std_normal_quantile(0.5 * alpha) / math.sqrt(2))
+        for _ in range(100):
+            step = (mpmath.log(mpmath.erfc(t)) - target) * mpmath.erfc(t) / (
+                -2 * mpmath.exp(-t * t) / mpmath.sqrt(mpmath.pi))
+            t -= step
+            if abs(step) <= abs(t) * mpmath.mpf(10) ** -55:
+                return 2 * t * t
+        raise AssertionError(f"no convergence at alpha={alpha}")
+
+
+def h_root_reference(scheme, alpha: float, alpha_b: float, start: float):
+    """The root of h_c near start at 60 digits, and its condition number kappa.
+
+    h_c(sigma) = (L - log m) - (c/2) ratio with the exact L = log(1/alpha_b - 1) and c = c_alpha
+    at the float alpha and alpha_b. kappa = S / (sigma |h_c'(sigma)|), S the sizes of h_c's terms:
+    |log alpha_b|, |log1p(-alpha_b)|, log(1 + sigma^2) / 2, the log odds' terms and (c/2) ratio.
+    """
+    log_odds, odds_size = _exact_log_odds(scheme)
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha_b)
+        level, half_c = mpmath.log1p(-a) - mpmath.log(a), c_alpha_reference(alpha) / 2
+
+        def h(s):
+            return level - (log_odds(s) - mpmath.log1p(s * s) / 2) - half_c * s * s / (1 + s * s)
+
+        s0 = mpmath.mpf(start)
+        root = mpmath.findroot(h, (s0, s0 * (1 + mpmath.mpf(2) ** -40)))
+        size = (abs(mpmath.log(a)) + abs(mpmath.log1p(-a)) + mpmath.log1p(root**2) / 2
+                + odds_size(root) + half_c * root**2 / (1 + root**2))
+        return root, float(size / abs(root * mpmath.diff(h, root)))
+
+
+def _sigma_star_bound(kappa: float) -> float:
+    """|sigma* - root| in ulps, at most 2 + 21 kappa.
+
+    Computed h_c is within 21 eps S of the real one: the gap L - log m within 6 eps S as in
+    test_psi_and_type_i_error_within_their_stated_bounds; c_alpha within 15 eps (the
+    quantile's 7 ulp, squared and rounded), the ratio within 4 eps and their product and the
+    difference add 2 eps, all of (c/2) ratio <= S. So its sign changes lie within
+    21 eps S / |h_c'| of the root, which is 21 kappa eps sigma <= 21 kappa ulp; Newton's last
+    step and the pick of the end with the smaller |h_c| add 2 ulp.
+    """
+    return 2.0 + 21.0 * kappa
+
+
+def _error_range(scheme, alpha_b: float) -> tuple[float, float]:
+    """The least and greatest Type I error on the scan's finest pass (kl: 0 and its bound's)."""
+    if scheme is KL:
+        return 0.0, type_i_error(positivity_bound(alpha_b, KL), alpha_b, KL)
+    lo, hi = scheme.sigma_domain()
+    grid = [10.0 ** (k / 64) for k in range(-192, 193)] + [1e6, 1e12]
+    sigmas = [s for s in grid if lo < s < hi] + [end for end in (lo, hi) if 0.0 < end < math.inf]
+    errors = [type_i_error(s, alpha_b, scheme) for s in sigmas]
+    return min(errors), max(errors)
+
+
+def seeded_calibrations(count: int = 300, seed: int = 38):
+    """Requests over ROOT_SCHEMES in turn, alpha_b in {0.01, 0.05, 0.1} and a log-uniform alpha.
+
+    alpha runs from 1e-12, or the least error on a table's range, up to the greatest error
+    the scheme reaches on the scan (kl: at its rounded positivity bound).
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        scheme, alpha_b = ROOT_SCHEMES[k % len(ROOT_SCHEMES)], rng.choice((0.01, 0.05, 0.1))
+        floor, ceiling = _error_range(scheme, alpha_b)
+        alpha = math.exp(rng.uniform(math.log(max(floor, 1e-12)), math.log(ceiling)))
+        yield CalibrationSpec(alpha, alpha_b, scheme)
+
+
+def test_sigma_star_is_within_its_stated_bound_of_the_root_of_h_c(capsys):
+    """300 seeded solves: sigma* within 2 + 21 kappa ulp of the root, the error within 5e-12 alpha.
+
+    Prints the median and worst error per scheme, in ulps and as a share of the bound.
+    """
+    errors = {scheme.scheme_id: [] for scheme in ROOT_SCHEMES}
+    shares = dict.fromkeys(errors, 0.0)
+    for spec in seeded_calibrations():
+        result = solve_sigma(spec)
+        assert abs(result.residual) <= 5e-12 * spec.alpha, spec
+        root, kappa = h_root_reference(spec.scheme, spec.alpha, spec.alpha_b, result.sigma_star)
+        error = ulps(result.sigma_star, root)
+        assert error <= _sigma_star_bound(kappa), (spec, kappa)
+        errors[spec.scheme.scheme_id].append(error)
+        shares[spec.scheme.scheme_id] = max(shares[spec.scheme.scheme_id],
+                                            error / _sigma_star_bound(kappa))
+    with capsys.disabled():
+        print("\nsigma* error in ulps, median / worst (share of its bound):")
+        for name, found in errors.items():
+            found.sort()
+            print(f"  {name}: {found[len(found) // 2]:.2f} / {found[-1]:.2f} ({shares[name]:.3f})")
+
+
+SLOPE_SCHEMES = (KL, ROBERT, FixedPrior(0.3), FixedPrior(1e-12), TABLE)
+
+
+def test_log_m_slopes_match_the_derivative_of_log_m():
+    """Each _log_m_slope against a central difference of log m in mpmath, sigma up to 1e150.
+
+    The closed forms (kl sigma ratio, robert 1 / sigma / (1 + sigma^2), fixed
+    -1 / (sigma + 1/sigma) above 1) are within 5 eps, plus half the subnormal unit where the
+    value underflows. A table's -rho0' / (rho0 (1 - rho0)) - sigma / (1 + sigma^2) is within
+    8 eps of the first term's size over 1 - rho0 (rho0 rounds before 1 - rho0 is taken) plus
+    4 eps of the second's.
+    """
+    rng = random.Random(150)
+    for scheme in SLOPE_SCHEMES:
+        log_odds, _ = _exact_log_odds(scheme)
+
+        def log_m(t, log_odds=log_odds):
+            return log_odds(t) - mpmath.log1p(t * t) / 2
+
+        lo, hi = scheme.sigma_domain()
+        for _ in range(200):
+            if scheme is TABLE:
+                sigma = rng.uniform(lo, hi)
+            else:
+                sigma = 10.0 ** rng.uniform(-3.0, 150.0) if rng.random() < 0.7 else \
+                    10.0 ** rng.uniform(-3.0, 3.0)
+            slope = scheme._log_m_slope(sigma)
+            # A central difference of step 1e-30 sigma, with the digits its cancellation takes
+            # (robert's log m varies as 1/sigma^2 at large sigma) on top of 60.
+            with mpmath.workdps(90 + 2 * max(0, math.ceil(math.log10(sigma)))):
+                s, h = mpmath.mpf(sigma), mpmath.mpf(sigma) * mpmath.mpf(10) ** -30
+                exact = (log_m(s + h) - log_m(s - h)) / (2 * h)
+                tau_slope = abs(s / (1 + s * s))
+                if scheme is TABLE:
+                    rho = scheme.rho0(sigma)
+                    bound = (8 * EPS * abs(exact + tau_slope) / (1 - rho) + 4 * EPS * tau_slope)
+                else:
+                    bound = 5 * EPS * abs(exact) + mpmath.mpf(2) ** -1075
+                assert abs(slope - exact) <= bound, (scheme.scheme_id, sigma)
+
+
+CALIBRATE_GOLDEN = ("readme_calibrate", "calibrate_compare_paper", "calibrate_table")
+
+
+def test_printed_calibrations_within_their_stated_bounds(capsys):
+    """Each printed sigma_star within 2 + 21 kappa ulp of the root of h_c, psi_at_sigma within psi's
+    6 eps (1 + kappa) at the printed sigma_star, both at 50 or more digits.
+
+    Prints the worst error per column in ulps. The compare block's sigma_star repeats the
+    printed one.
+    """
+    worst = {"sigma_star": 0.0, "psi_at_sigma": 0.0}
+    for name in CALIBRATE_GOLDEN:
+        lines = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+        values = dict(line.split(" = ", 1) for line in lines if " = " in line
+                      and not line.startswith("#"))
+        assert values.pop("exit") == "0"
+        scheme_id = values["scheme"]
+        scheme = TABLE if scheme_id == TABLE.scheme_id else scheme_from_string(scheme_id)
+        alpha, alpha_b = float(values["alpha"]), float(values["alpha_b"])
+        sigma_star, printed_psi = float(values["sigma_star"]), float(values["psi_at_sigma"])
+        root, kappa = h_root_reference(scheme, alpha, alpha_b, sigma_star)
+        assert ulps(sigma_star, root) <= _sigma_star_bound(kappa), name
+        worst["sigma_star"] = max(worst["sigma_star"], ulps(sigma_star, root))
+        log_odds, odds_size = _exact_log_odds(scheme)
+        with mpmath.workdps(50):
+            s, a = mpmath.mpf(sigma_star), mpmath.mpf(alpha_b)
+            level = mpmath.log1p(-a) - mpmath.log(a)
+            half = mpmath.log1p(s * s) / 2
+            gap = level - (log_odds(s) - half)
+            size = abs(mpmath.log(a)) + abs(mpmath.log1p(-a)) + half + odds_size(s)
+            exact_psi = 2 * gap * (1 + s * s) / (s * s)
+            psi_relative = float(abs(printed_psi - exact_psi) / exact_psi)
+        assert psi_relative <= 6.0 * EPS * (1.0 + float(size / abs(gap))), name
+        worst["psi_at_sigma"] = max(worst["psi_at_sigma"], ulps(printed_psi, exact_psi))
+        if name == "calibrate_compare_paper":
+            assert f"solves sigma_star = {values['sigma_star']} at" in "\n".join(lines)
+    with capsys.disabled():
+        print("\ncalibrate golden files, worst per column: "
+              + ", ".join(f"{column} {ulp:.1f} ulp" for column, ulp in worst.items()))
+
+
+def test_classical_threshold_within_its_stated_bound(capsys):
+    """c_alpha within 1 + k (11 + c) ulp where one Newton step on erfc(sqrt(c/2)) = alpha refines
+    it, 2^-1021 <= alpha <= 1/2, and within 15 + k 2^-1074 / (alpha eps) ulp elsewhere.
+
+    k = alpha / (c |E'(c)|), E(c) = erfc(sqrt(c/2)), is c's condition number in alpha. The step
+    leaves c off by k times E's relative error: erfc's 5 ulp, and the rounding of sqrt(c/2)
+    times erfc's condition, at most 1 + c (as in test_psi_and_type_i_error_within_their_stated_
+    bounds); adding the step rounds once more. Unrefined, c is the quantile's 7 ulp squared and
+    rounded, at alpha/2, which rounds to the subnormal grid (2^-1074 / alpha of it) below
+    alpha = 2^-1021. alpha is log-uniform over [1e-320, 0.5] and uniform over [0.5, 1), seeded,
+    plus the refined range's ends.
+    """
+    rng = random.Random(71)
+    alphas = ([10.0 ** rng.uniform(-320.0, math.log10(0.5)) for _ in range(600)]
+              + [rng.uniform(0.5, 1.0) for _ in range(100)]
+              + [2.0**-1021, math.nextafter(2.0**-1021, 0.0), 0.5, math.nextafter(0.5, 1.0)])
+    worst = {"refined": 0.0, "quantile": 0.0}
+    for alpha in alphas:
+        c = classical_threshold(alpha)
+        with mpmath.workdps(60):
+            exact = c_alpha_reference(alpha)
+            k = alpha / (exact * mpmath.exp(-exact / 2) / mpmath.sqrt(2 * mpmath.pi * exact))
+        error = ulps(c, exact)
+        refined = 2.0**-1021 <= alpha <= 0.5
+        if refined:
+            bound = 1.0 + float(k) * (11.0 + c)
+        else:
+            bound = 15.0 + float(k) * (2.0**-1074 / alpha / EPS)
+        assert error <= bound, alpha
+        key = "refined" if refined else "quantile"
+        worst[key] = max(worst[key], error)
+    with capsys.disabled():
+        print(f"\nc_alpha worst: {worst['refined']:.2f} ulp refined, {worst['quantile']:.3g} ulp "
+              "from the quantile alone, alpha/2 rounded to the subnormal grid included")

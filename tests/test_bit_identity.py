@@ -23,8 +23,9 @@ requests, kl's refusals, random solves, bounds and psi sweeps): each call of
 solve_sigma, positivity_bound and psi_sweep adds one line, with sigma*,
 psi(sigma*), the achieved alpha, the residual and the bracket ends as
 float.hex, and every refusal as its class and message. The work is pinned
-apart from the answers: EVALUATIONS_DIGEST holds each solve's number of
-Type I evaluations, so a change that computes fewer errors re-pins only it.
+apart from the answers: EVALUATIONS_DIGEST holds each solve's evaluations,
+the sigma at which it computed the Type I error or h_c, so a change that
+evaluates fewer re-pins only it.
 Requests span kl, robert and fixed masses on both sides of alpha_b, fixed:0.3
 at a fine-pass level, fixed:0.07 with its root beyond the scan, the golden
 table and the tables of test_calibration.scanned_requests, and kl's two
@@ -36,7 +37,7 @@ objectives reach each branch of the loop: inverse quadratic interpolation,
 the secant (the first step, and products that underflow or overflow),
 bisection, a step discontinuity, roots at either end, ftol = 0, the collapse
 exit, non-finite values at lo, at hi and inside, no sign change, and the
-solves of kl and robert.
+Type I error curves of kl and robert that solve_sigma once polished.
 """
 
 import functools
@@ -69,13 +70,13 @@ DIGEST = {
 }
 SOLVES, BOUNDS, PSI_SWEEPS = 2000, 500, 300
 ROOT_DIGEST = {
-    "scanned": "5d813686fd8c67b0a8ce48833d31024c40fa2c2e041f1fd59ec90d7dd910db44",
-    "kl_refusals": "9f9d4072fd061fd9096e34710ba738e32705221f5c71f478bc53bf14422b8d1a",
-    "solves": "ce5197eb51ef94b5dcff975495eeeb3adb1e9b180d85bc4a638bfd75651b8e4d",
+    "scanned": "aa788323e878a806c5af300139d8b5b8bb6f0957155ba1e48fc03c046e34397b",
+    "kl_refusals": "eeb8bc52c677802b7356dae79d2da08681780e6a22e5db9548eca066dea1cb57",
+    "solves": "cb3a4ccf4e42ea9c2f87d7d216a76c1c777676069be4127f5a685eb6dfc7e817",
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
 }
-EVALUATIONS_DIGEST = "9c05926f0d73f5456e1b7a2d42bfc15de57f2383d8f7670de7c5f0327deaee61"
+EVALUATIONS_DIGEST = "c2e210adaa0e24204b8d40f8b8e03f2a11d7712949e208d8f28c709cc56b3cee"
 ROOT_FINDER_DIGEST = "eac01b1af512b6cb48dcf9af530bbee93df2823f1ec6138ddd4fb33e98b0b0ac"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -308,8 +309,9 @@ def _nan_at(bad, f):
     return lambda x: math.nan if x == bad else f(x)
 
 
-# (objective, lo, hi, xtol, ftol); the kl and robert rows are solve_sigma's polish of
-# alpha = 0.01 and 0.02 at alpha_b = 0.05 on the brackets their schemes return.
+# (objective, lo, hi, xtol, ftol); the kl and robert rows are the Brent polish solve_sigma
+# ran, before its Newton steps on h_c, for alpha = 0.01 and 0.02 at alpha_b = 0.05 on the
+# brackets their schemes return.
 ROOT_FINDER_CASES = (
     (lambda x: x * x - 2.0, 0.0, 2.0, 1e-13, 1e-12),  # inverse quadratic steps
     (math.cos, 1.0, 2.0, 1e-13, 1e-12),

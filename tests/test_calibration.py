@@ -555,11 +555,10 @@ def test_solve_fixed_half_cannot_reach_common_levels():
 def scan_reference(spec):
     """The grid scan solve_sigma ran for every scheme before kl got its bracket.
 
-    Each pass evaluates all of its points again, and the result re-evaluates
-    the error at sigma*. Returns (sigma*, bracket, outcome), outcome naming
-    the pass that bracketed the root, or raises InfeasibleAlphaError. Calls
-    type_i_error and find_root_bracketed through the calibration module, so a
-    test can count them there, and polishes to solve_sigma's tolerance.
+    Each pass evaluates all of its points again. Returns (bracket, outcome),
+    outcome naming the pass that bracketed the root, or raises
+    InfeasibleAlphaError. Calls type_i_error through the calibration module,
+    so a test can count the calls there.
     """
     alpha, lo, hi = spec.alpha, *spec.scheme.sigma_domain()
 
@@ -578,18 +577,11 @@ def scan_reference(spec):
             outcome = "beyond"
         for (s_lo, e_lo), (s_hi, e_hi) in zip(zip(pts, errors), zip(pts[1:], errors[1:])):
             if e_lo == alpha:
-                error_at(s_lo)
-                return s_lo, Bracket(s_lo / 2.0, s_hi), "exact"
+                return Bracket(s_lo / 2.0, s_hi), "exact"
             if e_hi == alpha:
-                error_at(s_hi)
-                return s_hi, Bracket(s_lo, s_hi * 2.0), "exact"
+                return Bracket(s_lo, s_hi * 2.0), "exact"
             if (e_lo > alpha) != (e_hi > alpha):
-                bracket = Bracket(s_lo, s_hi)
-                sigma_star = calibration.find_root_bracketed(
-                    lambda s: error_at(s) - alpha, bracket, xtol=1e-15, ftol=5e-12 * alpha
-                )
-                error_at(sigma_star)
-                return sigma_star, bracket, outcome
+                return Bracket(s_lo, s_hi), outcome
     raise InfeasibleAlphaError(alpha, min(errors), max(errors))
 
 
@@ -620,10 +612,15 @@ def scanned_requests():
 
 
 def test_solve_matches_the_scan_reference():
+    """The solve brackets or refuses as the reference scan does.
+
+    Inside the bracket, Newton on h_c meets alpha to within 5e-12 * alpha, and test_accuracy
+    holds sigma* to the root of h_c.
+    """
     outcomes = set()
     for spec in scanned_requests():
         try:
-            sigma_star, bracket, outcome = scan_reference(spec)
+            bracket, outcome = scan_reference(spec)
         except InfeasibleAlphaError as expected:
             with pytest.raises(InfeasibleAlphaError) as excinfo:
                 solve_sigma(spec)
@@ -633,10 +630,27 @@ def test_solve_matches_the_scan_reference():
             outcomes.add("infeasible")
             continue
         result = solve_sigma(spec)
-        assert (result.sigma_star, result.bracket_used) == (sigma_star, bracket), spec
-        assert result.achieved_alpha == type_i_error(sigma_star, spec.alpha_b, spec.scheme)
+        assert result.bracket_used == bracket, spec
+        assert bracket.lo <= result.sigma_star <= bracket.hi, spec
+        assert result.achieved_alpha == type_i_error(result.sigma_star, spec.alpha_b, spec.scheme)
+        assert abs(result.residual) <= _SOLVE_RTOL * spec.alpha, spec
         outcomes.add(outcome)
     assert outcomes >= {"coarse", "fine", "beyond", "infeasible"}
+
+
+def recording_polish(monkeypatch):
+    """The bracket of each Newton polish, and the sigma at which it evaluated h_c."""
+    polishes, sigmas = [], []
+    real = calibration._newton_on_h
+
+    def recorded(scheme, level, c, lo, hi, evaluated):
+        polishes.append(Bracket(lo, hi))
+        ends = real(scheme, level, c, lo, hi, evaluated)
+        sigmas.extend(evaluated)
+        return ends
+
+    monkeypatch.setattr(calibration, "_newton_on_h", recorded)
+    return polishes, sigmas
 
 
 def counting_type_i_error(monkeypatch):
@@ -660,14 +674,7 @@ FEASIBLE_SCANNED = [
 
 def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
     calls = counting_type_i_error(monkeypatch)
-    polishes = []
-    real_find_root = calibration.find_root_bracketed
-
-    def counted_find_root(*args, **kwargs):
-        polishes.append(args[1])
-        return real_find_root(*args, **kwargs)
-
-    monkeypatch.setattr(calibration, "find_root_bracketed", counted_find_root)
+    polishes, _ = recording_polish(monkeypatch)
     with pytest.raises(InfeasibleAlphaError):
         solve_sigma(CalibrationSpec(0.05, 0.05, ROBERT))
     assert len(calls) == len(set(calls)) == 387
@@ -676,7 +683,7 @@ def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
         calls.clear()
         polishes.clear()
         result = solve_sigma(spec)
-        # The polish reads the errors at its cell's ends from the scan.
+        # The polish starts from its cell's ends, whose errors the scan computed.
         assert len(calls) == len(set(calls)), spec
         assert polishes == [result.bracket_used], spec
     calls.clear()
@@ -738,9 +745,12 @@ def test_each_bracket_encloses_alpha_or_refuses_with_the_errors_it_computed(monk
 
 @pytest.mark.parametrize("spec", [CalibrationSpec(0.05, 0.05, KL)] + FEASIBLE_SCANNED)
 def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
+    """The Type I error calls, each at its own sigma, and the sigma where only h_c was evaluated."""
     calls = counting_type_i_error(monkeypatch)
+    _, sigmas = recording_polish(monkeypatch)
     result = solve_sigma(spec)
-    assert result.evaluations == len(calls)
+    assert len(calls) == len(set(calls))
+    assert result.evaluations == len({sigma for sigma, _, _ in calls} | set(sigmas))
 
 
 # The scan's grid as priors built it before _scan_passes, kept verbatim: the reference
@@ -870,13 +880,15 @@ class WavyPrior(PriorScheme):
 
 
 def test_solve_refuses_a_wavy_target_that_rounds_to_one_with_an_ordered_range():
-    # The error at the bracket's low end is itself 1.0 here: the range is the least and
-    # greatest of the errors below 1 that the solve saw.
+    # c_alpha is about 1.5e-23, below psi's resolution next to the root: psi jumps from about
+    # 1.7e-10 (error 0.99998965) to <= 0 (error 1.0) between adjacent floats. The error at the
+    # bracket's low end is itself 1.0 here: the range is the least and greatest of the errors
+    # below 1 that the solve saw.
     with pytest.raises(InfeasibleAlphaError) as excinfo:
         solve_sigma(CalibrationSpec(0.9999999999968855, 0.5, WavyPrior()))
     got = excinfo.value
     assert got.achievable_lo <= got.achievable_hi < 1.0
-    assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.0)
+    assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.999989647609669)
 
 
 def test_a_domain_the_scan_cannot_split_is_refused_by_name():
@@ -945,20 +957,17 @@ def test_the_walk_matches_the_eager_scan(spec):
 
 
 def test_the_scan_stops_at_the_first_cell_that_encloses_alpha(monkeypatch):
-    """Criterion 11's request: the coarse pass stops at [1, 10], two points short of its end."""
+    """Criterion 11's request: the coarse pass stops at [1, 10], two points short of its end.
+
+    Then the polish evaluates h_c at 6 new sigma; the error at sigma* comes with its psi.
+    """
     calls = counting_type_i_error(monkeypatch)
-    scanned = []
-    real_find_root = calibration.find_root_bracketed
-
-    def polish(*args, **kwargs):
-        scanned.extend(sigma for sigma, _, _ in calls)
-        return real_find_root(*args, **kwargs)
-
-    monkeypatch.setattr(calibration, "find_root_bracketed", polish)
+    polishes, _ = recording_polish(monkeypatch)
     result = solve_sigma(CalibrationSpec(0.01, 0.05, ROBERT))
-    assert scanned == [1e-3, 1e-2, 0.1, 1.0, 10.0]
-    assert result.evaluations == len(calls) == 12
-    assert result.sigma_star == 1.4273082827390584
+    assert [sigma for sigma, _, _ in calls] == [1e-3, 1e-2, 0.1, 1.0, 10.0]
+    assert polishes == [Bracket(1.0, 10.0)]
+    assert result.evaluations == 11
+    assert result.sigma_star == 1.4273082827389831
     assert solve_sigma(CalibrationSpec(0.003, 0.05, FIXED_03)).evaluations == 57
     calls.clear()
     with pytest.raises(InfeasibleAlphaError, match=r"\(0\.0, 0\.04414516380661788\)"):

@@ -178,6 +178,37 @@ def test_calibrate_robert_low_target_succeeds(capsys):
     assert float(parse_kv(out)["sigma_star"]) == pytest.approx(1.4273082827389831827, rel=1e-8)
 
 
+@pytest.mark.parametrize("scheme,alpha,alpha_b,achievable", [
+    # kl's bracket refuses an alpha above the error at its rounded positivity bound, where h_c
+    # is +8.2e-16: [lo, bound] would not bracket h_c's root.
+    ("kl", "0.99999999", "0.05", "(0.13295746814272916, 0.999999964355479)"),
+    # The error rounds to 1 at sigma*, and the ends' errors alone give the range: the Newton
+    # polish evaluates no other Type I error here.
+    ("kl", "0.9999999999999999", "5e-324", "(0.006852011453502906, 0.006852011453502906)"),
+    # c_alpha is about 1.9e-32, below psi's resolution: sigma* lands where psi rounds to <= 0.
+    ("fixed:0.0009", "0.9999999999999999", "0.05", "(0.2998199050658802, 0.2998199050658802)"),
+])
+def test_calibrate_refuses_targets_next_to_one_in_one_line(capsys, scheme, alpha, alpha_b,
+                                                           achievable):
+    code, out, err = run(capsys, "calibrate", "--alpha", alpha, "--alpha-b", alpha_b,
+                         "--scheme", scheme)
+    assert (code, out) == (3, "")
+    assert err == (f"error: no sigma achieves Type I error {alpha}; achievable range is "
+                   f"approximately {achievable}\n")
+
+
+def test_calibrate_meets_a_kl_target_just_above_the_error_at_its_rounded_bound(capsys):
+    """h_c does not change sign on kl's bracket: the end nearer its root, the bound, answers."""
+    bound = 2.845487786545588
+    alpha = type_i_error(bound, 0.05, KLSelfInformationPrior()) * (1.0 + 2e-12)
+    code, out, _ = run(capsys, "calibrate", "--alpha", repr(alpha), "--alpha-b", "0.05",
+                       "--scheme", "kl")
+    values = parse_kv(out)
+    assert code == 0
+    assert (float(values["sigma_star"]), float(values["bracket_hi"])) == (bound, bound)
+    assert -float(values["residual"]) <= 5e-12 * alpha
+
+
 def test_calibrate_compare_block_quotes_published_numbers(capsys):
     code, out, _ = run(capsys, "calibrate", "--alpha", "0.05", "--alpha-b", "0.05",
                        "--scheme", "kl", "--compare-paper")
@@ -603,7 +634,7 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "c48f65976612793bf5f1358dd8eaa54af2ccd024ca144fe7f069ebfffa9badcb"
+CLI_DIGEST = "a94f340a063e3df43b804af416a620fd96526a663f281120aed6a55417522320"
 
 
 def test_cli_text_is_pinned(capsys, monkeypatch, tmp_path):

@@ -160,10 +160,10 @@ def test_paradox_sweep_rows():
 
 @pytest.mark.parametrize("scheme", (*SCHEMES, TABLE), ids=lambda s: s.scheme_id)
 def test_solve_sigma(scheme):
-    # Only "not NaN" is checked. A target below the smallest normal float can
-    # solve with achieved_alpha = 0.0 (kl at alpha = 5e-324), because the Type I
-    # error goes subnormal there; the log-domain calibration item in ROADMAP.md
-    # owns that defect and its accuracy bar.
+    # Only "not NaN" is checked. alpha = 5e-324 is refused, as classical_threshold
+    # refuses it: alpha/2 rounds to 0. A target below the smallest normal float
+    # solves only to the subnormal grid of the Type I error; the log-domain
+    # calibration item in ROADMAP.md owns that defect and its accuracy bar.
     bad = []
     for alpha in PROBABILITIES:
         for alpha_b in PROBABILITIES:

@@ -20,9 +20,6 @@ from test_bench_names import BENCH_ONLY_IMPORTS
 SRC = Path(__file__).resolve().parents[1] / "src" / "pointnull"
 README = SRC.parents[1] / "README.md"
 PYPROJECT = SRC.parents[1] / "pyproject.toml"
-#: Public names kept without a caller. ROADMAP directions 1 and 7 decide whether
-#: classical_threshold gets one in src/ or goes.
-UNCALLED_EXPORTS = {"classical_threshold"}
 
 
 def _private(name: str) -> bool:
@@ -71,7 +68,7 @@ def test_every_public_name_has_a_caller_in_src_or_the_readme():
                                    if not (file == f"{module}.py" and name in _defined(node))))
             if name not in loaded and not re.search(rf"\b{name}\b", readme):
                 uncalled.add(name)
-    assert uncalled == UNCALLED_EXPORTS
+    assert uncalled == set()
 
 
 def test_cli_imports_no_private_library_name():
