@@ -36,8 +36,8 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .priors import (_SOLVE_RTOL, InfeasibleAlphaError, PriorScheme, UnsupportedSchemeError,
-                     _checked_grid, log_m_of_sigma)
+from .priors import (InfeasibleAlphaError, PriorScheme, UnsupportedSchemeError, _checked_grid,
+                     log_m_of_sigma)
 
 __all__ = _EXPORTS["calibration"]
 
@@ -86,6 +86,7 @@ _REJECT, _RETAIN = Decision(True, True), Decision(False, False)
 
 
 _TWO_PI = 2.0 * math.pi
+_SOLVE_RTOL = 5e-12  # solve_sigma meets alpha to within this multiple of alpha
 _LEVELS: dict[float, float] = {}  # alpha_b -> its level, at most 64 of them
 
 
@@ -273,8 +274,8 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
 
 
 def _newton_on_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float,
-                 evaluated: list[float]) -> tuple[float, float]:
-    """The ends of a sigma bracket, shrunk onto the root of h_c = (level - log m) - (c/2) ratio.
+                 evaluated: list[float]) -> float:
+    """The end of a sigma bracket, shrunk onto the root of h_c = (level - log m) - (c/2) ratio.
 
     h_c = (ratio/2)(psi - c) has the sign of alpha - error where c = c_alpha. Each step is
     Newton's from the end with the smaller |h_c|, and the ends keep h_c's sign change. A step
@@ -282,8 +283,8 @@ def _newton_on_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: flo
     bisection. Once a step is within 2 ulp its end point is evaluated, and the loop stops; so
     it does at an exact zero, at adjacent floats, or at once where the ends do not change sign.
     The slope is -d log m/d sigma - c sigma/(1 + sigma^2)^2, or the bracket's secant slope for a
-    scheme without _log_m_slope. Returns the end with the smaller |h_c| first, and appends each
-    sigma h_c is evaluated at to evaluated.
+    scheme without _log_m_slope. Returns the end with the smaller |h_c|, and appends each sigma
+    h_c is evaluated at to evaluated.
     """
     half_c, log_m_slope = 0.5 * c, scheme._log_m_slope
 
@@ -318,53 +319,51 @@ def _newton_on_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: flo
             if done or not h_nxt:
                 break
             before, last = last, abs(nxt - x)
-    return (lo, hi) if abs(h_lo) <= abs(h_hi) else (hi, lo)
+    return lo if abs(h_lo) <= abs(h_hi) else hi
+
+
+def _error_of(cut: float) -> float:
+    """The Type I error where psi is cut, as type_i_error computes it."""
+    return 1.0 if cut < 0.0 else 2.0 * _upper_tail(math.sqrt(cut))
 
 
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
-    The scheme brackets the root or refuses the target with InfeasibleAlphaError
-    (PriorScheme._calibration_bracket: the default scan evaluates each pass up to its first cell
-    enclosing alpha, and a pass enclosing nothing whole). An end whose error is alpha is the
-    answer; otherwise Newton's method on h_c(sigma) = (L - log m) - (c_alpha/2) ratio, with
-    L = log(1/alpha_b - 1) and c_alpha = classical_threshold(alpha), finds the float nearest
-    its root (_newton_on_h): error = alpha exactly where psi = c_alpha, and h_c has neither
-    erfc nor sqrt, so it does not flatten out. evaluations counts each sigma at which the
-    solve evaluated the Type I error or h_c once. Where the error at the answer misses alpha by
-    more than 5e-12 * alpha (_SOLVE_RTOL), the other end of Newton's last bracket is taken if its
-    error is nearer. A target met only where the error rounds to 1 (psi <= 0) is refused here,
-    with the least and greatest error below 1 that the solve saw, the bracket's ends included.
+    The error is alpha exactly where psi = c_alpha = classical_threshold(alpha), so every step
+    tests psi against c_alpha: the scheme's bracket encloses it (PriorScheme._calibration_bracket:
+    the default scan evaluates each pass up to its first cell enclosing c_alpha, else returns the
+    cell nearest it). An end whose error is alpha is the answer; otherwise Newton's method on
+    h_c(sigma) = (L - log m) - (c_alpha/2) ratio, with L = log(1/alpha_b - 1), finds the float
+    nearest its root (_newton_on_h): h_c has neither erfc nor sqrt, so it does not flatten out.
+    One test accepts the answer: psi > 0 there, and the error within 5e-12 * alpha of alpha
+    (_SOLVE_RTOL). Otherwise alpha is refused with InfeasibleAlphaError and the errors at the
+    sigma of greatest and least psi the solve evaluated; where that range would hold alpha,
+    alpha is met only where the error rounds to 1, and the errors of 1 are left out.
+    evaluations counts each sigma at which the solve evaluated psi or h_c once.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
-    level = _log_rejection_odds(alpha_b)
-    seen: dict[float, float] = {}
+    level, c = _log_rejection_odds(alpha_b), classical_threshold(alpha)
+    cuts: dict[float, float] = {}
 
-    def error_at(sigma: float) -> float:
-        if sigma in seen:
-            return seen[sigma]
-        seen[sigma] = error = type_i_error(sigma, alpha_b, scheme)
-        return error
+    def psi_at(sigma: float) -> float:
+        if sigma in cuts:
+            return cuts[sigma]
+        cuts[sigma] = cut = _cut(level, log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
+        return cut
 
-    bracket = scheme._calibration_bracket(level, alpha, error_at)
+    bracket = scheme._calibration_bracket(level, alpha, c, psi_at)
     lo, hi, evaluated = bracket.lo, bracket.hi, []
-    if seen.get(lo) == alpha:  # a scan point meets alpha
-        sigma_star = other = lo
-    elif seen.get(hi) == alpha:
-        sigma_star = other = hi
-    else:
-        sigma_star, other = _newton_on_h(scheme, level, classical_threshold(alpha), lo, hi,
-                                         evaluated)
-    # psi and the Type I error at sigma*, as psi and type_i_error compute them, from one log m
-    cut = _cut(level, log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star))
-    achieved = seen[sigma_star] = 1.0 if cut < 0.0 else 2.0 * _upper_tail(math.sqrt(cut))
-    miss = abs(achieved - alpha)
-    if miss > _SOLVE_RTOL * alpha and abs(error_at(other) - alpha) < miss:
-        sigma_star, achieved = other, seen[other]  # psi near 0, where the error is steep in it
-        cut = _cut(level, log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star))
-    if achieved == 1.0:  # alpha so near 1 that c_alpha is below the resolution of psi
-        below = [e for e in (error_at(lo), error_at(hi), *seen.values()) if e < 1.0]
-        raise InfeasibleAlphaError(alpha, min(below), max(below))
-    return CalibrationResult(sigma_star=sigma_star, psi_at_sigma=cut,
-                             achieved_alpha=achieved, residual=achieved - alpha,
-                             bracket_used=bracket, evaluations=len(seen.keys() | evaluated))
+    hits = [end for end in (lo, hi) if _error_of(psi_at(end)) == alpha]
+    sigma_star = hits[0] if hits else _newton_on_h(scheme, level, c, lo, hi, evaluated)
+    cut = psi_at(sigma_star)
+    achieved = _error_of(cut)
+    if cut > 0.0 and abs(achieved - alpha) <= _SOLVE_RTOL * alpha:
+        return CalibrationResult(sigma_star=sigma_star, psi_at_sigma=cut,
+                                 achieved_alpha=achieved, residual=achieved - alpha,
+                                 bracket_used=bracket, evaluations=len(cuts.keys() | evaluated))
+    least = type_i_error(max(cuts, key=cuts.get), alpha_b, scheme)
+    most = type_i_error(min(cuts, key=cuts.get), alpha_b, scheme)
+    if least <= alpha <= most:  # met only where the error rounds to 1
+        most = max(e for e in map(_error_of, cuts.values()) if e < 1.0)
+    raise InfeasibleAlphaError(alpha, least, most)

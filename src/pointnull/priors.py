@@ -38,7 +38,6 @@ __all__ = _EXPORTS["priors"]
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _NEG_INF = -math.inf  # log_m_of_sigma's bound: one global load per call, no negation
-_SOLVE_RTOL = 5e-12  # solve_sigma meets alpha to within this multiple of alpha
 
 #: sigma values at which classification evidence is collected.
 _PROBE_SIGMAS = (1.0e3, 1.0e6)
@@ -150,28 +149,28 @@ class PriorScheme:
     #: in closed form; without one the steps take the slope of the bracket's secant.
     _log_m_slope: Callable[[float], float] | None = None
 
-    def _calibration_bracket(self, level: float, alpha: float,
-                             error_at: Callable[[float], float]) -> Bracket:
-        """A sigma cell whose Type I errors enclose alpha, else InfeasibleAlphaError.
+    def _calibration_bracket(self, level: float, alpha: float, c: float,
+                             psi_at: Callable[[float], float]) -> Bracket:
+        """A sigma cell whose psi values enclose c = c_alpha, where the Type I error is alpha.
 
-        Enclosing to within _SOLVE_RTOL * alpha is enough: solve_sigma meets such alpha at an end.
-        level is log(1/alpha_b - 1); error_at(sigma), memoized by solve_sigma, is the error. This
-        default walks each pass of _scan_passes in order and returns the first cell that encloses
-        alpha; a pass that encloses nothing is evaluated whole, and the next one refines it. A
-        refusal's range is the least and greatest error of the last pass, which holds every
-        point; a lone sigma is unsupported.
+        level is log(1/alpha_b - 1); psi_at(sigma), memoized by solve_sigma, is psi, -inf where
+        every x rejects. This default walks each pass of _scan_passes in order and returns the
+        first cell that encloses c; a pass that encloses nothing is evaluated whole, and the next
+        one refines it. Where no cell does, it returns the last pass's cell nearest c, whose
+        end may still meet alpha, for solve_sigma to answer or refuse; a lone sigma is unsupported.
         """
         lo, hi = self.sigma_domain()
         for pts in _scan_passes(lo, hi):
-            errors = [e_lo := error_at(pts[0])]
+            gaps = [abs((p_lo := psi_at(pts[0])) - c)]
             for s_lo, s_hi in zip(pts, pts[1:]):
-                e_hi = error_at(s_hi)
-                if e_lo <= alpha <= e_hi or e_hi <= alpha <= e_lo:
+                p_hi = psi_at(s_hi)
+                if p_lo <= c <= p_hi or p_hi <= c <= p_lo:
                     return Bracket(s_lo, s_hi)
-                errors.append(e_lo := e_hi)
+                gaps.append(abs((p_lo := p_hi) - c))
         if len(pts) < 2:  # no cell, though the one sigma may well achieve alpha
             raise UnsupportedSchemeError(f"the sigma scan cannot split the domain {(lo, hi)!r}")
-        raise InfeasibleAlphaError(alpha, min(errors), max(errors))
+        k = min(gaps.index(min(gaps)), len(pts) - 2)  # the first cell holding the sigma nearest c
+        return Bracket(pts[k], pts[k + 1])
 
     @property
     def scheme_id(self) -> str:
@@ -294,22 +293,19 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         """sigma - sigma/(1 + sigma^2) = sigma ratio(sigma), which cannot cancel."""
         return sigma * variance_ratio(sigma)
 
-    def _calibration_bracket(self, level: float, alpha: float,
-                             error_at: Callable[[float], float]) -> Bracket:
+    def _calibration_bracket(self, level: float, alpha: float, c: float,
+                             psi_at: Callable[[float], float]) -> Bracket:
         """[sqrt(L / (1/2 - log alpha)), the positivity bound] with L = level, if alpha_b < 1/2.
 
         log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
         erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha, while it is 1 at
-        the bound; the lower end lies below the bound, whose square exceeds 2 L. An alpha above the
-        error at the rounded bound (about 1 - 3.6e-8 at alpha_b = 0.05) by more than _SOLVE_RTOL *
-        alpha is refused with the ends' errors. For alpha_b >= 1/2 the error is 1 everywhere.
+        the bound; the lower end lies below the bound, whose square exceeds 2 L. The error at the
+        rounded bound is below 1 (about 1 - 3.6e-8 at alpha_b = 0.05), and solve_sigma refuses a
+        target it does not meet. For alpha_b >= 1/2 the error is 1 everywhere.
         """
         if level <= 0.0:
             raise InfeasibleAlphaError(alpha, 1.0, 1.0)
-        lo, hi = math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level)
-        if alpha - error_at(hi) > _SOLVE_RTOL * alpha:
-            raise InfeasibleAlphaError(alpha, error_at(lo), error_at(hi))
-        return Bracket(lo, hi)
+        return Bracket(math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level))
 
     @property
     def scheme_id(self) -> str:

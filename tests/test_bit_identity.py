@@ -24,8 +24,9 @@ solve_sigma, positivity_bound and psi_sweep adds one line, with sigma*,
 psi(sigma*), the achieved alpha, the residual and the bracket ends as
 float.hex, and every refusal as its class and message. The work is pinned
 apart from the answers: EVALUATIONS_DIGEST holds each solve's evaluations,
-the sigma at which it computed the Type I error or h_c, so a change that
-evaluates fewer re-pins only it.
+the sigma at which it computed psi or h_c, so a change that evaluates fewer
+re-pins only it. Every answer among them meets its target: psi > 0 at sigma*,
+and the achieved alpha within _SOLVE_RTOL * alpha.
 Requests span kl, robert and fixed masses on both sides of alpha_b, fixed:0.3
 at a fine-pass level, fixed:0.07 with its root beyond the scan, the golden
 table and the tables of test_calibration.scanned_requests, and kl's two
@@ -38,6 +39,12 @@ the secant (the first step, and products that underflow or overflow),
 bisection, a step discontinuity, roots at either end, ftol = 0, the collapse
 exit, non-finite values at lo, at hi and inside, no sign change, and the
 Type I error curves of kl and robert that solve_sigma once polished.
+
+Run as a script, the module prints the lines behind the named digest families
+(all when none is named; "cli" is test_cli's CLI_DIGEST), one
+"family<TAB>line" each, so a re-pin is quoted from a diff of two checkouts:
+
+    PYTHONPATH=src python tests/test_bit_identity.py kl_refusals evaluations cli
 """
 
 import functools
@@ -48,11 +55,11 @@ from pathlib import Path
 
 from test_calibration import scanned_requests, threshold_route
 
-from pointnull.calibration import (CalibrationSpec, decide, positivity_bound, power_analytic, psi,
-                                   psi_sweep, solve_sigma, type_i_error)
+from pointnull.calibration import (_SOLVE_RTOL, CalibrationSpec, decide, positivity_bound,
+                                   power_analytic, psi, psi_sweep, solve_sigma, type_i_error)
 from pointnull.model import (AlternativeSpread, Observation, bayes_factor, posterior_from_log_odds,
                              posterior_h0)
-from pointnull.numerics import Bracket, find_root_bracketed
+from pointnull.numerics import Bracket, DomainError, find_root_bracketed
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
                               paradox_sweep)
 
@@ -71,12 +78,12 @@ DIGEST = {
 SOLVES, BOUNDS, PSI_SWEEPS = 2000, 500, 300
 ROOT_DIGEST = {
     "scanned": "aa788323e878a806c5af300139d8b5b8bb6f0957155ba1e48fc03c046e34397b",
-    "kl_refusals": "eeb8bc52c677802b7356dae79d2da08681780e6a22e5db9548eca066dea1cb57",
+    "kl_refusals": "c676f3c76fc0266effdb80b5264ecc4059b3307e56d5860e2ef7aa4b4e96509b",
     "solves": "cb3a4ccf4e42ea9c2f87d7d216a76c1c777676069be4127f5a685eb6dfc7e817",
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
 }
-EVALUATIONS_DIGEST = "c2e210adaa0e24204b8d40f8b8e03f2a11d7712949e208d8f28c709cc56b3cee"
+EVALUATIONS_DIGEST = "21f51465811cfa753d300eeea57ae86f51280114094094f04e7a9aca8c19da1c"
 ROOT_FINDER_DIGEST = "eac01b1af512b6cb48dcf9af530bbee93df2823f1ec6138ddd4fb33e98b0b0ac"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -189,19 +196,26 @@ def _rho0(rng):
     return rng.choice((rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-300.0, 0.0) * 0.999))
 
 
-def scalar_path_digests():
+def _digests(lines):
+    """{family: SHA-256 over its lines, each ended by a newline} from (family, line) pairs."""
+    hashes = {}
+    for family, line in lines:
+        hashes.setdefault(family, hashlib.sha256()).update(line.encode() + b"\n")
+    return {family: h.hexdigest() for family, h in hashes.items()}
+
+
+def scalar_path_lines():
+    """(family, line) for each call the scalar-path digests pin, in the order of the calls."""
     rng = random.Random(20261018)
-    hashes = {family: hashlib.sha256() for family in DIGEST}
     for _ in range(CALLS_PER_FUNCTION):
         scheme = _scheme(rng)
         alpha_b = _alpha_b(rng)
         sigma = _sigma(rng, scheme)
         x = _x(rng, sigma, alpha_b, scheme)
-        for family, line in (("psi", _line(psi, sigma, alpha_b, scheme)),
-                             ("type_i_error", _line(type_i_error, sigma, alpha_b, scheme)),
-                             ("power_analytic", _line(power_analytic, x, sigma, alpha_b, scheme)),
-                             ("decide", _line(_decide, x, sigma, alpha_b, scheme))):
-            hashes[family].update(line.encode() + b"\n")
+        yield "psi", _line(psi, sigma, alpha_b, scheme)
+        yield "type_i_error", _line(type_i_error, sigma, alpha_b, scheme)
+        yield "power_analytic", _line(power_analytic, x, sigma, alpha_b, scheme)
+        yield "decide", _line(_decide, x, sigma, alpha_b, scheme)
     for _ in range(SWEEPS):
         scheme = _scheme(rng)
         if scheme is TABLE:
@@ -212,7 +226,7 @@ def scalar_path_digests():
         if rng.random() < 0.05:
             grid[rng.randrange(ROWS_PER_SWEEP)] = rng.choice(BAD_SIGMAS)
         x = rng.choice((0.0, rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 300.0), math.nan))
-        hashes["paradox_sweep"].update(_line(paradox_sweep, scheme, x, grid).encode() + b"\n")
+        yield "paradox_sweep", _line(paradox_sweep, scheme, x, grid)
     rng = random.Random(20261020)
     for _ in range(CALLS_PER_FUNCTION):
         x, sigma, log_odds, rho0 = _model_x(rng), _model_sigma(rng), _log_odds(rng), _rho0(rng)
@@ -220,17 +234,13 @@ def scalar_path_digests():
         def parts(x=x, sigma=sigma):  # inside the call, so a refused x or sigma is a line too
             return Observation(x), AlternativeSpread(sigma)
 
-        for family, line in (
-                ("bayes_factor", _line(lambda: bayes_factor(*parts()))),
-                ("posterior_from_log_odds",
-                 _line(lambda: posterior_from_log_odds(*parts(), log_odds))),
-                ("posterior_h0", _line(lambda: posterior_h0(*parts(), rho0)))):
-            hashes[family].update(line.encode() + b"\n")
-    return {family: h.hexdigest() for family, h in hashes.items()}
+        yield "bayes_factor", _line(lambda: bayes_factor(*parts()))
+        yield "posterior_from_log_odds", _line(lambda: posterior_from_log_odds(*parts(), log_odds))
+        yield "posterior_h0", _line(lambda: posterior_h0(*parts(), rho0))
 
 
 def test_scalar_path_outputs_are_bit_identical():
-    assert scalar_path_digests() == DIGEST
+    assert _digests(scalar_path_lines()) == DIGEST
 
 
 # Inline, so that no refusal message carries the checkout's path.
@@ -249,37 +259,29 @@ def _root_scheme(rng, alpha_b):
     return GOLDEN_TABLE
 
 
-@functools.cache
-def sigma_root_digests():
-    """(the answer digest of each family, the digest of every solve's evaluation count)."""
+def _solve(alpha, alpha_b, scheme):
+    return solve_sigma(CalibrationSpec(alpha, alpha_b, scheme))
+
+
+def sigma_root_calls():
+    """(family, call, args) for each sigma-root request, in order; each solve calls _solve."""
     rng = random.Random(20261019)
-    hashes = {family: hashlib.sha256() for family in ROOT_DIGEST}
-    counts = hashlib.sha256()
-
-    def solve(alpha, alpha_b, scheme):
-        result = solve_sigma(CalibrationSpec(alpha, alpha_b, scheme))
-        counts.update(f"{result.evaluations}\n".encode())
-        return result
-
-    def add(family, call, *args):
-        hashes[family].update(_line(call, *args).encode() + b"\n")
-
     for spec in scanned_requests():
-        add("scanned", solve, spec.alpha, spec.alpha_b, spec.scheme)
+        yield "scanned", _solve, (spec.alpha, spec.alpha_b, spec.scheme)
     kl = KLSelfInformationPrior()
     for alpha_b in (0.5, 0.6, 0.999):
-        add("kl_refusals", solve, 0.05, alpha_b, kl)
+        yield "kl_refusals", _solve, (0.05, alpha_b, kl)
     for alpha_b in (0.01, 0.05, 0.3):
         for gap in (1e-7, 3e-8, 1e-8, 1e-9, 1e-12):
-            add("kl_refusals", solve, 1.0 - gap, alpha_b, kl)
+            yield "kl_refusals", _solve, (1.0 - gap, alpha_b, kl)
     for _ in range(SOLVES):
         alpha_b = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-3, 0.7),
                               10.0 ** rng.uniform(-12, -1)))
         alpha = rng.choice((10.0 ** rng.uniform(-12.0, -0.3), rng.uniform(0.001, 0.999)))
-        add("solves", solve, alpha, alpha_b, _root_scheme(rng, alpha_b))
+        yield "solves", _solve, (alpha, alpha_b, _root_scheme(rng, alpha_b))
     for _ in range(BOUNDS):
         alpha_b = rng.choice((rng.uniform(1e-3, 0.999), 10.0 ** rng.uniform(-300.0, -1.0)))
-        add("bounds", positivity_bound, alpha_b, _root_scheme(rng, alpha_b))
+        yield "bounds", positivity_bound, (alpha_b, _root_scheme(rng, alpha_b))
     for _ in range(PSI_SWEEPS):
         alpha_b = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-3, 0.9),
                               10.0 ** rng.uniform(-12, -1)))
@@ -289,8 +291,30 @@ def sigma_root_digests():
         else:
             lo = rng.uniform(-3.0, 2.0)
             grid = [10.0 ** (lo + 3.0 * k / ROWS_PER_SWEEP) for k in range(ROWS_PER_SWEEP)]
-        add("psi_sweeps", psi_sweep, scheme, alpha_b, grid)
-    return {family: h.hexdigest() for family, h in hashes.items()}, counts.hexdigest()
+        yield "psi_sweeps", psi_sweep, (scheme, alpha_b, grid)
+
+
+def sigma_root_lines():
+    """(family, line) for each sigma-root call, and ("evaluations", count) after each answer."""
+    counts = []
+
+    def solve(*args):
+        result = _solve(*args)
+        counts.append(f"{result.evaluations}")
+        return result
+
+    for family, call, args in sigma_root_calls():
+        line = _line(solve if call is _solve else call, *args)
+        yield from (("evaluations", count) for count in counts)
+        counts.clear()
+        yield family, line
+
+
+@functools.cache
+def sigma_root_digests():
+    """(the answer digest of each family, the digest of every solve's evaluation count)."""
+    digests = _digests(sigma_root_lines())
+    return {family: digests[family] for family in ROOT_DIGEST}, digests["evaluations"]
 
 
 def test_sigma_roots_are_bit_identical():
@@ -299,6 +323,24 @@ def test_sigma_roots_are_bit_identical():
 
 def test_sigma_root_evaluation_counts_are_pinned():
     assert sigma_root_digests()[1] == EVALUATIONS_DIGEST
+
+
+def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
+    """Each sigma* solve_sigma returns for the sigma-root requests: psi > 0 there, and the
+    achieved error within _SOLVE_RTOL * alpha of alpha. Every other request is refused."""
+    answered = 0
+    for _, call, args in sigma_root_calls():
+        if call is not _solve:
+            continue
+        alpha, alpha_b, scheme = args
+        try:
+            result = _solve(alpha, alpha_b, scheme)
+        except DomainError:
+            continue
+        assert result.psi_at_sigma > 0.0, (alpha, alpha_b, scheme.scheme_id)
+        assert abs(result.residual) <= _SOLVE_RTOL * alpha, (alpha, alpha_b, scheme.scheme_id)
+        answered += 1
+    assert answered == 1394
 
 
 def _step(at):
@@ -341,8 +383,8 @@ ROOT_FINDER_CASES = (
 )
 
 
-def root_finder_digest():
-    h = hashlib.sha256()
+def root_finder_lines():
+    """("root_finder", line) per case: every x find_root_bracketed evaluates, then its result."""
     for f, lo, hi, xtol, ftol in ROOT_FINDER_CASES:
         xs = []
 
@@ -351,9 +393,35 @@ def root_finder_digest():
             return f(x)
 
         result = _line(find_root_bracketed, traced, Bracket(lo, hi), xtol, ftol)
-        h.update((",".join(map(float.hex, xs)) + f"|{result}").encode() + b"\n")
-    return h.hexdigest()
+        yield "root_finder", ",".join(map(float.hex, xs)) + f"|{result}"
 
 
 def test_root_finder_iterates_are_bit_identical():
-    assert root_finder_digest() == ROOT_FINDER_DIGEST
+    assert _digests(root_finder_lines()) == {"root_finder": ROOT_FINDER_DIGEST}
+
+
+def _cli_lines():
+    """("cli", line) per argv of test_cli.test_cli_text_is_pinned, run with COLUMNS=80."""
+    import os
+    import tempfile
+
+    from test_cli import cli_lines
+
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as tmp:
+        yield from (("cli", line) for line in cli_lines(Path(tmp)))
+
+
+FAMILIES = {**dict.fromkeys(DIGEST, scalar_path_lines),
+            **dict.fromkeys([*ROOT_DIGEST, "evaluations"], sigma_root_lines),
+            "root_finder": root_finder_lines, "cli": _cli_lines}
+
+
+if __name__ == "__main__":
+    import sys
+
+    wanted = sys.argv[1:] or list(FAMILIES)
+    for source in dict.fromkeys(FAMILIES[family] for family in wanted):
+        for family, line in source():
+            if family in wanted:
+                print(f"{family}\t{line}")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pointnull import calibration
 from pointnull.calibration import (
+    _SOLVE_RTOL,
     CalibrationSpec,
     Decision,
     InfeasibleAlphaError,
@@ -29,7 +30,7 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
                              posterior_h0, variance_ratio)
 from pointnull.montecarlo import SimulationPlan, simulate_power
 from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
-from pointnull.priors import (_SOLVE_RTOL, CustomTablePrior, FixedPrior, KLSelfInformationPrior,
+from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior,
                               PriorScheme, RobertPrior, UnsupportedSchemeError, _scan_passes,
                               log_m_of_sigma, m_of_sigma, paradox_sweep)
 
@@ -438,8 +439,8 @@ def test_solve_kl_refuses_a_target_met_only_where_the_error_rounds_to_one(alpha_
 
 
 def test_solve_kl_refuses_a_target_above_the_error_at_its_rounded_bound():
-    # The computed error at the float bound is about 1 - 3.6e-8, not 1: kl's bracket
-    # refuses a target above it, with the errors at its two ends.
+    # The computed error at the float bound is about 1 - 3.6e-8, not 1: solve_sigma
+    # refuses a target above it, with the errors at the bracket's two ends.
     with pytest.raises(InfeasibleAlphaError) as excinfo:
         solve_sigma(CalibrationSpec(1.0 - 1e-9, 0.05, KL))
     assert excinfo.value.achievable_hi == type_i_error(positivity_bound(0.05, KL), 0.05, KL)
@@ -447,8 +448,8 @@ def test_solve_kl_refuses_a_target_above_the_error_at_its_rounded_bound():
 
 
 def test_solve_kl_meets_a_target_above_the_error_at_its_rounded_bound_within_tolerance():
-    # The root finder accepts the bound where alpha - e_hi <= 5e-12 * alpha, so kl's
-    # bracket refuses only past that, at the same float: find the last alpha it accepts.
+    # solve_sigma accepts the bound where alpha - e_hi <= 5e-12 * alpha, and refuses only
+    # past that, at the same float: find the last alpha it accepts.
     bound = positivity_bound(0.05, KL)
     e_hi = type_i_error(bound, 0.05, KL)
     alpha = e_hi * (1.0 + 5e-12)
@@ -665,6 +666,20 @@ def counting_type_i_error(monkeypatch):
     return calls
 
 
+def counting_psi(monkeypatch):
+    """The sigma of each psi that solve_sigma's memo computes: its psi_at's log m calls."""
+    calls = []
+    real = calibration.log_m_of_sigma
+
+    def counted(scheme, sigma):
+        if sys._getframe(1).f_code.co_name == "psi_at":
+            calls.append(sigma)
+        return real(scheme, sigma)
+
+    monkeypatch.setattr(calibration, "log_m_of_sigma", counted)
+    return calls
+
+
 FEASIBLE_SCANNED = [
     CalibrationSpec(0.01, 0.05, ROBERT), CalibrationSpec(0.005, 0.05, FIXED_03),
     CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)),
@@ -673,28 +688,30 @@ FEASIBLE_SCANNED = [
 
 
 def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
-    calls = counting_type_i_error(monkeypatch)
-    polishes, _ = recording_polish(monkeypatch)
+    calls = counting_psi(monkeypatch)
+    polishes, sigmas = recording_polish(monkeypatch)
     with pytest.raises(InfeasibleAlphaError):
         solve_sigma(CalibrationSpec(0.05, 0.05, ROBERT))
     assert len(calls) == len(set(calls)) == 387
-    assert polishes == []
+    # No cell encloses c_alpha: the polish gets the cell nearest it, evaluates h_c at its two
+    # ends, which have one sign, and stops.
+    assert len(polishes) == 1 and sigmas == [polishes[0].lo, polishes[0].hi]
     for spec in FEASIBLE_SCANNED:
         calls.clear()
         polishes.clear()
         result = solve_sigma(spec)
-        # The polish starts from its cell's ends, whose errors the scan computed.
+        # The polish starts from its cell's ends, whose psi the scan computed.
         assert len(calls) == len(set(calls)), spec
         assert polishes == [result.bracket_used], spec
-    calls.clear()
+    reference_calls = counting_type_i_error(monkeypatch)
     with pytest.raises(InfeasibleAlphaError):
         scan_reference(CalibrationSpec(0.05, 0.05, ROBERT))
-    assert len(calls) == 491
+    assert len(reference_calls) == 491
 
 
 def kl_requests():
-    """kl where its bracket decides alone: alpha_b >= 1/2, alpha within 1e-7 of 1, and an
-    alpha 2e-12 of itself above the error at the rounded bound, which the tolerance meets."""
+    """kl at its edges: alpha_b >= 1/2, alpha within 1e-7 of 1, and an alpha 2e-12 of itself
+    above the error at the rounded bound, which the tolerance meets."""
     e_hi = type_i_error(positivity_bound(0.05, KL), 0.05, KL)
     return ([CalibrationSpec(0.05, alpha_b, KL) for alpha_b in (0.5, 0.6, 0.999)]
             + [CalibrationSpec(1.0 - gap, alpha_b, KL) for alpha_b in (0.01, 0.05, 0.3)
@@ -702,55 +719,63 @@ def kl_requests():
             + [CalibrationSpec(e_hi * (1.0 + 2e-12), 0.05, KL)])
 
 
-def test_each_bracket_encloses_alpha_or_refuses_with_the_errors_it_computed(monkeypatch):
-    calls = counting_type_i_error(monkeypatch)
+def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
+    """Each scheme's bracket for the scanned and kl requests, and solve_sigma's verdict on it.
+
+    A scan's bracket encloses c_alpha, or holds the scanned sigma whose psi is nearest it. kl's
+    is [lo, bound] for alpha_b < 1/2 and a refusal, before any psi, for the rest. Where the
+    bracket does not enclose c_alpha, solve_sigma answers only at an end that meets alpha to
+    within _SOLVE_RTOL * alpha; it refuses the rest with the least and greatest error at the
+    sigma the bracket evaluated.
+    """
+    calls = counting_psi(monkeypatch)
     outcomes = set()
     for spec in scanned_requests() + kl_requests():
-        calls.clear()
-        errors = {}
-
-        def error_at(sigma, spec=spec):
-            errors[sigma] = calibration.type_i_error(sigma, spec.alpha_b, spec.scheme)
-            return errors[sigma]
-
-        level = calibration._log_rejection_odds(spec.alpha_b)
+        psi_at, cuts = psi_memo(spec)
+        level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
         try:
-            bracket = spec.scheme._calibration_bracket(level, spec.alpha, error_at)
+            bracket = spec.scheme._calibration_bracket(level, spec.alpha, c, psi_at)
         except InfeasibleAlphaError as refusal:
             got = (refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
-            if spec.scheme is KL and spec.alpha_b >= 0.5:  # the error is 1 at every sigma
-                assert calls == [] and got == (spec.alpha, 1.0, 1.0), spec
-                outcomes.add("kl, alpha_b >= 1/2")
-            else:
-                assert got == (spec.alpha, min(errors.values()), max(errors.values())), spec
-                outcomes.add("refused")
+            assert spec.scheme is KL and spec.alpha_b >= 0.5, spec  # the error is 1 everywhere
+            assert cuts == {} and got == (spec.alpha, 1.0, 1.0), spec
+            outcomes.add("kl, alpha_b >= 1/2")
             continue
         lo, hi = spec.scheme.sigma_domain()
         assert lo <= bracket.lo < bracket.hi <= hi, spec
-        e_lo = calibration.type_i_error(bracket.lo, spec.alpha_b, spec.scheme)
-        e_hi = calibration.type_i_error(bracket.hi, spec.alpha_b, spec.scheme)
-        if spec.alpha <= max(e_lo, e_hi):
-            assert min(e_lo, e_hi) <= spec.alpha, spec
-            outcomes.add("bracketed")
-        else:  # only kl's bracket may leave alpha above its ends, by solve_sigma's tolerance
-            assert spec.scheme is KL and spec.alpha - e_hi <= _SOLVE_RTOL * spec.alpha, spec
-            outcomes.add("within tolerance")
-    assert outcomes == {"kl, alpha_b >= 1/2", "refused", "bracketed", "within tolerance"}
+        ends = psi_at(bracket.lo), psi_at(bracket.hi)
+        if min(ends) <= c <= max(ends):
+            outcomes.add("encloses c_alpha")
+            continue
+        nearest = min(abs(cut - c) for cut in cuts.values())
+        assert spec.scheme is KL or min(abs(cut - c) for cut in ends) == nearest, spec
+        try:
+            result = solve_sigma(spec)
+        except InfeasibleAlphaError as refusal:
+            errors = [type_i_error(sigma, spec.alpha_b, spec.scheme) for sigma in cuts]
+            assert (refusal.achievable_lo, refusal.achievable_hi) == (min(errors), max(errors))
+            outcomes.add("refused")
+            continue
+        assert result.sigma_star in (bracket.lo, bracket.hi), spec
+        assert abs(result.residual) <= _SOLVE_RTOL * spec.alpha, spec
+        outcomes.add("met at an end")
+    assert outcomes == {"kl, alpha_b >= 1/2", "encloses c_alpha", "refused", "met at an end"}
     calls.clear()
     with pytest.raises(InfeasibleAlphaError):
         solve_sigma(CalibrationSpec(0.05, 0.5, KL))
-    assert calls == []  # solve_sigma computes no Type I error for it either
+    assert calls == []  # solve_sigma computes no psi for it either
     assert type_i_error(1e-3, 0.5, KL) == type_i_error(1e3, 0.5, KL) == 1.0
 
 
 @pytest.mark.parametrize("spec", [CalibrationSpec(0.05, 0.05, KL)] + FEASIBLE_SCANNED)
 def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
-    """The Type I error calls, each at its own sigma, and the sigma where only h_c was evaluated."""
-    calls = counting_type_i_error(monkeypatch)
+    """The sigma of each psi, from which the solve takes its Type I errors, computed once each,
+    and the sigma where only h_c was evaluated."""
+    calls = counting_psi(monkeypatch)
     _, sigmas = recording_polish(monkeypatch)
     result = solve_sigma(spec)
     assert len(calls) == len(set(calls))
-    assert result.evaluations == len({sigma for sigma, _, _ in calls} | set(sigmas))
+    assert result.evaluations == len(set(calls) | set(sigmas))
 
 
 # The scan's grid as priors built it before _scan_passes, kept verbatim: the reference
@@ -806,64 +831,74 @@ def test_scan_passes_are_the_reference_grid_bit_for_bit():
             assert all(s in finer for s in coarse), (lo, hi)  # a subsequence, in order
 
 
-def eager_calibration_bracket(scheme, level, alpha, error_at):
+def eager_calibration_bracket(scheme, level, alpha, c, psi_at):
     """The base PriorScheme._calibration_bracket as it was before it stopped at the first cell.
 
-    Each pass computes the error at every point, then returns the first cell
-    that encloses alpha. Kept verbatim, self renamed to scheme, as the
-    reference the walk must agree with.
+    Each pass computes psi at every point, then returns the first cell that
+    encloses c; where none does, the last pass's cell nearest c. The scan as
+    it ran on Type I errors, self renamed to scheme, moved onto psi and c, as
+    the reference the walk must agree with.
     """
     lo, hi = scheme.sigma_domain()
     for per_decade in (1, 16, 64):
         pts = _scan_points(per_decade, lo, hi)
-        errors = [error_at(s) for s in pts]
-        if per_decade == 64 and not min(errors) <= alpha <= max(errors):
-            # Nothing on the grid meets alpha: look past its upper end.
+        cuts = [psi_at(s) for s in pts]
+        if per_decade == 64 and not min(cuts) <= c <= max(cuts):
+            # Nothing on the grid meets c: look past its upper end.
             far = tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
             pts += far
-            errors += [error_at(s) for s in far]
-        if min(errors) <= alpha <= max(errors):  # some cell of this pass encloses alpha
-            return next(Bracket(s_lo, s_hi) for s_lo, s_hi, e_lo, e_hi
-                        in zip(pts, pts[1:], errors, errors[1:])
-                        if min(e_lo, e_hi) <= alpha <= max(e_lo, e_hi))
-    raise InfeasibleAlphaError(alpha, min(errors), max(errors))
+            cuts += [psi_at(s) for s in far]
+        if min(cuts) <= c <= max(cuts):  # some cell of this pass encloses c
+            return next(Bracket(s_lo, s_hi) for s_lo, s_hi, p_lo, p_hi
+                        in zip(pts, pts[1:], cuts, cuts[1:])
+                        if min(p_lo, p_hi) <= c <= max(p_lo, p_hi))
+    near = min(range(len(pts)), key=lambda i: abs(cuts[i] - c))
+    return Bracket(*pts[near:near + 2]) if near + 1 < len(pts) else Bracket(*pts[-2:])
+
+
+def psi_memo(spec):
+    """(psi_at, cuts): a memo of psi for spec's scheme and alpha_b, as solve_sigma's psi_at,
+    and the {sigma: psi} it fills, in the order each sigma was first computed."""
+    level, cuts = calibration._log_rejection_odds(spec.alpha_b), {}
+
+    def psi_at(sigma):
+        if sigma not in cuts:
+            cuts[sigma] = calibration._cut(level, log_m_of_sigma(spec.scheme, sigma),
+                                           variance_ratio(sigma))
+        return cuts[sigma]
+
+    return psi_at, cuts
 
 
 def scan_outcome(scan, spec):
-    """scan's Bracket or ("refused", requested, lo, hi) for spec, and the sigma it evaluated.
+    """scan's Bracket for spec, and the psi it computed at each sigma, in order.
 
-    scan(level, alpha, error_at) gets a memo of Type I errors, as solve_sigma
-    gives, so each sigma is listed once, in the order it was first computed.
+    scan(level, alpha, c, psi_at) gets a memo of psi, as solve_sigma gives,
+    so each sigma is listed once.
     """
-    seen, order = {}, []
-
-    def error_at(sigma):
-        if sigma not in seen:
-            order.append(sigma)
-            seen[sigma] = type_i_error(sigma, spec.alpha_b, spec.scheme)
-        return seen[sigma]
-
-    try:
-        outcome = scan(calibration._log_rejection_odds(spec.alpha_b), spec.alpha, error_at)
-    except InfeasibleAlphaError as refusal:
-        outcome = ("refused", refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
-    return outcome, order
+    psi_at, cuts = psi_memo(spec)
+    level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
+    return scan(level, spec.alpha, c, psi_at), cuts
 
 
 def walk_and_eager_scan(spec):
-    """The walk's outcome and evaluation count, and the eager scan's count, once they agree.
+    """Whether the walk's cell encloses c_alpha, its evaluation count, and the eager scan's.
 
-    The walk must return the eager scan's bracket or refusal and compute the
-    first of the eager scan's sigma in the same order; a refusal computes them all.
+    The walk must return the eager scan's bracket and compute the first of the
+    eager scan's sigma in the same order; a cell that does not enclose c_alpha
+    comes after them all.
     """
-    walked, walk_order = scan_outcome(spec.scheme._calibration_bracket, spec)
-    eager, eager_order = scan_outcome(
+    walked, walk_cuts = scan_outcome(spec.scheme._calibration_bracket, spec)
+    eager, eager_cuts = scan_outcome(
         lambda *args: eager_calibration_bracket(spec.scheme, *args), spec)
     assert walked == eager, spec
+    walk_order, eager_order = list(walk_cuts), list(eager_cuts)
     assert walk_order == eager_order[:len(walk_order)], spec
-    if not isinstance(walked, Bracket):
+    ends, c = (walk_cuts[walked.lo], walk_cuts[walked.hi]), classical_threshold(spec.alpha)
+    encloses = min(ends) <= c <= max(ends)
+    if not encloses:
         assert walk_order == eager_order, spec
-    return walked, len(walk_order), len(eager_order)
+    return encloses, len(walk_order), len(eager_order)
 
 
 class WavyPrior(PriorScheme):
@@ -915,14 +950,14 @@ def test_a_domain_the_scan_cannot_split_is_refused_by_name():
 def test_the_walk_matches_the_eager_scan_on_the_scanned_requests():
     outcomes = set()
     for spec in scanned_requests():
-        walked, walk_count, eager_count = walk_and_eager_scan(spec)
-        if not isinstance(walked, Bracket):
-            outcomes.add("refused")
+        encloses, walk_count, eager_count = walk_and_eager_scan(spec)
+        if not encloses:
+            outcomes.add("nearest cell")
         elif walk_count < eager_count:
             outcomes.add("stopped early")
-        else:  # the cell that encloses alpha is the pass's last
+        else:  # the cell that encloses c_alpha is the pass's last
             outcomes.add("walked whole")
-    assert outcomes == {"refused", "stopped early", "walked whole"}
+    assert outcomes == {"nearest cell", "stopped early", "walked whole"}
 
 
 FIXED_03_PEAK = 0.0074412442  # fixed:0.3's greatest Type I error at alpha_b = 0.05, near 2.48
@@ -959,12 +994,13 @@ def test_the_walk_matches_the_eager_scan(spec):
 def test_the_scan_stops_at_the_first_cell_that_encloses_alpha(monkeypatch):
     """Criterion 11's request: the coarse pass stops at [1, 10], two points short of its end.
 
-    Then the polish evaluates h_c at 6 new sigma; the error at sigma* comes with its psi.
+    Then the polish evaluates h_c at 6 new sigma, and the memo psi at one of them, sigma*.
     """
-    calls = counting_type_i_error(monkeypatch)
-    polishes, _ = recording_polish(monkeypatch)
+    calls = counting_psi(monkeypatch)
+    polishes, sigmas = recording_polish(monkeypatch)
     result = solve_sigma(CalibrationSpec(0.01, 0.05, ROBERT))
-    assert [sigma for sigma, _, _ in calls] == [1e-3, 1e-2, 0.1, 1.0, 10.0]
+    assert calls == [1e-3, 1e-2, 0.1, 1.0, 10.0, result.sigma_star]
+    assert result.sigma_star in sigmas
     assert polishes == [Bracket(1.0, 10.0)]
     assert result.evaluations == 11
     assert result.sigma_star == 1.4273082827389831

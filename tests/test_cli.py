@@ -1,7 +1,9 @@
 """Command-line surface: parsing, key=value output, CSV sweeps, exit codes."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -179,11 +181,11 @@ def test_calibrate_robert_low_target_succeeds(capsys):
 
 
 @pytest.mark.parametrize("scheme,alpha,alpha_b,achievable", [
-    # kl's bracket refuses an alpha above the error at its rounded positivity bound, where h_c
-    # is +8.2e-16: [lo, bound] would not bracket h_c's root.
+    # An alpha above the error at kl's rounded positivity bound, where h_c is +8.2e-16: h_c does
+    # not change sign on [lo, bound], and the bound misses alpha, so solve_sigma refuses.
     ("kl", "0.99999999", "0.05", "(0.13295746814272916, 0.999999964355479)"),
-    # The error rounds to 1 at sigma*, and the ends' errors alone give the range: the Newton
-    # polish evaluates no other Type I error here.
+    # The error rounds to 1 at sigma* and at the bound, so the error at the bracket's low end,
+    # the one below 1 that the solve computed, gives the range.
     ("kl", "0.9999999999999999", "5e-324", "(0.006852011453502906, 0.006852011453502906)"),
     # c_alpha is about 1.9e-32, below psi's resolution: sigma* lands where psi rounds to <= 0.
     ("fixed:0.0009", "0.9999999999999999", "0.05", "(0.2998199050658802, 0.2998199050658802)"),
@@ -634,12 +636,15 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "a94f340a063e3df43b804af416a620fd96526a663f281120aed6a55417522320"
+CLI_DIGEST = "50245d404f9b47f30e1fce0ae376d094a8265f52b5d90b804f4f9aa979fece07"
 
 
-def test_cli_text_is_pinned(capsys, monkeypatch, tmp_path):
-    """Every answer, refusal, usage line and help text, byte for byte."""
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+def cli_lines(tmp_path):
+    """One JSON line per argv: [argv, exit code, stdout, stderr], paths scrubbed.
+
+    The argvs are every extreme argv and the usage cases below; tmp_path receives bad.cfg.
+    Help text wraps to the terminal's width, so the caller fixes COLUMNS.
+    """
     bad = tmp_path / "bad.cfg"
     bad.write_text("alpha-b = 1.5\n")
     usage = [[], ["-h"], ["--help", "bf"], *([name, "-h"] for name in COMMANDS),
@@ -653,11 +658,19 @@ def test_cli_text_is_pinned(capsys, monkeypatch, tmp_path):
     def scrub(text):  # the digest must not depend on where the checkout lives
         return text.replace(str(TABLE_CSV), "<table.csv>").replace(str(bad), "<bad.cfg>")
 
-    digest = hashlib.sha256()
     for argv in [*extreme_argvs(), *usage]:
-        code = main(argv)
-        out, err = capsys.readouterr()
-        line = json.dumps([[scrub(a) for a in argv], code, scrub(out), scrub(err)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        yield json.dumps([[scrub(a) for a in argv], code, scrub(out.getvalue()),
+                          scrub(err.getvalue())])
+
+
+def test_cli_text_is_pinned(monkeypatch, tmp_path):
+    """Every answer, refusal, usage line and help text, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    digest = hashlib.sha256()
+    for line in cli_lines(tmp_path):
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == CLI_DIGEST
 
