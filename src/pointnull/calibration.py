@@ -26,6 +26,7 @@ from .numerics import (
     _INF,
     Bracket,
     DomainError,
+    EvaluationError,
     _check_finite,
     _check_prob,
     _check_sigma,
@@ -239,8 +240,9 @@ def psi_sweep(scheme: PriorScheme, alpha_b: float, sigma_grid: list[float] | tup
     """(sigma, psi) over the grid's first run where psi is defined, and where the run ends.
 
     The end is None when the run lasts to the grid's end, else positivity_bound or, without a
-    closed form (a table, say), the root of log m = log(1/alpha_b - 1) between the run's last
-    sigma and the next. Points before the run are skipped; grids are refused as in paradox_sweep.
+    closed form (a table, say), the root of h_0 = log(1/alpha_b - 1) - log m between the run's
+    last sigma and the next, found by solve_sigma's routine (_root_of_h) at c = 0. Points before
+    the run are skipped; grids are refused as in paradox_sweep.
     """
     rows, level = [], _log_rejection_odds(alpha_b)
     for sigma in _checked_grid(sigma_grid):
@@ -256,8 +258,7 @@ def psi_sweep(scheme: PriorScheme, alpha_b: float, sigma_grid: list[float] | tup
     except UnsupportedSchemeError:
         end = None
     if end is None:
-        end = find_root_bracketed(lambda s: log_m_of_sigma(scheme, s) - level,
-                                  Bracket(rows[-1][0], sigma), xtol=1e-15, ftol=0.0)
+        end = _root_of_h(scheme, level, 0.0, rows[-1][0], sigma, [])
     return rows, end
 
 
@@ -273,18 +274,20 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
     return _REJECT if post < alpha_b else _RETAIN
 
 
-def _newton_on_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float,
-                 evaluated: list[float]) -> float:
+def _root_of_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float,
+               evaluated: list[float]) -> float:
     """The end of a sigma bracket, shrunk onto the root of h_c = (level - log m) - (c/2) ratio.
 
-    h_c = (ratio/2)(psi - c) has the sign of alpha - error where c = c_alpha. Each step is
-    Newton's from the end with the smaller |h_c|, and the ends keep h_c's sign change. A step
-    that leaves the bracket, or exceeds half the step before the last (a stall), is replaced by
-    bisection. Once a step is within 2 ulp its end point is evaluated, and the loop stops; so
-    it does at an exact zero, at adjacent floats, or at once where the ends do not change sign.
-    The slope is -d log m/d sigma - c sigma/(1 + sigma^2)^2, or the bracket's secant slope for a
-    scheme without _log_m_slope. Returns the end with the smaller |h_c|, and appends each sigma
-    h_c is evaluated at to evaluated.
+    h_c = (ratio/2)(psi - c) has the sign of alpha - error where c = c_alpha, and at c = 0 it is
+    level - log m, whose root is psi's positivity bound. Where the ends do not change sign it
+    stops at once. With the scheme's _log_m_slope each step is Newton's from the end with the
+    smaller |h_c|, slope -d log m/d sigma - c sigma/(1 + sigma^2)^2, and the ends keep h_c's sign
+    change. A step that leaves the bracket, or exceeds half the step before the last (a stall), is
+    replaced by bisection. Once a step is within 2 ulp its end point is evaluated, and the loop
+    stops; so it does at an exact zero or at adjacent floats. Without a slope, Brent's method
+    (find_root_bracketed, ftol 0 and xtol the least positive float) stops at the same two places;
+    where h_c is infinite it raises, and the bracket stays as given. Returns the end with the
+    smaller |h_c|, and appends each sigma h_c is evaluated at to evaluated.
     """
     half_c, log_m_slope = 0.5 * c, scheme._log_m_slope
 
@@ -294,14 +297,16 @@ def _newton_on_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: flo
 
     h_lo, h_hi = h(lo), h(hi)
     if h_lo and h_hi and (h_lo > 0.0) != (h_hi > 0.0):
+        if log_m_slope is None:
+            try:
+                return find_root_bracketed(h, Bracket(lo, hi), xtol=5e-324, ftol=0.0)
+            except EvaluationError:  # h_c is infinite at a sigma Brent tried
+                return lo if abs(h_lo) <= abs(h_hi) else hi
         last = before = math.inf
         while True:
             x, h_x = (lo, h_lo) if abs(h_lo) <= abs(h_hi) else (hi, h_hi)
-            if log_m_slope is None:
-                slope = (h_hi - h_lo) / (hi - lo)
-            else:
-                t = 1.0 + x * x
-                slope = -log_m_slope(x) - c * x / (t * t)
+            t = 1.0 + x * x
+            slope = -log_m_slope(x) - c * x / (t * t)
             nxt = x - h_x / slope if slope else math.nan
             step = abs(nxt - x)  # NaN from a NaN or infinite step
             done = step <= 2.0 * math.ulp(x)
@@ -334,8 +339,9 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     tests psi against c_alpha: the scheme's bracket encloses it (PriorScheme._calibration_bracket:
     the default scan evaluates each pass up to its first cell enclosing c_alpha, else returns the
     cell nearest it). An end whose error is alpha is the answer; otherwise Newton's method on
-    h_c(sigma) = (L - log m) - (c_alpha/2) ratio, with L = log(1/alpha_b - 1), finds the float
-    nearest its root (_newton_on_h): h_c has neither erfc nor sqrt, so it does not flatten out.
+    h_c(sigma) = (L - log m) - (c_alpha/2) ratio, with L = log(1/alpha_b - 1), or Brent's without
+    a slope, finds the float nearest its root (_root_of_h): h_c has neither erfc nor sqrt, so it
+    does not flatten out.
     One test accepts the answer: psi > 0 there, and the error within 5e-12 * alpha of alpha
     (_SOLVE_RTOL). Otherwise alpha is refused with InfeasibleAlphaError and the errors at the
     sigma of greatest and least psi the solve evaluated; where that range would hold alpha,
@@ -355,7 +361,7 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     bracket = scheme._calibration_bracket(level, alpha, c, psi_at)
     lo, hi, evaluated = bracket.lo, bracket.hi, []
     hits = [end for end in (lo, hi) if _error_of(psi_at(end)) == alpha]
-    sigma_star = hits[0] if hits else _newton_on_h(scheme, level, c, lo, hi, evaluated)
+    sigma_star = hits[0] if hits else _root_of_h(scheme, level, c, lo, hi, evaluated)
     cut = psi_at(sigma_star)
     achieved = _error_of(cut)
     if cut > 0.0 and abs(achieved - alpha) <= _SOLVE_RTOL * alpha:

@@ -146,7 +146,7 @@ class PriorScheme:
         raise UnsupportedSchemeError(f"no closed-form positivity bound for {self.scheme_id!r}")
 
     #: d log m / d sigma, the slope of solve_sigma's Newton steps. Each built-in scheme defines it
-    #: in closed form; without one the steps take the slope of the bracket's secant.
+    #: in closed form; without one the root is found by Brent's method.
     _log_m_slope: Callable[[float], float] | None = None
 
     def _calibration_bracket(self, level: float, alpha: float, c: float,

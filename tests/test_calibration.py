@@ -642,7 +642,7 @@ def test_solve_matches_the_scan_reference():
 def recording_polish(monkeypatch):
     """The bracket of each Newton polish, and the sigma at which it evaluated h_c."""
     polishes, sigmas = [], []
-    real = calibration._newton_on_h
+    real = calibration._root_of_h
 
     def recorded(scheme, level, c, lo, hi, evaluated):
         polishes.append(Bracket(lo, hi))
@@ -650,7 +650,7 @@ def recording_polish(monkeypatch):
         sigmas.extend(evaluated)
         return ends
 
-    monkeypatch.setattr(calibration, "_newton_on_h", recorded)
+    monkeypatch.setattr(calibration, "_root_of_h", recorded)
     return polishes, sigmas
 
 
@@ -918,12 +918,71 @@ def test_solve_refuses_a_wavy_target_that_rounds_to_one_with_an_ordered_range():
     # c_alpha is about 1.5e-23, below psi's resolution next to the root: psi jumps from about
     # 1.7e-10 (error 0.99998965) to <= 0 (error 1.0) between adjacent floats. The error at the
     # bracket's low end is itself 1.0 here: the range is the least and greatest of the errors
-    # below 1 that the solve saw.
+    # below 1 that the solve saw. The scheme has no slope, so Brent's iterates set the greatest.
     with pytest.raises(InfeasibleAlphaError) as excinfo:
         solve_sigma(CalibrationSpec(0.9999999999968855, 0.5, WavyPrior()))
     got = excinfo.value
     assert got.achievable_lo <= got.achievable_hi < 1.0
-    assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.999989647609669)
+    assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.9999896476358079)
+
+
+class NoSlopeTable(CustomTablePrior):
+    """A table without _log_m_slope: its solve finds the root of h_c by Brent's method."""
+
+    _log_m_slope = None
+
+
+GOLDEN_TABLE = CustomTablePrior.from_csv(str(Path(__file__).parent / "golden" / "table.csv"))
+
+
+def test_a_table_without_its_slope_solves_to_its_sigma_star():
+    """Brent's solve of a table without its slope, against Newton's of the table with it.
+
+    On scanned_requests' tables sigma* is within 2 ulp of Newton's. On the golden table h_c is
+    flatter (kappa up to 34), and the two may differ by more while both stay within
+    test_accuracy's bound of the root, so only the residual is checked there. Each solve takes at
+    most 60 evaluations, and on average less than twice Newton's. The bracket's secant steps
+    (regula falsi) took 81 on the golden table at alpha = alpha_b = 0.5, and 2.9 times Newton's
+    on scanned_requests' tables.
+    """
+    scanned = [spec for spec in scanned_requests() if isinstance(spec.scheme, CustomTablePrior)]
+    golden = [CalibrationSpec(alpha, alpha_b, GOLDEN_TABLE) for alpha, alpha_b in
+              ((0.01, 0.05), (1e-4, 0.05), (0.001, 0.1), (0.05, 0.3), (0.1, 0.5), (0.5, 0.5))]
+    counts = []
+    for spec in scanned + golden:
+        copy = CalibrationSpec(spec.alpha, spec.alpha_b, NoSlopeTable(spec.scheme.points))
+        try:
+            newton = solve_sigma(spec)
+        except InfeasibleAlphaError as refused:
+            assert refusal(solve_sigma, copy) == str(refused), spec
+            continue
+        brent = solve_sigma(copy)
+        if spec in scanned:
+            gap = abs(brent.sigma_star - newton.sigma_star)
+            assert gap <= 2.0 * math.ulp(newton.sigma_star), spec
+        assert abs(brent.residual) <= _SOLVE_RTOL * spec.alpha, spec
+        assert brent.bracket_used == newton.bracket_used, spec
+        assert brent.evaluations <= 60, spec
+        counts.append((newton.evaluations, brent.evaluations))
+    assert len(counts) > 40
+    assert sum(b for _, b in counts) < 2 * sum(n for n, _ in counts)
+
+
+def test_a_scheme_infinite_past_a_sigma_is_refused_as_before():
+    """Log odds 0 below sigma = 50 and +inf above, with no slope: h_c is -inf at the bracket's
+    high end, where Brent's method raises; the solve refuses alpha from the scan's errors."""
+    class Cliff(PriorScheme):
+        __slots__ = ()
+        scheme_id = "cliff"
+
+        def log_prior_odds(self, sigma):
+            return 0.0 if sigma < 50.0 else math.inf
+
+    for alpha in (0.2, 0.5, 0.9, 0.99):
+        with pytest.raises(InfeasibleAlphaError) as excinfo:
+            solve_sigma(CalibrationSpec(alpha, 0.05, Cliff()))
+        got = excinfo.value
+        assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.0011253619579786802), alpha
 
 
 def test_a_domain_the_scan_cannot_split_is_refused_by_name():
