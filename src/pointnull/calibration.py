@@ -26,7 +26,6 @@ from .numerics import (
     _INF,
     Bracket,
     DomainError,
-    EvaluationError,
     _check_finite,
     _check_prob,
     _check_sigma,
@@ -241,8 +240,9 @@ def psi_sweep(scheme: PriorScheme, alpha_b: float, sigma_grid: list[float] | tup
 
     The end is None when the run lasts to the grid's end, else positivity_bound or, without a
     closed form (a table, say), the root of h_0 = log(1/alpha_b - 1) - log m between the run's
-    last sigma and the next, found by solve_sigma's routine (_root_of_h) at c = 0. Points before
-    the run are skipped; grids are refused as in paradox_sweep.
+    last sigma and the next, found by solve_sigma's routine (_root_of_h) at c = 0: where the odds
+    jump to +inf, the jump itself. Points before the run are skipped; grids are refused as in
+    paradox_sweep.
     """
     rows, level = [], _log_rejection_odds(alpha_b)
     for sigma in _checked_grid(sigma_grid):
@@ -285,9 +285,9 @@ def _root_of_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float
     change. A step that leaves the bracket, or exceeds half the step before the last (a stall), is
     replaced by bisection. Once a step is within 2 ulp its end point is evaluated, and the loop
     stops; so it does at an exact zero or at adjacent floats. Without a slope, Brent's method
-    (find_root_bracketed, ftol 0 and xtol the least positive float) stops at the same two places;
-    where h_c is infinite it raises, and the bracket stays as given. Returns the end with the
-    smaller |h_c|, and appends each sigma h_c is evaluated at to evaluated.
+    (find_root_bracketed) stops at the same two places and reads an infinite h_c, where the odds
+    are infinite, as its sign. Returns the end with the smaller |h_c|, and appends each sigma h_c
+    is evaluated at to evaluated.
     """
     half_c, log_m_slope = 0.5 * c, scheme._log_m_slope
 
@@ -298,10 +298,7 @@ def _root_of_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float
     h_lo, h_hi = h(lo), h(hi)
     if h_lo and h_hi and (h_lo > 0.0) != (h_hi > 0.0):
         if log_m_slope is None:
-            try:
-                return find_root_bracketed(h, Bracket(lo, hi), xtol=5e-324, ftol=0.0)
-            except EvaluationError:  # h_c is infinite at a sigma Brent tried
-                return lo if abs(h_lo) <= abs(h_hi) else hi
+            return find_root_bracketed(h, Bracket(lo, hi))
         last = before = math.inf
         while True:
             x, h_x = (lo, h_lo) if abs(h_lo) <= abs(h_hi) else (hi, h_hi)

@@ -2,8 +2,9 @@
 
 Standard-normal density, distribution, and quantile functions, the domain
 checks every module shares, the immutable record base, and a bracket-safe
-root finder. The density and distribution are closed forms over math.exp and
-math.erfc; the quantile is the standard library's.
+root finder: Brent's method to an exact zero or adjacent floats, with an
+infinite value read as its sign. The density and distribution are closed
+forms over math.exp and math.erfc; the quantile is the standard library's.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class BracketError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """A user-supplied function returned a non-finite value."""
+    """A user-supplied function returned a value its caller cannot use (NaN, to the root finder)."""
 
 
 _set = object.__setattr__  # how a record's __init__ stores each field
@@ -152,35 +153,22 @@ def _u_minus_log1p(u: float) -> float:
     return u * t - 2.0 * t * t2 * s
 
 
-def find_root_bracketed(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    xtol: float = 1e-13,
-    ftol: float = 1e-12,
-) -> float:
-    """Brent's method on a sign-changing bracket.
+def find_root_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
+    """Brent's method (Algorithms for Minimization without Derivatives, 1973) on a sign change.
 
-    Returns x with |f(x)| <= ftol, or the end with the smaller |f| once the
-    enclosing interval is no wider than xtol or its ends are adjacent floats,
-    however much wider than xtol that last gap is. Every iterate stays inside
-    the initial bracket, so f is never evaluated outside it. xtol must be
-    positive and ftol nonnegative; ftol = 0 accepts only an exact zero.
+    Returns an exact zero of f, or the end with the smaller |f| once the ends are adjacent
+    floats. Every iterate stays inside the initial bracket, so f is never evaluated outside
+    it. An infinite value of f counts as its sign: the interpolants it yields are NaN or
+    infinite, and the safeguard bisects in their place. A NaN raises EvaluationError.
     """
-    if not (xtol > 0.0 and ftol >= 0.0):
-        raise DomainError(
-            f"xtol must be positive and ftol nonnegative, got xtol={xtol}, ftol={ftol}")
     a, b = bracket.lo, bracket.hi
     fa = f(a)
-    if not -_INF < fa < _INF:  # nan fails it too
+    if math.isnan(fa):
         raise EvaluationError(f"f returned {fa} at x={a}")
     fb = f(b)
-    if not -_INF < fb < _INF:
+    if math.isnan(fb):
         raise EvaluationError(f"f returned {fb} at x={b}")
-    if abs(fa) <= ftol:
-        return a
-    if abs(fb) <= ftol:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
+    if fa and fb and (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: f(lo)={fa}, f(hi)={fb}")
 
     if abs(fa) < abs(fb):
@@ -188,7 +176,7 @@ def find_root_bracketed(
     c, fc = a, fa
     d = a
     bisected = True
-    while abs(b - a) > xtol and abs(fb) > ftol:  # ftol >= 0, so fb != 0 here
+    while fb:  # b keeps the smaller |f|, so an exact zero at either end returns at once
         den_a, den_b, den_c = (fa - fb) * (fa - fc), (fb - fa) * (fb - fc), (fc - fa) * (fc - fb)
         if den_a and den_b and den_c:
             # Inverse quadratic interpolation; the secant where f values repeat
@@ -198,7 +186,7 @@ def find_root_bracketed(
             s = b - fb * (b - a) / (fb - fa)  # secant
         lo_lim = 0.25 * (3.0 * a + b)
         step = abs(b - c) if bisected else abs(c - d)  # the last step, or the one before it
-        bisected = not (lo_lim < s < b or b < s < lo_lim) or abs(s - b) >= 0.5 * step or step < xtol
+        bisected = not (lo_lim < s < b or b < s < lo_lim) or abs(s - b) >= 0.5 * step
         if bisected:
             s = 0.5 * (a + b)
         if s == a or s == b:
@@ -206,7 +194,7 @@ def find_root_bracketed(
             # is representable between the endpoints, so stop here.
             break
         fs = f(s)
-        if not -_INF < fs < _INF:
+        if math.isnan(fs):
             raise EvaluationError(f"f returned {fs} at x={s}")
         d, c, fc = c, b, fb
         if (fa > 0.0) != (fs > 0.0):

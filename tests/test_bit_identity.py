@@ -36,9 +36,9 @@ The third digest pins find_root_bracketed itself: for each of a fixed set of
 objectives, every x it evaluates and its return value or refusal. The
 objectives reach each branch of the loop: inverse quadratic interpolation,
 the secant (the first step, and products that underflow or overflow),
-bisection, a step discontinuity, roots at either end, ftol = 0, the collapse
-exit, non-finite values at lo, at hi and inside, no sign change, and the
-Type I error curves of kl and robert that solve_sigma once polished.
+bisection, a step discontinuity, roots at either end, the collapse exit,
+NaN at lo, at hi and inside, infinite values read as signs, no sign change,
+and the Type I error curves of kl and robert that solve_sigma once polished.
 
 Run as a script, the module prints the lines behind the named digest families
 (all when none is named; "cli" is test_cli's CLI_DIGEST), one
@@ -84,7 +84,7 @@ ROOT_DIGEST = {
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
 }
 EVALUATIONS_DIGEST = "21f51465811cfa753d300eeea57ae86f51280114094094f04e7a9aca8c19da1c"
-ROOT_FINDER_DIGEST = "eac01b1af512b6cb48dcf9af530bbee93df2823f1ec6138ddd4fb33e98b0b0ac"
+ROOT_FINDER_DIGEST = "7055f531438ae1225a8e7346f1db433be0b96e94edb0b44cc78e779677c5d994"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
 BAD_ALPHA_BS = (0.0, 1.0, math.nan, math.inf, -0.5)
@@ -351,48 +351,49 @@ def _nan_at(bad, f):
     return lambda x: math.nan if x == bad else f(x)
 
 
-# (objective, lo, hi, xtol, ftol); the kl and robert rows are the Brent polish solve_sigma
-# ran, before its Newton steps on h_c, for alpha = 0.01 and 0.02 at alpha_b = 0.05 on the
-# brackets their schemes return.
+# (objective, lo, hi); the kl and robert rows are the Type I error curves whose roots Brent's
+# method once polished for solve_sigma, before its Newton steps on h_c, for alpha = 0.01 and
+# 0.02 at alpha_b = 0.05 on the brackets their schemes return.
 ROOT_FINDER_CASES = (
-    (lambda x: x * x - 2.0, 0.0, 2.0, 1e-13, 1e-12),  # inverse quadratic steps
-    (math.cos, 1.0, 2.0, 1e-13, 1e-12),
-    (lambda x: x * x - 2.0, 0.0, 2.0, 0.5, 1e-12),  # width exit
-    (lambda x: x**3 - 2.0, 0.0, 3.0, 1e-13, 0.0),
-    (lambda x: 1e-160 * (x**3 - 2.0), 0.0, 3.0, 1e-13, 0.0),  # denominators underflow
-    (lambda x: 1e-200 * (x**3 - 2.0), 0.0, 3.0, 1e-13, 0.0),
-    (lambda x: 1e-300 * (x**3 - 2.0), 0.0, 3.0, 1e-13, 0.0),
-    (lambda x: 1.7e308 * math.tanh(4.0 * (x - 0.3)), -1.0, 1.0, 1e-13, 0.0),  # they overflow
-    (lambda x: math.floor(4.0 * x) / 4.0 - 1.1, 0.0, 3.0, 1e-13, 0.0),  # f values repeat
-    (lambda x: (x - 1.0) ** 9, 0.0, 3.0, 1e-13, 0.0),  # bisection
-    (lambda x: math.copysign(abs(x - 0.7) ** 0.1, x - 0.7), 0.0, 3.0, 1e-13, 0.0),
-    (_step(1.7), 0.0, 3.0, 1e-13, 0.0),  # step discontinuity
-    (_step(3.0), 2.0, 4.0, 1e-300, 0.0),  # ends adjacent floats wider than xtol
-    (lambda x: x - 1.0, 1.0, 5.0, 1e-13, 1e-12),  # root at lo
-    (lambda x: x - 5.0, 1.0, 5.0, 1e-13, 1e-12),  # root at hi
-    (lambda x: x - 5.0 + 1e-13, 1.0, 5.0, 1e-13, 1e-12),  # hi within ftol
-    (_nan_at(0.0, lambda x: x - 0.5), 0.0, 1.0, 1e-13, 1e-12),  # non-finite at lo
-    (_nan_at(1.0, lambda x: x - 0.5), 0.0, 1.0, 1e-13, 1e-12),  # at hi
-    (lambda x: math.nan, 0.0, 1.0, 1e-13, 1e-12),  # at both: lo is refused
-    (lambda x: math.inf if x > 0.9 else x - 0.5, 0.0, 1.0, 1e-13, 1e-12),
-    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 1e-13, 1e-12),  # inside
-    (lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 1e-12),  # no sign change
+    (lambda x: x * x - 2.0, 0.0, 2.0),  # inverse quadratic steps
+    (math.cos, 1.0, 2.0),
+    (lambda x: x**3 - 2.0, 0.0, 3.0),
+    (lambda x: 1e-160 * (x**3 - 2.0), 0.0, 3.0),  # denominators underflow
+    (lambda x: 1e-200 * (x**3 - 2.0), 0.0, 3.0),
+    (lambda x: 1e-300 * (x**3 - 2.0), 0.0, 3.0),
+    (lambda x: 1.7e308 * math.tanh(4.0 * (x - 0.3)), -1.0, 1.0),  # they overflow
+    (lambda x: math.floor(4.0 * x) / 4.0 - 1.1, 0.0, 3.0),  # f values repeat
+    (lambda x: (x - 1.0) ** 9, 0.0, 3.0),  # bisection
+    (lambda x: math.copysign(abs(x - 0.7) ** 0.1, x - 0.7), 0.0, 3.0),
+    (_step(1.7), 0.0, 3.0),  # step discontinuity
+    (_step(3.0), 2.0, 4.0),  # ends adjacent floats
+    (lambda x: x - 1.0, 1.0, 5.0),  # root at lo
+    (lambda x: x - 5.0, 1.0, 5.0),  # root at hi
+    (lambda x: x - 5.0 + 1e-13, 1.0, 5.0),  # root just inside hi
+    (_nan_at(0.0, lambda x: x - 0.5), 0.0, 1.0),  # NaN at lo
+    (_nan_at(1.0, lambda x: x - 0.5), 0.0, 1.0),  # at hi
+    (lambda x: math.nan, 0.0, 1.0),  # at both: lo is refused
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0),  # inside
+    (lambda x: math.inf if x > 0.9 else x - 0.5, 0.0, 1.0),  # +inf read as a sign
+    (lambda x: -math.inf if x < 2.5 else 1.0, 0.0, 5.0),  # -inf up to a jump
+    (lambda x: -math.inf if x < 0.3 else math.inf, 0.0, 1.0),  # infinite at both ends
+    (lambda x: x * x + 1.0, -1.0, 1.0),  # no sign change
     (lambda s: type_i_error(s, 0.05, KLSelfInformationPrior()) - 0.01,
-     0.7594447199950886, 2.845487786545588, 2.0**-52 * 0.7594447199950886, 5e-12 * 0.01),
-    (lambda s: type_i_error(s, 0.05, RobertPrior()) - 0.02, 1.0, 10.0, 2.0**-52, 5e-12 * 0.02),
+     0.7594447199950886, 2.845487786545588),
+    (lambda s: type_i_error(s, 0.05, RobertPrior()) - 0.02, 1.0, 10.0),
 )
 
 
 def root_finder_lines():
     """("root_finder", line) per case: every x find_root_bracketed evaluates, then its result."""
-    for f, lo, hi, xtol, ftol in ROOT_FINDER_CASES:
+    for f, lo, hi in ROOT_FINDER_CASES:
         xs = []
 
         def traced(x, f=f):
             xs.append(x)
             return f(x)
 
-        result = _line(find_root_bracketed, traced, Bracket(lo, hi), xtol, ftol)
+        result = _line(find_root_bracketed, traced, Bracket(lo, hi))
         yield "root_finder", ",".join(map(float.hex, xs)) + f"|{result}"
 
 

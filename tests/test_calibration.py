@@ -397,6 +397,21 @@ def test_psi_sweep_solves_where_robert_has_no_closed_form_end():
     assert log_m_of_sigma(ROBERT, math.nextafter(end, math.inf)) >= level
 
 
+def test_psi_sweep_ends_at_an_odds_jump():
+    """Log odds 0 up to sigma = 47.3 and +inf above, with no slope or closed-form bound: h_0 is
+    -inf past the jump, which Brent's method reads as a sign, so the run ends at the jump."""
+    class Jump(PriorScheme):
+        __slots__ = ()
+        scheme_id = "jump"
+
+        def log_prior_odds(self, sigma):
+            return 0.0 if sigma <= 47.3 else math.inf
+
+    rows, end = psi_sweep(Jump(), 0.05, [10.0 * k for k in range(1, 11)])
+    assert [s for s, _ in rows] == [10.0, 20.0, 30.0, 40.0]
+    assert end == 47.3
+
+
 @pytest.mark.parametrize("grid", ([], [1.0, 1.0], [2.0, 1.0], (0.5, 1.0, 0.75)))
 def test_psi_sweep_refuses_the_grids_paradox_sweep_refuses(grid):
     message = refusal(psi_sweep, KL, 0.05, grid)
@@ -970,7 +985,8 @@ def test_a_table_without_its_slope_solves_to_its_sigma_star():
 
 def test_a_scheme_infinite_past_a_sigma_is_refused_as_before():
     """Log odds 0 below sigma = 50 and +inf above, with no slope: h_c is -inf at the bracket's
-    high end, where Brent's method raises; the solve refuses alpha from the scan's errors."""
+    high end, which Brent's method reads as a sign. It stops at the jump, where the error misses
+    alpha, and the solve refuses alpha from the scan's errors."""
     class Cliff(PriorScheme):
         __slots__ = ()
         scheme_id = "cliff"

@@ -1030,3 +1030,34 @@ def test_monte_carlo_counts_are_bit_identical():
     may not, so this digest holds across such changes.
     """
     assert monte_carlo_digests()[1] == MONTE_CARLO_COUNTS_DIGEST
+
+
+def exact_route_bound_holds(plan, report):
+    """|exact_route_draws - n W / 2^64| <= 6 sqrt(n W / 2^64) + 2.
+
+    W counts the 64-bit y that _rejection_count flags for the exact route: the two windows
+    between _block_bounds' reject and keep bounds. Taking splitmix64's y as uniform on
+    [0, 2^64), the count is binomial with that mean; the 2 leaves room for a planted draw.
+    """
+    keep_lo, keep_hi, reject_lo, reject_hi = _block_bounds(
+        log_m_of_sigma(plan.scheme, plan.sigma), variance_ratio(plan.sigma), plan.theta,
+        plan.alpha_b)
+    expected = plan.n * ((keep_lo - reject_lo) + (reject_hi - keep_hi)) / 2**64
+    return abs(report.exact_route_draws - expected) <= 6.0 * math.sqrt(expected) + 2.0
+
+
+def test_exact_route_counts_stay_within_a_binomial_bound():
+    checked = 0
+    for plan, _ in _digest_plans(random.Random(20261018)):
+        try:
+            report = (simulate_type_i if plan.theta == 0.0 else simulate_power)(plan)
+        except (ValueError, ArithmeticError):  # refusals count nothing
+            continue
+        assert exact_route_bound_holds(plan, report), plan
+        checked += 1
+    assert checked > 300
+    # x = 1e155 + z overflows its square: no draw is surely decided, so all take the exact route.
+    plan = make_plan(n=5000, theta=1e155, sigma=1e-160, scheme=scheme_from_string("fixed:0.5"))
+    report = simulate_power(plan)
+    assert report.exact_route_draws == 5000
+    assert exact_route_bound_holds(plan, report)
