@@ -86,7 +86,6 @@ _REJECT, _RETAIN = Decision(True, True), Decision(False, False)
 
 
 _TWO_PI = 2.0 * math.pi
-_SOLVE_RTOL = 5e-12  # solve_sigma meets alpha to within this multiple of alpha
 _LEVELS: dict[float, float] = {}  # alpha_b -> its level, at most 64 of them
 
 
@@ -335,14 +334,28 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     The error is alpha exactly where psi = c_alpha = classical_threshold(alpha), so every step
     tests psi against c_alpha: the scheme's bracket encloses it (PriorScheme._calibration_bracket:
     the default scan evaluates each pass up to its first cell enclosing c_alpha, else returns the
-    cell nearest it). An end whose error is alpha is the answer; otherwise Newton's method on
+    cell nearest it). An end whose error is alpha is the candidate; otherwise Newton's method on
     h_c(sigma) = (L - log m) - (c_alpha/2) ratio, with L = log(1/alpha_b - 1), or Brent's without
     a slope, finds the float nearest its root (_root_of_h): h_c has neither erfc nor sqrt, so it
     does not flatten out.
-    One test accepts the answer: psi > 0 there, and the error within 5e-12 * alpha of alpha
-    (_SOLVE_RTOL). Otherwise alpha is refused with InfeasibleAlphaError and the errors at the
-    sigma of greatest and least psi the solve evaluated; where that range would hold alpha,
-    alpha is met only where the error rounds to 1, and the errors of 1 are left out.
+    One test accepts the candidate: psi > 0 there, and h_c = (ratio/2)(psi - c_alpha) within its
+    rounding bound E = 16 eps (1 + |L| + |log m|) of 0, eps = 2^-53, log m read back as
+    L - (ratio/2) psi. E takes log m as computed, as _band takes base, and adds up:
+    - _band's step 2: L is within eps (3 |L| + 3) of log(1/alpha_b - 1); the gap L - log m,
+      psi = 2 gap / ratio, psi - c_alpha and the product with ratio/2 round once each, 2 eps |gap|
+      and 2 eps |h_c| in all; ratio is within 4 eps, and (c_alpha/2) ratio with it.
+    - c_alpha is within 1 + k (11 + c) ulp (classical_threshold), and k c <= 2 by
+      erfc(z) <= e^(-z^2) / (z sqrt(pi)), so it moves h_c by at most eps (3 (c/2) ratio + 11).
+      Above alpha = 1/2, c < 0.46 is within 15 ulp, which is less. Below alpha = 2^-1021
+      classical_threshold states no such bound, and E does not cover c_alpha's error there.
+    Where |h_c| <= E, (c/2) ratio is within 1.01 E of the gap, so these sum to at most
+    14 eps (1 + |L| + |log m|) + 10 eps E < E, reading log m back included. The answer is thus
+    a float where h_c is zero to within rounding; one where h_c jumps past zero (odds that turn
+    infinite) is not. Next to alpha = 1 its error can miss alpha by far more than an ulp (about
+    1e-8 next to kl's bound), since the error moves that much between adjacent floats there.
+    Otherwise alpha is refused with InfeasibleAlphaError and the errors at the sigma of greatest
+    and least psi the solve evaluated; where that range would hold alpha, alpha is met only where
+    the error rounds to 1, and the errors of 1 are left out.
     evaluations counts each sigma at which the solve evaluated psi or h_c once.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
@@ -359,12 +372,12 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     lo, hi, evaluated = bracket.lo, bracket.hi, []
     hits = [end for end in (lo, hi) if _error_of(psi_at(end)) == alpha]
     sigma_star = hits[0] if hits else _root_of_h(scheme, level, c, lo, hi, evaluated)
-    cut = psi_at(sigma_star)
-    achieved = _error_of(cut)
-    if cut > 0.0 and abs(achieved - alpha) <= _SOLVE_RTOL * alpha:
-        return CalibrationResult(sigma_star=sigma_star, psi_at_sigma=cut,
-                                 achieved_alpha=achieved, residual=achieved - alpha,
-                                 bracket_used=bracket, evaluations=len(cuts.keys() | evaluated))
+    cut, half = psi_at(sigma_star), 0.5 * variance_ratio(sigma_star)  # h_c = half (psi - c)
+    bound = 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(level - half * cut))  # E
+    if 0.0 < cut < _INF and abs(half * (cut - c)) <= bound:
+        achieved = _error_of(cut)
+        return CalibrationResult(sigma_star, cut, achieved, achieved - alpha, bracket,
+                                 len(cuts.keys() | evaluated))
     least = type_i_error(max(cuts, key=cuts.get), alpha_b, scheme)
     most = type_i_error(min(cuts, key=cuts.get), alpha_b, scheme)
     if least <= alpha <= most:  # met only where the error rounds to 1

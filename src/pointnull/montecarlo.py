@@ -275,7 +275,22 @@ def _report(
 ) -> MonteCarloReport:
     """k of n rejections against the analytic rate p, judged by p's own standard error.
 
-    within_3se: |k - n p| <= 3 sqrt(n p (1 - p)) + 1/2. ci95: the Wilson score interval.
+    within_3se: |k - n p| <= 3 sqrt(n p (1 - p)) + 1/2. ci95: the Wilson score interval at the
+    float z = 1.96, clipped to [0, 1].
+
+    Rounding, with eps = 2^-53, every operation within eps of its result and k, n exact floats:
+    - estimate e = k / n rounds once, to within 1/2 ulp.
+    - std_error = sqrt(e (1 - e) / n). e's error, eps e, is a relative error eps a in 1 - e,
+      a = k / (n - k), and 1 - e rounds only for e < 1/2 (Sterbenz above). The product and the
+      quotient round once each, and sqrt halves the argument's error and rounds once: within
+      eps (3 + a / 2) of its size, so 3 + a / 2 ulp. Next to e = 1, a grows as the rounding of
+      k / n is amplified in 1 - e. At k = 0 and k = n it is exactly 0.
+    - centre = (k + z^2/2) / (n + z^2) is within 5 eps of itself: z^2, each sum and the quotient
+      round once. half = z sqrt(k (n - k) / n + z^2/4) / (n + z^2) is within 6 eps: the root's
+      argument within 2 eps, the root and the product once each, n + z^2 within 2 eps and the
+      quotient once. So ci95_lo = max(0, centre - half) and ci95_hi = min(1, centre + half) are
+      each within eps (5 centre + 6 half + |value|) absolutely; relative to a low end near 0,
+      that is amplified by centre / (centre - half).
     """
     (k, exact_route_draws), n = counts, plan.n
     estimate, z = k / n, 1.96

@@ -157,9 +157,11 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
     """Brent's method (Algorithms for Minimization without Derivatives, 1973) on a sign change.
 
     Returns an exact zero of f, or the end with the smaller |f| once the ends are adjacent
-    floats. Every iterate stays inside the initial bracket, so f is never evaluated outside
-    it. An infinite value of f counts as its sign: the interpolants it yields are NaN or
-    infinite, and the safeguard bisects in their place. A NaN raises EvaluationError.
+    floats. Where interpolation lands on b, the float next to b toward a is evaluated in its
+    place: once the interpolants have converged on the root from one side, the sign changes
+    there and the search stops. Every iterate stays inside the initial bracket, so f is never
+    evaluated outside it. An infinite value of f counts as its sign: the interpolants it yields
+    are NaN or infinite, and the safeguard bisects in their place. A NaN raises EvaluationError.
     """
     a, b = bracket.lo, bracket.hi
     fa = f(a)
@@ -184,6 +186,8 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
             s = a * fb * fc / den_a + b * fa * fc / den_b + c * fa * fb / den_c
         else:
             s = b - fb * (b - a) / (fb - fa)  # secant
+        if s == b:  # converged on b: the next float toward a may close the bracket
+            s = math.nextafter(b, a)
         lo_lim = 0.25 * (3.0 * a + b)
         step = abs(b - c) if bisected else abs(c - d)  # the last step, or the one before it
         bisected = not (lo_lim < s < b or b < s < lo_lim) or abs(s - b) >= 0.5 * step

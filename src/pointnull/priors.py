@@ -156,8 +156,9 @@ class PriorScheme:
         level is log(1/alpha_b - 1); psi_at(sigma), memoized by solve_sigma, is psi, -inf where
         every x rejects. This default walks each pass of _scan_passes in order and returns the
         first cell that encloses c; a pass that encloses nothing is evaluated whole, and the next
-        one refines it. Where no cell does, it returns the last pass's cell nearest c, whose
-        end may still meet alpha, for solve_sigma to answer or refuse; a lone sigma is unsupported.
+        one refines it. Where no cell does, it returns the last pass's cell nearest c, at whose
+        end h_c may still be zero to within rounding, for solve_sigma to answer or refuse; a
+        lone sigma is unsupported.
         """
         lo, hi = self.sigma_domain()
         for pts in _scan_passes(lo, hi):
@@ -300,8 +301,10 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
         erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha, while it is 1 at
         the bound; the lower end lies below the bound, whose square exceeds 2 L. The error at the
-        rounded bound is below 1 (about 1 - 3.6e-8 at alpha_b = 0.05), and solve_sigma refuses a
-        target it does not meet. For alpha_b >= 1/2 the error is 1 everywhere.
+        rounded bound is below 1 (about 1 - 3.6e-8 at alpha_b = 0.05). A target above it has the
+        root of h_c just past the bound, where psi rounds to <= 0, and solve_sigma answers with
+        the bound if h_c is zero there to within rounding. For alpha_b >= 1/2 the error is 1
+        everywhere.
         """
         if level <= 0.0:
             raise InfeasibleAlphaError(alpha, 1.0, 1.0)

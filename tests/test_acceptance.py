@@ -8,10 +8,12 @@ kept as stated instead of being adjusted to pass.
 
 import contextlib
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from pointnull.calibration import (
     decide,
@@ -35,6 +37,7 @@ from pointnull.priors import (
 from quadrature import integrate_adaptive
 from test_calibration import agrees_with_the_threshold_route
 
+SRC = Path(__file__).resolve().parents[1] / "src"  # the child imports this checkout's package
 KL = KLSelfInformationPrior()
 ROBERT = RobertPrior()
 SQRT_TWO_PI = 2.5066282746310005024
@@ -72,6 +75,7 @@ def cli(*args):
          *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
 
 

@@ -13,12 +13,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_calibration import NoSlopeTable, threshold_route
+from test_bit_identity import sigma_root_calls
+from test_calibration import NoSlopeTable, WavyPrior, threshold_route
 from test_golden import CASES, GOLDEN
 
-from pointnull.calibration import (CalibrationSpec, PsiDomainError, _band, _log_rejection_odds,
-                                   classical_threshold, decide, positivity_bound, psi, psi_sweep,
-                                   solve_sigma, type_i_error)
+from pointnull.calibration import (CalibrationSpec, InfeasibleAlphaError, PsiDomainError, _band,
+                                   _log_rejection_odds, classical_threshold, decide,
+                                   positivity_bound, psi, psi_sweep, solve_sigma, type_i_error)
 from pointnull.model import Observation, _stable_inv_logistic
 from pointnull.numerics import _u_minus_log1p, std_normal_quantile
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
@@ -380,17 +381,22 @@ ROOT_SCHEMES = (KL, ROBERT, FixedPrior(0.3), FixedPrior(0.07), TABLE,
 def _exact_log_odds(scheme):
     """The scheme's log prior odds in mpmath and the sizes of their terms, as functions of sigma.
 
-    A table's rho0 is interpolated exactly between its float rows.
+    A table's rho0 is interpolated exactly between its float rows; the wavy test scheme's
+    0.5 + 0.45 sin(log sigma) is taken with its float constants.
     """
-    if not isinstance(scheme, CustomTablePrior):
+    if isinstance(scheme, WavyPrior):
+        def rho(s):
+            return mpmath.mpf(0.5) + mpmath.mpf(0.45) * mpmath.sin(mpmath.log(s))
+    elif isinstance(scheme, CustomTablePrior):
+        rows = [(mpmath.mpf(s), mpmath.mpf(r)) for s, r in scheme.points]
+
+        def rho(s):
+            i = max(next(k for k, (s_k, _) in enumerate(rows) if s_k >= s), 1)
+            (s_lo, r_lo), (s_hi, r_hi) = rows[i - 1], rows[i]
+            return r_lo + (s - s_lo) / (s_hi - s_lo) * (r_hi - r_lo)
+    else:
         choice = scheme.scheme_id if scheme in (KL, ROBERT) else scheme.rho0_value
         return _scheme_with_exact_odds(choice)[1], lambda s: _log_odds_size(choice, s)
-    rows = [(mpmath.mpf(s), mpmath.mpf(r)) for s, r in scheme.points]
-
-    def rho(s):
-        i = max(next(k for k, (s_k, _) in enumerate(rows) if s_k >= s), 1)
-        (s_lo, r_lo), (s_hi, r_hi) = rows[i - 1], rows[i]
-        return r_lo + (s - s_lo) / (s_hi - s_lo) * (r_hi - r_lo)
 
     return (lambda s: mpmath.log((1 - rho(s)) / rho(s)),
             lambda s: abs(mpmath.log(rho(s))) + abs(mpmath.log1p(-rho(s))))
@@ -493,6 +499,40 @@ def test_sigma_star_is_within_its_stated_bound_of_the_root_of_h_c(capsys):
             print(f"  {name}: {found[len(found) // 2]:.2f} / {found[-1]:.2f} ({shares[name]:.3f})")
 
 
+def edge_and_near_one_requests():
+    """test_bit_identity's edges and kl targets within 1e-7 of 1, the two CLI targets next to 1
+    (test_cli's CLI_DIGEST) and test_calibration's wavy target. Next to alpha = 1 the error
+    moves by far more than its ulp between adjacent floats, so these are answered only because
+    sigma* is accepted where h_c is within its rounding bound; many of the edges are refused."""
+    specs = [CalibrationSpec(*args) for family, _, args in sigma_root_calls()
+             if family in ("kl_refusals", "edges")]
+    return specs + [CalibrationSpec(0.9999999999999999, 0.05, KL),
+                    CalibrationSpec(0.9999999999999999, 0.5, TABLE),
+                    CalibrationSpec(0.9999999999968855, 0.5, WavyPrior())]
+
+
+def test_edge_and_near_one_answers_are_within_their_stated_bound_of_the_root(capsys):
+    """Each answer to edge_and_near_one_requests within 2 + 21 kappa ulp of the root of h_c.
+
+    alpha_b runs from 5e-324 to 1 - 2^-53 and alpha to within 2e-16 of 1, where the error
+    moves by far more than its ulp between adjacent floats: the answer is held to the root of
+    h_c, not its error to alpha. Prints how many answered and the worst share of the bound.
+    """
+    answered, worst = 0, 0.0
+    for spec in edge_and_near_one_requests():
+        try:
+            result = solve_sigma(spec)
+        except InfeasibleAlphaError:
+            continue
+        root, kappa = h_root_reference(spec.scheme, spec.alpha, spec.alpha_b, result.sigma_star)
+        error = ulps(result.sigma_star, root)
+        assert error <= _sigma_star_bound(kappa), (spec, error, kappa)
+        answered, worst = answered + 1, max(worst, error / _sigma_star_bound(kappa))
+    assert answered == 79
+    with capsys.disabled():
+        print(f"\n{answered} edge and near-one answers, at most {worst:.3f} of their bound")
+
+
 SLOPE_SCHEMES = (KL, ROBERT, FixedPrior(0.3), FixedPrior(1e-12), TABLE)
 
 
@@ -573,6 +613,50 @@ def test_printed_calibrations_within_their_stated_bounds(capsys):
     with capsys.disabled():
         print("\ncalibrate golden files, worst per column: "
               + ", ".join(f"{column} {ulp:.1f} ulp" for column, ulp in worst.items()))
+
+
+SIMULATE_GOLDEN = ("readme_simulate", "overflow_simulate", "simulate_past_bound",
+                   "simulate_seed7_null", "simulate_seed7_theta")
+
+
+def test_printed_simulations_within_their_stated_bounds(capsys):
+    """Each printed estimate, std_error and ci95 end within montecarlo._report's stated bound of
+    its value at 50 digits, from the printed n and rejections and the float z = 1.96.
+
+    estimate within 1/2 ulp; std_error within 3 + a/2 ulp, a = k / (n - k), and exact at k = 0
+    or n; each ci95 end within eps (5 centre + 6 half + |end|) absolutely. Prints the worst error
+    per column in ulps of the reference (0 where both are 0). analytic_value waits for a stated
+    bound of power_analytic.
+    """
+    worst = dict.fromkeys(("estimate", "std_error", "ci95_lo", "ci95_hi"), 0.0)
+    for name in SIMULATE_GOLDEN:
+        lines = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+        values = dict(line.split(" = ", 1) for line in lines)
+        assert values["exit"] == "0", name
+        k, n = int(values["rejections"]), int(values["n"])
+        printed = {column: float(values[column]) for column in worst}
+        with mpmath.workdps(50):
+            z2, e = mpmath.mpf(1.96) ** 2, mpmath.mpf(k) / n
+            centre = (k + z2 / 2) / (n + z2)
+            half = mpmath.sqrt(mpmath.mpf(k) * (n - k) / n + z2 / 4) * mpmath.mpf(1.96) / (n + z2)
+            exact = {"estimate": e, "std_error": mpmath.sqrt(e * (1 - e) / n),
+                     "ci95_lo": max(mpmath.mpf(0), centre - half),
+                     "ci95_hi": min(mpmath.mpf(1), centre + half)}
+            ends = EPS * (5 * centre + 6 * half)
+            off = {column: abs(printed[column] - exact[column]) for column in worst}
+        assert ulps(printed["estimate"], e) <= 0.5, name
+        if 0 < k < n:
+            assert ulps(printed["std_error"], exact["std_error"]) <= 3.0 + k / (n - k) / 2.0, name
+        else:
+            assert printed["std_error"] == 0.0, name
+        for end in ("ci95_lo", "ci95_hi"):
+            assert off[end] <= ends + EPS * abs(printed[end]), (name, end)
+        for column in worst:
+            if off[column]:
+                worst[column] = max(worst[column], ulps(printed[column], exact[column]))
+    with capsys.disabled():
+        print("\nsimulate golden files, worst per column: "
+              + ", ".join(f"{column} {ulp:.2f} ulp" for column, ulp in worst.items()))
 
 
 def test_classical_threshold_within_its_stated_bound(capsys):

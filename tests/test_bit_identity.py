@@ -19,18 +19,20 @@ draws. x reaches +-1.7e308 and sigma spans 5e-324 to 1.7e308, so the x^2 term
 takes its overflow route, and the log odds include +-inf and NaN.
 
 The second set pins the sigma roots, one digest per request family (scanned
-requests, kl's refusals, random solves, bounds and psi sweeps): each call of
-solve_sigma, positivity_bound and psi_sweep adds one line, with sigma*,
-psi(sigma*), the achieved alpha, the residual and the bracket ends as
-float.hex, and every refusal as its class and message. The work is pinned
-apart from the answers: EVALUATIONS_DIGEST holds each solve's evaluations,
-the sigma at which it computed psi or h_c, so a change that evaluates fewer
-re-pins only it. Every answer among them meets its target: psi > 0 at sigma*,
-and the achieved alpha within _SOLVE_RTOL * alpha.
+requests, kl's refusals and targets next to 1, random solves, bounds, psi
+sweeps and edges): each call of solve_sigma, positivity_bound and psi_sweep
+adds one line, with sigma*, psi(sigma*), the achieved alpha, the residual and
+the bracket ends as float.hex, and every refusal as its class and message.
+The work is pinned apart from the answers: EVALUATIONS_DIGEST holds each
+solve's evaluations, the sigma at which it computed psi or h_c, so a change
+that evaluates fewer re-pins only it. Every answer among them is accepted as
+solve_sigma states: psi(sigma*) > 0, and h_c = (ratio/2)(psi - c_alpha)
+within its rounding bound E there.
 Requests span kl, robert and fixed masses on both sides of alpha_b, fixed:0.3
 at a fine-pass level, fixed:0.07 with its root beyond the scan, the golden
-table and the tables of test_calibration.scanned_requests, and kl's two
-refusals (alpha_b >= 1/2, and alpha within 1e-7 of 1).
+table and the tables of test_calibration.scanned_requests, kl's refusal for
+alpha_b >= 1/2 and its targets within 1e-7 of 1, and the edges: alpha_b from
+5e-324 to 1 - 2^-53, and alpha from 1e-300 to within 2e-16 of 1.
 
 The third digest pins find_root_bracketed itself: for each of a fixed set of
 objectives, every x it evaluates and its return value or refusal. The
@@ -53,9 +55,9 @@ import math
 import random
 from pathlib import Path
 
-from test_calibration import scanned_requests, threshold_route
+from test_calibration import h_c_and_its_bound, scanned_requests, threshold_route
 
-from pointnull.calibration import (_SOLVE_RTOL, CalibrationSpec, decide, positivity_bound,
+from pointnull.calibration import (CalibrationSpec, decide, positivity_bound,
                                    power_analytic, psi, psi_sweep, solve_sigma, type_i_error)
 from pointnull.model import (AlternativeSpread, Observation, bayes_factor, posterior_from_log_odds,
                              posterior_h0)
@@ -75,16 +77,17 @@ DIGEST = {
     "posterior_from_log_odds": "cd70dcb687140ec4b10179df0f233bdd54b90a03300c5f47d402902e671cbc5c",
     "posterior_h0": "7ee11ae8687290a58cb70ca8be052fc6069e81aeb53b2a2b90905f987136ab95",
 }
-SOLVES, BOUNDS, PSI_SWEEPS = 2000, 500, 300
+SOLVES, BOUNDS, PSI_SWEEPS, EDGES = 2000, 500, 300, 300
 ROOT_DIGEST = {
     "scanned": "aa788323e878a806c5af300139d8b5b8bb6f0957155ba1e48fc03c046e34397b",
-    "kl_refusals": "c676f3c76fc0266effdb80b5264ecc4059b3307e56d5860e2ef7aa4b4e96509b",
+    "kl_refusals": "7649865b77b071e0a2ba25ea2632982c76df44bb156362dd54efa45a5319208d",
     "solves": "cb3a4ccf4e42ea9c2f87d7d216a76c1c777676069be4127f5a685eb6dfc7e817",
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
+    "edges": "8529ee51453fe9731a8a571eb76d33acd73c1834b0681dc2a427c547e4ade1e4",
 }
-EVALUATIONS_DIGEST = "21f51465811cfa753d300eeea57ae86f51280114094094f04e7a9aca8c19da1c"
-ROOT_FINDER_DIGEST = "7055f531438ae1225a8e7346f1db433be0b96e94edb0b44cc78e779677c5d994"
+EVALUATIONS_DIGEST = "7d1f382fcf2fc0694a3c63fd63dc14eae38d2ac628d637b61973151aaada088c"
+ROOT_FINDER_DIGEST = "0ba3a8eb30fa9de75fa3396c4a9d82edc85fcaebe35e80dd51915159a176dfe1"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
 BAD_ALPHA_BS = (0.0, 1.0, math.nan, math.inf, -0.5)
@@ -292,6 +295,22 @@ def sigma_root_calls():
             lo = rng.uniform(-3.0, 2.0)
             grid = [10.0 ** (lo + 3.0 * k / ROWS_PER_SWEEP) for k in range(ROWS_PER_SWEEP)]
         yield "psi_sweeps", psi_sweep, (scheme, alpha_b, grid)
+    yield from (("edges", _solve, args) for args in edge_requests())
+
+
+EDGE_ALPHA_BS = (5e-324, 1e-300, 1e-30, 0.05, 0.5, 0.999999, 1.0 - 2.0**-53)
+EDGE_SCHEMES = (KLSelfInformationPrior(), RobertPrior(), FixedPrior(0.3), FixedPrior(0.01),
+                FixedPrior(0.9), GOLDEN_TABLE)
+
+
+def edge_requests(count=EDGES, seed=20261021):
+    """(alpha, alpha_b, scheme) at the ends of alpha_b's range, over the built-in schemes and the
+    golden table; alpha log-uniform from 1e-300, uniform, or within 1e-1 to 1.3e-16 of 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha = rng.choice((10.0 ** rng.uniform(-300.0, -0.3), rng.uniform(0.001, 0.999),
+                            1.0 - 10.0 ** rng.uniform(-15.9, -1.0)))
+        yield alpha, rng.choice(EDGE_ALPHA_BS), rng.choice(EDGE_SCHEMES)
 
 
 def sigma_root_lines():
@@ -326,21 +345,23 @@ def test_sigma_root_evaluation_counts_are_pinned():
 
 
 def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
-    """Each sigma* solve_sigma returns for the sigma-root requests: psi > 0 there, and the
-    achieved error within _SOLVE_RTOL * alpha of alpha. Every other request is refused."""
+    """Each sigma* solve_sigma returns for the sigma-root requests: psi > 0 there, and h_c, whose
+    root is where the error meets alpha, within its stated bound E (h_c_and_its_bound). Every
+    other request is refused."""
     answered = 0
     for _, call, args in sigma_root_calls():
         if call is not _solve:
             continue
-        alpha, alpha_b, scheme = args
         try:
-            result = _solve(alpha, alpha_b, scheme)
+            spec = CalibrationSpec(*args)
+            result = solve_sigma(spec)
         except DomainError:
             continue
-        assert result.psi_at_sigma > 0.0, (alpha, alpha_b, scheme.scheme_id)
-        assert abs(result.residual) <= _SOLVE_RTOL * alpha, (alpha, alpha_b, scheme.scheme_id)
+        h_c, stated = h_c_and_its_bound(spec, result)
+        assert result.psi_at_sigma > 0.0, (*args[:2], args[2].scheme_id)
+        assert h_c <= stated, (*args[:2], args[2].scheme_id)
         answered += 1
-    assert answered == 1394
+    assert answered == 1470
 
 
 def _step(at):

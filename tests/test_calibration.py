@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from pointnull import calibration
 from pointnull.calibration import (
-    _SOLVE_RTOL,
     CalibrationSpec,
     Decision,
     InfeasibleAlphaError,
@@ -423,6 +423,19 @@ def test_psi_sweep_refuses_the_grids_paradox_sweep_refuses(grid):
 # solving for sigma
 
 
+def h_c_and_its_bound(spec, result):
+    """|h_c| at result's sigma* and solve_sigma's stated rounding bound E for it.
+
+    h_c = (ratio/2)(psi - c_alpha) from the psi the result reports, and
+    E = 16 eps (1 + |L| + |log m|), eps = 2^-53, L = log(1/alpha_b - 1), with log m computed.
+    """
+    sigma = result.sigma_star
+    level = calibration._log_rejection_odds(spec.alpha_b)
+    h_c = 0.5 * variance_ratio(sigma) * (result.psi_at_sigma - classical_threshold(spec.alpha))
+    bound = 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m_of_sigma(spec.scheme, sigma)))
+    return abs(h_c), bound
+
+
 def test_solve_round_trips_a_scan_point_exactly():
     # kl solves on its analytic bracket and has no scan points; fixed and tables still scan.
     # An exact hit is an end of the grid cell polished, inside the domain at a table's ends.
@@ -453,32 +466,38 @@ def test_solve_kl_refuses_a_target_met_only_where_the_error_rounds_to_one(alpha_
     assert 0.0 < got.achievable_lo <= got.achievable_hi < 0.999999999
 
 
-def test_solve_kl_refuses_a_target_above_the_error_at_its_rounded_bound():
-    # The computed error at the float bound is about 1 - 3.6e-8, not 1: solve_sigma
-    # refuses a target above it, with the errors at the bracket's two ends.
-    with pytest.raises(InfeasibleAlphaError) as excinfo:
-        solve_sigma(CalibrationSpec(1.0 - 1e-9, 0.05, KL))
-    assert excinfo.value.achievable_hi == type_i_error(positivity_bound(0.05, KL), 0.05, KL)
-    assert excinfo.value.achievable_hi < 1.0 - 1e-9
-
-
-def test_solve_kl_meets_a_target_above_the_error_at_its_rounded_bound_within_tolerance():
-    # solve_sigma accepts the bound where alpha - e_hi <= 5e-12 * alpha, and refuses only
-    # past that, at the same float: find the last alpha it accepts.
+def test_solve_kl_answers_a_target_above_the_error_at_its_rounded_bound():
+    # The computed error at the float bound is about 1 - 3.6e-8, not 1, and it moves by about
+    # 1e-8 between adjacent floats there. The root of h_c for alpha = 1 - 1e-9 lies between the
+    # bound and the next float, where psi rounds to <= 0: the bound answers, with h_c within E.
+    spec = CalibrationSpec(1.0 - 1e-9, 0.05, KL)
+    result = solve_sigma(spec)
     bound = positivity_bound(0.05, KL)
-    e_hi = type_i_error(bound, 0.05, KL)
-    alpha = e_hi * (1.0 + 5e-12)
-    while alpha - e_hi > 5e-12 * alpha:
-        alpha = math.nextafter(alpha, 0.0)
-    while (above := math.nextafter(alpha, 1.0)) - e_hi <= 5e-12 * above:
-        alpha = above
-    for target in (e_hi * (1.0 + 1e-12), alpha):
-        result = solve_sigma(CalibrationSpec(target, 0.05, KL))
-        assert result.sigma_star == bound and result.achieved_alpha == e_hi, target
-        assert 0.0 < -result.residual <= 5e-12 * target, target
-    with pytest.raises(InfeasibleAlphaError) as excinfo:
-        solve_sigma(CalibrationSpec(math.nextafter(alpha, 1.0), 0.05, KL))
-    assert excinfo.value.achievable_hi == e_hi
+    assert result.sigma_star == result.bracket_used.hi == bound
+    assert result.achieved_alpha == type_i_error(bound, 0.05, KL) < 1.0 - 1e-9
+    h_c, stated = h_c_and_its_bound(spec, result)
+    assert result.psi_at_sigma > 0.0 and h_c <= stated
+
+
+def test_solve_accepts_a_sigma_star_by_h_c_within_its_bound(monkeypatch):
+    """The floats above kl's sigma* for alpha = alpha_b = 0.05, handed to the acceptance test in
+    place of _root_of_h's root: the last whose |h_c| is below E / 2 answers, the first above 2 E
+    is refused, so a bound off by a factor of 2 either way fails here."""
+    spec = CalibrationSpec(0.05, 0.05, KL)
+    sigma, near, far = solve_sigma(spec).sigma_star, None, None
+    while far is None:
+        sigma = math.nextafter(sigma, math.inf)
+        candidate = types.SimpleNamespace(sigma_star=sigma, psi_at_sigma=psi(sigma, 0.05, KL))
+        h_c, bound = h_c_and_its_bound(spec, candidate)
+        near, far = (sigma if h_c < 0.5 * bound else near), (sigma if h_c > 2.0 * bound else None)
+    assert near is not None
+    for candidate in (near, far):
+        monkeypatch.setattr(calibration, "_root_of_h", lambda *args, sigma=candidate: sigma)
+        if candidate == near:
+            assert solve_sigma(spec).sigma_star == near
+        else:
+            with pytest.raises(InfeasibleAlphaError):
+                solve_sigma(spec)
 
 
 @pytest.mark.parametrize(
@@ -649,7 +668,7 @@ def test_solve_matches_the_scan_reference():
         assert result.bracket_used == bracket, spec
         assert bracket.lo <= result.sigma_star <= bracket.hi, spec
         assert result.achieved_alpha == type_i_error(result.sigma_star, spec.alpha_b, spec.scheme)
-        assert abs(result.residual) <= _SOLVE_RTOL * spec.alpha, spec
+        assert abs(result.residual) <= 5e-12 * spec.alpha, spec
         outcomes.add(outcome)
     assert outcomes >= {"coarse", "fine", "beyond", "infeasible"}
 
@@ -739,9 +758,9 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
 
     A scan's bracket encloses c_alpha, or holds the scanned sigma whose psi is nearest it. kl's
     is [lo, bound] for alpha_b < 1/2 and a refusal, before any psi, for the rest. Where the
-    bracket does not enclose c_alpha, solve_sigma answers only at an end that meets alpha to
-    within _SOLVE_RTOL * alpha; it refuses the rest with the least and greatest error at the
-    sigma the bracket evaluated.
+    bracket does not enclose c_alpha, solve_sigma answers only at an end where h_c is within its
+    stated bound E (h_c_and_its_bound); it refuses the rest with the least and greatest error
+    at the sigma the bracket evaluated.
     """
     calls = counting_psi(monkeypatch)
     outcomes = set()
@@ -772,7 +791,8 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
             outcomes.add("refused")
             continue
         assert result.sigma_star in (bracket.lo, bracket.hi), spec
-        assert abs(result.residual) <= _SOLVE_RTOL * spec.alpha, spec
+        h_c, stated = h_c_and_its_bound(spec, result)
+        assert h_c <= stated, spec
         outcomes.add("met at an end")
     assert outcomes == {"kl, alpha_b >= 1/2", "encloses c_alpha", "refused", "met at an end"}
     calls.clear()
@@ -929,16 +949,18 @@ class WavyPrior(PriorScheme):
         return "wavy"
 
 
-def test_solve_refuses_a_wavy_target_that_rounds_to_one_with_an_ordered_range():
+def test_solve_answers_a_wavy_target_that_rounds_to_one():
     # c_alpha is about 1.5e-23, below psi's resolution next to the root: psi jumps from about
-    # 1.7e-10 (error 0.99998965) to <= 0 (error 1.0) between adjacent floats. The error at the
-    # bracket's low end is itself 1.0 here: the range is the least and greatest of the errors
-    # below 1 that the solve saw. The scheme has no slope, so Brent's iterates set the greatest.
-    with pytest.raises(InfeasibleAlphaError) as excinfo:
-        solve_sigma(CalibrationSpec(0.9999999999968855, 0.5, WavyPrior()))
-    got = excinfo.value
-    assert got.achievable_lo <= got.achievable_hi < 1.0
-    assert (got.achievable_lo, got.achievable_hi) == (0.0, 0.9999896476358079)
+    # 1.7e-10 (error 0.99998965) to <= 0 (error 1.0) between adjacent floats. h_c = (ratio/2)
+    # (psi - c_alpha) is about 3e-16 there, within its bound E, so that float answers;
+    # test_accuracy holds it to the root of h_c. Its error misses alpha by 1e-5, the error's
+    # step between adjacent floats. The scheme has no slope, so Brent's method finds it.
+    spec = CalibrationSpec(0.9999999999968855, 0.5, WavyPrior())
+    result = solve_sigma(spec)
+    assert result.sigma_star == 0.0018674409227121525
+    assert result.achieved_alpha == 0.9999896476358079
+    h_c, stated = h_c_and_its_bound(spec, result)
+    assert result.psi_at_sigma > 0.0 and h_c <= stated
 
 
 class NoSlopeTable(CustomTablePrior):
@@ -956,7 +978,8 @@ def test_a_table_without_its_slope_solves_to_its_sigma_star():
     On scanned_requests' tables sigma* is within 2 ulp of Newton's. On the golden table h_c is
     flatter (kappa up to 34), and the two may differ by more while both stay within
     test_accuracy's bound of the root, so only the residual is checked there. Each solve takes at
-    most 60 evaluations, and on average less than twice Newton's. The bracket's secant steps
+    most 32 evaluations (52 before Brent's method stepped one float off a converged end), and on
+    average less than twice Newton's. The bracket's secant steps
     (regula falsi) took 81 on the golden table at alpha = alpha_b = 0.5, and 2.9 times Newton's
     on scanned_requests' tables.
     """
@@ -975,9 +998,9 @@ def test_a_table_without_its_slope_solves_to_its_sigma_star():
         if spec in scanned:
             gap = abs(brent.sigma_star - newton.sigma_star)
             assert gap <= 2.0 * math.ulp(newton.sigma_star), spec
-        assert abs(brent.residual) <= _SOLVE_RTOL * spec.alpha, spec
+        assert abs(brent.residual) <= 5e-12 * spec.alpha, spec
         assert brent.bracket_used == newton.bracket_used, spec
-        assert brent.evaluations <= 60, spec
+        assert brent.evaluations <= 32, spec
         counts.append((newton.evaluations, brent.evaluations))
     assert len(counts) > 40
     assert sum(b for _, b in counts) < 2 * sum(n for n, _ in counts)

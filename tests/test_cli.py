@@ -181,9 +181,6 @@ def test_calibrate_robert_low_target_succeeds(capsys):
 
 
 @pytest.mark.parametrize("scheme,alpha,alpha_b,achievable", [
-    # An alpha above the error at kl's rounded positivity bound, where h_c is +8.2e-16: h_c does
-    # not change sign on [lo, bound], and the bound misses alpha, so solve_sigma refuses.
-    ("kl", "0.99999999", "0.05", "(0.13295746814272916, 0.999999964355479)"),
     # The error rounds to 1 at sigma* and at the bound, so the error at the bracket's low end,
     # the one below 1 that the solve computed, gives the range.
     ("kl", "0.9999999999999999", "5e-324", "(0.006852011453502906, 0.006852011453502906)"),
@@ -197,6 +194,18 @@ def test_calibrate_refuses_targets_next_to_one_in_one_line(capsys, scheme, alpha
     assert (code, out) == (3, "")
     assert err == (f"error: no sigma achieves Type I error {alpha}; achievable range is "
                    f"approximately {achievable}\n")
+
+
+def test_calibrate_answers_a_kl_target_above_the_error_at_its_rounded_bound(capsys):
+    """The error at kl's rounded bound is 0.999999964355479 and 1 one float above it. For
+    alpha = 0.99999999 h_c does not change sign on [lo, bound]; at the bound it is about 9e-16,
+    within its rounding bound, so the bound answers and the residual is the error's step."""
+    code, out, _ = run(capsys, "calibrate", "--alpha", "0.99999999", "--alpha-b", "0.05",
+                       "--scheme", "kl")
+    values = parse_kv(out)
+    assert code == 0
+    assert (values["sigma_star"], values["bracket_hi"]) == ("2.845487786545588",) * 2
+    assert (values["achieved_alpha"], values["evaluations"]) == ("0.999999964355479", "2")
 
 
 def test_calibrate_meets_a_kl_target_just_above_the_error_at_its_rounded_bound(capsys):
@@ -636,7 +645,7 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "50245d404f9b47f30e1fce0ae376d094a8265f52b5d90b804f4f9aa979fece07"
+CLI_DIGEST = "e6697bfd4b1240ce99df667b321c50207fee0f46df29b7339b8f5b76700b7000"
 
 
 def cli_lines(tmp_path):
