@@ -4,7 +4,8 @@ Standard-normal density, distribution, and quantile functions, the domain
 checks every module shares, the immutable record base, and a bracket-safe
 root finder: Brent's method to an exact zero or adjacent floats, with an
 infinite value read as its sign. The density and distribution are closed
-forms over math.exp and math.erfc; the quantile is the standard library's.
+forms over math.exp and math.erfc; the quantile is the standard library's,
+called without importing statistics where CPython's accelerator is present.
 """
 
 from __future__ import annotations
@@ -121,21 +122,29 @@ def _upper_tail(r: float) -> float:
 
 
 @functools.cache
-def _inv_cdf() -> Callable[[float], float]:
-    """statistics.NormalDist().inv_cdf, built on first use so importing skips statistics."""
-    from statistics import NormalDist
+def _inv_cdf() -> Callable[[float, float, float], float]:
+    """The quantile (p, mu, sigma) behind statistics.NormalDist.inv_cdf, loaded on first use.
 
-    return NormalDist().inv_cdf
+    CPython's accelerator _statistics is taken directly, which skips importing statistics;
+    where it is missing, NormalDist().inv_cdf runs the standard library's Python version.
+    """
+    try:
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import NormalDist
+
+        return lambda p, mu, sigma: NormalDist(mu, sigma).inv_cdf(p)
+    return _normal_dist_inv_cdf
 
 
 def std_normal_quantile(p: float) -> float:
     """Inverse of std_normal_cdf on (0, 1): Wichura's AS241 (Appl. Statist. 37, 1988).
 
-    statistics.NormalDist.inv_cdf. Within 7 ulp of the true quantile over all
-    of (0, 1), subnormal p included (worst 6.2 ulp over 25 000 seeded p against
-    mpmath), and exactly antisymmetric: quantile(p) == -quantile(1 - p).
+    The standard library's, as statistics.NormalDist().inv_cdf computes it. Within 7 ulp of
+    the true quantile over all of (0, 1), subnormal p included (worst 6.2 ulp over 25 000
+    seeded p against mpmath), and exactly antisymmetric: quantile(p) == -quantile(1 - p).
     """
-    return _inv_cdf()(_check_prob("p", float(p)))
+    return _inv_cdf()(_check_prob("p", float(p)), 0.0, 1.0)
 
 
 def _u_minus_log1p(u: float) -> float:

@@ -315,7 +315,11 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         return "kl"
 
 
-class CustomTablePrior(_Record, PriorScheme):
+class _Knots:
+    __slots__ = ("_sigmas", "_rhos", "_drops")  # the rows as columns, beside the record's fields
+
+
+class CustomTablePrior(_Knots, _Record, PriorScheme):
     """Null mass tabulated at increasing sigma values, linearly interpolated.
 
     Queries outside the tabulated range raise TableRangeError rather than
@@ -341,11 +345,16 @@ class CustomTablePrior(_Record, PriorScheme):
                 sigma + rho + 0.0  # rho0 mixes the entries with floats, which a Decimal refuses
             except TypeError:  # an entry that is not a real number: a str, None or a Decimal
                 raise DomainError(f"prior table row {(sigma, rho)!r} is not two numbers") from None
-        sigmas = [s for s, _ in points]
-        if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-            raise DomainError("table sigma values must be strictly increasing")
+        sigmas, rhos = zip(*points)
+        widths = [b - a for a, b in zip(sigmas, sigmas[1:])]
+        if not all(w > 0.0 for w in widths):  # each segment divides by its width, which may round
+            raise DomainError("table sigma values must be strictly increasing")  # to 0.0 if mixed
         _set(self, "points", points)
         _set(self, "source", source)
+        _set(self, "_sigmas", sigmas)
+        _set(self, "_rhos", rhos)
+        _set(self, "_drops", tuple(-(r_hi - r_lo) / w  # -rho0' on each segment, entries as given
+                                   for r_lo, r_hi, w in zip(rhos, rhos[1:], widths)))
 
     @classmethod
     def from_csv(cls, path: str) -> "CustomTablePrior":
@@ -382,27 +391,27 @@ class CustomTablePrior(_Record, PriorScheme):
         return cls(points=tuple(rows), source=f"table:{path}")
 
     def sigma_domain(self) -> tuple[float, float]:
-        return self.points[0][0], self.points[-1][0]
+        return self._sigmas[0], self._sigmas[-1]
 
     def rho0(self, sigma: float) -> float:
-        points = self.points
-        lo, hi = points[0][0], points[-1][0]
+        sigmas = self._sigmas
+        lo, hi = sigmas[0], sigmas[-1]
         if not lo <= sigma <= hi:  # lo > 0 and hi < inf: every sigma outside (0, inf) fails too
             _check_sigma(sigma)
             raise TableRangeError(f"sigma={sigma} outside tabulated range [{lo}, {hi}]")
-        i = bisect.bisect_left(points, (sigma,))  # (sigma,) sorts before (sigma, rho0)
-        if points[i][0] == sigma:
-            return points[i][1]
-        (s_lo, r_lo), (s_hi, r_hi) = points[i - 1], points[i]
+        i = bisect.bisect_left(sigmas, sigma)
+        s_hi, rhos = sigmas[i], self._rhos
+        if s_hi == sigma:
+            return rhos[i]
+        s_lo, r_lo = sigmas[i - 1], rhos[i - 1]
         w = (sigma - s_lo) / (s_hi - s_lo)
-        return r_lo + w * (r_hi - r_lo)
+        return r_lo + w * (rhos[i] - r_lo)
 
     def _log_m_slope(self, sigma: float) -> float:
         """-rho0' / (rho0 (1 - rho0)) - sigma/(1 + sigma^2), rho0' of the left segment at a row."""
-        rho, points = self.rho0(sigma), self.points  # rho0 first: it refuses a sigma off the table
-        i = max(bisect.bisect_left(points, (sigma,)), 1)
-        (s_lo, r_lo), (s_hi, r_hi) = points[i - 1], points[i]
-        return -(r_hi - r_lo) / (s_hi - s_lo) / (rho * (1.0 - rho)) - _log_tau_slope(sigma)
+        rho = self.rho0(sigma)  # first: it refuses a sigma off the table
+        drop = self._drops[(bisect.bisect_left(self._sigmas, sigma) or 1) - 1]
+        return drop / (rho * (1.0 - rho)) - _log_tau_slope(sigma)
 
     @property
     def scheme_id(self) -> str:

@@ -746,6 +746,11 @@ seen["after_bf"] = [m for m in heavy if m in sys.modules]
 import pointnull
 seen["dir"] = dir(pointnull)
 seen["after_dir"] = [m for m in heavy if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    seen["calibrate_exit"] = pointnull.cli.main(
+        ["calibrate", "--alpha", "0.01", "--alpha-b", "0.05", "--scheme", "kl"])
+seen["calibrate_out"] = out.getvalue()
+seen["after_calibrate"] = [m for m in heavy if m in sys.modules]
 seen["resolves"] = pointnull.simulate_type_i is sys.modules["pointnull.montecarlo"].simulate_type_i
 namespace = {}
 exec("from pointnull import *", namespace)
@@ -765,6 +770,8 @@ def test_cold_start_loads_no_dataclass_machinery_and_no_monte_carlo():
     assert seen["after_bf"] == []
     assert MONTE_CARLO_NAMES <= set(seen["dir"])
     assert seen["after_dir"] == []
+    assert seen["calibrate_exit"] == 0 and "sigma_star = " in seen["calibrate_out"]
+    assert seen["after_calibrate"] == ["pointnull.calibration"]  # c_alpha's quantile: no statistics
     assert seen["resolves"]
     assert set(seen["star"]) == STAR_NAMES
 

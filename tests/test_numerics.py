@@ -1,6 +1,12 @@
 """Scalar numerics against extended-precision references and basic identities."""
 
+import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -151,6 +157,48 @@ def test_quantile_cdf_roundtrip_full_stated_range():
         abs(std_normal_quantile(std_normal_cdf(z)) - z) for z in grid(-6.0, 6.0, 0.25)
     )
     assert worst <= 1e-10
+
+
+FALLBACK = """
+import json, sys
+sys.modules["_statistics"] = None  # as on an interpreter without CPython's accelerator
+from pointnull.calibration import classical_threshold
+from pointnull.numerics import DomainError, std_normal_quantile
+import statistics
+
+
+def threshold(alpha):
+    try:
+        return classical_threshold(alpha).hex()
+    except DomainError:  # alpha = 5e-324
+        return None
+
+
+ps = [float.fromhex(h) for h in json.load(sys.stdin)]
+print(json.dumps({"module": statistics._normal_dist_inv_cdf.__module__,
+                  "quantiles": [std_normal_quantile(p).hex() for p in ps],
+                  "thresholds": [threshold(p) for p in ps]}))
+"""
+
+
+def test_quantile_without_the_accelerator_has_its_bits():
+    """Where _statistics is missing, NormalDist's Python inv_cdf answers bit for bit as the C one."""
+    from pointnull.calibration import classical_threshold
+
+    accelerated = pytest.importorskip("_statistics")._normal_dist_inv_cdf
+    rng = random.Random(43)
+    ps = [5e-324, 1e-320, 2.0**-1022, 0.5, 1.0 - 2.0**-53]
+    ps += [rng.random() for _ in range(500)] + [2.0 ** -rng.uniform(1.0, 1074.0) for _ in range(500)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", FALLBACK], input=json.dumps([p.hex() for p in ps]),
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["module"] == "statistics"  # the pure-Python quantile answered
+    assert seen["quantiles"] == [accelerated(p, 0.0, 1.0).hex() for p in ps]
+    assert seen["quantiles"] == [std_normal_quantile(p).hex() for p in ps]
+    assert seen["thresholds"] == [None] + [classical_threshold(p).hex() for p in ps[1:]]
 
 
 # --------------------------------------------------------------- quadrature

@@ -398,6 +398,16 @@ def test_table_validation():
     # A Fraction or a bool mixes with floats, so such a row builds and answers.
     mixed = CustomTablePrior(((True, Fraction(1, 2)), (2.0, 0.4)))
     assert mixed.rho0(1.5) == 0.5 + 0.5 * (0.4 - 0.5)
+    # The slope divides the entries as given: as floats, 1/3 and 1/2 would round it otherwise.
+    for table in (mixed, CustomTablePrior(((True, Fraction(1, 3)), (2, Fraction(1, 2))))):
+        (s_lo, r_lo), (s_hi, r_hi) = table.points
+        for sigma in (1.5, 2.0):
+            rho = table.rho0(sigma)
+            assert table._log_m_slope(sigma) == (-(r_hi - r_lo) / (s_hi - s_lo) / (rho * (1.0 - rho))
+                                                 - priors._log_tau_slope(sigma))
+    # Each segment divides by its width, which here rounds to 0.0.
+    with pytest.raises(DomainError, match="strictly increasing"):
+        CustomTablePrior(((1.0, 0.5), (Fraction(10**20 + 1, 10**20), 0.4)))
 
 
 def test_table_built_from_lists_is_the_table_built_from_tuples():
