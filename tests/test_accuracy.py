@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bit_identity import sigma_root_calls
-from test_calibration import NoSlopeTable, WavyPrior, threshold_route
+from test_calibration import NoSlopeTable, WavyPrior, bracket_requests, threshold_route
 from test_golden import CASES, GOLDEN
 
 from pointnull.calibration import (CalibrationSpec, InfeasibleAlphaError, PsiDomainError, _band,
@@ -434,7 +434,7 @@ def h_root_reference(scheme, alpha: float, alpha_b: float, start: float):
         root = mpmath.findroot(h, (s0, s0 * (1 + mpmath.mpf(2) ** -40)))
         size = (abs(mpmath.log(a)) + abs(mpmath.log1p(-a)) + mpmath.log1p(root**2) / 2
                 + odds_size(root) + half_c * root**2 / (1 + root**2))
-        return root, float(size / abs(root * mpmath.diff(h, root)))
+        return root, float(size / abs(root * mpmath.diff(h, root, h=root * mpmath.mpf(2) ** -100)))
 
 
 def _sigma_star_bound(kappa: float) -> float:
@@ -516,7 +516,9 @@ def test_edge_and_near_one_answers_are_within_their_stated_bound_of_the_root(cap
 
     alpha_b runs from 5e-324 to 1 - 2^-53 and alpha to within 2e-16 of 1, where the error
     moves by far more than its ulp between adjacent floats: the answer is held to the root of
-    h_c, not its error to alpha. Prints how many answered and the worst share of the bound.
+    h_c, not its error to alpha. 35 of the 114 answers are fixed edges that the scan refused:
+    their roots lie past its last point 1e12, and the scheme's bracket reaches them. Prints how
+    many answered and the worst share of the bound.
     """
     answered, worst = 0, 0.0
     for spec in edge_and_near_one_requests():
@@ -528,9 +530,42 @@ def test_edge_and_near_one_answers_are_within_their_stated_bound_of_the_root(cap
         error = ulps(result.sigma_star, root)
         assert error <= _sigma_star_bound(kappa), (spec, error, kappa)
         answered, worst = answered + 1, max(worst, error / _sigma_star_bound(kappa))
-    assert answered == 79
+    assert answered == 114
     with capsys.disabled():
         print(f"\n{answered} edge and near-one answers, at most {worst:.3f} of their bound")
+
+
+def test_robert_and_fixed_answers_are_within_their_stated_bound_of_the_root(capsys):
+    """Each answer to test_calibration's bracket_requests, over robert and fixed masses from
+    1e-300 to 0.99 with alpha from 1e-300 to within 1e-15 of 1, within 2 + 21 kappa ulp of the
+    60-digit root of h_c; most of them solve on the scheme's analytic bracket. Prints how many
+    answered and the worst share of the bound."""
+    answered, worst = 0, 0.0
+    for spec in bracket_requests():
+        try:
+            result = solve_sigma(spec)
+        except InfeasibleAlphaError:
+            continue
+        root, kappa = h_root_reference(spec.scheme, spec.alpha, spec.alpha_b, result.sigma_star)
+        error = ulps(result.sigma_star, root)
+        assert error <= _sigma_star_bound(kappa), (spec, error, kappa)
+        answered, worst = answered + 1, max(worst, error / _sigma_star_bound(kappa))
+    assert answered > 200
+    with capsys.disabled():
+        print(f"\n{answered} robert and fixed answers, at most {worst:.3f} of their bound")
+
+
+@pytest.mark.parametrize("alpha, rho0, near", [(0.007441, 0.3, 2.468), (1e-30, 0.01, 3.581e29)])
+def test_fixed_targets_the_scan_refused_solve_to_the_root(alpha, rho0, near):
+    """fixed:0.3 at alpha = 0.007441, just below its peak error 0.0074412442, and fixed:0.01 at
+    alpha = 1e-30, whose root lies far past the scan's last point 1e12, both at alpha_b = 0.05:
+    the scan refused them, and the scheme's bracket solves them to within 2 + 21 kappa ulp."""
+    spec = CalibrationSpec(alpha, 0.05, FixedPrior(rho0))
+    result = solve_sigma(spec)
+    root, kappa = h_root_reference(spec.scheme, alpha, 0.05, result.sigma_star)
+    assert ulps(result.sigma_star, root) <= _sigma_star_bound(kappa)
+    assert abs(result.sigma_star / near - 1.0) < 1e-3
+    assert abs(result.residual) <= 5e-12 * alpha
 
 
 SLOPE_SCHEMES = (KL, ROBERT, FixedPrior(0.3), FixedPrior(1e-12), TABLE)

@@ -79,14 +79,14 @@ DIGEST = {
 }
 SOLVES, BOUNDS, PSI_SWEEPS, EDGES = 2000, 500, 300, 300
 ROOT_DIGEST = {
-    "scanned": "aa788323e878a806c5af300139d8b5b8bb6f0957155ba1e48fc03c046e34397b",
+    "scanned": "26f0de50bc7f593273c6b9f7439ff9b9157cd2f7090093a29ed7c06a22d1b717",
     "kl_refusals": "7649865b77b071e0a2ba25ea2632982c76df44bb156362dd54efa45a5319208d",
-    "solves": "cb3a4ccf4e42ea9c2f87d7d216a76c1c777676069be4127f5a685eb6dfc7e817",
+    "solves": "a76e4d90db042ef267dcb46835921cb875c17d7cb4d7d802df88c9fe09ed0aca",
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
-    "edges": "8529ee51453fe9731a8a571eb76d33acd73c1834b0681dc2a427c547e4ade1e4",
+    "edges": "da8e1f13181739e9009b09107e965ef87dded1a501afe055544938012165d18d",
 }
-EVALUATIONS_DIGEST = "7d1f382fcf2fc0694a3c63fd63dc14eae38d2ac628d637b61973151aaada088c"
+EVALUATIONS_DIGEST = "6dbd6dadd4783ba1201e4c56a322ab1625a4bfd1697077bb57a7fd15ff2606d4"
 ROOT_FINDER_DIGEST = "0ba3a8eb30fa9de75fa3396c4a9d82edc85fcaebe35e80dd51915159a176dfe1"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -347,7 +347,8 @@ def test_sigma_root_evaluation_counts_are_pinned():
 def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
     """Each sigma* solve_sigma returns for the sigma-root requests: psi > 0 there, and h_c, whose
     root is where the error meets alpha, within its stated bound E (h_c_and_its_bound). Every
-    other request is refused."""
+    other request is refused. 36 answers are fixed targets that the scan refuses: 35 edges whose
+    roots lie past its last point 1e12, and fixed:0.3 at alpha = 0.007441, next to its peak."""
     answered = 0
     for _, call, args in sigma_root_calls():
         if call is not _solve:
@@ -361,7 +362,7 @@ def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
         assert result.psi_at_sigma > 0.0, (*args[:2], args[2].scheme_id)
         assert h_c <= stated, (*args[:2], args[2].scheme_id)
         answered += 1
-    assert answered == 1470
+    assert answered == 1506
 
 
 def _step(at):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pointnull import calibration
+from pointnull import calibration, priors
 from pointnull.calibration import (
     CalibrationSpec,
     Decision,
@@ -58,6 +58,33 @@ POWER_THETA2_AT_C005 = 0.5160052557351434001
 KL = KLSelfInformationPrior()
 ROBERT = RobertPrior()
 FIXED_03 = FixedPrior(0.3)
+
+
+class ScannedRobert(RobertPrior):
+    """robert's log odds and slope on the base scan, as RobertPrior solved before its bracket."""
+
+    __slots__ = ()
+    _calibration_bracket = PriorScheme._calibration_bracket
+
+
+class ScannedFixed(FixedPrior):
+    """A fixed mass on the base scan, as FixedPrior solved before its bracket."""
+
+    __slots__ = ()
+    _calibration_bracket = PriorScheme._calibration_bracket
+
+
+SCANNED_ROBERT, SCANNED_FIXED_03 = ScannedRobert(), ScannedFixed(0.3)
+
+
+def on_the_scan(spec):
+    """spec with robert or a fixed mass in place of the same log odds on the base scan."""
+    scheme = spec.scheme
+    if type(scheme) is RobertPrior:
+        scheme = SCANNED_ROBERT
+    elif type(scheme) is FixedPrior:
+        scheme = ScannedFixed(scheme.rho0_value)
+    return CalibrationSpec(spec.alpha, spec.alpha_b, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +464,11 @@ def h_c_and_its_bound(spec, result):
 
 
 def test_solve_round_trips_a_scan_point_exactly():
-    # kl solves on its analytic bracket and has no scan points; fixed and tables still scan.
+    # kl, robert and fixed solve on analytic brackets and have no scan points; tables and a
+    # fixed mass on the base scan still scan.
     # An exact hit is an end of the grid cell polished, inside the domain at a table's ends.
     table = CustomTablePrior(((1.0, 0.6), (10.0, 0.01)))
-    for scheme, s in ((FIXED_03, 1.0), (table, 1.0), (table, 10.0)):
+    for scheme, s in ((SCANNED_FIXED_03, 1.0), (table, 1.0), (table, 10.0)):
         lo, hi = scheme.sigma_domain()
         result = solve_sigma(CalibrationSpec(type_i_error(s, 0.05, scheme), 0.05, scheme))
         assert result.sigma_star == s, (scheme, s)
@@ -554,7 +582,7 @@ def test_solve_robert_ceiling_is_infeasible():
 
 def test_solve_finds_a_root_beyond_the_scan_range():
     """fixed:0.07 at alpha_b = 0.1 reaches alpha = 1e-4 only near sigma = 2858."""
-    result = solve_sigma(CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)))
+    result = solve_sigma(CalibrationSpec(1e-4, 0.1, ScannedFixed(0.07)))
     assert (result.bracket_used.lo, result.bracket_used.hi) == (1e3, 1e6)
     assert abs(result.residual) <= 1e-10
 
@@ -647,13 +675,13 @@ def scanned_requests():
 
 
 def test_solve_matches_the_scan_reference():
-    """The solve brackets or refuses as the reference scan does.
+    """The solve on the base scan brackets or refuses as the reference scan does.
 
     Inside the bracket, Newton on h_c meets alpha to within 5e-12 * alpha, and test_accuracy
     holds sigma* to the root of h_c.
     """
     outcomes = set()
-    for spec in scanned_requests():
+    for spec in map(on_the_scan, scanned_requests()):
         try:
             bracket, outcome = scan_reference(spec)
         except InfeasibleAlphaError as expected:
@@ -1047,7 +1075,7 @@ def test_a_domain_the_scan_cannot_split_is_refused_by_name():
 
 def test_the_walk_matches_the_eager_scan_on_the_scanned_requests():
     outcomes = set()
-    for spec in scanned_requests():
+    for spec in map(on_the_scan, scanned_requests()):
         encloses, walk_count, eager_count = walk_and_eager_scan(spec)
         if not encloses:
             outcomes.add("nearest cell")
@@ -1086,7 +1114,7 @@ scan_requests = st.one_of(
 @example(CalibrationSpec(0.007441, 0.05, FIXED_03))  # no pass does
 @example(CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)))  # only the far probes do
 def test_the_walk_matches_the_eager_scan(spec):
-    walk_and_eager_scan(spec)
+    walk_and_eager_scan(on_the_scan(spec))
 
 
 def test_the_scan_stops_at_the_first_cell_that_encloses_alpha(monkeypatch):
@@ -1096,17 +1124,153 @@ def test_the_scan_stops_at_the_first_cell_that_encloses_alpha(monkeypatch):
     """
     calls = counting_psi(monkeypatch)
     polishes, sigmas = recording_polish(monkeypatch)
-    result = solve_sigma(CalibrationSpec(0.01, 0.05, ROBERT))
+    result = solve_sigma(CalibrationSpec(0.01, 0.05, SCANNED_ROBERT))
     assert calls == [1e-3, 1e-2, 0.1, 1.0, 10.0, result.sigma_star]
     assert result.sigma_star in sigmas
     assert polishes == [Bracket(1.0, 10.0)]
     assert result.evaluations == 11
     assert result.sigma_star == 1.4273082827389831
-    assert solve_sigma(CalibrationSpec(0.003, 0.05, FIXED_03)).evaluations == 57
+    assert solve_sigma(CalibrationSpec(0.003, 0.05, SCANNED_FIXED_03)).evaluations == 57
     calls.clear()
     with pytest.raises(InfeasibleAlphaError, match=r"\(0\.0, 0\.04414516380661788\)"):
-        solve_sigma(CalibrationSpec(0.045, 0.05, ROBERT))
+        solve_sigma(CalibrationSpec(0.045, 0.05, SCANNED_ROBERT))
     assert len(calls) == 387  # a refusal still computes every point of the last pass
+
+
+def recording_ends(monkeypatch):
+    """The ends each scheme hands priors._proven_or_scanned: its proven cell, or None."""
+    ends = []
+    real = priors._proven_or_scanned
+
+    def recorded(scheme, proposed, *args):
+        ends.append(proposed)
+        return real(scheme, proposed, *args)
+
+    monkeypatch.setattr(priors, "_proven_or_scanned", recorded)
+    return ends
+
+
+def answer_or_refusal(spec):
+    try:
+        return solve_sigma(spec)
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def bracket_requests():
+    """robert and fixed requests: scanned_requests' own, then seeded ones with alpha from 1e-300
+    to within 1e-15 of 1, alpha_b from 1e-300 to 0.9 (robert's g = L - log sqrt(2 pi) is
+    negative above 0.2853) and masses from 1e-300 to 0.99, then three edges: a proven end within
+    rounding of the root, a mass whose log m cancels near it, and an end past float range."""
+    rng = random.Random(44)
+    specs = [spec for spec in scanned_requests() if type(spec.scheme) in (RobertPrior, FixedPrior)]
+    for _ in range(400):
+        alpha = rng.choice((10.0 ** rng.uniform(-300.0, -0.3), rng.uniform(0.001, 0.999),
+                            1.0 - 10.0 ** rng.uniform(-15.0, -1.0)))
+        alpha_b = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-3, 0.9),
+                              10.0 ** rng.uniform(-300.0, -1.0)))
+        rho0 = rng.choice((rng.uniform(0.01, 0.99), 10.0 ** rng.uniform(-300.0, -0.1)))
+        specs.append(CalibrationSpec(alpha, alpha_b, rng.choice((ROBERT, FixedPrior(rho0)))))
+    return specs + [CalibrationSpec(0.9999999999999999, 0.05, FixedPrior(0.0009)),
+                    CalibrationSpec(0.05, 0.05, FixedPrior(1e-300)),
+                    CalibrationSpec(1e-300, 1e-10, FixedPrior(1e-20))]
+
+
+def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeypatch):
+    """Where the scheme proves a cell and h_c, as the root finder computes it, is past its rounding
+    bound E at both ends with opposite signs, that cell is the bracket, found without a psi.
+    The solve then answers in it, at the root the scan brackets where the scan answers.
+    Everywhere else the scan decides as on the base scan: the same bracket, psi at the same sigma
+    in the same order, and the same answer, evaluation count or refusal."""
+    ends = recording_ends(monkeypatch)
+    outcomes = set()
+    for spec in bracket_requests():
+        scanned, scheme = on_the_scan(spec), spec.scheme
+        level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
+        ends.clear()
+        psi_at, cuts = psi_memo(spec)
+        bracket = scheme._calibration_bracket(level, spec.alpha, c, psi_at)
+        [proposed] = ends
+        if not cuts:
+            assert proposed == (bracket.lo, bracket.hi), spec
+            rises = type(scheme) is FixedPrior and level <= scheme._log_odds  # h_c < 0 at lo
+            for sigma in proposed:
+                h_c = level - log_m_of_sigma(scheme, sigma) - 0.5 * c * variance_ratio(sigma)
+                stated = 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m_of_sigma(scheme, sigma)))
+                assert abs(h_c) > stated, spec
+                assert (h_c > 0.0) == ((sigma == proposed[0]) != rises), spec
+            result = solve_sigma(spec)
+            assert result.bracket_used == bracket and bracket.lo <= result.sigma_star <= bracket.hi
+            scan = answer_or_refusal(scanned)
+            if isinstance(scan, str):
+                outcomes.add("proven, where the scan refuses")
+                continue
+            assert scan.bracket_used.lo <= result.sigma_star <= scan.bracket_used.hi, spec
+            outcomes.add("proven")
+            continue
+        assert scan_outcome(scanned.scheme._calibration_bracket, scanned) == (bracket, cuts), spec
+        assert list(scan_outcome(scanned.scheme._calibration_bracket, scanned)[1]) == list(cuts)
+        assert answer_or_refusal(spec) == answer_or_refusal(scanned), spec
+        if proposed is None:
+            cancels = type(scheme) is FixedPrior and 2.0 * (1.0 + abs(level)) < scheme._log_odds
+            outcomes.add("log m cancels" if cancels and level <= scheme._log_odds else "no root")
+        elif math.isinf(proposed[1]):
+            outcomes.add("an end past float range")
+        else:
+            outcomes.add("an end within rounding")
+    assert outcomes == {"proven", "proven, where the scan refuses", "no root", "log m cancels",
+                        "an end past float range", "an end within rounding"}
+
+
+def test_the_brackets_of_pinned_requests():
+    """robert's cell [sqrt(2 g / (c - 2 g)), sqrt(2 (1 + c) / (c - 2 g))], fixed's
+    [sqrt(2 D / (c - 2 D)), sqrt(c - 1)] for D > 0 and [sqrt(e^k - 1), sqrt(e^(c + 1 - 2 D) - 1)],
+    k = max(-2 D, log c), for D <= 0, and the evaluations each solve takes on it. The last two
+    targets the scan refuses: fixed:0.3 peaks at 0.0074412442, and fixed:0.01's root lies far past
+    1e12. test_accuracy holds each sigma* to the root of h_c."""
+    pinned = (
+        (CalibrationSpec(0.01, 0.05, ROBERT), 1.4273082827389834, 1.252113445221609,
+         2.4309671341481187, 7),
+        (CalibrationSpec(0.005, 0.05, FIXED_03), 1.4408739199976905, 1.0668438722948541,
+         2.622868387209396, 9),
+        (CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)), 2857.825763576881, 3.759881012295921,
+         4711.762672998424, 11),
+        (CalibrationSpec(0.007441, 0.05, FIXED_03), 2.4681340751891976, 1.1885627539390387,
+         2.4826003007813955, 14),
+        (CalibrationSpec(1e-30, 0.05, FixedPrior(0.01)), 3.5810624375411505e+29,
+         11.480413437895615, 5.9041738124793724e+29, 7),
+    )
+    for spec, sigma_star, lo, hi, evaluations in pinned:
+        result = solve_sigma(spec)
+        assert (result.sigma_star, result.bracket_used, result.evaluations) == (
+            sigma_star, Bracket(lo, hi), evaluations), spec
+    for spec, achievable in ((pinned[3][0], r"\(0\.0, 0\.007440547098067371\)"),
+                             (pinned[4][0], r"\(5\.662321767420992e-13, 1\.0\)")):
+        with pytest.raises(InfeasibleAlphaError, match=achievable):
+            solve_sigma(on_the_scan(spec))
+
+
+def test_the_brackets_take_fewer_evaluations_than_the_scan():
+    """Feasible robert and fixed requests as calibrate's benchmark draws them (alpha_b 0.01, 0.05
+    and 0.1, masses from 0.05 to 0.95, alpha log-uniform from 1e-4 up to the largest error
+    on the scan): each solve on its bracket takes at most 16 evaluations, and on average 7.0 for
+    robert and 7.2 for fixed, where the scan took 10.5 and 22.2."""
+    rng = random.Random(45)
+    counts = {"robert": ([], []), "fixed": ([], [])}
+    while min(len(analytic) for analytic, _ in counts.values()) < 200:
+        scheme = rng.choice((ROBERT, FixedPrior(rng.uniform(0.05, 0.95))))
+        spec = CalibrationSpec(10.0 ** rng.uniform(-4.0, -0.7), rng.choice((0.01, 0.05, 0.1)),
+                               scheme)
+        try:
+            result = solve_sigma(spec)
+        except InfeasibleAlphaError:
+            continue
+        analytic, scanned = counts[scheme.scheme_id.split(":")[0]]
+        analytic.append(result.evaluations)
+        scanned.append(solve_sigma(on_the_scan(spec)).evaluations)
+    for name, (analytic, scanned) in counts.items():
+        assert max(analytic) <= 16, name
+        assert sum(analytic) < 7.2 * len(analytic) < 0.75 * sum(scanned), name
 
 
 def test_spec_validation():

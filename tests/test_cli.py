@@ -645,7 +645,7 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "e6697bfd4b1240ce99df667b321c50207fee0f46df29b7339b8f5b76700b7000"
+CLI_DIGEST = "8c28961ba74ab91fe8d8f790c6d7e61e53d7be4e6b1b63095bd324602e718941"
 
 
 def cli_lines(tmp_path):

@@ -395,6 +395,9 @@ def test_table_validation():
     for row in (("a", 0.5), (1.0, "0.5"), (1.0, None), (Decimal(1), 0.5), (1.0, Decimal("0.5"))):
         with pytest.raises(DomainError, match=re.escape(f"prior table row {row!r} is not two")):
             CustomTablePrior((row, (2.0, 0.4)))
+    for row in ((10**400, 0.4), (Fraction(10**400), 0.4)):  # float(sigma) would overflow
+        with pytest.raises(DomainError, match=re.escape(f"prior table row {row!r} is past float")):
+            CustomTablePrior(((1, 0.5), row))
     # A Fraction or a bool mixes with floats, so such a row builds and answers.
     mixed = CustomTablePrior(((True, Fraction(1, 2)), (2.0, 0.4)))
     assert mixed.rho0(1.5) == 0.5 + 0.5 * (0.4 - 0.5)
