@@ -1208,8 +1208,8 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             assert scan.bracket_used.lo <= result.sigma_star <= scan.bracket_used.hi, spec
             outcomes.add("proven")
             continue
-        assert scan_outcome(scanned.scheme._calibration_bracket, scanned) == (bracket, cuts), spec
-        assert list(scan_outcome(scanned.scheme._calibration_bracket, scanned)[1]) == list(cuts)
+        scan_bracket, scan_cuts = scan_outcome(scanned.scheme._calibration_bracket, scanned)
+        assert (scan_bracket, list(scan_cuts.items())) == (bracket, list(cuts.items())), spec
         assert answer_or_refusal(spec) == answer_or_refusal(scanned), spec
         if proposed is None:
             cancels = type(scheme) is FixedPrior and 2.0 * (1.0 + abs(level)) < scheme._log_odds
