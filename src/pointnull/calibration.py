@@ -86,25 +86,29 @@ _REJECT, _RETAIN = Decision(True, True), Decision(False, False)
 
 
 _TWO_PI = 2.0 * math.pi
-_LEVELS: dict[float, float] = {}  # alpha_b -> its level, at most 64 of them
 
 
-def _log_rejection_odds(alpha_b: float) -> float:
-    """log(1/alpha_b - 1), the log prior-odds level m must stay below.
+class _Levels(dict[float, float]):
+    """alpha_b -> log(1/alpha_b - 1), the log prior-odds level m must stay below.
 
-    Memoized in _LEVELS, emptied when full: a sweep, a solve or a simulation
-    fixes alpha_b, and a hit is one dict probe, cheaper than an lru_cache hit.
-    A refusal is not stored, so a bad alpha_b raises on every call.
+    A sweep, a solve or a simulation fixes alpha_b, so _log_rejection_odds is this memo's
+    __getitem__: a hit is one dict probe with no Python frame. A miss checks alpha_b, empties
+    the memo once it holds 64 levels, and stores the new one. A refusal is not stored, so a bad
+    alpha_b raises on every call, and it chains no KeyError: dict calls __missing__ without one.
     """
-    try:
-        return _LEVELS[alpha_b]
-    except KeyError:  # checked outside the handler, so a refusal carries no KeyError context
-        pass
-    _check_prob("alpha_b", alpha_b)
-    if len(_LEVELS) >= 64:
-        _LEVELS.clear()
-    level = _LEVELS[alpha_b] = math.log1p(-alpha_b) - math.log(alpha_b)
-    return level
+
+    __slots__ = ()
+
+    def __missing__(self, alpha_b: float) -> float:
+        _check_prob("alpha_b", alpha_b)
+        if len(self) >= 64:
+            self.clear()
+        level = self[alpha_b] = math.log1p(-alpha_b) - math.log(alpha_b)
+        return level
+
+
+_LEVELS = _Levels()
+_log_rejection_odds = _LEVELS.__getitem__
 
 
 def _cut(level: float, base: float, ratio: float) -> float:

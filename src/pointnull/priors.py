@@ -566,14 +566,19 @@ def paradox_sweep(
     mass, flattening at a constant under the linear-odds scheme, collapsing
     to 0 under the divergent one. Each row's log m serves both m and the
     posterior, so rows past kl's rho0 underflow still carry exact odds.
+    The posterior is decide's: 0.5 x^2 is taken once, and each row's x^2 term
+    is (0.5 x^2) variance_ratio(sigma), as _x2_term computes it, or _x2_term's
+    own overflow-safe route where x * x overflows.
     """
     grid = _checked_grid(sigma_grid)
     x = Observation(x).x
+    half_x2 = 0.5 * (x * x)  # inf past |x| = 1.34e154; 0.5 * x * x stays finite to 1.9e154
     rows = []
     append, rho0, new = rows.append, scheme.rho0, tuple.__new__  # new(ParadoxRow, ...) is _make
     for sigma in grid:
         log_m = log_m_of_sigma(scheme, sigma)
-        post = _stable_inv_logistic(log_m + _x2_term(x, sigma))
+        x2 = half_x2 * variance_ratio(sigma) if half_x2 < _INF else _x2_term(x, sigma)
+        post = _stable_inv_logistic(log_m + x2)
         append(new(ParadoxRow, (sigma, rho0(sigma), _exp_or_inf(log_m), post)))
     return rows
 

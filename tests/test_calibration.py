@@ -1373,6 +1373,28 @@ def test_cached_alpha_b_level_still_refuses_a_bad_alpha_b():
     assert calibration._log_rejection_odds(0.05) == math.log1p(-0.05) - math.log(0.05)
 
 
+@pytest.mark.parametrize("bad", (0.0, 1.0, math.nan, 1.5))
+def test_a_refused_alpha_b_leaves_the_memo_as_it_was_and_chains_no_error(bad):
+    """A full memo is not emptied by a refusal, nothing is stored, and no KeyError is chained."""
+    k = 1
+    while len(calibration._LEVELS) < 64:
+        calibration._log_rejection_odds(k / 1000.0)
+        k += 1
+    before = dict(calibration._LEVELS)
+    routes = {
+        "_log_rejection_odds": lambda: calibration._log_rejection_odds(bad),
+        "psi": lambda: psi(1.0, bad, KL),
+        "type_i_error": lambda: type_i_error(1.0, bad, KL),
+        "power_analytic": lambda: power_analytic(0.5, 1.0, bad, KL),
+        "positivity_bound": lambda: positivity_bound(bad, KL),
+    }
+    for name, route in routes.items():
+        with pytest.raises(DomainError, match="alpha_b") as refused:
+            route()
+        assert refused.value.__context__ is None, name
+        assert dict(calibration._LEVELS) == before, name
+
+
 def test_decide_routes_agree_under_fuzzing():
     rng = random.Random(20240709)
     schemes = [FixedPrior(0.3), ROBERT, KL]

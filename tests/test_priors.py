@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointnull import priors
-from pointnull.model import (AlternativeSpread, Observation, _exp_or_inf, posterior_from_log_odds,
-                             posterior_h0)
+from pointnull.model import (AlternativeSpread, Observation, _exp_or_inf, _stable_inv_logistic,
+                             _x2_term, posterior_from_log_odds, posterior_h0)
 from pointnull.numerics import DomainError, _check_sigma
 from pointnull.priors import (
     SQRT_TWO_PI,
@@ -570,6 +570,33 @@ def test_sweep_rows_match_pointwise_evaluation():
             Observation(1.5), AlternativeSpread(row.sigma), scheme.rho0(row.sigma)
         )
         assert row.posterior_h0 == expected
+
+
+GOLDEN_TABLE = CustomTablePrior.from_csv(str(Path(__file__).parent / "golden" / "table.csv"))
+
+
+@pytest.mark.parametrize("x", (0.0, 1e-160, -1e-160, 1.96, -1.96, 1.3e154, -1.3e154, 1.5e154,
+                               -1.5e154, 1e200, -1.7e308))
+def test_sweep_rows_are_the_pointwise_row_bit_for_bit(x):
+    """Each row is (sigma, rho0, m, the posterior through _x2_term), whichever route x^2 takes.
+
+    x * x overflows from |x| = 1.34e154, where _x2_term's overflow-safe route takes over;
+    0.5 * x * x is finite at 1.5e154, so that grouping alone would pick the wrong route there,
+    and at sigma 5e-155 and 1.3e-154, where the term is near 1, the routes' posteriors differ.
+    At 1e-200 the ratio underflows to 0, which the finite route would multiply by inf.
+    """
+    assert 0.5 * 1.5e154 * 1.5e154 < math.inf == 1.5e154 * 1.5e154
+    builtin_grid = [1e-308, 1e-200, 1e-160, 5e-155, 1.3e-154, 1e-3, 0.5, 1.0, 1.5, 30.0, 1e5, 1e200]
+    cases = [(scheme_from_string(name), builtin_grid) for name in ("kl", "robert", "fixed:0.3")]
+    cases.append((GOLDEN_TABLE, [0.5, 0.7, 1.0, 1.7, 3.0, 8.0]))
+    for scheme, grid in cases:
+        rows = paradox_sweep(scheme, x, grid)
+        assert [row.sigma for row in rows] == grid
+        for row in rows:
+            sigma = row.sigma
+            post = _stable_inv_logistic(log_m_of_sigma(scheme, sigma) + _x2_term(x, sigma))
+            expected = (sigma, scheme.rho0(sigma), m_of_sigma(scheme, sigma), post)
+            assert list(map(float.hex, row)) == list(map(float.hex, expected)), (scheme, sigma)
 
 
 def test_sweep_grid_validation():
