@@ -32,7 +32,10 @@ Requests span kl, robert and fixed masses on both sides of alpha_b, fixed:0.3
 at a fine-pass level, fixed:0.07 with its root beyond the scan, the golden
 table and the tables of test_calibration.scanned_requests, kl's refusal for
 alpha_b >= 1/2 and its targets within 1e-7 of 1, and the edges: alpha_b from
-5e-324 to 1 - 2^-53, and alpha from 1e-300 to within 2e-16 of 1.
+5e-324 to 1 - 2^-53, and alpha from 1e-300 to within 2e-16 of 1. The proven
+family holds the cells robert and fixed prove, taken or left to the scan:
+robert, fixed masses from 1e-300 to 1 - 1e-15, kl and the golden table, with
+alpha and alpha_b each from 1e-300 to 1 - 1e-15.
 
 The third digest pins find_root_bracketed itself: for each of a fixed set of
 objectives, every x it evaluates and its return value or refusal. The
@@ -51,6 +54,7 @@ Run as a script, the module prints the lines behind the named digest families
 
 import functools
 import hashlib
+import itertools
 import math
 import random
 from pathlib import Path
@@ -77,7 +81,7 @@ DIGEST = {
     "posterior_from_log_odds": "cd70dcb687140ec4b10179df0f233bdd54b90a03300c5f47d402902e671cbc5c",
     "posterior_h0": "7ee11ae8687290a58cb70ca8be052fc6069e81aeb53b2a2b90905f987136ab95",
 }
-SOLVES, BOUNDS, PSI_SWEEPS, EDGES = 2000, 500, 300, 300
+SOLVES, BOUNDS, PSI_SWEEPS, EDGES, PROVEN = 2000, 500, 300, 300, 2000
 ROOT_DIGEST = {
     "scanned": "26f0de50bc7f593273c6b9f7439ff9b9157cd2f7090093a29ed7c06a22d1b717",
     "kl_refusals": "7649865b77b071e0a2ba25ea2632982c76df44bb156362dd54efa45a5319208d",
@@ -85,8 +89,9 @@ ROOT_DIGEST = {
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
     "edges": "da8e1f13181739e9009b09107e965ef87dded1a501afe055544938012165d18d",
+    "proven": "e6c02043fa622b6d57c65d51bb783ef627c4f2520cf5450e04546a3f6d720920",
 }
-EVALUATIONS_DIGEST = "6dbd6dadd4783ba1201e4c56a322ab1625a4bfd1697077bb57a7fd15ff2606d4"
+EVALUATIONS_DIGEST = "0c12e6833ea7723d16111da1e906213d342fe47c1ece5ade75830763e7210856"
 ROOT_FINDER_DIGEST = "0ba3a8eb30fa9de75fa3396c4a9d82edc85fcaebe35e80dd51915159a176dfe1"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -313,6 +318,23 @@ def edge_requests(count=EDGES, seed=20261021):
         yield alpha, rng.choice(EDGE_ALPHA_BS), rng.choice(EDGE_SCHEMES)
 
 
+def proven_requests(count=PROVEN, seed=20261022):
+    """(alpha, alpha_b, scheme) where robert and fixed may prove a cell, with kl and the golden
+    table beside them: fixed masses, alpha and alpha_b each log-uniform from 1e-300, uniform, or
+    within 1e-1 to 1e-15 of 1."""
+    rng = random.Random(seed)
+
+    def prob():
+        return rng.choice((10.0 ** rng.uniform(-300.0, -0.3), rng.uniform(0.001, 0.999),
+                           1.0 - 10.0 ** rng.uniform(-15.0, -1.0)))
+
+    for _ in range(count):
+        alpha, alpha_b, kind = prob(), prob(), rng.randrange(5)
+        scheme = (FixedPrior(prob()) if kind < 2 else
+                  (RobertPrior(), KLSelfInformationPrior(), GOLDEN_TABLE)[kind - 2])
+        yield alpha, alpha_b, scheme
+
+
 def sigma_root_lines():
     """(family, line) for each sigma-root call, and ("evaluations", count) after each answer."""
     counts = []
@@ -322,7 +344,8 @@ def sigma_root_lines():
         counts.append(f"{result.evaluations}")
         return result
 
-    for family, call, args in sigma_root_calls():
+    proven = (("proven", _solve, args) for args in proven_requests())
+    for family, call, args in itertools.chain(sigma_root_calls(), proven):
         line = _line(solve if call is _solve else call, *args)
         yield from (("evaluations", count) for count in counts)
         counts.clear()
