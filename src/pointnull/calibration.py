@@ -16,6 +16,7 @@ and the decision rule.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from . import _EXPORTS
 from .model import Observation, _stable_inv_logistic, _x2_term, variance_ratio
@@ -58,6 +59,8 @@ class CalibrationSpec(_Record):
 
 
 class CalibrationResult(_Record):
+    """solve_sigma's answer: sigma*, psi and Type I error there, residual, bracket, evaluations."""
+
     __slots__ = ("sigma_star", "psi_at_sigma", "achieved_alpha", "residual", "bracket_used",
                  "evaluations")
 
@@ -327,6 +330,28 @@ def _root_of_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float
     return lo if abs(h_lo) <= abs(h_hi) else hi
 
 
+def _h_past_rounding(level: float, c: float, log_m: float, ratio: float) -> float:
+    """h_c = (level - log m) - (c/2) ratio as _root_of_h computes it, or 0.0 within its rounding
+    bound E = 16 eps (1 + |level| + |log m|), eps = 2^-53, with log m as computed (solve_sigma)."""
+    h = level - log_m - 0.5 * c * ratio
+    return h if abs(h) > 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m)) else 0.0
+
+
+def _solve_bracket(scheme: PriorScheme, level: float, alpha: float, c: float,
+                   psi_at: Callable[[float], float]) -> Bracket:
+    """solve_sigma's bracket: scheme._proven_cell where _h_past_rounding has opposite signs at its
+    ends, else scheme._calibration_bracket. The cell's log m are computed apart from psi_at, so
+    a scan after a rejected cell evaluates, refuses and counts as if there were no cell."""
+    cell = scheme._proven_cell(level, c)
+    if cell is not None:
+        lo, hi = cell
+        if 0.0 < lo < hi < _INF and (
+                _h_past_rounding(level, c, log_m_of_sigma(scheme, lo), variance_ratio(lo))
+                * _h_past_rounding(level, c, log_m_of_sigma(scheme, hi), variance_ratio(hi)) < 0.0):
+            return Bracket(lo, hi)
+    return scheme._calibration_bracket(level, alpha, c, psi_at)
+
+
 def _error_of(cut: float) -> float:
     """The Type I error where psi is cut, as type_i_error computes it."""
     return 1.0 if cut < 0.0 else 2.0 * _upper_tail(math.sqrt(cut))
@@ -335,32 +360,32 @@ def _error_of(cut: float) -> float:
 def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """Find sigma whose induced Type I error equals spec.alpha.
 
-    The error is alpha exactly where psi = c_alpha = classical_threshold(alpha), so every step
-    tests psi against c_alpha: the scheme's bracket encloses it (PriorScheme._calibration_bracket:
-    the default scan evaluates each pass up to its first cell enclosing c_alpha, else returns the
-    cell nearest it). An end whose error is alpha is the candidate; otherwise Newton's method on
-    h_c(sigma) = (L - log m) - (c_alpha/2) ratio, with L = log(1/alpha_b - 1), or Brent's without
-    a slope, finds the float nearest its root (_root_of_h): h_c has neither erfc nor sqrt, so it
-    does not flatten out.
-    One test accepts the candidate: psi > 0 there, and h_c = (ratio/2)(psi - c_alpha) within its
-    rounding bound E = 16 eps (1 + |L| + |log m|) of 0, eps = 2^-53, log m read back as
-    L - (ratio/2) psi. E takes log m as computed, as _band takes base, and adds up:
+    The error is alpha exactly where h_c(sigma) = (L - log m) - (c_alpha/2) ratio, which is
+    (ratio/2)(psi - c_alpha), is 0: L = log(1/alpha_b - 1), c_alpha = classical_threshold(alpha).
+    One predicate, _h_past_rounding, reads h_c as the root finder computes it, or 0 within its
+    rounding bound E = 16 eps (1 + |L| + |log m|), eps = 2^-53, log m as computed (as _band takes
+    base). It takes the scheme's _proven_cell as the bracket where h_c is past E at both ends
+    with opposite signs; else _calibration_bracket encloses c_alpha (the default scan evaluates
+    each pass up to its first cell enclosing it, else returns the cell nearest it). An end whose
+    error is alpha is the candidate; otherwise Newton's method on h_c, or Brent's without a
+    slope, finds the float nearest its root (_root_of_h): h_c has neither erfc nor sqrt, so it
+    does not flatten out. It accepts the candidate where psi > 0 and it reads h_c as 0. E adds:
     - _band's step 2: L is within eps (3 |L| + 3) of log(1/alpha_b - 1); the gap L - log m,
-      psi = 2 gap / ratio, psi - c_alpha and the product with ratio/2 round once each, 2 eps |gap|
-      and 2 eps |h_c| in all; ratio is within 4 eps, and (c_alpha/2) ratio with it.
+      (c/2) ratio and h_c round once each; ratio is within 4 eps, and (c/2) ratio with it.
     - c_alpha is within 1 + k (11 + c) ulp (classical_threshold), and k c <= 2 by
       erfc(z) <= e^(-z^2) / (z sqrt(pi)), so it moves h_c by at most eps (3 (c/2) ratio + 11).
       Above alpha = 1/2, c < 0.46 is within 15 ulp, which is less. Below alpha = 2^-1021
       classical_threshold states no such bound, and E does not cover c_alpha's error there.
     Where |h_c| <= E, (c/2) ratio is within 1.01 E of the gap, so these sum to at most
-    14 eps (1 + |L| + |log m|) + 10 eps E < E, reading log m back included. The answer is thus
-    a float where h_c is zero to within rounding; one where h_c jumps past zero (odds that turn
-    infinite) is not. Next to alpha = 1 its error can miss alpha by far more than an ulp (about
-    1e-8 next to kl's bound), since the error moves that much between adjacent floats there.
+    14 eps (1 + |L| + |log m|) + 10 eps E < E. The answer is thus a float where h_c is zero to
+    within rounding; one where h_c jumps past zero (odds that turn infinite) is not. Next to
+    alpha = 1 its error can miss alpha by far more than an ulp (about 1e-8 next to kl's bound),
+    since the error moves that much between adjacent floats there.
     Otherwise alpha is refused with InfeasibleAlphaError and the errors at the sigma of greatest
     and least psi the solve evaluated; where that range would hold alpha, alpha is met only where
     the error rounds to 1, and the errors of 1 are left out.
-    evaluations counts each sigma at which the solve evaluated psi or h_c once.
+    evaluations counts the distinct sigma of psi's memo, sigma* included, and of _root_of_h's h_c;
+    the two h_c that check a proven cell are not counted.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     level, c = _log_rejection_odds(alpha_b), classical_threshold(alpha)
@@ -372,13 +397,13 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
         cuts[sigma] = cut = _cut(level, log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
         return cut
 
-    bracket = scheme._calibration_bracket(level, alpha, c, psi_at)
+    bracket = _solve_bracket(scheme, level, alpha, c, psi_at)
     lo, hi, evaluated = bracket.lo, bracket.hi, []
     hits = [end for end in (lo, hi) if _error_of(psi_at(end)) == alpha]
     sigma_star = hits[0] if hits else _root_of_h(scheme, level, c, lo, hi, evaluated)
-    cut, half = psi_at(sigma_star), 0.5 * variance_ratio(sigma_star)  # h_c = half (psi - c)
-    bound = 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(level - half * cut))  # E
-    if 0.0 < cut < _INF and abs(half * (cut - c)) <= bound:
+    log_m, ratio = log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star)
+    cut = cuts[sigma_star] = _cut(level, log_m, ratio)  # as psi_at computes it
+    if 0.0 < cut < _INF and not _h_past_rounding(level, c, log_m, ratio):
         achieved = _error_of(cut)
         return CalibrationResult(sigma_star, cut, achieved, achieved - alpha, bracket,
                                  len(cuts.keys() | evaluated))

@@ -149,6 +149,11 @@ class PriorScheme:
     #: in closed form; without one the root is found by Brent's method.
     _log_m_slope: Callable[[float], float] | None = None
 
+    def _proven_cell(self, level: float, c: float) -> tuple[float, float] | None:
+        """A sigma cell proven in closed form to hold the smallest root of h_c, or None. solve_sigma
+        takes it where calibration._h_past_rounding has opposite signs at its ends."""
+        return None
+
     def _calibration_bracket(self, level: float, alpha: float, c: float,
                              psi_at: Callable[[float], float]) -> Bracket:
         """A sigma cell whose psi values enclose c = c_alpha, where the Type I error is alpha.
@@ -176,31 +181,6 @@ class PriorScheme:
     @property
     def scheme_id(self) -> str:
         raise NotImplementedError
-
-
-def _proven_or_scanned(scheme: PriorScheme, ends: tuple[float, float] | None, level: float,
-                       alpha: float, c: float, psi_at: Callable[[float], float]) -> Bracket:
-    """Bracket(*ends) where h_c is past its rounding bound at each end, with opposite signs.
-
-    ends is a cell proven to hold the smallest root of h_c, or None where no root is proven.
-    Otherwise, an end within rounding of the root included, the base scan decides. h_c is
-    computed apart from psi_at's memo, so the scan then evaluates, refuses and counts as if
-    there were no ends.
-    """
-    if ends is not None:
-        lo, hi = ends
-        if 0.0 < lo < hi < _INF and _h_past_rounding(scheme, level, c, lo) * _h_past_rounding(
-                scheme, level, c, hi) < 0.0:
-            return Bracket(lo, hi)
-    return PriorScheme._calibration_bracket(scheme, level, alpha, c, psi_at)
-
-
-def _h_past_rounding(scheme: PriorScheme, level: float, c: float, sigma: float) -> float:
-    """h_c = (level - log m) - (c/2) ratio at sigma, as solve_sigma's root finder computes it, or
-    0.0 within solve_sigma's rounding bound 16 eps (1 + |level| + |log m|), eps = 2^-53."""
-    log_m = log_m_of_sigma(scheme, sigma)
-    h = level - log_m - 0.5 * c * variance_ratio(sigma)
-    return h if abs(h) > 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m)) else 0.0
 
 
 def _sqrt_expm1(k: float) -> float:
@@ -240,9 +220,8 @@ class FixedPrior(_LogOdds, _Record, PriorScheme):
     def _log_m_slope(self, sigma: float) -> float:
         return -_log_tau_slope(sigma)  # the odds are constant
 
-    def _calibration_bracket(self, level: float, alpha: float, c: float,
-                             psi_at: Callable[[float], float]) -> Bracket:
-        """A cell proven to hold the smallest root of h_c, else the scan (_proven_or_scanned).
+    def _proven_cell(self, level: float, c: float) -> tuple[float, float] | None:
+        """A cell that holds the smallest root of h_c, or None.
 
         With u = 1 + sigma^2 and D = level - log odds, h_c = D + log(u)/2 - (c/2)(1 - 1/u) falls
         to its least at u = c and then rises without bound.
@@ -251,17 +230,15 @@ class FixedPrior(_LogOdds, _Record, PriorScheme):
         - D <= 0: h_c < 0 up to u = max(c, e^(-2 D)), and h_c > 1/2 from u = e^(c + 1 - 2 D) on.
           Both ends are sqrt(e^k - 1) in log form. Where the log odds exceed 2 (1 + |level|),
           log m = log odds - log(u)/2 cancels near the root: its rounding, about eps (log odds +
-          log(u)/2), can pass solve_sigma's bound, and the scan decides.
+          log(u)/2), can pass solve_sigma's bound: None, and the scan decides.
         """
         d = level - self._log_odds
         if d > 0.0:
-            ends = (math.sqrt(2.0 * d / (c - 2.0 * d)), math.sqrt(c - 1.0)) \
+            return (math.sqrt(2.0 * d / (c - 2.0 * d)), math.sqrt(c - 1.0)) \
                 if c > 1.0 and 2.0 * d < _u_minus_log1p(c - 1.0) else None
-        else:
-            k = max(-2.0 * d, math.log(c))
-            ends = (_sqrt_expm1(k), _sqrt_expm1(c + 1.0 - 2.0 * d)) \
-                if k > 0.0 and self._log_odds <= 2.0 * (1.0 + abs(level)) else None
-        return _proven_or_scanned(self, ends, level, alpha, c, psi_at)
+        k = max(-2.0 * d, math.log(c))
+        return (_sqrt_expm1(k), _sqrt_expm1(c + 1.0 - 2.0 * d)) \
+            if k > 0.0 and self._log_odds <= 2.0 * (1.0 + abs(level)) else None
 
     @property
     def scheme_id(self) -> str:
@@ -304,21 +281,19 @@ class RobertPrior(_Record, PriorScheme):
         """1/sigma - sigma/(1 + sigma^2) = 1 / (sigma (1 + sigma^2)), divided twice: no overflow."""
         return 1.0 / sigma / (1.0 + sigma * sigma)
 
-    def _calibration_bracket(self, level: float, alpha: float, c: float,
-                             psi_at: Callable[[float], float]) -> Bracket:
-        """A cell proven to hold the root of h_c, else the scan (_proven_or_scanned).
+    def _proven_cell(self, level: float, c: float) -> tuple[float, float] | None:
+        """A cell that holds the root of h_c, or None.
 
         With t = 1/sigma^2 and g = level - log sqrt(2 pi), h_c = g + log1p(t)/2 - c/(2 (1 + t))
         rises with t, from g - c/2 as sigma -> inf: a root needs c > 2 g. For g > 0, log1p(t) >= 0
         keeps h_c > 0 from t = (c - 2 g)/(2 g) on, and log1p(t) <= t keeps h_c below -(c - 2 g)/6
         up to t = (c - 2 g)/(2 (1 + c)) < 1/2, since there t (1 + 2 g + t) < (c - 2 g)/2. For
-        g <= 0 (alpha_b above about 0.2853) the scan decides.
+        g <= 0 (alpha_b above about 0.2853): None, and the scan decides.
         """
         g = level - _LOG_SQRT_TWO_PI
         gap = c - 2.0 * g
-        ends = (math.sqrt(2.0 * g / gap), math.sqrt(2.0 * (1.0 + c) / gap)) \
+        return (math.sqrt(2.0 * g / gap), math.sqrt(2.0 * (1.0 + c) / gap)) \
             if gap > 0.0 < g else None
-        return _proven_or_scanned(self, ends, level, alpha, c, psi_at)
 
     @property
     def scheme_id(self) -> str:

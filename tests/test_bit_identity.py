@@ -61,13 +61,14 @@ from pathlib import Path
 
 from test_calibration import h_c_and_its_bound, scanned_requests, threshold_route
 
-from pointnull.calibration import (CalibrationSpec, decide, positivity_bound,
+from pointnull import calibration
+from pointnull.calibration import (CalibrationSpec, classical_threshold, decide, positivity_bound,
                                    power_analytic, psi, psi_sweep, solve_sigma, type_i_error)
 from pointnull.model import (AlternativeSpread, Observation, bayes_factor, posterior_from_log_odds,
-                             posterior_h0)
+                             posterior_h0, variance_ratio)
 from pointnull.numerics import Bracket, DomainError, find_root_bracketed
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
-                              paradox_sweep)
+                              log_m_of_sigma, paradox_sweep)
 
 CALLS_PER_FUNCTION = 12_000
 SWEEPS, ROWS_PER_SWEEP = 300, 25
@@ -386,6 +387,29 @@ def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
         assert h_c <= stated, (*args[:2], args[2].scheme_id)
         answered += 1
     assert answered == 1506
+
+
+def test_every_answer_passes_the_predicate_that_takes_a_proven_cell():
+    """Each sigma* solve_sigma returns for the sigma-root and proven requests: psi > 0 there, and
+    calibration._h_past_rounding, which also decides whether a proven cell is the bracket, reads
+    h_c there as 0, with log m as computed."""
+    proven = (("proven", _solve, args) for args in proven_requests())
+    answered = 0
+    for _, call, args in itertools.chain(sigma_root_calls(), proven):
+        if call is not _solve:
+            continue
+        try:
+            result = _solve(*args)
+        except DomainError:
+            continue
+        alpha, alpha_b, scheme = args
+        sigma, level, c = (result.sigma_star, calibration._log_rejection_odds(alpha_b),
+                           classical_threshold(alpha))
+        h_c = calibration._h_past_rounding(level, c, log_m_of_sigma(scheme, sigma),
+                                           variance_ratio(sigma))
+        assert result.psi_at_sigma > 0.0 and h_c == 0.0, (alpha, alpha_b, scheme.scheme_id)
+        answered += 1
+    assert answered == 1506 + 608  # the sigma-root requests' and the proven family's
 
 
 def _step(at):

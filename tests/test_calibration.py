@@ -64,14 +64,14 @@ class ScannedRobert(RobertPrior):
     """robert's log odds and slope on the base scan, as RobertPrior solved before its bracket."""
 
     __slots__ = ()
-    _calibration_bracket = PriorScheme._calibration_bracket
+    _proven_cell = PriorScheme._proven_cell
 
 
 class ScannedFixed(FixedPrior):
     """A fixed mass on the base scan, as FixedPrior solved before its bracket."""
 
     __slots__ = ()
-    _calibration_bracket = PriorScheme._calibration_bracket
+    _proven_cell = PriorScheme._proven_cell
 
 
 SCANNED_ROBERT, SCANNED_FIXED_03 = ScannedRobert(), ScannedFixed(0.3)
@@ -729,12 +729,16 @@ def counting_type_i_error(monkeypatch):
 
 
 def counting_psi(monkeypatch):
-    """The sigma of each psi that solve_sigma's memo computes: its psi_at's log m calls."""
+    """The sigma of each psi that solve_sigma's memo computes: its psi_at's log m calls, and the
+    acceptance's at sigma* where it fills the memo. Where psi_at has sigma* already, as at the
+    end a refusal stops at, the acceptance's log m adds no psi and is not listed."""
     calls = []
     real = calibration.log_m_of_sigma
 
     def counted(scheme, sigma):
-        if sys._getframe(1).f_code.co_name == "psi_at":
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "psi_at" or (caller.f_code.co_name == "solve_sigma"
+                                                 and sigma not in caller.f_locals["cuts"]):
             calls.append(sigma)
         return real(scheme, sigma)
 
@@ -796,7 +800,7 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
         psi_at, cuts = psi_memo(spec)
         level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
         try:
-            bracket = spec.scheme._calibration_bracket(level, spec.alpha, c, psi_at)
+            bracket = calibration._solve_bracket(spec.scheme, level, spec.alpha, c, psi_at)
         except InfeasibleAlphaError as refusal:
             got = (refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
             assert spec.scheme is KL and spec.alpha_b >= 0.5, spec  # the error is 1 everywhere
@@ -1138,15 +1142,17 @@ def test_the_scan_stops_at_the_first_cell_that_encloses_alpha(monkeypatch):
 
 
 def recording_ends(monkeypatch):
-    """The ends each scheme hands priors._proven_or_scanned: its proven cell, or None."""
+    """The ends robert's and fixed's _proven_cell return: each proven cell, or None."""
     ends = []
-    real = priors._proven_or_scanned
 
-    def recorded(scheme, proposed, *args):
-        ends.append(proposed)
-        return real(scheme, proposed, *args)
+    def recording(real):
+        def recorded(scheme, level, c):
+            ends.append(proposed := real(scheme, level, c))
+            return proposed
+        return recorded
 
-    monkeypatch.setattr(priors, "_proven_or_scanned", recorded)
+    for cls in (RobertPrior, FixedPrior):
+        monkeypatch.setattr(cls, "_proven_cell", recording(cls._proven_cell))
     return ends
 
 
@@ -1189,7 +1195,7 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
         level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
         ends.clear()
         psi_at, cuts = psi_memo(spec)
-        bracket = scheme._calibration_bracket(level, spec.alpha, c, psi_at)
+        bracket = calibration._solve_bracket(scheme, level, spec.alpha, c, psi_at)
         [proposed] = ends
         if not cuts:
             assert proposed == (bracket.lo, bracket.hi), spec
@@ -1220,6 +1226,23 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             outcomes.add("an end within rounding")
     assert outcomes == {"proven", "proven, where the scan refuses", "no root", "log m cancels",
                         "an end past float range", "an end within rounding"}
+
+
+def test_robert_and_fixed_prove_their_cells_without_a_log_m(monkeypatch):
+    """_proven_cell is pure math: with log_m_of_sigma raising in priors and calibration, and so
+    psi too, robert's and fixed's cells for bracket_requests are what they are without it."""
+    requests = [(spec.scheme, calibration._log_rejection_odds(spec.alpha_b),
+                 classical_threshold(spec.alpha)) for spec in bracket_requests()]
+    cells = [scheme._proven_cell(level, c) for scheme, level, c in requests]
+
+    def refused(scheme, sigma):
+        raise AssertionError(f"log m computed at sigma={sigma!r} for {scheme.scheme_id}")
+
+    for module in (priors, calibration):
+        monkeypatch.setattr(module, "log_m_of_sigma", refused)
+    assert [scheme._proven_cell(level, c) for scheme, level, c in requests] == cells
+    assert None in cells and {type(scheme) for (scheme, _, _), cell in zip(requests, cells)
+                              if cell is not None} == {RobertPrior, FixedPrior}
 
 
 def test_the_brackets_of_pinned_requests():

@@ -6,7 +6,8 @@ by a name, an attribute or an import. Every public name in the package's
 export map must be loaded so too, or be named in README.md. Every name a
 module imports must be read in that module. Every exception class defined
 there must be raised there. Every module parses as the oldest Python that
-pyproject.toml's requires-python admits.
+pyproject.toml's requires-python admits. solve_sigma's rounding bound E is
+written once, so no copy of it can drift from the one that accepts sigma*.
 """
 
 import ast
@@ -145,3 +146,13 @@ def test_every_module_parses_as_the_oldest_supported_python():
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, int(floor.group(1))))
+
+
+def test_solve_sigmas_rounding_bound_is_written_once():
+    """E = 16 eps (1 + |level| + |log m|), which takes a proven cell and accepts sigma*, has one
+    copy in src/; _band's tau, which adds a term after |log m|, is not E."""
+    bound = re.compile(r"16\.0 \* 2\.0\*\*-53 \* \(1\.0 \+ abs\(level\) \+ abs\([^()]*\)\)")
+    copies = [f"{path.name}:{number}" for path in sorted(SRC.glob("*.py"))
+              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+              if bound.search(line)]
+    assert len(copies) == 1, copies
