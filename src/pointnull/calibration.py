@@ -15,6 +15,7 @@ and the decision rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -337,19 +338,56 @@ def _h_past_rounding(level: float, c: float, log_m: float, ratio: float) -> floa
     return h if abs(h) > 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m)) else 0.0
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_passes(lo: float, hi: float) -> tuple[tuple[float, ...], ...]:
+    """The scan's 1, 16 and 64 sigma per decade of 10^-3 .. 10^3 in (lo, hi), once per domain.
+
+    The coarser passes are slices of the finest, so each of their points is one of its points bit
+    for bit. The domain's finite ends close each pass. When hi is inf the last goes on to 1e6 and
+    1e12: flat schemes reach some targets only there, and their errors bound a refusal's range.
+    """
+    grid = [10.0 ** (k + j / 64) for k in range(-3, 3) for j in range(64)] + [1e3]
+    head, tail = (lo,) * (lo > 0.0), (hi,) * (hi < math.inf)
+    coarse, mid, fine = (head + tuple(s for s in grid[::step] if lo < s < hi) + tail
+                         for step in (64, 4, 1))
+    return coarse, mid, fine + (tuple(s for s in (1e6, 1e12) if lo < s) if hi == math.inf else ())
+
+
+def _scan_bracket(scheme: PriorScheme, c: float, psi_at: Callable[[float], float]) -> Bracket:
+    """The sigma scan: the first cell of a pass of _scan_passes whose psi values enclose c.
+
+    psi_at(sigma), solve_sigma's memo, is psi, -inf where every x rejects. A pass that encloses
+    nothing is evaluated whole, and the next refines it. Where none does: the last pass's cell
+    nearest c, at whose end h_c may be zero to within rounding; a lone sigma is unsupported.
+    """
+    lo, hi = scheme.sigma_domain()
+    for pts in _scan_passes(lo, hi):
+        gaps = [abs((p_lo := psi_at(pts[0])) - c)]
+        for s_lo, s_hi in zip(pts, pts[1:]):
+            p_hi = psi_at(s_hi)
+            if p_lo <= c <= p_hi or p_hi <= c <= p_lo:
+                return Bracket(s_lo, s_hi)
+            gaps.append(abs((p_lo := p_hi) - c))
+    if len(pts) < 2:  # no cell, though the one sigma may well achieve alpha
+        raise UnsupportedSchemeError(f"the sigma scan cannot split the domain {(lo, hi)!r}")
+    k = min(gaps.index(min(gaps)), len(pts) - 2)  # the first cell holding the sigma nearest c
+    return Bracket(pts[k], pts[k + 1])
+
+
 def _solve_bracket(scheme: PriorScheme, level: float, alpha: float, c: float,
-                   psi_at: Callable[[float], float]) -> Bracket:
-    """solve_sigma's bracket: scheme._proven_cell where _h_past_rounding has opposite signs at its
-    ends, else scheme._calibration_bracket. The cell's log m are computed apart from psi_at, so
-    a scan after a rejected cell evaluates, refuses and counts as if there were no cell."""
-    cell = scheme._proven_cell(level, c)
-    if cell is not None:
-        lo, hi = cell
-        if 0.0 < lo < hi < _INF and (
-                _h_past_rounding(level, c, log_m_of_sigma(scheme, lo), variance_ratio(lo))
-                * _h_past_rounding(level, c, log_m_of_sigma(scheme, hi), variance_ratio(hi)) < 0.0):
+                   cuts: dict[float, float], psi_at: Callable[[float], float]) -> Bracket:
+    """solve_sigma's bracket: scheme._proven_cell where _h_past_rounding is nonzero at its lower
+    end, below which the proof fixes h_c's sign, and not of that sign at its upper end, with its
+    ends' psi put into the memo cuts as psi_at computes it; else _scan_bracket through psi_at."""
+    cell = scheme._proven_cell(level, alpha, c)
+    if cell is not None and 0.0 < (lo := cell[0]) < (hi := cell[1]) < _INF:
+        m_lo, r_lo, m_hi, r_hi = (log_m_of_sigma(scheme, lo), variance_ratio(lo),
+                                  log_m_of_sigma(scheme, hi), variance_ratio(hi))
+        h_lo = _h_past_rounding(level, c, m_lo, r_lo)
+        if h_lo and h_lo * _h_past_rounding(level, c, m_hi, r_hi) <= 0.0:
+            cuts[lo], cuts[hi] = _cut(level, m_lo, r_lo), _cut(level, m_hi, r_hi)
             return Bracket(lo, hi)
-    return scheme._calibration_bracket(level, alpha, c, psi_at)
+    return _scan_bracket(scheme, c, psi_at)
 
 
 def _error_of(cut: float) -> float:
@@ -364,12 +402,12 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     (ratio/2)(psi - c_alpha), is 0: L = log(1/alpha_b - 1), c_alpha = classical_threshold(alpha).
     One predicate, _h_past_rounding, reads h_c as the root finder computes it, or 0 within its
     rounding bound E = 16 eps (1 + |L| + |log m|), eps = 2^-53, log m as computed (as _band takes
-    base). It takes the scheme's _proven_cell as the bracket where h_c is past E at both ends
-    with opposite signs; else _calibration_bracket encloses c_alpha (the default scan evaluates
-    each pass up to its first cell enclosing it, else returns the cell nearest it). An end whose
-    error is alpha is the candidate; otherwise Newton's method on h_c, or Brent's without a
-    slope, finds the float nearest its root (_root_of_h): h_c has neither erfc nor sqrt, so it
-    does not flatten out. It accepts the candidate where psi > 0 and it reads h_c as 0. E adds:
+    base). Every bracket comes from _solve_bracket: the scheme's _proven_cell where h_c is past E
+    at its lower end and not of that sign at its upper end, else the scan's cell enclosing
+    c_alpha, or nearest it. An end whose error is alpha is the candidate; otherwise Newton's
+    method on h_c, or Brent's without a slope, finds the float nearest its root (_root_of_h):
+    h_c has neither erfc nor sqrt, so it does not flatten out. It accepts the candidate where
+    psi > 0 and it reads h_c as 0. E adds:
     - _band's step 2: L is within eps (3 |L| + 3) of log(1/alpha_b - 1); the gap L - log m,
       (c/2) ratio and h_c round once each; ratio is within 4 eps, and (c/2) ratio with it.
     - c_alpha is within 1 + k (11 + c) ulp (classical_threshold), and k c <= 2 by
@@ -384,8 +422,8 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     Otherwise alpha is refused with InfeasibleAlphaError and the errors at the sigma of greatest
     and least psi the solve evaluated; where that range would hold alpha, alpha is met only where
     the error rounds to 1, and the errors of 1 are left out.
-    evaluations counts the distinct sigma of psi's memo, sigma* included, and of _root_of_h's h_c;
-    the two h_c that check a proven cell are not counted.
+    evaluations counts the distinct sigma of psi's memo (a taken cell's ends and sigma* included)
+    and of _root_of_h's h_c: only the two h_c of a cell that is not taken are left out.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     level, c = _log_rejection_odds(alpha_b), classical_threshold(alpha)
@@ -397,7 +435,7 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
         cuts[sigma] = cut = _cut(level, log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
         return cut
 
-    bracket = _solve_bracket(scheme, level, alpha, c, psi_at)
+    bracket = _solve_bracket(scheme, level, alpha, c, cuts, psi_at)
     lo, hi, evaluated = bracket.lo, bracket.hi, []
     hits = [end for end in (lo, hi) if _error_of(psi_at(end)) == alpha]
     sigma_star = hits[0] if hits else _root_of_h(scheme, level, c, lo, hi, evaluated)

@@ -40,6 +40,8 @@ class ConfigError(ValueError):
 
 
 def _read_config(path: str) -> dict[str, str]:
+    """The file's key=value lines. A key of another subcommand is kept; one of none is refused."""
+    options = {flag.replace("-", "_") for *_, flags in _COMMANDS.values() for flag in flags}
     try:
         with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
             lines = handle.readlines()
@@ -53,7 +55,10 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        if (name := key.strip().replace("-", "_")) not in options:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}: no subcommand "
+                              "takes that option")
+        values[name] = value.strip()
     return values
 
 

@@ -20,7 +20,6 @@ usable far past the point where m itself overflows.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from typing import Callable, NamedTuple
@@ -30,7 +29,7 @@ from .model import (Observation, _exp_or_inf, _stable_inv_logistic, _x2_term, lo
                     variance_ratio)
 # Unused here, but bench/tracing.py rebinds pointnull.priors.posterior_h0 (INNER_CALLS).
 from .model import posterior_h0  # noqa: F401
-from .numerics import (_INF, Bracket, DomainError, _check_prob, _check_sigma, _Record, _set,
+from .numerics import (_INF, DomainError, _check_prob, _check_sigma, _Record, _set,
                        _u_minus_log1p)
 
 __all__ = _EXPORTS["priors"]
@@ -93,21 +92,6 @@ def _log_tau_slope(sigma: float) -> float:
     return 1.0 / (sigma + 1.0 / sigma) if sigma > 1.0 else sigma / (1.0 + sigma * sigma)
 
 
-@functools.lru_cache(maxsize=64)
-def _scan_passes(lo: float, hi: float) -> tuple[tuple[float, ...], ...]:
-    """The scan's 1, 16 and 64 sigma per decade of 10^-3 .. 10^3 in (lo, hi), once per domain.
-
-    The coarser passes are slices of the finest, so each of their points is one of its points bit
-    for bit. The domain's finite ends close each pass. When hi is inf the last goes on to 1e6 and
-    1e12: flat schemes reach some targets only there, and their errors bound a refusal's range.
-    """
-    grid = [10.0 ** (k + j / 64) for k in range(-3, 3) for j in range(64)] + [1e3]
-    head, tail = (lo,) * (lo > 0.0), (hi,) * (hi < math.inf)
-    coarse, mid, fine = (head + tuple(s for s in grid[::step] if lo < s < hi) + tail
-                         for step in (64, 4, 1))
-    return coarse, mid, fine + (tuple(s for s in (1e6, 1e12) if lo < s) if hi == math.inf else ())
-
-
 class PriorScheme:
     """Base class for rules assigning prior null mass as a function of sigma."""
 
@@ -149,34 +133,10 @@ class PriorScheme:
     #: in closed form; without one the root is found by Brent's method.
     _log_m_slope: Callable[[float], float] | None = None
 
-    def _proven_cell(self, level: float, c: float) -> tuple[float, float] | None:
-        """A sigma cell proven in closed form to hold the smallest root of h_c, or None. solve_sigma
-        takes it where calibration._h_past_rounding has opposite signs at its ends."""
+    def _proven_cell(self, level: float, alpha: float, c: float) -> tuple[float, float] | None:
+        """A cell proven in closed form to hold the smallest root of h_c, c = c_alpha, with h_c of
+        one sign below it, or None; calibration._solve_bracket checks its ends or scans."""
         return None
-
-    def _calibration_bracket(self, level: float, alpha: float, c: float,
-                             psi_at: Callable[[float], float]) -> Bracket:
-        """A sigma cell whose psi values enclose c = c_alpha, where the Type I error is alpha.
-
-        level is log(1/alpha_b - 1); psi_at(sigma), memoized by solve_sigma, is psi, -inf where
-        every x rejects. This default walks each pass of _scan_passes in order and returns the
-        first cell that encloses c; a pass that encloses nothing is evaluated whole, and the next
-        one refines it. Where no cell does, it returns the last pass's cell nearest c, at whose
-        end h_c may still be zero to within rounding, for solve_sigma to answer or refuse; a
-        lone sigma is unsupported.
-        """
-        lo, hi = self.sigma_domain()
-        for pts in _scan_passes(lo, hi):
-            gaps = [abs((p_lo := psi_at(pts[0])) - c)]
-            for s_lo, s_hi in zip(pts, pts[1:]):
-                p_hi = psi_at(s_hi)
-                if p_lo <= c <= p_hi or p_hi <= c <= p_lo:
-                    return Bracket(s_lo, s_hi)
-                gaps.append(abs((p_lo := p_hi) - c))
-        if len(pts) < 2:  # no cell, though the one sigma may well achieve alpha
-            raise UnsupportedSchemeError(f"the sigma scan cannot split the domain {(lo, hi)!r}")
-        k = min(gaps.index(min(gaps)), len(pts) - 2)  # the first cell holding the sigma nearest c
-        return Bracket(pts[k], pts[k + 1])
 
     @property
     def scheme_id(self) -> str:
@@ -220,7 +180,7 @@ class FixedPrior(_LogOdds, _Record, PriorScheme):
     def _log_m_slope(self, sigma: float) -> float:
         return -_log_tau_slope(sigma)  # the odds are constant
 
-    def _proven_cell(self, level: float, c: float) -> tuple[float, float] | None:
+    def _proven_cell(self, level: float, alpha: float, c: float) -> tuple[float, float] | None:
         """A cell that holds the smallest root of h_c, or None.
 
         With u = 1 + sigma^2 and D = level - log odds, h_c = D + log(u)/2 - (c/2)(1 - 1/u) falls
@@ -281,7 +241,7 @@ class RobertPrior(_Record, PriorScheme):
         """1/sigma - sigma/(1 + sigma^2) = 1 / (sigma (1 + sigma^2)), divided twice: no overflow."""
         return 1.0 / sigma / (1.0 + sigma * sigma)
 
-    def _proven_cell(self, level: float, c: float) -> tuple[float, float] | None:
+    def _proven_cell(self, level: float, alpha: float, c: float) -> tuple[float, float] | None:
         """A cell that holds the root of h_c, or None.
 
         With t = 1/sigma^2 and g = level - log sqrt(2 pi), h_c = g + log1p(t)/2 - c/(2 (1 + t))
@@ -338,21 +298,18 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         """sigma - sigma/(1 + sigma^2) = sigma ratio(sigma), which cannot cancel."""
         return sigma * variance_ratio(sigma)
 
-    def _calibration_bracket(self, level: float, alpha: float, c: float,
-                             psi_at: Callable[[float], float]) -> Bracket:
+    def _proven_cell(self, level: float, alpha: float, c: float) -> tuple[float, float]:
         """[sqrt(L / (1/2 - log alpha)), the positivity bound] with L = level, if alpha_b < 1/2.
 
-        log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so with
-        erfc(x) <= e^(-x^2) the Type I error at the lower end is at most alpha, while it is 1 at
-        the bound; the lower end lies below the bound, whose square exceeds 2 L. The error at the
-        rounded bound is below 1 (about 1 - 3.6e-8 at alpha_b = 0.05). A target above it has the
-        root of h_c just past the bound, where psi rounds to <= 0, and solve_sigma answers with
-        the bound if h_c is zero there to within rounding. For alpha_b >= 1/2 the error is 1
-        everywhere.
+        log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so by erfc(x) <=
+        e^(-x^2) the error, rising with sigma, is <= alpha up to the lower end (h_c > 0), and 1 at
+        the bound, whose square exceeds 2 L. At the rounded bound it is below 1 (1 - 3.6e-8 at
+        alpha_b = 0.05): a target above that has its root just past the bound, and is answered
+        with the bound where h_c is within rounding there. For alpha_b >= 1/2 the error is 1.
         """
         if level <= 0.0:
             raise InfeasibleAlphaError(alpha, 1.0, 1.0)
-        return Bracket(math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level))
+        return math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level)
 
     @property
     def scheme_id(self) -> str:

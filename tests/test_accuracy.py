@@ -18,9 +18,10 @@ from test_calibration import NoSlopeTable, WavyPrior, bracket_requests, threshol
 from test_golden import CASES, GOLDEN
 
 from pointnull.calibration import (CalibrationSpec, InfeasibleAlphaError, PsiDomainError, _band,
-                                   _log_rejection_odds, classical_threshold, decide,
-                                   positivity_bound, psi, psi_sweep, solve_sigma, type_i_error)
-from pointnull.model import Observation, _stable_inv_logistic
+                                   _h_past_rounding, _log_rejection_odds, classical_threshold,
+                                   decide, positivity_bound, psi, psi_sweep, solve_sigma,
+                                   type_i_error)
+from pointnull.model import Observation, _stable_inv_logistic, variance_ratio
 from pointnull.numerics import _u_minus_log1p, std_normal_quantile
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
                               log_m_of_sigma, scheme_from_string)
@@ -566,6 +567,42 @@ def test_fixed_targets_the_scan_refused_solve_to_the_root(alpha, rho0, near):
     assert ulps(result.sigma_star, root) <= _sigma_star_bound(kappa)
     assert abs(result.sigma_star / near - 1.0) < 1e-3
     assert abs(result.residual) <= 5e-12 * alpha
+
+
+def fixed_peak_reference(rho0: float, alpha_b: float) -> float:
+    """A fixed mass's greatest Type I error, erfc(sqrt((1 + v) / 2)) with v - log1p(v) = 2 D.
+
+    D = log(1/alpha_b - 1) - log((1 - rho0) / rho0). With u = 1 + sigma^2, h_c = D + log(u)/2
+    - (c/2)(1 - 1/u) is least at u = c, and that least value, D - (v - log1p(v))/2 with
+    v = c - 1, is 0 at the peak's c. 60 digits, at the float rho0 and alpha_b.
+    """
+    with mpmath.workdps(60):
+        a, r = mpmath.mpf(alpha_b), mpmath.mpf(rho0)
+        d = mpmath.log1p(-a) - mpmath.log(a) - (mpmath.log1p(-r) - mpmath.log(r))
+        v = mpmath.findroot(lambda v: v - mpmath.log1p(v) - 2 * d, 2 * (d + mpmath.sqrt(d)))
+        return float(mpmath.erfc(mpmath.sqrt((1 + v) / 2)))
+
+
+@pytest.mark.parametrize("k", (4, 8, 16))
+@pytest.mark.parametrize("rho0", (0.3, 0.5, 0.7))
+def test_fixed_targets_within_rounding_below_the_peak_solve_to_the_root(rho0, k):
+    """alpha = peak (1 - k 2^-52) at alpha_b = 0.05, the peak from fixed_peak_reference.
+
+    The upper end of fixed's cell, sqrt(c - 1), is where h_c is least, and there it is within
+    its rounding bound E; the lower end is clear of it, so the cell is taken. The answer lies
+    within 2 + 21 kappa ulp of the 60-digit root of h_c, and passes the acceptance predicate:
+    psi > 0 and _h_past_rounding reads 0. Before the upper end was allowed within E the scan
+    refused these targets.
+    """
+    alpha = fixed_peak_reference(rho0, 0.05) * (1.0 - k * 2.0**-52)
+    spec = CalibrationSpec(alpha, 0.05, FixedPrior(rho0))
+    result = solve_sigma(spec)
+    root, kappa = h_root_reference(spec.scheme, alpha, 0.05, result.sigma_star)
+    assert ulps(result.sigma_star, root) <= _sigma_star_bound(kappa), kappa
+    sigma, level = result.sigma_star, _log_rejection_odds(0.05)
+    assert result.psi_at_sigma > 0.0 and _h_past_rounding(
+        level, classical_threshold(alpha), log_m_of_sigma(spec.scheme, sigma),
+        variance_ratio(sigma)) == 0.0
 
 
 SLOPE_SCHEMES = (KL, ROBERT, FixedPrior(0.3), FixedPrior(1e-12), TABLE)

@@ -31,8 +31,8 @@ from pointnull.model import (AlternativeSpread, Observation, _x2_term, posterior
 from pointnull.montecarlo import SimulationPlan, simulate_power
 from pointnull.numerics import Bracket, DomainError, _upper_tail, std_normal_cdf
 from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior,
-                              PriorScheme, RobertPrior, UnsupportedSchemeError, _scan_passes,
-                              log_m_of_sigma, m_of_sigma, paradox_sweep)
+                              PriorScheme, RobertPrior, UnsupportedSchemeError, log_m_of_sigma,
+                              m_of_sigma, paradox_sweep)
 
 # Frozen extended-precision references.
 PSI_KL_1 = 11.164050277785652459  # psi(sigma=1, alpha_b=0.05, kl)
@@ -800,7 +800,7 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
         psi_at, cuts = psi_memo(spec)
         level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
         try:
-            bracket = calibration._solve_bracket(spec.scheme, level, spec.alpha, c, psi_at)
+            bracket = calibration._solve_bracket(spec.scheme, level, spec.alpha, c, cuts, psi_at)
         except InfeasibleAlphaError as refusal:
             got = (refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
             assert spec.scheme is KL and spec.alpha_b >= 0.5, spec  # the error is 1 everywhere
@@ -891,15 +891,15 @@ def test_scan_passes_are_the_reference_grid_bit_for_bit():
         lo, hi = sorted((end(), end()))
         domains.append((0.0 if rng.random() < 0.2 else lo, math.inf if rng.random() < 0.2 else hi))
     for lo, hi in domains:
-        passes = _scan_passes(lo, hi)
+        passes = calibration._scan_passes(lo, hi)
         assert passes == reference_scan_passes(lo, hi), (lo, hi)  # no two positive floats tie
         for coarse, fine in zip(passes, passes[1:]):
             finer = iter(fine)
             assert all(s in finer for s in coarse), (lo, hi)  # a subsequence, in order
 
 
-def eager_calibration_bracket(scheme, level, alpha, c, psi_at):
-    """The base PriorScheme._calibration_bracket as it was before it stopped at the first cell.
+def eager_calibration_bracket(scheme, c, psi_at):
+    """The sigma scan (calibration._scan_bracket) as it was before it stopped at the first cell.
 
     Each pass computes psi at every point, then returns the first cell that
     encloses c; where none does, the last pass's cell nearest c. The scan as
@@ -940,12 +940,11 @@ def psi_memo(spec):
 def scan_outcome(scan, spec):
     """scan's Bracket for spec, and the psi it computed at each sigma, in order.
 
-    scan(level, alpha, c, psi_at) gets a memo of psi, as solve_sigma gives,
+    scan(scheme, c, psi_at) gets a memo of psi, as solve_sigma gives,
     so each sigma is listed once.
     """
     psi_at, cuts = psi_memo(spec)
-    level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
-    return scan(level, spec.alpha, c, psi_at), cuts
+    return scan(spec.scheme, classical_threshold(spec.alpha), psi_at), cuts
 
 
 def walk_and_eager_scan(spec):
@@ -955,9 +954,8 @@ def walk_and_eager_scan(spec):
     eager scan's sigma in the same order; a cell that does not enclose c_alpha
     comes after them all.
     """
-    walked, walk_cuts = scan_outcome(spec.scheme._calibration_bracket, spec)
-    eager, eager_cuts = scan_outcome(
-        lambda *args: eager_calibration_bracket(spec.scheme, *args), spec)
+    walked, walk_cuts = scan_outcome(calibration._scan_bracket, spec)
+    eager, eager_cuts = scan_outcome(eager_calibration_bracket, spec)
     assert walked == eager, spec
     walk_order, eager_order = list(walk_cuts), list(eager_cuts)
     assert walk_order == eager_order[:len(walk_order)], spec
@@ -1146,14 +1144,27 @@ def recording_ends(monkeypatch):
     ends = []
 
     def recording(real):
-        def recorded(scheme, level, c):
-            ends.append(proposed := real(scheme, level, c))
+        def recorded(scheme, level, alpha, c):
+            ends.append(proposed := real(scheme, level, alpha, c))
             return proposed
         return recorded
 
     for cls in (RobertPrior, FixedPrior):
         monkeypatch.setattr(cls, "_proven_cell", recording(cls._proven_cell))
     return ends
+
+
+def recording_scans(monkeypatch):
+    """The scheme of each sigma scan (calibration._scan_bracket) run."""
+    scans = []
+    real = calibration._scan_bracket
+
+    def recorded(scheme, c, psi_at):
+        scans.append(scheme)
+        return real(scheme, c, psi_at)
+
+    monkeypatch.setattr(calibration, "_scan_bracket", recorded)
+    return scans
 
 
 def answer_or_refusal(spec):
@@ -1166,8 +1177,9 @@ def answer_or_refusal(spec):
 def bracket_requests():
     """robert and fixed requests: scanned_requests' own, then seeded ones with alpha from 1e-300
     to within 1e-15 of 1, alpha_b from 1e-300 to 0.9 (robert's g = L - log sqrt(2 pi) is
-    negative above 0.2853) and masses from 1e-300 to 0.99, then three edges: a proven end within
-    rounding of the root, a mass whose log m cancels near it, and an end past float range."""
+    negative above 0.2853) and masses from 1e-300 to 0.99, then four edges: a proven end within
+    rounding of the root, a mass whose log m cancels near it, an end past float range, and a
+    target 8 ulp below fixed:0.3's peak error, where only the upper end is within rounding."""
     rng = random.Random(44)
     specs = [spec for spec in scanned_requests() if type(spec.scheme) in (RobertPrior, FixedPrior)]
     for _ in range(400):
@@ -1179,30 +1191,38 @@ def bracket_requests():
         specs.append(CalibrationSpec(alpha, alpha_b, rng.choice((ROBERT, FixedPrior(rho0)))))
     return specs + [CalibrationSpec(0.9999999999999999, 0.05, FixedPrior(0.0009)),
                     CalibrationSpec(0.05, 0.05, FixedPrior(1e-300)),
-                    CalibrationSpec(1e-300, 1e-10, FixedPrior(1e-20))]
+                    CalibrationSpec(1e-300, 1e-10, FixedPrior(1e-20)),
+                    CalibrationSpec(0.007441244218194309, 0.05, FIXED_03)]
 
 
 def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeypatch):
     """Where the scheme proves a cell and h_c, as the root finder computes it, is past its rounding
-    bound E at both ends with opposite signs, that cell is the bracket, found without a psi.
+    bound E at the lower end and, at the upper end, past it with the opposite sign or within it,
+    that cell is the bracket, found without a scan, and the memo holds psi at its two ends.
     The solve then answers in it, at the root the scan brackets where the scan answers.
     Everywhere else the scan decides as on the base scan: the same bracket, psi at the same sigma
     in the same order, and the same answer, evaluation count or refusal."""
-    ends = recording_ends(monkeypatch)
+    ends, scans = recording_ends(monkeypatch), recording_scans(monkeypatch)
     outcomes = set()
     for spec in bracket_requests():
         scanned, scheme = on_the_scan(spec), spec.scheme
         level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
         ends.clear()
+        scans.clear()
         psi_at, cuts = psi_memo(spec)
-        bracket = calibration._solve_bracket(scheme, level, spec.alpha, c, psi_at)
+        bracket = calibration._solve_bracket(scheme, level, spec.alpha, c, cuts, psi_at)
         [proposed] = ends
-        if not cuts:
+        if not scans:
             assert proposed == (bracket.lo, bracket.hi), spec
+            assert cuts == {sigma: calibration._cut(level, log_m_of_sigma(scheme, sigma),
+                                                    variance_ratio(sigma)) for sigma in proposed}
             rises = type(scheme) is FixedPrior and level <= scheme._log_odds  # h_c < 0 at lo
             for sigma in proposed:
                 h_c = level - log_m_of_sigma(scheme, sigma) - 0.5 * c * variance_ratio(sigma)
                 stated = 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m_of_sigma(scheme, sigma)))
+                if sigma == proposed[1] and abs(h_c) <= stated:
+                    outcomes.add("upper end within rounding: the cell is taken")
+                    continue
                 assert abs(h_c) > stated, spec
                 assert (h_c > 0.0) == ((sigma == proposed[0]) != rises), spec
             result = solve_sigma(spec)
@@ -1214,7 +1234,7 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             assert scan.bracket_used.lo <= result.sigma_star <= scan.bracket_used.hi, spec
             outcomes.add("proven")
             continue
-        scan_bracket, scan_cuts = scan_outcome(scanned.scheme._calibration_bracket, scanned)
+        scan_bracket, scan_cuts = scan_outcome(calibration._scan_bracket, scanned)
         assert (scan_bracket, list(scan_cuts.items())) == (bracket, list(cuts.items())), spec
         assert answer_or_refusal(spec) == answer_or_refusal(scanned), spec
         if proposed is None:
@@ -1225,24 +1245,72 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
         else:
             outcomes.add("an end within rounding")
     assert outcomes == {"proven", "proven, where the scan refuses", "no root", "log m cancels",
-                        "an end past float range", "an end within rounding"}
+                        "an end past float range", "an end within rounding",
+                        "upper end within rounding: the cell is taken"}
+
+
+def proven_cell_or_refusal(scheme, level, alpha, c):
+    try:
+        return scheme._proven_cell(level, alpha, c)
+    except InfeasibleAlphaError as exc:
+        return (exc.requested, exc.achievable_lo, exc.achievable_hi)
 
 
 def test_robert_and_fixed_prove_their_cells_without_a_log_m(monkeypatch):
     """_proven_cell is pure math: with log_m_of_sigma raising in priors and calibration, and so
-    psi too, robert's and fixed's cells for bracket_requests are what they are without it."""
-    requests = [(spec.scheme, calibration._log_rejection_odds(spec.alpha_b),
-                 classical_threshold(spec.alpha)) for spec in bracket_requests()]
-    cells = [scheme._proven_cell(level, c) for scheme, level, c in requests]
+    psi too, robert's and fixed's cells for bracket_requests, and kl's at the same alpha and
+    alpha_b, are what they are without it. So is kl's refusal of alpha_b >= 1/2, where the error
+    is 1 at every sigma."""
+    requests = [(scheme, calibration._log_rejection_odds(spec.alpha_b), spec.alpha,
+                 classical_threshold(spec.alpha))
+                for spec in bracket_requests() for scheme in (spec.scheme, KL)]
+    cells = [proven_cell_or_refusal(*request) for request in requests]
 
     def refused(scheme, sigma):
         raise AssertionError(f"log m computed at sigma={sigma!r} for {scheme.scheme_id}")
 
     for module in (priors, calibration):
         monkeypatch.setattr(module, "log_m_of_sigma", refused)
-    assert [scheme._proven_cell(level, c) for scheme, level, c in requests] == cells
-    assert None in cells and {type(scheme) for (scheme, _, _), cell in zip(requests, cells)
-                              if cell is not None} == {RobertPrior, FixedPrior}
+    assert [proven_cell_or_refusal(*request) for request in requests] == cells
+    assert None in cells and {type(scheme) for (scheme, *_), cell in zip(requests, cells)
+                              if cell is not None} == {RobertPrior, FixedPrior,
+                                                       KLSelfInformationPrior}
+    for (scheme, level, alpha, _), cell in zip(requests, cells):
+        if scheme is KL:
+            assert (cell == (alpha, 1.0, 1.0)) == (level <= 0.0), (level, alpha)
+
+
+class ScannedKL(KLSelfInformationPrior):
+    """kl's log odds and slope on the sigma scan, with no proven cell."""
+
+    __slots__ = ()
+    _proven_cell = PriorScheme._proven_cell
+
+
+def test_kl_leaves_its_cell_to_the_scan_where_its_lower_end_is_within_rounding(monkeypatch):
+    """kl's cell is checked like robert's and fixed's: where _h_past_rounding reads 0 at its lower
+    end, the solve takes the scan's bracket, and answers and counts as kl on the scan."""
+    lower_ends = []
+    real_cell, real_h = KLSelfInformationPrior._proven_cell, calibration._h_past_rounding
+
+    def recorded(scheme, level, alpha, c):
+        cell = real_cell(scheme, level, alpha, c)
+        lower_ends.append((log_m_of_sigma(scheme, cell[0]), variance_ratio(cell[0])))
+        return cell
+
+    def zero_at_the_lower_end(level, c, log_m, ratio):
+        return 0.0 if (log_m, ratio) == lower_ends[-1] else real_h(level, c, log_m, ratio)
+
+    monkeypatch.setattr(KLSelfInformationPrior, "_proven_cell", recorded)
+    monkeypatch.setattr(calibration, "_h_past_rounding", zero_at_the_lower_end)
+    scanned = ScannedKL()
+    for alpha, alpha_b in ((1e-10, 0.05), (0.01, 0.05), (0.05, 0.05), (0.3, 0.01), (0.9, 0.3),
+                           (0.9999, 0.05)):
+        spec = CalibrationSpec(alpha, alpha_b, KL)
+        scan_bracket, _ = scan_outcome(calibration._scan_bracket, spec)
+        result = solve_sigma(spec)
+        assert result == solve_sigma(CalibrationSpec(alpha, alpha_b, scanned)), spec
+        assert result.bracket_used == scan_bracket, spec
 
 
 def test_the_brackets_of_pinned_requests():

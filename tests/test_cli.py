@@ -537,6 +537,23 @@ def test_config_errors(capsys, tmp_path):
                "--x", "0")[0] == 4
 
 
+def test_config_refuses_a_key_that_no_subcommand_takes(capsys, tmp_path):
+    """A misspelt key exits 2, naming the file, its line and the key, where it was once dropped.
+
+    A key of another subcommand stays accepted, so that one file serves several commands.
+    """
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("# alpha_b misspelt\nalphab = 0.2\nalpha = 0.05\n")
+    code, out, err = run(capsys, "calibrate", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:2: unknown key 'alphab': no subcommand takes that option\n"
+    cfg.write_text("alpha = 0.05\nalpha-b = 0.1\nx = 1.5\nsigma = 2.0\nseed = 7\n")
+    code, out, _ = run(capsys, "calibrate", "--config", str(cfg))
+    assert code == 0 and (parse_kv(out)["alpha"], parse_kv(out)["alpha_b"]) == ("0.05", "0.1")
+    code, out, _ = run(capsys, "posterior", "--config", str(cfg))
+    assert code == 0 and (parse_kv(out)["x"], parse_kv(out)["sigma"]) == ("1.5", "2.0")
+
+
 def test_files_that_are_not_utf8_are_refused_like_other_malformed_files(capsys, tmp_path):
     """A byte that is not UTF-8 exits 3 in a table and 2 in a config file, never 1."""
     table = tmp_path / "t.csv"
