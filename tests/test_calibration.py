@@ -1178,8 +1178,8 @@ def bracket_requests():
     """robert and fixed requests: scanned_requests' own, then seeded ones with alpha from 1e-300
     to within 1e-15 of 1, alpha_b from 1e-300 to 0.9 (robert's g = L - log sqrt(2 pi) is
     negative above 0.2853) and masses from 1e-300 to 0.99, then four edges: a proven end within
-    rounding of the root, a mass whose log m cancels near it, an end past float range, and a
-    target 8 ulp below fixed:0.3's peak error, where only the upper end is within rounding."""
+    rounding of the root, a mass whose log m cancels near it, an end past float range, and
+    fixed:0.3's peak error times 1 - 8 * 2^-52, where only the upper end is within rounding."""
     rng = random.Random(44)
     specs = [spec for spec in scanned_requests() if type(spec.scheme) in (RobertPrior, FixedPrior)]
     for _ in range(400):
