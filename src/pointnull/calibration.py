@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 from . import _EXPORTS
 from .model import Observation, _stable_inv_logistic, _x2_term, variance_ratio
@@ -340,12 +339,10 @@ def _h_past_rounding(level: float, c: float, log_m: float, ratio: float) -> floa
 
 @functools.lru_cache(maxsize=64)
 def _scan_passes(lo: float, hi: float) -> tuple[tuple[float, ...], ...]:
-    """The scan's 1, 16 and 64 sigma per decade of 10^-3 .. 10^3 in (lo, hi), once per domain.
-
-    The coarser passes are slices of the finest, so each of their points is one of its points bit
-    for bit. The domain's finite ends close each pass. When hi is inf the last goes on to 1e6 and
-    1e12: flat schemes reach some targets only there, and their errors bound a refusal's range.
-    """
+    """The scan's 1, 16 and 64 sigma per decade of 10^-3 .. 10^3 in (lo, hi), once per domain. The
+    coarser passes are slices of the finest, so each of their points is one of its points bit for
+    bit. The domain's finite ends close each pass. When hi is inf the last goes on to 1e6 and 1e12:
+    flat schemes reach some targets only there, and their errors bound a refusal's range."""
     grid = [10.0 ** (k + j / 64) for k in range(-3, 3) for j in range(64)] + [1e3]
     head, tail = (lo,) * (lo > 0.0), (hi,) * (hi < math.inf)
     coarse, mid, fine = (head + tuple(s for s in grid[::step] if lo < s < hi) + tail
@@ -353,18 +350,31 @@ def _scan_passes(lo: float, hi: float) -> tuple[tuple[float, ...], ...]:
     return coarse, mid, fine + (tuple(s for s in (1e6, 1e12) if lo < s) if hi == math.inf else ())
 
 
-def _scan_bracket(scheme: PriorScheme, c: float, psi_at: Callable[[float], float]) -> Bracket:
-    """The sigma scan: the first cell of a pass of _scan_passes whose psi values enclose c.
+class _PsiMemo(dict[float, float]):
+    """sigma -> _cut for one scheme and level: solve_sigma's one memo, which at(sigma) fills."""
 
-    psi_at(sigma), solve_sigma's memo, is psi, -inf where every x rejects. A pass that encloses
-    nothing is evaluated whole, and the next refines it. Where none does: the last pass's cell
-    nearest c, at whose end h_c may be zero to within rounding; a lone sigma is unsupported.
-    """
-    lo, hi = scheme.sigma_domain()
+    __slots__ = ("scheme", "level")
+
+    def __init__(self, scheme: PriorScheme, level: float) -> None:
+        self.scheme, self.level = scheme, level  # dict.__new__ made it empty
+
+    def at(self, sigma: float) -> float:
+        if sigma in self:
+            return self[sigma]
+        cut = self[sigma] = _cut(self.level, log_m_of_sigma(self.scheme, sigma),
+                                 variance_ratio(sigma))
+        return cut
+
+
+def _scan_bracket(psi: _PsiMemo, c: float) -> Bracket:
+    """The sigma scan: the first cell of a pass of _scan_passes whose psi values enclose c; a pass
+    that encloses none is evaluated whole, and the next refines it. Where none does: the last
+    pass's cell nearest c, at whose end h_c may be zero to within rounding."""
+    lo, hi, at = *psi.scheme.sigma_domain(), psi.at
     for pts in _scan_passes(lo, hi):
-        gaps = [abs((p_lo := psi_at(pts[0])) - c)]
+        gaps = [abs((p_lo := at(pts[0])) - c)]
         for s_lo, s_hi in zip(pts, pts[1:]):
-            p_hi = psi_at(s_hi)
+            p_hi = at(s_hi)
             if p_lo <= c <= p_hi or p_hi <= c <= p_lo:
                 return Bracket(s_lo, s_hi)
             gaps.append(abs((p_lo := p_hi) - c))
@@ -374,20 +384,21 @@ def _scan_bracket(scheme: PriorScheme, c: float, psi_at: Callable[[float], float
     return Bracket(pts[k], pts[k + 1])
 
 
-def _solve_bracket(scheme: PriorScheme, level: float, alpha: float, c: float,
-                   cuts: dict[float, float], psi_at: Callable[[float], float]) -> Bracket:
-    """solve_sigma's bracket: scheme._proven_cell where _h_past_rounding is nonzero at its lower
-    end, below which the proof fixes h_c's sign, and not of that sign at its upper end, with its
-    ends' psi put into the memo cuts as psi_at computes it; else _scan_bracket through psi_at."""
+def _solve_bracket(psi: _PsiMemo, alpha: float, c: float) -> Bracket:
+    """psi.scheme's _proven_cell, its ends' psi put into psi from the check's log m, where
+    _h_past_rounding reads h_lo >= 0 >= h_hi or h_lo < 0 <= h_hi at them; else _scan_bracket. A
+    lower end within rounding passes unless h_hi > 0: kl's (alpha_b within 6e-14 of 1/2; the scan
+    cannot reach its roots near 1e-8) does, fixed's at its bound next to alpha = 1 does not."""
+    scheme, level = psi.scheme, psi.level
     cell = scheme._proven_cell(level, alpha, c)
     if cell is not None and 0.0 < (lo := cell[0]) < (hi := cell[1]) < _INF:
         m_lo, r_lo, m_hi, r_hi = (log_m_of_sigma(scheme, lo), variance_ratio(lo),
                                   log_m_of_sigma(scheme, hi), variance_ratio(hi))
-        h_lo = _h_past_rounding(level, c, m_lo, r_lo)
-        if h_lo and h_lo * _h_past_rounding(level, c, m_hi, r_hi) <= 0.0:
-            cuts[lo], cuts[hi] = _cut(level, m_lo, r_lo), _cut(level, m_hi, r_hi)
+        h_lo, h_hi = _h_past_rounding(level, c, m_lo, r_lo), _h_past_rounding(level, c, m_hi, r_hi)
+        if h_hi <= 0.0 <= h_lo or h_lo < 0.0 <= h_hi:
+            psi[lo], psi[hi] = _cut(level, m_lo, r_lo), _cut(level, m_hi, r_hi)
             return Bracket(lo, hi)
-    return _scan_bracket(scheme, c, psi_at)
+    return _scan_bracket(psi, c)
 
 
 def _error_of(cut: float) -> float:
@@ -402,12 +413,11 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     (ratio/2)(psi - c_alpha), is 0: L = log(1/alpha_b - 1), c_alpha = classical_threshold(alpha).
     One predicate, _h_past_rounding, reads h_c as the root finder computes it, or 0 within its
     rounding bound E = 16 eps (1 + |L| + |log m|), eps = 2^-53, log m as computed (as _band takes
-    base). Every bracket comes from _solve_bracket: the scheme's _proven_cell where h_c is past E
-    at its lower end and not of that sign at its upper end, else the scan's cell enclosing
-    c_alpha, or nearest it. An end whose error is alpha is the candidate; otherwise Newton's
-    method on h_c, or Brent's without a slope, finds the float nearest its root (_root_of_h):
-    h_c has neither erfc nor sqrt, so it does not flatten out. It accepts the candidate where
-    psi > 0 and it reads h_c as 0. E adds:
+    base). The bracket is _solve_bracket's: a proven cell its check takes, or the scan's cell. An
+    end whose error is alpha is the candidate; otherwise Newton's method on h_c, or Brent's
+    without a slope, finds the float nearest its root (_root_of_h): h_c has neither erfc nor
+    sqrt, so it does not flatten out. It accepts the candidate where psi > 0 and it reads h_c as
+    0. E adds:
     - _band's step 2: L is within eps (3 |L| + 3) of log(1/alpha_b - 1); the gap L - log m,
       (c/2) ratio and h_c round once each; ratio is within 4 eps, and (c/2) ratio with it.
     - c_alpha is within 1 + k (11 + c) ulp (classical_threshold), and k c <= 2 by
@@ -427,20 +437,12 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     level, c = _log_rejection_odds(alpha_b), classical_threshold(alpha)
-    cuts: dict[float, float] = {}
-
-    def psi_at(sigma: float) -> float:
-        if sigma in cuts:
-            return cuts[sigma]
-        cuts[sigma] = cut = _cut(level, log_m_of_sigma(scheme, sigma), variance_ratio(sigma))
-        return cut
-
-    bracket = _solve_bracket(scheme, level, alpha, c, cuts, psi_at)
+    bracket = _solve_bracket(cuts := _PsiMemo(scheme, level), alpha, c)
     lo, hi, evaluated = bracket.lo, bracket.hi, []
-    hits = [end for end in (lo, hi) if _error_of(psi_at(end)) == alpha]
+    hits = [end for end in (lo, hi) if _error_of(cuts.at(end)) == alpha]
     sigma_star = hits[0] if hits else _root_of_h(scheme, level, c, lo, hi, evaluated)
     log_m, ratio = log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star)
-    cut = cuts[sigma_star] = _cut(level, log_m, ratio)  # as psi_at computes it
+    cut = cuts[sigma_star] = _cut(level, log_m, ratio)  # as the memo computes it
     if 0.0 < cut < _INF and not _h_past_rounding(level, c, log_m, ratio):
         achieved = _error_of(cut)
         return CalibrationResult(sigma_star, cut, achieved, achieved - alpha, bracket,

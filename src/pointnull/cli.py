@@ -56,8 +56,7 @@ def _read_config(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         if (name := key.strip().replace("-", "_")) not in options:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}: no subcommand "
-                              "takes that option")
+            raise ConfigError(f"{path}:{lineno}: no subcommand takes the key {key.strip()!r}")
         values[name] = value.strip()
     return values
 

@@ -304,9 +304,8 @@ class KLSelfInformationPrior(_Record, PriorScheme):
         log m <= sigma^2 / 2 and ratio <= sigma^2 give psi >= 2 L / sigma^2 - 1, so by erfc(x) <=
         e^(-x^2) the error, rising with sigma, is <= alpha up to the lower end (h_c > 0), and 1 at
         the bound, whose square exceeds 2 L. At the rounded bound it is below 1 (1 - 3.6e-8 at
-        alpha_b = 0.05): a target above that has its root just past the bound, and is answered
-        with the bound where h_c is within rounding there. For alpha_b >= 1/2 the error is 1.
-        """
+        alpha_b = 0.05): a target above that is answered with the bound where h_c is within
+        rounding there. For alpha_b >= 1/2 the error is 1."""
         if level <= 0.0:
             raise InfeasibleAlphaError(alpha, 1.0, 1.0)
         return math.sqrt(level / (0.5 - math.log(alpha))), self._positivity_bound(level)

@@ -1,6 +1,8 @@
 """Frequentist calibration of the Bayesian test: psi, error rates, sigma solving."""
 
+import collections
 import functools
+import hashlib
 import math
 import random
 import sys
@@ -729,15 +731,15 @@ def counting_type_i_error(monkeypatch):
 
 
 def counting_psi(monkeypatch):
-    """The sigma of each psi that solve_sigma's memo computes: its psi_at's log m calls, and the
-    acceptance's at sigma* where it fills the memo. Where psi_at has sigma* already, as at the
+    """The sigma of each psi that solve_sigma's memo computes: its at's log m calls, and the
+    acceptance's at sigma* where it fills the memo. Where the memo has sigma* already, as at the
     end a refusal stops at, the acceptance's log m adds no psi and is not listed."""
     calls = []
     real = calibration.log_m_of_sigma
 
     def counted(scheme, sigma):
         caller = sys._getframe(1)
-        if caller.f_code.co_name == "psi_at" or (caller.f_code.co_name == "solve_sigma"
+        if caller.f_code.co_name == "at" or (caller.f_code.co_name == "solve_sigma"
                                                  and sigma not in caller.f_locals["cuts"]):
             calls.append(sigma)
         return real(scheme, sigma)
@@ -797,10 +799,9 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
     calls = counting_psi(monkeypatch)
     outcomes = set()
     for spec in scanned_requests() + kl_requests():
-        psi_at, cuts = psi_memo(spec)
-        level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
+        cuts, c = psi_memo(spec), classical_threshold(spec.alpha)
         try:
-            bracket = calibration._solve_bracket(spec.scheme, level, spec.alpha, c, cuts, psi_at)
+            bracket = calibration._solve_bracket(cuts, spec.alpha, c)
         except InfeasibleAlphaError as refusal:
             got = (refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
             assert spec.scheme is KL and spec.alpha_b >= 0.5, spec  # the error is 1 everywhere
@@ -809,7 +810,7 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
             continue
         lo, hi = spec.scheme.sigma_domain()
         assert lo <= bracket.lo < bracket.hi <= hi, spec
-        ends = psi_at(bracket.lo), psi_at(bracket.hi)
+        ends = cuts[bracket.lo], cuts[bracket.hi]
         if min(ends) <= c <= max(ends):
             outcomes.add("encloses c_alpha")
             continue
@@ -898,7 +899,7 @@ def test_scan_passes_are_the_reference_grid_bit_for_bit():
             assert all(s in finer for s in coarse), (lo, hi)  # a subsequence, in order
 
 
-def eager_calibration_bracket(scheme, c, psi_at):
+def eager_calibration_bracket(psi, c):
     """The sigma scan (calibration._scan_bracket) as it was before it stopped at the first cell.
 
     Each pass computes psi at every point, then returns the first cell that
@@ -906,15 +907,15 @@ def eager_calibration_bracket(scheme, c, psi_at):
     it ran on Type I errors, self renamed to scheme, moved onto psi and c, as
     the reference the walk must agree with.
     """
-    lo, hi = scheme.sigma_domain()
+    lo, hi = psi.scheme.sigma_domain()
     for per_decade in (1, 16, 64):
         pts = _scan_points(per_decade, lo, hi)
-        cuts = [psi_at(s) for s in pts]
+        cuts = [psi.at(s) for s in pts]
         if per_decade == 64 and not min(cuts) <= c <= max(cuts):
             # Nothing on the grid meets c: look past its upper end.
             far = tuple(s for s in _FAR_PROBES if pts[-1] < s < hi)
             pts += far
-            cuts += [psi_at(s) for s in far]
+            cuts += [psi.at(s) for s in far]
         if min(cuts) <= c <= max(cuts):  # some cell of this pass encloses c
             return next(Bracket(s_lo, s_hi) for s_lo, s_hi, p_lo, p_hi
                         in zip(pts, pts[1:], cuts, cuts[1:])
@@ -924,27 +925,18 @@ def eager_calibration_bracket(scheme, c, psi_at):
 
 
 def psi_memo(spec):
-    """(psi_at, cuts): a memo of psi for spec's scheme and alpha_b, as solve_sigma's psi_at,
-    and the {sigma: psi} it fills, in the order each sigma was first computed."""
-    level, cuts = calibration._log_rejection_odds(spec.alpha_b), {}
-
-    def psi_at(sigma):
-        if sigma not in cuts:
-            cuts[sigma] = calibration._cut(level, log_m_of_sigma(spec.scheme, sigma),
-                                           variance_ratio(sigma))
-        return cuts[sigma]
-
-    return psi_at, cuts
+    """An empty memo of psi for spec's scheme and alpha_b, as solve_sigma's: it fills in the
+    order each sigma is first computed."""
+    return calibration._PsiMemo(spec.scheme, calibration._log_rejection_odds(spec.alpha_b))
 
 
 def scan_outcome(scan, spec):
     """scan's Bracket for spec, and the psi it computed at each sigma, in order.
 
-    scan(scheme, c, psi_at) gets a memo of psi, as solve_sigma gives,
-    so each sigma is listed once.
+    scan(psi, c) gets a memo of psi, as solve_sigma gives, so each sigma is listed once.
     """
-    psi_at, cuts = psi_memo(spec)
-    return scan(spec.scheme, classical_threshold(spec.alpha), psi_at), cuts
+    cuts = psi_memo(spec)
+    return scan(cuts, classical_threshold(spec.alpha)), cuts
 
 
 def walk_and_eager_scan(spec):
@@ -1159,9 +1151,9 @@ def recording_scans(monkeypatch):
     scans = []
     real = calibration._scan_bracket
 
-    def recorded(scheme, c, psi_at):
-        scans.append(scheme)
-        return real(scheme, c, psi_at)
+    def recorded(psi, c):
+        scans.append(psi.scheme)
+        return real(psi, c)
 
     monkeypatch.setattr(calibration, "_scan_bracket", recorded)
     return scans
@@ -1177,9 +1169,10 @@ def answer_or_refusal(spec):
 def bracket_requests():
     """robert and fixed requests: scanned_requests' own, then seeded ones with alpha from 1e-300
     to within 1e-15 of 1, alpha_b from 1e-300 to 0.9 (robert's g = L - log sqrt(2 pi) is
-    negative above 0.2853) and masses from 1e-300 to 0.99, then four edges: a proven end within
-    rounding of the root, a mass whose log m cancels near it, an end past float range, and
-    fixed:0.3's peak error times 1 - 8 * 2^-52, where only the upper end is within rounding."""
+    negative above 0.2853) and masses from 1e-300 to 0.99, then five edges: a proven end within
+    rounding of the root, a mass whose log m cancels near it, an end past float range,
+    fixed:0.3's peak error times 1 - 8 * 2^-52, where only the upper end is within rounding, and
+    robert 4e-16 below its ceiling 0.0441451638066179, where only the lower end is."""
     rng = random.Random(44)
     specs = [spec for spec in scanned_requests() if type(spec.scheme) in (RobertPrior, FixedPrior)]
     for _ in range(400):
@@ -1192,13 +1185,15 @@ def bracket_requests():
     return specs + [CalibrationSpec(0.9999999999999999, 0.05, FixedPrior(0.0009)),
                     CalibrationSpec(0.05, 0.05, FixedPrior(1e-300)),
                     CalibrationSpec(1e-300, 1e-10, FixedPrior(1e-20)),
-                    CalibrationSpec(0.007441244218194309, 0.05, FIXED_03)]
+                    CalibrationSpec(0.007441244218194309, 0.05, FIXED_03),
+                    CalibrationSpec(0.044145163806617, 0.05, ROBERT)]
 
 
 def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeypatch):
     """Where the scheme proves a cell and h_c, as the root finder computes it, is past its rounding
     bound E at the lower end and, at the upper end, past it with the opposite sign or within it,
-    that cell is the bracket, found without a scan, and the memo holds psi at its two ends.
+    or within E at the lower end and not past it above 0 at the upper, that cell is the bracket,
+    found without a scan, and the memo holds psi at its two ends.
     The solve then answers in it, at the root the scan brackets where the scan answers.
     Everywhere else the scan decides as on the base scan: the same bracket, psi at the same sigma
     in the same order, and the same answer, evaluation count or refusal."""
@@ -1209,19 +1204,24 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
         level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
         ends.clear()
         scans.clear()
-        psi_at, cuts = psi_memo(spec)
-        bracket = calibration._solve_bracket(scheme, level, spec.alpha, c, cuts, psi_at)
+        cuts = psi_memo(spec)
+        bracket = calibration._solve_bracket(cuts, spec.alpha, c)
         [proposed] = ends
         if not scans:
             assert proposed == (bracket.lo, bracket.hi), spec
             assert cuts == {sigma: calibration._cut(level, log_m_of_sigma(scheme, sigma),
                                                     variance_ratio(sigma)) for sigma in proposed}
             rises = type(scheme) is FixedPrior and level <= scheme._log_odds  # h_c < 0 at lo
+            lower_within = False
             for sigma in proposed:
                 h_c = level - log_m_of_sigma(scheme, sigma) - 0.5 * c * variance_ratio(sigma)
                 stated = 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m_of_sigma(scheme, sigma)))
-                if sigma == proposed[1] and abs(h_c) <= stated:
-                    outcomes.add("upper end within rounding: the cell is taken")
+                if sigma == proposed[1] and lower_within:
+                    assert h_c <= stated, spec
+                if abs(h_c) <= stated:
+                    end = "upper" if sigma == proposed[1] else "lower"
+                    outcomes.add(f"{end} end within rounding: the cell is taken")
+                    lower_within = sigma == proposed[0]
                     continue
                 assert abs(h_c) > stated, spec
                 assert (h_c > 0.0) == ((sigma == proposed[0]) != rises), spec
@@ -1246,7 +1246,8 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             outcomes.add("an end within rounding")
     assert outcomes == {"proven", "proven, where the scan refuses", "no root", "log m cancels",
                         "an end past float range", "an end within rounding",
-                        "upper end within rounding: the cell is taken"}
+                        "upper end within rounding: the cell is taken",
+                        "lower end within rounding: the cell is taken"}
 
 
 def proven_cell_or_refusal(scheme, level, alpha, c):
@@ -1287,30 +1288,73 @@ class ScannedKL(KLSelfInformationPrior):
     _proven_cell = PriorScheme._proven_cell
 
 
-def test_kl_leaves_its_cell_to_the_scan_where_its_lower_end_is_within_rounding(monkeypatch):
-    """kl's cell is checked like robert's and fixed's: where _h_past_rounding reads 0 at its lower
-    end, the solve takes the scan's bracket, and answers and counts as kl on the scan."""
-    lower_ends = []
+def test_kl_leaves_its_cell_to_the_scan_only_where_its_check_fails(monkeypatch):
+    """kl's cell is checked like robert's and fixed's. Where _h_past_rounding reads h_c above 0
+    at its upper end, the bound, with the lower end past rounding above 0 or within it, the
+    solve takes the scan's bracket, and answers and counts as kl on the scan. Where it reads 0
+    at the lower end alone, as for alpha_b within about 6e-14 of 1/2, the cell is taken."""
+    pending = []
     real_cell, real_h = KLSelfInformationPrior._proven_cell, calibration._h_past_rounding
 
     def recorded(scheme, level, alpha, c):
-        cell = real_cell(scheme, level, alpha, c)
-        lower_ends.append((log_m_of_sigma(scheme, cell[0]), variance_ratio(cell[0])))
-        return cell
+        pending[:] = reads  # the check reads the lower end, then the upper
+        return real_cell(scheme, level, alpha, c)
 
-    def zero_at_the_lower_end(level, c, log_m, ratio):
-        return 0.0 if (log_m, ratio) == lower_ends[-1] else real_h(level, c, log_m, ratio)
+    def misread(level, c, log_m, ratio):
+        read = pending.pop(0) if pending else None
+        return real_h(level, c, log_m, ratio) if read is None else read
 
+    targets = ((1e-10, 0.05), (0.01, 0.05), (0.05, 0.05), (0.3, 0.01), (0.9, 0.3), (0.9999, 0.05))
+    plain = {target: solve_sigma(CalibrationSpec(*target, KL)) for target in targets}
     monkeypatch.setattr(KLSelfInformationPrior, "_proven_cell", recorded)
-    monkeypatch.setattr(calibration, "_h_past_rounding", zero_at_the_lower_end)
+    monkeypatch.setattr(calibration, "_h_past_rounding", misread)
     scanned = ScannedKL()
-    for alpha, alpha_b in ((1e-10, 0.05), (0.01, 0.05), (0.05, 0.05), (0.3, 0.01), (0.9, 0.3),
-                           (0.9999, 0.05)):
-        spec = CalibrationSpec(alpha, alpha_b, KL)
-        scan_bracket, _ = scan_outcome(calibration._scan_bracket, spec)
-        result = solve_sigma(spec)
-        assert result == solve_sigma(CalibrationSpec(alpha, alpha_b, scanned)), spec
-        assert result.bracket_used == scan_bracket, spec
+    for reads in ((None, 1.0), (0.0, 1.0), (0.0, None)):
+        for target in targets:
+            spec = CalibrationSpec(*target, KL)
+            result = solve_sigma(spec)
+            if reads[1] is None:
+                assert result == plain[target], (reads, spec)
+                continue
+            scan_bracket, _ = scan_outcome(calibration._scan_bracket, spec)
+            assert result == solve_sigma(CalibrationSpec(*target, scanned)), (reads, spec)
+            assert result.bracket_used == scan_bracket != plain[target].bracket_used, spec
+
+
+KL_NEXT_TO_ONE_HALF_DIGEST = "62b8afd70bf84b4989acf16e41f1e352889b6ddb71c78e529c6519ee2249d23c"
+
+
+def kl_requests_next_to_one_half(count=600, seed=47):
+    """kl with alpha_b = 1/2 - 10^U(-16, -12), where h_c at kl's lower end, about
+    L (1 - c/(1 - 2 log alpha)), is within rounding for many targets and so, for L below about
+    2e-15, is h_c at both ends; alpha from 1e-300 to within 1e-16 of 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha_b = 0.5 - 10.0 ** rng.uniform(-16.0, -12.0)
+        alpha = rng.choice((10.0 ** rng.uniform(-300.0, -1.0), rng.uniform(0.001, 0.999),
+                            1.0 - 10.0 ** rng.uniform(-16.0, -1.0)))
+        yield alpha, alpha_b
+
+
+def test_kl_answers_targets_next_to_alpha_b_one_half_in_its_cell():
+    """The scan, from sigma = 1e-3, cannot reach kl's roots near 1e-8 there, so the cell must be
+    taken where its lower end, or both ends, are within rounding. The digest and the 487 answers
+    are those of kl's cell taken unchecked, before every cell was checked; checking it with a
+    lower end that must be past rounding answered 298."""
+    digest, answers, within = hashlib.sha256(), 0, collections.Counter()
+    for alpha, alpha_b in kl_requests_next_to_one_half():
+        level, c = calibration._log_rejection_odds(alpha_b), classical_threshold(alpha)
+        within[tuple(not calibration._h_past_rounding(level, c, log_m_of_sigma(KL, sigma),
+                                                      variance_ratio(sigma))
+                     for sigma in KL._proven_cell(level, alpha, c))] += 1
+        line = answer_or_refusal(CalibrationSpec(alpha, alpha_b, KL))
+        answers += not isinstance(line, str)
+        digest.update(f"{alpha!r} {alpha_b!r} {line!r}\n".encode())
+    assert within[True, False] > 0 and within[True, True] > 0, within
+    assert answers == 487
+    assert digest.hexdigest() == KL_NEXT_TO_ONE_HALF_DIGEST
+    result = solve_sigma(CalibrationSpec(2.7771982424568544e-94, 0.4999999999999978, KL))
+    assert result.sigma_star == 6.470085275355061e-09
 
 
 def test_the_brackets_of_pinned_requests():
