@@ -385,18 +385,16 @@ def _scan_bracket(psi: _PsiMemo, c: float) -> Bracket:
 
 
 def _solve_bracket(psi: _PsiMemo, alpha: float, c: float) -> Bracket:
-    """psi.scheme's _proven_cell, its ends' psi put into psi from the check's log m, where
-    _h_past_rounding reads h_lo >= 0 >= h_hi or h_lo < 0 <= h_hi at them; else _scan_bracket. A
-    lower end within rounding passes unless h_hi > 0: kl's (alpha_b within 6e-14 of 1/2; the scan
-    cannot reach its roots near 1e-8) does, fixed's at its bound next to alpha = 1 does not."""
+    """psi.scheme's _proven_cell where _h_past_rounding reads h_lo >= 0 >= h_hi or h_lo < 0 <= h_hi
+    at its ends, else _scan_bracket; only the scan fills psi. A lower end within rounding passes
+    unless h_hi > 0: kl's (alpha_b within 6e-14 of 1/2; the scan cannot reach its roots near
+    1e-8) does, fixed's at its bound next to alpha = 1 does not."""
     scheme, level = psi.scheme, psi.level
     cell = scheme._proven_cell(level, alpha, c)
     if cell is not None and 0.0 < (lo := cell[0]) < (hi := cell[1]) < _INF:
-        m_lo, r_lo, m_hi, r_hi = (log_m_of_sigma(scheme, lo), variance_ratio(lo),
-                                  log_m_of_sigma(scheme, hi), variance_ratio(hi))
-        h_lo, h_hi = _h_past_rounding(level, c, m_lo, r_lo), _h_past_rounding(level, c, m_hi, r_hi)
+        h_lo = _h_past_rounding(level, c, log_m_of_sigma(scheme, lo), variance_ratio(lo))
+        h_hi = _h_past_rounding(level, c, log_m_of_sigma(scheme, hi), variance_ratio(hi))
         if h_hi <= 0.0 <= h_lo or h_lo < 0.0 <= h_hi:
-            psi[lo], psi[hi] = _cut(level, m_lo, r_lo), _cut(level, m_hi, r_hi)
             return Bracket(lo, hi)
     return _scan_bracket(psi, c)
 
@@ -413,11 +411,10 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     (ratio/2)(psi - c_alpha), is 0: L = log(1/alpha_b - 1), c_alpha = classical_threshold(alpha).
     One predicate, _h_past_rounding, reads h_c as the root finder computes it, or 0 within its
     rounding bound E = 16 eps (1 + |L| + |log m|), eps = 2^-53, log m as computed (as _band takes
-    base). The bracket is _solve_bracket's: a proven cell its check takes, or the scan's cell. An
-    end whose error is alpha is the candidate; otherwise Newton's method on h_c, or Brent's
-    without a slope, finds the float nearest its root (_root_of_h): h_c has neither erfc nor
-    sqrt, so it does not flatten out. It accepts the candidate where psi > 0 and it reads h_c as
-    0. E adds:
+    base). The bracket is _solve_bracket's: a proven cell its check takes, or the scan's cell.
+    Newton's method on h_c, or Brent's without a slope, finds the float nearest its root
+    (_root_of_h): h_c has neither erfc nor sqrt, so it does not flatten out. That float is the
+    answer where psi > 0 and _h_past_rounding reads h_c as 0. E adds:
     - _band's step 2: L is within eps (3 |L| + 3) of log(1/alpha_b - 1); the gap L - log m,
       (c/2) ratio and h_c round once each; ratio is within 4 eps, and (c/2) ratio with it.
     - c_alpha is within 1 + k (11 + c) ulp (classical_threshold), and k c <= 2 by
@@ -430,23 +427,22 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     alpha = 1 its error can miss alpha by far more than an ulp (about 1e-8 next to kl's bound),
     since the error moves that much between adjacent floats there.
     Otherwise alpha is refused with InfeasibleAlphaError and the errors at the sigma of greatest
-    and least psi the solve evaluated; where that range would hold alpha, alpha is met only where
-    the error rounds to 1, and the errors of 1 are left out.
-    evaluations counts the distinct sigma of psi's memo (a taken cell's ends and sigma* included)
-    and of _root_of_h's h_c: only the two h_c of a cell that is not taken are left out.
+    and least psi the solve evaluated, the bracket's ends included; where that range would hold
+    alpha, alpha is met only where the error rounds to 1, and the errors of 1 are left out.
+    evaluations counts the distinct sigma of psi's memo and of _root_of_h's h_c, sigma* included.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     level, c = _log_rejection_odds(alpha_b), classical_threshold(alpha)
     bracket = _solve_bracket(cuts := _PsiMemo(scheme, level), alpha, c)
     lo, hi, evaluated = bracket.lo, bracket.hi, []
-    hits = [end for end in (lo, hi) if _error_of(cuts.at(end)) == alpha]
-    sigma_star = hits[0] if hits else _root_of_h(scheme, level, c, lo, hi, evaluated)
+    sigma_star = _root_of_h(scheme, level, c, lo, hi, evaluated)
     log_m, ratio = log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star)
     cut = cuts[sigma_star] = _cut(level, log_m, ratio)  # as the memo computes it
     if 0.0 < cut < _INF and not _h_past_rounding(level, c, log_m, ratio):
         achieved = _error_of(cut)
         return CalibrationResult(sigma_star, cut, achieved, achieved - alpha, bracket,
                                  len(cuts.keys() | evaluated))
+    cuts.at(lo), cuts.at(hi)  # a taken cell's ends, which the scan's memo already holds
     least = type_i_error(max(cuts, key=cuts.get), alpha_b, scheme)
     most = type_i_error(min(cuts, key=cuts.get), alpha_b, scheme)
     if least <= alpha <= most:  # met only where the error rounds to 1

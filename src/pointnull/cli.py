@@ -57,7 +57,9 @@ def _read_config(path: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         if (name := key.strip().replace("-", "_")) not in options:
             raise ConfigError(f"{path}:{lineno}: no subcommand takes the key {key.strip()!r}")
-        values[name] = value.strip()
+        values[name] = value = value.strip()
+        if name == "compare_paper" and value.lower() not in _SWITCHES.split("/"):
+            raise ConfigError(f"{path}:{lineno}: compare_paper takes {_SWITCHES}, got {value!r}")
     return values
 
 
@@ -262,6 +264,7 @@ def _cmd_regime(args: argparse.Namespace) -> str:
 
 
 _REQUIRED = object()  # no default: a flag or the config file must supply it
+_SWITCHES = "1/true/yes/on/0/false/no/off"  # compare_paper's values in a file: on, then off
 
 #: Each subcommand's handler, help line, and options in help order with their defaults.
 _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], str], str, dict[str, object]]] = {
@@ -316,7 +319,7 @@ def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, argparse.Argumen
     if args.config:
         config = {k: v for k, v in _read_config(args.config).items() if k in options}
         if "compare_paper" in config:
-            config["compare_paper"] = config["compare_paper"].lower() in ("1", "true", "yes", "on")
+            config["compare_paper"] = config["compare_paper"].lower() in _SWITCHES.split("/")[:4]
         sub.set_defaults(**config)
         args = parser.parse_args(argv)  # argparse runs string defaults through each type
     for dest, default in options.items():

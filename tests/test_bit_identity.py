@@ -35,7 +35,9 @@ alpha_b >= 1/2 and its targets within 1e-7 of 1, and the edges: alpha_b from
 5e-324 to 1 - 2^-53, and alpha from 1e-300 to within 2e-16 of 1. The proven
 family holds the cells robert and fixed prove, taken or left to the scan:
 robert, fixed masses from 1e-300 to 1 - 1e-15, kl and the golden table, with
-alpha and alpha_b each from 1e-300 to 1 - 1e-15.
+alpha and alpha_b each from 1e-300 to 1 - 1e-15. The slopeless family solves
+custom schemes without _log_m_slope, which Brent's method polishes: one given
+by rho0 alone, one by its log prior odds alone, and test_calibration's wavy one.
 
 The third digest pins find_root_bracketed itself: for each of a fixed set of
 objectives, every x it evaluates and its return value or refusal. The
@@ -50,6 +52,11 @@ Run as a script, the module prints the lines behind the named digest families
 "family<TAB>line" each, so a re-pin is quoted from a diff of two checkouts:
 
     PYTHONPATH=src python tests/test_bit_identity.py kl_refusals evaluations cli
+
+With --seed (and --count), the edges, proven and slopeless families draw fresh requests, so
+two checkouts are compared on solves no digest pins:
+
+    PYTHONPATH=src python tests/test_bit_identity.py --seed 7 --count 6000 proven evaluations
 """
 
 import functools
@@ -59,7 +66,7 @@ import math
 import random
 from pathlib import Path
 
-from test_calibration import h_c_and_its_bound, scanned_requests, threshold_route
+from test_calibration import WavyPrior, h_c_and_its_bound, scanned_requests, threshold_route
 
 from pointnull import calibration
 from pointnull.calibration import (CalibrationSpec, classical_threshold, decide, positivity_bound,
@@ -67,8 +74,8 @@ from pointnull.calibration import (CalibrationSpec, classical_threshold, decide,
 from pointnull.model import (AlternativeSpread, Observation, bayes_factor, posterior_from_log_odds,
                              posterior_h0, variance_ratio)
 from pointnull.numerics import Bracket, DomainError, find_root_bracketed
-from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, RobertPrior,
-                              log_m_of_sigma, paradox_sweep)
+from pointnull.priors import (CustomTablePrior, FixedPrior, KLSelfInformationPrior, PriorScheme,
+                              RobertPrior, log_m_of_sigma, paradox_sweep)
 
 CALLS_PER_FUNCTION = 12_000
 SWEEPS, ROWS_PER_SWEEP = 300, 25
@@ -82,7 +89,7 @@ DIGEST = {
     "posterior_from_log_odds": "cd70dcb687140ec4b10179df0f233bdd54b90a03300c5f47d402902e671cbc5c",
     "posterior_h0": "7ee11ae8687290a58cb70ca8be052fc6069e81aeb53b2a2b90905f987136ab95",
 }
-SOLVES, BOUNDS, PSI_SWEEPS, EDGES, PROVEN = 2000, 500, 300, 300, 2000
+SOLVES, BOUNDS, PSI_SWEEPS, EDGES, PROVEN, SLOPELESS = 2000, 500, 300, 300, 2000, 300
 ROOT_DIGEST = {
     "scanned": "26f0de50bc7f593273c6b9f7439ff9b9157cd2f7090093a29ed7c06a22d1b717",
     "kl_refusals": "7649865b77b071e0a2ba25ea2632982c76df44bb156362dd54efa45a5319208d",
@@ -91,8 +98,9 @@ ROOT_DIGEST = {
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
     "edges": "da8e1f13181739e9009b09107e965ef87dded1a501afe055544938012165d18d",
     "proven": "e6c02043fa622b6d57c65d51bb783ef627c4f2520cf5450e04546a3f6d720920",
+    "slopeless": "138e42951a6f3fc84af4b630fa3184195cc98991b6e8cf2acd078d016cdb2982",
 }
-EVALUATIONS_DIGEST = "0c12e6833ea7723d16111da1e906213d342fe47c1ece5ade75830763e7210856"
+EVALUATIONS_DIGEST = "c0b936330d95a3aff0f664dfbaa07c3d7515cbb80cb47f439be3c7024de353d5"
 ROOT_FINDER_DIGEST = "0ba3a8eb30fa9de75fa3396c4a9d82edc85fcaebe35e80dd51915159a176dfe1"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -336,6 +344,44 @@ def proven_requests(count=PROVEN, seed=20261022):
         yield alpha, alpha_b, scheme
 
 
+class RhoOnlyPrior(PriorScheme):
+    """A null mass that falls with sigma, given by rho0 alone: the base class takes its log odds."""
+
+    __slots__ = ()
+    scheme_id = "rho-only"
+
+    def rho0(self, sigma):
+        return 0.5 / (1.0 + sigma)
+
+
+class OddsOnlyPrior(PriorScheme):
+    """Log prior odds 3/4 log1p(sigma), given alone: log m rises, then falls, as sigma grows."""
+
+    __slots__ = ()
+    scheme_id = "odds-only"
+
+    def log_prior_odds(self, sigma):
+        if not 0.0 < sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
+        return 0.75 * math.log1p(sigma)
+
+
+SLOPELESS_SCHEMES = (RhoOnlyPrior(), OddsOnlyPrior(), WavyPrior())
+
+
+def slopeless_requests(count=SLOPELESS, seed=20261023):
+    """(alpha, alpha_b, scheme) over three custom schemes without _log_m_slope, whose roots
+    Brent's method finds: alpha log-uniform from 1e-300, uniform, or within 1e-1 to 1e-15 of 1,
+    alpha_b as in the solves family."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha = rng.choice((10.0 ** rng.uniform(-300.0, -0.3), rng.uniform(0.001, 0.999),
+                            1.0 - 10.0 ** rng.uniform(-15.0, -1.0)))
+        alpha_b = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-3, 0.9),
+                              10.0 ** rng.uniform(-12.0, -1.0)))
+        yield alpha, alpha_b, rng.choice(SLOPELESS_SCHEMES)
+
+
 def sigma_root_lines():
     """(family, line) for each sigma-root call, and ("evaluations", count) after each answer."""
     counts = []
@@ -346,7 +392,8 @@ def sigma_root_lines():
         return result
 
     proven = (("proven", _solve, args) for args in proven_requests())
-    for family, call, args in itertools.chain(sigma_root_calls(), proven):
+    slopeless = (("slopeless", _solve, args) for args in slopeless_requests())
+    for family, call, args in itertools.chain(sigma_root_calls(), proven, slopeless):
         line = _line(solve if call is _solve else call, *args)
         yield from (("evaluations", count) for count in counts)
         counts.clear()
@@ -488,9 +535,20 @@ FAMILIES = {**dict.fromkeys(DIGEST, scalar_path_lines),
 
 
 if __name__ == "__main__":
-    import sys
+    import argparse
 
-    wanted = sys.argv[1:] or list(FAMILIES)
+    parser = argparse.ArgumentParser(description="Print the lines behind the digest families.")
+    parser.add_argument("families", nargs="*", help=f"any of {', '.join(FAMILIES)} (all if none)")
+    parser.add_argument("--seed", type=int, help="draw the edges, proven and slopeless requests "
+                        "from this seed, in place of the pinned ones")
+    parser.add_argument("--count", type=int, help="with --seed, the requests of each of them")
+    options = parser.parse_args()
+    if options.seed is not None:  # fresh requests: compare two checkouts, not the digests
+        edge_requests = functools.partial(edge_requests, options.count or EDGES, options.seed)
+        proven_requests = functools.partial(proven_requests, options.count or PROVEN, options.seed)
+        slopeless_requests = functools.partial(slopeless_requests, options.count or SLOPELESS,
+                                               options.seed)
+    wanted = options.families or list(FAMILIES)
     for source in dict.fromkeys(FAMILIES[family] for family in wanted):
         for family, line in source():
             if family in wanted:

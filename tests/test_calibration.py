@@ -468,12 +468,23 @@ def h_c_and_its_bound(spec, result):
 def test_solve_round_trips_a_scan_point_exactly():
     # kl, robert and fixed solve on analytic brackets and have no scan points; tables and a
     # fixed mass on the base scan still scan.
-    # An exact hit is an end of the grid cell polished, inside the domain at a table's ends.
+    # The error at a scan point is met exactly, inside the domain at a table's ends. At the
+    # table's end, 10.0, the root finder answers that end; at the interior point 1.0 it answers
+    # the float nearest the root of h_c for the rounded target, within test_accuracy's bound of
+    # its 60-digit value (0.10 and 0.05 ulp, where 1.0 itself is 2.10 and 2.05 ulp away).
+    from test_accuracy import _sigma_star_bound, h_root_reference
+
     table = CustomTablePrior(((1.0, 0.6), (10.0, 0.01)))
     for scheme, s in ((SCANNED_FIXED_03, 1.0), (table, 1.0), (table, 10.0)):
         lo, hi = scheme.sigma_domain()
-        result = solve_sigma(CalibrationSpec(type_i_error(s, 0.05, scheme), 0.05, scheme))
-        assert result.sigma_star == s, (scheme, s)
+        alpha = type_i_error(s, 0.05, scheme)
+        result = solve_sigma(CalibrationSpec(alpha, 0.05, scheme))
+        if s == hi:
+            assert result.sigma_star == s, (scheme, s)
+        else:
+            root, kappa = h_root_reference(scheme, alpha, 0.05, s)
+            gap = float(abs(result.sigma_star - root)) / math.ulp(result.sigma_star)
+            assert gap <= _sigma_star_bound(kappa), (scheme, s, gap)
         assert result.residual == 0.0, (scheme, s)
         bracket = result.bracket_used
         assert lo <= bracket.lo <= result.sigma_star <= bracket.hi <= hi, (scheme, s, bracket)
@@ -791,10 +802,11 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
     """Each scheme's bracket for the scanned and kl requests, and solve_sigma's verdict on it.
 
     A scan's bracket encloses c_alpha, or holds the scanned sigma whose psi is nearest it. kl's
-    is [lo, bound] for alpha_b < 1/2 and a refusal, before any psi, for the rest. Where the
-    bracket does not enclose c_alpha, solve_sigma answers only at an end where h_c is within its
-    stated bound E (h_c_and_its_bound); it refuses the rest with the least and greatest error
-    at the sigma the bracket evaluated.
+    is [lo, bound] for alpha_b < 1/2 and a refusal, before any psi, for the rest; a taken cell
+    leaves the memo empty, and its ends' psi is computed here. Where the bracket does not enclose
+    c_alpha, solve_sigma answers only at an end where h_c is within its stated bound E
+    (h_c_and_its_bound); it refuses the rest with the least and greatest error at the sigma the
+    bracket evaluated and at its ends.
     """
     calls = counting_psi(monkeypatch)
     outcomes = set()
@@ -810,16 +822,22 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
             continue
         lo, hi = spec.scheme.sigma_domain()
         assert lo <= bracket.lo < bracket.hi <= hi, spec
-        ends = cuts[bracket.lo], cuts[bracket.hi]
+        level, sigmas = cuts.level, (bracket.lo, bracket.hi)
+        ends = tuple(calibration._cut(level, log_m_of_sigma(spec.scheme, sigma),
+                                      variance_ratio(sigma)) for sigma in sigmas)
+        if spec.scheme._proven_cell(level, spec.alpha, c) == sigmas:
+            assert cuts == {}, spec  # the check's log m stays in the check
+        else:
+            assert ends == (cuts[bracket.lo], cuts[bracket.hi]), spec
         if min(ends) <= c <= max(ends):
             outcomes.add("encloses c_alpha")
             continue
-        nearest = min(abs(cut - c) for cut in cuts.values())
-        assert spec.scheme is KL or min(abs(cut - c) for cut in ends) == nearest, spec
+        assert spec.scheme is KL or min(abs(cut - c) for cut in ends) == min(
+            abs(cut - c) for cut in cuts.values()), spec  # the scan's cell nearest c_alpha
         try:
             result = solve_sigma(spec)
         except InfeasibleAlphaError as refusal:
-            errors = [type_i_error(sigma, spec.alpha_b, spec.scheme) for sigma in cuts]
+            errors = [type_i_error(sigma, spec.alpha_b, spec.scheme) for sigma in [*cuts, *sigmas]]
             assert (refusal.achievable_lo, refusal.achievable_hi) == (min(errors), max(errors))
             outcomes.add("refused")
             continue
@@ -844,6 +862,26 @@ def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
     result = solve_sigma(spec)
     assert len(calls) == len(set(calls))
     assert result.evaluations == len(set(calls) | set(sigmas))
+
+
+def test_a_feasible_solve_computes_one_type_i_error(monkeypatch):
+    """erfc once per answer, for the achieved alpha: on a proven cell (kl, robert, fixed:0.3), on
+    the scan (the golden table, fixed:0.3 on the base scan) and by Brent's method (a scheme
+    without _log_m_slope). A taken cell leaves the psi memo empty."""
+    tails, upper_tail = [], calibration._upper_tail
+    monkeypatch.setattr(calibration, "_upper_tail", lambda z: tails.append(z) or upper_tail(z))
+    for scheme, alpha in ((KL, 0.01), (ROBERT, 0.01), (FIXED_03, 0.005), (GOLDEN_TABLE, 0.01),
+                          (SCANNED_FIXED_03, 0.005), (WavyPrior(), 0.001)):
+        spec, c = CalibrationSpec(alpha, 0.05, scheme), classical_threshold(alpha)
+        cuts = psi_memo(spec)
+        bracket = calibration._solve_bracket(cuts, alpha, c)
+        if scheme in (KL, ROBERT, FIXED_03):
+            assert (bracket.lo, bracket.hi) == scheme._proven_cell(cuts.level, alpha, c), scheme
+            assert cuts == {}, scheme
+        tails.clear()
+        result = solve_sigma(spec)
+        assert tails == [math.sqrt(result.psi_at_sigma)], scheme
+        assert result.achieved_alpha == 2.0 * upper_tail(tails[0]), scheme
 
 
 # The scan's grid as priors built it before _scan_passes, kept verbatim: the reference
@@ -1193,7 +1231,7 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
     """Where the scheme proves a cell and h_c, as the root finder computes it, is past its rounding
     bound E at the lower end and, at the upper end, past it with the opposite sign or within it,
     or within E at the lower end and not past it above 0 at the upper, that cell is the bracket,
-    found without a scan, and the memo holds psi at its two ends.
+    found without a scan, and the memo holds nothing from it.
     The solve then answers in it, at the root the scan brackets where the scan answers.
     Everywhere else the scan decides as on the base scan: the same bracket, psi at the same sigma
     in the same order, and the same answer, evaluation count or refusal."""
@@ -1209,8 +1247,7 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
         [proposed] = ends
         if not scans:
             assert proposed == (bracket.lo, bracket.hi), spec
-            assert cuts == {sigma: calibration._cut(level, log_m_of_sigma(scheme, sigma),
-                                                    variance_ratio(sigma)) for sigma in proposed}
+            assert cuts == {}, spec
             rises = type(scheme) is FixedPrior and level <= scheme._log_odds  # h_c < 0 at lo
             lower_within = False
             for sigma in proposed:

@@ -508,6 +508,23 @@ def test_config_switches_compare_paper(capsys, tmp_path):
         assert ("# reference-comparison" in out) == shown
 
 
+def test_config_refuses_a_compare_paper_that_is_neither_on_nor_off(capsys, tmp_path):
+    """1, true, yes and on switch the block on, 0, false, no and off leave it off, in any case;
+    any other value exits 2, naming the file, its line and the value, where it once meant off."""
+    cfg = tmp_path / "run.cfg"
+    args = ("calibrate", "--alpha", "0.05", "--config", str(cfg))
+    for word in ("1", "true", "yes", "on", "0", "false", "no", "off", "TRUE", "Off"):
+        cfg.write_text(f"compare_paper = {word}\n")
+        code, out, _ = run(capsys, *args)
+        assert code == 0, word
+        assert ("# reference-comparison" in out) == (word.lower() in ("1", "true", "yes", "on"))
+    cfg.write_text("# the comparison\ncompare_paper = ture\n")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {cfg}:2: compare_paper takes 1/true/yes/on/0/false/no/off, "
+                   "got 'ture'\n")
+
+
 def test_config_values_are_checked_like_flags(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha-b = 1.5\n")
