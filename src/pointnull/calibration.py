@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 from . import _EXPORTS
 from .model import Observation, _stable_inv_logistic, _x2_term, variance_ratio
@@ -332,7 +333,8 @@ def _root_of_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float
 
 def _h_past_rounding(level: float, c: float, log_m: float, ratio: float) -> float:
     """h_c = (level - log m) - (c/2) ratio as _root_of_h computes it, or 0.0 within its rounding
-    bound E = 16 eps (1 + |level| + |log m|), eps = 2^-53, with log m as computed (solve_sigma)."""
+    bound E = 16 eps (1 + |level| + |log m|), eps = 2^-53, with log m as computed. solve_sigma's
+    one test: it accepts sigma*, and so decides whether a proven cell answers or the scan runs."""
     h = level - log_m - 0.5 * c * ratio
     return h if abs(h) > 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m)) else 0.0
 
@@ -384,19 +386,13 @@ def _scan_bracket(psi: _PsiMemo, c: float) -> Bracket:
     return Bracket(pts[k], pts[k + 1])
 
 
-def _solve_bracket(psi: _PsiMemo, alpha: float, c: float) -> Bracket:
-    """psi.scheme's _proven_cell where _h_past_rounding reads h_lo >= 0 >= h_hi or h_lo < 0 <= h_hi
-    at its ends, else _scan_bracket; only the scan fills psi. A lower end within rounding passes
-    unless h_hi > 0: kl's (alpha_b within 6e-14 of 1/2; the scan cannot reach its roots near
-    1e-8) does, fixed's at its bound next to alpha = 1 does not."""
-    scheme, level = psi.scheme, psi.level
-    cell = scheme._proven_cell(level, alpha, c)
-    if cell is not None and 0.0 < (lo := cell[0]) < (hi := cell[1]) < _INF:
-        h_lo = _h_past_rounding(level, c, log_m_of_sigma(scheme, lo), variance_ratio(lo))
-        h_hi = _h_past_rounding(level, c, log_m_of_sigma(scheme, hi), variance_ratio(hi))
-        if h_hi <= 0.0 <= h_lo or h_lo < 0.0 <= h_hi:
-            return Bracket(lo, hi)
-    return _scan_bracket(psi, c)
+def _brackets(psi: _PsiMemo, alpha: float, c: float) -> Iterator[Bracket]:
+    """psi.scheme's _proven_cell where it is finite with 0 < lo < hi, then _scan_bracket's cell,
+    scanned only when the next bracket is asked for. Only the scan fills psi."""
+    cell = psi.scheme._proven_cell(psi.level, alpha, c)
+    if cell is not None and 0.0 < cell[0] < cell[1] < _INF:
+        yield Bracket(*cell)
+    yield _scan_bracket(psi, c)
 
 
 def _error_of(cut: float) -> float:
@@ -411,10 +407,10 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     (ratio/2)(psi - c_alpha), is 0: L = log(1/alpha_b - 1), c_alpha = classical_threshold(alpha).
     One predicate, _h_past_rounding, reads h_c as the root finder computes it, or 0 within its
     rounding bound E = 16 eps (1 + |L| + |log m|), eps = 2^-53, log m as computed (as _band takes
-    base). The bracket is _solve_bracket's: a proven cell its check takes, or the scan's cell.
-    Newton's method on h_c, or Brent's without a slope, finds the float nearest its root
+    base). Newton's method on h_c, or Brent's without a slope, finds the float nearest its root
     (_root_of_h): h_c has neither erfc nor sqrt, so it does not flatten out. That float is the
-    answer where psi > 0 and _h_past_rounding reads h_c as 0. E adds:
+    answer where psi > 0 and _h_past_rounding reads h_c as 0, tried on the proven cell, then on
+    the scan's cell (_brackets); bracket_used is the one it answers on. E adds:
     - _band's step 2: L is within eps (3 |L| + 3) of log(1/alpha_b - 1); the gap L - log m,
       (c/2) ratio and h_c round once each; ratio is within 4 eps, and (c/2) ratio with it.
     - c_alpha is within 1 + k (11 + c) ulp (classical_threshold), and k c <= 2 by
@@ -427,22 +423,22 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     alpha = 1 its error can miss alpha by far more than an ulp (about 1e-8 next to kl's bound),
     since the error moves that much between adjacent floats there.
     Otherwise alpha is refused with InfeasibleAlphaError and the errors at the sigma of greatest
-    and least psi the solve evaluated, the bracket's ends included; where that range would hold
+    and least psi the scan evaluated, the float it found included; where that range would hold
     alpha, alpha is met only where the error rounds to 1, and the errors of 1 are left out.
-    evaluations counts the distinct sigma of psi's memo and of _root_of_h's h_c, sigma* included.
+    evaluations counts the distinct sigma of psi's memo and of each h_c, a failed cell's included.
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     level, c = _log_rejection_odds(alpha_b), classical_threshold(alpha)
-    bracket = _solve_bracket(cuts := _PsiMemo(scheme, level), alpha, c)
-    lo, hi, evaluated = bracket.lo, bracket.hi, []
-    sigma_star = _root_of_h(scheme, level, c, lo, hi, evaluated)
-    log_m, ratio = log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star)
-    cut = cuts[sigma_star] = _cut(level, log_m, ratio)  # as the memo computes it
-    if 0.0 < cut < _INF and not _h_past_rounding(level, c, log_m, ratio):
-        achieved = _error_of(cut)
-        return CalibrationResult(sigma_star, cut, achieved, achieved - alpha, bracket,
-                                 len(cuts.keys() | evaluated))
-    cuts.at(lo), cuts.at(hi)  # a taken cell's ends, which the scan's memo already holds
+    cuts, evaluated = _PsiMemo(scheme, level), []
+    for bracket in _brackets(cuts, alpha, c):
+        sigma_star = _root_of_h(scheme, level, c, bracket.lo, bracket.hi, evaluated)
+        log_m, ratio = log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star)
+        cut = _cut(level, log_m, ratio)  # as the memo computes it
+        if 0.0 < cut < _INF and not _h_past_rounding(level, c, log_m, ratio):
+            achieved = _error_of(cut)
+            return CalibrationResult(sigma_star, cut, achieved, achieved - alpha, bracket,
+                                     len(cuts.keys() | evaluated))
+    cuts[sigma_star] = cut  # the scan's float, beside its points
     least = type_i_error(max(cuts, key=cuts.get), alpha_b, scheme)
     most = type_i_error(min(cuts, key=cuts.get), alpha_b, scheme)
     if least <= alpha <= most:  # met only where the error rounds to 1

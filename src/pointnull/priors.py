@@ -135,7 +135,8 @@ class PriorScheme:
 
     def _proven_cell(self, level: float, alpha: float, c: float) -> tuple[float, float] | None:
         """A cell proven in closed form to hold the smallest root of h_c, c = c_alpha, with h_c of
-        one sign below it, or None; calibration._solve_bracket checks its ends or scans."""
+        one sign below it, or None. calibration.solve_sigma takes the root finder's float in it
+        where the test that accepts sigma* does, and scans otherwise."""
         return None
 
     @property

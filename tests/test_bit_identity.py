@@ -48,8 +48,9 @@ NaN at lo, at hi and inside, infinite values read as signs, no sign change,
 and the Type I error curves of kl and robert that solve_sigma once polished.
 
 Run as a script, the module prints the lines behind the named digest families
-(all when none is named; "cli" is test_cli's CLI_DIGEST), one
-"family<TAB>line" each, so a re-pin is quoted from a diff of two checkouts:
+(all when none is named; "cli" is test_cli's CLI_DIGEST and "kl_next_to_one_half"
+test_calibration's KL_NEXT_TO_ONE_HALF_DIGEST), one "family<TAB>line" each, so a
+re-pin is quoted from a diff of two checkouts:
 
     PYTHONPATH=src python tests/test_bit_identity.py kl_refusals evaluations cli
 
@@ -66,7 +67,8 @@ import math
 import random
 from pathlib import Path
 
-from test_calibration import WavyPrior, h_c_and_its_bound, scanned_requests, threshold_route
+from test_calibration import (WavyPrior, h_c_and_its_bound, kl_next_to_one_half_lines,
+                              scanned_requests, threshold_route)
 
 from pointnull import calibration
 from pointnull.calibration import (CalibrationSpec, classical_threshold, decide, positivity_bound,
@@ -96,11 +98,11 @@ ROOT_DIGEST = {
     "solves": "a76e4d90db042ef267dcb46835921cb875c17d7cb4d7d802df88c9fe09ed0aca",
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
-    "edges": "da8e1f13181739e9009b09107e965ef87dded1a501afe055544938012165d18d",
-    "proven": "e6c02043fa622b6d57c65d51bb783ef627c4f2520cf5450e04546a3f6d720920",
+    "edges": "3461f54f51ff8bbb80982693273e8f1805b1fed169b0075f9adf7593fe7fe76b",
+    "proven": "ee171ffbd2418f49a746aac7801bef8b463b957b7e1cdc76934258bb19c3fe0e",
     "slopeless": "138e42951a6f3fc84af4b630fa3184195cc98991b6e8cf2acd078d016cdb2982",
 }
-EVALUATIONS_DIGEST = "c0b936330d95a3aff0f664dfbaa07c3d7515cbb80cb47f439be3c7024de353d5"
+EVALUATIONS_DIGEST = "75de7f3d8a9b4332439dcedd221320c1204e5d98ab6995c749525f405aad67f5"
 ROOT_FINDER_DIGEST = "0ba3a8eb30fa9de75fa3396c4a9d82edc85fcaebe35e80dd51915159a176dfe1"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -418,7 +420,7 @@ def test_sigma_root_evaluation_counts_are_pinned():
 def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
     """Each sigma* solve_sigma returns for the sigma-root requests: psi > 0 there, and h_c, whose
     root is where the error meets alpha, within its stated bound E (h_c_and_its_bound). Every
-    other request is refused. 36 answers are fixed targets that the scan refuses: 35 edges whose
+    other request is refused. 37 answers are fixed targets that the scan refuses: 36 edges whose
     roots lie past its last point 1e12, and fixed:0.3 at alpha = 0.007441, next to its peak."""
     answered = 0
     for _, call, args in sigma_root_calls():
@@ -433,13 +435,13 @@ def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
         assert result.psi_at_sigma > 0.0, (*args[:2], args[2].scheme_id)
         assert h_c <= stated, (*args[:2], args[2].scheme_id)
         answered += 1
-    assert answered == 1506
+    assert answered == 1507
 
 
 def test_every_answer_passes_the_predicate_that_takes_a_proven_cell():
     """Each sigma* solve_sigma returns for the sigma-root and proven requests: psi > 0 there, and
-    calibration._h_past_rounding, which also decides whether a proven cell is the bracket, reads
-    h_c there as 0, with log m as computed."""
+    calibration._h_past_rounding, which also decides whether a proven cell answers, reads h_c
+    there as 0, with log m as computed."""
     proven = (("proven", _solve, args) for args in proven_requests())
     answered = 0
     for _, call, args in itertools.chain(sigma_root_calls(), proven):
@@ -456,7 +458,7 @@ def test_every_answer_passes_the_predicate_that_takes_a_proven_cell():
                                            variance_ratio(sigma))
         assert result.psi_at_sigma > 0.0 and h_c == 0.0, (alpha, alpha_b, scheme.scheme_id)
         answered += 1
-    assert answered == 1506 + 608  # the sigma-root requests' and the proven family's
+    assert answered == 1507 + 610  # the sigma-root requests' and the proven family's
 
 
 def _step(at):
@@ -529,9 +531,15 @@ def _cli_lines():
         yield from (("cli", line) for line in cli_lines(Path(tmp)))
 
 
+def _kl_next_to_one_half_lines():
+    """("kl_next_to_one_half", line) per line of test_calibration's KL_NEXT_TO_ONE_HALF_DIGEST."""
+    return (("kl_next_to_one_half", line) for line in kl_next_to_one_half_lines())
+
+
 FAMILIES = {**dict.fromkeys(DIGEST, scalar_path_lines),
             **dict.fromkeys([*ROOT_DIGEST, "evaluations"], sigma_root_lines),
-            "root_finder": root_finder_lines, "cli": _cli_lines}
+            "root_finder": root_finder_lines, "cli": _cli_lines,
+            "kl_next_to_one_half": _kl_next_to_one_half_lines}
 
 
 if __name__ == "__main__":

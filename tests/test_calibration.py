@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pointnull import calibration, priors
 from pointnull.calibration import (
+    CalibrationResult,
     CalibrationSpec,
     Decision,
     InfeasibleAlphaError,
@@ -499,12 +500,21 @@ def test_solve_kl_round_trips_sigma_one_to_its_tolerance():
 
 @pytest.mark.parametrize("alpha_b", [0.4999999, 1e-300])
 def test_solve_kl_refuses_a_target_met_only_where_the_error_rounds_to_one(alpha_b):
-    # The root finder closes in on sigma whose computed error is exactly 1, where psi <= 0.
+    # The root finder closes in on sigma whose computed error is exactly 1, where psi <= 0, on
+    # kl's cell and then on the scan's. The range is the least error the scan computed and its
+    # greatest below 1, at its points and at the float it found.
+    spec = CalibrationSpec(0.999999999, alpha_b, KL)
     with pytest.raises(InfeasibleAlphaError) as excinfo:
-        solve_sigma(CalibrationSpec(0.999999999, alpha_b, KL))
+        solve_sigma(spec)
     got = excinfo.value
-    assert got.requested == 0.999999999
-    assert 0.0 < got.achievable_lo <= got.achievable_hi < 0.999999999
+    bracket, cuts = scan_outcome(calibration._scan_bracket, spec)
+    found = calibration._root_of_h(KL, cuts.level, classical_threshold(spec.alpha), bracket.lo,
+                                   bracket.hi, [])
+    errors = [type_i_error(sigma, alpha_b, KL) for sigma in [*cuts, found]]
+    assert got.requested == 0.999999999 and max(errors) == 1.0
+    below_one = max(e for e in errors if e < 1.0)
+    assert (got.achievable_lo, got.achievable_hi) == (min(errors), below_one)
+    assert below_one < 0.999999999
 
 
 def test_solve_kl_answers_a_target_above_the_error_at_its_rounded_bound():
@@ -721,8 +731,9 @@ def recording_polish(monkeypatch):
 
     def recorded(scheme, level, c, lo, hi, evaluated):
         polishes.append(Bracket(lo, hi))
+        start = len(evaluated)  # a solve's polishes share one list
         ends = real(scheme, level, c, lo, hi, evaluated)
-        sigmas.extend(evaluated)
+        sigmas.extend(evaluated[start:])
         return ends
 
     monkeypatch.setattr(calibration, "_root_of_h", recorded)
@@ -742,9 +753,9 @@ def counting_type_i_error(monkeypatch):
 
 
 def counting_psi(monkeypatch):
-    """The sigma of each psi that solve_sigma's memo computes: its at's log m calls, and the
-    acceptance's at sigma* where it fills the memo. Where the memo has sigma* already, as at the
-    end a refusal stops at, the acceptance's log m adds no psi and is not listed."""
+    """The sigma of each psi that solve_sigma computes: its memo's at's log m calls, and the
+    acceptance's at each float the root finder returns. Where the memo has that float already,
+    as at the end a refusal stops at, the acceptance's log m adds no psi and is not listed."""
     calls = []
     real = calibration.log_m_of_sigma
 
@@ -764,6 +775,9 @@ FEASIBLE_SCANNED = [
     CalibrationSpec(1e-4, 0.1, FixedPrior(0.07)),
     CalibrationSpec(0.01, 0.05, CustomTablePrior(((0.5, 0.6), (2.0, 0.3), (5.0, 0.05)))),
 ]
+#: A cell whose ends' h_c share a sign: its two evaluations fail, and the scan answers on [1, 10].
+FAILED_CELL = CalibrationSpec(0.9999999872464741, 0.2566912323253908,
+                              FixedPrior(0.14843827226072623))
 
 
 def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
@@ -798,22 +812,34 @@ def kl_requests():
             + [CalibrationSpec(e_hi * (1.0 + 2e-12), 0.05, KL)])
 
 
-def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
-    """Each scheme's bracket for the scanned and kl requests, and solve_sigma's verdict on it.
+#: Cells only the root finder decides: fixed's, which starts at its positivity bound next to
+#: alpha = 1, answers at its lower end; kl's holds no float the predicate accepts, as the root
+#: lies just past the rounded bound, and the scan answers.
+DECIDED_CELLS = (
+    CalibrationSpec(0.9999999968867909, 0.39120716077630097, FixedPrior(0.14072119035491923)),
+    CalibrationSpec(0.9999999999903462, 2.216204527783813e-282, KL),
+)
 
-    A scan's bracket encloses c_alpha, or holds the scanned sigma whose psi is nearest it. kl's
-    is [lo, bound] for alpha_b < 1/2 and a refusal, before any psi, for the rest; a taken cell
-    leaves the memo empty, and its ends' psi is computed here. Where the bracket does not enclose
-    c_alpha, solve_sigma answers only at an end where h_c is within its stated bound E
-    (h_c_and_its_bound); it refuses the rest with the least and greatest error at the sigma the
-    bracket evaluated and at its ends.
+
+def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
+    """Each bracket solve_sigma may try for the scanned and kl requests and DECIDED_CELLS, and
+    its verdict on them.
+
+    kl's cell is [lo, bound] for alpha_b < 1/2 and a refusal, before any psi, for the rest; a
+    proven cell computes no psi, and its ends' psi is computed here. A scan's bracket encloses
+    c_alpha, or holds the scanned sigma whose psi is nearest it. Where a cell does not enclose
+    c_alpha, solve_sigma answers in it only at an end where h_c is within its stated bound E
+    (h_c_and_its_bound), and otherwise goes on to the scan. Where the scan's bracket does not
+    enclose it, the solve answers only at such an end, and refuses the rest with the least and
+    greatest error at the sigma the scan evaluated, its bracket's ends among them.
     """
     calls = counting_psi(monkeypatch)
     outcomes = set()
-    for spec in scanned_requests() + kl_requests():
+    for spec in [*scanned_requests(), *kl_requests(), *DECIDED_CELLS]:
         cuts, c = psi_memo(spec), classical_threshold(spec.alpha)
+        brackets = calibration._brackets(cuts, spec.alpha, c)
         try:
-            bracket = calibration._solve_bracket(cuts, spec.alpha, c)
+            bracket = next(brackets)
         except InfeasibleAlphaError as refusal:
             got = (refusal.requested, refusal.achievable_lo, refusal.achievable_hi)
             assert spec.scheme is KL and spec.alpha_b >= 0.5, spec  # the error is 1 everywhere
@@ -821,31 +847,39 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
             outcomes.add("kl, alpha_b >= 1/2")
             continue
         lo, hi = spec.scheme.sigma_domain()
-        assert lo <= bracket.lo < bracket.hi <= hi, spec
-        level, sigmas = cuts.level, (bracket.lo, bracket.hi)
-        ends = tuple(calibration._cut(level, log_m_of_sigma(spec.scheme, sigma),
-                                      variance_ratio(sigma)) for sigma in sigmas)
-        if spec.scheme._proven_cell(level, spec.alpha, c) == sigmas:
-            assert cuts == {}, spec  # the check's log m stays in the check
-        else:
-            assert ends == (cuts[bracket.lo], cuts[bracket.hi]), spec
-        if min(ends) <= c <= max(ends):
-            outcomes.add("encloses c_alpha")
-            continue
-        assert spec.scheme is KL or min(abs(cut - c) for cut in ends) == min(
-            abs(cut - c) for cut in cuts.values()), spec  # the scan's cell nearest c_alpha
-        try:
-            result = solve_sigma(spec)
-        except InfeasibleAlphaError as refusal:
-            errors = [type_i_error(sigma, spec.alpha_b, spec.scheme) for sigma in [*cuts, *sigmas]]
-            assert (refusal.achievable_lo, refusal.achievable_hi) == (min(errors), max(errors))
-            outcomes.add("refused")
-            continue
-        assert result.sigma_star in (bracket.lo, bracket.hi), spec
-        h_c, stated = h_c_and_its_bound(spec, result)
-        assert h_c <= stated, spec
-        outcomes.add("met at an end")
-    assert outcomes == {"kl, alpha_b >= 1/2", "encloses c_alpha", "refused", "met at an end"}
+        level, verdict = cuts.level, answer_or_refusal(spec)
+        while True:
+            assert lo <= bracket.lo < bracket.hi <= hi, spec
+            sigmas = (bracket.lo, bracket.hi)
+            ends = tuple(calibration._cut(level, log_m_of_sigma(spec.scheme, sigma),
+                                          variance_ratio(sigma)) for sigma in sigmas)
+            cell = spec.scheme._proven_cell(level, spec.alpha, c) == sigmas
+            if cell:
+                assert cuts == {}, spec  # the cell computes no psi
+            else:
+                assert ends == (cuts[bracket.lo], cuts[bracket.hi]), spec
+            encloses = min(ends) <= c <= max(ends)
+            assert encloses or cell or min(abs(cut - c) for cut in ends) == min(
+                abs(cut - c) for cut in cuts.values()), spec  # the scan's cell nearest c_alpha
+            answered = not isinstance(verdict, str) and verdict.bracket_used == bracket
+            if answered and not encloses:
+                assert verdict.sigma_star in sigmas, spec
+                h_c, stated = h_c_and_its_bound(spec, verdict)
+                assert h_c <= stated, spec
+            if cell and not answered:
+                outcomes.add("a cell left to the scan")
+                bracket = next(brackets)
+                continue
+            if not (answered or encloses):
+                errors = [type_i_error(sigma, spec.alpha_b, spec.scheme) for sigma in cuts]
+                assert verdict == (f"InfeasibleAlphaError: no sigma achieves Type I error "
+                                   f"{spec.alpha}; achievable range is approximately "
+                                   f"{(min(errors), max(errors))}"), spec
+            outcomes.add(("a cell " if cell else "") + ("encloses c_alpha" if encloses else
+                                                        "met at an end" if answered else "refused"))
+            break
+    assert outcomes == {"kl, alpha_b >= 1/2", "a cell encloses c_alpha", "encloses c_alpha",
+                        "refused", "a cell met at an end", "a cell left to the scan"}
     calls.clear()
     with pytest.raises(InfeasibleAlphaError):
         solve_sigma(CalibrationSpec(0.05, 0.5, KL))
@@ -853,33 +887,40 @@ def test_each_bracket_encloses_c_alpha_or_is_the_cell_nearest_it(monkeypatch):
     assert type_i_error(1e-3, 0.5, KL) == type_i_error(1e3, 0.5, KL) == 1.0
 
 
-@pytest.mark.parametrize("spec", [CalibrationSpec(0.05, 0.05, KL)] + FEASIBLE_SCANNED)
+@pytest.mark.parametrize("spec", [CalibrationSpec(0.05, 0.05, KL), *FEASIBLE_SCANNED, FAILED_CELL])
 def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
     """The sigma of each psi, from which the solve takes its Type I errors, computed once each,
-    and the sigma where only h_c was evaluated."""
+    and the sigma where only h_c was evaluated, on every bracket the solve tried: FAILED_CELL
+    counts its cell's two ends beside the scan's 10."""
     calls = counting_psi(monkeypatch)
-    _, sigmas = recording_polish(monkeypatch)
+    polishes, sigmas = recording_polish(monkeypatch)
     result = solve_sigma(spec)
     assert len(calls) == len(set(calls))
     assert result.evaluations == len(set(calls) | set(sigmas))
+    if spec is FAILED_CELL:
+        cell = spec.scheme._proven_cell(calibration._log_rejection_odds(spec.alpha_b), spec.alpha,
+                                        classical_threshold(spec.alpha))
+        assert polishes == [Bracket(*cell), result.bracket_used] and sigmas[:2] == list(cell)
+        assert (result.bracket_used, result.evaluations) == (Bracket(1.0, 10.0), 12)
 
 
 def test_a_feasible_solve_computes_one_type_i_error(monkeypatch):
     """erfc once per answer, for the achieved alpha: on a proven cell (kl, robert, fixed:0.3), on
     the scan (the golden table, fixed:0.3 on the base scan) and by Brent's method (a scheme
-    without _log_m_slope). A taken cell leaves the psi memo empty."""
+    without _log_m_slope). An answer in a cell computes one psi, at sigma*."""
     tails, upper_tail = [], calibration._upper_tail
     monkeypatch.setattr(calibration, "_upper_tail", lambda z: tails.append(z) or upper_tail(z))
+    calls = counting_psi(monkeypatch)
     for scheme, alpha in ((KL, 0.01), (ROBERT, 0.01), (FIXED_03, 0.005), (GOLDEN_TABLE, 0.01),
                           (SCANNED_FIXED_03, 0.005), (WavyPrior(), 0.001)):
         spec, c = CalibrationSpec(alpha, 0.05, scheme), classical_threshold(alpha)
-        cuts = psi_memo(spec)
-        bracket = calibration._solve_bracket(cuts, alpha, c)
-        if scheme in (KL, ROBERT, FIXED_03):
-            assert (bracket.lo, bracket.hi) == scheme._proven_cell(cuts.level, alpha, c), scheme
-            assert cuts == {}, scheme
         tails.clear()
+        calls.clear()
         result = solve_sigma(spec)
+        if scheme in (KL, ROBERT, FIXED_03):
+            cell = scheme._proven_cell(calibration._log_rejection_odds(0.05), alpha, c)
+            assert result.bracket_used == Bracket(*cell), scheme
+            assert calls == [result.sigma_star], scheme
         assert tails == [math.sqrt(result.psi_at_sigma)], scheme
         assert result.achieved_alpha == 2.0 * upper_tail(tails[0]), scheme
 
@@ -1227,62 +1268,105 @@ def bracket_requests():
                     CalibrationSpec(0.044145163806617, 0.05, ROBERT)]
 
 
+def test_proven_cells_that_the_root_finder_answers_are_taken():
+    """DECIDED_CELLS, each answered within test_accuracy's bound of the 60-digit root of h_c.
+    fixed's cell answers at its lower end in 2 evaluations; a check of the cell's ends left it to
+    the scan, which refused with a one-point range. kl's cell holds no float the predicate
+    accepts, and the scan answers on [10, 100]; the check took the cell and refused."""
+    from test_accuracy import _sigma_star_bound, h_root_reference, ulps
+
+    expected = ((3.7942800226928743, Bracket(3.7942800226928743, 6.391571926349429), 2),
+                (36.11427062747358, Bracket(10.0, 100.0), 14))
+    for spec, (sigma_star, bracket, evaluations) in zip(DECIDED_CELLS, expected):
+        result = solve_sigma(spec)
+        assert (result.sigma_star, result.bracket_used, result.evaluations) == (
+            sigma_star, bracket, evaluations), spec
+        root, kappa = h_root_reference(spec.scheme, spec.alpha, spec.alpha_b, sigma_star)
+        assert ulps(sigma_star, root) <= _sigma_star_bound(kappa), spec
+        h_c, stated = h_c_and_its_bound(spec, result)
+        assert result.psi_at_sigma > 0.0 and h_c <= stated, spec
+
+
+def with_evaluations(result, evaluations):
+    """result with its evaluation count replaced."""
+    return CalibrationResult(result.sigma_star, result.psi_at_sigma, result.achieved_alpha,
+                             result.residual, result.bracket_used, evaluations)
+
+
+def scanned_sigmas(spec):
+    """The scan's bracket for spec, and the sigma of each psi it computes and of each h_c the
+    root finder evaluates on that bracket."""
+    bracket, cuts = scan_outcome(calibration._scan_bracket, spec)
+    polished = []
+    calibration._root_of_h(spec.scheme, cuts.level, classical_threshold(spec.alpha), bracket.lo,
+                           bracket.hi, polished)
+    return bracket, {*cuts, *polished}
+
+
 def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeypatch):
-    """Where the scheme proves a cell and h_c, as the root finder computes it, is past its rounding
-    bound E at the lower end and, at the upper end, past it with the opposite sign or within it,
-    or within E at the lower end and not past it above 0 at the upper, that cell is the bracket,
-    found without a scan, and the memo holds nothing from it.
-    The solve then answers in it, at the root the scan brackets where the scan answers.
-    Everywhere else the scan decides as on the base scan: the same bracket, psi at the same sigma
-    in the same order, and the same answer, evaluation count or refusal."""
+    """Where the scheme proves a finite cell and the root finder's float in it passes the
+    predicate that accepts sigma*, that cell is the bracket, found without a scan, and the solve
+    computes psi only at sigma*. At each end where h_c, as the root finder computes it, is past
+    its rounding bound E, it has the sign the cell's proof gives. The answer lies in the scan's
+    bracket where the scan answers.
+    Everywhere else the scan decides as on the base scan: psi at the same sigma in the same
+    order, after the failed float's, and the same answer or refusal. A failed cell adds the
+    sigma at which the root finder evaluated h_c in it to the answer's evaluations."""
     ends, scans = recording_ends(monkeypatch), recording_scans(monkeypatch)
+    calls = counting_psi(monkeypatch)
     outcomes = set()
     for spec in bracket_requests():
         scanned, scheme = on_the_scan(spec), spec.scheme
         level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
         ends.clear()
         scans.clear()
-        cuts = psi_memo(spec)
-        bracket = calibration._solve_bracket(cuts, spec.alpha, c)
-        [proposed] = ends
+        calls.clear()
+        verdict = answer_or_refusal(spec)
+        [proposed], solved_calls = ends, list(calls)
         if not scans:
+            bracket = verdict.bracket_used
             assert proposed == (bracket.lo, bracket.hi), spec
-            assert cuts == {}, spec
+            assert bracket.lo <= verdict.sigma_star <= bracket.hi, spec
+            assert solved_calls == [verdict.sigma_star], spec
             rises = type(scheme) is FixedPrior and level <= scheme._log_odds  # h_c < 0 at lo
-            lower_within = False
             for sigma in proposed:
                 h_c = level - log_m_of_sigma(scheme, sigma) - 0.5 * c * variance_ratio(sigma)
                 stated = 16.0 * 2.0**-53 * (1.0 + abs(level) + abs(log_m_of_sigma(scheme, sigma)))
-                if sigma == proposed[1] and lower_within:
-                    assert h_c <= stated, spec
                 if abs(h_c) <= stated:
                     end = "upper" if sigma == proposed[1] else "lower"
                     outcomes.add(f"{end} end within rounding: the cell is taken")
-                    lower_within = sigma == proposed[0]
                     continue
-                assert abs(h_c) > stated, spec
                 assert (h_c > 0.0) == ((sigma == proposed[0]) != rises), spec
-            result = solve_sigma(spec)
-            assert result.bracket_used == bracket and bracket.lo <= result.sigma_star <= bracket.hi
             scan = answer_or_refusal(scanned)
             if isinstance(scan, str):
                 outcomes.add("proven, where the scan refuses")
                 continue
-            assert scan.bracket_used.lo <= result.sigma_star <= scan.bracket_used.hi, spec
+            assert scan.bracket_used.lo <= verdict.sigma_star <= scan.bracket_used.hi, spec
             outcomes.add("proven")
             continue
-        scan_bracket, scan_cuts = scan_outcome(calibration._scan_bracket, scanned)
-        assert (scan_bracket, list(scan_cuts.items())) == (bracket, list(cuts.items())), spec
-        assert answer_or_refusal(spec) == answer_or_refusal(scanned), spec
+        failed, tried = [], []  # where the root finder evaluated h_c in a failed cell; its float
         if proposed is None:
             cancels = type(scheme) is FixedPrior and 2.0 * (1.0 + abs(level)) < scheme._log_odds
             outcomes.add("log m cancels" if cancels and level <= scheme._log_odds else "no root")
         elif math.isinf(proposed[1]):
             outcomes.add("an end past float range")
         else:
-            outcomes.add("an end within rounding")
+            tried.append(found := calibration._root_of_h(scheme, level, c, *proposed, failed))
+            log_m, ratio = log_m_of_sigma(scheme, found), variance_ratio(found)
+            assert not 0.0 < calibration._cut(level, log_m, ratio) < math.inf or \
+                calibration._h_past_rounding(level, c, log_m, ratio), spec
+            outcomes.add("the cell's float fails the predicate")
+        calls.clear()
+        scan = answer_or_refusal(scanned)
+        assert solved_calls == tried + calls, spec
+        if isinstance(scan, str):
+            assert verdict == scan, spec
+            continue
+        sigmas = scanned_sigmas(scanned)[1]
+        assert scan.evaluations == len(sigmas), spec
+        assert verdict == with_evaluations(scan, len(sigmas.union(failed))), spec
     assert outcomes == {"proven", "proven, where the scan refuses", "no root", "log m cancels",
-                        "an end past float range", "an end within rounding",
+                        "an end past float range", "the cell's float fails the predicate",
                         "upper end within rounding: the cell is taken",
                         "lower end within rounding: the cell is taken"}
 
@@ -1326,39 +1410,38 @@ class ScannedKL(KLSelfInformationPrior):
 
 
 def test_kl_leaves_its_cell_to_the_scan_only_where_its_check_fails(monkeypatch):
-    """kl's cell is checked like robert's and fixed's. Where _h_past_rounding reads h_c above 0
-    at its upper end, the bound, with the lower end past rounding above 0 or within it, the
-    solve takes the scan's bracket, and answers and counts as kl on the scan. Where it reads 0
-    at the lower end alone, as for alpha_b within about 6e-14 of 1/2, the cell is taken."""
-    pending = []
-    real_cell, real_h = KLSelfInformationPrior._proven_cell, calibration._h_past_rounding
-
-    def recorded(scheme, level, alpha, c):
-        pending[:] = reads  # the check reads the lower end, then the upper
-        return real_cell(scheme, level, alpha, c)
+    """kl's cell is decided like robert's and fixed's, by the predicate that accepts sigma*.
+    Where _h_past_rounding reads h_c past rounding at the float the root finder returns in the
+    cell, the solve goes on to the scan's bracket and answers as kl on the scan, with the sigma
+    at which the root finder evaluated h_c in the cell added to its evaluations. Where it reads
+    h_c as computed, the cell answers."""
+    pending, real_h = [], calibration._h_past_rounding
 
     def misread(level, c, log_m, ratio):
-        read = pending.pop(0) if pending else None
-        return real_h(level, c, log_m, ratio) if read is None else read
+        return pending.pop(0) if pending else real_h(level, c, log_m, ratio)
 
     targets = ((1e-10, 0.05), (0.01, 0.05), (0.05, 0.05), (0.3, 0.01), (0.9, 0.3), (0.9999, 0.05))
     plain = {target: solve_sigma(CalibrationSpec(*target, KL)) for target in targets}
-    monkeypatch.setattr(KLSelfInformationPrior, "_proven_cell", recorded)
     monkeypatch.setattr(calibration, "_h_past_rounding", misread)
     scanned = ScannedKL()
-    for reads in ((None, 1.0), (0.0, 1.0), (0.0, None)):
-        for target in targets:
-            spec = CalibrationSpec(*target, KL)
-            result = solve_sigma(spec)
-            if reads[1] is None:
-                assert result == plain[target], (reads, spec)
-                continue
-            scan_bracket, _ = scan_outcome(calibration._scan_bracket, spec)
-            assert result == solve_sigma(CalibrationSpec(*target, scanned)), (reads, spec)
-            assert result.bracket_used == scan_bracket != plain[target].bracket_used, spec
+    for target in targets:
+        spec = CalibrationSpec(*target, KL)
+        assert solve_sigma(spec) == plain[target], spec
+        pending[:] = [1.0]  # the cell's float, read as past rounding
+        result = solve_sigma(spec)
+        assert pending == [], spec
+        level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
+        failed = []
+        calibration._root_of_h(KL, level, c, *KL._proven_cell(level, spec.alpha, c), failed)
+        scan_bracket, sigmas = scanned_sigmas(spec)
+        scan = solve_sigma(CalibrationSpec(*target, scanned))
+        assert scan.evaluations == len(sigmas), spec
+        assert result == with_evaluations(scan, len(sigmas.union(failed))), spec
+        assert result.bracket_used == scan_bracket != plain[target].bracket_used, spec
 
 
-KL_NEXT_TO_ONE_HALF_DIGEST = "62b8afd70bf84b4989acf16e41f1e352889b6ddb71c78e529c6519ee2249d23c"
+#: SHA-256 over kl_next_to_one_half_lines, each ended by a newline.
+KL_NEXT_TO_ONE_HALF_DIGEST = "3f27ad86ef1e8fc2c1342aad2c14b8ca2934c45a3efebab0366b89af21b421b8"
 
 
 def kl_requests_next_to_one_half(count=600, seed=47):
@@ -1373,23 +1456,29 @@ def kl_requests_next_to_one_half(count=600, seed=47):
         yield alpha, alpha_b
 
 
+def kl_next_to_one_half_lines():
+    """One line per kl_requests_next_to_one_half request: alpha, alpha_b and the answer or the
+    refusal, each as repr. test_bit_identity prints them as its kl_next_to_one_half family."""
+    for alpha, alpha_b in kl_requests_next_to_one_half():
+        yield f"{alpha!r} {alpha_b!r} {answer_or_refusal(CalibrationSpec(alpha, alpha_b, KL))!r}"
+
+
 def test_kl_answers_targets_next_to_alpha_b_one_half_in_its_cell():
-    """The scan, from sigma = 1e-3, cannot reach kl's roots near 1e-8 there, so the cell must be
-    taken where its lower end, or both ends, are within rounding. The digest and the 487 answers
-    are those of kl's cell taken unchecked, before every cell was checked; checking it with a
-    lower end that must be past rounding answered 298."""
-    digest, answers, within = hashlib.sha256(), 0, collections.Counter()
+    """The scan, from sigma = 1e-3, cannot reach kl's roots near 1e-8 there, so the cell must
+    answer where its lower end, or both ends, are within rounding. The 487 answers are those of
+    kl's cell taken unchecked, before every cell was checked; checking it with a lower end that
+    must be past rounding answered 298. The refusals quote the scan's range."""
+    within = collections.Counter()
     for alpha, alpha_b in kl_requests_next_to_one_half():
         level, c = calibration._log_rejection_odds(alpha_b), classical_threshold(alpha)
         within[tuple(not calibration._h_past_rounding(level, c, log_m_of_sigma(KL, sigma),
                                                       variance_ratio(sigma))
                      for sigma in KL._proven_cell(level, alpha, c))] += 1
-        line = answer_or_refusal(CalibrationSpec(alpha, alpha_b, KL))
-        answers += not isinstance(line, str)
-        digest.update(f"{alpha!r} {alpha_b!r} {line!r}\n".encode())
+    lines = list(kl_next_to_one_half_lines())
     assert within[True, False] > 0 and within[True, True] > 0, within
-    assert answers == 487
-    assert digest.hexdigest() == KL_NEXT_TO_ONE_HALF_DIGEST
+    assert sum(" CalibrationResult(" in line for line in lines) == 487
+    digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+    assert digest == KL_NEXT_TO_ONE_HALF_DIGEST
     result = solve_sigma(CalibrationSpec(2.7771982424568544e-94, 0.4999999999999978, KL))
     assert result.sigma_star == 6.470085275355061e-09
 

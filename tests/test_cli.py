@@ -181,9 +181,9 @@ def test_calibrate_robert_low_target_succeeds(capsys):
 
 
 @pytest.mark.parametrize("scheme,alpha,alpha_b,achievable", [
-    # The error rounds to 1 at sigma* and at the bound, so the error at the bracket's low end,
-    # the one below 1 that the solve computed, gives the range.
-    ("kl", "0.9999999999999999", "5e-324", "(0.006852011453502906, 0.006852011453502906)"),
+    # The error rounds to 1 at sigma*, in kl's cell and on the scan's [10, 100], so the range is
+    # the scan's least error and its greatest below 1, at 10.
+    ("kl", "0.9999999999999999", "5e-324", "(0.0, 5.103053780903845e-308)"),
     # c_alpha is about 1.9e-32, below psi's resolution: sigma* lands where psi rounds to <= 0.
     ("fixed:0.0009", "0.9999999999999999", "0.05", "(0.2998199050658802, 0.2998199050658802)"),
 ])
@@ -679,7 +679,7 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "8c28961ba74ab91fe8d8f790c6d7e61e53d7be4e6b1b63095bd324602e718941"
+CLI_DIGEST = "d1f8dd6dc8cb69be2a61004ed63bbbff143167ecc7137c57229bbab2114e321c"
 
 
 def cli_lines(tmp_path):
