@@ -1344,15 +1344,15 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             assert scan.bracket_used.lo <= verdict.sigma_star <= scan.bracket_used.hi, spec
             outcomes.add("proven")
             continue
-        failed, tried = [], []  # where the root finder evaluated h_c in a failed cell; its float
+        failed, tried = [], []  # the sigma of a failed cell's h_c, and the float it gave
         if proposed is None:
             cancels = type(scheme) is FixedPrior and 2.0 * (1.0 + abs(level)) < scheme._log_odds
             outcomes.add("log m cancels" if cancels and level <= scheme._log_odds else "no root")
         elif math.isinf(proposed[1]):
             outcomes.add("an end past float range")
         else:
-            tried.append(found := calibration._root_of_h(scheme, level, c, *proposed, failed))
-            log_m, ratio = log_m_of_sigma(scheme, found), variance_ratio(found)
+            found = calibration._root_of_h(scheme, level, c, *proposed, failed)
+            log_m, ratio, tried = log_m_of_sigma(scheme, found), variance_ratio(found), [found]
             assert not 0.0 < calibration._cut(level, log_m, ratio) < math.inf or \
                 calibration._h_past_rounding(level, c, log_m, ratio), spec
             outcomes.add("the cell's float fails the predicate")
