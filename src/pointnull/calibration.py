@@ -265,7 +265,7 @@ def psi_sweep(scheme: PriorScheme, alpha_b: float, sigma_grid: list[float] | tup
     except UnsupportedSchemeError:
         end = None
     if end is None:
-        end = _root_of_h(scheme, level, 0.0, rows[-1][0], sigma, [])
+        end = _root_of_h(scheme, level, 0.0, rows[-1][0], sigma, {})
     return rows, end
 
 
@@ -282,7 +282,7 @@ def decide(obs: Observation, sigma: float, alpha_b: float, scheme: PriorScheme) 
 
 
 def _root_of_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float,
-               evaluated: list[float]) -> float:
+               evaluated: dict[float, tuple[float, float]]) -> float:
     """The end of a sigma bracket, shrunk onto the root of h_c = (level - log m) - (c/2) ratio.
 
     h_c = (ratio/2)(psi - c) has the sign of alpha - error where c = c_alpha, and at c = 0 it is
@@ -293,14 +293,14 @@ def _root_of_h(scheme: PriorScheme, level: float, c: float, lo: float, hi: float
     replaced by bisection. Once a step is within 2 ulp its end point is evaluated, and the loop
     stops; so it does at an exact zero or at adjacent floats. Without a slope, Brent's method
     (find_root_bracketed) stops at the same two places and reads an infinite h_c, where the odds
-    are infinite, as its sign. Returns the end with the smaller |h_c|, and appends each sigma h_c
-    is evaluated at to evaluated.
+    are infinite, as its sign. Returns the end with the smaller |h_c|, always a sigma it evaluated
+    (Newton moves ends only onto those, Brent returns its b); evaluated maps each to (log m, ratio).
     """
     half_c, log_m_slope = 0.5 * c, scheme._log_m_slope
 
     def h(sigma: float) -> float:
-        evaluated.append(sigma)
-        return level - log_m_of_sigma(scheme, sigma) - half_c * variance_ratio(sigma)
+        log_m, ratio = evaluated[sigma] = log_m_of_sigma(scheme, sigma), variance_ratio(sigma)
+        return level - log_m - half_c * ratio
 
     h_lo, h_hi = h(lo), h(hi)
     if h_lo and h_hi and (h_lo > 0.0) != (h_hi > 0.0):
@@ -409,8 +409,8 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     rounding bound E = 16 eps (1 + |L| + |log m|), eps = 2^-53, log m as computed (as _band takes
     base). Newton's method on h_c, or Brent's without a slope, finds the float nearest its root
     (_root_of_h): h_c has neither erfc nor sqrt, so it does not flatten out. That float is the
-    answer where psi > 0 and _h_past_rounding reads h_c as 0, tried on the proven cell, then on
-    the scan's cell (_brackets); bracket_used is the one it answers on. E adds:
+    answer where psi > 0 and _h_past_rounding reads h_c as 0 from the root finder's log m and
+    ratio, tried on the proven cell, then on the scan's cell (_brackets): bracket_used. E adds:
     - _band's step 2: L is within eps (3 |L| + 3) of log(1/alpha_b - 1); the gap L - log m,
       (c/2) ratio and h_c round once each; ratio is within 4 eps, and (c/2) ratio with it.
     - c_alpha is within 1 + k (11 + c) ulp (classical_threshold), and k c <= 2 by
@@ -429,10 +429,10 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
     """
     alpha, alpha_b, scheme = spec.alpha, spec.alpha_b, spec.scheme
     level, c = _log_rejection_odds(alpha_b), classical_threshold(alpha)
-    cuts, evaluated = _PsiMemo(scheme, level), []
+    cuts, evaluated = _PsiMemo(scheme, level), {}
     for bracket in _brackets(cuts, alpha, c):
         sigma_star = _root_of_h(scheme, level, c, bracket.lo, bracket.hi, evaluated)
-        log_m, ratio = log_m_of_sigma(scheme, sigma_star), variance_ratio(sigma_star)
+        log_m, ratio = evaluated[sigma_star]
         cut = _cut(level, log_m, ratio)  # as the memo computes it
         if 0.0 < cut < _INF and not _h_past_rounding(level, c, log_m, ratio):
             achieved = _error_of(cut)

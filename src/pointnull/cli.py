@@ -39,7 +39,7 @@ class ConfigError(ValueError):
     """The --config file is unreadable as key=value lines."""
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str) -> dict[str, str | bool]:
     """The file's key=value lines. A key of another subcommand is kept; one of none is refused."""
     options = {flag.replace("-", "_") for *_, flags in _COMMANDS.values() for flag in flags}
     try:
@@ -47,7 +47,7 @@ def _read_config(path: str) -> dict[str, str]:
             lines = handle.readlines()
     except UnicodeDecodeError as error:
         raise ConfigError(f"{path}: not UTF-8 text ({error.reason})") from None
-    values: dict[str, str] = {}
+    values: dict[str, str | bool] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -58,8 +58,10 @@ def _read_config(path: str) -> dict[str, str]:
         if (name := key.strip().replace("-", "_")) not in options:
             raise ConfigError(f"{path}:{lineno}: no subcommand takes the key {key.strip()!r}")
         values[name] = value = value.strip()
-        if name == "compare_paper" and value.lower() not in _SWITCHES.split("/"):
-            raise ConfigError(f"{path}:{lineno}: compare_paper takes {_SWITCHES}, got {value!r}")
+        if name == "compare_paper":  # read as the flag's bool: on, then off
+            if value.lower() not in _SWITCHES.split("/"):
+                raise ConfigError(f"{path}:{lineno}: {name} takes {_SWITCHES}, got {value!r}")
+            values[name] = value.lower() in _SWITCHES.split("/")[:4]
     return values
 
 
@@ -317,10 +319,7 @@ def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, argparse.Argumen
     sub = commands[args.command]
     options = {flag.replace("-", "_"): value for flag, value in _COMMANDS[args.command][2].items()}
     if args.config:
-        config = {k: v for k, v in _read_config(args.config).items() if k in options}
-        if "compare_paper" in config:
-            config["compare_paper"] = config["compare_paper"].lower() in _SWITCHES.split("/")[:4]
-        sub.set_defaults(**config)
+        sub.set_defaults(**{k: v for k, v in _read_config(args.config).items() if k in options})
         args = parser.parse_args(argv)  # argparse runs string defaults through each type
     for dest, default in options.items():
         if default is _REQUIRED and getattr(args, dest) is None:

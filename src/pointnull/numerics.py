@@ -111,10 +111,7 @@ def std_normal_cdf(z: float) -> float:
     Evaluated through the complementary error function so both tails keep
     full relative accuracy (absolute error well below 1e-14 everywhere).
     """
-    z = float(z)
-    if not -_INF < z < _INF:  # nan fails it too
-        raise DomainError(f"z must be finite, got {z}")
-    return _upper_tail(-z)
+    return _upper_tail(-_check_finite("z", float(z)))
 
 
 def _upper_tail(r: float) -> float:

@@ -528,7 +528,7 @@ def scheme_from_string(text: str) -> PriorScheme:
             value = float(raw)
         except ValueError:
             raise SchemeParseError(f"fixed:<rho0> needs a number, got {raw!r}") from None
-        if not (math.isfinite(value) and 0.0 < value < 1.0):
+        if not 0.0 < value < 1.0:  # nan and +-inf fail it too
             raise SchemeParseError(f"fixed rho0 must lie strictly in (0, 1), got {raw}")
         return FixedPrior(value)
     if spelled.startswith("table:"):

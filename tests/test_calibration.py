@@ -509,7 +509,7 @@ def test_solve_kl_refuses_a_target_met_only_where_the_error_rounds_to_one(alpha_
     got = excinfo.value
     bracket, cuts = scan_outcome(calibration._scan_bracket, spec)
     found = calibration._root_of_h(KL, cuts.level, classical_threshold(spec.alpha), bracket.lo,
-                                   bracket.hi, [])
+                                   bracket.hi, {})
     errors = [type_i_error(sigma, alpha_b, KL) for sigma in [*cuts, found]]
     assert got.requested == 0.999999999 and max(errors) == 1.0
     below_one = max(e for e in errors if e < 1.0)
@@ -532,8 +532,9 @@ def test_solve_kl_answers_a_target_above_the_error_at_its_rounded_bound():
 
 def test_solve_accepts_a_sigma_star_by_h_c_within_its_bound(monkeypatch):
     """The floats above kl's sigma* for alpha = alpha_b = 0.05, handed to the acceptance test in
-    place of _root_of_h's root: the last whose |h_c| is below E / 2 answers, the first above 2 E
-    is refused, so a bound off by a factor of 2 either way fails here."""
+    place of _root_of_h's root, with their log m and ratio recorded as _root_of_h records its own:
+    the last whose |h_c| is below E / 2 answers, the first above 2 E is refused, so a bound off by
+    a factor of 2 either way fails here."""
     spec = CalibrationSpec(0.05, 0.05, KL)
     sigma, near, far = solve_sigma(spec).sigma_star, None, None
     while far is None:
@@ -542,8 +543,15 @@ def test_solve_accepts_a_sigma_star_by_h_c_within_its_bound(monkeypatch):
         h_c, bound = h_c_and_its_bound(spec, candidate)
         near, far = (sigma if h_c < 0.5 * bound else near), (sigma if h_c > 2.0 * bound else None)
     assert near is not None
+
+    def evaluated_at(sigma):
+        def root_of_h(scheme, level, c, lo, hi, evaluated):
+            evaluated[sigma] = log_m_of_sigma(scheme, sigma), variance_ratio(sigma)
+            return sigma
+        return root_of_h
+
     for candidate in (near, far):
-        monkeypatch.setattr(calibration, "_root_of_h", lambda *args, sigma=candidate: sigma)
+        monkeypatch.setattr(calibration, "_root_of_h", evaluated_at(candidate))
         if candidate == near:
             assert solve_sigma(spec).sigma_star == near
         else:
@@ -725,15 +733,18 @@ def test_solve_matches_the_scan_reference():
 
 
 def recording_polish(monkeypatch):
-    """The bracket of each Newton polish, and the sigma at which it evaluated h_c."""
+    """The bracket of each Newton polish, and each sigma at which it evaluated h_c that the
+    solve's polishes before it had not. Each returns a sigma it evaluated, whose log m and ratio
+    solve_sigma reads back."""
     polishes, sigmas = [], []
     real = calibration._root_of_h
 
     def recorded(scheme, level, c, lo, hi, evaluated):
         polishes.append(Bracket(lo, hi))
-        start = len(evaluated)  # a solve's polishes share one list
+        start = len(evaluated)  # a solve's polishes share one dict, in the order it was filled
         ends = real(scheme, level, c, lo, hi, evaluated)
-        sigmas.extend(evaluated[start:])
+        sigmas.extend(list(evaluated)[start:])
+        assert ends in evaluated
         return ends
 
     monkeypatch.setattr(calibration, "_root_of_h", recorded)
@@ -752,18 +763,18 @@ def counting_type_i_error(monkeypatch):
     return calls
 
 
-def counting_psi(monkeypatch):
-    """The sigma of each psi that solve_sigma computes: its memo's at's log m calls, and the
-    acceptance's at each float the root finder returns. Where the memo has that float already,
-    as at the end a refusal stops at, the acceptance's log m adds no psi and is not listed."""
+def counting_psi(monkeypatch, every=None):
+    """The sigma of each psi that solve_sigma computes, its memo's at's log m calls. The
+    acceptance takes psi at sigma* from the root finder's log m and ratio, and computes none.
+    every, if given, gets the sigma of each log m that calibration computes, from any caller."""
     calls = []
     real = calibration.log_m_of_sigma
 
     def counted(scheme, sigma):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "at" or (caller.f_code.co_name == "solve_sigma"
-                                                 and sigma not in caller.f_locals["cuts"]):
+        if sys._getframe(1).f_code.co_name == "at":
             calls.append(sigma)
+        if every is not None:
+            every.append(sigma)
         return real(scheme, sigma)
 
     monkeypatch.setattr(calibration, "log_m_of_sigma", counted)
@@ -781,7 +792,8 @@ FAILED_CELL = CalibrationSpec(0.9999999872464741, 0.2566912323253908,
 
 
 def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
-    calls = counting_psi(monkeypatch)
+    log_ms = []
+    calls = counting_psi(monkeypatch, every=log_ms)
     polishes, sigmas = recording_polish(monkeypatch)
     with pytest.raises(InfeasibleAlphaError):
         solve_sigma(CalibrationSpec(0.05, 0.05, ROBERT))
@@ -789,6 +801,9 @@ def test_each_scanned_sigma_is_evaluated_once(monkeypatch):
     # No cell encloses c_alpha: the polish gets the cell nearest it, evaluates h_c at its two
     # ends, which have one sign, and stops.
     assert len(polishes) == 1 and sigmas == [polishes[0].lo, polishes[0].hi]
+    # log m: the scan's 387, the polish's two ends and the range's two type_i_error calls; the
+    # acceptance computes none at the end the polish returns.
+    assert len(log_ms) == 387 + 2 + 2
     for spec in FEASIBLE_SCANNED:
         calls.clear()
         polishes.clear()
@@ -907,20 +922,24 @@ def test_evaluations_count_the_type_i_error_calls(monkeypatch, spec):
 def test_a_feasible_solve_computes_one_type_i_error(monkeypatch):
     """erfc once per answer, for the achieved alpha: on a proven cell (kl, robert, fixed:0.3), on
     the scan (the golden table, fixed:0.3 on the base scan) and by Brent's method (a scheme
-    without _log_m_slope). An answer in a cell computes one psi, at sigma*."""
+    without _log_m_slope). An answer in a cell computes no psi of its own, and one log m per
+    sigma it evaluates, sigma* included: as many as its evaluations."""
     tails, upper_tail = [], calibration._upper_tail
     monkeypatch.setattr(calibration, "_upper_tail", lambda z: tails.append(z) or upper_tail(z))
-    calls = counting_psi(monkeypatch)
+    log_ms = []
+    calls = counting_psi(monkeypatch, every=log_ms)
     for scheme, alpha in ((KL, 0.01), (ROBERT, 0.01), (FIXED_03, 0.005), (GOLDEN_TABLE, 0.01),
                           (SCANNED_FIXED_03, 0.005), (WavyPrior(), 0.001)):
         spec, c = CalibrationSpec(alpha, 0.05, scheme), classical_threshold(alpha)
         tails.clear()
         calls.clear()
+        log_ms.clear()
         result = solve_sigma(spec)
         if scheme in (KL, ROBERT, FIXED_03):
             cell = scheme._proven_cell(calibration._log_rejection_odds(0.05), alpha, c)
             assert result.bracket_used == Bracket(*cell), scheme
-            assert calls == [result.sigma_star], scheme
+            assert calls == [], scheme
+            assert len(log_ms) == result.evaluations, scheme
         assert tails == [math.sqrt(result.psi_at_sigma)], scheme
         assert result.achieved_alpha == 2.0 * upper_tail(tails[0]), scheme
 
@@ -1193,12 +1212,12 @@ def test_the_walk_matches_the_eager_scan(spec):
 def test_the_scan_stops_at_the_first_cell_that_encloses_alpha(monkeypatch):
     """Criterion 11's request: the coarse pass stops at [1, 10], two points short of its end.
 
-    Then the polish evaluates h_c at 6 new sigma, and the memo psi at one of them, sigma*.
+    Then the polish evaluates h_c at 6 new sigma, sigma* among them, and the memo no psi.
     """
     calls = counting_psi(monkeypatch)
     polishes, sigmas = recording_polish(monkeypatch)
     result = solve_sigma(CalibrationSpec(0.01, 0.05, SCANNED_ROBERT))
-    assert calls == [1e-3, 1e-2, 0.1, 1.0, 10.0, result.sigma_star]
+    assert calls == [1e-3, 1e-2, 0.1, 1.0, 10.0]
     assert result.sigma_star in sigmas
     assert polishes == [Bracket(1.0, 10.0)]
     assert result.evaluations == 11
@@ -1297,7 +1316,7 @@ def scanned_sigmas(spec):
     """The scan's bracket for spec, and the sigma of each psi it computes and of each h_c the
     root finder evaluates on that bracket."""
     bracket, cuts = scan_outcome(calibration._scan_bracket, spec)
-    polished = []
+    polished = {}
     calibration._root_of_h(spec.scheme, cuts.level, classical_threshold(spec.alpha), bracket.lo,
                            bracket.hi, polished)
     return bracket, {*cuts, *polished}
@@ -1306,12 +1325,13 @@ def scanned_sigmas(spec):
 def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeypatch):
     """Where the scheme proves a finite cell and the root finder's float in it passes the
     predicate that accepts sigma*, that cell is the bracket, found without a scan, and the solve
-    computes psi only at sigma*. At each end where h_c, as the root finder computes it, is past
-    its rounding bound E, it has the sign the cell's proof gives. The answer lies in the scan's
-    bracket where the scan answers.
+    computes no psi. At each end where h_c, as the root finder computes it, is past its rounding
+    bound E, it has the sign the cell's proof gives. The answer lies in the scan's bracket where
+    the scan answers.
     Everywhere else the scan decides as on the base scan: psi at the same sigma in the same
-    order, after the failed float's, and the same answer or refusal. A failed cell adds the
-    sigma at which the root finder evaluated h_c in it to the answer's evaluations."""
+    order, and the same answer or refusal. A failed cell's float fails the predicate on the log m
+    and ratio the root finder computed, and the sigma at which it evaluated h_c in that cell are
+    added to the answer's evaluations."""
     ends, scans = recording_ends(monkeypatch), recording_scans(monkeypatch)
     calls = counting_psi(monkeypatch)
     outcomes = set()
@@ -1327,7 +1347,7 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             bracket = verdict.bracket_used
             assert proposed == (bracket.lo, bracket.hi), spec
             assert bracket.lo <= verdict.sigma_star <= bracket.hi, spec
-            assert solved_calls == [verdict.sigma_star], spec
+            assert solved_calls == [], spec
             rises = type(scheme) is FixedPrior and level <= scheme._log_odds  # h_c < 0 at lo
             for sigma in proposed:
                 h_c = level - log_m_of_sigma(scheme, sigma) - 0.5 * c * variance_ratio(sigma)
@@ -1344,21 +1364,20 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             assert scan.bracket_used.lo <= verdict.sigma_star <= scan.bracket_used.hi, spec
             outcomes.add("proven")
             continue
-        failed, tried = [], []  # the sigma of a failed cell's h_c, and the float it gave
+        failed = {}  # the sigma of a failed cell's h_c, with their log m and ratio
         if proposed is None:
             cancels = type(scheme) is FixedPrior and 2.0 * (1.0 + abs(level)) < scheme._log_odds
             outcomes.add("log m cancels" if cancels and level <= scheme._log_odds else "no root")
         elif math.isinf(proposed[1]):
             outcomes.add("an end past float range")
         else:
-            found = calibration._root_of_h(scheme, level, c, *proposed, failed)
-            log_m, ratio, tried = log_m_of_sigma(scheme, found), variance_ratio(found), [found]
+            log_m, ratio = failed[calibration._root_of_h(scheme, level, c, *proposed, failed)]
             assert not 0.0 < calibration._cut(level, log_m, ratio) < math.inf or \
                 calibration._h_past_rounding(level, c, log_m, ratio), spec
             outcomes.add("the cell's float fails the predicate")
         calls.clear()
         scan = answer_or_refusal(scanned)
-        assert solved_calls == tried + calls, spec
+        assert solved_calls == calls, spec
         if isinstance(scan, str):
             assert verdict == scan, spec
             continue
@@ -1431,7 +1450,7 @@ def test_kl_leaves_its_cell_to_the_scan_only_where_its_check_fails(monkeypatch):
         result = solve_sigma(spec)
         assert pending == [], spec
         level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
-        failed = []
+        failed = {}
         calibration._root_of_h(KL, level, c, *KL._proven_cell(level, spec.alpha, c), failed)
         scan_bracket, sigmas = scanned_sigmas(spec)
         scan = solve_sigma(CalibrationSpec(*target, scanned))
