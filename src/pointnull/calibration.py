@@ -419,9 +419,10 @@ def solve_sigma(spec: CalibrationSpec) -> CalibrationResult:
       classical_threshold states no such bound, and E does not cover c_alpha's error there.
     Where |h_c| <= E, (c/2) ratio is within 1.01 E of the gap, so these sum to at most
     14 eps (1 + |L| + |log m|) + 10 eps E < E. The answer is thus a float where h_c is zero to
-    within rounding; one where h_c jumps past zero (odds that turn infinite) is not. Next to
-    alpha = 1 its error can miss alpha by far more than an ulp (about 1e-8 next to kl's bound),
-    since the error moves that much between adjacent floats there.
+    within rounding; one where h_c jumps past zero (odds that turn infinite) is not, nor one where
+    the log odds and log(u)/2 cancel and h_c jitters past E between floats: the scan then decides
+    (fixed:1e-300 at alpha = 0.05). Next to alpha = 1 the error can miss alpha by far more than an
+    ulp (about 1e-8 next to kl's bound), as it moves that much between adjacent floats there.
     Otherwise alpha is refused with InfeasibleAlphaError and the errors at the sigma of greatest
     and least psi the scan evaluated, the float it found included; where that range would hold
     alpha, alpha is met only where the error rounds to 1, and the errors of 1 are left out.

@@ -189,17 +189,15 @@ class FixedPrior(_LogOdds, _Record, PriorScheme):
         - D > 0: a root needs h_c(c) < 0, 2 D < (c - 1) - log c, and the smallest lies below
           sigma^2 = c - 1. As log u >= 0, h_c > 0 below sigma^2 = 2 D / (c - 2 D).
         - D <= 0: h_c < 0 up to u = max(c, e^(-2 D)), and h_c > 1/2 from u = e^(c + 1 - 2 D) on.
-          Both ends are sqrt(e^k - 1) in log form. Where the log odds exceed 2 (1 + |level|),
-          log m = log odds - log(u)/2 cancels near the root: its rounding, about eps (log odds +
-          log(u)/2), can pass solve_sigma's bound: None, and the scan decides.
+          Both ends are sqrt(e^k - 1) in log form. E reads log m as computed, so where the log
+          odds and log(u)/2 cancel, h_c can jitter past it and the solve scans (solve_sigma).
         """
         d = level - self._log_odds
         if d > 0.0:
             return (math.sqrt(2.0 * d / (c - 2.0 * d)), math.sqrt(c - 1.0)) \
                 if c > 1.0 and 2.0 * d < _u_minus_log1p(c - 1.0) else None
         k = max(-2.0 * d, math.log(c))
-        return (_sqrt_expm1(k), _sqrt_expm1(c + 1.0 - 2.0 * d)) \
-            if k > 0.0 and self._log_odds <= 2.0 * (1.0 + abs(level)) else None
+        return (_sqrt_expm1(k), _sqrt_expm1(c + 1.0 - 2.0 * d)) if k > 0.0 else None
 
     @property
     def scheme_id(self) -> str:

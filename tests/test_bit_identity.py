@@ -58,8 +58,15 @@ With --seed (and --count), the edges, proven and slopeless families draw fresh r
 two checkouts are compared on solves no digest pins:
 
     PYTHONPATH=src python tests/test_bit_identity.py --seed 7 --count 6000 proven evaluations
+
+With --against REV, the script compares this tree with git revision REV instead of printing: it
+runs REV's own copy of itself, from a git archive of REV's tree, with the same arguments, and
+prints per family how many lines moved and the first pair that differs (moved_lines):
+
+    PYTHONPATH=src python tests/test_bit_identity.py --against HEAD~1 --seed 7 proven edges
 """
 
+import difflib
 import functools
 import hashlib
 import itertools
@@ -95,14 +102,14 @@ SOLVES, BOUNDS, PSI_SWEEPS, EDGES, PROVEN, SLOPELESS = 2000, 500, 300, 300, 2000
 ROOT_DIGEST = {
     "scanned": "26f0de50bc7f593273c6b9f7439ff9b9157cd2f7090093a29ed7c06a22d1b717",
     "kl_refusals": "7649865b77b071e0a2ba25ea2632982c76df44bb156362dd54efa45a5319208d",
-    "solves": "a76e4d90db042ef267dcb46835921cb875c17d7cb4d7d802df88c9fe09ed0aca",
+    "solves": "60cf28eca5f506094d77c43bb376ec31d0905ad059131f7c36d6676a9b6446e7",
     "bounds": "8fe395933128d1b8bef56506522f9e11704e77fa6a9080dd20acd9a1be021dea",
     "psi_sweeps": "3dc57ef01d776f7d5a020cba8690a811a97e05d0813f6a41dfcb02c2d0f643fe",
-    "edges": "3461f54f51ff8bbb80982693273e8f1805b1fed169b0075f9adf7593fe7fe76b",
-    "proven": "ee171ffbd2418f49a746aac7801bef8b463b957b7e1cdc76934258bb19c3fe0e",
+    "edges": "7ffd9c0cbf2da8e79fc8d696a88ef101b42e32de0556fc0aa927aa51c700d249",
+    "proven": "3f73bf40ecce9fb56e8e587d51b05a464482fad537bf28d39af9652c3a444d85",
     "slopeless": "138e42951a6f3fc84af4b630fa3184195cc98991b6e8cf2acd078d016cdb2982",
 }
-EVALUATIONS_DIGEST = "75de7f3d8a9b4332439dcedd221320c1204e5d98ab6995c749525f405aad67f5"
+EVALUATIONS_DIGEST = "910633e10c243140b15b87db059ec064f919794701631190cfc7ef132a39b2a6"
 ROOT_FINDER_DIGEST = "0ba3a8eb30fa9de75fa3396c4a9d82edc85fcaebe35e80dd51915159a176dfe1"
 
 TABLE = CustomTablePrior(((0.5, 0.6), (1.0, 0.5), (2.0, 0.35), (8.0, 0.1)))
@@ -420,7 +427,7 @@ def test_sigma_root_evaluation_counts_are_pinned():
 def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
     """Each sigma* solve_sigma returns for the sigma-root requests: psi > 0 there, and h_c, whose
     root is where the error meets alpha, within its stated bound E (h_c_and_its_bound). Every
-    other request is refused. 37 answers are fixed targets that the scan refuses: 36 edges whose
+    other request is refused. 39 answers are fixed targets that the scan refuses: 38 edges whose
     roots lie past its last point 1e12, and fixed:0.3 at alpha = 0.007441, next to its peak."""
     answered = 0
     for _, call, args in sigma_root_calls():
@@ -435,7 +442,7 @@ def test_every_sigma_root_answer_has_positive_psi_and_meets_alpha():
         assert result.psi_at_sigma > 0.0, (*args[:2], args[2].scheme_id)
         assert h_c <= stated, (*args[:2], args[2].scheme_id)
         answered += 1
-    assert answered == 1507
+    assert answered == 1509
 
 
 def test_every_answer_passes_the_predicate_that_takes_a_proven_cell():
@@ -458,7 +465,7 @@ def test_every_answer_passes_the_predicate_that_takes_a_proven_cell():
                                            variance_ratio(sigma))
         assert result.psi_at_sigma > 0.0 and h_c == 0.0, (alpha, alpha_b, scheme.scheme_id)
         answered += 1
-    assert answered == 1507 + 610  # the sigma-root requests' and the proven family's
+    assert answered == 1509 + 720  # the sigma-root requests' and the proven family's
 
 
 def _step(at):
@@ -536,6 +543,63 @@ def _kl_next_to_one_half_lines():
     return (("kl_next_to_one_half", line) for line in kl_next_to_one_half_lines())
 
 
+def moved_lines(before, after):
+    """{family: (lines before, lines after, first pair)} for each family whose "family<TAB>line"
+    lines differ between two runs, in the order the families first appear. Each family's lines
+    are matched as a diff matches them, so an answer that appears moves its own lines only; the
+    counts are the unmatched lines on each side, and the pair is the first unmatched line of
+    each side at the first difference, None on a side that has none there."""
+    runs = ({}, {})
+    for run, lines in zip(runs, (before, after)):
+        for line in lines:
+            family, _, text = line.partition("\t")
+            run.setdefault(family, []).append(text)
+    moved = {}
+    for family in dict.fromkeys([*runs[0], *runs[1]]):
+        old, new = runs[0].get(family, []), runs[1].get(family, [])
+        if old != new:  # a diff of repetitive lines, such as decide's flags, is slow
+            changes = [(i1, i2, j1, j2) for tag, i1, i2, j1, j2 in
+                       difflib.SequenceMatcher(None, old, new, autojunk=False).get_opcodes()
+                       if tag != "equal"]
+            i1, i2, j1, j2 = changes[0]
+            moved[family] = (sum(i2 - i1 for i1, i2, _, _ in changes),
+                             sum(j2 - j1 for _, _, j1, j2 in changes),
+                             (old[i1] if i1 < i2 else None, new[j1] if j1 < j2 else None))
+    return moved
+
+
+def test_moved_lines_counts_each_familys_unmatched_lines():
+    """A family whose line moved, one that gained a line, one unchanged, and one on each side
+    only: each moved family in order of first appearance, with its first differing pair."""
+    before = ["a\t1", "a\t2", "b\tx", "c\t5", "c\t6", "e\t7"]
+    after = ["a\t1", "a\t3", "b\tx", "c\t5", "c\t9", "c\t6", "d\t8"]
+    moved = moved_lines(before, after)
+    assert list(moved.items()) == [("a", (1, 1, ("2", "3"))), ("c", (0, 1, (None, "9"))),
+                                   ("e", (1, 0, ("7", None))), ("d", (0, 1, (None, "8")))]
+    assert moved_lines(after, after) == {}
+
+
+def _lines_at(rev, argv):
+    """The lines this script prints, with argv, as git revision rev's own copy of it."""
+    import io
+    import os
+    import subprocess
+    import sys
+    import tarfile
+    import tempfile
+
+    root = Path(__file__).resolve().parent.parent  # git archive from tests/ would hold it alone
+    archive = subprocess.run(["git", "archive", rev], cwd=root, check=True,
+                             stdout=subprocess.PIPE).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")))
+        script = Path(tmp, "tests", Path(__file__).name)
+        return subprocess.run([sys.executable, str(script), *argv], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True).stdout.splitlines()
+
+
 FAMILIES = {**dict.fromkeys(DIGEST, scalar_path_lines),
             **dict.fromkeys([*ROOT_DIGEST, "evaluations"], sigma_root_lines),
             "root_finder": root_finder_lines, "cli": _cli_lines,
@@ -550,6 +614,8 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, help="draw the edges, proven and slopeless requests "
                         "from this seed, in place of the pinned ones")
     parser.add_argument("--count", type=int, help="with --seed, the requests of each of them")
+    parser.add_argument("--against", metavar="REV", help="compare with what git revision REV "
+                        "prints for the same arguments, family by family, and print that")
     options = parser.parse_args()
     if options.seed is not None:  # fresh requests: compare two checkouts, not the digests
         edge_requests = functools.partial(edge_requests, options.count or EDGES, options.seed)
@@ -557,7 +623,19 @@ if __name__ == "__main__":
         slopeless_requests = functools.partial(slopeless_requests, options.count or SLOPELESS,
                                                options.seed)
     wanted = options.families or list(FAMILIES)
-    for source in dict.fromkeys(FAMILIES[family] for family in wanted):
-        for family, line in source():
-            if family in wanted:
-                print(f"{family}\t{line}")
+    lines = (f"{family}\t{line}" for source in dict.fromkeys(FAMILIES[family] for family in wanted)
+             for family, line in source() if family in wanted)
+    if options.against is None:
+        for line in lines:
+            print(line)
+    else:
+        argv = list(options.families)
+        for flag, value in (("--seed", options.seed), ("--count", options.count)):
+            argv += [flag, str(value)] if value is not None else []
+        moved = moved_lines(_lines_at(options.against, argv), list(lines))
+        for family in wanted:
+            if family not in moved:
+                print(f"{family}\tnone moved")
+                continue
+            before, after, (old, new) = moved[family]
+            print(f"{family}\t{before} lines before, {after} after\n\t- {old}\n\t+ {new}")

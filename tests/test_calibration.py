@@ -1268,7 +1268,7 @@ def bracket_requests():
     """robert and fixed requests: scanned_requests' own, then seeded ones with alpha from 1e-300
     to within 1e-15 of 1, alpha_b from 1e-300 to 0.9 (robert's g = L - log sqrt(2 pi) is
     negative above 0.2853) and masses from 1e-300 to 0.99, then five edges: a proven end within
-    rounding of the root, a mass whose log m cancels near it, an end past float range,
+    rounding of the root, a mass whose h_c jitters past E near it, an end past float range,
     fixed:0.3's peak error times 1 - 8 * 2^-52, where only the upper end is within rounding, and
     robert 4e-16 below its ceiling 0.0441451638066179, where only the lower end is."""
     rng = random.Random(44)
@@ -1304,6 +1304,34 @@ def test_proven_cells_that_the_root_finder_answers_are_taken():
         assert ulps(sigma_star, root) <= _sigma_star_bound(kappa), spec
         h_c, stated = h_c_and_its_bound(spec, result)
         assert result.psi_at_sigma > 0.0 and h_c <= stated, spec
+
+
+# Fixed targets past the scan's last point 1e12, where the log odds and log(u)/2 cancel: each
+# request, then its sigma* and evaluations.
+FIXED_PAST_THE_SCAN = (
+    (CalibrationSpec(1e-15, 0.5, FixedPrior(0.01)), 9694659969263990.0, 7),
+    (CalibrationSpec(0.05, 0.05, FixedPrior(1e-20)), 3.5925976641715204e+19, 8),
+    (CalibrationSpec(0.5, 0.05, FixedPrior(1e-300)), 6.607460691340418e+298, 7),
+    (CalibrationSpec(0.01, 0.05, FixedPrior(1e-300)), 1.4520978752736387e+300, 52),
+)
+
+
+def test_fixed_cells_answer_where_the_log_odds_and_log_u_cancel():
+    """fixed's cell for D <= 0 is tried at every mass: each of FIXED_PAST_THE_SCAN answers on it,
+    within test_accuracy's bound of the 60-digit root of h_c, where the scan refused them all.
+    fixed:1e-300 at alpha = 0.05 is still refused: h_c jitters past E between adjacent floats."""
+    from test_accuracy import _sigma_star_bound, h_root_reference, ulps
+
+    for spec, sigma_star, evaluations in FIXED_PAST_THE_SCAN:
+        level, c = calibration._log_rejection_odds(spec.alpha_b), classical_threshold(spec.alpha)
+        result = solve_sigma(spec)
+        assert result.bracket_used == Bracket(*spec.scheme._proven_cell(level, spec.alpha, c)), \
+            spec
+        assert (result.sigma_star, result.evaluations) == (sigma_star, evaluations), spec
+        root, kappa = h_root_reference(spec.scheme, spec.alpha, spec.alpha_b, sigma_star)
+        assert ulps(sigma_star, root) <= _sigma_star_bound(kappa), spec
+    with pytest.raises(InfeasibleAlphaError, match=r"approximately \(1\.0, 1\.0\)$"):
+        solve_sigma(CalibrationSpec(0.05, 0.05, FixedPrior(1e-300)))
 
 
 def with_evaluations(result, evaluations):
@@ -1366,8 +1394,7 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
             continue
         failed = {}  # the sigma of a failed cell's h_c, with their log m and ratio
         if proposed is None:
-            cancels = type(scheme) is FixedPrior and 2.0 * (1.0 + abs(level)) < scheme._log_odds
-            outcomes.add("log m cancels" if cancels and level <= scheme._log_odds else "no root")
+            outcomes.add("no root")
         elif math.isinf(proposed[1]):
             outcomes.add("an end past float range")
         else:
@@ -1384,7 +1411,7 @@ def test_robert_and_fixed_brackets_hold_the_root_or_leave_it_to_the_scan(monkeyp
         sigmas = scanned_sigmas(scanned)[1]
         assert scan.evaluations == len(sigmas), spec
         assert verdict == with_evaluations(scan, len(sigmas.union(failed))), spec
-    assert outcomes == {"proven", "proven, where the scan refuses", "no root", "log m cancels",
+    assert outcomes == {"proven", "proven, where the scan refuses", "no root",
                         "an end past float range", "the cell's float fails the predicate",
                         "upper end within rounding: the cell is taken",
                         "lower end within rounding: the cell is taken"}

@@ -679,7 +679,7 @@ def test_extreme_arguments_never_escape_main(capsys):
 
 
 #: SHA-256 over (argv, exit code, stdout, stderr) of every extreme argv and the usage cases below.
-CLI_DIGEST = "d1f8dd6dc8cb69be2a61004ed63bbbff143167ecc7137c57229bbab2114e321c"
+CLI_DIGEST = "678921f8a73f85cdc6bee40d2ed2912c49a7c98fffe9380d525736135d6c0e35"
 
 
 def cli_lines(tmp_path):

@@ -57,6 +57,8 @@ CASES = {
     "simulate_seed7_theta": "simulate --n 100000 --seed 7 --theta 1.5 --sigma 2.10897339437208 "
                             "--scheme kl",
     "simulate_past_bound": "simulate --n 20000 --sigma 3 --scheme kl",
+    # A fixed root past the scan's last point 1e12, answered on the mass's proven cell.
+    "calibrate_fixed_past_the_scan": "calibrate --alpha 1e-15 --alpha-b 0.5 --scheme fixed:0.01",
     # x * x overflows while sigma^2 underflows.
     "overflow_posterior_1e200": "posterior --x 1e200 --sigma 1e-200 --scheme fixed:0.5",
     "overflow_posterior_1e155": "posterior --x 1e155 --sigma 1e-160 --scheme fixed:0.5",
